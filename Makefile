@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint staticcheck race verify bench bench-smoke bench-compare profile soak soak-smoke saturate saturate-smoke
+.PHONY: build test vet lint staticcheck race bench-module verify bench bench-smoke bench-compare profile soak soak-smoke saturate saturate-smoke
 
 build:
 	$(GO) build ./...
@@ -72,8 +72,16 @@ saturate-smoke:
 	$(GO) run ./cmd/soak -saturate -dur 2s -cpuprofile soak-cpu.pprof 2>&1 | tee saturate-smoke.out
 	$(GO) tool pprof -top -nodecount 20 soak-cpu.pprof | tee soak-cpu-top.txt
 
+# The repository benchmark (BENCHMARK.json) lives in bench/, a module of
+# its own that compiles against this module's internal packages through a
+# replace directive — so root `go build/vet/test ./...` never see it, and an
+# API move here can break it silently. Vet it and run its tests (~5 s,
+# offline: its only dependency is the parent directory).
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Tier-1 verify path (see ROADMAP.md).
-verify: build lint test race
+verify: build lint test race bench-module
 
 # Perf measurement over the hot paths: the MDP solve (slice vs compiled
 # CSR kernels), the adaptation re-solve matrix (Jacobi vs prioritized x

@@ -1,7 +1,8 @@
 // Command serve runs the client-server prototype end to end on localhost:
-// it starts worker HTTP servers, generates a RAMSIS policy, replays a
-// Poisson workload through the central controller, and reports the achieved
-// accuracy and violation rate.
+// it starts worker HTTP servers and the frontend, generates a RAMSIS policy,
+// replays a Poisson workload through the frontend's dispatch loop (the same
+// loop -frontend serves live traffic with), and reports the achieved accuracy
+// and violation rate.
 //
 //	serve --task image --slo 150 --workers 4 --load 120 --dur 10
 package main
@@ -296,7 +297,7 @@ func main() {
 		frontend  = flag.Bool("frontend", false, "serve a live POST /query API instead of replaying a trace (Ctrl-C to stop)")
 		lbArg     = flag.String("lb", "rr", "load balancer across worker queues: rr, jsq, or p2c")
 		addr      = flag.String("addr", "127.0.0.1:8080", "frontend listen address (frontend mode)")
-		traceOut  = flag.String("trace-out", "", "append query trace fragments as JSONL to this file (frontend and multi-tenant modes; stitch with `trace -stitch`)")
+		traceOut  = flag.String("trace-out", "", "append query trace fragments as JSONL to this file (frontend, replay, and multi-tenant modes; stitch with `trace -stitch`)")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		logFmt    = flag.String("log-format", "text", "log format: text or json")
 
@@ -427,37 +428,46 @@ func main() {
 			*adaptBand*100, *adaptDwell, adapter.ActiveBucket())
 	}
 
-	if *frontend {
-		var tw *telemetry.TraceWriter
-		if *traceOut != "" {
-			fh, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer fh.Close()
-			tw = telemetry.NewTraceWriter(fh)
-		}
-		cluster, err := serve.StartCluster(serve.ClusterConfig{
-			Models:        models,
-			Workers:       *workers,
-			SLO:           slo,
-			TimeScale:     *timeScale,
-			LatencyStdDev: *noiseMS / 1000,
-			Select:        selector,
-			Monitor:       monitor.NewMovingAverage(0.5),
-			Seed:          *seed,
-			Balancer:      balancer,
-			Addr:          *addr,
-			TraceWriter:   tw,
-			Telemetry:     registry,
-			Admit:         admitter,
-			Degrade:       degrader,
-			RetryBudget:   retryBudget,
-		})
+	var tw *telemetry.TraceWriter
+	if *traceOut != "" {
+		fh, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer cluster.Stop()
+		defer fh.Close()
+		tw = telemetry.NewTraceWriter(fh)
+	}
+	// Live and replay modes run the same deployment — workers plus the
+	// frontend's dispatch loop; they differ only in who enqueues. A replay
+	// is self-contained, so its frontend takes a random port rather than
+	// contending for -addr.
+	listen := ""
+	if *frontend {
+		listen = *addr
+	}
+	cluster, err := serve.StartCluster(serve.ClusterConfig{
+		Models:        models,
+		Workers:       *workers,
+		SLO:           slo,
+		TimeScale:     *timeScale,
+		LatencyStdDev: *noiseMS / 1000,
+		Select:        selector,
+		Monitor:       monitor.NewMovingAverage(0.5),
+		Seed:          *seed,
+		Balancer:      balancer,
+		Addr:          listen,
+		TraceWriter:   tw,
+		Telemetry:     registry,
+		Admit:         admitter,
+		Degrade:       degrader,
+		RetryBudget:   retryBudget,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer cluster.Stop()
+
+	if *frontend {
 		fmt.Printf("live inference service at %s\n", cluster.URL())
 		fmt.Printf("try: curl -X POST %s/query -d '{}'\n", cluster.URL())
 		fmt.Printf("     curl %s/stats\n", cluster.URL())
@@ -466,40 +476,12 @@ func main() {
 		select {} // serve until interrupted
 	}
 
-	var lat sim.LatencyModel = sim.Deterministic{}
-	if *noiseMS > 0 {
-		lat = sim.Stochastic{StdDev: *noiseMS / 1000}
-	}
-	urls := make([]string, *workers)
-	ws := make([]*serve.Worker, *workers)
-	for i := range urls {
-		ws[i] = serve.NewWorker(models, lat, *timeScale, *seed+int64(i))
-		if err := ws[i].Start(); err != nil {
-			log.Fatal(err)
-		}
-		defer ws[i].Stop()
-		urls[i] = ws[i].URL()
-		fmt.Printf("worker %d listening at %s\n", i, urls[i])
-	}
-
+	fmt.Printf("%d workers behind the frontend at %s\n", *workers, cluster.URL())
 	tr := trace.Constant(*load, *dur)
-	ctl := &serve.Controller{
-		Profiles:    models,
-		SLO:         slo,
-		TimeScale:   *timeScale,
-		Workers:     urls,
-		Select:      selector,
-		Monitor:     monitor.NewMovingAverage(0.5),
-		Balancer:    balancer,
-		Telemetry:   registry,
-		Admit:       admitter,
-		Degrade:     degrader,
-		RetryBudget: retryBudget,
-	}
 	arrivals := trace.PoissonArrivals(tr, *seed)
 	fmt.Printf("replaying %d queries over %.0fs (wall %.0fs)...\n",
 		len(arrivals), *dur, *dur / *timeScale)
-	m, err := ctl.Run(arrivals)
+	m, err := cluster.Frontend.Replay(arrivals)
 	if err != nil {
 		log.Fatal(err)
 	}

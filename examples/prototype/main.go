@@ -1,8 +1,9 @@
 // Prototype: the full client-server serving stack of §6 on localhost —
 // worker HTTP servers that hold requests for the profiled inference
-// latency (with the ~10 ms jitter the paper measures), a central controller
-// with a round-robin balancer and per-worker model selectors, and a
-// workload generator replaying Poisson arrivals in real time.
+// latency (with the ~10 ms jitter the paper measures), the frontend with a
+// round-robin balancer and per-worker model selectors, and a replay driver
+// pacing Poisson arrivals into it in real time — the same dispatch loop
+// live clients reach over POST /query.
 //
 //	go run ./examples/prototype
 package main
@@ -14,7 +15,6 @@ import (
 	"ramsis"
 	"ramsis/internal/monitor"
 	"ramsis/internal/serve"
-	"ramsis/internal/sim"
 	"ramsis/internal/trace"
 )
 
@@ -39,31 +39,28 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("starting worker HTTP servers...")
-	urls := make([]string, workers)
-	for i := 0; i < workers; i++ {
-		w := serve.NewWorker(models, sim.Stochastic{StdDev: 0.010}, timeScale, int64(i+1))
-		if err := w.Start(); err != nil {
-			log.Fatal(err)
-		}
-		defer w.Stop()
-		urls[i] = w.URL()
-		fmt.Printf("  worker %d at %s\n", i, urls[i])
+	fmt.Println("starting worker HTTP servers and the frontend...")
+	cluster, err := serve.StartCluster(serve.ClusterConfig{
+		Models:        models,
+		Workers:       workers,
+		SLO:           sloMS / 1000,
+		TimeScale:     timeScale,
+		LatencyStdDev: 0.010,
+		Select:        serve.RAMSISSelector(system.PolicySet()),
+		Monitor:       monitor.NewMovingAverage(0.5),
+		Seed:          1,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer cluster.Stop()
+	fmt.Printf("  %d workers behind %s\n", workers, cluster.URL())
 
-	ctl := &serve.Controller{
-		Profiles:  models,
-		SLO:       sloMS / 1000,
-		TimeScale: timeScale,
-		Workers:   urls,
-		Select:    serve.RAMSISSelector(system.PolicySet()),
-		Monitor:   monitor.NewMovingAverage(0.5),
-	}
 	tr := ramsis.ConstantTrace(load, duration)
 	arrivals := trace.PoissonArrivals(tr, 11)
 	fmt.Printf("replaying %d queries over %.0f modeled seconds (%.0fs wall)...\n",
 		len(arrivals), duration, duration/timeScale)
-	m, err := ctl.Run(arrivals)
+	m, err := cluster.Frontend.Replay(arrivals)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,0 +1,342 @@
+package llm
+
+import "ramsis/internal/telemetry"
+
+// Request is one token-annotated query: a prompt of Prefill tokens to
+// ingest and Decode output tokens to generate, arriving at Arrival modeled
+// seconds.
+type Request struct {
+	ID      int
+	Arrival float64
+	Prefill int
+	Decode  int
+}
+
+// Tokens returns the request's total token footprint — its KV reservation
+// and its contribution to a worker's outstanding load.
+func (q Request) Tokens() int { return q.Prefill + q.Decode }
+
+// Selector picks the step model a worker's next engine step should run. It
+// is consulted at every step boundary with the worker's observable state:
+// queued is the query count (waiting + running), outstandingTokens the
+// unfinished token load, kvUsage the KV-cache occupancy fraction, and
+// headSlack the oldest query's remaining deadline headroom in seconds.
+// Returning a negative index keeps the current model.
+type Selector interface {
+	SelectModel(queued, outstandingTokens int, kvUsage, headSlack float64) int
+}
+
+// Seq is one request's progress through a Batcher. Tag is the caller's
+// per-request payload (the serve worker's token stream; the simulator
+// carries none). AdmitAt and FirstTokenAt are valid once the sequence was
+// admitted and emitted its first token.
+type Seq[T any] struct {
+	Request
+	Tag          T
+	AdmitAt      float64
+	FirstTokenAt float64
+	// Gap is the time from the sequence's previous token to its latest —
+	// from its arrival for the first token, so that Gap is then the TTFT,
+	// and a TBT observation afterwards.
+	Gap float64
+
+	lastTokenAt float64 // the arrival, until the first token
+	prefillLeft int
+	decodeLeft  int
+	kvHeld      int // tokens currently resident in the KV cache
+	// per-step schedule: set by Begin, read by Land
+	prefillChunk    int
+	decodeScheduled bool
+}
+
+// First reports whether the sequence's latest token was its first.
+func (s *Seq[T]) First() bool { return s.decodeLeft == s.Decode-1 }
+
+// Done reports whether the sequence's latest token was its last.
+func (s *Seq[T]) Done() bool { return s.decodeLeft == 0 }
+
+// Counts are a batcher's run totals: one selection decision per step.
+type Counts struct {
+	Steps         int
+	Switches      int
+	PrefillTokens int64
+	DecodeTokens  int64
+	// PeakKV is the maximum KV occupancy fraction reached.
+	PeakKV float64
+}
+
+// Batcher is one worker's continuous-batching step scheduler: a waiting
+// queue, a running batch, and KV-cache accounting against the serving
+// model's capacity. At every step boundary it consults the selector (an
+// immediate model switch when the running batch is empty, drain-then-switch
+// otherwise), admits waiting requests FIFO under full-footprint KV
+// reservations, composes the step decode-first with chunked prefill, and —
+// once the caller has let the step's modeled time pass — lands its tokens.
+//
+// It works purely in modeled seconds handed in by its caller and never
+// reads a clock: the simulator drives it from its event loop, the serve
+// worker from wall time × TimeScale. Both therefore execute the same
+// scheduling decisions. A Batcher is not safe for concurrent use.
+type Batcher[T any] struct {
+	models Set
+	slo    float64
+	sel    Selector
+	tel    *series // nil without a registry
+
+	model      int // index into models
+	draining   bool
+	waiting    []*Seq[T]
+	running    []*Seq[T]
+	kvUsed     int // tokens resident
+	kvReserved int // tokens reserved by admitted sequences
+	outTok     int // outstanding tokens over waiting + running
+	counts     Counts
+
+	// slab hands out sequences in chunks, so a long stream costs one
+	// allocation per seqSlab requests rather than one each.
+	slab []Seq[T]
+	// per-boundary result scratch, reused across steps
+	rejected []*Seq[T]
+	landed   []*Seq[T]
+}
+
+const seqSlab = 64
+
+// NewBatcher builds a worker's scheduler over models (already carrying any
+// KV-capacity override), starting on the most accurate one. sel may be nil
+// (never switch). With a registry the batcher exports the ramsis_llm_* and
+// query series, the KV-usage gauge under the worker's index; reg may be nil.
+func NewBatcher[T any](models Set, slo float64, sel Selector, reg *telemetry.Registry, worker int) *Batcher[T] {
+	b := &Batcher[T]{models: models, slo: slo, sel: sel, model: models.MostAccurate()}
+	if reg != nil {
+		b.tel = newSeries(reg, worker)
+	}
+	return b
+}
+
+// Push clamps the request's token lengths to at least one each and appends
+// it to the waiting queue.
+func (b *Batcher[T]) Push(r Request, tag T) {
+	r.Prefill = max(r.Prefill, 1)
+	r.Decode = max(r.Decode, 1)
+	if len(b.slab) == 0 {
+		b.slab = make([]Seq[T], seqSlab)
+	}
+	s := &b.slab[0]
+	b.slab = b.slab[1:]
+	s.Request, s.Tag, s.lastTokenAt = r, tag, r.Arrival
+	s.prefillLeft, s.decodeLeft = r.Prefill, r.Decode
+	b.waiting = append(b.waiting, s)
+	b.outTok += r.Tokens()
+}
+
+// Idle reports whether nothing is waiting or running.
+func (b *Batcher[T]) Idle() bool { return len(b.waiting) == 0 && len(b.running) == 0 }
+
+// Outstanding returns the unfinished token load over waiting and running
+// requests — the join-shortest-token-queue routing signal.
+func (b *Batcher[T]) Outstanding() int { return b.outTok }
+
+// Running returns the running batch's sequence count.
+func (b *Batcher[T]) Running() int { return len(b.running) }
+
+// Model returns the serving model.
+func (b *Batcher[T]) Model() *StepModel { return &b.models.Models[b.model] }
+
+// Counts returns the run totals so far.
+func (b *Batcher[T]) Counts() Counts { return b.counts }
+
+// Finish accounts for a sequence Land reported Done at time end: it returns
+// the request's end-to-end latency and whether that violates the SLO — the
+// one SLO test both clocks apply — and records the outcome in the registry
+// (traceID, when non-empty, becomes the latency histogram's exemplar).
+func (b *Batcher[T]) Finish(s *Seq[T], end float64, traceID string) (latency float64, violated bool) {
+	latency = end - s.Arrival
+	violated = latency > b.slo+1e-12
+	if b.tel != nil {
+		b.tel.served(b.Model(), latency, s.AdmitAt-s.Arrival, violated, traceID)
+	}
+	return latency, violated
+}
+
+// Drain empties the batcher and returns every waiting and running sequence
+// (a stopping worker fails them).
+func (b *Batcher[T]) Drain() []*Seq[T] {
+	all := append(b.waiting, b.running...)
+	b.waiting, b.running = nil, nil
+	b.kvUsed, b.kvReserved, b.outTok = 0, 0, 0
+	return all
+}
+
+// Begin runs one step boundary at time now: consult the selector, drain or
+// switch the serving model, admit waiting requests under the KV reservation
+// cap, and compose the step decode-first. It returns the composed step's
+// modeled latency — the caller lets that long pass, then calls Land — plus
+// the requests rejected because their footprint can never fit the serving
+// model's cache (valid until the next Begin). ok is false when nothing is
+// runnable: the worker is idle until the next Push.
+func (b *Batcher[T]) Begin(now float64) (seconds float64, rejected []*Seq[T], ok bool) {
+	if b.Idle() {
+		return 0, nil, false
+	}
+	if b.sel != nil {
+		b.maybeSwitch(now)
+	}
+	m := b.Model()
+	cap := m.KVCapTokens
+	b.rejected = b.rejected[:0]
+
+	if !b.draining {
+		for len(b.waiting) > 0 && len(b.running) < m.MaxSeqs {
+			s := b.waiting[0]
+			need := s.Tokens()
+			if b.kvReserved+need > cap {
+				if len(b.running) == 0 && b.kvReserved == 0 {
+					// Can never fit this model's cache even empty: reject
+					// rather than deadlock the queue head.
+					b.waiting = b.waiting[1:]
+					b.outTok -= need
+					b.rejected = append(b.rejected, s)
+					continue
+				}
+				break // FIFO admission: no head-of-line bypass
+			}
+			b.kvReserved += need
+			s.AdmitAt = now
+			b.running = append(b.running, s)
+			b.waiting = b.waiting[1:]
+		}
+	}
+	if len(b.running) == 0 {
+		return 0, b.rejected, false
+	}
+
+	// Compose the step: one decode token per eligible sequence first, then
+	// prefill chunks fill the remaining budget.
+	budget := m.StepBudget()
+	p, d := 0, 0
+	for _, s := range b.running {
+		s.decodeScheduled = false
+		s.prefillChunk = 0
+		if s.prefillLeft == 0 && s.decodeLeft > 0 && d < budget {
+			s.decodeScheduled = true
+			d++
+		}
+	}
+	for _, s := range b.running {
+		if s.prefillLeft > 0 && p+d < budget {
+			chunk := min(s.prefillLeft, budget-p-d)
+			s.prefillChunk = chunk
+			p += chunk
+		}
+	}
+
+	tau := m.StepTime(p, d, float64(b.kvUsed)/float64(cap))
+	b.counts.Steps++
+	b.counts.PrefillTokens += int64(p)
+	b.counts.DecodeTokens += int64(d)
+	if t := b.tel; t != nil {
+		t.step.Observe(tau)
+		t.steps.With(m.Name).Inc()
+		t.prefillTokens.Add(float64(p))
+		t.decodeTokens.Add(float64(d))
+	}
+	return tau, b.rejected, true
+}
+
+// maybeSwitch applies the selector's decision: an immediate switch when the
+// running batch is empty, otherwise drain mode (no admissions until the
+// batch empties, then switch).
+func (b *Batcher[T]) maybeSwitch(now float64) {
+	m := b.Model()
+	kv := float64(b.kvUsed) / float64(m.KVCapTokens)
+	queued := len(b.waiting) + len(b.running)
+	desired := b.sel.SelectModel(queued, b.outTok, kv, b.headArrival()+b.slo-now)
+	if desired < 0 || desired >= b.models.Len() || desired == b.model {
+		b.draining = false
+		return
+	}
+	if len(b.running) == 0 {
+		b.model = desired
+		b.draining = false
+		b.counts.Switches++
+		if b.tel != nil {
+			b.tel.switches.Inc()
+		}
+		return
+	}
+	b.draining = true
+}
+
+// headArrival returns the oldest arrival time across waiting and running;
+// the batcher must not be idle.
+func (b *Batcher[T]) headArrival() float64 {
+	if len(b.running) == 0 {
+		return b.waiting[0].Arrival
+	}
+	t := b.running[0].Arrival
+	if len(b.waiting) > 0 && b.waiting[0].Arrival < t {
+		t = b.waiting[0].Arrival
+	}
+	return t
+}
+
+// Land lands the step's scheduled tokens at time end: prefill chunks enter
+// the KV cache (a finishing prefill emits the first token), decode tokens
+// advance their sequences, and finished sequences release their
+// reservations. It returns the sequences that generated a token — each
+// exactly one; see Seq.Gap, First and Done — in batch order (valid until the
+// next Land).
+func (b *Batcher[T]) Land(end float64) []*Seq[T] {
+	cap := float64(b.Model().KVCapTokens)
+	b.landed = b.landed[:0]
+	keep := b.running[:0]
+	for _, s := range b.running {
+		switch {
+		case s.prefillChunk > 0:
+			b.kvUsed += s.prefillChunk
+			s.kvHeld += s.prefillChunk
+			s.prefillLeft -= s.prefillChunk
+			b.outTok -= s.prefillChunk
+			if s.prefillLeft > 0 {
+				keep = append(keep, s)
+				continue
+			}
+			// Prefill finished: the step's last forward pass emitted the
+			// first output token.
+			s.FirstTokenAt = end
+		case s.decodeScheduled: // one decode token
+		default: // the step's budget ran out before this sequence
+			keep = append(keep, s)
+			continue
+		}
+		s.decodeLeft--
+		s.kvHeld++
+		b.kvUsed++
+		b.outTok--
+		s.Gap = end - s.lastTokenAt
+		s.lastTokenAt = end
+		if s.Done() {
+			b.counts.PeakKV = max(b.counts.PeakKV, float64(b.kvUsed)/cap)
+			b.kvUsed -= s.kvHeld
+			b.kvReserved -= s.Tokens()
+		} else {
+			keep = append(keep, s)
+		}
+		b.landed = append(b.landed, s)
+	}
+	b.running = keep
+	kv := float64(b.kvUsed) / cap
+	b.counts.PeakKV = max(b.counts.PeakKV, kv)
+	if t := b.tel; t != nil {
+		t.kv.Set(kv)
+		for _, s := range b.landed {
+			if s.First() {
+				t.ttft.Observe(s.Gap)
+			} else {
+				t.tbt.Observe(s.Gap)
+			}
+		}
+	}
+	return b.landed
+}

@@ -162,11 +162,11 @@ func TestFrontendShedsUnderHammer(t *testing.T) {
 	}
 }
 
-// TestControllerDeadlineAdmissionRaisesGoodput is the serve-path half of
+// TestReplayDeadlineAdmissionRaisesGoodput is the serve-path half of
 // the acceptance criterion: replaying arrivals at 3x the solved rate
 // through the full HTTP stack, deadline admission must achieve strictly
 // higher goodput than admitting everything.
-func TestControllerDeadlineAdmissionRaisesGoodput(t *testing.T) {
+func TestReplayDeadlineAdmissionRaisesGoodput(t *testing.T) {
 	const workers, slo, solved, mult, dur, timeScale = 2, 0.150, 80.0, 3.0, 4.0, 25.0
 	set := core.NewPolicySet(core.Config{
 		Models: profile.ImageSet(), SLO: slo, Workers: workers,
@@ -179,17 +179,17 @@ func TestControllerDeadlineAdmissionRaisesGoodput(t *testing.T) {
 	arrivals := trace.PoissonArrivals(trace.Constant(mult*solved, dur), 5)
 
 	run := func(a admit.Admitter) sim.Metrics {
-		urls := startWorkers(t, workers, sim.Deterministic{}, timeScale)
-		ctl := &Controller{
-			Profiles:  profile.ImageSet(),
+		c := startCluster(t, ClusterConfig{
+			Models:    profile.ImageSet(),
+			Workers:   workers,
 			SLO:       slo,
 			TimeScale: timeScale,
-			Workers:   urls,
 			Select:    RAMSISSelector(set),
 			Monitor:   monitor.Oracle{Trace: pinned},
 			Admit:     a,
-		}
-		m, err := ctl.Run(arrivals)
+			Seed:      1,
+		})
+		m, err := c.Frontend.Replay(arrivals)
 		if err != nil {
 			t.Fatal(err)
 		}

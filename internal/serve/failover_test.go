@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ramsis/internal/admit"
 	"ramsis/internal/profile"
 	"ramsis/internal/sim"
 )
@@ -205,4 +206,68 @@ func TestFrontendClientDisconnect(t *testing.T) {
 	if !waitUntil(t, 5*time.Second, func() bool { return runtime.NumGoroutine() <= baseline+3 }) {
 		t.Errorf("goroutines %d, baseline %d: leaked", runtime.NumGoroutine(), baseline)
 	}
+}
+
+// TestReplaySurvivesWorkerDeath replays a trace through a two-worker
+// cluster and stops one worker mid-run: every arrival must still be
+// accounted for exactly once (served — rescued by failover or recorded as a
+// failed dispatch — or shed at admission), the replay's fold of the
+// responses must agree with the frontend's own /stats, and nothing may be
+// left queued or in dispatch afterwards.
+func TestReplaySurvivesWorkerDeath(t *testing.T) {
+	const timeScale, n = 10.0, 300
+	c := startCluster(t, ClusterConfig{
+		Models:         profile.ImageSet(),
+		Workers:        2,
+		SLO:            0.150,
+		TimeScale:      timeScale,
+		Select:         fixedSelector("shufflenet_v2_x0_5"),
+		HealthInterval: 10 * time.Millisecond,
+		Admit:          admit.Cap{Limit: 8},
+		Seed:           1,
+	})
+	arrivals := make([]float64, n)
+	for i := range arrivals {
+		arrivals[i] = float64(i) * 0.01 // 100 QPS modeled: 0.3 s of wall time
+	}
+	// Stop worker 1 once a quarter of the trace has been answered.
+	replayed, killed := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(killed)
+		for c.Frontend.Stats().Served < n/4 {
+			select {
+			case <-replayed:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+		_ = c.workers[1].Stop()
+	}()
+	m, err := c.Frontend.Replay(arrivals)
+	close(replayed)
+	<-killed
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Served+m.Shed != n {
+		t.Errorf("served %d + shed %d != %d offered", m.Served, m.Shed, n)
+	}
+	if m.Served == 0 {
+		t.Error("nothing served")
+	}
+	st := c.Frontend.Stats()
+	if st.Served != m.Served || st.Shed != m.Shed || st.Violations != m.Violations {
+		t.Errorf("replay metrics served/shed/violations %d/%d/%d, /stats %d/%d/%d",
+			m.Served, m.Shed, m.Violations, st.Served, st.Shed, st.Violations)
+	}
+	if st.FailedDispatches != m.FailedDispatches {
+		t.Errorf("failed dispatches: replay %d, /stats %d", m.FailedDispatches, st.FailedDispatches)
+	}
+	if out := c.Frontend.Outstanding(); out != 0 {
+		t.Errorf("%d queries still outstanding after the replay", out)
+	}
+	if !waitUntil(t, 2*time.Second, func() bool { return !c.Frontend.Health.IsHealthy(1) }) {
+		t.Error("stopped worker never marked unhealthy")
+	}
+	t.Logf("served %d, shed %d, failed dispatches %d, violations %d", m.Served, m.Shed, m.FailedDispatches, m.Violations)
 }

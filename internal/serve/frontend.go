@@ -61,8 +61,9 @@ type StatsResponse struct {
 // Frontend is the client-facing half of the prototype: applications POST
 // /query and block until their prediction returns, exactly the Fig. 1 flow
 // (central queue -> load balancer -> worker queue -> model selector ->
-// worker). It shares the worker HTTP API with Controller but serves live
-// traffic instead of replaying a trace.
+// worker). It is the one serve dispatch loop: live clients reach it over
+// HTTP, in-process injectors through Enqueue, and trace replay through
+// Replay, which paces a trace into Enqueue.
 //
 // Routing goes through a pluggable lb.Balancer over per-worker queues,
 // masked by an lb.HealthTracker: workers that fail consecutive health
@@ -727,8 +728,9 @@ func (f *Frontend) handleStats(rw http.ResponseWriter, _ *http.Request) {
 	_ = json.NewEncoder(rw).Encode(f.snapshot())
 }
 
-// workerLoop mirrors Controller.workerLoop for live queries. It is the
-// only consumer of its ring, so a snapshot of the head and length stays
+// workerLoop is one per-worker model selector: it waits for queued
+// queries, applies the selector, and dispatches the batch to its worker
+// over HTTP. It is the only consumer of its ring, so a snapshot of the head and length stays
 // valid after the lock is dropped (the ring can only grow underneath it).
 func (f *Frontend) workerLoop(w int) {
 	defer f.loops.Done()
@@ -786,6 +788,9 @@ func (f *Frontend) workerLoop(w int) {
 		p, ok := f.Profiles.ByName(model)
 		if !ok || batch < 1 {
 			// Defensive: never drop live queries on selector misbehavior.
+			// The fallback is counted so a mis-wired policy stays visible
+			// (and fails a replay).
+			f.tel.fallbacks.Inc()
 			p = f.Profiles.Profiles[0]
 			batch = 1
 		}

@@ -12,8 +12,8 @@ import (
 	"sync"
 )
 
-// This file is the shared /infer wire layer for both dispatch paths
-// (Frontend and Controller) and the worker's handler: hand-rolled JSON
+// This file is the /infer wire layer shared by the Frontend's dispatch
+// path and the worker's handler: hand-rolled JSON
 // encode/decode into reusable scratch buffers, and a minimal HTTP/1.1
 // client over owned persistent connections. A dispatch loop is strictly
 // serial — write one request, read its response, repeat — so net/http's

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -33,25 +32,16 @@ type GenSummary struct {
 	Latency float64 `json:"latency"`
 }
 
-// genSeq is one in-flight /generate request inside the worker's
-// continuous-batching loop. The step loop owns every field while the
-// sequence is queued or running; the handler reads sum and reject only
-// after tok is closed, which orders the writes.
-type genSeq struct {
-	prefill, decode int
-	arrival         time.Time
-	traceID         string
+// maxGenerateBody bounds a /generate request body; a GenRequest is two
+// integers.
+const maxGenerateBody = 4 << 10
 
-	admitAt         time.Time
-	prefillLeft     int
-	decodeLeft      int
-	kvHeld          int
-	reserve         int
-	prefillChunk    int
-	decodeScheduled bool
-	firstTokenAt    time.Time
-	lastTokenAt     time.Time
-
+// genStream is the handler's side of one in-flight /generate request, the
+// tag its sequence carries through the batcher. The step loop writes sum and
+// reject before closing tok; the handler reads them only after, which orders
+// the accesses.
+type genStream struct {
+	traceID string
 	// tok receives one send per generated token and is closed on
 	// completion (or rejection). Capacity covers every token, so the step
 	// loop never blocks on a slow reader.
@@ -64,12 +54,13 @@ type genSeq struct {
 // runs the request through a continuous-batching step loop shared across
 // all in-flight requests, streaming one byte per generated token (the
 // client's first byte read is a real wire TTFT measurement) and closing
-// with a newline-delimited JSON summary trailer. The loop mirrors the
-// simulator's engine — per-step admission under KV reservations, decode-
-// first composition, chunked prefill, drain-then-switch model selection —
-// but advances in wall-clock time: each step holds the batch for the step
-// model's modeled latency divided by TimeScale. Metrics are reported in
-// modeled time either way, like the scalar Worker.
+// with a newline-delimited JSON summary trailer. The scheduling — per-step
+// admission under KV reservations, decode-first composition, chunked
+// prefill, drain-then-switch model selection — is llm.Batcher, the very
+// code the simulator's engine runs; this worker only supplies the clock:
+// modeled time is wall time × TimeScale, and each step holds the batch for
+// its modeled latency divided by TimeScale. Metrics are reported in modeled
+// time either way, like the scalar Worker.
 type LLMWorker struct {
 	Models    llm.Set
 	SLO       float64
@@ -92,25 +83,19 @@ type LLMWorker struct {
 	// TraceWriter, when set, additionally streams fragments as JSONL.
 	TraceWriter *telemetry.TraceWriter
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	models     llm.Set // KV-cap-overridden serving set
-	model      int
-	draining   bool
-	waiting    []*genSeq
-	running    []*genSeq
-	kvUsed     int
-	kvReserved int
-	outTok     int
-	stopped    bool
-	srv        *http.Server
-	addr       string
+	// now and sleep are the worker's clock (time.Now and time.Sleep unless a
+	// test substituted a fake before Start).
+	now   func() time.Time
+	sleep func(time.Duration)
+	epoch time.Time // modeled time zero
 
-	ttftHist, tbtHist, stepHist, latHist *telemetry.Histogram
-	prefillCtr, decodeCtr, switchCtr     *telemetry.Counter
-	queriesCtr, violationsCtr, satAccCtr *telemetry.Counter
-	stepsVec, modelQueriesVec            *telemetry.CounterVec
-	kvGauge                              *telemetry.Gauge
+	mu      sync.Mutex
+	cond    *sync.Cond
+	b       *llm.Batcher[*genStream]
+	maxKV   int // largest KV capacity in the set: no request above it is servable
+	stopped bool
+	srv     *http.Server
+	addr    string
 }
 
 // NewLLMWorker builds an LLM worker server (not yet started).
@@ -133,8 +118,10 @@ func (w *LLMWorker) Start() error {
 	if err := w.Models.Validate(); err != nil {
 		return err
 	}
-	w.models = w.Models.WithKVCap(w.KVCap)
-	w.model = w.models.MostAccurate()
+	models := w.Models.WithKVCap(w.KVCap)
+	for _, m := range models.Models {
+		w.maxKV = max(w.maxKV, m.KVCapTokens)
+	}
 	w.cond = sync.NewCond(&w.mu)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -150,34 +137,17 @@ func (w *LLMWorker) Start() error {
 	if w.Traces == nil {
 		w.Traces = telemetry.NewTraceBuffer(0)
 	}
-	reg := w.Telemetry
-	reg.Help(telemetry.MetricLLMTTFT, "Time to first token in modeled seconds.")
-	reg.Help(telemetry.MetricLLMTBT, "Time between decode tokens in modeled seconds.")
-	reg.Help(telemetry.MetricLLMStepSeconds, "Continuous-batching step latency in modeled seconds.")
-	reg.Help(telemetry.MetricLLMKVUsage, "KV-cache occupancy fraction per worker.")
-	w.ttftHist = reg.Histogram(telemetry.MetricLLMTTFT)
-	w.tbtHist = reg.Histogram(telemetry.MetricLLMTBT)
-	w.stepHist = reg.Histogram(telemetry.MetricLLMStepSeconds)
-	w.latHist = reg.Histogram(telemetry.MetricLatencySeconds)
-	w.prefillCtr = reg.Counter(telemetry.MetricLLMTokens, "kind", "prefill")
-	w.decodeCtr = reg.Counter(telemetry.MetricLLMTokens, "kind", "decode")
-	w.switchCtr = reg.Counter(telemetry.MetricLLMModelSwitches)
-	w.queriesCtr = reg.Counter(telemetry.MetricQueries)
-	w.violationsCtr = reg.Counter(telemetry.MetricViolations)
-	w.satAccCtr = reg.Counter(telemetry.MetricSatAccuracySum)
-	w.stepsVec = reg.CounterVec(telemetry.MetricLLMSteps, "model")
-	w.modelQueriesVec = reg.CounterVec(telemetry.MetricModelQueries, "model")
-	idx := w.Index
-	if idx < 0 {
-		idx = 0
+	if w.now == nil {
+		w.now, w.sleep = time.Now, time.Sleep
 	}
-	w.kvGauge = reg.Gauge(telemetry.MetricLLMKVUsage, "worker", strconv.Itoa(idx))
+	w.epoch = w.now()
+	w.b = llm.NewBatcher[*genStream](models, w.SLO, w.Selector, w.Telemetry, max(w.Index, 0))
 	mux := http.NewServeMux()
 	mux.HandleFunc("/generate", w.handleGenerate)
 	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, _ *http.Request) {
 		rw.WriteHeader(http.StatusOK)
 	})
-	mux.Handle("/metrics", reg.Handler())
+	mux.Handle("/metrics", w.Telemetry.Handler())
 	mux.Handle("/debug/traces", w.Traces.Handler())
 	telemetry.RegisterPprof(mux)
 	w.srv = &http.Server{Handler: mux}
@@ -193,13 +163,12 @@ func (w *LLMWorker) URL() string { return "http://" + w.addr }
 // server down.
 func (w *LLMWorker) Stop() error {
 	w.mu.Lock()
-	if !w.stopped {
+	if !w.stopped && w.b != nil {
 		w.stopped = true
-		for _, s := range append(w.waiting, w.running...) {
-			s.reject = "worker stopped"
-			close(s.tok)
+		for _, s := range w.b.Drain() {
+			s.Tag.reject = "worker stopped"
+			close(s.Tag.tok)
 		}
-		w.waiting, w.running = nil, nil
 		w.cond.Broadcast()
 	}
 	w.mu.Unlock()
@@ -209,12 +178,31 @@ func (w *LLMWorker) Stop() error {
 	return w.srv.Close()
 }
 
+// modeledNow returns modeled seconds since Start.
+func (w *LLMWorker) modeledNow() float64 {
+	return w.now().Sub(w.epoch).Seconds() * w.TimeScale
+}
+
+// submit queues one request for the step loop, stamped with the current
+// modeled time; it returns nil once the worker has stopped.
+func (w *LLMWorker) submit(gr GenRequest, traceID string) *genStream {
+	g := &genStream{traceID: traceID, tok: make(chan struct{}, max(gr.Decode, 1))}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.stopped {
+		return nil
+	}
+	w.b.Push(llm.Request{ID: -1, Arrival: w.modeledNow(), Prefill: gr.Prefill, Decode: gr.Decode}, g)
+	w.cond.Signal()
+	return g
+}
+
 func (w *LLMWorker) handleGenerate(rw http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		http.Error(rw, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(req.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(rw, req.Body, maxGenerateBody))
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
@@ -224,25 +212,19 @@ func (w *LLMWorker) handleGenerate(rw http.ResponseWriter, req *http.Request) {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
-	gr.Prefill = max(gr.Prefill, 1)
-	gr.Decode = max(gr.Decode, 1)
-	s := &genSeq{
-		prefill: gr.Prefill,
-		decode:  gr.Decode,
-		arrival: time.Now(),
-		traceID: req.Header.Get("X-Trace-Id"),
-		tok:     make(chan struct{}, gr.Decode),
+	// Bounding each length first keeps the sum from overflowing. A footprint
+	// no model's cache can hold is the client's error, not a queueing
+	// outcome: refuse it before it reserves anything.
+	if gr.Prefill > w.maxKV || gr.Decode > w.maxKV || max(gr.Prefill, 1)+max(gr.Decode, 1) > w.maxKV {
+		http.Error(rw, fmt.Sprintf("request footprint (prefill %d + decode %d tokens) exceeds every model's KV capacity (largest %d)",
+			gr.Prefill, gr.Decode, w.maxKV), http.StatusBadRequest)
+		return
 	}
-	w.mu.Lock()
-	if w.stopped {
-		w.mu.Unlock()
+	g := w.submit(gr, req.Header.Get("X-Trace-Id"))
+	if g == nil {
 		http.Error(rw, "worker stopped", http.StatusServiceUnavailable)
 		return
 	}
-	w.waiting = append(w.waiting, s)
-	w.outTok += gr.Prefill + gr.Decode
-	w.mu.Unlock()
-	w.cond.Signal()
 
 	// Stream one byte per generated token, flushing each so the client's
 	// first byte is a real wire-level TTFT. Headers ride out with the first
@@ -250,7 +232,7 @@ func (w *LLMWorker) handleGenerate(rw http.ResponseWriter, req *http.Request) {
 	fl, _ := rw.(http.Flusher)
 	rw.Header().Set("Content-Type", "application/octet-stream")
 	streamed := 0
-	for range s.tok {
+	for range g.tok {
 		if _, err := rw.Write([]byte{'t'}); err != nil {
 			return // client went away; the loop still finishes the sequence
 		}
@@ -259,225 +241,81 @@ func (w *LLMWorker) handleGenerate(rw http.ResponseWriter, req *http.Request) {
 		}
 		streamed++
 	}
-	if s.reject != "" && streamed == 0 {
-		http.Error(rw, s.reject, http.StatusServiceUnavailable)
+	if g.reject != "" && streamed == 0 {
+		http.Error(rw, g.reject, http.StatusServiceUnavailable)
 		return
 	}
-	trailer, err := json.Marshal(s.sum)
+	trailer, err := json.Marshal(g.sum)
 	if err != nil {
 		return
 	}
 	_, _ = rw.Write(append(append(make([]byte, 0, len(trailer)+1), '\n'), trailer...))
 }
 
-// loop is the worker's continuous-batching engine: admit at step
-// boundaries, compose decode-first under the step budget, hold the batch
-// for the modeled step time compressed by TimeScale, then land tokens.
+// loop drives the batcher from the wall clock: run a step boundary, hold
+// the batch for the step's modeled time compressed by TimeScale, then land
+// its tokens onto their streams.
 func (w *LLMWorker) loop() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for {
-		for !w.stopped && len(w.waiting) == 0 && len(w.running) == 0 {
+		for !w.stopped && w.b.Idle() {
 			w.cond.Wait()
 		}
 		if w.stopped {
 			return
 		}
-		w.maybeSwitch()
-		m := w.models.Models[w.model]
-		cap := m.KVCapTokens
-		if !w.draining {
-			for len(w.waiting) > 0 && len(w.running) < m.MaxSeqs {
-				s := w.waiting[0]
-				need := s.prefill + s.decode
-				if w.kvReserved+need > cap {
-					if len(w.running) == 0 && w.kvReserved == 0 {
-						// Can never fit this model's cache even empty:
-						// reject rather than deadlock the queue head.
-						w.waiting = w.waiting[1:]
-						w.outTok -= need
-						s.reject = fmt.Sprintf("request footprint %d tokens exceeds model %s KV capacity %d",
-							need, m.Name, cap)
-						close(s.tok)
-						continue
-					}
-					break // FIFO admission: no head-of-line bypass
-				}
-				w.kvReserved += need
-				s.admitAt = time.Now()
-				s.prefillLeft = s.prefill
-				s.decodeLeft = s.decode
-				s.reserve = need
-				w.running = append(w.running, s)
-				w.waiting = w.waiting[1:]
-			}
+		seconds, rejected, ok := w.b.Begin(w.modeledNow())
+		for _, s := range rejected {
+			m := w.b.Model()
+			s.Tag.reject = fmt.Sprintf("request footprint %d tokens exceeds model %s KV capacity %d",
+				s.Tokens(), m.Name, m.KVCapTokens)
+			close(s.Tag.tok)
 		}
-		if len(w.running) == 0 {
+		if !ok {
 			continue
 		}
-
-		budget := m.StepBudget()
-		p, d := 0, 0
-		for _, s := range w.running {
-			s.decodeScheduled = false
-			s.prefillChunk = 0
-			if s.prefillLeft == 0 && s.decodeLeft > 0 && d < budget {
-				s.decodeScheduled = true
-				d++
-			}
-		}
-		for _, s := range w.running {
-			if s.prefillLeft > 0 && p+d < budget {
-				chunk := min(s.prefillLeft, budget-p-d)
-				s.prefillChunk = chunk
-				p += chunk
-			}
-		}
-		kv := float64(w.kvUsed) / float64(cap)
-		tau := m.StepTime(p, d, kv)
-		w.stepHist.Observe(tau)
-		w.stepsVec.With(m.Name).Inc()
-		w.prefillCtr.Add(float64(p))
-		w.decodeCtr.Add(float64(d))
-
 		w.mu.Unlock()
-		time.Sleep(time.Duration(tau / w.TimeScale * float64(time.Second)))
+		w.sleep(time.Duration(seconds / w.TimeScale * float64(time.Second)))
 		w.mu.Lock()
 		if w.stopped {
 			return
 		}
-		w.completeStep(m, time.Now())
-	}
-}
-
-// maybeSwitch applies the selector's decision at a step boundary: an
-// immediate switch when the running batch is empty, drain mode otherwise.
-func (w *LLMWorker) maybeSwitch() {
-	if w.Selector == nil {
-		return
-	}
-	head, ok := w.headArrival()
-	if !ok {
-		return
-	}
-	m := w.models.Models[w.model]
-	kv := float64(w.kvUsed) / float64(m.KVCapTokens)
-	queued := len(w.waiting) + len(w.running)
-	slack := w.SLO - time.Since(head).Seconds()*w.TimeScale
-	desired := w.Selector.SelectModel(queued, w.outTok, kv, slack)
-	if desired < 0 || desired >= w.models.Len() || desired == w.model {
-		w.draining = false
-		return
-	}
-	if len(w.running) == 0 {
-		w.model = desired
-		w.draining = false
-		w.switchCtr.Inc()
-		return
-	}
-	w.draining = true
-}
-
-// headArrival returns the oldest arrival across waiting and running.
-func (w *LLMWorker) headArrival() (time.Time, bool) {
-	var t time.Time
-	ok := false
-	if len(w.running) > 0 {
-		t, ok = w.running[0].arrival, true
-	}
-	if len(w.waiting) > 0 && (!ok || w.waiting[0].arrival.Before(t)) {
-		t, ok = w.waiting[0].arrival, true
-	}
-	return t, ok
-}
-
-// modeled converts a wall-clock duration to modeled seconds.
-func (w *LLMWorker) modeled(d time.Duration) float64 {
-	return d.Seconds() * w.TimeScale
-}
-
-// completeStep lands the step's scheduled tokens: prefill chunks enter the
-// KV cache (a finishing prefill emits the first token), decode tokens
-// advance their sequences, finished sequences release their reservations
-// and answer their handler.
-func (w *LLMWorker) completeStep(m llm.StepModel, end time.Time) {
-	cap := m.KVCapTokens
-	keep := w.running[:0]
-	for _, s := range w.running {
-		if s.prefillChunk > 0 {
-			w.kvUsed += s.prefillChunk
-			s.kvHeld += s.prefillChunk
-			s.prefillLeft -= s.prefillChunk
-			w.outTok -= s.prefillChunk
-			s.prefillChunk = 0
-			if s.prefillLeft == 0 {
-				s.decodeLeft--
-				s.kvHeld++
-				w.kvUsed++
-				w.outTok--
-				s.firstTokenAt = end
-				s.lastTokenAt = end
-				w.ttftHist.Observe(w.modeled(end.Sub(s.arrival)))
-				s.tok <- struct{}{}
+		end := w.modeledNow()
+		batch := w.b.Running()
+		for _, s := range w.b.Land(end) {
+			s.Tag.tok <- struct{}{}
+			if s.Done() {
+				w.finish(s, batch, end)
 			}
-		} else if s.decodeScheduled {
-			s.decodeScheduled = false
-			s.decodeLeft--
-			s.kvHeld++
-			w.kvUsed++
-			w.outTok--
-			w.tbtHist.Observe(w.modeled(end.Sub(s.lastTokenAt)))
-			s.lastTokenAt = end
-			s.tok <- struct{}{}
-		}
-		if s.prefillLeft == 0 && s.decodeLeft == 0 {
-			w.kvUsed -= s.kvHeld
-			w.kvReserved -= s.reserve
-			w.finish(s, m, end)
-		} else {
-			keep = append(keep, s)
 		}
 	}
-	w.running = keep
-	w.kvGauge.Set(float64(w.kvUsed) / float64(cap))
 }
 
 // finish records one served request and releases its handler.
-func (w *LLMWorker) finish(s *genSeq, m llm.StepModel, end time.Time) {
-	lat := w.modeled(end.Sub(s.arrival))
-	ttft := w.modeled(s.firstTokenAt.Sub(s.arrival))
-	w.latHist.Observe(lat)
-	w.queriesCtr.Inc()
-	if w.SLO > 0 && lat > w.SLO {
-		w.violationsCtr.Inc()
-	} else {
-		w.satAccCtr.Add(m.Accuracy)
-	}
-	w.modelQueriesVec.With(m.Name).Inc()
+func (w *LLMWorker) finish(s *llm.Seq[*genStream], batch int, end float64) {
+	m := w.b.Model()
+	lat, violated := w.b.Finish(s, end, s.Tag.traceID)
 	qt := telemetry.QueryTrace{
 		ID: -1, Worker: w.Index,
-		Model: m.Name, Batch: len(w.running) + 1,
+		Model: m.Name, Batch: batch,
 		LatencyMS:   lat * 1000,
-		DeadlineMet: w.SLO <= 0 || lat <= w.SLO,
-		TraceID:     s.traceID, Process: w.Name,
-		Spans: []telemetry.Span{
-			{Stage: telemetry.StageBatchWait, Seconds: w.modeled(s.admitAt.Sub(s.arrival))},
-			{Stage: telemetry.StagePrefill, Seconds: w.modeled(s.firstTokenAt.Sub(s.admitAt))},
-			{Stage: telemetry.StageDecode, Seconds: w.modeled(end.Sub(s.firstTokenAt))},
-		},
+		DeadlineMet: !violated,
+		TraceID:     s.Tag.traceID, Process: w.Name,
+		Spans: s.Spans(end),
 	}
 	w.Traces.Add(qt)
 	if w.TraceWriter != nil {
 		_ = w.TraceWriter.Write(qt)
 	}
-	s.sum = GenSummary{
+	s.Tag.sum = GenSummary{
 		Model:   m.Name,
-		Prefill: s.prefill,
-		Decode:  s.decode,
-		TTFT:    ttft,
+		Prefill: s.Prefill,
+		Decode:  s.Decode,
+		TTFT:    s.FirstTokenAt - s.Arrival,
 		Latency: lat,
 	}
-	close(s.tok)
+	close(s.Tag.tok)
 }
 
 // GenResult is the client-side view of one /generate stream: wall-clock

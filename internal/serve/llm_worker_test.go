@@ -129,9 +129,10 @@ func TestLLMWorkerConcurrentRequestsShareTheBatch(t *testing.T) {
 	}
 }
 
-// TestLLMWorkerRejectsOversizeFootprint pins the KV admission guard: a
-// request whose footprint can never fit the serving model's cache answers
-// 503 instead of deadlocking the queue head.
+// TestLLMWorkerRejectsOversizeFootprint pins both KV admission guards. A
+// footprint no model's cache can hold is the client's error and answers 400
+// before it queues; one that fits some model but not the serving one is
+// rejected by the step loop with 503 instead of deadlocking the queue head.
 func TestLLMWorkerRejectsOversizeFootprint(t *testing.T) {
 	models := llm.BuiltinSet()
 	w := NewLLMWorker(models, 8.0, 100, nil)
@@ -145,7 +146,7 @@ func TestLLMWorkerRejectsOversizeFootprint(t *testing.T) {
 	if err == nil {
 		t.Fatal("oversize request served; want a KV-capacity rejection")
 	}
-	if !strings.Contains(err.Error(), "KV capacity") {
+	if !strings.Contains(err.Error(), "KV capacity") || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("unexpected rejection: %v", err)
 	}
 	// The worker stays healthy for requests that do fit.
@@ -155,5 +156,64 @@ func TestLLMWorkerRejectsOversizeFootprint(t *testing.T) {
 	}
 	if res.Tokens != 3 {
 		t.Fatalf("streamed %d tokens, want 3", res.Tokens)
+	}
+
+	// No selector pins the most accurate model, whose cache is the set's
+	// smallest: a footprint between the two capacities passes the handler
+	// and is turned away at the step boundary.
+	big := models.Models[models.MostAccurate()].KVCapTokens + 100
+	w2 := NewLLMWorker(models, 8.0, 100, nil)
+	if err := w2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Stop()
+	_, err = PostGenerate(http.DefaultClient, w2.URL(), big, 10)
+	if err == nil || !strings.Contains(err.Error(), "KV capacity") || !strings.Contains(err.Error(), "503") {
+		t.Fatalf("serving-model oversize: got %v, want a 503 KV-capacity rejection", err)
+	}
+	if res, err = PostGenerate(http.DefaultClient, w2.URL(), 100, 3); err != nil || res.Tokens != 3 {
+		t.Fatalf("after a step-loop rejection: %d tokens, %v", res.Tokens, err)
+	}
+}
+
+// TestLLMWorkerRejectsMalformedLengths pins /generate input handling: token
+// lengths whose sum overflows int (which used to wrap negative, slip past
+// the KV gate, and pin a never-finishing sequence at the FIFO head) and
+// bodies past the size cap answer 400 without touching the batcher, and the
+// same worker then serves a normal request.
+func TestLLMWorkerRejectsMalformedLengths(t *testing.T) {
+	w := NewLLMWorker(llm.BuiltinSet(), 8.0, 100, nil)
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Stop()
+
+	for name, body := range map[string]string{
+		"overflowing sum": `{"prefill":9223372036854775807,"decode":9223372036854775807}`,
+		"huge decode":     `{"prefill":1,"decode":9223372036854775807}`,
+		"oversize body":   `{"prefill":1,"decode":1` + strings.Repeat(" ", 2*maxGenerateBody) + `}`,
+	} {
+		resp, err := http.Post(w.URL()+"/generate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	w.mu.Lock()
+	idle, out := w.b.Idle(), w.b.Outstanding()
+	w.mu.Unlock()
+	if !idle || out != 0 {
+		t.Fatalf("rejected requests reached the batcher: idle %v, outstanding tokens %d", idle, out)
+	}
+
+	res, err := PostGenerate(http.DefaultClient, w.URL(), 200, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Tokens != 4 {
+		t.Fatalf("streamed %d tokens, want 4", res.Tokens)
 	}
 }

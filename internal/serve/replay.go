@@ -1,0 +1,71 @@
+package serve
+
+import (
+	"fmt"
+	"net/http"
+	"time"
+
+	"ramsis/internal/sim"
+	"ramsis/internal/stats"
+)
+
+// Replay paces a trace into the started frontend and blocks until every
+// query is answered: arrivals are modeled seconds from the call, each
+// enqueued at its scheduled instant (compressed by TimeScale) exactly as a
+// live client's POST /query would be, so trace replay exercises the one
+// dispatch loop — admission, balancing, selection, failover — that live
+// traffic does. The responses fold into the simulator's Metrics, in modeled
+// time; a query's latency runs from its actual enqueue instant.
+//
+// Replay returns an error alongside the metrics when the selector
+// misbehaved (named a model outside Profiles, or a batch below one): the
+// frontend keeps such queries alive on a fallback model, but a replay is an
+// experiment, and a mis-wired policy must fail it loudly.
+func (f *Frontend) Replay(arrivals []float64) (sim.Metrics, error) {
+	m := sim.Metrics{ModelCounts: map[string]int{}}
+	if f.tel == nil {
+		return m, fmt.Errorf("serve: replay needs a started frontend")
+	}
+	decisions, degraded, fallbacks := f.tel.decisions.Value(), f.tel.degraded.Value(), f.tel.fallbacks.Value()
+	pending := make([]<-chan QueryResponse, 0, len(arrivals))
+	start := time.Now()
+	for _, a := range arrivals {
+		if d := time.Until(start.Add(time.Duration(a / f.TimeScale * float64(time.Second)))); d > 0 {
+			time.Sleep(d)
+		}
+		done, eerr := f.Enqueue("")
+		switch {
+		case eerr == nil:
+			pending = append(pending, done)
+		case eerr.Status == http.StatusTooManyRequests:
+			m.Shed++
+		default:
+			return m, eerr
+		}
+	}
+	for _, done := range pending {
+		r := <-done
+		m.Served++
+		m.ModelCounts[r.Model]++
+		m.Latencies = append(m.Latencies, r.LatencyMS/1000)
+		if r.DeadlineMet {
+			p, _ := f.Profiles.ByName(r.Model)
+			m.SatAccSum += p.Accuracy
+		} else {
+			m.Violations++
+		}
+		if r.Error != "" {
+			m.FailedDispatches++
+		}
+	}
+	m.Decisions = int(f.tel.decisions.Value() - decisions)
+	m.DegradedDecisions = int(f.tel.degraded.Value() - degraded)
+	m.LatencyP50 = stats.Percentile(m.Latencies, 50)
+	m.LatencyP95 = stats.Percentile(m.Latencies, 95)
+	m.LatencyP99 = stats.Percentile(m.Latencies, 99)
+	if n := int(f.tel.fallbacks.Value() - fallbacks); n > 0 {
+		return m, fmt.Errorf("serve: selector chose an unknown model or empty batch on %d decisions; they ran on fallback model %s",
+			n, f.Profiles.Profiles[0].Name)
+	}
+	return m, nil
+}

@@ -11,9 +11,11 @@ import (
 
 	"ramsis/internal/core"
 	"ramsis/internal/dist"
+	"ramsis/internal/lb"
 	"ramsis/internal/monitor"
 	"ramsis/internal/profile"
 	"ramsis/internal/sim"
+	"ramsis/internal/telemetry"
 	"ramsis/internal/trace"
 )
 
@@ -29,6 +31,18 @@ func startWorkers(t *testing.T, n int, lat sim.LatencyModel, timeScale float64) 
 		urls[i] = w.URL()
 	}
 	return urls
+}
+
+// startCluster boots a localhost deployment for a replay test; the test's
+// cleanup stops it.
+func startCluster(t *testing.T, cfg ClusterConfig) *Cluster {
+	t.Helper()
+	c, err := StartCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	return c
 }
 
 func TestWorkerInferAPI(t *testing.T) {
@@ -96,18 +110,18 @@ func TestPrototypeEndToEndRAMSIS(t *testing.T) {
 	if err := set.GenerateLoads([]float64{load}); err != nil {
 		t.Fatal(err)
 	}
-	urls := startWorkers(t, workers, sim.Deterministic{}, timeScale)
 	tr := trace.Constant(load, 10)
-	ctl := &Controller{
-		Profiles:  profile.ImageSet(),
+	c := startCluster(t, ClusterConfig{
+		Models:    profile.ImageSet(),
+		Workers:   workers,
 		SLO:       slo,
 		TimeScale: timeScale,
-		Workers:   urls,
 		Select:    RAMSISSelector(set),
 		Monitor:   monitor.Oracle{Trace: tr},
-	}
+		Seed:      1,
+	})
 	arr := trace.PoissonArrivals(tr, 5)
-	m, err := ctl.Run(arr)
+	m, err := c.Frontend.Replay(arr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +147,12 @@ func TestPrototypeEndToEndRAMSIS(t *testing.T) {
 	}
 }
 
+// TestPrototypeCentralModeBaseline replays a load-granular baseline. The
+// baselines' implicit balancing (eager workers on one central queue) is
+// join-shortest-queue over the per-worker queues here.
 func TestPrototypeCentralModeBaseline(t *testing.T) {
 	const workers, slo, load, timeScale = 4, 0.150, 100.0, 5.0
 	ps := profile.ImageSet()
-	urls := startWorkers(t, workers, sim.Deterministic{}, timeScale)
 	tr := trace.Constant(load, 8)
 	// A Jellyfish+-style fixed selection at this load.
 	modelFor := func(load float64) int {
@@ -148,16 +164,17 @@ func TestPrototypeCentralModeBaseline(t *testing.T) {
 		}
 		return 0
 	}
-	ctl := &Controller{
-		Profiles:  ps,
+	c := startCluster(t, ClusterConfig{
+		Models:    ps,
+		Workers:   workers,
 		SLO:       slo,
 		TimeScale: timeScale,
-		Workers:   urls,
 		Select:    LoadGranularSelector(ps, slo, modelFor),
 		Monitor:   monitor.Oracle{Trace: tr},
-		Central:   true,
-	}
-	m, err := ctl.Run(trace.PoissonArrivals(tr, 6))
+		Balancer:  lb.NewJoinShortestQueue(),
+		Seed:      1,
+	})
+	m, err := c.Frontend.Replay(trace.PoissonArrivals(tr, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,24 +190,37 @@ func TestPrototypeCentralModeBaseline(t *testing.T) {
 	}
 }
 
-func TestControllerErrorsOnNoWorkers(t *testing.T) {
-	ctl := &Controller{Profiles: profile.ImageSet(), SLO: 0.1, Select: func(_, _ float64, n int, _ float64) (string, int) { return "resnet50", n }}
-	if _, err := ctl.Run([]float64{0}); err == nil {
+func TestReplayErrorsOnNoWorkers(t *testing.T) {
+	f := &Frontend{Profiles: profile.ImageSet(), SLO: 0.1, Select: func(_, _ float64, n int, _ float64) (string, int) { return "resnet50", n }}
+	if err := f.Start(); err == nil {
+		t.Error("no-worker frontend should not start")
+	}
+	if _, err := f.Replay([]float64{0}); err == nil {
 		t.Error("no-worker run should fail")
 	}
 }
 
-func TestControllerSurfacesUnknownModel(t *testing.T) {
-	urls := startWorkers(t, 1, sim.Deterministic{}, 50)
-	ctl := &Controller{
-		Profiles:  profile.ImageSet(),
+// TestReplaySurfacesUnknownModel pins that a mis-wired policy fails the run
+// loudly: the frontend keeps the query alive on its fallback model (live
+// traffic is never dropped on selector misbehavior), counts the fallback,
+// and the replay driver turns that count into an error.
+func TestReplaySurfacesUnknownModel(t *testing.T) {
+	c := startCluster(t, ClusterConfig{
+		Models:    profile.ImageSet(),
+		Workers:   1,
 		SLO:       0.1,
 		TimeScale: 50,
-		Workers:   urls,
 		Select:    func(_, _ float64, n int, _ float64) (string, int) { return "not_a_model", n },
-	}
-	if _, err := ctl.Run([]float64{0}); err == nil {
+	})
+	m, err := c.Frontend.Replay([]float64{0})
+	if err == nil {
 		t.Error("unknown model should surface as an error")
+	}
+	if m.Served != 1 {
+		t.Errorf("served %d, want the query kept alive on the fallback model", m.Served)
+	}
+	if v := c.Frontend.Telemetry.Counter(telemetry.MetricSelectFallbacks).Value(); v != 1 {
+		t.Errorf("%s = %v, want 1", telemetry.MetricSelectFallbacks, v)
 	}
 }
 

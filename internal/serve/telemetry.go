@@ -8,10 +8,10 @@ import (
 	"ramsis/internal/telemetry"
 )
 
-// serveSeries caches the registry series both serving layers (Frontend and
-// Controller) update on their dispatch paths, so the hot path never takes
-// the registry's lookup lock. The same metric names are recorded by the
-// simulator's engine, keeping sim and live runs directly comparable.
+// serveSeries caches the registry series the Frontend updates on its
+// dispatch path, so the hot path never takes the registry's lookup lock.
+// The same metric names are recorded by the simulator's engine, keeping sim
+// and live runs directly comparable.
 type serveSeries struct {
 	queries    *telemetry.Counter
 	violations *telemetry.Counter
@@ -42,6 +42,9 @@ type serveSeries struct {
 	// decision — how honest the profiled latency the policy committed to
 	// turned out to be.
 	decisionErr *telemetry.Histogram
+	// fallbacks counts decisions served on the fallback model because the
+	// selector misbehaved (see MetricSelectFallbacks).
+	fallbacks *telemetry.Counter
 	// workerDispatch counts /infer POSTs per worker; it backs both the
 	// exposition and StatsResponse.WorkerDispatches so they cannot drift.
 	workerDispatch []*telemetry.Counter
@@ -74,6 +77,7 @@ func newServeSeries(reg *telemetry.Registry, workers, offset int) *serveSeries {
 		retriesDenied: reg.Counter(telemetry.MetricAdmitRetriesDenied),
 		estWait:       reg.Histogram(telemetry.MetricAdmitWaitSeconds),
 		decisionErr:   reg.Histogram(telemetry.MetricDecisionError),
+		fallbacks:     reg.Counter(telemetry.MetricSelectFallbacks),
 
 		reg:      reg,
 		modelCtr: map[string]*telemetry.Counter{},

@@ -254,21 +254,21 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestControllerTelemetry verifies the trace-replay path records the same
-// registry series as the frontend and fills latency percentiles.
-func TestControllerTelemetry(t *testing.T) {
-	urls := startWorkers(t, 2, sim.Deterministic{}, 20)
+// TestReplayTelemetry verifies the trace-replay path records the same
+// registry series as live traffic and fills latency percentiles.
+func TestReplayTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	ctl := &Controller{
-		Profiles: profile.ImageSet(), SLO: 0.150, TimeScale: 20, Workers: urls,
+	c := startCluster(t, ClusterConfig{
+		Models: profile.ImageSet(), Workers: 2, SLO: 0.150, TimeScale: 20,
 		Select:    fixedSelector("shufflenet_v2_x0_5"),
 		Telemetry: reg,
-	}
+		Seed:      1,
+	})
 	arr := make([]float64, 16)
 	for i := range arr {
 		arr[i] = float64(i) * 0.01
 	}
-	m, err := ctl.Run(arr)
+	m, err := c.Frontend.Replay(arr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
-// Package serve is the client-server prototype of §6: a central controller
-// process holding the central queue, a load balancer, and per-worker model
-// selectors, plus worker servers that expose an HTTP inference API. The
+// Package serve is the client-server prototype of §6: a frontend process
+// holding the load balancer, the per-worker queues, and per-worker model
+// selectors — one dispatch loop, fed by live clients and by trace replay
+// alike — plus worker servers that expose an HTTP inference API. The
 // paper's workers run TorchServe; here a worker "executes inference" by
 // holding the request for the profiled latency (plus optional jitter),
 // which preserves every scheduling-relevant behaviour (§7.3.1 notes the

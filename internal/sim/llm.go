@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 
 	"ramsis/internal/core"
 	"ramsis/internal/llm"
@@ -14,25 +13,13 @@ import (
 
 // TokenQuery is one token-annotated query: a prompt of Prefill tokens to
 // ingest and Decode output tokens to generate.
-type TokenQuery struct {
-	ID      int
-	Arrival float64
-	Prefill int
-	Decode  int
-}
+type TokenQuery = llm.Request
 
-// Tokens returns the query's total token footprint — its KV reservation and
-// its contribution to a worker's outstanding load.
-func (q TokenQuery) Tokens() int { return q.Prefill + q.Decode }
-
-// ModelSelector picks the step model a worker's next engine step should run.
-// It is consulted at every step boundary with the worker's observable state:
-// queued is the query count (waiting + running), outstandingTokens the
-// unfinished token load, kvUsage the KV-cache occupancy fraction, and
-// headSlack the oldest query's remaining deadline headroom in seconds.
-// Returning a negative index keeps the current model.
+// ModelSelector picks the step model a worker's next engine step should run
+// (llm.Selector documents the observable state it is consulted with), under
+// a display name.
 type ModelSelector interface {
-	SelectModel(queued, outstandingTokens int, kvUsage, headSlack float64) int
+	llm.Selector
 	Name() string
 }
 
@@ -139,80 +126,21 @@ type LLMMetrics struct {
 	DecodeTokens  int64
 }
 
-// llmSeq is one admitted query's progress through the running batch.
-type llmSeq struct {
-	q            TokenQuery
-	admitAt      float64
-	prefillLeft  int
-	decodeLeft   int
-	kvHeld       int // tokens currently resident in the KV cache
-	reserve      int // full footprint reserved at admission
-	firstTokenAt float64
-	lastTokenAt  float64
-	// per-step schedule, consumed by completeStep
-	prefillChunk    int
-	decodeScheduled bool
-}
-
-// llmWorker is one continuous-batching worker: a waiting queue, a running
-// batch, and KV-cache accounting against the serving model's capacity.
+// llmWorker is one continuous-batching worker: the shared step scheduler
+// plus the event loop's view of its in-flight step.
 type llmWorker struct {
-	id         int
-	model      int // index into the engine's model set
-	draining   bool
-	waiting    []TokenQuery
-	running    []*llmSeq
-	kvUsed     int // tokens resident
-	kvReserved int // tokens reserved by admitted sequences
-	outTok     int // outstanding tokens over waiting + running
-	busy       bool
-	stepEnd    float64
-}
-
-// llmSeries caches the registry series the LLM engine updates per step.
-type llmSeries struct {
-	queries, violations, satAcc *telemetry.Counter
-	latency, batchWait          *telemetry.Histogram
-	ttft, tbt, step             *telemetry.Histogram
-	prefillTokens, decodeTokens *telemetry.Counter
-	switches                    *telemetry.Counter
-	steps, modelQueries         *telemetry.CounterVec
-	kv                          []*telemetry.Gauge
-	reg                         *telemetry.Registry
-}
-
-func newLLMSeries(reg *telemetry.Registry, workers int) *llmSeries {
-	reg.Help(telemetry.MetricLLMTTFT, "Time to first token in modeled seconds.")
-	reg.Help(telemetry.MetricLLMTBT, "Time between decode tokens in modeled seconds.")
-	reg.Help(telemetry.MetricLLMStepSeconds, "Continuous-batching step latency in modeled seconds.")
-	reg.Help(telemetry.MetricLLMKVUsage, "KV-cache occupancy fraction per worker.")
-	s := &llmSeries{
-		queries:       reg.Counter(telemetry.MetricQueries),
-		violations:    reg.Counter(telemetry.MetricViolations),
-		satAcc:        reg.Counter(telemetry.MetricSatAccuracySum),
-		latency:       reg.Histogram(telemetry.MetricLatencySeconds),
-		batchWait:     reg.Histogram(telemetry.MetricStageSeconds, "stage", telemetry.StageBatchWait),
-		ttft:          reg.Histogram(telemetry.MetricLLMTTFT),
-		tbt:           reg.Histogram(telemetry.MetricLLMTBT),
-		step:          reg.Histogram(telemetry.MetricLLMStepSeconds),
-		prefillTokens: reg.Counter(telemetry.MetricLLMTokens, "kind", "prefill"),
-		decodeTokens:  reg.Counter(telemetry.MetricLLMTokens, "kind", "decode"),
-		switches:      reg.Counter(telemetry.MetricLLMModelSwitches),
-		steps:         reg.CounterVec(telemetry.MetricLLMSteps, "model"),
-		modelQueries:  reg.CounterVec(telemetry.MetricModelQueries, "model"),
-		reg:           reg,
-	}
-	s.kv = make([]*telemetry.Gauge, workers)
-	for w := range s.kv {
-		s.kv[w] = reg.Gauge(telemetry.MetricLLMKVUsage, "worker", strconv.Itoa(w))
-	}
-	return s
+	id      int
+	b       *llm.Batcher[struct{}]
+	busy    bool
+	stepEnd float64
 }
 
 // LLMEngine is the token-level discrete-event simulator: continuous-batching
 // workers that admit waiting queries into a running batch at every step
 // boundary, schedule decode-first under the model's token budget, chunk
-// prefills across steps, and gate admission on KV-cache reservations. A
+// prefills across steps, and gate admission on KV-cache reservations. The
+// scheduling itself is llm.Batcher — the same code cmd/serve's LLM workers
+// run against the wall clock; the engine only supplies the event loop. A
 // query's end-to-end latency is its queue wait plus the step times it rides
 // through; TTFT and TBT fall out of the same step walk.
 type LLMEngine struct {
@@ -232,13 +160,11 @@ type LLMEngine struct {
 	Traces      *telemetry.TraceBuffer
 	TraceWriter *telemetry.TraceWriter
 
-	models   llm.Set
 	workers  []*llmWorker
 	metrics  LLMMetrics
 	latHist  *telemetry.Histogram
 	ttftHist *telemetry.Histogram
 	tbtHist  *telemetry.Histogram
-	tel      *llmSeries
 }
 
 // NewLLMEngine builds a token-level simulator over the step-model set.
@@ -267,18 +193,17 @@ func (e *LLMEngine) Run(queries []TokenQuery) LLMMetrics {
 	if err := e.Models.Validate(); err != nil {
 		panic(fmt.Sprintf("sim: invalid model set: %v", err))
 	}
-	e.models = e.Models.WithKVCap(e.KVCap)
+	models := e.Models.WithKVCap(e.KVCap)
 	e.metrics = LLMMetrics{Metrics: Metrics{ModelCounts: map[string]int{}}}
 	e.latHist = telemetry.NewHistogram(telemetry.DefaultLatencyBuckets())
 	e.ttftHist = telemetry.NewHistogram(telemetry.DefaultLatencyBuckets())
 	e.tbtHist = telemetry.NewHistogram(telemetry.DefaultLatencyBuckets())
-	if e.Telemetry != nil {
-		e.tel = newLLMSeries(e.Telemetry, e.Workers)
-	}
-	start := e.models.MostAccurate()
 	e.workers = make([]*llmWorker, e.Workers)
 	for w := range e.workers {
-		e.workers[w] = &llmWorker{id: w, model: start, stepEnd: math.Inf(1)}
+		e.workers[w] = &llmWorker{
+			id: w, stepEnd: math.Inf(1),
+			b: llm.NewBatcher[struct{}](models, e.SLO, e.Selector, e.Telemetry, w),
+		}
 	}
 
 	qs := append([]TokenQuery(nil), queries...)
@@ -308,283 +233,110 @@ func (e *LLMEngine) Run(queries []TokenQuery) LLMMetrics {
 	return e.metrics
 }
 
-// route clamps the query's token lengths and hands it to the worker with
-// the least outstanding token load (a join-shortest-token-queue balancer;
-// queue length alone would under-weigh long-prefill arrivals).
+// route hands the query to the worker with the least outstanding token load
+// (a join-shortest-token-queue balancer; queue length alone would
+// under-weigh long-prefill arrivals).
 func (e *LLMEngine) route(q TokenQuery) {
-	q.Prefill = max(q.Prefill, 1)
-	q.Decode = max(q.Decode, 1)
 	best := e.workers[0]
 	for _, lw := range e.workers[1:] {
-		if lw.outTok < best.outTok {
+		if lw.b.Outstanding() < best.b.Outstanding() {
 			best = lw
 		}
 	}
-	best.waiting = append(best.waiting, q)
-	best.outTok += q.Tokens()
+	best.b.Push(q, struct{}{})
 	if !best.busy {
 		e.startStep(best, q.Arrival)
 	}
 }
 
-// drop rejects a query whose KV footprint can never fit the serving model.
-func (e *LLMEngine) drop(lw *llmWorker, q TokenQuery) {
-	e.metrics.Dropped++
-	if e.tracing() {
-		e.recordTrace(telemetry.QueryTrace{
-			ID: q.ID, Arrival: q.Arrival, Worker: lw.id,
-			Error:   "kv-oversize",
-			TraceID: simTraceID(q.ID), Process: "sim",
-			Spans: []telemetry.Span{{Stage: telemetry.StageShed}},
-		})
-	}
-}
-
-// startStep runs one step boundary on the worker at time now: consult the
-// selector, drain or switch the serving model, admit waiting queries under
-// the KV reservation cap, compose the step decode-first, and schedule its
-// completion.
+// startStep runs the worker's step boundary at time now and schedules the
+// composed step's completion; queries whose KV footprint can never fit the
+// serving model are dropped.
 func (e *LLMEngine) startStep(lw *llmWorker, now float64) {
-	if len(lw.waiting) == 0 && len(lw.running) == 0 {
-		lw.busy = false
-		lw.stepEnd = math.Inf(1)
-		return
-	}
-	if e.Selector != nil {
-		e.maybeSwitch(lw, now)
-	}
-	m := e.models.Models[lw.model]
-	cap := m.KVCapTokens
-
-	if !lw.draining {
-		for len(lw.waiting) > 0 && len(lw.running) < m.MaxSeqs {
-			q := lw.waiting[0]
-			need := q.Tokens()
-			if lw.kvReserved+need > cap {
-				if len(lw.running) == 0 && lw.kvReserved == 0 {
-					// Can never fit this model's cache even empty: reject
-					// rather than deadlock the queue head.
-					lw.waiting = lw.waiting[1:]
-					lw.outTok -= need
-					e.drop(lw, q)
-					continue
-				}
-				break // FIFO admission: no head-of-line bypass
-			}
-			lw.kvReserved += need
-			lw.running = append(lw.running, &llmSeq{
-				q: q, admitAt: now,
-				prefillLeft: q.Prefill, decodeLeft: q.Decode,
-				reserve: need,
+	seconds, rejected, ok := lw.b.Begin(now)
+	for _, s := range rejected {
+		e.metrics.Dropped++
+		if e.tracing() {
+			e.recordTrace(telemetry.QueryTrace{
+				ID: s.ID, Arrival: s.Arrival, Worker: lw.id,
+				Error:   "kv-oversize",
+				TraceID: simTraceID(s.ID), Process: "sim",
+				Spans: []telemetry.Span{{Stage: telemetry.StageShed}},
 			})
-			lw.waiting = lw.waiting[1:]
 		}
 	}
-	if len(lw.running) == 0 {
-		lw.busy = false
-		lw.stepEnd = math.Inf(1)
-		return
-	}
-
-	// Compose the step: one decode token per eligible sequence first, then
-	// prefill chunks fill the remaining budget.
-	budget := m.StepBudget()
-	p, d := 0, 0
-	for _, s := range lw.running {
-		s.decodeScheduled = false
-		s.prefillChunk = 0
-		if s.prefillLeft == 0 && s.decodeLeft > 0 && d < budget {
-			s.decodeScheduled = true
-			d++
-		}
-	}
-	for _, s := range lw.running {
-		if s.prefillLeft > 0 && p+d < budget {
-			chunk := min(s.prefillLeft, budget-p-d)
-			s.prefillChunk = chunk
-			p += chunk
-		}
-	}
-
-	kv := float64(lw.kvUsed) / float64(cap)
-	tau := m.StepTime(p, d, kv)
-	lw.busy = true
-	lw.stepEnd = now + tau
-	e.metrics.Steps++
-	e.metrics.PrefillTokens += int64(p)
-	e.metrics.DecodeTokens += int64(d)
-	if e.tel != nil {
-		e.tel.step.Observe(tau)
-		e.tel.steps.With(m.Name).Inc()
-		e.tel.prefillTokens.Add(float64(p))
-		e.tel.decodeTokens.Add(float64(d))
+	lw.busy = ok
+	lw.stepEnd = math.Inf(1)
+	if ok {
+		lw.stepEnd = now + seconds
 	}
 }
 
-// maybeSwitch applies the selector's decision: an immediate switch when the
-// running batch is empty, otherwise drain mode (no admissions until the
-// batch empties, then switch).
-func (e *LLMEngine) maybeSwitch(lw *llmWorker, now float64) {
-	head, ok := lw.headArrival()
-	if !ok {
-		return
-	}
-	m := e.models.Models[lw.model]
-	kv := float64(lw.kvUsed) / float64(m.KVCapTokens)
-	queued := len(lw.waiting) + len(lw.running)
-	desired := e.Selector.SelectModel(queued, lw.outTok, kv, head+e.SLO-now)
-	if desired < 0 || desired >= e.models.Len() || desired == lw.model {
-		lw.draining = false
-		return
-	}
-	if len(lw.running) == 0 {
-		lw.model = desired
-		lw.draining = false
-		e.metrics.ModelSwitches++
-		if e.tel != nil {
-			e.tel.switches.Inc()
-		}
-		return
-	}
-	lw.draining = true
-}
-
-// headArrival returns the oldest arrival time across waiting and running.
-func (lw *llmWorker) headArrival() (float64, bool) {
-	t, ok := math.Inf(1), false
-	if len(lw.running) > 0 {
-		t, ok = lw.running[0].q.Arrival, true
-	}
-	if len(lw.waiting) > 0 && lw.waiting[0].Arrival < t {
-		t, ok = lw.waiting[0].Arrival, true
-	}
-	return t, ok
-}
-
-// completeStep lands the step's scheduled tokens at time end: prefill
-// chunks enter the KV cache (a finishing prefill emits the first token),
-// decode tokens advance their sequences, and finished sequences release
-// their reservations and complete.
+// completeStep lands the worker's step at time end and records every token
+// it generated and every query it finished.
 func (e *LLMEngine) completeStep(lw *llmWorker, end float64) {
-	m := e.models.Models[lw.model]
-	cap := m.KVCapTokens
-	keep := lw.running[:0]
-	for _, s := range lw.running {
-		if s.prefillChunk > 0 {
-			lw.kvUsed += s.prefillChunk
-			s.kvHeld += s.prefillChunk
-			s.prefillLeft -= s.prefillChunk
-			lw.outTok -= s.prefillChunk
-			s.prefillChunk = 0
-			if s.prefillLeft == 0 {
-				// Prefill finished: the step's last forward pass emitted the
-				// first output token.
-				s.decodeLeft--
-				s.kvHeld++
-				lw.kvUsed++
-				lw.outTok--
-				s.firstTokenAt = end
-				s.lastTokenAt = end
-				e.observeTTFT(end - s.q.Arrival)
+	batch := lw.b.Running()
+	for _, s := range lw.b.Land(end) {
+		if s.First() {
+			e.ttftHist.Observe(s.Gap)
+			if e.CollectLatencies {
+				e.metrics.TTFTs = append(e.metrics.TTFTs, s.Gap)
 			}
-		} else if s.decodeScheduled {
-			s.decodeScheduled = false
-			s.decodeLeft--
-			s.kvHeld++
-			lw.kvUsed++
-			lw.outTok--
-			e.observeTBT(end - s.lastTokenAt)
-			s.lastTokenAt = end
-		}
-		if s.prefillLeft == 0 && s.decodeLeft == 0 {
-			if r := float64(lw.kvUsed) / float64(cap); r > e.metrics.PeakKVUsage {
-				e.metrics.PeakKVUsage = r
-			}
-			lw.kvUsed -= s.kvHeld
-			lw.kvReserved -= s.reserve
-			e.complete(lw, s, m, end)
 		} else {
-			keep = append(keep, s)
+			e.tbtHist.Observe(s.Gap)
+			if e.CollectLatencies {
+				e.metrics.TBTs = append(e.metrics.TBTs, s.Gap)
+			}
 		}
-	}
-	lw.running = keep
-	if r := float64(lw.kvUsed) / float64(cap); r > e.metrics.PeakKVUsage {
-		e.metrics.PeakKVUsage = r
-	}
-	if e.tel != nil {
-		e.tel.kv[lw.id].Set(float64(lw.kvUsed) / float64(cap))
-	}
-}
-
-func (e *LLMEngine) observeTTFT(t float64) {
-	e.ttftHist.Observe(t)
-	if e.CollectLatencies {
-		e.metrics.TTFTs = append(e.metrics.TTFTs, t)
-	}
-	if e.tel != nil {
-		e.tel.ttft.Observe(t)
-	}
-}
-
-func (e *LLMEngine) observeTBT(t float64) {
-	e.tbtHist.Observe(t)
-	if e.CollectLatencies {
-		e.metrics.TBTs = append(e.metrics.TBTs, t)
-	}
-	if e.tel != nil {
-		e.tel.tbt.Observe(t)
+		if s.Done() {
+			e.complete(lw, s, batch, end)
+		}
 	}
 }
 
 // complete records one finished query.
-func (e *LLMEngine) complete(lw *llmWorker, s *llmSeq, m llm.StepModel, end float64) {
-	lat := end - s.q.Arrival
+func (e *LLMEngine) complete(lw *llmWorker, s *llm.Seq[struct{}], batch int, end float64) {
+	traceID := ""
+	if e.tracing() {
+		traceID = simTraceID(s.ID)
+	}
+	m := lw.b.Model()
+	lat, violated := lw.b.Finish(s, end, traceID)
 	e.metrics.Served++
 	e.latHist.Observe(lat)
 	if e.CollectLatencies {
 		e.metrics.Latencies = append(e.metrics.Latencies, lat)
 	}
-	violated := lat > e.SLO+1e-12
 	if violated {
 		e.metrics.Violations++
 	} else {
 		e.metrics.SatAccSum += m.Accuracy
 	}
 	e.metrics.ModelCounts[m.Name]++
-	if e.tel != nil {
-		e.tel.queries.Inc()
-		if violated {
-			e.tel.violations.Inc()
-		} else {
-			e.tel.satAcc.Add(m.Accuracy)
-		}
-		e.tel.modelQueries.With(m.Name).Inc()
-		if e.tracing() {
-			e.tel.latency.ObserveExemplar(lat, simTraceID(s.q.ID))
-		} else {
-			e.tel.latency.Observe(lat)
-		}
-		e.tel.batchWait.Observe(s.admitAt - s.q.Arrival)
-	}
 	if e.tracing() {
 		e.recordTrace(telemetry.QueryTrace{
-			ID: s.q.ID, Arrival: s.q.Arrival, Worker: lw.id,
-			Model: m.Name, Batch: len(lw.running) + 1,
+			ID: s.ID, Arrival: s.Arrival, Worker: lw.id,
+			Model: m.Name, Batch: batch,
 			LatencyMS:   lat * 1000,
 			DeadlineMet: !violated,
-			TraceID:     simTraceID(s.q.ID), Process: "sim",
-			Spans: []telemetry.Span{
-				{Stage: telemetry.StageBatchWait, Seconds: s.admitAt - s.q.Arrival},
-				{Stage: telemetry.StagePrefill, Seconds: s.firstTokenAt - s.admitAt},
-				{Stage: telemetry.StageDecode, Seconds: end - s.firstTokenAt},
-			},
+			TraceID:     traceID, Process: "sim",
+			Spans: s.Spans(end),
 		})
 	}
 }
 
-// finish fills the percentile fields: exact when every observation was
-// collected, histogram-approximated otherwise.
+// finish sums the workers' scheduler totals and fills the percentile
+// fields: exact when every observation was collected, histogram-
+// approximated otherwise.
 func (e *LLMEngine) finish() {
+	for _, lw := range e.workers {
+		c := lw.b.Counts()
+		e.metrics.Steps += c.Steps
+		e.metrics.ModelSwitches += c.Switches
+		e.metrics.PrefillTokens += c.PrefillTokens
+		e.metrics.DecodeTokens += c.DecodeTokens
+		e.metrics.PeakKVUsage = max(e.metrics.PeakKVUsage, c.PeakKV)
+	}
 	e.metrics.Decisions = e.metrics.Steps
 	pct := func(xs []float64, h *telemetry.Histogram) (p50, p95, p99 float64) {
 		if e.CollectLatencies && len(xs) > 0 {

@@ -14,6 +14,12 @@ const (
 	MetricFailedDispatches = "ramsis_failed_dispatches_total"
 	// MetricDecisions counts MS&S decisions (batches dispatched).
 	MetricDecisions = "ramsis_decisions_total"
+	// MetricSelectFallbacks counts dispatch decisions where the selector
+	// named a model outside the profile set (or a batch below one) and the
+	// frontend served the batch on its fallback model instead of dropping
+	// live queries. Non-zero means a mis-wired policy; trace replay fails
+	// the run on it.
+	MetricSelectFallbacks = "ramsis_select_fallbacks_total"
 	// MetricSatAccuracySum accumulates the profiled accuracy over queries
 	// that met their deadline; divided by (queries - violations) it yields
 	// the paper's accuracy-per-satisfied-query.
