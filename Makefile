@@ -34,17 +34,21 @@ lint:
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
-# The admit, lb, serve, telemetry, adapt, tenant, llm, and sim packages are
-# the concurrency-heavy ones (the degrader's atomic level + locked windows,
-# balancers, health tracker, per-worker queue locks, HTTP dispatch and the
-# /query shed path, the lock-free metrics registry, the background policy
-# re-solve / hot-swap path, the fair admitter + hot-reloaded tenant
-# registry, and the continuous-batching LLM worker's step loop vs handler
-# handoff — llm and sim back that worker's model and selector types); run
-# them under the race detector. Their tests scale sleeps by TimeScale, so
-# the race pass stays within a CI budget.
+# The admit, lb, serve, telemetry, adapt, tenant, llm, sim, and sched
+# packages are the concurrency-heavy ones (the degrader's atomic level +
+# locked windows, balancers, health tracker, per-worker queue locks, HTTP
+# dispatch and the /query shed path, the lock-free metrics registry, the
+# background policy re-solve / hot-swap path, the fair admitter +
+# hot-reloaded tenant registry, and the continuous-batching LLM worker's
+# step loop vs handler handoff — llm and sim back that worker's model and
+# selector types, and sched is the dispatch core every frontend handler and
+# worker loop calls without a lock of its own); run them under the race
+# detector. Their tests scale sleeps by TimeScale, so the race pass stays
+# within a CI budget; the explicit timeout is for small boxes — sim alone
+# takes ~8 min under the detector on two cores, and go test runs it
+# alongside serve, which pushes it past the 10-min default.
 race:
-	$(GO) test -race ./internal/admit/ ./internal/adapt/ ./internal/lb/ ./internal/serve/ ./internal/telemetry/ ./internal/tenant/ ./internal/llm/ ./internal/sim/
+	$(GO) test -race -timeout 30m ./internal/admit/ ./internal/adapt/ ./internal/lb/ ./internal/serve/ ./internal/telemetry/ ./internal/tenant/ ./internal/llm/ ./internal/sim/ ./internal/sched/
 
 # Multi-tenant serving-plane soak: ≥100k offered wall QPS across 4 shards
 # and 3 tenants, one offering 4× its contract; asserts compliant goodput

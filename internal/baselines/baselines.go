@@ -27,17 +27,12 @@ func adaptiveMaxBatch(p profile.Profile, slo float64) int {
 	return 1
 }
 
-// centralPick implements the shared eager central-queue dispatch.
-func centralPick(e *sim.Engine, model int, slo float64) (sim.Decision, bool) {
-	n := e.CentralLen()
-	if n == 0 {
-		return sim.Decision{}, false
-	}
-	b := adaptiveMaxBatch(e.Profiles.Profiles[model], slo)
-	if b > n {
-		b = n
-	}
-	return sim.Decision{Model: model, Queries: e.PopCentral(b)}, true
+// centralSelect implements the shared eager central-queue dispatch: the
+// load-selected model at the adaptive batch cap (the dispatch core caps it
+// by the queue length).
+func centralSelect(e *sim.Engine, model int, slo float64) (string, int) {
+	p := e.Profiles.Profiles[model]
+	return p.Name, adaptiveMaxBatch(p, slo)
 }
 
 // JellyfishPlus extends Jellyfish [32] with multi-worker load balancing:
@@ -82,14 +77,14 @@ func (j *JellyfishPlus) ModelFor(load float64) int {
 	return best
 }
 
-// Pick serves a batch with the load-selected model.
-func (j *JellyfishPlus) Pick(e *sim.Engine, now float64, _ int) (sim.Decision, bool) {
+// Select serves a batch with the load-selected model.
+func (j *JellyfishPlus) Select(e *sim.Engine, now float64, _, _ int, _ float64) (string, int) {
 	load := j.Monitor.Load(now)
 	if !j.havePick || load != j.lastLoad {
 		j.lastPick = j.ModelFor(load)
 		j.lastLoad, j.havePick = load, true
 	}
-	return centralPick(e, j.lastPick, j.SLO)
+	return centralSelect(e, j.lastPick, j.SLO)
 }
 
 // MSTable is ModelSwitching's offline profile: the p99 response latency of
@@ -174,14 +169,14 @@ func (m *ModelSwitching) ModelFor(load float64) int {
 	return best
 }
 
-// Pick serves a batch with the load-selected model.
-func (m *ModelSwitching) Pick(e *sim.Engine, now float64, _ int) (sim.Decision, bool) {
+// Select serves a batch with the load-selected model.
+func (m *ModelSwitching) Select(e *sim.Engine, now float64, _, _ int, _ float64) (string, int) {
 	load := m.Monitor.Load(now)
 	if !m.havePick || load != m.lastLoad {
 		m.lastPick = m.ModelFor(load)
 		m.lastLoad, m.havePick = load, true
 	}
-	return centralPick(e, m.lastPick, m.SLO)
+	return centralSelect(e, m.lastPick, m.SLO)
 }
 
 // Greedy is the deadline-greedy selector of §8 (MDInference [33] /
@@ -197,33 +192,19 @@ type Greedy struct {
 // Route enqueues centrally.
 func (g *Greedy) Route(e *sim.Engine, _ float64, q sim.Query) { e.EnqueueCentral(q) }
 
-// Pick chooses the most accurate model meeting the earliest deadline for
+// Select chooses the most accurate model meeting the earliest deadline for
 // the whole queue (falling back to the fastest model when none can).
-func (g *Greedy) Pick(e *sim.Engine, now float64, _ int) (sim.Decision, bool) {
-	n := e.CentralLen()
-	if n == 0 {
-		return sim.Decision{}, false
-	}
-	head, _ := e.EarliestCentral()
-	slack := head.Deadline(e.SLO) - now
+func (g *Greedy) Select(_ *sim.Engine, _ float64, _, n int, slack float64) (string, int) {
 	best, bestAcc := -1, math.Inf(-1)
 	for i, p := range g.Profiles.Profiles {
-		b := n
-		if mb := p.MaxBatch(); b > mb {
-			b = mb
-		}
-		if p.BatchLatency(b) <= slack && p.Accuracy > bestAcc {
+		if p.BatchLatency(min(n, p.MaxBatch())) <= slack && p.Accuracy > bestAcc {
 			best, bestAcc = i, p.Accuracy
 		}
 	}
 	if best < 0 {
 		best = fastestIndex(g.Profiles)
 	}
-	b := n
-	if mb := g.Profiles.Profiles[best].MaxBatch(); b > mb {
-		b = mb
-	}
-	return sim.Decision{Model: best, Queries: e.PopCentral(b)}, true
+	return g.Profiles.Profiles[best].Name, n
 }
 
 // INFaaSAdapted is the Appendix H adaptation of INFaaS [38]: given an
@@ -269,9 +250,9 @@ func (f *INFaaSAdapted) ModelFor(load float64) int {
 	return best
 }
 
-// Pick serves a batch with the selected model.
-func (f *INFaaSAdapted) Pick(e *sim.Engine, now float64, _ int) (sim.Decision, bool) {
-	return centralPick(e, f.ModelFor(f.Monitor.Load(now)), f.SLO)
+// Select serves a batch with the selected model.
+func (f *INFaaSAdapted) Select(e *sim.Engine, now float64, _, _ int, _ float64) (string, int) {
+	return centralSelect(e, f.ModelFor(f.Monitor.Load(now)), f.SLO)
 }
 
 func fastestIndex(s profile.Set) int {

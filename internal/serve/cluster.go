@@ -45,6 +45,15 @@ type ClusterConfig struct {
 	RetryBudget *admit.RetryBudget
 }
 
+// latencyModel returns the workers' inference-latency model: the profiled
+// p95 exactly, or with the §7.3.1 jitter when stdDev > 0.
+func latencyModel(stdDev float64) sim.LatencyModel {
+	if stdDev > 0 {
+		return sim.Stochastic{StdDev: stdDev}
+	}
+	return sim.Deterministic{}
+}
+
 // Cluster is a running localhost deployment.
 type Cluster struct {
 	Frontend *Frontend
@@ -60,10 +69,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Select == nil {
 		return nil, fmt.Errorf("serve: cluster needs a selector")
 	}
-	var lat sim.LatencyModel = sim.Deterministic{}
-	if cfg.LatencyStdDev > 0 {
-		lat = sim.Stochastic{StdDev: cfg.LatencyStdDev}
-	}
+	lat := latencyModel(cfg.LatencyStdDev)
 	c := &Cluster{}
 	urls := make([]string, cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {

@@ -15,6 +15,7 @@ import (
 	"ramsis/internal/lb"
 	"ramsis/internal/monitor"
 	"ramsis/internal/profile"
+	"ramsis/internal/sched"
 	"ramsis/internal/sim"
 	"ramsis/internal/telemetry"
 	"ramsis/internal/tenant"
@@ -133,9 +134,8 @@ type Frontend struct {
 	// Plane, when set, runs this frontend as one shard of a multi-tenant
 	// deployment: arrivals resolve to a tenant whose own SLO, selector,
 	// rate monitor, degrader, and weighted-fair admission replace the
-	// frontend-wide Admit/Degrade/Monitor/Select/SLO fields (which then
-	// only serve as fallbacks for state-less paths). The plane is shared
-	// across shards.
+	// frontend-wide Admit/Degrade/Monitor/Select/SLO fields. The plane is
+	// shared across shards.
 	Plane *TenantPlane
 	// Shard is this frontend's shard index in a sharded deployment
 	// (informational; 0 when unsharded).
@@ -150,32 +150,34 @@ type Frontend struct {
 	start     time.Time
 	wq        []*workerQueue
 	ownHealth bool
-	clamp     *modelClamp
-	tel       *serveSeries
-	// picks recycles the queue-length and health snapshots the balancer
-	// reads on every enqueue, so routing a query allocates nothing.
-	picks sync.Pool
-	// shedCtr / fairShedCtr and admitName cache the shed counter (a
-	// registry lookup) and admission policy name off the shed hot path.
-	shedCtr     *telemetry.Counter
-	fairShedCtr *telemetry.Counter
-	admitName   string
-	// inferURLs pre-parses each worker's /infer endpoint so dispatch does
-	// not concatenate or parse URL strings per POST.
-	inferURLs []*url.URL
+	// elapsed is the wall time since start (time.Since(start) unless a test
+	// substituted a fake clock before Start).
+	elapsed func() time.Duration
+	// core is the dispatch core this frontend drives: admission accounting,
+	// the batch decision and per-query finish are the code sim.Engine runs.
+	core *sched.Core
+	// Series only the frontend has (the query path's are sched.Series):
+	// the failover retry budget's grants and refusals, and /infer POSTs
+	// per worker, which back both the exposition and
+	// StatsResponse.WorkerDispatches so they cannot drift.
+	retries, retriesDenied *telemetry.Counter
+	workerDispatch         []*telemetry.Counter
+	// stages caches sched.Series.Stage in telemetry.Stages order: six map
+	// lookups per query are measurable at saturation.
+	stages [6]*telemetry.Histogram
 	// process names this frontend in trace fragments: "shard-<i>" in a
 	// sharded plane, "frontend" standalone.
 	process string
-	// sloTrack is the single-tenant attainment tracker (tenant label
-	// "default"); plane mode tracks per tenant on the shared plane.
-	sloTrack *telemetry.SLOTracker
-	// maxBatch caps how far workerLoop scans the queue prefix for the
-	// tightest deadline in the batch window.
-	maxBatch int
-
-	// monitorMu guards the Monitor, whose Observe times must be
-	// non-decreasing. It is never held while a workerQueue lock is taken.
-	monitorMu sync.Mutex
+	// single is the one account of a single-tenant frontend, built from the
+	// frontend-wide SLO, Select, Monitor and Degrade fields; in plane mode
+	// arrivals resolve to the plane's per-tenant states instead.
+	single *tenantState
+	// picks recycles the queue-length and health snapshots the balancer
+	// reads on every enqueue, so routing a query allocates nothing.
+	picks sync.Pool
+	// inferURLs pre-parses each worker's /infer endpoint so dispatch does
+	// not concatenate or parse URL strings per POST.
+	inferURLs []*url.URL
 
 	srv   *http.Server
 	addr  string
@@ -190,12 +192,19 @@ type Frontend struct {
 type workerQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	ring pqRing
+	ring pqRing // the sched.Window the core scans, under mu
 	// outstanding = queued + in-dispatch queries, the balancer's view of
 	// the worker's load. In-dispatch queries must count: a worker that
 	// just popped its whole queue reads as empty, and a queue-aware
 	// balancer would keep stacking arrivals on it while others idle.
 	outstanding atomic.Int32
+}
+
+func (ws *workerQueue) Len() int { return ws.ring.len() }
+
+func (ws *workerQueue) Deadline(i int) float64 {
+	pq := ws.ring.at(i)
+	return pq.q.Arrival + pq.st.SLO
 }
 
 // pickScratch is one enqueue's balancer input snapshot, recycled through
@@ -221,10 +230,8 @@ type dispatchScratch struct {
 type pendingQuery struct {
 	q    sim.Query
 	done chan QueryResponse
-	// slo is the deadline this query is judged against: its tenant's own
-	// SLO in multi-tenant mode, the frontend-wide one otherwise.
-	slo float64
-	// st is the query's tenant state (nil in single-tenant mode).
+	// st is the query's tenant state — the frontend's single one outside
+	// plane mode; its SLO is the deadline the query is judged against.
 	st *tenantState
 	// traceID joins this query's fragments across gateway, shard, and
 	// worker; propagated to the worker in the X-Trace-Id header.
@@ -252,16 +259,48 @@ func (f *Frontend) Start() error {
 	if f.Decisions == nil {
 		f.Decisions = telemetry.NewDecisionBuffer(0)
 	}
-	f.tel = newServeSeries(f.Telemetry, len(f.Workers), f.WorkerOffset)
+	if f.start.IsZero() {
+		// The sharded gateway pre-sets a common epoch so every shard (and
+		// the shared fair admitter they feed) agrees on modeled time.
+		f.start = time.Now()
+	}
+	if f.elapsed == nil {
+		start := f.start
+		f.elapsed = func() time.Duration { return time.Since(start) }
+	}
+	cfg := sched.Config{
+		Profiles:  []profile.Set{f.Profiles},
+		Telemetry: f.Telemetry, Decisions: f.Decisions,
+		Traces: f.Traces, TraceWriter: f.TraceWriter,
+		Parent: f.TraceParent, Shard: f.Shard, WorkerOffset: f.WorkerOffset,
+	}
 	if f.Plane != nil {
 		f.process = fmt.Sprintf("shard-%d", f.Shard)
-		if f.Select == nil {
-			f.Select = f.Plane.fallback
-		}
+		cfg.AdmitPolicy = f.Plane.cfg.Fair.Name()
 	} else {
 		f.process = "frontend"
-		f.sloTrack = telemetry.NewSLOTracker(f.SLOWindows)
-		telemetry.RegisterSLOGauges(f.Telemetry, f.sloTrack, "default", f.now)
+		if f.Admit != nil {
+			cfg.AdmitPolicy = f.Admit.Name()
+		}
+		f.single = &tenantState{
+			Account: sched.NewAccount(f.Telemetry, "", f.SLO, f.SLOWindows, f.now),
+			sel:     f.Select,
+			mon:     f.Monitor,
+			rateGa:  f.Telemetry.GaugeVec(telemetry.MetricTenantRate, "tenant").With(tenant.DefaultName),
+		}
+		f.single.Degrade = f.Degrade
+		sched.WireDegrade(f.Telemetry, f.Degrade)
+	}
+	cfg.Process = f.process
+	f.core = sched.New(cfg)
+	for i, st := range telemetry.Stages() {
+		f.stages[i] = f.core.Series().Stage[st]
+	}
+	f.retries = f.Telemetry.Counter(telemetry.MetricAdmitRetries)
+	f.retriesDenied = f.Telemetry.Counter(telemetry.MetricAdmitRetriesDenied)
+	for w := range f.Workers {
+		f.workerDispatch = append(f.workerDispatch,
+			f.Telemetry.Counter(telemetry.MetricWorkerDispatches, "worker", strconv.Itoa(f.WorkerOffset+w)))
 	}
 	if f.Balancer == nil {
 		f.Balancer = lb.NewRoundRobin()
@@ -280,10 +319,6 @@ func (f *Frontend) Start() error {
 		f.ownHealth = true
 	}
 	registerHealthGauges(f.Telemetry, f.Health, len(f.Workers), f.WorkerOffset)
-	if f.Degrade != nil {
-		f.clamp = newModelClamp(f.Profiles)
-		wireDegradeTelemetry(f.Telemetry, f.Degrade)
-	}
 	f.wq = make([]*workerQueue, len(f.Workers))
 	for i := range f.wq {
 		ws := &workerQueue{}
@@ -296,13 +331,6 @@ func (f *Frontend) Start() error {
 			healthy: make([]bool, 0, len(f.Workers)),
 		}
 	}
-	if f.Admit != nil {
-		f.admitName = f.Admit.Name()
-		f.shedCtr = f.tel.shed(f.admitName)
-	}
-	if f.Plane != nil {
-		f.fairShedCtr = f.tel.shed(f.Plane.fair.Name())
-	}
 	f.inferURLs = make([]*url.URL, len(f.Workers))
 	for i, u := range f.Workers {
 		pu, err := url.Parse(u + "/infer")
@@ -310,16 +338,6 @@ func (f *Frontend) Start() error {
 			return fmt.Errorf("serve: bad worker URL %q: %v", u, err)
 		}
 		f.inferURLs[i] = pu
-	}
-	for _, p := range f.Profiles.Profiles {
-		if b := p.MaxBatch(); b > f.maxBatch {
-			f.maxBatch = b
-		}
-	}
-	if f.start.IsZero() {
-		// The sharded gateway pre-sets a common epoch so every shard (and
-		// the shared fair admitter they feed) agrees on modeled time.
-		f.start = time.Now()
 	}
 	addr := f.Addr
 	if addr == "" {
@@ -331,7 +349,7 @@ func (f *Frontend) Start() error {
 	}
 	f.addr = ln.Addr().String()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query", f.handleQuery)
+	mux.HandleFunc("/query", entry(f.enqueue).serveHTTP)
 	mux.HandleFunc("/stats", f.handleStats)
 	mux.Handle("/metrics", f.Telemetry.Handler())
 	mux.Handle("/debug/traces", f.Traces.Handler())
@@ -370,38 +388,34 @@ func (f *Frontend) Stop() error {
 	return err
 }
 
-// Stats returns the current snapshot; it is the single source for the
-// /stats handler, and every count in it is read from the registry that
-// serves /metrics.
-func (f *Frontend) Stats() StatsResponse { return f.snapshot() }
-
-// snapshot assembles the StatsResponse from the telemetry registry and the
-// per-worker queues. It is the only stats read path (the old Stats /
-// handleStats pair re-serialized under two separate lock acquisitions).
+// Stats assembles the current snapshot from the telemetry registry and the
+// per-worker queues; it is the single source for the /stats handler, and
+// every count in it is read from the registry that serves /metrics.
 // Counter reads are individually atomic; a scrape racing an in-flight
 // batch may see its served count before its violation count, but the two
 // endpoints can never disagree about a settled system.
-func (f *Frontend) snapshot() StatsResponse {
+func (f *Frontend) Stats() StatsResponse {
 	qs := make([]int, len(f.wq))
 	ds := make([]int, len(f.wq))
 	for i, ws := range f.wq {
 		ws.mu.Lock()
 		qs[i] = ws.ring.len()
 		ws.mu.Unlock()
-		ds[i] = int(f.tel.workerDispatch[i].Value())
+		ds[i] = int(f.workerDispatch[i].Value())
 	}
-	served := int(f.tel.queries.Value())
-	violations := int(f.tel.violations.Value())
+	tel := f.core.Series()
+	served := int(tel.Queries.Value())
+	violations := int(tel.Violations.Value())
 	acc, vr := 0.0, 0.0
 	if sat := served - violations; sat > 0 {
-		acc = f.tel.satAcc.Value() / float64(sat)
+		acc = tel.SatAcc.Value() / float64(sat)
 	}
 	if served > 0 {
 		vr = float64(violations) / float64(served)
 	}
 	shed := 0
 	if f.Admit != nil {
-		shed = int(f.tel.shed(f.Admit.Name()).Value())
+		shed = int(tel.Shed.Value())
 	}
 	level := 0
 	if f.Degrade != nil {
@@ -413,7 +427,7 @@ func (f *Frontend) snapshot() StatsResponse {
 		Accuracy:         acc,
 		ViolationRate:    vr,
 		QueueLengths:     qs,
-		FailedDispatches: int(f.tel.failed.Value()),
+		FailedDispatches: int(tel.Failed.Value()),
 		WorkerHealthy:    f.Health.Healthy(),
 		WorkerDispatches: ds,
 		Shed:             shed,
@@ -422,7 +436,7 @@ func (f *Frontend) snapshot() StatsResponse {
 }
 
 func (f *Frontend) now() float64 {
-	return time.Since(f.start).Seconds() * f.TimeScale
+	return f.elapsed().Seconds() * f.TimeScale
 }
 
 // queueLensInto snapshots every worker's outstanding load for the
@@ -447,37 +461,78 @@ type EnqueueError struct {
 // Error implements error.
 func (e *EnqueueError) Error() string { return e.Msg }
 
-// Enqueue admits and routes one query in-process, returning the channel
-// its response will be delivered on (buffered: dispatch never blocks on a
-// reader, so fire-and-forget injectors may drop the channel). tenantName
-// selects the tenant in multi-tenant mode ("" resolves to the default
-// tenant); it is ignored when no Plane is configured. The HTTP handler,
-// the sharded gateway, and load injectors all route through here. A fresh
-// trace ID is generated; upstreams carrying their own call EnqueueTraced.
-func (f *Frontend) Enqueue(tenantName string) (<-chan QueryResponse, *EnqueueError) {
-	return f.EnqueueTraced(tenantName, "")
-}
+// entry is a query entry point — a frontend's enqueue, a gateway's route:
+// it admits and routes one query, and done (nil for fire-and-forget
+// callers) receives the response. traceID joins this process's fragment to
+// the caller's trace; empty generates a fresh one.
+type entry func(tenantName, traceID string, done chan QueryResponse) *EnqueueError
 
-// EnqueueTraced is Enqueue with the caller's trace context: the gateway
-// (or an HTTP client via X-Trace-Id) passes the trace ID its own fragment
-// carries, so this frontend's fragment joins the same tree. An empty
-// traceID generates a fresh one. The returned channel is freshly
-// allocated and safe to abandon; in-process callers that always consume
-// the response should prefer Do, which recycles its channel.
-func (f *Frontend) EnqueueTraced(tenantName, traceID string) (<-chan QueryResponse, *EnqueueError) {
+// fresh enters one query on a freshly allocated response channel. The
+// channel is buffered — dispatch never blocks on a reader — so
+// fire-and-forget injectors may abandon it; callers that always consume
+// the response should prefer do, which recycles its channel.
+func (enter entry) fresh(tenantName string) (<-chan QueryResponse, *EnqueueError) {
 	done := make(chan QueryResponse, 1)
-	if eerr := f.enqueue(tenantName, traceID, done); eerr != nil {
+	if eerr := enter(tenantName, "", done); eerr != nil {
 		return nil, eerr
 	}
 	return done, nil
 }
 
-// EnqueueAsync enqueues one query fire-and-forget: it is admitted,
-// served, counted, and traced as usual, but no response channel is ever
-// allocated or delivered to. Saturation load injectors drive the plane
-// through here.
-func (f *Frontend) EnqueueAsync(tenantName string) *EnqueueError {
-	return f.enqueue(tenantName, "", nil)
+// do enters one query and blocks until its response arrives — the
+// in-process equivalent of POST /query.
+func (enter entry) do(tenantName string) (QueryResponse, *EnqueueError) {
+	done := donePool.Get().(chan QueryResponse)
+	if eerr := enter(tenantName, "", done); eerr != nil {
+		donePool.Put(done)
+		return QueryResponse{}, eerr
+	}
+	resp := <-done
+	donePool.Put(done)
+	return resp, nil
+}
+
+// serveHTTP is POST /query: it enters the query and blocks until it is
+// served. The tenant comes from the X-Tenant header or ?tenant= parameter
+// (multi-tenant mode only), the trace context from X-Trace-Id.
+func (enter entry) serveHTTP(rw http.ResponseWriter, req *http.Request) {
+	if req.Method != http.MethodPost {
+		http.Error(rw, "POST required", http.StatusMethodNotAllowed)
+		return
+	}
+	done := donePool.Get().(chan QueryResponse)
+	eerr := enter(tenantFromRequest(req), req.Header.Get("X-Trace-Id"), done)
+	if eerr != nil {
+		donePool.Put(done)
+		writeEnqueueError(rw, eerr)
+		return
+	}
+	select {
+	case resp := <-done:
+		donePool.Put(done)
+		rw.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(rw).Encode(resp)
+	case <-req.Context().Done():
+		// Client went away; the batch still completes and records metrics
+		// (the done channel is buffered, so dispatch never blocks on it).
+		// The abandoned channel is NOT recycled: dispatch's pending send
+		// would poison the next query that drew it from the pool.
+	}
+}
+
+// Enqueue admits and routes one query in-process, returning the channel
+// its response will be delivered on. tenantName selects the tenant in
+// multi-tenant mode ("" resolves to the default tenant); it is ignored
+// when no Plane is configured. The HTTP handler, the sharded gateway, and
+// load injectors all route through enqueue.
+func (f *Frontend) Enqueue(tenantName string) (<-chan QueryResponse, *EnqueueError) {
+	return entry(f.enqueue).fresh(tenantName)
+}
+
+// Do enqueues one query and blocks until its response arrives; benchmarks
+// and tests use it.
+func (f *Frontend) Do(tenantName string) (QueryResponse, *EnqueueError) {
+	return entry(f.enqueue).do(tenantName)
 }
 
 // enqueue admits and routes one query onto a worker ring; done (which may
@@ -495,33 +550,17 @@ func (f *Frontend) enqueue(tenantName, traceID string, done chan QueryResponse) 
 	id := int(f.nextID.Add(1) - 1)
 	arrival := f.now()
 
-	var st *tenantState
-	slo := f.SLO
+	st := f.single
 	if f.Plane != nil {
 		var ok bool
-		st, ok = f.Plane.state(tenantName)
-		if !ok {
+		if st, ok = f.Plane.state(tenantName); !ok {
 			return &EnqueueError{Status: http.StatusBadRequest,
 				Msg: fmt.Sprintf("unknown tenant %q", tenantName)}
 		}
-		slo = st.slo
-		st.observe(arrival)
-		if err := f.admitTenant(st, id, arrival, traceID); err != nil {
-			return err
-		}
-	} else {
-		rate := 0.0
-		if f.Monitor != nil {
-			f.monitorMu.Lock()
-			f.Monitor.Observe(arrival)
-			rate = f.Monitor.Load(arrival)
-			f.monitorMu.Unlock()
-		}
-		if f.Admit != nil {
-			if err := f.admitSingle(id, arrival, traceID, rate); err != nil {
-				return err
-			}
-		}
+	}
+	rate := st.observe(arrival)
+	if err := f.admit(st, id, arrival, traceID, rate); err != nil {
+		return err
 	}
 
 	pickStart := f.now()
@@ -539,57 +578,14 @@ func (f *Frontend) enqueue(tenantName, traceID string, done chan QueryResponse) 
 		return &EnqueueError{Status: http.StatusServiceUnavailable, Msg: "shutting down"}
 	}
 	ws.ring.push(pendingQuery{
-		q: sim.Query{ID: id, Arrival: arrival, Tenant: tenantName}, done: done,
-		slo: slo, st: st, traceID: traceID,
+		q: sim.Query{ID: id, Arrival: arrival, Tenant: st.Name}, done: done,
+		st: st, traceID: traceID,
 		pickSec: enqueuedAt - pickStart, enqueuedAt: enqueuedAt,
 	})
 	ws.outstanding.Add(1)
 	ws.cond.Signal()
 	ws.mu.Unlock()
 	return nil
-}
-
-// Do enqueues one query and blocks until its response arrives — the
-// in-process equivalent of POST /query. Benchmarks and tests use it; the
-// HTTP handler keeps its own select so client disconnects can abandon the
-// wait. Because Do always receives the response, its channel is recycled.
-func (f *Frontend) Do(tenantName string) (QueryResponse, *EnqueueError) {
-	done := donePool.Get().(chan QueryResponse)
-	if eerr := f.enqueue(tenantName, "", done); eerr != nil {
-		donePool.Put(done)
-		return QueryResponse{}, eerr
-	}
-	resp := <-done
-	donePool.Put(done)
-	return resp, nil
-}
-
-// handleQuery routes the query through the balancer and blocks until it is
-// served. The tenant comes from the X-Tenant header or ?tenant= parameter
-// (multi-tenant mode only).
-func (f *Frontend) handleQuery(rw http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		http.Error(rw, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	done := donePool.Get().(chan QueryResponse)
-	eerr := f.enqueue(tenantFromRequest(req), req.Header.Get("X-Trace-Id"), done)
-	if eerr != nil {
-		donePool.Put(done)
-		writeEnqueueError(rw, eerr)
-		return
-	}
-	select {
-	case resp := <-done:
-		donePool.Put(done)
-		rw.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(rw).Encode(resp)
-	case <-req.Context().Done():
-		// Client went away; the batch still completes and records metrics
-		// (the done channel is buffered, so dispatch never blocks on it).
-		// The abandoned channel is NOT recycled: dispatch's pending send
-		// would poison the next query that drew it from the pool.
-	}
 }
 
 // tenantFromRequest extracts the tenant label: X-Tenant header first, then
@@ -620,118 +616,53 @@ func (f *Frontend) Outstanding() int {
 	return n
 }
 
-// admitSingle screens one arrival through the frontend-wide admission
-// controller. It returns nil when the query may proceed to routing; a shed
-// query has been recorded (shed counter, degrader pressure, a decision
-// record, and a single-span shed trace so rejected queries stay visible in
-// /debug/traces).
-func (f *Frontend) admitSingle(id int, arrival float64, traceID string, rate float64) *EnqueueError {
-	outstanding := f.Outstanding()
-	v := f.Admit.Admit(admit.Request{Now: arrival, Outstanding: outstanding})
-	level := 0
-	if f.Degrade != nil {
-		level = f.Degrade.Level()
-		f.Degrade.Observe(arrival, !v.Admit, v.EstWait)
-	}
-	f.tel.estWait.Observe(v.EstWait)
-	f.recordAdmitDecision(v.Admit, false, arrival, traceID, "", outstanding, rate, level, v.EstWait)
-	if v.Admit {
-		f.tel.admitted.Inc()
-		return nil
-	}
-	f.shedCtr.Inc()
-	msg := "shed by " + f.admitName + " admission control (est wait " +
-		strconv.FormatFloat(v.EstWait, 'f', 3, 64) + "s)"
-	f.recordShedTrace(id, arrival, traceID, "", msg)
-	return f.shedError(msg, v.RetryAfter)
-}
-
-// admitTenant screens one arrival through the shared weighted-fair
-// admitter, charging the decision to the query's tenant.
-func (f *Frontend) admitTenant(st *tenantState, id int, arrival float64, traceID string) *EnqueueError {
-	outstanding := f.Outstanding()
-	v := f.Plane.fair.Admit(st.name, admit.Request{Now: arrival, Outstanding: outstanding})
-	level := 0
-	if st.degrade != nil {
-		level = st.degrade.Level()
-		st.degrade.Observe(arrival, !v.Admit, v.EstWait)
-	}
-	f.tel.estWait.Observe(v.EstWait)
-	f.recordAdmitDecision(v.Admit, v.Reason == tenant.ReasonBorrowed,
-		arrival, traceID, st.name, outstanding, st.load(arrival), level, v.EstWait)
-	if v.Admit {
-		f.tel.admitted.Inc()
-		st.admitted.Inc()
-		if v.Reason == tenant.ReasonBorrowed {
-			st.borrowed.Inc()
-		}
-		return nil
-	}
-	f.fairShedCtr.Inc()
-	st.shed.Inc()
-	msg := "tenant " + st.name + " shed by weighted-fair admission (" + string(v.Reason) + ")"
-	f.recordShedTrace(id, arrival, traceID, st.name, msg)
-	return f.shedError(msg, v.RetryAfter)
-}
-
-// recordAdmitDecision appends one admission verdict — admit, borrow, or
-// shed — to the decision ring with the inputs the admitter saw. The wait
-// estimate the verdict was premised on lands in PredictedSec; admission
-// makes no realized-latency claim, so RealizedSec stays 0.
-func (f *Frontend) recordAdmitDecision(admitted, borrowed bool, arrival float64, traceID, tenantName string, outstanding int, rate float64, level int, estWait float64) {
-	kind, outcome := telemetry.DecisionShed, "shed"
+// admit screens one arrival through the admission layer in front of this
+// frontend — the plane's shared weighted-fair admitter, charging the
+// query's tenant, else the frontend-wide controller, else nothing — and has
+// the core account the verdict. It returns nil when the query may proceed
+// to routing; a shed query is answered 429, with the modeled-seconds
+// back-off hint scaled to wall time (clients back off in wall time under
+// compressed TimeScale).
+func (f *Frontend) admit(st *tenantState, id int, arrival float64, traceID string, rate float64) *EnqueueError {
+	in := sched.Arrival{ID: id, Time: arrival, TraceID: traceID, Outstanding: f.Outstanding(), Load: rate}
+	req := admit.Request{Now: arrival, Outstanding: in.Outstanding}
+	var v admit.Verdict
+	var msg string
 	switch {
-	case admitted && borrowed:
-		kind, outcome = telemetry.DecisionBorrow, "admitted"
-	case admitted:
-		kind, outcome = telemetry.DecisionAdmit, "admitted"
+	case f.Plane != nil:
+		tv := f.Plane.cfg.Fair.Admit(st.Name, req)
+		v, in.Borrowed = tv.Verdict, tv.Reason == tenant.ReasonBorrowed
+		if !v.Admit {
+			msg = "tenant " + st.Name + " shed by weighted-fair admission (" + string(tv.Reason) + ")"
+		}
+	case f.Admit != nil:
+		if v = f.Admit.Admit(req); !v.Admit {
+			msg = "shed by " + f.Admit.Name() + " admission control (est wait " +
+				strconv.FormatFloat(v.EstWait, 'f', 3, 64) + "s)"
+		}
+	default:
+		return nil
 	}
-	f.Decisions.Add(telemetry.Decision{
-		Kind: kind, Time: arrival, TraceID: traceID,
-		Tenant: tenantName, Shard: f.Shard, Worker: -1,
-		QueueLen: outstanding, RateQPS: rate, DegradeLevel: level,
-		PredictedSec: estWait, Outcome: outcome,
-	})
-}
-
-// recordShedTrace keeps a rejected query visible in /debug/traces and the
-// JSONL export via a single zero-length shed span.
-func (f *Frontend) recordShedTrace(id int, arrival float64, traceID, tenantName, msg string) {
-	// The ring copies spans on Add, so a stack span array suffices.
-	var sp [1]telemetry.Span
-	sp[0] = telemetry.Span{Stage: telemetry.StageShed}
-	qt := telemetry.QueryTrace{
-		ID: id, Arrival: arrival, Worker: -1,
-		Error:   msg,
-		TraceID: traceID, Process: f.process, Parent: f.TraceParent,
-		Tenant: tenantName, Shard: f.Shard,
-		Spans: sp[:],
+	if f.core.Admit(&st.Account, v, in) {
+		return nil
 	}
-	f.Traces.Add(qt)
-	if f.TraceWriter != nil {
-		_ = f.TraceWriter.Write(qt)
-	}
-}
-
-// shedError builds the 429, scaling the modeled-seconds back-off hint to
-// wall time (clients back off in wall time under compressed TimeScale).
-func (f *Frontend) shedError(msg string, retryAfterModeled float64) *EnqueueError {
 	return &EnqueueError{
 		Status:        http.StatusTooManyRequests,
 		Msg:           "overloaded: " + msg,
-		RetryAfterSec: retryAfterModeled / f.TimeScale,
+		RetryAfterSec: v.RetryAfter / f.TimeScale,
 	}
 }
 
 func (f *Frontend) handleStats(rw http.ResponseWriter, _ *http.Request) {
 	rw.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(rw).Encode(f.snapshot())
+	_ = json.NewEncoder(rw).Encode(f.Stats())
 }
 
 // workerLoop is one per-worker model selector: it waits for queued
-// queries, applies the selector, and dispatches the batch to its worker
-// over HTTP. It is the only consumer of its ring, so a snapshot of the head and length stays
-// valid after the lock is dropped (the ring can only grow underneath it).
+// queries, asks the head tenant's selector, has the core decide what
+// dispatches, and sends the batch to its worker over HTTP. It is the only
+// consumer of its ring, so the head snapshot stays valid after the lock is
+// dropped (the ring can only grow underneath it).
 func (f *Frontend) workerLoop(w int) {
 	defer f.loops.Done()
 	ws := f.wq[w]
@@ -746,95 +677,27 @@ func (f *Frontend) workerLoop(w int) {
 			ws.mu.Unlock()
 			return
 		}
-		n := ws.ring.len()
+		n, deadline := f.core.Tightest(w, ws)
 		head := *ws.ring.at(0)
-		// The decision slack honors the tightest deadline in the batch
-		// window, not just the head's: multi-tenant FIFO queues mix SLO
-		// classes, and a short-SLO query stuck behind a lax head would
-		// otherwise wait out a slow accurate-model batch it can never
-		// survive (head-of-line inversion).
-		deadline := head.q.Arrival + head.slo
-		scan := n
-		if scan > f.maxBatch {
-			scan = f.maxBatch
-		}
-		for i := 1; i < scan; i++ {
-			pq := ws.ring.at(i)
-			if d := pq.q.Arrival + pq.slo; d < deadline {
-				deadline = d
-			}
-		}
 		ws.mu.Unlock()
 
-		// In multi-tenant mode the batch decision is keyed by the head
-		// query's tenant: its selector, monitored load, and degrade clamp
-		// drive the pick. Batches may still mix tenants (FIFO order is
-		// preserved); each query is judged against its own SLO at dispatch.
+		// The batch decision is keyed by the head query's tenant: its
+		// selector, monitored load, and degrade clamp drive the pick.
+		// Batches may still mix tenants (FIFO order is preserved); each
+		// query is judged against its own SLO at dispatch.
 		now := f.now()
-		sel := f.Select
-		degrade, clamp := f.Degrade, f.clamp
-		load := 0.0
-		if head.st != nil {
-			sel = head.st.sel
-			degrade, clamp = head.st.degrade, head.st.clamp
-			load = head.st.load(now)
-		} else if f.Monitor != nil {
-			f.monitorMu.Lock()
-			load = f.Monitor.Load(now)
-			f.monitorMu.Unlock()
+		st := head.st
+		ch := sched.Choice{
+			Now: now, Worker: w, QueueLen: n, Slack: deadline - now, Load: st.load(now),
+			Head: &st.Account, TraceID: head.traceID,
 		}
-		slack := deadline - now
-		model, batch := sel(now, load, n, slack)
-		p, ok := f.Profiles.ByName(model)
-		if !ok || batch < 1 {
-			// Defensive: never drop live queries on selector misbehavior.
-			// The fallback is counted so a mis-wired policy stays visible
-			// (and fails a replay).
-			f.tel.fallbacks.Inc()
-			p = f.Profiles.Profiles[0]
-			batch = 1
-		}
-		level := 0
-		if degrade != nil {
-			level = degrade.Level()
-			if level > 0 {
-				if name, changed := clamp.apply(level, p.Name); changed {
-					prev := p.Name
-					p, _ = f.Profiles.ByName(name)
-					f.tel.degraded.Inc()
-					f.Decisions.Add(telemetry.Decision{
-						Kind: telemetry.DecisionDegrade, Time: now, TraceID: head.traceID,
-						Tenant: head.q.Tenant, Shard: f.Shard, Worker: f.WorkerOffset + w,
-						QueueLen: n, RateQPS: load, DegradeLevel: level, SlackSec: slack,
-						Model: p.Name, Batch: batch,
-						Outcome: "clamped from " + prev,
-					})
-				}
-			}
-		}
-		if batch > p.MaxBatch() {
-			batch = p.MaxBatch()
-		}
-		if batch > n {
-			batch = n
-		}
-		// The select decision is recorded against what actually dispatches
-		// (post-clamp model, final batch): PredictedSec is the profiled
-		// batch latency the policy committed to, and dispatch fills in
-		// RealizedSec so predicted-vs-realized error is measurable per
-		// decision.
-		scr.dec = telemetry.Decision{
-			Kind: telemetry.DecisionSelect, Time: now, TraceID: head.traceID,
-			Tenant: head.q.Tenant, Shard: f.Shard, Worker: f.WorkerOffset + w,
-			QueueLen: n, RateQPS: load, DegradeLevel: level, SlackSec: slack,
-			Model: p.Name, Batch: batch, PredictedSec: p.BatchLatency(batch),
-		}
-		dec := &scr.dec
+		ch.Model, ch.Batch = st.sel(now, ch.Load, n, ch.Slack)
+		pick := f.core.Decide(ch, &scr.dec)
 		ws.mu.Lock()
-		scr.batch = ws.ring.popInto(scr.batch[:0], batch)
+		scr.batch = ws.ring.popInto(scr.batch[:0], pick.Batch)
 		ws.mu.Unlock()
 
-		f.dispatch(w, p.Name, scr.batch, dec, scr)
+		f.dispatch(w, pick, scr)
 		ws.outstanding.Add(-int32(len(scr.batch)))
 		// Drop the popped queries' channel and tenant-state references so
 		// the scratch slice does not retain them until the next batch.
@@ -855,7 +718,7 @@ func (f *Frontend) workerLoop(w int) {
 // once per batch by dispatch (both alias the scratch, which is safe: the
 // exchange copies them into the wire buffer before writing).
 func (f *Frontend) post(w int, body []byte, traceCtx []byte, scr *dispatchScratch) (float64, bool) {
-	f.tel.workerDispatch[w].Inc()
+	f.workerDispatch[w].Inc()
 	lat, status, err := scr.postInfer(w, f.inferURLs[w], body, traceCtx)
 	if err != nil && status == 0 {
 		f.Health.ReportFailure(w)
@@ -884,10 +747,10 @@ func (f *Frontend) allowFailover() bool {
 		return true
 	}
 	if f.RetryBudget.Allow(f.now()) {
-		f.tel.retries.Inc()
+		f.retries.Inc()
 		return true
 	}
-	f.tel.retriesDenied.Inc()
+	f.retriesDenied.Inc()
 	return false
 }
 
@@ -920,13 +783,15 @@ func anyHealthy(healthy []bool) bool {
 	return false
 }
 
-// dispatch delivers the batch to worker w, failing over once to another
-// healthy worker; queries whose batch reached no worker are recorded as
-// violations (and FailedDispatches) rather than silently marked served.
-// Every query's telemetry — counters, per-stage histograms, and its trace
-// — is recorded here, and the batch's select decision is completed with
-// the realized inference latency before it lands in the decision ring.
-func (f *Frontend) dispatch(w int, model string, queries []pendingQuery, dec *telemetry.Decision, scr *dispatchScratch) {
+// dispatch delivers the popped batch to worker w, failing over once to
+// another healthy worker; queries whose batch reached no worker are
+// recorded as violations (and FailedDispatches) rather than silently
+// marked served. The core finishes the batch and judges every query; the
+// frontend adds what only it can see — the six-stage span trace — and
+// answers the client.
+func (f *Frontend) dispatch(w int, pick sched.Pick, scr *dispatchScratch) {
+	queries := scr.batch
+	p := f.core.Profile(w, pick.Model)
 	// One X-Trace-Id header carries the whole trace context —
 	// "id1,id2,...;process" — so the wire costs the worker's server a
 	// single non-common header parse per batch instead of two.
@@ -939,7 +804,7 @@ func (f *Frontend) dispatch(w int, model string, queries []pendingQuery, dec *te
 	}
 	scr.ids = append(scr.ids, ';')
 	scr.ids = append(scr.ids, f.process...)
-	scr.body = appendInferRequest(scr.body[:0], model, len(queries))
+	scr.body = appendInferRequest(scr.body[:0], p.Name, len(queries))
 	dispStart := f.now()
 	target := w
 	infSec, ok := f.post(w, scr.body, scr.ids, scr)
@@ -952,32 +817,9 @@ func (f *Frontend) dispatch(w int, model string, queries []pendingQuery, dec *te
 		}
 	}
 	postEnd := f.now()
-	dispSec := postEnd - dispStart - infSec
-	if dispSec < 0 {
-		dispSec = 0
-	}
-	p, _ := f.Profiles.ByName(model)
-
-	if dec != nil {
-		dec.Worker = f.WorkerOffset + target
-		dec.RealizedSec = infSec
-		dec.Outcome = "served"
-		if !ok {
-			dec.Outcome = "failed"
-		} else {
-			err := dec.PredictedSec - infSec
-			if err < 0 {
-				err = -err
-			}
-			f.tel.decisionErr.Observe(err)
-		}
-		f.Decisions.Add(*dec)
-	}
-
-	f.tel.decisions.Inc()
-	f.tel.model(model).Add(float64(len(queries)))
-	f.tel.batchSize.Observe(float64(len(queries)))
+	dispSec := max(postEnd-dispStart-infSec, 0)
 	done := f.now()
+	fin := f.core.Finish(pick, &scr.dec, target, infSec, done, ok)
 	respSec := done - postEnd
 	// One scratch span buffer for the whole batch: the trace ring copies
 	// spans on Add, so each query's spans are written in place. (A local
@@ -986,42 +828,18 @@ func (f *Frontend) dispatch(w int, model string, queries []pendingQuery, dec *te
 	spanBuf := &scr.spans
 	for i := range queries {
 		pq := &queries[i]
-		lat := done - pq.q.Arrival
-		slo := pq.slo
-		if slo <= 0 {
-			slo = f.SLO
-		}
-		met := ok && lat <= slo
-		f.tel.queries.Inc()
-		if pq.st != nil {
-			pq.st.queries.Inc()
-			pq.st.sloTrack.Observe(done, met)
-		} else if f.sloTrack != nil {
-			f.sloTrack.Observe(done, met)
-		}
-		if met {
-			f.tel.satAcc.Add(p.Accuracy)
-		} else {
-			f.tel.violations.Inc()
-			if pq.st != nil {
-				pq.st.violations.Inc()
-			}
-		}
+		lat, violated := fin.Query(&pq.st.Account, pq.q.Arrival, pq.traceID)
 		resp := QueryResponse{
-			ID: pq.q.ID, Model: model, Batch: len(queries),
-			LatencyMS: lat * 1000, DeadlineMet: met,
+			ID: pq.q.ID, Model: p.Name, Batch: len(queries),
+			LatencyMS: lat * 1000, DeadlineMet: !violated,
 		}
 		if !ok {
-			f.tel.failed.Inc()
 			resp.Error = "dispatch failed: no healthy worker reachable"
 		}
 
-		enqSec := pq.enqueuedAt - pq.q.Arrival - pq.pickSec
-		if enqSec < 0 {
-			enqSec = 0
-		}
+		enqSec := max(pq.enqueuedAt-pq.q.Arrival-pq.pickSec, 0)
 		waitSec := dispStart - pq.enqueuedAt
-		*spanBuf = [6]telemetry.Span{
+		*spanBuf = [6]telemetry.Span{ // telemetry.Stages order
 			{Stage: telemetry.StageEnqueue, Seconds: enqSec},
 			{Stage: telemetry.StagePick, Seconds: pq.pickSec},
 			{Stage: telemetry.StageBatchWait, Seconds: waitSec},
@@ -1029,26 +847,17 @@ func (f *Frontend) dispatch(w int, model string, queries []pendingQuery, dec *te
 			{Stage: telemetry.StageInference, Seconds: infSec},
 			{Stage: telemetry.StageRespond, Seconds: respSec},
 		}
-		f.tel.stEnqueue.Observe(enqSec)
-		f.tel.stPick.Observe(pq.pickSec)
-		f.tel.stBatchWait.Observe(waitSec)
-		f.tel.stDispatch.Observe(dispSec)
-		f.tel.stInference.Observe(infSec)
-		f.tel.stRespond.Observe(respSec)
-		f.tel.latency.ObserveExemplar(lat, pq.traceID)
-		qt := telemetry.QueryTrace{
+		for i := range spanBuf {
+			f.stages[i].Observe(spanBuf[i].Seconds)
+		}
+		f.core.Trace(telemetry.QueryTrace{
 			ID: pq.q.ID, Arrival: pq.q.Arrival, Worker: target,
-			Model: model, Batch: len(queries),
-			LatencyMS: lat * 1000, DeadlineMet: met, Error: resp.Error,
-			TraceID: pq.traceID, Process: f.process, Parent: f.TraceParent,
-			Tenant: pq.q.Tenant, Shard: f.Shard,
-			Decision: dec,
+			Model: p.Name, Batch: len(queries),
+			LatencyMS: lat * 1000, DeadlineMet: !violated, Error: resp.Error,
+			TraceID: pq.traceID, Tenant: pq.q.Tenant,
+			Decision: &scr.dec,
 			Spans:    spanBuf[:],
-		}
-		f.Traces.Add(qt)
-		if f.TraceWriter != nil {
-			_ = f.TraceWriter.Write(qt)
-		}
+		})
 		if pq.done != nil {
 			pq.done <- resp
 		}

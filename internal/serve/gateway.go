@@ -130,7 +130,7 @@ func (g *Gateway) Start() error {
 	}
 	g.addr = ln.Addr().String()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query", g.handleQuery)
+	mux.HandleFunc("/query", entry(g.route).serveHTTP)
 	mux.HandleFunc("/stats", g.handleStats)
 	mux.HandleFunc("/reload", g.handleReload)
 	mux.Handle("/metrics", g.Telemetry.Handler())
@@ -161,24 +161,12 @@ func (g *Gateway) now() float64 {
 
 // Route admits and enqueues one query on the shard the sharding policy
 // picks for its tenant, returning the response channel. Load injectors
-// call this directly; handleQuery wraps it for HTTP clients. The trace
+// call this directly; POST /query wraps route for HTTP clients. The trace
 // context is born here: Route generates the trace ID, records the
 // gateway-side fragment, and hands the ID down so the shard's and worker's
 // fragments stitch under it.
 func (g *Gateway) Route(tenantName string) (<-chan QueryResponse, *EnqueueError) {
-	return g.RouteTraced(tenantName, "")
-}
-
-// RouteTraced is Route with a caller-supplied trace ID (an HTTP client's
-// X-Trace-Id); empty generates a fresh one. The returned channel is
-// freshly allocated and safe to abandon; in-process callers that always
-// consume the response should prefer Do.
-func (g *Gateway) RouteTraced(tenantName, traceID string) (<-chan QueryResponse, *EnqueueError) {
-	done := make(chan QueryResponse, 1)
-	if eerr := g.route(tenantName, traceID, done); eerr != nil {
-		return nil, eerr
-	}
-	return done, nil
+	return entry(g.route).fresh(tenantName)
 }
 
 // route resolves the tenant, picks a shard, and enqueues there; done (nil
@@ -222,10 +210,7 @@ func (g *Gateway) route(tenantName, traceID string, done chan QueryResponse) *En
 	if eerr != nil {
 		qt.Error = eerr.Msg
 	}
-	g.Traces.Add(qt)
-	if g.TraceWriter != nil {
-		_ = g.TraceWriter.Write(qt)
-	}
+	telemetry.Record(g.Traces, g.TraceWriter, qt)
 	return eerr
 }
 
@@ -238,42 +223,9 @@ func (g *Gateway) RouteAsync(tenantName string) *EnqueueError {
 }
 
 // Do routes one query and blocks until its response arrives — the
-// in-process equivalent of POST /query on the gateway. Because Do always
-// receives the response, its channel is recycled.
+// in-process equivalent of POST /query on the gateway.
 func (g *Gateway) Do(tenantName string) (QueryResponse, *EnqueueError) {
-	done := donePool.Get().(chan QueryResponse)
-	if eerr := g.route(tenantName, "", done); eerr != nil {
-		donePool.Put(done)
-		return QueryResponse{}, eerr
-	}
-	resp := <-done
-	donePool.Put(done)
-	return resp, nil
-}
-
-// handleQuery resolves the tenant (X-Tenant header or ?tenant= parameter),
-// routes to a shard, and blocks until the query is served.
-func (g *Gateway) handleQuery(rw http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		http.Error(rw, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	done := donePool.Get().(chan QueryResponse)
-	eerr := g.route(tenantFromRequest(req), req.Header.Get("X-Trace-Id"), done)
-	if eerr != nil {
-		donePool.Put(done)
-		writeEnqueueError(rw, eerr)
-		return
-	}
-	select {
-	case resp := <-done:
-		donePool.Put(done)
-		rw.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(rw).Encode(resp)
-	case <-req.Context().Done():
-		// Abandoned, not recycled: dispatch's pending send would poison
-		// the next query that drew this channel from the pool.
-	}
+	return entry(g.route).do(tenantName)
 }
 
 // Stats assembles the gateway-wide snapshot: aggregate serving counters
@@ -281,8 +233,7 @@ func (g *Gateway) handleQuery(rw http.ResponseWriter, req *http.Request) {
 // the per-tenant breakdown. Each tenant's live goodput gauge is refreshed
 // as a side effect, so a /stats poll keeps /metrics' goodput current.
 func (g *Gateway) Stats() GatewayStats {
-	now := time.Since(g.start).Seconds() * g.Shards[0].TimeScale
-	tenants := g.Plane.Stats(now)
+	tenants := g.Plane.Stats(g.now())
 	depths := make([]int, len(g.Shards))
 	sq := make([]int, len(g.Shards))
 	for i, fe := range g.Shards {

@@ -15,34 +15,44 @@ import (
 	"ramsis/internal/trace"
 )
 
-// replayClock is the fake clock the differential test hangs off LLMWorker's
-// now/sleep seam. Time only moves when the step loop sleeps or the test
-// jumps an idle worker to its next arrival, and every token arrival is
-// submitted at exactly its own instant: the step loop's Sleep submits the
-// arrivals that fall inside the step it is holding (the simulator's event
-// order — arrivals at or before a step's end are routed first), and the
-// test goroutine submits the next one whenever the worker has gone idle.
+// replayClock is the fake clock the differential tests hang off a serve
+// component's clock seam. Time only moves when the component sleeps or the
+// test jumps an idle component to its next arrival, and every arrival is
+// submitted at exactly its own instant: Sleep submits the arrivals that
+// fall inside the interval it is holding (the simulator's event order —
+// arrivals at or before a completion are routed first), and run submits the
+// next one whenever the component has gone idle.
 type replayClock struct {
-	w      *LLMWorker
-	events []trace.TokenEvent
-	epoch  time.Time
-	now    atomic.Int64 // nanoseconds past epoch
+	at     []time.Duration // each arrival's wall offset: its modeled time over TimeScale
+	submit func(i int)     // delivers arrival i; called with the clock at at[i]
+	// idle reports that nothing is queued or in service. Sleep is only ever
+	// called with work in service, so while idle holds, run is the only
+	// goroutine that can move the clock.
+	idle  func() bool
+	epoch time.Time
+	now   atomic.Int64 // nanoseconds past epoch
 
-	mu      sync.Mutex // guards next and streams, held across a submit
-	next    int        // first event not yet submitted
-	streams []*genStream
+	mu   sync.Mutex // guards next, held across a submit
+	next int        // first arrival not yet submitted
 }
 
-func (c *replayClock) Now() time.Time { return c.epoch.Add(time.Duration(c.now.Load())) }
-
-// at returns event i's wall offset: its modeled arrival over TimeScale.
-func (c *replayClock) at(i int) time.Duration {
-	return time.Duration(c.events[i].T / c.w.TimeScale * float64(time.Second))
+// wallOffsets converts modeled arrival times to fake-wall offsets.
+func wallOffsets(arrivals []float64, timeScale float64) []time.Duration {
+	at := make([]time.Duration, len(arrivals))
+	for i, a := range arrivals {
+		at[i] = time.Duration(a / timeScale * float64(time.Second))
+	}
+	return at
 }
+
+func (c *replayClock) Now() time.Time { return c.epoch.Add(c.Since()) }
+
+// Since returns the fake wall time elapsed since the epoch.
+func (c *replayClock) Since() time.Duration { return time.Duration(c.now.Load()) }
 
 // Sleep advances the clock by d, stopping at every arrival on the way.
 func (c *replayClock) Sleep(d time.Duration) {
-	target := time.Duration(c.now.Load()) + d
+	target := c.Since() + d
 	c.submitUntil(target)
 	c.now.Store(int64(target))
 }
@@ -52,40 +62,28 @@ func (c *replayClock) Sleep(d time.Duration) {
 func (c *replayClock) submitUntil(target time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for ; c.next < len(c.events) && c.at(c.next) <= target; c.next++ {
-		ev := c.events[c.next]
-		c.now.Store(int64(c.at(c.next)))
-		c.streams[c.next] = c.w.submit(GenRequest{Prefill: ev.Prefill, Decode: ev.Decode}, "")
+	for ; c.next < len(c.at) && c.at[c.next] <= target; c.next++ {
+		c.now.Store(int64(c.at[c.next]))
+		c.submit(c.next)
 	}
 }
 
-// run feeds the whole trace through the worker and returns each request's
-// stream once it has finished (or been rejected).
-func (c *replayClock) run() []*genStream {
+// run feeds the whole trace through the component; it returns once the
+// last arrival is submitted.
+func (c *replayClock) run() {
 	for {
 		c.mu.Lock()
 		next := c.next
 		c.mu.Unlock()
-		if next >= len(c.events) {
-			break
+		if next >= len(c.at) {
+			return
 		}
-		// The step loop holds w.mu whenever it is not sleeping or parked, and
-		// it only parks on an idle batcher: idle under the lock means parked,
-		// so this goroutine is the only one that can move the clock.
-		c.w.mu.Lock()
-		idle := c.w.b.Idle()
-		c.w.mu.Unlock()
-		if idle {
-			c.submitUntil(c.at(next))
+		if c.idle() {
+			c.submitUntil(c.at[next])
 		} else {
 			runtime.Gosched()
 		}
 	}
-	for _, g := range c.streams {
-		for range g.tok {
-		}
-	}
-	return c.streams
 }
 
 // TestLLMWorkerMatchesSimEngine is the sim ↔ serve differential: one worker,
@@ -141,13 +139,36 @@ func TestLLMWorkerMatchesSimEngine(t *testing.T) {
 
 			w := NewLLMWorker(models, slo, timeScale, tc.sel)
 			w.KVCap = tc.kvCap
-			clk := &replayClock{w: w, events: events, epoch: time.Unix(0, 0), streams: make([]*genStream, len(events))}
+			streams := make([]*genStream, len(events))
+			arrivals := make([]float64, len(events))
+			for i, ev := range events {
+				arrivals[i] = ev.T
+			}
+			clk := &replayClock{
+				at:    wallOffsets(arrivals, timeScale),
+				epoch: time.Unix(0, 0),
+				submit: func(i int) {
+					streams[i] = w.submit(GenRequest{Prefill: events[i].Prefill, Decode: events[i].Decode}, "")
+				},
+				// The step loop holds w.mu whenever it is not sleeping or
+				// parked, and it only parks on an idle batcher: idle under
+				// the lock means parked.
+				idle: func() bool {
+					w.mu.Lock()
+					defer w.mu.Unlock()
+					return w.b.Idle()
+				},
+			}
 			w.now, w.sleep = clk.Now, clk.Sleep
 			if err := w.Start(); err != nil {
 				t.Fatal(err)
 			}
 			defer w.Stop()
-			streams := clk.run()
+			clk.run()
+			for _, g := range streams {
+				for range g.tok {
+				}
+			}
 
 			// Scheduling totals, read off the two registries' shared series.
 			for _, m := range models.Models {

@@ -304,10 +304,7 @@ func (w *LLMWorker) finish(s *llm.Seq[*genStream], batch int, end float64) {
 		TraceID:     s.Tag.traceID, Process: w.Name,
 		Spans: s.Spans(end),
 	}
-	w.Traces.Add(qt)
-	if w.TraceWriter != nil {
-		_ = w.TraceWriter.Write(qt)
-	}
+	telemetry.Record(w.Traces, w.TraceWriter, qt)
 	s.Tag.sum = GenSummary{
 		Model:   m.Name,
 		Prefill: s.Prefill,

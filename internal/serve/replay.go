@@ -23,10 +23,11 @@ import (
 // experiment, and a mis-wired policy must fail it loudly.
 func (f *Frontend) Replay(arrivals []float64) (sim.Metrics, error) {
 	m := sim.Metrics{ModelCounts: map[string]int{}}
-	if f.tel == nil {
+	if f.core == nil {
 		return m, fmt.Errorf("serve: replay needs a started frontend")
 	}
-	decisions, degraded, fallbacks := f.tel.decisions.Value(), f.tel.degraded.Value(), f.tel.fallbacks.Value()
+	tel := f.core.Series()
+	decisions, degraded, fallbacks := tel.Decisions.Value(), tel.Degraded.Value(), tel.Fallbacks.Value()
 	pending := make([]<-chan QueryResponse, 0, len(arrivals))
 	start := time.Now()
 	for _, a := range arrivals {
@@ -45,27 +46,23 @@ func (f *Frontend) Replay(arrivals []float64) (sim.Metrics, error) {
 	}
 	for _, done := range pending {
 		r := <-done
-		m.Served++
 		m.ModelCounts[r.Model]++
 		m.Latencies = append(m.Latencies, r.LatencyMS/1000)
-		if r.DeadlineMet {
-			p, _ := f.Profiles.ByName(r.Model)
-			m.SatAccSum += p.Accuracy
-		} else {
-			m.Violations++
-		}
+		p, _ := f.Profiles.ByName(r.Model)
+		m.Serve(!r.DeadlineMet, p.Accuracy)
 		if r.Error != "" {
 			m.FailedDispatches++
 		}
 	}
-	m.Decisions = int(f.tel.decisions.Value() - decisions)
-	m.DegradedDecisions = int(f.tel.degraded.Value() - degraded)
+	m.Decisions = int(tel.Decisions.Value() - decisions)
+	m.DegradedDecisions = int(tel.Degraded.Value() - degraded)
+	m.SelectFallbacks = int(tel.Fallbacks.Value() - fallbacks)
 	m.LatencyP50 = stats.Percentile(m.Latencies, 50)
 	m.LatencyP95 = stats.Percentile(m.Latencies, 95)
 	m.LatencyP99 = stats.Percentile(m.Latencies, 99)
-	if n := int(f.tel.fallbacks.Value() - fallbacks); n > 0 {
+	if m.SelectFallbacks > 0 {
 		return m, fmt.Errorf("serve: selector chose an unknown model or empty batch on %d decisions; they ran on fallback model %s",
-			n, f.Profiles.Profiles[0].Name)
+			m.SelectFallbacks, f.Profiles.Profiles[0].Name)
 	}
 	return m, nil
 }

@@ -10,7 +10,6 @@ import (
 	"ramsis/internal/dist"
 	"ramsis/internal/lb"
 	"ramsis/internal/profile"
-	"ramsis/internal/sim"
 	"ramsis/internal/telemetry"
 	"ramsis/internal/tenant"
 )
@@ -188,7 +187,6 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 	plane := NewTenantPlane(TenantPlaneConfig{
 		Registry:     reg,
 		Fair:         fair,
-		Profiles:     cfg.Models,
 		Selectors:    selectors,
 		Fallback:     fallback,
 		DegradeDepth: cfg.DegradeDepth,
@@ -199,16 +197,7 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 		Telemetry: cfg.Telemetry,
 	})
 
-	var latModel sim.LatencyModel = sim.Deterministic{}
-	if cfg.LatencyStdDev > 0 {
-		latModel = sim.Stochastic{StdDev: cfg.LatencyStdDev}
-	}
-	minSLO := cfg.Tenants[0].SLO()
-	for _, t := range cfg.Tenants[1:] {
-		if s := t.SLO(); s < minSLO {
-			minSLO = s
-		}
-	}
+	latModel := latencyModel(cfg.LatencyStdDev)
 
 	c := &ShardedCluster{Plane: plane}
 	// Worker rings feed the gateway's merged /debug/traces alongside its own
@@ -237,7 +226,6 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 		}
 		fe := &Frontend{
 			Profiles:     cfg.Models,
-			SLO:          minSLO,
 			TimeScale:    cfg.TimeScale,
 			Workers:      urls,
 			Plane:        plane,

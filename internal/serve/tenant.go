@@ -5,7 +5,7 @@ import (
 
 	"ramsis/internal/admit"
 	"ramsis/internal/monitor"
-	"ramsis/internal/profile"
+	"ramsis/internal/sched"
 	"ramsis/internal/telemetry"
 	"ramsis/internal/tenant"
 )
@@ -18,59 +18,33 @@ import (
 // monitoring or degrade decisions must see the whole tenant, not one
 // shard's slice.
 type TenantPlane struct {
-	reg      *tenant.Registry
-	fair     *tenant.FairAdmitter
-	profiles profile.Set
-
-	// fallback picks models for tenants added by hot-reload after startup
-	// (no pre-solved policy of their own yet).
-	fallback SelectFunc
-	// degradeDepth > 0 arms a per-tenant degrader with that max level.
-	degradeDepth  int
-	monitorWindow float64
-	sloCfg        telemetry.SLOConfig
-	nowFn         func() float64
-	telemetry     *telemetry.Registry
+	cfg TenantPlaneConfig
 
 	mu     sync.RWMutex
 	states map[string]*tenantState
-
-	// Shared label-keyed series; states cache their own .With handles.
-	queriesVec, violationsVec         *telemetry.CounterVec
-	admittedVec, shedVec, borrowedVec *telemetry.CounterVec
-	degradeVec, rateVec               *telemetry.GaugeVec
 }
 
-// tenantState is one tenant's live serving state.
+// tenantState is one tenant's live serving state: its account with the
+// dispatch core (SLO, degrader, counters, attainment tracker) plus what the
+// frontend consults per decision — selector and rate monitor. A
+// single-tenant frontend runs one, unnamed.
 type tenantState struct {
-	name string
-	slo  float64
-	sel  SelectFunc
+	sched.Account
+	sel SelectFunc
 
 	// monMu guards mon: Observe times must be non-decreasing, and arrivals
-	// for one tenant race across shards.
+	// for one tenant race across handlers and shards.
 	monMu sync.Mutex
-	mon   *monitor.MovingAverage
-
-	degrade *admit.Degrader
-	clamp   *modelClamp
-
-	// sloTrack is the tenant's windowed attainment/burn-rate tracker,
-	// shared across shards (a tenant's traffic may land on any of them).
-	sloTrack *telemetry.SLOTracker
-
-	queries, violations  *telemetry.Counter
-	admitted, shed       *telemetry.Counter
-	borrowed             *telemetry.Counter
-	degradeLevel, rateGa *telemetry.Gauge
+	mon   monitor.Monitor // nil: unmonitored, the load reads 0
+	// rateGa is the live monitored-rate gauge.
+	rateGa *telemetry.Gauge
 }
 
 // TenantPlaneConfig configures NewTenantPlane.
 type TenantPlaneConfig struct {
 	Registry *tenant.Registry
 	// Fair is the shared weighted-fair admitter (built over Registry).
-	Fair     *tenant.FairAdmitter
-	Profiles profile.Set
+	Fair *tenant.FairAdmitter
 	// Selectors maps tenant name to its model selector (per-tenant policy
 	// or adapt loop). Tenants without an entry use Fallback.
 	Selectors map[string]SelectFunc
@@ -101,29 +75,7 @@ func NewTenantPlane(cfg TenantPlaneConfig) *TenantPlane {
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
-	reg := cfg.Telemetry
-	p := &TenantPlane{
-		reg:           cfg.Registry,
-		fair:          cfg.Fair,
-		profiles:      cfg.Profiles,
-		fallback:      cfg.Fallback,
-		degradeDepth:  cfg.DegradeDepth,
-		monitorWindow: cfg.MonitorWindow,
-		sloCfg:        cfg.SLO,
-		nowFn:         cfg.Now,
-		telemetry:     reg,
-		states:        map[string]*tenantState{},
-
-		queriesVec:    reg.CounterVec(telemetry.MetricTenantQueries, "tenant"),
-		violationsVec: reg.CounterVec(telemetry.MetricTenantViolations, "tenant"),
-		admittedVec:   reg.CounterVec(telemetry.MetricTenantAdmitted, "tenant"),
-		shedVec:       reg.CounterVec(telemetry.MetricTenantShed, "tenant"),
-		borrowedVec:   reg.CounterVec(telemetry.MetricTenantBorrowed, "tenant"),
-		degradeVec:    reg.GaugeVec(telemetry.MetricTenantDegradeLevel, "tenant"),
-		rateVec:       reg.GaugeVec(telemetry.MetricTenantRate, "tenant"),
-	}
-	reg.Help(telemetry.MetricTenantQueries, "Served queries by tenant.")
-	reg.Help(telemetry.MetricTenantShed, "Weighted-fair admission rejections by tenant.")
+	p := &TenantPlane{cfg: cfg, states: map[string]*tenantState{}}
 	for _, t := range cfg.Registry.All() {
 		sel := cfg.Selectors[t.Name]
 		if sel == nil {
@@ -135,26 +87,17 @@ func NewTenantPlane(cfg TenantPlaneConfig) *TenantPlane {
 }
 
 func (p *TenantPlane) newState(t tenant.Tenant, sel SelectFunc) *tenantState {
+	cfg := p.cfg
 	st := &tenantState{
-		name:         t.Name,
-		slo:          t.SLO(),
-		sel:          sel,
-		mon:          monitor.NewMovingAverage(p.monitorWindow),
-		sloTrack:     telemetry.NewSLOTracker(p.sloCfg),
-		queries:      p.queriesVec.With(t.Name),
-		violations:   p.violationsVec.With(t.Name),
-		admitted:     p.admittedVec.With(t.Name),
-		shed:         p.shedVec.With(t.Name),
-		borrowed:     p.borrowedVec.With(t.Name),
-		degradeLevel: p.degradeVec.With(t.Name),
-		rateGa:       p.rateVec.With(t.Name),
+		Account: sched.NewAccount(cfg.Telemetry, t.Name, t.SLO(), cfg.SLO, cfg.Now),
+		sel:     sel,
+		mon:     monitor.NewMovingAverage(cfg.MonitorWindow),
+		rateGa:  cfg.Telemetry.GaugeVec(telemetry.MetricTenantRate, "tenant").With(t.Name),
 	}
-	telemetry.RegisterSLOGauges(p.telemetry, st.sloTrack, t.Name, p.nowFn)
-	if p.degradeDepth > 0 {
-		st.degrade = admit.NewDegrader(admit.DegradeConfig{MaxLevel: p.degradeDepth, EnterWait: st.slo})
-		st.clamp = newModelClamp(p.profiles)
-		gauge := st.degradeLevel
-		st.degrade.OnChange = func(level int, _ bool) { gauge.Set(float64(level)) }
+	if cfg.DegradeDepth > 0 {
+		st.Degrade = admit.NewDegrader(admit.DegradeConfig{MaxLevel: cfg.DegradeDepth, EnterWait: st.SLO})
+		gauge := cfg.Telemetry.GaugeVec(telemetry.MetricTenantDegradeLevel, "tenant").With(t.Name)
+		st.Degrade.OnChange = func(level int, _ bool) { gauge.Set(float64(level)) }
 	}
 	return st
 }
@@ -167,20 +110,17 @@ func (p *TenantPlane) SLOTracker(name string) *telemetry.SLOTracker {
 	if !ok {
 		return nil
 	}
-	return st.sloTrack
+	return st.Attainment
 }
 
-// Fair returns the shared weighted-fair admitter.
-func (p *TenantPlane) Fair() *tenant.FairAdmitter { return p.fair }
-
 // Registry returns the tenant registry the plane serves.
-func (p *TenantPlane) Registry() *tenant.Registry { return p.reg }
+func (p *TenantPlane) Registry() *tenant.Registry { return p.cfg.Registry }
 
 // state resolves a request's tenant label to its serving state. Unknown
 // tenants return ok == false; tenants registered after startup (config
 // hot-reload) get a state lazily, running the fallback selector.
 func (p *TenantPlane) state(name string) (*tenantState, bool) {
-	t, ok := p.reg.Resolve(name)
+	t, ok := p.cfg.Registry.Resolve(name)
 	if !ok {
 		return nil, false
 	}
@@ -193,24 +133,31 @@ func (p *TenantPlane) state(name string) (*tenantState, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if st = p.states[t.Name]; st == nil {
-		st = p.newState(t, p.fallback)
+		st = p.newState(t, p.cfg.Fallback)
 		p.states[t.Name] = st
 	}
 	return st, true
 }
 
-// observe feeds one arrival into the tenant's rate monitor and refreshes
-// its live rate gauge.
-func (st *tenantState) observe(now float64) {
+// observe feeds one arrival into the tenant's rate monitor, refreshes its
+// live rate gauge and returns the rate.
+func (st *tenantState) observe(now float64) float64 {
+	if st.mon == nil {
+		return 0
+	}
 	st.monMu.Lock()
 	st.mon.Observe(now)
 	rate := st.mon.Load(now)
 	st.monMu.Unlock()
 	st.rateGa.Set(rate)
+	return rate
 }
 
 // load reads the tenant's monitored arrival rate.
 func (st *tenantState) load(now float64) float64 {
+	if st.mon == nil {
+		return 0
+	}
 	st.monMu.Lock()
 	defer st.monMu.Unlock()
 	return st.mon.Load(now)
@@ -243,28 +190,30 @@ func (p *TenantPlane) Stats(now float64) map[string]TenantStats {
 	p.mu.RUnlock()
 	out := make(map[string]TenantStats, len(states))
 	for _, st := range states {
-		t, _ := p.reg.Lookup(st.name)
-		served := int(st.queries.Value())
-		violations := int(st.violations.Value())
-		shed := int(st.shed.Value())
+		t, _ := p.cfg.Registry.Lookup(st.Name)
+		count := func(metric string) int {
+			return int(p.cfg.Telemetry.CounterVec(metric, "tenant").With(st.Name).Value())
+		}
+		served, violations := count(telemetry.MetricTenantQueries), count(telemetry.MetricTenantViolations)
+		shed := count(telemetry.MetricTenantShed)
 		goodput := 0.0
 		if offered := served + shed; offered > 0 {
 			goodput = float64(served-violations) / float64(offered)
 		}
 		level := 0
-		if st.degrade != nil {
-			level = st.degrade.Level()
+		if st.Degrade != nil {
+			level = st.Degrade.Level()
 		}
-		out[st.name] = TenantStats{
+		out[st.Name] = TenantStats{
 			Class:        t.Class,
 			SLOMS:        t.SLOMS,
 			Weight:       t.Weight,
-			ShareQPS:     p.fair.Share(st.name),
+			ShareQPS:     p.cfg.Fair.Share(st.Name),
 			RateQPS:      st.load(now),
 			Served:       served,
 			Violations:   violations,
-			Admitted:     int(st.admitted.Value()),
-			Borrowed:     int(st.borrowed.Value()),
+			Admitted:     count(telemetry.MetricTenantAdmitted),
+			Borrowed:     count(telemetry.MetricTenantBorrowed),
 			Shed:         shed,
 			Goodput:      goodput,
 			DegradeLevel: level,

@@ -67,6 +67,10 @@ type Worker struct {
 	// file holds every fragment of every trace).
 	TraceWriter *telemetry.TraceWriter
 
+	// sleep holds a batch for its inference latency (time.Sleep unless a
+	// test substituted a fake clock before Start).
+	sleep func(time.Duration)
+
 	mu      sync.Mutex
 	rng     *rand.Rand
 	srv     *http.Server
@@ -111,6 +115,9 @@ func (w *Worker) Start() error {
 	}
 	if w.Traces == nil {
 		w.Traces = telemetry.NewTraceBuffer(0)
+	}
+	if w.sleep == nil {
+		w.sleep = time.Sleep
 	}
 	w.infHist = w.Telemetry.Histogram(telemetry.MetricInferenceSeconds)
 	w.bsHist = w.Telemetry.HistogramBuckets(telemetry.MetricBatchSize, telemetry.LinearBuckets(1, 1, 32))
@@ -199,7 +206,7 @@ func (w *Worker) handleInfer(rw http.ResponseWriter, req *http.Request) {
 	w.mu.Unlock()
 	w.infCtr[p.Name].Inc()
 	w.bsHist.Observe(float64(batch))
-	time.Sleep(time.Duration(lat / w.TimeScale * float64(time.Second)))
+	w.sleep(time.Duration(lat / w.TimeScale * float64(time.Second)))
 	w.recordTraces(req, p.Name, batch, lat)
 	out := appendInferResponse(buf[:0], p.Name, batch, lat)
 	*bp = out[:0]
@@ -247,9 +254,6 @@ func (w *Worker) recordTraces(req *http.Request, model string, batch int, lat fl
 			TraceID:   id, Process: w.Name, Parent: parent,
 			Spans: sp[:],
 		}
-		w.Traces.Add(qt)
-		if w.TraceWriter != nil {
-			_ = w.TraceWriter.Write(qt)
-		}
+		telemetry.Record(w.Traces, w.TraceWriter, qt)
 	}
 }

@@ -8,11 +8,11 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"ramsis/internal/admit"
 	"ramsis/internal/profile"
+	"ramsis/internal/sched"
 	"ramsis/internal/stats"
 	"ramsis/internal/telemetry"
 )
@@ -26,30 +26,25 @@ type Query struct {
 	Tenant string
 }
 
-// Deadline returns the query's latency deadline given the SLO.
-func (q Query) Deadline(slo float64) float64 { return q.Arrival + slo }
-
 // TenantAdmitter screens arrivals per tenant — the weighted-fair layer in
-// internal/tenant implements it. Defined here (not imported) so the
-// simulator stays independent of the tenant control plane.
+// internal/tenant implements it. borrowed marks an admit beyond the
+// tenant's fair share. Defined here (not imported) so the simulator stays
+// independent of the tenant control plane.
 type TenantAdmitter interface {
-	AdmitTenant(tenant string, r admit.Request) admit.Verdict
+	AdmitTenant(tenant string, r admit.Request) (v admit.Verdict, borrowed bool)
 }
 
-// Decision is one MS&S decision: run the batch on the model (an index into
-// the engine's profile set).
-type Decision struct {
-	Model   int
-	Queries []Query
-}
-
-// Scheduler implements an MS&S scheme. Route must enqueue the query (to a
-// worker queue or the central queue); Pick is called whenever worker w is
-// idle and may pop queries to serve. Returning ok == false leaves the worker
-// idle until the next event.
+// Scheduler is the seam an MS&S scheme plugs into. Route must enqueue the
+// query (to a worker queue or the central queue). Select is consulted
+// whenever worker w is idle with work in sight — its own queue, or the
+// central queue when that is empty: n queries are visible and the tightest
+// deadline among those a batch could hold is slack seconds away. It names
+// the model and the batch size to run; the shared dispatch core
+// (internal/sched) validates the answer, applies the degrade clamp and caps
+// the batch, and the engine pops what is left.
 type Scheduler interface {
 	Route(e *Engine, now float64, q Query)
-	Pick(e *Engine, now float64, w int) (Decision, bool)
+	Select(e *Engine, now float64, w, n int, slack float64) (model string, batch int)
 }
 
 // LatencyModel yields the realized inference latency for a decision.
@@ -97,14 +92,13 @@ func (s Stochastic) Latency(p profile.Profile, batch int, rng *rand.Rand) float6
 	return v
 }
 
-// Metrics aggregates a run per the paper's performance metrics (§7):
-// latency SLO violation rate over all serviced queries and accuracy per
-// satisfied query.
-type Metrics struct {
+// Tally counts a stream of queries by how each ended. The engine keeps one
+// per tenant account — violations judged against the tenant's own SLO —
+// and a run's totals are their sum.
+type Tally struct {
 	Served     int
 	Violations int
 	SatAccSum  float64
-	Decisions  int
 	Unserved   int
 	Dropped    int
 	// Shed counts queries the admission controller rejected at arrival;
@@ -112,9 +106,52 @@ type Metrics struct {
 	// queries count against GoodputRate (they are offered work the system
 	// declined) but not ViolationRate (no latency promise was made).
 	Shed int
+}
+
+// Serve counts one answered query: a violation, or accuracy earned.
+func (t *Tally) Serve(violated bool, accuracy float64) {
+	t.Served++
+	if violated {
+		t.Violations++
+	} else {
+		t.SatAccSum += accuracy
+	}
+}
+
+// Offered counts every query presented, whether served, shed, dropped, or
+// left unserved.
+func (t Tally) Offered() int {
+	return t.Served + t.Shed + t.Dropped + t.Unserved
+}
+
+// GoodputRate is the fraction of all offered queries answered within the
+// SLO — the metric overload protection optimizes. Without admission
+// control every query is "served" eventually, so an overloaded run can
+// report 100% service while approaching 0% goodput; shedding the
+// unmeetable excess keeps the admitted queries inside their deadlines and
+// raises this number even though fewer queries are answered.
+func (t Tally) GoodputRate() float64 {
+	off := t.Offered()
+	if off == 0 {
+		return 0
+	}
+	return float64(t.Served-t.Violations) / float64(off)
+}
+
+// Metrics aggregates a run per the paper's performance metrics (§7):
+// latency SLO violation rate over all serviced queries and accuracy per
+// satisfied query.
+type Metrics struct {
+	Tally
+	Decisions int
 	// DegradedDecisions counts dispatch decisions whose model choice was
 	// clamped to a faster model by degraded-mode serving.
 	DegradedDecisions int
+	// SelectFallbacks counts dispatch decisions where the scheduler named a
+	// model the worker does not load (or a batch below one) and the batch
+	// ran on the fallback model instead. Non-zero means a mis-wired policy;
+	// an experiment should fail on it, the way serve's Replay does.
+	SelectFallbacks int
 	// FailedDispatches counts queries whose batch could not be delivered
 	// to any worker (serve layer only: connection error or non-2xx on the
 	// picked worker and on the one-shot failover target). They are also
@@ -132,33 +169,7 @@ type Metrics struct {
 	DecisionLog []DecisionRecord
 	// Tenants breaks the run down per tenant. Populated only when the
 	// engine tracks tenants (TenantSLOs or FairAdmit set); nil otherwise.
-	Tenants map[string]*TenantMetrics
-}
-
-// TenantMetrics is one tenant's slice of a multi-tenant run. Violations
-// are judged against the tenant's own SLO, not the engine-wide one.
-type TenantMetrics struct {
-	Served     int
-	Violations int
-	Shed       int
-	Dropped    int
-	Unserved   int
-	SatAccSum  float64
-}
-
-// Offered counts every query the tenant presented.
-func (t *TenantMetrics) Offered() int {
-	return t.Served + t.Shed + t.Dropped + t.Unserved
-}
-
-// GoodputRate is the fraction of the tenant's offered queries answered
-// within its SLO.
-func (t *TenantMetrics) GoodputRate() float64 {
-	off := t.Offered()
-	if off == 0 {
-		return 0
-	}
-	return float64(t.Served-t.Violations) / float64(off)
+	Tenants map[string]*Tally
 }
 
 // DecisionRecord is one logged MS&S decision.
@@ -183,26 +194,6 @@ func (m Metrics) ViolationRate() float64 {
 		return 0
 	}
 	return float64(m.Violations+m.Unserved+m.Dropped) / float64(total)
-}
-
-// Offered counts every query the workload presented, whether served,
-// shed, dropped, or left unserved.
-func (m Metrics) Offered() int {
-	return m.Served + m.Unserved + m.Dropped + m.Shed
-}
-
-// GoodputRate is the fraction of all offered queries answered within the
-// SLO — the metric overload protection optimizes. Without admission
-// control every query is "served" eventually, so an overloaded run can
-// report 100% service while approaching 0% goodput; shedding the
-// unmeetable excess keeps the admitted queries inside their deadlines and
-// raises this number even though fewer queries are answered.
-func (m Metrics) GoodputRate() float64 {
-	off := m.Offered()
-	if off == 0 {
-		return 0
-	}
-	return float64(m.Served-m.Violations) / float64(off)
 }
 
 // ShedRate is the fraction of offered queries rejected at admission.
@@ -264,12 +255,12 @@ type Engine struct {
 	// decision's model to progressively faster ones while overload is
 	// confirmed (admit.ClampModel over Profiles.SpeedOrder()).
 	Degrade *admit.Degrader
-	// TenantSLOs, when set, judges each query's SLO violation (and
-	// DropExpired purging) against its tenant's own SLO instead of the
-	// engine-wide one, and enables per-tenant metrics. Queries whose
-	// tenant is absent fall back to the engine SLO. Scheduling (slack,
-	// policy) stays engine-wide: per-tenant policy selection is the serve
-	// plane's job (and internal/multislo's, per class).
+	// TenantSLOs, when set, gives each tenant its own SLO — for the
+	// decision slack, DropExpired purging and the violation judgement
+	// alike — and enables per-tenant metrics. Queries whose tenant is
+	// absent fall back to the engine SLO. The policy stays engine-wide:
+	// per-tenant policy selection is the serve plane's job (and
+	// internal/multislo's, per class).
 	TenantSLOs map[string]float64
 	// FairAdmit, when set, replaces Admit with per-tenant weighted-fair
 	// admission (internal/tenant's FairAdmitter) and enables per-tenant
@@ -293,119 +284,89 @@ type Engine struct {
 	// the same code the serve plane scrapes.
 	SLOCfg telemetry.SLOConfig
 
-	rng          *rand.Rand
-	central      []Query
-	wq           [][]Query
-	busy         []bool
-	inflight     []int // queries in the batch worker w is currently serving
-	events       eventQueue
-	metrics      Metrics
-	speedOrder   []int                // model indices fastest-first, for the degrade clamp
-	latHist      *telemetry.Histogram // always on; backs the Metrics percentiles
-	tel          *engineSeries        // cached registry series; nil without Telemetry
-	trackTenants bool                 // per-tenant accounting enabled for this run
-	sloTracks    map[string]*telemetry.SLOTracker
+	rng      *rand.Rand
+	central  []Query
+	wq       [][]Query
+	inflight []int // queries in the batch worker w is serving; 0 when idle
+	events   eventQueue
+	metrics  Metrics
+	latHist  *telemetry.Histogram // always on; backs the Metrics percentiles
+	core     *sched.Core          // admit, decide and finish; rebuilt every run
+	// accts are the accounts in first-arrival order: one per tenant label
+	// when tenants are tracked, else the single unnamed one. They outlive a
+	// run, so a reused engine never registers a tenant's SLO gauges twice.
+	accts        []*account
+	last         *account // the account resolved last, almost always the next one too
+	trackTenants bool     // per-tenant accounting enabled for this run
+	win          window   // the queue under decision, as the core sees it
+}
+
+// account is one tenant's sched.Account with the tally Metrics reports.
+type account struct {
+	sched.Account
+	m Tally
+}
+
+// window shows the core one queue as a sched.Window: each query's deadline
+// is its arrival plus its own account's SLO.
+type window struct {
+	e *Engine
+	q *[]Query
+}
+
+func (w *window) Len() int { return len(*w.q) }
+
+func (w *window) Deadline(i int) float64 {
+	q := &(*w.q)[i]
+	return q.Arrival + w.e.account(q.Tenant).SLO
 }
 
 // simTraceID derives the deterministic trace ID for a simulated query.
 func simTraceID(id int) string { return fmt.Sprintf("sim-%d", id) }
 
-// tracing reports whether trace fragments should be recorded this run.
-func (e *Engine) tracing() bool { return e.Traces != nil || e.TraceWriter != nil }
-
-// recordTrace lands one fragment in the ring and/or the JSONL stream.
-func (e *Engine) recordTrace(qt telemetry.QueryTrace) {
-	if e.Traces != nil {
-		e.Traces.Add(qt)
-	}
-	if e.TraceWriter != nil {
-		_ = e.TraceWriter.Write(qt)
-	}
-}
-
-// SLOTracker returns the tenant's attainment tracker ("" maps to
-// "default"), or nil when Telemetry is unset or the tenant never completed
-// a query. Tests cross-check the exposed burn rates against it.
+// SLOTracker returns the tenant's attainment tracker ("default" also names
+// the unnamed tenant), or nil when Telemetry is unset or the tenant never
+// arrived. Tests cross-check the exposed burn rates against it.
 func (e *Engine) SLOTracker(tenant string) *telemetry.SLOTracker {
-	if tenant == "" {
-		tenant = "default"
-	}
-	return e.sloTracks[tenant]
-}
-
-// sloTrack lazily builds and registers the tenant's tracker; only called
-// when Telemetry is set.
-func (e *Engine) sloTrack(tenant string) *telemetry.SLOTracker {
-	if tenant == "" {
-		tenant = "default"
-	}
-	t := e.sloTracks[tenant]
-	if t == nil {
-		t = telemetry.NewSLOTracker(e.SLOCfg)
-		e.sloTracks[tenant] = t
-		// nil now: gauges read each tracker's last observed modeled time,
-		// the sim's only clock.
-		telemetry.RegisterSLOGauges(e.Telemetry, t, tenant, nil)
-	}
-	return t
-}
-
-// sloFor returns the SLO the query is judged against: its tenant's, when
-// registered, else the engine-wide one.
-func (e *Engine) sloFor(q Query) float64 {
-	if e.TenantSLOs != nil {
-		if s, ok := e.TenantSLOs[q.Tenant]; ok {
-			return s
+	for _, a := range e.accts {
+		if a.Name == tenant || (a.Name == "" && tenant == "default") {
+			return a.Attainment
 		}
+	}
+	return nil
+}
+
+// sloFor returns the SLO a tenant's queries are judged against: its own,
+// when registered, else the engine-wide one.
+func (e *Engine) sloFor(tenant string) float64 {
+	if s, ok := e.TenantSLOs[tenant]; ok {
+		return s
 	}
 	return e.SLO
 }
 
-// tm returns the query's tenant metrics bucket, creating it on first use.
-// Only called when trackTenants is set.
-func (e *Engine) tm(tenant string) *TenantMetrics {
-	t := e.metrics.Tenants[tenant]
-	if t == nil {
-		t = &TenantMetrics{}
-		e.metrics.Tenants[tenant] = t
+// account resolves a query's tenant label to its account, opening one on a
+// tenant's first arrival. Without tenant tracking every label resolves to
+// the one unnamed account.
+func (e *Engine) account(tenant string) *account {
+	if !e.trackTenants {
+		tenant = ""
 	}
-	return t
-}
-
-// engineSeries caches the registry series the engine updates per query, so
-// the hot loop skips the registry's name lookup.
-type engineSeries struct {
-	queries, violations, decisions, satAcc *telemetry.Counter
-	latency, batchWait, inference          *telemetry.Histogram
-	batchSize                              *telemetry.Histogram
-	admitted, degraded                     *telemetry.Counter
-	estWait                                *telemetry.Histogram
-	decisionErr                            *telemetry.Histogram
-	tenantQueries, tenantViolations        *telemetry.CounterVec
-	tenantAdmitted, tenantShed             *telemetry.CounterVec
-	reg                                    *telemetry.Registry
-}
-
-func newEngineSeries(reg *telemetry.Registry) *engineSeries {
-	return &engineSeries{
-		queries:          reg.Counter(telemetry.MetricQueries),
-		violations:       reg.Counter(telemetry.MetricViolations),
-		decisions:        reg.Counter(telemetry.MetricDecisions),
-		satAcc:           reg.Counter(telemetry.MetricSatAccuracySum),
-		latency:          reg.Histogram(telemetry.MetricLatencySeconds),
-		batchWait:        reg.Histogram(telemetry.MetricStageSeconds, "stage", telemetry.StageBatchWait),
-		inference:        reg.Histogram(telemetry.MetricStageSeconds, "stage", telemetry.StageInference),
-		batchSize:        reg.HistogramBuckets(telemetry.MetricBatchSize, telemetry.LinearBuckets(1, 1, 32)),
-		admitted:         reg.Counter(telemetry.MetricAdmitAdmitted),
-		degraded:         reg.Counter(telemetry.MetricAdmitDegradedDecisions),
-		estWait:          reg.Histogram(telemetry.MetricAdmitWaitSeconds),
-		decisionErr:      reg.Histogram(telemetry.MetricDecisionError),
-		tenantQueries:    reg.CounterVec(telemetry.MetricTenantQueries, "tenant"),
-		tenantViolations: reg.CounterVec(telemetry.MetricTenantViolations, "tenant"),
-		tenantAdmitted:   reg.CounterVec(telemetry.MetricTenantAdmitted, "tenant"),
-		tenantShed:       reg.CounterVec(telemetry.MetricTenantShed, "tenant"),
-		reg:              reg,
+	if a := e.last; a != nil && a.Name == tenant {
+		return a
 	}
+	// A run has a handful of tenants; a scan beats hashing the label.
+	for _, a := range e.accts {
+		if a.Name == tenant {
+			e.last = a
+			return a
+		}
+	}
+	a := &account{Account: sched.NewAccount(e.Telemetry, tenant, e.sloFor(tenant), e.SLOCfg, nil)}
+	a.Degrade = e.Degrade
+	e.accts = append(e.accts, a)
+	e.last = a
+	return a
 }
 
 // NewEngine builds a simulator. Seed fixes the latency-noise stream.
@@ -421,17 +382,8 @@ func NewEngine(profiles profile.Set, slo float64, workers int, lat LatencyModel,
 		Sched:    sched,
 		rng:      rand.New(rand.NewSource(seed)),
 		wq:       make([][]Query, workers),
-		busy:     make([]bool, workers),
 		inflight: make([]int, workers),
 	}
-}
-
-// ProfilesFor returns the model set loaded on worker w.
-func (e *Engine) ProfilesFor(w int) profile.Set {
-	if e.WorkerProfiles != nil {
-		return e.WorkerProfiles[w]
-	}
-	return e.Profiles
 }
 
 // CentralLen returns the central queue length.
@@ -464,52 +416,16 @@ func (e *Engine) EnqueueCentral(q Query) { e.central = append(e.central, q) }
 // EnqueueWorker appends to worker w's queue.
 func (e *Engine) EnqueueWorker(w int, q Query) { e.wq[w] = append(e.wq[w], q) }
 
-// EarliestCentral returns the head-of-line query without popping.
-func (e *Engine) EarliestCentral() (Query, bool) {
-	if len(e.central) == 0 {
-		return Query{}, false
-	}
-	return e.central[0], true
-}
-
-// EarliestWorker returns worker w's head-of-line query without popping.
-func (e *Engine) EarliestWorker(w int) (Query, bool) {
-	if len(e.wq[w]) == 0 {
-		return Query{}, false
-	}
-	return e.wq[w][0], true
-}
-
-// PopCentral removes and returns up to k queries from the central queue in
-// deadline (FIFO) order.
-func (e *Engine) PopCentral(k int) []Query {
-	if k > len(e.central) {
-		k = len(e.central)
-	}
-	out := append([]Query(nil), e.central[:k]...)
-	e.central = e.central[k:]
-	return out
-}
-
-// PopWorker removes and returns up to k queries from worker w's queue.
-func (e *Engine) PopWorker(w, k int) []Query {
-	if k > len(e.wq[w]) {
-		k = len(e.wq[w])
-	}
-	out := append([]Query(nil), e.wq[w][:k]...)
-	e.wq[w] = e.wq[w][k:]
-	return out
-}
-
 // event is a batch completion.
 type event struct {
 	time    float64
 	start   float64 // dispatch time, for the batch_wait/inference split
 	worker  int
 	queries []Query
-	model   int
-	// dec is the select decision that produced this batch, attached to each
-	// query's trace fragment on completion; nil when attribution is off.
+	model   int // index into the worker's profile set
+	// dec is the select decision that produced this batch, completed and
+	// attached to each query's trace fragment on completion; nil when
+	// attribution is off.
 	dec *telemetry.Decision
 }
 
@@ -593,29 +509,24 @@ func (e *Engine) Run(arrivals []float64) Metrics {
 func (e *Engine) RunQueries(queries []Query) Metrics {
 	e.trackTenants = e.TenantSLOs != nil || e.FairAdmit != nil
 	e.metrics = Metrics{ModelCounts: map[string]int{}}
-	if e.trackTenants {
-		e.metrics.Tenants = map[string]*TenantMetrics{}
-	}
 	e.latHist = telemetry.NewHistogram(telemetry.DefaultLatencyBuckets())
-	if e.Telemetry != nil {
-		e.tel = newEngineSeries(e.Telemetry)
-		if e.sloTracks == nil {
-			e.sloTracks = map[string]*telemetry.SLOTracker{}
-		}
+	cfg := sched.Config{
+		Profiles:  e.WorkerProfiles,
+		Telemetry: e.Telemetry, Decisions: e.Decisions,
+		Traces: e.Traces, TraceWriter: e.TraceWriter, Process: "sim",
 	}
-	if e.Degrade != nil {
-		e.speedOrder = e.Profiles.SpeedOrder()
-		if e.tel != nil {
-			reg := e.tel.reg
-			e.Degrade.OnChange = func(level int, up bool) {
-				reg.Gauge(telemetry.MetricAdmitDegradeLevel).Set(float64(level))
-				dir := "down"
-				if up {
-					dir = "up"
-				}
-				reg.Counter(telemetry.MetricAdmitDegradeTransitions, "dir", dir).Inc()
-			}
-		}
+	if cfg.Profiles == nil {
+		cfg.Profiles = []profile.Set{e.Profiles}
+	}
+	if e.FairAdmit != nil {
+		cfg.AdmitPolicy = "fair"
+	} else if e.Admit != nil {
+		cfg.AdmitPolicy = e.Admit.Name()
+	}
+	e.core = sched.New(cfg)
+	sched.WireDegrade(e.Telemetry, e.Degrade)
+	for _, a := range e.accts {
+		a.m, a.SLO, a.Degrade = Tally{}, e.sloFor(a.Name), e.Degrade
 	}
 	e.events.reset(e.Workers)
 	ai := 0
@@ -630,31 +541,26 @@ func (e *Engine) RunQueries(queries []Query) Metrics {
 		case haveArrival && (!haveEvent || nextArrival <= e.events.nextTime()):
 			q := queries[ai]
 			ai++
-			if e.admitQuery(q) {
+			if e.admit(q) {
 				e.Sched.Route(e, nextArrival, q)
 			}
 			e.dispatchIdle(nextArrival)
 		case haveEvent:
 			ev := e.events.pop()
 			e.complete(ev)
-			e.busy[ev.worker] = false
 			e.inflight[ev.worker] = 0
 			e.dispatchIdle(ev.time)
 		default:
 			// No arrivals or events left; any queued queries are unserved
 			// (schedulers normally never leave work behind).
-			markUnserved := func(qs []Query) {
-				e.metrics.Unserved += len(qs)
-				if e.trackTenants {
-					for _, q := range qs {
-						e.tm(q.Tenant).Unserved++
-					}
+			for _, q := range e.central {
+				e.account(q.Tenant).m.Unserved++
+			}
+			for _, left := range e.wq {
+				for _, q := range left {
+					e.account(q.Tenant).m.Unserved++
 				}
 			}
-			for _, wq := range e.wq {
-				markUnserved(wq)
-			}
-			markUnserved(e.central)
 			e.finishMetrics()
 			return e.metrics
 		}
@@ -672,245 +578,148 @@ func (e *Engine) totalOutstanding() int {
 	return n
 }
 
-// admitQuery screens one arrival through the admission controller —
-// FairAdmit (per-tenant weighted fair) when configured, else the
-// single-tenant Admit. It returns true when the query may be routed. With
-// neither configured every arrival is admitted and nothing is recorded.
-func (e *Engine) admitQuery(q Query) bool {
+// admit screens one arrival through the admission controller — FairAdmit
+// (per-tenant weighted fair) when configured, else the single-tenant Admit
+// — and has the core account the verdict. It returns true when the query
+// may be routed. With neither configured every arrival is admitted and
+// nothing is recorded.
+func (e *Engine) admit(q Query) bool {
 	if e.FairAdmit == nil && e.Admit == nil {
 		return true
 	}
-	now := q.Arrival
-	req := admit.Request{Now: now, Outstanding: e.totalOutstanding()}
+	in := sched.Arrival{ID: q.ID, Time: q.Arrival, Outstanding: e.totalOutstanding()}
+	if e.core.Attributing() {
+		in.TraceID = simTraceID(q.ID)
+	}
+	req := admit.Request{Now: q.Arrival, Outstanding: in.Outstanding}
 	var v admit.Verdict
-	var policy string
 	if e.FairAdmit != nil {
-		v = e.FairAdmit.AdmitTenant(q.Tenant, req)
-		policy = "fair"
+		v, in.Borrowed = e.FairAdmit.AdmitTenant(q.Tenant, req)
 	} else {
 		v = e.Admit.Admit(req)
-		policy = e.Admit.Name()
 	}
-	if e.Degrade != nil {
-		e.Degrade.Observe(now, !v.Admit, v.EstWait)
+	a := e.account(q.Tenant)
+	if !e.core.Admit(&a.Account, v, in) {
+		a.m.Shed++
+		return false
 	}
-	if e.tel != nil {
-		e.tel.estWait.Observe(v.EstWait)
-		if v.Admit {
-			e.tel.admitted.Inc()
-		} else {
-			e.tel.reg.Counter(telemetry.MetricAdmitShed, "policy", policy).Inc()
-		}
-		if e.trackTenants {
-			if v.Admit {
-				e.tel.tenantAdmitted.With(q.Tenant).Inc()
-			} else {
-				e.tel.tenantShed.With(q.Tenant).Inc()
-			}
-		}
-	}
-	if e.Decisions != nil {
-		kind, outcome := telemetry.DecisionAdmit, "admitted"
-		if !v.Admit {
-			kind, outcome = telemetry.DecisionShed, "shed"
-		}
-		level := 0
-		if e.Degrade != nil {
-			level = e.Degrade.Level()
-		}
-		e.Decisions.Add(telemetry.Decision{
-			Kind: kind, Time: now, TraceID: simTraceID(q.ID),
-			Tenant: q.Tenant, Worker: -1,
-			QueueLen: req.Outstanding, DegradeLevel: level,
-			PredictedSec: v.EstWait, Outcome: outcome,
-		})
-	}
-	if !v.Admit {
-		e.metrics.Shed++
-		if e.trackTenants {
-			e.tm(q.Tenant).Shed++
-		}
-		if e.tracing() {
-			e.recordTrace(telemetry.QueryTrace{
-				ID: q.ID, Arrival: q.Arrival, Worker: -1,
-				Error:   "shed",
-				TraceID: simTraceID(q.ID), Process: "sim",
-				Tenant: q.Tenant,
-				Spans:  []telemetry.Span{{Stage: telemetry.StageShed}},
-			})
-		}
-	}
-	return v.Admit
+	return true
 }
 
 // purgeExpired drops already-late queries from every queue head (FIFO
 // order puts the oldest deadlines in front; with per-tenant SLOs the heads
 // are checked against their own deadlines).
 func (e *Engine) purgeExpired(now float64) {
-	drop := func(q []Query) []Query {
-		for len(q) > 0 && q[0].Deadline(e.sloFor(q[0])) < now {
-			if e.trackTenants {
-				e.tm(q[0].Tenant).Dropped++
+	drop := func(q *[]Query) {
+		for len(*q) > 0 {
+			a := e.account((*q)[0].Tenant)
+			if (*q)[0].Arrival+a.SLO >= now {
+				return
 			}
-			q = q[1:]
-			e.metrics.Dropped++
+			a.m.Dropped++
+			*q = (*q)[1:]
 		}
-		return q
 	}
-	e.central = drop(e.central)
+	drop(&e.central)
 	for w := range e.wq {
-		e.wq[w] = drop(e.wq[w])
+		drop(&e.wq[w])
 	}
 }
 
-// dispatchIdle offers work to every idle worker until none accepts.
+// dispatchIdle offers work to every idle worker: a worker serves its own
+// queue, and the central queue when that is empty. One pass suffices —
+// dispatching only ever removes queued work, so a worker that found none
+// on its turn would find none on a second.
 func (e *Engine) dispatchIdle(now float64) {
 	if e.DropExpired {
 		e.purgeExpired(now)
 	}
-	progress := true
-	for progress {
-		progress = false
-		for w := 0; w < e.Workers; w++ {
-			if e.busy[w] {
-				continue
-			}
-			queueBefore := e.WorkerLen(w) + e.CentralLen()
-			d, ok := e.Sched.Pick(e, now, w)
-			if !ok || len(d.Queries) == 0 {
-				continue
-			}
-			if e.Degrade != nil {
-				if lvl := e.Degrade.Level(); lvl > 0 {
-					m := admit.ClampModel(e.speedOrder, lvl, d.Model)
-					// The batch was sized for the policy's choice; only
-					// substitute when the faster model can still run it.
-					if m != d.Model && e.ProfilesFor(w).Profiles[m].MaxBatch() >= len(d.Queries) {
-						if e.Decisions != nil {
-							prev := e.ProfilesFor(w).Profiles[d.Model]
-							e.Decisions.Add(telemetry.Decision{
-								Kind: telemetry.DecisionDegrade, Time: now,
-								TraceID: simTraceID(d.Queries[0].ID),
-								Tenant:  d.Queries[0].Tenant, Worker: w,
-								QueueLen: queueBefore, DegradeLevel: lvl,
-								Model: e.ProfilesFor(w).Profiles[m].Name, Batch: len(d.Queries),
-								Outcome: "clamped from " + prev.Name,
-							})
-						}
-						d.Model = m
-						e.metrics.DegradedDecisions++
-						if e.tel != nil {
-							e.tel.degraded.Inc()
-						}
-					}
-				}
-			}
-			p := e.ProfilesFor(w).Profiles[d.Model]
-			lat := e.Latency.Latency(p, len(d.Queries), e.rng)
-			e.busy[w] = true
-			e.inflight[w] = len(d.Queries)
-			var dec *telemetry.Decision
-			if e.Decisions != nil || e.tracing() {
-				level := 0
-				if e.Degrade != nil {
-					level = e.Degrade.Level()
-				}
-				q0 := d.Queries[0]
-				dec = &telemetry.Decision{
-					Kind: telemetry.DecisionSelect, Time: now,
-					TraceID: simTraceID(q0.ID), Tenant: q0.Tenant, Worker: w,
-					QueueLen: queueBefore, DegradeLevel: level,
-					SlackSec: q0.Deadline(e.sloFor(q0)) - now,
-					Model:    p.Name, Batch: len(d.Queries),
-					PredictedSec: p.BatchLatency(len(d.Queries)),
-					RealizedSec:  lat, Outcome: "served",
-				}
-				if e.Decisions != nil {
-					e.Decisions.Add(*dec)
-				}
-			}
-			if e.tel != nil {
-				e.tel.decisionErr.Observe(math.Abs(p.BatchLatency(len(d.Queries)) - lat))
-			}
-			e.events.push(event{time: now + lat, start: now, worker: w, queries: d.Queries, model: d.Model, dec: dec})
-			if e.RecordDecisions {
-				e.metrics.DecisionLog = append(e.metrics.DecisionLog, DecisionRecord{
-					Time:     now,
-					Worker:   w,
-					Model:    p.Name,
-					Batch:    len(d.Queries),
-					QueueLen: queueBefore,
-					Slack:    d.Queries[0].Deadline(e.SLO) - now,
-				})
-			}
-			progress = true
+	for w := 0; w < e.Workers; w++ {
+		if e.inflight[w] > 0 {
+			continue
+		}
+		q := &e.wq[w]
+		if len(*q) == 0 {
+			q = &e.central
+		}
+		if len(*q) > 0 {
+			e.dispatch(now, w, q)
 		}
 	}
 }
 
-// complete records a finished batch.
+// dispatch makes one MS&S decision for idle worker w over queue q and
+// starts the batch: the scheduler chooses, the core decides what actually
+// runs, the engine pops it and schedules its completion.
+func (e *Engine) dispatch(now float64, w int, q *[]Query) {
+	e.win = window{e, q}
+	n, deadline := e.core.Tightest(w, &e.win)
+	ch := sched.Choice{Now: now, Worker: w, QueueLen: n, Slack: deadline - now, Head: &e.account((*q)[0].Tenant).Account}
+	ch.Model, ch.Batch = e.Sched.Select(e, now, w, n, ch.Slack)
+	var dec *telemetry.Decision
+	if e.core.Attributing() {
+		dec, ch.TraceID = new(telemetry.Decision), simTraceID((*q)[0].ID)
+	}
+	pick := e.core.Decide(ch, dec)
+	if pick.Clamped {
+		e.metrics.DegradedDecisions++
+	}
+	if pick.Fallback {
+		e.metrics.SelectFallbacks++
+	}
+	p := e.core.Profile(w, pick.Model)
+	lat := e.Latency.Latency(*p, pick.Batch, e.rng)
+	e.inflight[w] = pick.Batch
+	batch := append([]Query(nil), (*q)[:pick.Batch]...)
+	*q = (*q)[pick.Batch:]
+	e.events.push(event{time: now + lat, start: now, worker: w, queries: batch, model: pick.Model, dec: dec})
+	if e.RecordDecisions {
+		e.metrics.DecisionLog = append(e.metrics.DecisionLog, DecisionRecord{
+			Time:     now,
+			Worker:   w,
+			Model:    p.Name,
+			Batch:    pick.Batch,
+			QueueLen: n,
+			Slack:    ch.Slack,
+		})
+	}
+}
+
+// complete records a finished batch: the core accounts it and judges every
+// query; the engine folds the outcomes into its Metrics.
 func (e *Engine) complete(ev event) {
-	p := e.ProfilesFor(ev.worker).Profiles[ev.model]
+	p := e.core.Profile(ev.worker, ev.model)
+	pick := sched.Pick{Model: ev.model, Batch: len(ev.queries)}
+	fin := e.core.Finish(pick, ev.dec, ev.worker, ev.time-ev.start, ev.time, true)
 	e.metrics.Decisions++
 	e.metrics.ModelCounts[p.Name] += len(ev.queries)
-	if e.tel != nil {
-		e.tel.decisions.Inc()
-		e.tel.reg.Counter(telemetry.MetricModelQueries, "model", p.Name).Add(float64(len(ev.queries)))
-		e.tel.batchSize.Observe(float64(len(ev.queries)))
-		e.tel.inference.Observe(ev.time - ev.start)
+	var batchWait *telemetry.Histogram
+	if tel := e.core.Series(); tel != nil {
+		tel.Stage[telemetry.StageInference].Observe(ev.time - ev.start)
+		batchWait = tel.Stage[telemetry.StageBatchWait]
 	}
+	tracing := e.core.Tracing()
 	for _, q := range ev.queries {
-		e.metrics.Served++
-		lat := ev.time - q.Arrival
+		traceID := ""
+		if tracing {
+			traceID = simTraceID(q.ID)
+		}
+		a := e.account(q.Tenant)
+		lat, violated := fin.Query(&a.Account, q.Arrival, traceID)
+		a.m.Serve(violated, p.Accuracy)
 		e.latHist.Observe(lat)
 		if e.CollectLatencies {
 			e.metrics.Latencies = append(e.metrics.Latencies, lat)
 		}
-		violated := lat > e.sloFor(q)+1e-12
-		if violated {
-			e.metrics.Violations++
-		} else {
-			e.metrics.SatAccSum += p.Accuracy
+		if batchWait != nil {
+			batchWait.Observe(ev.start - q.Arrival)
 		}
-		if e.trackTenants {
-			t := e.tm(q.Tenant)
-			t.Served++
-			if violated {
-				t.Violations++
-			} else {
-				t.SatAccSum += p.Accuracy
-			}
-		}
-		if e.tel != nil {
-			e.tel.queries.Inc()
-			if violated {
-				e.tel.violations.Inc()
-			} else {
-				e.tel.satAcc.Add(p.Accuracy)
-			}
-			if e.trackTenants {
-				e.tel.tenantQueries.With(q.Tenant).Inc()
-				if violated {
-					e.tel.tenantViolations.With(q.Tenant).Inc()
-				}
-			}
-			if e.tracing() {
-				e.tel.latency.ObserveExemplar(lat, simTraceID(q.ID))
-			} else {
-				e.tel.latency.Observe(lat)
-			}
-			e.tel.batchWait.Observe(ev.start - q.Arrival)
-		}
-		if e.Telemetry != nil {
-			e.sloTrack(q.Tenant).Observe(ev.time, !violated)
-		}
-		if e.tracing() {
-			e.recordTrace(telemetry.QueryTrace{
+		if tracing {
+			e.core.Trace(telemetry.QueryTrace{
 				ID: q.ID, Arrival: q.Arrival, Worker: ev.worker,
 				Model: p.Name, Batch: len(ev.queries),
-				LatencyMS: lat * 1000,
-				TraceID:   simTraceID(q.ID), Process: "sim",
-				Tenant:   q.Tenant,
+				LatencyMS: lat * 1000, DeadlineMet: !violated,
+				TraceID: traceID, Tenant: q.Tenant,
 				Decision: ev.dec,
 				Spans: []telemetry.Span{
 					{Stage: telemetry.StageBatchWait, Seconds: ev.start - q.Arrival},
@@ -921,16 +730,33 @@ func (e *Engine) complete(ev event) {
 	}
 }
 
-// finishMetrics fills the latency percentile fields at the end of a run:
-// exact when every latency was collected, histogram-approximated otherwise.
+// finishMetrics sums the accounts into the run totals and fills the
+// latency percentile fields: exact when every latency was collected,
+// histogram-approximated otherwise.
 func (e *Engine) finishMetrics() {
-	if e.CollectLatencies && len(e.metrics.Latencies) > 0 {
-		e.metrics.LatencyP50 = stats.Percentile(e.metrics.Latencies, 50)
-		e.metrics.LatencyP95 = stats.Percentile(e.metrics.Latencies, 95)
-		e.metrics.LatencyP99 = stats.Percentile(e.metrics.Latencies, 99)
+	m := &e.metrics
+	if e.trackTenants {
+		m.Tenants = map[string]*Tally{}
+	}
+	for _, a := range e.accts {
+		m.Served += a.m.Served
+		m.Violations += a.m.Violations
+		m.SatAccSum += a.m.SatAccSum
+		m.Unserved += a.m.Unserved
+		m.Dropped += a.m.Dropped
+		m.Shed += a.m.Shed
+		if e.trackTenants {
+			tm := a.m // a copy: the account outlives the run
+			m.Tenants[a.Name] = &tm
+		}
+	}
+	if e.CollectLatencies && len(m.Latencies) > 0 {
+		m.LatencyP50 = stats.Percentile(m.Latencies, 50)
+		m.LatencyP95 = stats.Percentile(m.Latencies, 95)
+		m.LatencyP99 = stats.Percentile(m.Latencies, 99)
 		return
 	}
-	e.metrics.LatencyP50 = e.latHist.Quantile(50)
-	e.metrics.LatencyP95 = e.latHist.Quantile(95)
-	e.metrics.LatencyP99 = e.latHist.Quantile(99)
+	m.LatencyP50 = e.latHist.Quantile(50)
+	m.LatencyP95 = e.latHist.Quantile(95)
+	m.LatencyP99 = e.latHist.Quantile(99)
 }

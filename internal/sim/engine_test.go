@@ -262,3 +262,48 @@ func TestEngineTelemetryMatchesMetrics(t *testing.T) {
 		t.Errorf("batch_wait stage samples %d, want one per query (%d)", bw.Count(), m.Served)
 	}
 }
+
+// TestQueryFinishingExactlyOnDeadlineMeetsIt pins the one SLO boundary both
+// drivers judge by: latency == SLO is met, the first representable miss is
+// beyond the 1e-12 tolerance that absorbs clock rounding.
+func TestQueryFinishingExactlyOnDeadlineMeetsIt(t *testing.T) {
+	ps := imageProfiles()
+	lat := ps.Profiles[0].BatchLatency(1)
+	for _, tc := range []struct {
+		slo        float64
+		violations int
+	}{{lat, 0}, {lat - 1e-9, 1}} {
+		e := NewEngine(ps, tc.slo, 1, Deterministic{}, &FixedModel{Model: 0, MaxBatch: 1}, 1)
+		if m := e.Run([]float64{0}); m.Served != 1 || m.Violations != tc.violations {
+			t.Errorf("SLO %v, latency %v: %+v, want %d violations", tc.slo, lat, m.Tally, tc.violations)
+		}
+	}
+}
+
+// badModelSched names a model no worker loads.
+type badModelSched struct{ FixedModel }
+
+func (badModelSched) Select(*Engine, float64, int, int, float64) (string, int) {
+	return "no-such-model", 4
+}
+
+// TestUnknownModelFallsBackAndIsCounted: a mis-wired scheduler never drops
+// queries or panics — every decision runs on the fallback model, and both
+// the Metrics and the registry say so, so an experiment can fail on it.
+func TestUnknownModelFallsBackAndIsCounted(t *testing.T) {
+	ps := imageProfiles()
+	reg := telemetry.NewRegistry()
+	e := NewEngine(ps, 0.150, 1, Deterministic{}, &badModelSched{}, 1)
+	e.Telemetry = reg
+	m := e.Run([]float64{0, 0.001, 0.002})
+	if m.Served != 3 || m.SelectFallbacks != m.Decisions || m.Decisions == 0 {
+		t.Fatalf("served %d, %d fallbacks over %d decisions; want all served, every decision a fallback",
+			m.Served, m.SelectFallbacks, m.Decisions)
+	}
+	if m.ModelCounts[ps.Profiles[0].Name] != 3 {
+		t.Errorf("model counts %v, want everything on the fallback %s", m.ModelCounts, ps.Profiles[0].Name)
+	}
+	if got := reg.Counter(telemetry.MetricSelectFallbacks).Value(); int(got) != m.SelectFallbacks {
+		t.Errorf("registry fallbacks %v, metrics %d", got, m.SelectFallbacks)
+	}
+}

@@ -177,15 +177,6 @@ func NewLLMEngine(models llm.Set, slo float64, workers int, sel ModelSelector) *
 
 func (e *LLMEngine) tracing() bool { return e.Traces != nil || e.TraceWriter != nil }
 
-func (e *LLMEngine) recordTrace(qt telemetry.QueryTrace) {
-	if e.Traces != nil {
-		e.Traces.Add(qt)
-	}
-	if e.TraceWriter != nil {
-		_ = e.TraceWriter.Write(qt)
-	}
-}
-
 // Run replays the token-annotated queries through the continuous-batching
 // workers and returns the run's metrics. Queries are processed in arrival
 // order; arrivals route to the worker with the least outstanding token load.
@@ -257,7 +248,7 @@ func (e *LLMEngine) startStep(lw *llmWorker, now float64) {
 	for _, s := range rejected {
 		e.metrics.Dropped++
 		if e.tracing() {
-			e.recordTrace(telemetry.QueryTrace{
+			telemetry.Record(e.Traces, e.TraceWriter, telemetry.QueryTrace{
 				ID: s.ID, Arrival: s.Arrival, Worker: lw.id,
 				Error:   "kv-oversize",
 				TraceID: simTraceID(s.ID), Process: "sim",
@@ -302,19 +293,14 @@ func (e *LLMEngine) complete(lw *llmWorker, s *llm.Seq[struct{}], batch int, end
 	}
 	m := lw.b.Model()
 	lat, violated := lw.b.Finish(s, end, traceID)
-	e.metrics.Served++
+	e.metrics.Serve(violated, m.Accuracy)
 	e.latHist.Observe(lat)
 	if e.CollectLatencies {
 		e.metrics.Latencies = append(e.metrics.Latencies, lat)
 	}
-	if violated {
-		e.metrics.Violations++
-	} else {
-		e.metrics.SatAccSum += m.Accuracy
-	}
 	e.metrics.ModelCounts[m.Name]++
 	if e.tracing() {
-		e.recordTrace(telemetry.QueryTrace{
+		telemetry.Record(e.Traces, e.TraceWriter, telemetry.QueryTrace{
 			ID: s.ID, Arrival: s.Arrival, Worker: lw.id,
 			Model: m.Name, Batch: batch,
 			LatencyMS:   lat * 1000,

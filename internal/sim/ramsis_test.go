@@ -269,11 +269,8 @@ func (s *fixedModelLB) Route(e *Engine, _ float64, q Query) {
 	e.EnqueueWorker(s.bal.Pick(s.lens, nil), q)
 }
 
-func (s *fixedModelLB) Pick(e *Engine, _ float64, w int) (Decision, bool) {
-	if e.WorkerLen(w) == 0 {
-		return Decision{}, false
-	}
-	return Decision{Model: s.model, Queries: e.PopWorker(w, 1)}, true
+func (s *fixedModelLB) Select(e *Engine, _ float64, _, _ int, _ float64) (string, int) {
+	return e.Profiles.Profiles[s.model].Name, 1
 }
 
 func TestJSQNoWorseThanRoundRobinOnBurstyTrace(t *testing.T) {
@@ -370,10 +367,7 @@ func TestHeterogeneousWorkers(t *testing.T) {
 	}
 
 	tr := trace.Constant(load, 20)
-	sched := &HeteroRAMSIS{
-		Sets:    []*core.PolicySet{fastPS, fastPS, slowPS, slowPS},
-		Monitor: monitor.Oracle{Trace: tr},
-	}
+	sched := NewHeteroRAMSIS([]*core.PolicySet{fastPS, fastPS, slowPS, slowPS}, monitor.Oracle{Trace: tr})
 	e := NewEngine(fastSet, slo, totalWorkers, Deterministic{}, sched, 1)
 	e.WorkerProfiles = []profile.Set{fastSet, fastSet, slowSet, slowSet}
 	m := e.Run(trace.PoissonArrivals(tr, 41))

@@ -1,13 +1,13 @@
 package sim
 
 import (
-	"fmt"
-
+	"ramsis/internal/adapt"
 	"ramsis/internal/core"
 	"ramsis/internal/dist"
 	"ramsis/internal/lb"
 	"ramsis/internal/monitor"
 	"ramsis/internal/profile"
+	"ramsis/internal/sched"
 	"ramsis/internal/trace"
 )
 
@@ -26,10 +26,12 @@ func BalancerFor(b core.Balancing, seed int64) lb.Balancer {
 }
 
 // RAMSIS is the online phase of §3.2: a load balancer over per-worker
-// queues plus per-worker model selectors driven by the offline-generated
-// policies, switching policies with the monitored load.
+// queues plus per-worker model selectors driven by offline-generated
+// policies, switching policies with the monitored load. The three
+// constructors differ only in where a worker's policy comes from — one
+// ladder for every worker, one ladder per worker, or the adaptation loop's
+// published set.
 type RAMSIS struct {
-	Set     *core.PolicySet
 	Monitor monitor.Monitor
 	// Balance selects the load-balancing strategy; policies should be
 	// generated with the matching core.Balancing (§3.2.1, Appendix I).
@@ -39,21 +41,57 @@ type RAMSIS struct {
 	// explicitly to control the P2C sampling stream.
 	LB lb.Balancer
 
-	lens []int
+	sel     []sched.Selector // one for every worker, or one per worker
+	adapter *adapt.Adapter   // fed every load reading when the adaptation loop is closed
+	lens    []int
+}
+
+// blocking looks a load's policy up with PolicySet.PolicyFor: a load beyond
+// the ladder generates its policy on the spot, which costs no virtual time.
+func blocking(set *core.PolicySet) sched.Selector {
+	return sched.PolicySelector(func(_, load float64) (*core.Policy, error) { return set.PolicyFor(load) })
 }
 
 // NewRAMSIS wires a policy set and a load monitor into a scheduler.
 func NewRAMSIS(set *core.PolicySet, mon monitor.Monitor) *RAMSIS {
-	return &RAMSIS{Set: set, Monitor: mon}
+	return &RAMSIS{Monitor: mon, sel: []sched.Selector{blocking(set)}}
 }
 
-// balancer resolves the effective balancer, deriving one from the Balance
-// assumption on first use.
-func (r *RAMSIS) balancer() lb.Balancer {
-	if r.LB == nil {
-		r.LB = BalancerFor(r.Balance, 1)
+// NewHeteroRAMSIS serves a heterogeneous deployment: each worker has its
+// own policy set, generated from that worker type's latency profiles (§7
+// notes homogeneity is not fundamental because policies are per-worker;
+// §4's transition probabilities only need the worker's own latencies and
+// its round-robin share of arrivals). Pair it with Engine.WorkerProfiles.
+func NewHeteroRAMSIS(sets []*core.PolicySet, mon monitor.Monitor) *RAMSIS {
+	r := &RAMSIS{Monitor: mon}
+	for _, set := range sets {
+		r.sel = append(r.sel, blocking(set))
 	}
-	return r.LB
+	return r
+}
+
+// AdaptiveRAMSIS is the RAMSIS scheduler NewAdaptiveRAMSIS builds.
+type AdaptiveRAMSIS = RAMSIS
+
+// NewAdaptiveRAMSIS closes the adaptation loop: every monitored load
+// reading also feeds the adapter's drift detector, so a sustained rate
+// change re-solves the per-worker MDP at the new rate and hot-swaps the
+// policy mid-run. Decisions stay lookup-only — the adapter owns all
+// generation — unlike NewRAMSIS, whose policy set generates on demand the
+// first time a load exceeds its ladder.
+//
+// Re-solves run inline (adapt.Config.Background unset): in a discrete-event
+// simulation a solve costs zero modeled time, which models a controller
+// whose re-solve is fast relative to the drift dwell time — the measured
+// 200 ms solve on the paper-scale worker MDP against multi-second dwell.
+func NewAdaptiveRAMSIS(a *adapt.Adapter, mon monitor.Monitor) *AdaptiveRAMSIS {
+	// Dispatch decisions feed the detector too, so a rate drop (fewer
+	// arrivals) is still noticed promptly.
+	sel := sched.PolicySelector(func(now, load float64) (*core.Policy, error) {
+		a.Observe(now, load)
+		return a.PolicyFor(load), nil
+	})
+	return &RAMSIS{Monitor: mon, sel: []sched.Selector{sel}, adapter: a}
 }
 
 // Route observes the arrival for load tracking and assigns the query to a
@@ -62,87 +100,24 @@ func (r *RAMSIS) balancer() lb.Balancer {
 // workers never fail, so the health mask is nil.
 func (r *RAMSIS) Route(e *Engine, now float64, q Query) {
 	r.Monitor.Observe(now)
-	r.lens = e.QueueLens(r.lens)
-	e.EnqueueWorker(r.balancer().Pick(r.lens, nil), q)
-}
-
-// Pick applies the lowest-load policy meeting the anticipated load to worker
-// w's queue state (§3.2.2).
-func (r *RAMSIS) Pick(e *Engine, now float64, w int) (Decision, bool) {
-	n := e.WorkerLen(w)
-	if n == 0 {
-		return Decision{}, false
+	if r.adapter != nil {
+		r.adapter.Observe(now, r.Monitor.Load(now))
 	}
-	pol, err := r.Set.PolicyFor(r.Monitor.Load(now))
-	if err != nil {
-		panic(fmt.Sprintf("sim: no policy available: %v", err))
-	}
-	return pickWithPolicy(e, now, w, n, pol)
-}
-
-// pickWithPolicy applies one policy's decision to worker w's queue.
-func pickWithPolicy(e *Engine, now float64, w, n int, pol *core.Policy) (Decision, bool) {
-	head, _ := e.EarliestWorker(w)
-	slack := head.Deadline(e.SLO) - now
-	choice := pol.Select(n, slack)
-	profiles := e.ProfilesFor(w)
-	mi := -1
-	for i, p := range profiles.Profiles {
-		if p.Name == choice.Model {
-			mi = i
-			break
-		}
-	}
-	if mi < 0 {
-		panic(fmt.Sprintf("sim: policy model %q not loaded on worker %d", choice.Model, w))
-	}
-	batch := choice.Batch
-	if mb := profiles.Profiles[mi].MaxBatch(); batch > mb {
-		batch = mb
-	}
-	if batch > n {
-		batch = n
-	}
-	return Decision{Model: mi, Queries: e.PopWorker(w, batch)}, true
-}
-
-// HeteroRAMSIS serves a heterogeneous deployment: each worker has its own
-// policy set, generated from that worker type's latency profiles (§7 notes
-// homogeneity is not fundamental because policies are per-worker; §4's
-// transition probabilities only need the worker's own latencies and its
-// round-robin share of arrivals).
-type HeteroRAMSIS struct {
-	Sets    []*core.PolicySet // one per worker
-	Monitor monitor.Monitor
-	// LB overrides the balancer (default round-robin, the assumption the
-	// per-worker policies are generated under).
-	LB lb.Balancer
-
-	lens []int
-}
-
-// Route distributes via the balancer (round-robin by default), as in the
-// homogeneous scheduler.
-func (r *HeteroRAMSIS) Route(e *Engine, now float64, q Query) {
-	r.Monitor.Observe(now)
 	if r.LB == nil {
-		r.LB = lb.NewRoundRobin()
+		r.LB = BalancerFor(r.Balance, 1)
 	}
 	r.lens = e.QueueLens(r.lens)
 	e.EnqueueWorker(r.LB.Pick(r.lens, nil), q)
 }
 
-// Pick applies worker w's own policy.
-func (r *HeteroRAMSIS) Pick(e *Engine, now float64, w int) (Decision, bool) {
-	n := e.WorkerLen(w)
-	if n == 0 {
-		return Decision{}, false
+// Select applies the lowest-load policy meeting the anticipated load to
+// worker w's queue state (§3.2.2).
+func (r *RAMSIS) Select(_ *Engine, now float64, w, n int, slack float64) (string, int) {
+	sel := r.sel[0]
+	if len(r.sel) > 1 {
+		sel = r.sel[w]
 	}
-	pol, err := r.Sets[w].PolicyFor(r.Monitor.Load(now))
-	if err != nil {
-		panic(fmt.Sprintf("sim: no policy for worker %d: %v", w, err))
-	}
-	return pickWithPolicy(e, now, w, n, pol)
+	return sel(now, r.Monitor.Load(now), n, slack)
 }
 
 // FixedModel always serves the same model from the central queue with eager
@@ -157,20 +132,9 @@ type FixedModel struct {
 // Route enqueues centrally.
 func (f *FixedModel) Route(e *Engine, _ float64, q Query) { e.EnqueueCentral(q) }
 
-// Pick eagerly grabs up to MaxBatch queries.
-func (f *FixedModel) Pick(e *Engine, _ float64, _ int) (Decision, bool) {
-	n := e.CentralLen()
-	if n == 0 {
-		return Decision{}, false
-	}
-	b := f.MaxBatch
-	if b <= 0 {
-		b = 1
-	}
-	if b > n {
-		b = n
-	}
-	return Decision{Model: f.Model, Queries: e.PopCentral(b)}, true
+// Select eagerly grabs up to MaxBatch queries.
+func (f *FixedModel) Select(e *Engine, _ float64, _, _ int, _ float64) (string, int) {
+	return e.Profiles.Profiles[f.Model].Name, max(f.MaxBatch, 1)
 }
 
 // VerifyPolicy empirically validates a policy's §5.1 guarantees: it serves

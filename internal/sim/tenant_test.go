@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"ramsis/internal/telemetry"
@@ -119,5 +120,68 @@ func TestFairnessUnderTenantOverload(t *testing.T) {
 	served := tel.Counter(telemetry.MetricTenantQueries, "tenant", "interactive").Value()
 	if float64(m.Tenants["interactive"].Served) != served {
 		t.Errorf("telemetry served %v != metrics served %d", served, m.Tenants["interactive"].Served)
+	}
+}
+
+// slackSched is a per-worker-queue scheduler that picks by slack alone —
+// the slow accurate model when the slack covers it, else the fast one — and
+// always asks for the whole queue, so the decision depends on nothing but
+// the slack the engine hands it.
+type slackSched struct{ slow, fast int }
+
+func (s *slackSched) Route(e *Engine, _ float64, q Query) { e.EnqueueWorker(0, q) }
+
+func (s *slackSched) Select(e *Engine, _ float64, _, n int, slack float64) (string, int) {
+	if p := e.Profiles.Profiles[s.slow]; slack >= p.BatchLatency(min(n, p.MaxBatch())) {
+		return p.Name, n
+	}
+	return e.Profiles.Profiles[s.fast].Name, n
+}
+
+// TestDecisionSlackHonorsTightestTenantDeadline is the head-of-line
+// inversion case the frontend guards against, run through the simulator: a
+// short-SLO query queued behind a lax head must drive the decision, or it
+// waits out a slow accurate-model batch it can never survive. A stream with
+// one SLO decides exactly as the head's deadline says.
+func TestDecisionSlackHonorsTightestTenantDeadline(t *testing.T) {
+	ps := imageProfiles()
+	slow, _ := indexOf(ps, "efficientnet_v2_s")
+	fast := 0
+	slowLat, fastLat := ps.Profiles[slow].BatchLatency(1), ps.Profiles[fast].BatchLatency(2)
+	strictSLO, laxSLO := slowLat/2, 10*slowLat
+	// Query 0 occupies the worker on the slow model; 1 (lax) and 2 (strict)
+	// queue behind it and are decided together when it completes.
+	qs := []Query{
+		{ID: 0, Arrival: 0, Tenant: "lax"},
+		{ID: 1, Arrival: slowLat - 2*fastLat, Tenant: "lax"},
+		{ID: 2, Arrival: slowLat - fastLat, Tenant: "strict"},
+	}
+	run := func(slos map[string]float64) Metrics {
+		e := NewEngine(ps, laxSLO, 1, Deterministic{}, &slackSched{slow: slow, fast: fast}, 1)
+		e.TenantSLOs = slos
+		e.RecordDecisions = true
+		return e.RunQueries(qs)
+	}
+
+	m := run(map[string]float64{"lax": laxSLO, "strict": strictSLO})
+	if len(m.DecisionLog) != 2 || m.DecisionLog[1].Batch != 2 {
+		t.Fatalf("decisions %+v, want the two queued queries decided together", m.DecisionLog)
+	}
+	d := m.DecisionLog[1]
+	if want := qs[2].Arrival + strictSLO - d.Time; math.Abs(d.Slack-want) > 1e-12 {
+		t.Errorf("slack %v, want the strict query's %v (the lax head's is %v)", d.Slack, want, qs[1].Arrival+laxSLO-d.Time)
+	}
+	if d.Model != ps.Profiles[fast].Name {
+		t.Errorf("decided %s behind a lax head; the strict query cannot survive it", d.Model)
+	}
+	if st := m.Tenants["strict"]; st == nil || st.Served != 1 || st.Violations != 0 {
+		t.Errorf("strict tenant %+v, want its query served inside its SLO", st)
+	}
+
+	// One SLO for everyone: the head's deadline is the tightest, as before.
+	m = run(nil)
+	d = m.DecisionLog[1]
+	if want := qs[1].Arrival + laxSLO - d.Time; math.Abs(d.Slack-want) > 1e-12 || d.Model != ps.Profiles[slow].Name {
+		t.Errorf("single-SLO stream decided %s at slack %v, want %s at the head's %v", d.Model, d.Slack, ps.Profiles[slow].Name, want)
 	}
 }

@@ -79,6 +79,17 @@ func (t QueryTrace) Span(stage string) (float64, bool) {
 	return 0, false
 }
 
+// Record lands one fragment in a component's trace ring and its JSONL
+// stream; either may be nil (not configured).
+func Record(ring *TraceBuffer, w *TraceWriter, qt QueryTrace) {
+	if ring != nil {
+		ring.Add(qt)
+	}
+	if w != nil {
+		_ = w.Write(qt)
+	}
+}
+
 // TraceBuffer is a bounded ring of the most recent completed query traces,
 // dumpable via its /debug/traces handler. Memory is fixed at capacity; a
 // new trace overwrites the oldest once full.

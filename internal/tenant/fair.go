@@ -254,9 +254,10 @@ func (f *FairAdmitter) Admit(name string, r admit.Request) Verdict {
 }
 
 // AdmitTenant is the simulator-facing view (sim.TenantAdmitter): the plain
-// admit.Verdict of a tenant-aware decision.
-func (f *FairAdmitter) AdmitTenant(name string, r admit.Request) admit.Verdict {
-	return f.Admit(name, r).Verdict
+// admit.Verdict of a tenant-aware decision, and whether it was a borrow.
+func (f *FairAdmitter) AdmitTenant(name string, r admit.Request) (v admit.Verdict, borrowed bool) {
+	tv := f.Admit(name, r)
+	return tv.Verdict, tv.Reason == ReasonBorrowed
 }
 
 // Share returns the tenant's current fair-share rate in QPS (0 for an
