@@ -87,15 +87,18 @@ bench-module:
 # Tier-1 verify path (see ROADMAP.md).
 verify: build lint test race bench-module
 
-# Perf measurement over the hot paths: the MDP solve (slice vs compiled
-# CSR kernels), the adaptation re-solve matrix (Jacobi vs prioritized x
+# Perf measurement over the hot paths: the MDP solve (the compiled CSR
+# Jacobi sweep), the adaptation re-solve matrix (Jacobi vs prioritized x
 # cold/warm x 1x/10x state space), MDP compilation, per-decision policy
 # lookup, balancer pick, raw simulator throughput, and the end-to-end
 # data-plane tier (frontend and sharded-gateway query paths over a live
 # loopback cluster, allocation-gated). -count=3 repetitions with
 # allocation stats; raw output lands in bench.out and tools/benchjson
 # distills it into $(BENCH_OUT), the committed baseline (quote
-# best_ns_per_op when comparing).
+# best_ns_per_op when comparing). BENCH_10.json still carries the retired
+# BenchmarkValueIteration slice/* and */parallel rows and
+# BenchmarkResolve/*/prioritized-f32/warm; benchjson -compare skips names
+# absent from either side, so they gate nothing.
 BENCH_KEY := 'BenchmarkValueIteration|BenchmarkResolve|BenchmarkCompile$$|BenchmarkPolicySelect|BenchmarkBalancerPick|BenchmarkSimulatorThroughput|BenchmarkLLMStepLoop|BenchmarkFrontendQuery|BenchmarkShardedGatewayQuery'
 BENCH_OUT ?= BENCH_10.json
 BENCH_BASE ?= BENCH_10.json

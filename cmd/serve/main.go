@@ -119,7 +119,6 @@ type llmOpts struct {
 	timeScale   float64
 	seed        int64
 	solver      core.Solver
-	solveF32    bool
 	traceOut    string
 }
 
@@ -146,7 +145,7 @@ func runLLMServe(o llmOpts) {
 	pol, err := core.GenerateLLM(core.LLMConfig{
 		Models: models, SLO: o.slo, Workers: o.workers, Rate: o.load,
 		In: class.In, Out: class.Out, KVCap: o.kvCap, TokenBucket: o.bucket,
-		Solver: o.solver, Float32: o.solveF32,
+		Solver: o.solver,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -312,7 +311,6 @@ func main() {
 
 		maxQueue   = flag.Int("maxqueue", 0, "queue-length bound N_w (0 = default 32): caps the RAMSIS MDP state space, and with -admit cap also sets the online admission bound (workers x N_w outstanding) — one knob for both, since policy guarantees lapse past N_w anyway")
 		solverArg  = flag.String("solver", "vi", "RAMSIS MDP solver: vi (value iteration, the paper's default), pi (policy iteration), or prioritized (fast-resolve: residual-ordered Gauss-Seidel sweeps; same policy, far fewer sweeps — adaptive background re-solves use it regardless)")
-		solveF32   = flag.Bool("solve-f32", false, "run the RAMSIS solve kernels in float32 (faster; the policy matches float64 wherever actions are separated by more than a few ULPs of the value scale)")
 		aggQueue   = flag.Int("agg-queue", 0, "queue-axis aggregation factor (>1): warm-start each solve from a queue-coarsened aggregate of the MDP; the policy is unchanged, only the solve converges faster — pair with a large -maxqueue")
 		llmProfile = flag.String("llm-profile", "", "LLM workload: load a kinded step-model JSON (llm.SaveFile) instead of the built-in chat corpus")
 		llmClass   = flag.String("llm-class", "general", "LLM workload class: general, codegen, or reasoning")
@@ -337,8 +335,7 @@ func main() {
 		runLLMServe(llmOpts{
 			profilePath: *llmProfile, class: *llmClass, kvCap: *llmKVCap, bucket: *llmBucket,
 			slo: *sloMS / 1000, workers: *workers, load: *load, dur: *dur,
-			timeScale: *timeScale, seed: *seed, solver: solver, solveF32: *solveF32,
-			traceOut: *traceOut,
+			timeScale: *timeScale, seed: *seed, solver: solver, traceOut: *traceOut,
 		})
 		return
 	} else if *workload != "scalar" {
@@ -375,7 +372,7 @@ func main() {
 	base := core.Config{
 		Models: models, SLO: slo, Workers: *workers, Arrival: dist.NewPoisson(1), D: *d,
 		MaxQueue: *maxQueue, Balancing: balancing,
-		Solver: solver, Float32: *solveF32, AggQueue: *aggQueue,
+		Solver: solver, AggQueue: *aggQueue,
 	}
 	set := core.NewPolicySet(base, nil)
 	if err := set.GenerateLoads([]float64{*load}); err != nil {

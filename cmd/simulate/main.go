@@ -68,7 +68,6 @@ type llmSimOpts struct {
 	workers     int
 	seed        int64
 	solverArg   string
-	solveF32    bool
 	traceOut    string
 }
 
@@ -121,7 +120,7 @@ func runLLMSim(o llmSimOpts) {
 		pol, err := core.GenerateLLM(core.LLMConfig{
 			Models: models, SLO: o.slo, Workers: o.workers, Rate: rate,
 			In: class.In, Out: class.Out, KVCap: o.kvCap, TokenBucket: o.bucket,
-			Solver: solver, Float32: o.solveF32,
+			Solver: solver,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -141,7 +140,6 @@ func runLLMSim(o llmSimOpts) {
 			Workers: o.workers,
 			Arrival: dist.NewPoisson(rate),
 			Solver:  solver,
-			Float32: o.solveF32,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -213,7 +211,6 @@ func main() {
 		d         = flag.Int("d", 100, "FLD resolution for RAMSIS policies")
 		maxQueue  = flag.Int("maxqueue", 0, "queue-length bound N_w (0 = default 32): caps the RAMSIS MDP state space, and with -admit cap also sets the online admission bound (workers x N_w outstanding) — one knob for both, since policy guarantees lapse past N_w anyway")
 		solverArg = flag.String("solver", "vi", "RAMSIS MDP solver: vi (value iteration, the paper's default), pi (policy iteration), or prioritized (fast-resolve: residual-ordered Gauss-Seidel sweeps; same policy, far fewer sweeps)")
-		solveF32  = flag.Bool("solve-f32", false, "run the RAMSIS solve kernels in float32 (faster; the policy matches float64 wherever actions are separated by more than a few ULPs of the value scale)")
 		aggQueue  = flag.Int("agg-queue", 0, "queue-axis aggregation factor (>1): warm-start each solve from a queue-coarsened aggregate of the MDP; the policy is unchanged, only the solve converges faster — pair with a large -maxqueue")
 		noise     = flag.Float64("noise", 0, "inference latency stddev in ms (0 = deterministic p95)")
 		polPath   = flag.String("policy", "", "load a saved RAMSIS policy JSON (from ramsisgen) instead of generating")
@@ -255,7 +252,7 @@ func main() {
 			traceArg: *traceArg, load: *load, dur: *dur,
 			stepLoad: *stepLoad, stepAt: *stepAt, stepDur: *stepDur,
 			slo: *sloMS / 1000, workers: *workers, seed: *seed,
-			solverArg: *solverArg, solveF32: *solveF32, traceOut: *traceOut,
+			solverArg: *solverArg, traceOut: *traceOut,
 		})
 		return
 	} else if *workload != "scalar" {
@@ -329,7 +326,7 @@ func main() {
 	switch *method {
 	case "RAMSIS":
 		base := core.Config{Models: models, SLO: slo, Workers: *workers, Arrival: dist.NewPoisson(1), D: *d, MaxQueue: *maxQueue, Balancing: balancing,
-			Solver: solver, Float32: *solveF32, AggQueue: *aggQueue}
+			Solver: solver, AggQueue: *aggQueue}
 		if *adaptive {
 			// Adaptive mode: one policy solved for the starting rate; every
 			// later rate is the drift detector's job.

@@ -321,13 +321,12 @@ func TestAdapterConcurrentLookupAndSwap(t *testing.T) {
 }
 
 // TestAdapterConcurrentPrioritizedResolve hammers the fast-resolve route
-// under -race: background drift re-solves on the prioritized float32 solver
-// with aggregation warm starts, racing against lock-free dispatch lookups.
-// Every lookup must see a complete policy and every re-solved policy must
-// decide like its float64 Jacobi reference.
+// under -race: background drift re-solves on the prioritized solver with
+// aggregation warm starts, racing against lock-free dispatch lookups. Every
+// lookup must see a complete policy and every re-solved policy must decide
+// like its Jacobi reference.
 func TestAdapterConcurrentPrioritizedResolve(t *testing.T) {
 	base := adaptBase()
-	base.Float32 = true
 	base.AggQueue = 4
 	a := newAdapter(t, Config{
 		Base: base, Band: 0.2, Dwell: -1, BucketSize: 20, Background: true,
@@ -365,8 +364,8 @@ func TestAdapterConcurrentPrioritizedResolve(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// The prioritized float32 re-solve reached the same argmaxes as the
-	// pinned float64 Jacobi solve of the same bucket.
+	// The prioritized re-solve reached the same argmaxes as the pinned
+	// Jacobi solve of the same bucket.
 	ref := adaptBase()
 	ref.Arrival = dist.NewPoisson(220)
 	cold, err := core.Generate(ref)
@@ -379,7 +378,7 @@ func TestAdapterConcurrentPrioritizedResolve(t *testing.T) {
 	}
 	for s := range cold.Choices {
 		if warm.Choices[s] != cold.Choices[s] {
-			t.Fatalf("state %d: prioritized f32 choice %+v != Jacobi f64 %+v",
+			t.Fatalf("state %d: prioritized choice %+v != Jacobi %+v",
 				s, warm.Choices[s], cold.Choices[s])
 		}
 	}

@@ -60,13 +60,9 @@ func ConfigHash(cfg core.Config) uint64 {
 	if cfg.BatchWeightedReward {
 		writeI(1)
 	}
-	// Float32 changes the solved values (precision and stopping tolerance),
-	// so float32 and float64 policies never alias. AggQueue is deliberately
-	// excluded: the aggregation warm start is a pure accelerator that cannot
-	// move the fixed point, so its policies are interchangeable.
-	if cfg.Float32 {
-		writeI(2)
-	}
+	// AggQueue is deliberately excluded: the aggregation warm start is a
+	// pure accelerator that cannot move the fixed point, so its policies are
+	// interchangeable.
 	return h.Sum64()
 }
 

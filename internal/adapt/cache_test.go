@@ -86,7 +86,6 @@ func TestConfigHashIgnoresArrivalOnly(t *testing.T) {
 		"gamma":    func(c *core.Config) { c.Gamma = 0.9 },
 		"pruning":  func(c *core.Config) { c.NoParetoPruning = true },
 		"solver":   func(c *core.Config) { c.Solver = core.SolvePrioritized },
-		"float32":  func(c *core.Config) { c.Float32 = true },
 	} {
 		mut := base
 		mutate(&mut)

@@ -113,7 +113,8 @@ const (
 	// value iteration (Gauss-Seidel backups in Bellman-residual order with
 	// adaptive-aggregation acceleration) on the compiled form. It reaches
 	// the same fixed point as value iteration within tolerance in far fewer
-	// sweeps but is not byte-pinned against the slice solver.
+	// sweeps; its values are not byte-pinned (value iteration's are), and
+	// tests check its greedy policy against value iteration's instead.
 	SolvePrioritized
 )
 
@@ -175,11 +176,6 @@ type Config struct {
 	// default; policy iteration as the noted alternative; prioritized as
 	// the fast-resolve path for online re-solves).
 	Solver Solver
-	// Float32 runs the value-iteration-family solve kernels in float32.
-	// The stopping tolerance is floored at a few float32 ULPs of the value
-	// scale, so the policy matches the float64 argmaxes wherever actions
-	// are separated by more than that band. Ignored by policy iteration.
-	Float32 bool
 	// AggQueue, when > 1, warm-starts the solve from a queue-coarsened
 	// aggregate problem: the queue axis is grouped by this factor, the
 	// small aggregate MDP is solved first, and its values are linearly

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -45,8 +44,6 @@ type LLMConfig struct {
 	Gamma float64
 	// Solver selects the exact solution method, as in Config.
 	Solver Solver
-	// Float32 runs the compiled solve kernels in float32.
-	Float32 bool
 	// ProbFloor prunes transition entries below it; default 1e-10.
 	ProbFloor float64
 	// Timeout aborts generation with ErrTimeout when exceeded (0 = no limit).
@@ -282,6 +279,12 @@ func (g *llmBuilder) transitions(base, tau float64) []mdp.Transition {
 			break
 		}
 	}
+	return g.sparse(mass)
+}
+
+// sparse turns a per-state mass vector into a transition row: entries below
+// ProbFloor are dropped and the rest renormalized.
+func (g *llmBuilder) sparse(mass []float64) []mdp.Transition {
 	var out []mdp.Transition
 	total := 0.0
 	for s, p := range mass {
@@ -348,12 +351,12 @@ func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	start := time.Now()
+	deadline := deadlineFor(cfg.Timeout)
 	g := newLLMBuilder(cfg)
 	if g.models.Len() == 0 {
 		return nil, fmt.Errorf("core: no step models survive Pareto pruning")
 	}
-
-	start := time.Now()
 	nStates := g.b + 2
 	m := &mdp.MDP{Actions: make([][]mdp.Action, nStates)}
 	type plan struct {
@@ -366,10 +369,12 @@ func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
 	// In+Out tokens (the one-arrival convolution from zero load).
 	m.Actions[0] = []mdp.Action{{
 		Label:       -1,
-		Reward:      0,
 		Transitions: g.arrivalTransitions(),
 	}}
-	for s := 1; s < nStates; s++ {
+	// States are independent, so they build across cores like the scalar
+	// worker MDP's do; each writes only its own m.Actions and plans slot.
+	parallelFor(nStates-1, func(i int) {
+		s := i + 1
 		rep := (float64(s) - 0.5) * float64(g.w)
 		acts := make([]mdp.Action, 0, g.models.Len())
 		pls := make([]plan, 0, g.models.Len())
@@ -394,35 +399,13 @@ func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
 		}
 		m.Actions[s] = acts
 		plans[s] = pls
-	}
+	})
 	buildTime := time.Since(start)
-	if err := m.Validate(1e-6); err != nil {
-		return nil, fmt.Errorf("core: built LLM MDP invalid: %w", err)
-	}
 
-	start = time.Now()
-	cm := mdp.Compile(m)
-	opts := mdp.SolveOptions{Gamma: cfg.Gamma, Float32: cfg.Float32}
-	if cfg.Timeout > 0 {
-		opts.Deadline = time.Now().Add(cfg.Timeout)
-	}
-	if cfg.Solver == SolvePrioritized {
-		opts.Method = mdp.MethodPrioritized
-	}
-	var res mdp.Result
-	var err error
-	if cfg.Solver == SolvePolicyIteration {
-		res, err = cm.PolicyIteration(opts)
-	} else {
-		res, err = cm.Solve(opts)
-	}
-	if errors.Is(err, mdp.ErrDeadline) {
-		return nil, ErrTimeout
-	}
+	sol, err := solveSpec{cfg.Gamma, cfg.Solver, deadline}.solve(m, nil)
 	if err != nil {
 		return nil, err
 	}
-	solveTime := time.Since(start)
 
 	pol := &LLMPolicy{
 		Task:        g.models.Task,
@@ -434,15 +417,15 @@ func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
 		Pruned:      !cfg.NoParetoPruning,
 		States:      m.NumStates(),
 		Transitions: m.NumTransitions(),
-		Iterations:  res.Iterations,
+		Iterations:  sol.Iterations,
 		BuildTime:   buildTime,
-		SolveTime:   solveTime,
+		SolveTime:   sol.solveTime,
 		models:      g.models,
 	}
 	pol.Choices = make([]LLMChoice, nStates)
 	pol.Choices[0] = LLMChoice{Arrival: true, Satisfies: true}
 	for s := 1; s < nStates; s++ {
-		ai := res.Policy[s]
+		ai := sol.Policy[s]
 		mi := m.Actions[s][ai].Label
 		pl := plans[s][ai]
 		pol.Choices[s] = LLMChoice{
@@ -455,7 +438,7 @@ func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
 			Satisfies:     pl.sat,
 		}
 	}
-	pol.computeExpectations(cm, res.Policy)
+	pol.computeExpectations(sol.stationary)
 	return pol, nil
 }
 
@@ -468,29 +451,14 @@ func (g *llmBuilder) arrivalTransitions() []mdp.Transition {
 			mass[g.bucketOf(float64(k*g.cell))] += g.sumCell[k]
 		}
 	}
-	var out []mdp.Transition
-	total := 0.0
-	for s, p := range mass {
-		if p >= g.cfg.ProbFloor {
-			out = append(out, mdp.Transition{Next: int32(s), P: p})
-			total += p
-		}
-	}
-	for i := range out {
-		out[i].P /= total
-	}
-	return out
+	return g.sparse(mass)
 }
 
 // computeExpectations evaluates stationary accuracy and violation
-// expectations over the policy-induced chain, weighting each state by the
-// tokens its decision schedules per step (the token-level analog of the
-// scalar batch weighting).
-func (p *LLMPolicy) computeExpectations(cm *mdp.Compiled, pol mdp.Policy) {
-	pi, err := cm.StationaryDistribution(pol, 1e-13, 0)
-	if err != nil {
-		return
-	}
+// expectations over the policy-induced chain's stationary distribution pi,
+// weighting each state by the tokens its decision schedules per step (the
+// token-level analog of the scalar batch weighting).
+func (p *LLMPolicy) computeExpectations(pi []float64) {
 	var servedMass, violMass, satMass, accMass float64
 	for s, c := range p.Choices {
 		if c.Arrival {

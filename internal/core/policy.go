@@ -82,19 +82,32 @@ type Policy struct {
 // callers must not mutate it.
 func (p *Policy) SolveValues() []float64 { return p.values }
 
+// buildWorker is the front half of the scalar generator, shared by
+// BuildWorkerMDP and Generate: default and validate the configuration, lay
+// out the state space, and derive the §4 transition probabilities. The
+// returned builder carries the space (with the defaulted Config) and the
+// generation deadline, armed before the build.
+func buildWorker(cfg Config) (*builder, *mdp.MDP, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	b := newBuilder(newSpace(cfg))
+	m := b.buildMDP()
+	if b.aborted.Load() {
+		return nil, nil, ErrTimeout
+	}
+	return b, m, nil
+}
+
 // BuildWorkerMDP formulates (but does not solve) the worker MDP for the
 // configuration — the §4 transition-probability computation in isolation.
 // The solver benchmarks use it to measure the Bellman sweep on a real
 // worker-scale state space rather than a synthetic MDP.
 func BuildWorkerMDP(cfg Config) (*mdp.MDP, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	_, m, err := buildWorker(cfg)
+	if err != nil {
 		return nil, err
-	}
-	b := newBuilder(newSpace(cfg))
-	m := b.buildMDP()
-	if b.aborted.Load() {
-		return nil, ErrTimeout
 	}
 	if err := m.Validate(1e-6); err != nil {
 		return nil, fmt.Errorf("core: built MDP invalid: %w", err)
@@ -106,53 +119,31 @@ func BuildWorkerMDP(cfg Config) (*mdp.MDP, error) {
 // worker MDP (§4), solves it with value iteration (§4.1), and computes the
 // §5.1 expectations over the induced stationary distribution.
 func Generate(cfg Config) (*Policy, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	sp := newSpace(cfg)
-	b := newBuilder(sp)
-
 	start := time.Now()
-	m := b.buildMDP()
-	buildTime := time.Since(start)
-	if b.aborted.Load() {
-		return nil, ErrTimeout
-	}
-	if err := m.Validate(1e-6); err != nil {
-		return nil, fmt.Errorf("core: built MDP invalid: %w", err)
-	}
-
-	// Compile once; the solve and the stationary-distribution pass both run
-	// on the contiguous form.
-	start = time.Now()
-	cm := mdp.Compile(m)
-	opts := mdp.SolveOptions{Gamma: cfg.Gamma, Deadline: b.deadline, Float32: cfg.Float32}
-	if cfg.Solver == SolvePrioritized {
-		opts.Method = mdp.MethodPrioritized
-	}
-	if len(cfg.InitialValues) == cm.NumStates() {
-		opts.InitialValues = cfg.InitialValues
-	} else if cfg.AggQueue > 1 {
-		// No donor vector: warm-start from the queue-coarsened aggregate
-		// solve. The warm start cannot change the fixed point, so the
-		// generated policy is identical to a cold solve's.
-		opts.InitialValues = aggregateWarmStart(m, sp, cfg.AggQueue, opts)
-	}
-	var res mdp.Result
-	var err error
-	if cfg.Solver == SolvePolicyIteration {
-		res, err = cm.PolicyIteration(opts)
-	} else {
-		res, err = cm.Solve(opts)
-	}
-	if errors.Is(err, mdp.ErrDeadline) {
-		return nil, ErrTimeout
-	}
+	b, m, err := buildWorker(cfg)
 	if err != nil {
 		return nil, err
 	}
-	solveTime := time.Since(start)
+	buildTime := time.Since(start)
+	sp := b.sp
+	cfg = sp.cfg
+
+	sol, err := solveSpec{cfg.Gamma, cfg.Solver, b.deadline}.solve(m, func(opts mdp.SolveOptions) []float64 {
+		if len(cfg.InitialValues) == m.NumStates() {
+			return cfg.InitialValues
+		}
+		if cfg.AggQueue > 1 {
+			// No donor vector: warm-start from the queue-coarsened
+			// aggregate solve. The warm start cannot change the fixed
+			// point, so the generated policy is identical to a cold
+			// solve's.
+			return aggregateWarmStart(m, sp, cfg.AggQueue, opts)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 
 	pol := &Policy{
 		Task:        cfg.Models.Task,
@@ -168,16 +159,16 @@ func Generate(cfg Config) (*Policy, error) {
 		Grid:        sp.grid,
 		States:      m.NumStates(),
 		Transitions: m.NumTransitions(),
-		Iterations:  res.Iterations,
+		Iterations:  sol.Iterations,
 		BuildTime:   buildTime,
-		SolveTime:   solveTime,
+		SolveTime:   sol.solveTime,
 		space:       sp,
-		values:      res.Values,
+		values:      sol.Values,
 	}
 	pol.Choices = make([]Choice, m.NumStates())
 	for s := range m.Actions {
 		acts := sp.actionsForState(s)
-		a := acts[res.Policy[s]]
+		a := acts[sol.Policy[s]]
 		if a.Model == arrivalAction {
 			pol.Choices[s] = Choice{Arrival: true, Satisfies: true}
 			continue
@@ -190,20 +181,14 @@ func Generate(cfg Config) (*Policy, error) {
 			Satisfies: a.Satisfies,
 		}
 	}
-	if err := pol.computeExpectations(cm, res.Policy); err != nil {
-		return nil, err
-	}
+	pol.computeExpectations(sol.stationary)
 	return pol, nil
 }
 
 // computeExpectations evaluates the §5.1 guarantees: the stationary
-// distribution of the policy-induced chain (power iteration) weighted by
-// queries served per decision.
-func (p *Policy) computeExpectations(cm *mdp.Compiled, pol mdp.Policy) error {
-	pi, err := cm.StationaryDistribution(pol, 1e-13, 0)
-	if err != nil {
-		return err
-	}
+// distribution pi of the policy-induced chain weighted by queries served
+// per decision.
+func (p *Policy) computeExpectations(pi []float64) {
 	var servedMass, violMass, satMass, accMass, stateSat, stateAcc float64
 	accDist := map[float64]float64{}
 	for s, c := range p.Choices {
@@ -234,7 +219,6 @@ func (p *Policy) computeExpectations(cm *mdp.Compiled, pol mdp.Policy) error {
 		}
 	}
 	p.StateExpectedAccuracy = stateAcc
-	return nil
 }
 
 // AccuracyQuantile returns the q-th quantile (0 < q <= 1) of the stationary
@@ -272,9 +256,6 @@ func (p *Policy) AccuracyQuantile(q float64) float64 {
 func (p *Policy) Select(n int, slack float64) Choice {
 	return p.Choices[p.space.stateFor(n, slack)]
 }
-
-// GridSize returns |T_w|.
-func (p *Policy) GridSize() int { return len(p.Grid) }
 
 // Models returns the policy's (pruned) model set.
 func (p *Policy) Models() []string {

@@ -1,0 +1,72 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"time"
+
+	"ramsis/internal/mdp"
+)
+
+// solveSpec is what the solve step reads from a Config or an LLMConfig.
+type solveSpec struct {
+	gamma    float64
+	solver   Solver
+	deadline time.Time // zero: no limit
+}
+
+// deadlineFor arms a generation deadline at the moment of the call.
+func deadlineFor(timeout time.Duration) time.Time {
+	if timeout > 0 {
+		return time.Now().Add(timeout)
+	}
+	return time.Time{}
+}
+
+// solution is a solved MDP: the solver's result, the stationary distribution
+// of the chain its policy induces, and the compile + solve wall time.
+type solution struct {
+	mdp.Result
+	stationary []float64
+	solveTime  time.Duration
+}
+
+// solve is the back half of every generator: validate the built MDP, compile
+// it, solve it with the configured method, and take the stationary
+// distribution the §5.1 expectations weight. warm, when non-nil, is asked for
+// an initial value vector once the MDP is known valid (nil: cold start); it
+// receives the solve's own options so a coarse pre-solve runs under the same
+// discount, method and deadline.
+func (sp solveSpec) solve(m *mdp.MDP, warm func(mdp.SolveOptions) []float64) (*solution, error) {
+	if err := m.Validate(1e-6); err != nil {
+		return nil, fmt.Errorf("core: built MDP invalid: %w", err)
+	}
+	// Compile once; the solve and the stationary-distribution pass both run
+	// on the contiguous form.
+	start := time.Now()
+	cm := mdp.Compile(m)
+	opts := mdp.SolveOptions{Gamma: sp.gamma, Deadline: sp.deadline}
+	if sp.solver == SolvePrioritized {
+		opts.Method = mdp.MethodPrioritized
+	}
+	if warm != nil {
+		opts.InitialValues = warm(opts)
+	}
+	run := cm.Solve
+	if sp.solver == SolvePolicyIteration {
+		run = cm.PolicyIteration
+	}
+	res, err := run(opts)
+	if errors.Is(err, mdp.ErrDeadline) {
+		return nil, ErrTimeout
+	}
+	if err != nil {
+		return nil, err
+	}
+	solveTime := time.Since(start)
+	pi, err := cm.StationaryDistribution(res.Policy, 1e-13, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &solution{Result: res, stationary: pi, solveTime: solveTime}, nil
+}

@@ -89,9 +89,7 @@ func newBuilder(sp *space) *builder {
 		b.tmax = l
 	}
 	b.delta = b.tmax / float64(b.cells)
-	if cfg.Timeout > 0 {
-		b.deadline = time.Now().Add(cfg.Timeout)
-	}
+	b.deadline = deadlineFor(cfg.Timeout)
 	return b
 }
 
@@ -180,7 +178,7 @@ func (b *builder) prepare() {
 		}
 		j := jobs[i]
 		h := b.buildHTable(j.pk.proc, j.pk.k, j.lat)
-		c := b.buildCDFTable(j.pk.proc, j.lat)
+		c := b.buildCDFTable(j.pk.proc, j.pk.k, j.lat)
 		mu.Lock()
 		b.h[tableKey{j.rate, j.lat}] = h
 		b.cdf[tableKey{j.rate, j.lat}] = c
@@ -213,23 +211,13 @@ func (b *builder) buildHTable(proc dist.Process, k int, l float64) []float64 {
 
 // buildCDFTable tabulates proc.CDF(k, l) for counts k = 0..(N_w+2)·K−1,
 // shared by the no-arrival case and variable-batching count sums.
-func (b *builder) buildCDFTable(proc dist.Process, l float64) []float64 {
-	_, k := b.procForRate(proc)
+func (b *builder) buildCDFTable(proc dist.Process, k int, l float64) []float64 {
 	kmax := (b.sp.cfg.MaxQueue + 2) * k
 	out := make([]float64, kmax)
 	for i := 0; i < kmax; i++ {
 		out[i] = proc.CDF(i, l)
 	}
 	return out
-}
-
-// procForRate recovers the effective K for a process (round-robin: the
-// configured worker count; conditional queue-aware processes: 1).
-func (b *builder) procForRate(proc dist.Process) (dist.Process, int) {
-	if b.sp.cfg.Balancing == RoundRobin {
-		return proc, b.sp.cfg.Workers
-	}
-	return proc, 1
 }
 
 // cellsFor returns the number of fine cells whose start lies before l.
@@ -678,35 +666,11 @@ func p2cRate(cfg Config, models profile.Set, n int) float64 {
 
 // parallelFor runs fn(i) for i in [0, n) across GOMAXPROCS workers.
 func parallelFor(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, n)
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	parallelForScratch(n, func() *stateScratch { return nil }, func(i int, _ *stateScratch) { fn(i) })
 }
 
-// parallelForScratch is parallelFor with one scratch value per worker.
+// parallelForScratch runs fn(i, sc) for i in [0, n) across GOMAXPROCS
+// workers, each with its own scratch value from mk.
 func parallelForScratch(n int, mk func() *stateScratch, fn func(i int, sc *stateScratch)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {

@@ -28,7 +28,7 @@ func sameValues(t *testing.T, name string, got, want []float64) {
 	}
 	for s := range want {
 		if math.Float64bits(got[s]) != math.Float64bits(want[s]) {
-			t.Fatalf("%s: V(%d) = %v differs from slice form %v", name, s, got[s], want[s])
+			t.Fatalf("%s: V(%d) = %v differs from the reference %v", name, s, got[s], want[s])
 		}
 	}
 }
@@ -37,51 +37,43 @@ func samePolicy(t *testing.T, name string, got, want Policy) {
 	t.Helper()
 	for s := range want {
 		if got[s] != want[s] {
-			t.Fatalf("%s: policy[%d] = %d differs from slice form %d", name, s, got[s], want[s])
+			t.Fatalf("%s: policy[%d] = %d differs from the reference %d", name, s, got[s], want[s])
 		}
 	}
 }
 
-// TestCompiledValueIterationByteIdentical pins the tentpole contract: the
-// compiled kernel performs the same floating-point operations in the same
-// order as the slice kernel, so values and policies match bit for bit — for
-// serial and partitioned sweeps, cold and warm starts.
+// TestCompiledValueIterationByteIdentical pins the compiled-core contract:
+// the kernel performs the same floating-point operations in the same order
+// as the naive slice walk of reference_test.go, so values and policies match
+// bit for bit — cold and warm-started.
 func TestCompiledValueIterationByteIdentical(t *testing.T) {
 	for name, m := range compiledFixtures() {
 		c := Compile(m)
-		for _, workers := range []int{1, 3, 8} {
-			opts := SolveOptions{Gamma: 0.95, Tol: 1e-10, Parallel: workers}
-			want, err := ValueIteration(m, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := c.ValueIteration(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Iterations != want.Iterations {
-				t.Errorf("%s workers=%d: %d iterations, slice form took %d", name, workers, got.Iterations, want.Iterations)
-			}
-			sameValues(t, name, got.Values, want.Values)
-			samePolicy(t, name, got.Policy, want.Policy)
-
-			// Warm starts must also be byte-identical between forms.
-			warm := opts
-			warm.InitialValues = want.Values
-			wantW, err := ValueIteration(m, warm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotW, err := c.ValueIteration(warm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotW.Iterations != wantW.Iterations {
-				t.Errorf("%s workers=%d warm: %d iterations, slice form took %d", name, workers, gotW.Iterations, wantW.Iterations)
-			}
-			sameValues(t, name+" warm", gotW.Values, wantW.Values)
-			samePolicy(t, name+" warm", gotW.Policy, wantW.Policy)
+		opts := SolveOptions{Gamma: 0.95, Tol: 1e-10}
+		want := refValueIteration(m, opts)
+		got, err := c.ValueIteration(opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if got.Iterations != want.Iterations {
+			t.Errorf("%s: %d iterations, reference took %d", name, got.Iterations, want.Iterations)
+		}
+		sameValues(t, name, got.Values, want.Values)
+		samePolicy(t, name, got.Policy, want.Policy)
+
+		// Warm starts must also be byte-identical.
+		warm := opts
+		warm.InitialValues = want.Values
+		wantW := refValueIteration(m, warm)
+		gotW, err := c.ValueIteration(warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotW.Iterations != wantW.Iterations {
+			t.Errorf("%s warm: %d iterations, reference took %d", name, gotW.Iterations, wantW.Iterations)
+		}
+		sameValues(t, name+" warm", gotW.Values, wantW.Values)
+		samePolicy(t, name+" warm", gotW.Policy, wantW.Policy)
 	}
 }
 
@@ -94,10 +86,7 @@ func TestCompiledPolicyEvaluationByteIdentical(t *testing.T) {
 			pol[s] = rng.Intn(len(m.Actions[s]))
 		}
 		opts := SolveOptions{Gamma: 0.9, Tol: 1e-12}
-		want, err := PolicyEvaluation(m, pol, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := refPolicyEvaluation(m, pol, opts)
 		got, err := c.PolicyEvaluation(pol, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -110,16 +99,13 @@ func TestCompiledPolicyIterationByteIdentical(t *testing.T) {
 	for name, m := range compiledFixtures() {
 		c := Compile(m)
 		opts := SolveOptions{Gamma: 0.95, Tol: 1e-12}
-		want, err := PolicyIteration(m, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := refPolicyIteration(m, opts)
 		got, err := c.PolicyIteration(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Iterations != want.Iterations {
-			t.Errorf("%s: %d iterations, slice form took %d", name, got.Iterations, want.Iterations)
+			t.Errorf("%s: %d iterations, reference took %d", name, got.Iterations, want.Iterations)
 		}
 		sameValues(t, name, got.Values, want.Values)
 		samePolicy(t, name, got.Policy, want.Policy)
@@ -130,10 +116,7 @@ func TestCompiledStationaryDistributionByteIdentical(t *testing.T) {
 	for name, m := range compiledFixtures() {
 		c := Compile(m)
 		pol := make(Policy, m.NumStates())
-		want, err := StationaryDistribution(m, pol, 1e-13, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := refStationary(m, pol, 1e-13)
 		got, err := c.StationaryDistribution(pol, 1e-13, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -145,17 +128,14 @@ func TestCompiledStationaryDistributionByteIdentical(t *testing.T) {
 func TestCompileShapes(t *testing.T) {
 	m := twoStateChain()
 	c := Compile(m)
-	if c.NumStates() != m.NumStates() {
-		t.Errorf("NumStates = %d, want %d", c.NumStates(), m.NumStates())
+	if c.n != m.NumStates() {
+		t.Errorf("compiled %d states, want %d", c.n, m.NumStates())
 	}
-	if c.NumTransitions() != m.NumTransitions() {
-		t.Errorf("NumTransitions = %d, want %d", c.NumTransitions(), m.NumTransitions())
+	if len(c.next) != m.NumTransitions() {
+		t.Errorf("compiled %d transitions, want %d", len(c.next), m.NumTransitions())
 	}
-	if c.NumActions() != 3 {
-		t.Errorf("NumActions = %d, want 3", c.NumActions())
-	}
-	if c.Label(0, 1) != 1 || c.Label(1, 0) != 0 {
-		t.Errorf("labels not preserved: (0,1)=%d (1,0)=%d", c.Label(0, 1), c.Label(1, 0))
+	if got := len(c.reward); got != 3 {
+		t.Errorf("compiled %d actions, want 3", got)
 	}
 }
 
@@ -209,12 +189,8 @@ func TestWarmStartConvergesFaster(t *testing.T) {
 }
 
 func TestWarmStartLengthMismatchRejected(t *testing.T) {
-	m := twoStateChain()
-	c := Compile(m)
+	c := Compile(twoStateChain())
 	bad := SolveOptions{Gamma: 0.9, InitialValues: []float64{1}}
-	if _, err := ValueIteration(m, bad); err == nil {
-		t.Error("slice ValueIteration accepted a mismatched warm start")
-	}
 	if _, err := c.ValueIteration(bad); err == nil {
 		t.Error("compiled ValueIteration accepted a mismatched warm start")
 	}

@@ -9,8 +9,8 @@ import (
 
 func TestValueIterationDeadline(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m := randomMDP(rng, 200, 4, 8)
-	_, err := ValueIteration(m, SolveOptions{
+	c := Compile(randomMDP(rng, 200, 4, 8))
+	_, err := c.Solve(SolveOptions{
 		Gamma:    0.999999,
 		Tol:      1e-300, // unreachable: force the deadline path
 		Deadline: time.Now().Add(5 * time.Millisecond),
@@ -21,8 +21,7 @@ func TestValueIterationDeadline(t *testing.T) {
 }
 
 func TestValueIterationNoDeadlineByDefault(t *testing.T) {
-	m := twoStateChain()
-	if _, err := ValueIteration(m, SolveOptions{Gamma: 0.9}); err != nil {
+	if _, err := Compile(twoStateChain()).Solve(SolveOptions{Gamma: 0.9}); err != nil {
 		t.Fatalf("default solve failed: %v", err)
 	}
 }

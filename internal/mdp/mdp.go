@@ -6,14 +6,16 @@
 //
 // The representation is deliberately sparse: worker MDPs concentrate
 // transition mass on a small neighborhood of queue states, so each action
-// stores only its non-negligible successor probabilities.
+// stores only its non-negligible successor probabilities. MDP is the form
+// callers build; every solver runs on Compiled, its flattened CSR form, and
+// each method exists once — the tests pin those kernels bit for bit against
+// a naive slice-walking reference that lives in reference_test.go.
 package mdp
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 )
 
@@ -103,30 +105,22 @@ type SolveOptions struct {
 	// Deadline, when non-zero, aborts the solve with ErrDeadline once the
 	// wall clock passes it (checked once per sweep).
 	Deadline time.Time
-	// Parallel is the goroutine count the Bellman sweep is partitioned
-	// across (ValueIteration only). 0 uses GOMAXPROCS; 1 runs serially.
-	// Every setting produces byte-identical values and policies: each
-	// sweep reads only the previous iterate, so partitioning cannot change
-	// any floating-point operation or its order within a state.
+	// Parallel selects nothing: the goroutine sweep pool it once sized did
+	// not pay for itself and is gone (DESIGN.md § Solver performance). The
+	// field stays declared only because bench/ (frozen between benchmark
+	// PRs) still sets it; the next benchmark PR drops it with that use.
 	Parallel int
 	// InitialValues, when non-nil, warm-starts the solve from a previously
-	// converged value vector instead of zeros (ValueIteration and
-	// PolicyEvaluation). Its length must equal the MDP's state count. Warm
+	// converged value vector instead of zeros (value iteration and policy
+	// evaluation). Its length must equal the MDP's state count. Warm
 	// starts do not change the fixed point — only the iteration count to
 	// reach it — so a re-solve seeded from a neighboring problem's values
 	// (e.g. an adjacent rate bucket) converges in fewer sweeps.
 	InitialValues []float64
 	// Method selects the sweep strategy for Compiled.Solve: the default
-	// synchronous Jacobi sweep (byte-pinned in float64) or asynchronous
-	// prioritized value iteration (Gauss-Seidel in Bellman-residual order,
-	// the fast-resolve path). The slice-form solvers ignore it.
+	// synchronous Jacobi sweep or asynchronous prioritized value iteration
+	// (Gauss-Seidel in Bellman-residual order, the fast-resolve path).
 	Method Method
-	// Float32 runs Compiled.Solve's kernels in float32: roughly half the
-	// memory traffic of the float64 sweep on the online/adaptive route.
-	// The stopping tolerance is floored at a few float32 ULPs of the value
-	// scale, and the resulting policy matches the float64 argmaxes
-	// wherever actions are separated by more than that tolerance.
-	Float32 bool
 }
 
 func (o SolveOptions) withDefaults() SolveOptions {
@@ -160,234 +154,4 @@ func (o SolveOptions) initialValues(v []float64) error {
 	}
 	copy(v, o.InitialValues)
 	return nil
-}
-
-// newSweepPool partitions states [0, n) across a persistent pool of workers
-// goroutines, worker i owning the fixed range [i·n/W, (i+1)·n/W) for the
-// whole solve. The returned sweep runs one barrier-synchronized pass over
-// every chunk and combines the chunk residuals by max (order-independent,
-// so collection order does not matter); stop releases the pool. With
-// workers <= 1 the chunk runs inline and stop is a no-op. Both the slice
-// and the compiled Bellman kernels share this pool.
-func newSweepPool(workers, n int, chunk func(lo, hi int) float64) (sweep func() float64, stop func()) {
-	if workers <= 1 || n == 0 {
-		return func() float64 { return chunk(0, n) }, func() {}
-	}
-	tick := make(chan struct{})
-	res := make(chan float64)
-	for i := 0; i < workers; i++ {
-		go func(lo, hi int) {
-			for range tick {
-				res <- chunk(lo, hi)
-			}
-		}(i*n/workers, (i+1)*n/workers)
-	}
-	sweep = func() float64 {
-		for i := 0; i < workers; i++ {
-			tick <- struct{}{}
-		}
-		residual := 0.0
-		for i := 0; i < workers; i++ {
-			if r := <-res; r > residual {
-				residual = r
-			}
-		}
-		return residual
-	}
-	return sweep, func() { close(tick) }
-}
-
-// ValueIteration solves the MDP by repeated synchronous Bellman optimality
-// backups (Jacobi, double-buffered) until the residual drops below Tol,
-// returning an optimal policy. This is the paper's solution method (§4.1).
-//
-// The sweep is partitioned across SolveOptions.Parallel goroutines: every
-// state's backup reads only the previous iterate, so the partitioning is
-// invisible to the arithmetic and the result is byte-identical for every
-// worker count — the property the online re-solve path depends on (a policy
-// must not change with the core count of the machine that solved it).
-func ValueIteration(m *MDP, opts SolveOptions) (Result, error) {
-	opts = opts.withDefaults()
-	if opts.Gamma <= 0 || opts.Gamma >= 1 {
-		return Result{}, fmt.Errorf("mdp: gamma %v outside (0,1)", opts.Gamma)
-	}
-	n := m.NumStates()
-	workers := opts.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	v := make([]float64, n)
-	if err := opts.initialValues(v); err != nil {
-		return Result{}, err
-	}
-	next := make([]float64, n)
-	pol := make(Policy, n)
-
-	// sweepChunk backs up states [lo, hi) from the previous iterate v into
-	// next, recording the greedy action, and returns the chunk's residual.
-	sweepChunk := func(lo, hi int) float64 {
-		residual := 0.0
-		for s := lo; s < hi; s++ {
-			best := math.Inf(-1)
-			bestA := 0
-			for ai := range m.Actions[s] {
-				a := &m.Actions[s][ai]
-				q := a.Reward
-				for _, tr := range a.Transitions {
-					q += opts.Gamma * tr.P * v[tr.Next]
-				}
-				if q > best {
-					best = q
-					bestA = ai
-				}
-			}
-			if d := math.Abs(best - v[s]); d > residual {
-				residual = d
-			}
-			next[s] = best
-			pol[s] = bestA
-		}
-		return residual
-	}
-
-	sweep, stop := newSweepPool(workers, n, sweepChunk)
-	defer stop()
-
-	it := 0
-	for ; it < opts.MaxIter; it++ {
-		if !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
-			return Result{Values: v, Policy: pol, Iterations: it}, ErrDeadline
-		}
-		residual := sweep()
-		v, next = next, v
-		if residual < opts.Tol {
-			it++
-			break
-		}
-	}
-	return Result{Values: v, Policy: pol, Iterations: it}, nil
-}
-
-// PolicyEvaluation computes the discounted value of a fixed policy by
-// iterative backups.
-func PolicyEvaluation(m *MDP, pol Policy, opts SolveOptions) ([]float64, error) {
-	opts = opts.withDefaults()
-	n := m.NumStates()
-	if len(pol) != n {
-		return nil, fmt.Errorf("mdp: policy length %d != states %d", len(pol), n)
-	}
-	v := make([]float64, n)
-	if err := opts.initialValues(v); err != nil {
-		return nil, err
-	}
-	for it := 0; it < opts.MaxIter; it++ {
-		residual := 0.0
-		for s := 0; s < n; s++ {
-			a := &m.Actions[s][pol[s]]
-			q := a.Reward
-			for _, tr := range a.Transitions {
-				q += opts.Gamma * tr.P * v[tr.Next]
-			}
-			if d := math.Abs(q - v[s]); d > residual {
-				residual = d
-			}
-			v[s] = q
-		}
-		if residual < opts.Tol {
-			break
-		}
-	}
-	return v, nil
-}
-
-// PolicyIteration solves the MDP by alternating evaluation and greedy
-// improvement, the alternative exact method §4.1 mentions.
-func PolicyIteration(m *MDP, opts SolveOptions) (Result, error) {
-	opts = opts.withDefaults()
-	n := m.NumStates()
-	pol := make(Policy, n)
-	var v []float64
-	for it := 1; it <= opts.MaxIter; it++ {
-		var err error
-		v, err = PolicyEvaluation(m, pol, opts)
-		if err != nil {
-			return Result{}, err
-		}
-		changed := false
-		for s := 0; s < n; s++ {
-			best := math.Inf(-1)
-			bestA := pol[s]
-			for ai := range m.Actions[s] {
-				a := &m.Actions[s][ai]
-				q := a.Reward
-				for _, tr := range a.Transitions {
-					q += opts.Gamma * tr.P * v[tr.Next]
-				}
-				if q > best+1e-12 {
-					best = q
-					bestA = ai
-				}
-			}
-			if bestA != pol[s] {
-				pol[s] = bestA
-				changed = true
-			}
-		}
-		if !changed {
-			return Result{Values: v, Policy: pol, Iterations: it}, nil
-		}
-	}
-	return Result{Values: v, Policy: pol, Iterations: opts.MaxIter}, nil
-}
-
-// StationaryDistribution computes the stationary distribution of the Markov
-// chain induced by the policy via power iteration [40] on the lazy chain
-// (I+P)/2, which converges for unichain MDPs regardless of periodicity.
-// RAMSIS uses it to compute the §5.1 expectations.
-func StationaryDistribution(m *MDP, pol Policy, tol float64, maxIter int) ([]float64, error) {
-	n := m.NumStates()
-	if len(pol) != n {
-		return nil, fmt.Errorf("mdp: policy length %d != states %d", len(pol), n)
-	}
-	if tol == 0 {
-		tol = 1e-12
-	}
-	if maxIter == 0 {
-		maxIter = 200000
-	}
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = 1 / float64(n)
-	}
-	next := make([]float64, n)
-	for it := 0; it < maxIter; it++ {
-		for i := range next {
-			next[i] = 0.5 * x[i] // lazy self-loop half
-		}
-		for s := 0; s < n; s++ {
-			a := &m.Actions[s][pol[s]]
-			w := 0.5 * x[s]
-			for _, tr := range a.Transitions {
-				next[tr.Next] += w * tr.P
-			}
-		}
-		// Renormalize to absorb pruned probability mass drift.
-		sum := 0.0
-		for _, p := range next {
-			sum += p
-		}
-		diff := 0.0
-		for i := range next {
-			next[i] /= sum
-			diff += math.Abs(next[i] - x[i])
-		}
-		x, next = next, x
-		if diff < tol {
-			break
-		}
-	}
-	return x, nil
 }

@@ -51,8 +51,7 @@ func TestNumTransitions(t *testing.T) {
 }
 
 func TestValueIterationOptimalPolicy(t *testing.T) {
-	m := twoStateChain()
-	res, err := ValueIteration(m, SolveOptions{Gamma: 0.9, Tol: 1e-12})
+	res, err := Compile(twoStateChain()).ValueIteration(SolveOptions{Gamma: 0.9, Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,40 +68,11 @@ func TestValueIterationOptimalPolicy(t *testing.T) {
 }
 
 func TestValueIterationRejectsBadGamma(t *testing.T) {
-	m := twoStateChain()
+	c := Compile(twoStateChain())
 	for _, g := range []float64{-0.5, 1.0, 2.0} {
-		if _, err := ValueIteration(m, SolveOptions{Gamma: g}); err == nil {
-			t.Errorf("gamma %v accepted", g)
-		}
-	}
-}
-
-func TestValueIterationParallelByteIdentical(t *testing.T) {
-	// The partitioned sweep must be invisible: values and policies are
-	// byte-identical for every worker count, on MDPs whose state count is
-	// not a multiple of the partition count.
-	rng := rand.New(rand.NewSource(7))
-	for _, states := range []int{1, 2, 23, 157} {
-		m := randomMDP(rng, states, 3, 5)
-		base, err := ValueIteration(m, SolveOptions{Gamma: 0.95, Tol: 1e-10, Parallel: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 3, 8, 64} {
-			got, err := ValueIteration(m, SolveOptions{Gamma: 0.95, Tol: 1e-10, Parallel: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Iterations != base.Iterations {
-				t.Errorf("states=%d workers=%d: %d iterations, serial took %d", states, workers, got.Iterations, base.Iterations)
-			}
-			for s := range base.Values {
-				if math.Float64bits(got.Values[s]) != math.Float64bits(base.Values[s]) {
-					t.Fatalf("states=%d workers=%d: V(%d) = %v differs from serial %v", states, workers, s, got.Values[s], base.Values[s])
-				}
-				if got.Policy[s] != base.Policy[s] {
-					t.Fatalf("states=%d workers=%d: policy[%d] = %d differs from serial %d", states, workers, s, got.Policy[s], base.Policy[s])
-				}
+		for _, method := range []Method{MethodJacobi, MethodPrioritized} {
+			if _, err := c.Solve(SolveOptions{Gamma: g, Method: method}); err == nil {
+				t.Errorf("%s: gamma %v accepted", method, g)
 			}
 		}
 	}
@@ -110,12 +80,12 @@ func TestValueIterationParallelByteIdentical(t *testing.T) {
 
 func TestPolicyIterationMatchesValueIteration(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	m := randomMDP(rng, 25, 4, 6)
-	vi, err := ValueIteration(m, SolveOptions{Gamma: 0.95, Tol: 1e-12})
+	c := Compile(randomMDP(rng, 25, 4, 6))
+	vi, err := c.ValueIteration(SolveOptions{Gamma: 0.95, Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := PolicyIteration(m, SolveOptions{Gamma: 0.95, Tol: 1e-12})
+	pi, err := c.PolicyIteration(SolveOptions{Gamma: 0.95, Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +97,9 @@ func TestPolicyIterationMatchesValueIteration(t *testing.T) {
 }
 
 func TestPolicyEvaluationFixedPoint(t *testing.T) {
-	m := twoStateChain()
+	c := Compile(twoStateChain())
 	// Evaluate the suboptimal stay-policy.
-	v, err := PolicyEvaluation(m, Policy{0, 0}, SolveOptions{Gamma: 0.9, Tol: 1e-12})
+	v, err := c.PolicyEvaluation(Policy{0, 0}, SolveOptions{Gamma: 0.9, Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +107,7 @@ func TestPolicyEvaluationFixedPoint(t *testing.T) {
 	if math.Abs(v[0]-10) > 1e-6 {
 		t.Errorf("V(0) = %v, want 10", v[0])
 	}
-	if _, err := PolicyEvaluation(m, Policy{0}, SolveOptions{}); err == nil {
+	if _, err := c.PolicyEvaluation(Policy{0}, SolveOptions{}); err == nil {
 		t.Error("wrong policy length accepted")
 	}
 }
@@ -148,7 +118,8 @@ func TestValueIterationValuesAreOptimalProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomMDP(rng, 12, 3, 4)
-		res, err := ValueIteration(m, SolveOptions{Gamma: 0.9, Tol: 1e-12})
+		c := Compile(m)
+		res, err := c.ValueIteration(SolveOptions{Gamma: 0.9, Tol: 1e-12})
 		if err != nil {
 			return false
 		}
@@ -172,7 +143,7 @@ func TestValueIterationValuesAreOptimalProperty(t *testing.T) {
 		for s := range pol {
 			pol[s] = rng.Intn(len(m.Actions[s]))
 		}
-		v, err := PolicyEvaluation(m, pol, SolveOptions{Gamma: 0.9, Tol: 1e-12})
+		v, err := c.PolicyEvaluation(pol, SolveOptions{Gamma: 0.9, Tol: 1e-12})
 		if err != nil {
 			return false
 		}
@@ -194,7 +165,7 @@ func TestStationaryDistribution(t *testing.T) {
 		{{Transitions: []Transition{{Next: 0, P: 0.7}, {Next: 1, P: 0.3}}}},
 		{{Transitions: []Transition{{Next: 0, P: 0.6}, {Next: 1, P: 0.4}}}},
 	}}
-	pi, err := StationaryDistribution(m, Policy{0, 0}, 1e-14, 0)
+	pi, err := Compile(m).StationaryDistribution(Policy{0, 0}, 1e-14, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +181,7 @@ func TestStationaryDistributionPeriodicChain(t *testing.T) {
 		{{Transitions: []Transition{{Next: 1, P: 1}}}},
 		{{Transitions: []Transition{{Next: 0, P: 1}}}},
 	}}
-	pi, err := StationaryDistribution(m, Policy{0, 0}, 1e-14, 0)
+	pi, err := Compile(m).StationaryDistribution(Policy{0, 0}, 1e-14, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +195,7 @@ func TestStationaryDistributionSumsToOneProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomMDP(rng, 15, 2, 5)
 		pol := make(Policy, len(m.Actions))
-		pi, err := StationaryDistribution(m, pol, 1e-12, 0)
+		pi, err := Compile(m).StationaryDistribution(pol, 1e-12, 0)
 		if err != nil {
 			return false
 		}

@@ -7,14 +7,14 @@ import (
 	"time"
 )
 
-// This file implements the fast-resolve kernels layered on the compiled CSR
+// This file implements the fast-resolve kernel layered on the compiled CSR
 // form: asynchronous prioritized value iteration (Gauss-Seidel in-place
-// updates swept in Bellman-residual order) and optional float32 arithmetic
-// for the online/adaptive route. Neither is byte-pinned against the slice
-// solvers — the pinned equivalence contract covers the float64 Jacobi
-// kernels only — but both converge to the same fixed point within Tol and
-// extract the policy from a final full greedy sweep, so the argmaxes agree
-// wherever the optimal action is separated by more than the tolerance.
+// updates swept in Bellman-residual order) for the online/adaptive route.
+// It is not byte-pinned against the reference — that contract covers the
+// Jacobi, policy-evaluation/iteration and stationary kernels — but it
+// converges to the same fixed point within Tol and extracts the policy from
+// a final full greedy sweep, so the argmaxes agree wherever the optimal
+// action is separated by more than the tolerance.
 
 // Method selects the Bellman sweep strategy for ValueIteration-family
 // solves.
@@ -22,18 +22,16 @@ type Method int
 
 const (
 	// MethodJacobi is the synchronous double-buffered sweep (the default):
-	// every state backs up from the previous iterate. The float64 Jacobi
-	// path is byte-identical between the slice and compiled forms and
-	// across Parallel settings — the pinned equivalence contract.
+	// every state backs up from the previous iterate. Its values are pinned
+	// bit for bit by the equivalence tests.
 	MethodJacobi Method = iota
 	// MethodPrioritized is asynchronous prioritized value iteration:
 	// Gauss-Seidel in-place updates, swept in Bellman-residual order via a
 	// bucketed priority queue over the CSR arrays. Warm-started re-solves
 	// converge in far fewer backups than full Jacobi sweeps because only
-	// the states whose residuals still exceed Tol are touched. The solve
-	// is single-threaded and deterministic (Parallel is ignored); the
-	// result matches the Jacobi fixed point within Tol but is not
-	// byte-identical to it.
+	// the states whose residuals still exceed Tol are touched. The result
+	// matches the Jacobi fixed point within Tol but is not byte-identical
+	// to it.
 	MethodPrioritized
 )
 
@@ -47,182 +45,64 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
-// Solve runs value iteration with the configured Method and precision. It
-// is the single entry point the fast-resolve path uses: MethodJacobi in
-// float64 dispatches to the byte-pinned ValueIteration kernel; every other
-// combination runs the generic kernels in this file.
+// Solve runs value iteration with the configured Method.
 func (c *Compiled) Solve(opts SolveOptions) (Result, error) {
-	o := opts.withDefaults()
+	if opts.Method == MethodPrioritized {
+		return c.prioritized(opts)
+	}
+	return c.ValueIteration(opts)
+}
+
+// prioritized alternates full Gauss-Seidel verification sweeps with
+// residual-ordered drains of a bucketed priority queue. Iterations reports
+// sweep-equivalents: full sweeps plus prioritized backups divided by the
+// state count, so warm re-solves show the backup saving directly.
+func (c *Compiled) prioritized(o SolveOptions) (Result, error) {
+	o = o.withDefaults()
 	if o.Gamma <= 0 || o.Gamma >= 1 {
 		return Result{}, fmt.Errorf("mdp: gamma %v outside (0,1)", o.Gamma)
 	}
-	switch {
-	case o.Float32:
-		return solveGeneric[float32](c, o)
-	case o.Method == MethodPrioritized:
-		return solveGeneric[float64](c, o)
-	default:
-		return c.ValueIteration(opts)
-	}
-}
-
-// float32Tol floors the stopping tolerance for float32 solves: the value
-// scale is bounded by max|reward|/(1−γ), and residuals below a few ULPs of
-// that scale are rounding noise that would stall convergence forever under
-// the float64 default of 1e-9.
-func (c *Compiled) float32Tol(tol, gamma float64) float64 {
-	rmax := 0.0
-	for _, r := range c.reward {
-		if a := math.Abs(r); a > rmax {
-			rmax = a
-		}
-	}
-	// 2^-23 is the float32 epsilon; 8 ULPs of headroom absorbs the
-	// accumulated rounding of long transition sums.
-	floor := rmax / (1 - gamma) * (8.0 / (1 << 23))
-	if tol < floor {
-		tol = floor
-	}
-	return tol
-}
-
-// number is the element type of the generic solve kernels.
-type number interface {
-	~float32 | ~float64
-}
-
-// backupG is the generic Bellman backup: reward + Σ gp[k]·v[next[k]] in
-// transition order, the T-precision twin of backup (same single-accumulator
-// 4-way unroll, so the float64 instantiation rounds identically).
-func backupG[T number](q T, gps []T, nxs []int32, v []T) T {
-	nxs = nxs[:len(gps)]
-	j := 0
-	for ; j+4 <= len(gps); j += 4 {
-		q += gps[j] * v[nxs[j]]
-		q += gps[j+1] * v[nxs[j+1]]
-		q += gps[j+2] * v[nxs[j+2]]
-		q += gps[j+3] * v[nxs[j+3]]
-	}
-	for ; j < len(gps); j++ {
-		q += gps[j] * v[nxs[j]]
-	}
-	return q
-}
-
-// kernel is the per-precision view of the compiled MDP: rewards and
-// gamma-scaled probabilities converted once per solve.
-type kernel[T number] struct {
-	c      *Compiled
-	reward []T
-	gp     []T
-	v      []T
-}
-
-func newKernel[T number](c *Compiled, gamma float64, initial []float64) *kernel[T] {
-	k := &kernel[T]{
-		c:      c,
-		reward: make([]T, len(c.reward)),
-		gp:     make([]T, len(c.prob)),
-		v:      make([]T, c.n),
-	}
-	for i, r := range c.reward {
-		k.reward[i] = T(r)
-	}
-	for i, p := range c.prob {
-		k.gp[i] = T(gamma * p)
-	}
-	for i, x := range initial {
-		k.v[i] = T(x)
-	}
-	return k
-}
-
-// best returns the greedy backup value and action index for state s against
-// the current in-place value vector.
-func (k *kernel[T]) best(s int) (T, int) {
-	c := k.c
-	best := T(math.Inf(-1))
-	bestA := 0
-	a0, a1 := c.actOff[s], c.actOff[s+1]
-	for a := a0; a < a1; a++ {
-		q := backupG(k.reward[a], k.gp[c.trOff[a]:c.trOff[a+1]], c.next[c.trOff[a]:c.trOff[a+1]], k.v)
-		if q > best {
-			best = q
-			bestA = int(a - a0)
-		}
-	}
-	return best, bestA
-}
-
-// values converts the in-place vector back to float64 for Result.Values (and
-// warm-start donation to later solves).
-func (k *kernel[T]) values() []float64 {
-	out := make([]float64, len(k.v))
-	for i, x := range k.v {
-		out[i] = float64(x)
-	}
-	return out
-}
-
-// solveGeneric runs value iteration at precision T with the configured
-// Method. Jacobi runs double-buffered full sweeps; prioritized alternates
-// full Gauss-Seidel verification sweeps with residual-ordered drains of a
-// bucketed priority queue. Iterations reports sweep-equivalents: full
-// sweeps plus prioritized backups divided by the state count, so warm
-// re-solves show the backup saving directly.
-func solveGeneric[T number](c *Compiled, o SolveOptions) (Result, error) {
-	if o.Float32 {
-		o.Tol = c.float32Tol(o.Tol, o.Gamma)
-	}
 	n := c.n
-	init := make([]float64, n)
-	if err := o.initialValues(init); err != nil {
+	v := make([]float64, n)
+	if err := o.initialValues(v); err != nil {
 		return Result{}, err
 	}
-	k := newKernel[T](c, o.Gamma, init)
+	gp := c.scaledProbs(o.Gamma)
 	pol := make(Policy, n)
-	tol := T(o.Tol)
-
-	if o.Method != MethodPrioritized {
-		return jacobiGeneric(c, k, pol, o, tol)
-	}
 
 	preds := c.predecessors()
 	pq := newBucketQueue(n, o.Tol)
 	backups := 0
 	sweeps := 0
-	d := make([]T, n) // signed value change of the last sweep, per state
+	d := make([]float64, n) // signed value change of the last sweep, per state
 	sc := newAggScratch(n)
 
 	for {
 		if !o.Deadline.IsZero() && time.Now().After(o.Deadline) {
-			return Result{Values: k.values(), Policy: pol, Iterations: sweeps + backups/n}, ErrDeadline
+			return Result{Values: v, Policy: pol, Iterations: sweeps + backups/n}, ErrDeadline
 		}
 		// One full Gauss-Seidel pass: every state is backed up in place
 		// (extracting the greedy action), recording its signed change. A
 		// pass over an already-converged vector — a warm start from the
 		// exact fixed point — exits after this single sweep (the
 		// zero-residual early exit).
-		residual := T(0)
+		residual := 0.0
 		active := 0
 		for s := 0; s < n; s++ {
-			q, bestA := k.best(s)
-			dd := q - k.v[s]
-			d[s] = dd
-			if dd < 0 {
-				dd = -dd
-			}
+			q, bestA := c.greedy(s, gp, v)
+			d[s] = q - v[s]
+			dd := math.Abs(d[s])
 			if dd > residual {
 				residual = dd
 			}
-			if dd > tol {
+			if dd > o.Tol {
 				active++
 			}
-			k.v[s] = q
+			v[s] = q
 			pol[s] = bestA
 		}
 		sweeps++
-		if residual < tol {
+		if residual < o.Tol {
 			break
 		}
 		if sweeps+backups/n >= o.MaxIter {
@@ -246,10 +126,10 @@ func solveGeneric[T number](c *Compiled, o SolveOptions) (Result, error) {
 			// overshoots), so run one cheap fixed-policy pass first.
 			for s := 0; s < n; s++ {
 				a := c.actOff[s] + int32(pol[s])
-				q := backupG(k.reward[a], k.gp[c.trOff[a]:c.trOff[a+1]], c.next[c.trOff[a]:c.trOff[a+1]], k.v)
-				d[s] = q - k.v[s]
+				q := backup(c.reward[a], gp[c.trOff[a]:c.trOff[a+1]], c.next[c.trOff[a]:c.trOff[a+1]], v)
+				d[s] = q - v[s]
 			}
-			aggCorrect(c, k, pol, d, o.Gamma, sc)
+			aggCorrect(c, v, pol, d, o.Gamma, sc)
 			continue
 		}
 		// Endgame: the residual is confined to a small active set, so
@@ -257,12 +137,8 @@ func solveGeneric[T number](c *Compiled, o SolveOptions) (Result, error) {
 		// priority queue with the predecessors of every state that still
 		// moved, most-moved first.
 		for s := 0; s < n; s++ {
-			dd := d[s]
-			if dd < 0 {
-				dd = -dd
-			}
-			if dd > tol {
-				pq.pushAll(preds.at(s), float64(dd))
+			if dd := math.Abs(d[s]); dd > o.Tol {
+				pq.pushAll(preds.at(s), dd)
 			}
 		}
 		// Drain in residual order: each pop re-backs-up one state in
@@ -276,53 +152,33 @@ func solveGeneric[T number](c *Compiled, o SolveOptions) (Result, error) {
 			if !ok {
 				break
 			}
-			q, bestA := k.best(s)
-			dd := q - k.v[s]
-			if dd < 0 {
-				dd = -dd
-			}
-			k.v[s] = q
+			q, bestA := c.greedy(s, gp, v)
+			dd := math.Abs(q - v[s])
+			v[s] = q
 			pol[s] = bestA
 			backups++
-			if dd > tol {
-				pq.pushAll(preds.at(s), float64(dd))
+			if dd > o.Tol {
+				pq.pushAll(preds.at(s), dd)
 			}
 		}
 	}
-	return Result{Values: k.values(), Policy: pol, Iterations: sweeps + backups/n}, nil
+	return Result{Values: v, Policy: pol, Iterations: sweeps + backups/n}, nil
 }
 
-// jacobiGeneric is the double-buffered synchronous sweep at precision T,
-// structurally identical to the pinned float64 kernel (which float64 Jacobi
-// solves keep using via ValueIteration).
-func jacobiGeneric[T number](c *Compiled, k *kernel[T], pol Policy, o SolveOptions, tol T) (Result, error) {
-	n := c.n
-	next := make([]T, n)
-	it := 0
-	for ; it < o.MaxIter; it++ {
-		if !o.Deadline.IsZero() && time.Now().After(o.Deadline) {
-			return Result{Values: k.values(), Policy: pol, Iterations: it}, ErrDeadline
-		}
-		residual := T(0)
-		for s := 0; s < n; s++ {
-			q, bestA := k.best(s)
-			d := q - k.v[s]
-			if d < 0 {
-				d = -d
-			}
-			if d > residual {
-				residual = d
-			}
-			next[s] = q
-			pol[s] = bestA
-		}
-		k.v, next = next, k.v
-		if residual < tol {
-			it++
-			break
+// greedy returns the best backup value and action index (within state s)
+// against the in-place value vector v, first action winning ties.
+func (c *Compiled) greedy(s int, gp, v []float64) (float64, int) {
+	best := math.Inf(-1)
+	bestA := 0
+	a0, a1 := c.actOff[s], c.actOff[s+1]
+	for a := a0; a < a1; a++ {
+		q := backup(c.reward[a], gp[c.trOff[a]:c.trOff[a+1]], c.next[c.trOff[a]:c.trOff[a+1]], v)
+		if q > best {
+			best = q
+			bestA = int(a - a0)
 		}
 	}
-	return Result{Values: k.values(), Policy: pol, Iterations: it}, nil
+	return best, bestA
 }
 
 // aggScratch holds the buffers of the adaptive-aggregation correction,
@@ -380,7 +236,7 @@ func newAggScratch(n int) *aggScratch {
 // plain sweeps damp only at rate γ per pass. The correction is a pure
 // accelerator: it moves the iterate, never the fixed point, and the solver
 // still terminates only on a clean full sweep.
-func aggCorrect[T number](c *Compiled, k *kernel[T], pol Policy, d []T, gamma float64, sc *aggScratch) {
+func aggCorrect(c *Compiled, v []float64, pol Policy, d []float64, gamma float64, sc *aggScratch) {
 	n, m := c.n, sc.m
 	for i := range sc.ord {
 		sc.ord[i] = int32(i)
@@ -410,7 +266,7 @@ func aggCorrect[T number](c *Compiled, k *kernel[T], pol Policy, d []T, gamma fl
 		for t := c.trOff[a]; t < c.trOff[a+1]; t++ {
 			row[sc.gid[c.next[t]]] += c.prob[t]
 		}
-		sc.rhat[g] += float64(d[s])
+		sc.rhat[g] += d[s]
 		sc.cnt[g]++
 	}
 	// Form A = I − γ·P̂ and b = r̂ (group means). Rows of P̂ sum to 1, so A
@@ -447,7 +303,7 @@ func aggCorrect[T number](c *Compiled, k *kernel[T], pol Policy, d []T, gamma fl
 		b[p] = sum / A[p*m+p]
 	}
 	for s := 0; s < n; s++ {
-		k.v[s] += T(b[sc.gid[s]])
+		v[s] += b[sc.gid[s]]
 	}
 }
 

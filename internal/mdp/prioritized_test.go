@@ -114,84 +114,6 @@ func TestPrioritizedWarmBeatsCold(t *testing.T) {
 	samePolicy(t, "perturbed warm start", res.Policy, cold.Policy)
 }
 
-// TestFloat32PolicyAgreement pins the reduced-precision contract: the
-// float32 solve's policy matches the float64 argmax in every state where
-// the float64 Q-gap between the best and second-best action exceeds the
-// agreement band; states inside the band are genuine near-ties where either
-// action is within tolerance of optimal.
-func TestFloat32PolicyAgreement(t *testing.T) {
-	const band = 1e-3
-	for name, m := range compiledFixtures() {
-		c := Compile(m)
-		opts := SolveOptions{Gamma: 0.95, Tol: 1e-10}
-		f64, err := c.ValueIteration(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, method := range []Method{MethodJacobi, MethodPrioritized} {
-			o := opts
-			o.Method = method
-			o.Float32 = true
-			f32, err := c.Solve(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for s := range f64.Policy {
-				if f32.Policy[s] == f64.Policy[s] {
-					continue
-				}
-				if gap := qGap(c, s, f64.Values, opts.Gamma); gap > band {
-					t.Errorf("%s/%s: state %d float32 picked %d, float64 %d, but Q-gap %g exceeds the %g band",
-						name, method, s, f32.Policy[s], f64.Policy[s], gap, band)
-				}
-			}
-			// Values agree to float32 precision at the value scale.
-			for s := range f64.Values {
-				scale := math.Abs(f64.Values[s]) + 1
-				if d := math.Abs(f32.Values[s] - f64.Values[s]); d > 1e-4*scale {
-					t.Errorf("%s/%s: V(%d) float32 %v vs float64 %v", name, method, s, f32.Values[s], f64.Values[s])
-				}
-			}
-		}
-	}
-}
-
-// qGap returns the float64 Q-value gap between the best and second-best
-// action of state s under values v — the margin by which the argmax is
-// separated.
-func qGap(c *Compiled, s int, v []float64, gamma float64) float64 {
-	gp := c.scaledProbs(gamma)
-	best, second := math.Inf(-1), math.Inf(-1)
-	for a := c.actOff[s]; a < c.actOff[s+1]; a++ {
-		q := backup(c.reward[a], gp[c.trOff[a]:c.trOff[a+1]], c.next[c.trOff[a]:c.trOff[a+1]], v)
-		if q > best {
-			second = best
-			best = q
-		} else if q > second {
-			second = q
-		}
-	}
-	if math.IsInf(second, -1) {
-		return math.Inf(1) // single action: no disagreement possible
-	}
-	return best - second
-}
-
-// TestFloat32ToleranceFloor: a float32 solve with the float64 default Tol
-// (1e-9, below float32 resolution at the value scale) must still terminate
-// rather than chase rounding noise forever.
-func TestFloat32ToleranceFloor(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	c := Compile(randomMDP(rng, 40, 3, 5))
-	res, err := c.Solve(SolveOptions{Gamma: 0.99, Tol: 1e-12, Float32: true, MaxIter: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations >= 5000 {
-		t.Errorf("float32 solve burned the full MaxIter budget (%d): tolerance floor not applied", res.Iterations)
-	}
-}
-
 func TestPrioritizedDeadline(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := Compile(randomMDP(rng, 200, 4, 8))
