@@ -46,9 +46,11 @@ staticcheck:
 # detector. Their tests scale sleeps by TimeScale, so the race pass stays
 # within a CI budget; the explicit timeout is for small boxes — sim alone
 # takes ~8 min under the detector on two cores, and go test runs it
-# alongside serve, which pushes it past the 10-min default.
+# alongside serve, which pushes it past the 10-min default. cmd/serve's
+# smoke tests start and stop every deployment the binary can (~45 s under
+# the detector); cmd/simulate is single-goroutine and ~90 s, so it stays out.
 race:
-	$(GO) test -race -timeout 30m ./internal/admit/ ./internal/adapt/ ./internal/lb/ ./internal/serve/ ./internal/telemetry/ ./internal/tenant/ ./internal/llm/ ./internal/sim/ ./internal/sched/
+	$(GO) test -race -timeout 30m ./internal/admit/ ./internal/adapt/ ./internal/lb/ ./internal/serve/ ./internal/telemetry/ ./internal/tenant/ ./internal/llm/ ./internal/sim/ ./internal/sched/ ./cmd/serve/
 
 # Multi-tenant serving-plane soak: ≥100k offered wall QPS across 4 shards
 # and 3 tenants, one offering 4× its contract; asserts compliant goodput
@@ -95,10 +97,7 @@ verify: build lint test race bench-module
 # loopback cluster, allocation-gated). -count=3 repetitions with
 # allocation stats; raw output lands in bench.out and tools/benchjson
 # distills it into $(BENCH_OUT), the committed baseline (quote
-# best_ns_per_op when comparing). BENCH_10.json still carries the retired
-# BenchmarkValueIteration slice/* and */parallel rows and
-# BenchmarkResolve/*/prioritized-f32/warm; benchjson -compare skips names
-# absent from either side, so they gate nothing.
+# best_ns_per_op when comparing).
 BENCH_KEY := 'BenchmarkValueIteration|BenchmarkResolve|BenchmarkCompile$$|BenchmarkPolicySelect|BenchmarkBalancerPick|BenchmarkSimulatorThroughput|BenchmarkLLMStepLoop|BenchmarkFrontendQuery|BenchmarkShardedGatewayQuery'
 BENCH_OUT ?= BENCH_10.json
 BENCH_BASE ?= BENCH_10.json

@@ -9,42 +9,40 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
-	"log"
+	"io"
 	"runtime"
 	"strings"
 	"time"
-)
 
-import (
+	"ramsis/internal/cli"
 	"ramsis/internal/experiments"
-	"ramsis/internal/telemetry"
 )
 
-func main() {
+func main() { cli.Main(run) }
+
+func run(_ context.Context, args []string, stdout io.Writer) error {
+	fs := cli.NewFlagSet("experiments")
 	var (
-		exp        = flag.String("exp", "all", "experiment id (fig3, fig5, ..., table2, infaas, sqf, all)")
-		full       = flag.Bool("full", false, "paper-scale grid (slow)")
-		quick      = flag.Bool("quick", false, "minimal grid for smoke runs")
-		seed       = flag.Int64("seed", 1, "workload seed")
-		policyDir  = flag.String("policy-dir", "", "cache generated policies under this directory")
-		resultsDir = flag.String("results-dir", "", "write structured JSON results under this directory")
-		plotFlag   = flag.Bool("plot", false, "render ASCII charts alongside the numeric rows")
-		parallel   = flag.Int("parallel", 1, "max concurrent simulation runs in the figure sweeps (0 = GOMAXPROCS); results are identical at any setting")
-		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		logFmt     = flag.String("log-format", "text", "log format: text or json")
+		exp        = fs.String("exp", "all", "experiment id (fig3, fig5, ..., table2, infaas, sqf, all)")
+		full       = fs.Bool("full", false, "paper-scale grid (slow)")
+		quick      = fs.Bool("quick", false, "minimal grid for smoke runs")
+		seed       = fs.Int64("seed", 1, "workload seed")
+		policyDir  = fs.String("policy-dir", "", "cache generated policies under this directory")
+		resultsDir = fs.String("results-dir", "", "write structured JSON results under this directory")
+		plotFlag   = fs.Bool("plot", false, "render ASCII charts alongside the numeric rows")
+		parallel   = fs.Int("parallel", 1, "max concurrent simulation runs in the figure sweeps (0 = GOMAXPROCS); results are identical at any setting")
 	)
-	flag.Parse()
-	if _, err := telemetry.SetupLogging(*logLevel, *logFmt, "experiments"); err != nil {
-		log.Fatal(err)
+	if _, err := fs.Parse(args); err != nil {
+		return err
 	}
 
 	if *parallel == 0 {
 		*parallel = runtime.GOMAXPROCS(0)
 	}
 	h := experiments.New(experiments.Options{
-		Full: *full, Quick: *quick, Seed: *seed,
+		Full: *full, Quick: *quick, Seed: *seed, Out: stdout,
 		PolicyDir: *policyDir, ResultsDir: *resultsDir, Plot: *plotFlag,
 		Parallel: *parallel,
 	})
@@ -76,10 +74,11 @@ func main() {
 	for _, id := range ids {
 		run, ok := runners[strings.ToLower(id)]
 		if !ok {
-			log.Fatalf("unknown experiment %q (want one of %v)", id, order)
+			return fmt.Errorf("unknown -exp %q (want one of %v)", id, order)
 		}
 		start := time.Now()
 		run()
-		fmt.Printf("[%s done in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "[%s done in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
+	return nil
 }

@@ -5,36 +5,36 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"path/filepath"
 
 	"ramsis/internal/baselines"
+	"ramsis/internal/cli"
 	"ramsis/internal/profile"
-	"ramsis/internal/telemetry"
 )
 
-func main() {
+func main() { cli.Main(run) }
+
+func run(_ context.Context, args []string, stdout io.Writer) error {
+	fs := cli.NewFlagSet("msgen")
 	var (
-		task     = flag.String("task", "image", "inference task: image or text")
-		profPath = flag.String("profile", "", "scalar batch-latency profile JSON to profile instead of the builtin -task set (kinded format; an LLM step-time file is rejected with a pointer to -llm-profile)")
-		sloMS    = flag.Float64("slo", 150, "latency SLO in milliseconds")
-		workers  = flag.Int("workers", 60, "number of workers")
-		loLoad   = flag.Float64("lo", 400, "lowest profiled load (QPS)")
-		hiLoad   = flag.Float64("hi", 4000, "highest profiled load (QPS)")
-		step     = flag.Float64("step", 100, "load step (QPS); the paper uses 100")
-		dur      = flag.Float64("dur", 10, "profiling run length per (model, load), seconds")
-		out      = flag.String("out", "policy_gen", "output directory")
-		seed     = flag.Int64("seed", 1, "workload seed")
-		logLevel = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		logFmt   = flag.String("log-format", "text", "log format: text or json")
+		task     = fs.String("task", "image", "inference task: image or text")
+		profPath = fs.String("profile", "", "scalar batch-latency profile JSON to profile instead of the builtin -task set (kinded format; an LLM step-time file is rejected with a pointer to -llm-profile)")
+		sloMS    = fs.Float64("slo", 150, "latency SLO in milliseconds")
+		workers  = fs.Int("workers", 60, "number of workers")
+		loLoad   = fs.Float64("lo", 400, "lowest profiled load (QPS)")
+		hiLoad   = fs.Float64("hi", 4000, "highest profiled load (QPS)")
+		step     = fs.Float64("step", 100, "load step (QPS); the paper uses 100")
+		dur      = fs.Float64("dur", 10, "profiling run length per (model, load), seconds")
+		out      = fs.String("out", "policy_gen", "output directory")
+		seed     = fs.Int64("seed", 1, "workload seed")
 	)
-	flag.Parse()
-	if _, err := telemetry.SetupLogging(*logLevel, *logFmt, "msgen"); err != nil {
-		log.Fatal(err)
+	if _, err := fs.Parse(args); err != nil {
+		return err
 	}
 
 	models, err := profile.SetForTask(*task)
@@ -42,7 +42,7 @@ func main() {
 		models, err = profile.LoadSetFile(*profPath)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var loads []float64
 	for l := *loLoad; l <= *hiLoad; l += *step {
@@ -52,15 +52,16 @@ func main() {
 
 	path := filepath.Join(*out, fmt.Sprintf("MS_%s_%dw_%.0fms.json", models.Task, *workers, *sloMS))
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	data, err := json.MarshalIndent(table, "", " ")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("profiled %d models x %d loads -> %s\n", models.Len(), len(loads), path)
-	fmt.Println("script complete!")
+	fmt.Fprintf(stdout, "profiled %d models x %d loads -> %s\n", models.Len(), len(loads), path)
+	fmt.Fprintln(stdout, "script complete!")
+	return nil
 }

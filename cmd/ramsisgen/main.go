@@ -6,44 +6,43 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
-	"log"
-	"os"
+	"io"
 	"path/filepath"
 
+	"ramsis/internal/cli"
 	"ramsis/internal/core"
 	"ramsis/internal/dist"
 	"ramsis/internal/profile"
 	"ramsis/internal/sim"
-	"ramsis/internal/telemetry"
 )
 
-func main() {
+func main() { cli.Main(run) }
+
+func run(_ context.Context, args []string, stdout io.Writer) error {
+	fs := cli.NewFlagSet("ramsisgen")
 	var (
-		task      = flag.String("task", "image", "inference task: image or text")
-		sloMS     = flag.Float64("slo", 150, "latency SLO in milliseconds")
-		workers   = flag.Int("workers", 1, "number of workers K")
-		load      = flag.Float64("load", 1, "query load in QPS")
-		out       = flag.String("out", "policy_gen", "output directory")
-		d         = flag.Int("d", 100, "FLD resolution D")
-		disc      = flag.String("disc", "FLD", "time discretization: FLD or MD")
-		batching  = flag.String("batching", "max", "batching strategy: max or variable")
-		balancing = flag.String("balancing", "rr", "load balancing: rr or sqf")
-		gamma     = flag.Float64("gamma", 0.99, "value-iteration discount factor")
-		describe  = flag.Bool("describe", false, "print the policy decision table")
-		verify    = flag.Bool("verify", false, "simulate 30s at the design load and check the guarantees")
-		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		logFmt    = flag.String("log-format", "text", "log format: text or json")
+		task      = fs.String("task", "image", "inference task: image or text")
+		sloMS     = fs.Float64("slo", 150, "latency SLO in milliseconds")
+		workers   = fs.Int("workers", 1, "number of workers K")
+		load      = fs.Float64("load", 1, "query load in QPS")
+		out       = fs.String("out", "policy_gen", "output directory")
+		d         = fs.Int("d", 100, "FLD resolution D")
+		disc      = fs.String("disc", "FLD", "time discretization: FLD or MD")
+		batching  = fs.String("batching", "max", "batching strategy: max or variable")
+		balancing = fs.String("balancing", "rr", "load balancing the policy assumes: rr, jsq (alias sqf), or p2c")
+		gamma     = fs.Float64("gamma", 0.99, "value-iteration discount factor")
+		describe  = fs.Bool("describe", false, "print the policy decision table")
+		verify    = fs.Bool("verify", false, "simulate 30s at the design load and check the guarantees")
 	)
-	flag.Parse()
-	if _, err := telemetry.SetupLogging(*logLevel, *logFmt, "ramsisgen"); err != nil {
-		log.Fatal(err)
+	if _, err := fs.Parse(args); err != nil {
+		return err
 	}
 
 	models, err := profile.SetForTask(*task)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg := core.Config{
 		Models:  models,
@@ -59,7 +58,7 @@ func main() {
 	case "MD":
 		cfg.Disc = core.ModelBased
 	default:
-		log.Fatalf("unknown discretization %q", *disc)
+		return fmt.Errorf("unknown -disc %q (want FLD or MD)", *disc)
 	}
 	switch *batching {
 	case "max":
@@ -67,41 +66,36 @@ func main() {
 	case "variable":
 		cfg.Batching = core.VariableBatching
 	default:
-		log.Fatalf("unknown batching %q", *batching)
+		return fmt.Errorf("unknown -batching %q (want max or variable)", *batching)
 	}
-	switch *balancing {
-	case "rr":
-		cfg.Balancing = core.RoundRobin
-	case "sqf":
-		cfg.Balancing = core.ShortestQueueFirst
-	default:
-		log.Fatalf("unknown balancing %q", *balancing)
+	if cfg.Balancing, err = core.ParseBalancing(*balancing); err != nil {
+		return fmt.Errorf("-balancing: %w", err)
 	}
 
 	pol, err := core.Generate(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	path := filepath.Join(*out,
 		fmt.Sprintf("RAMSIS_%s_%dw_%.0fms", *task, *workers, *sloMS),
 		fmt.Sprintf("%.0f.json", *load))
 	if err := pol.Save(path); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("policy: %s\n", path)
-	fmt.Printf("states=%d transitions=%d iterations=%d build=%v solve=%v\n",
+	fmt.Fprintf(stdout, "policy: %s\n", path)
+	fmt.Fprintf(stdout, "states=%d transitions=%d iterations=%d build=%v solve=%v\n",
 		pol.States, pol.Transitions, pol.Iterations, pol.BuildTime.Round(1e6), pol.SolveTime.Round(1e6))
-	fmt.Printf("expected accuracy=%.4f expected violation rate=%.6f\n",
+	fmt.Fprintf(stdout, "expected accuracy=%.4f expected violation rate=%.6f\n",
 		pol.ExpectedAccuracy, pol.ExpectedViolation)
 	if *describe {
-		pol.Describe(os.Stdout)
+		pol.Describe(stdout)
 	}
 	if *verify {
 		m := sim.VerifyPolicy(pol, models, 30, 1)
-		fmt.Printf("verified over %d queries: accuracy %.4f (bound >= %.4f), violations %.4f%% (bound <= %.4f%%)\n",
+		fmt.Fprintf(stdout, "verified over %d queries: accuracy %.4f (bound >= %.4f), violations %.4f%% (bound <= %.4f%%)\n",
 			m.Served, m.AccuracyPerSatisfiedQuery(), pol.ExpectedAccuracy,
 			m.ViolationRate()*100, pol.ExpectedViolation*100)
 	}
-	fmt.Println("script complete!")
-	os.Exit(0)
+	fmt.Fprintln(stdout, "script complete!")
+	return nil
 }

@@ -1,0 +1,170 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"flag"
+	"fmt"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
+	"regexp"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// TestFlagSurface pins every flag's name and default. The golden is
+// flag.VisitAll over the binary before the internal/cli refactor; a dropped,
+// renamed or re-defaulted flag fails here.
+func TestFlagSurface(t *testing.T) {
+	fs, _ := newFlags(io.Discard)
+	var got strings.Builder
+	fs.VisitAll(func(f *flag.Flag) { fmt.Fprintf(&got, "%s=%s\n", f.Name, f.DefValue) })
+	want, err := os.ReadFile("testdata/flags.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("flag surface changed:\n--- got\n%s--- want\n%s", got.String(), want)
+	}
+}
+
+// syncBuffer is a stdout the test can read while run is still writing.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// waitGoroutines fails the test unless the goroutine count returns to
+// baseline: run's deferred Stop and Close calls must have taken the whole
+// deployment down.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	http.DefaultClient.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after run returned, %d before:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestReplaySmoke runs both replay workloads end to end over localhost HTTP:
+// run returns nil after the summary, with nothing left running.
+func TestReplaySmoke(t *testing.T) {
+	for name, tc := range map[string]struct{ args, want string }{
+		"scalar": {"-workers 2 -load 40 -dur 2 -timescale 20 -d 10 -admit cap", `(?m)^served: +[1-9]\d*\noffered / shed:`},
+		"llm":    {"-workload llm -workers 2 -slo 8000 -load 2 -dur 10 -timescale 50 -llm-bucket 128", `(?m)^served / failed: +[1-9]\d* / 0$`},
+	} {
+		t.Run(name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			var out bytes.Buffer
+			if err := run(context.Background(), strings.Fields(tc.args), &out); err != nil {
+				t.Fatalf("%v\n%s", err, out.String())
+			}
+			if !regexp.MustCompile(tc.want).MatchString(out.String()) || !strings.HasSuffix(out.String(), "script complete!\n") {
+				t.Errorf("serve %s: summary missing %s:\n%s", tc.args, tc.want, out.String())
+			}
+			waitGoroutines(t, baseline)
+		})
+	}
+}
+
+// TestLiveSmoke starts the two live modes on a free port, has one POST /query
+// answered, cancels the context — what SIGINT does under cli.Main — and
+// requires run to return nil with the deployment stopped.
+func TestLiveSmoke(t *testing.T) {
+	tenants := filepath.Join(t.TempDir(), "tenants.json")
+	if err := os.WriteFile(tenants, []byte(`[
+		{"name": "gold", "class": "interactive", "sloMs": 2000, "weight": 2, "rateQps": 10},
+		{"name": "bronze", "class": "batch", "sloMs": 8000, "weight": 1, "rateQps": 12}]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct{ args, banner string }{
+		"frontend": {"-frontend -workers 2 -load 40 -timescale 20 -d 10", "live inference service at "},
+		"tenants":  {"-tenants " + tenants + " -shards 2 -workers 1 -timescale 20 -d 10", "multi-tenant gateway at "},
+	} {
+		t.Run(name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var out syncBuffer
+			done := make(chan error, 1)
+			go func() { done <- run(ctx, strings.Fields(tc.args+" -addr 127.0.0.1:0"), &out) }()
+
+			url := regexp.MustCompile(regexp.QuoteMeta(tc.banner) + `(http://[0-9.:]+)`)
+			var base string
+			for deadline := time.Now().Add(20 * time.Second); base == ""; time.Sleep(10 * time.Millisecond) {
+				select {
+				case err := <-done:
+					t.Fatalf("run returned before serving: %v\n%s", err, out.String())
+				default:
+				}
+				if m := url.FindStringSubmatch(out.String()); m != nil {
+					base = m[1]
+				} else if time.Now().After(deadline) {
+					t.Fatalf("no %q line:\n%s", tc.banner, out.String())
+				}
+			}
+			req, _ := http.NewRequest(http.MethodPost, base+"/query", strings.NewReader("{}"))
+			req.Header.Set("X-Tenant", "gold")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("POST /query: %s: %s", resp.Status, body)
+			}
+
+			cancel()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("run after cancel: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("run did not return after its context was cancelled")
+			}
+			waitGoroutines(t, baseline)
+		})
+	}
+}
+
+// TestErrorsReturn checks that a bad invocation comes back from run as an
+// error naming the offending flag, not a process exit.
+func TestErrorsReturn(t *testing.T) {
+	small := " -workers 1 -load 10 -dur 1 -d 10"
+	for flagName, args := range map[string]string{
+		"-workload":      "-workload tokens",
+		"-admit-degrade": "-admit-degrade 3" + small,
+		"-trace-out":     "-trace-out " + filepath.Join(t.TempDir(), "missing", "traces.jsonl"),
+		"-tenants":       "-tenants " + filepath.Join(t.TempDir(), "missing.json"),
+		"-llm-profile":   "-workload llm -llm-profile " + filepath.Join(t.TempDir(), "missing.json"),
+	} {
+		err := run(context.Background(), strings.Fields(args), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), flagName) {
+			t.Errorf("serve %s: error %v, want one naming %s", args, err, flagName)
+		}
+	}
+}

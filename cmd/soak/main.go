@@ -28,7 +28,8 @@ package main
 
 import (
 	"bufio"
-	"flag"
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -43,6 +44,8 @@ import (
 	"syscall"
 	"time"
 
+	"ramsis/internal/cli"
+	"ramsis/internal/core"
 	"ramsis/internal/profile"
 	"ramsis/internal/serve"
 	"ramsis/internal/telemetry"
@@ -69,34 +72,33 @@ func soakTenants(sloScale float64) []tenant.Tenant {
 	}
 }
 
-func main() {
-	var (
-		shards     = flag.Int("shards", 4, "frontend shard count")
-		workers    = flag.Int("workers", 1, "workers per shard")
-		targetQPS  = flag.Float64("target-qps", 105000, "offered wall QPS across all tenants (sets the time scale)")
-		qpsFloor   = flag.Float64("qps-floor", 100000, "minimum achieved offered wall QPS for the soak to pass")
-		floor      = flag.Float64("goodput-floor", 0.9, "minimum goodput for compliant tenants")
-		overload   = flag.Float64("overload", 4, "offered-rate multiple for the overloading tenant (bronze)")
-		dur        = flag.Duration("dur", 5*time.Second, "injection duration (wall clock)")
-		d          = flag.Int("d", 40, "FLD resolution for the per-tenant policy solves")
-		seed       = flag.Int64("seed", 1, "worker and balancer seed")
-		timeScale  = flag.Float64("timescale", 0, "modeled-to-wall compression (0 = derived from -target-qps)")
-		sloScale   = flag.Float64("slo-scale", 1, "scale factor on the built-in tenant SLOs")
-		metricsOut = flag.String("metrics-out", "", "write the final /metrics scrape to this file (CI artifact)")
-		traceOut   = flag.String("trace-out", "", "stream the plane's merged trace fragments as JSONL to this file (CI artifact; stitch with `trace -stitch`)")
-		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		logFmt     = flag.String("log-format", "text", "log format: text or json")
+func main() { cli.Main(run) }
 
-		saturate = flag.Bool("saturate", false, "saturation mode: offer queries as fast as possible at TimeScale=1 and report the wall-clock QPS ceiling")
-		clients  = flag.Int("clients", 0, "saturation mode: injector goroutines (default max(2, GOMAXPROCS))")
-		satFloor = flag.Float64("saturate-floor", 0, "saturation mode: fail unless the measured QPS ceiling reaches this (0 = report only)")
-		cpuProf  = flag.String("cpuprofile", "", "saturation mode: write a CPU profile of the injection window to this file")
+func run(_ context.Context, args []string, _ io.Writer) error {
+	fs := cli.NewFlagSet("soak")
+	var (
+		shards     = fs.Int("shards", 4, "frontend shard count")
+		workers    = fs.Int("workers", 1, "workers per shard")
+		targetQPS  = fs.Float64("target-qps", 105000, "offered wall QPS across all tenants (sets the time scale)")
+		qpsFloor   = fs.Float64("qps-floor", 100000, "minimum achieved offered wall QPS for the soak to pass")
+		floor      = fs.Float64("goodput-floor", 0.9, "minimum goodput for compliant tenants")
+		overload   = fs.Float64("overload", 4, "offered-rate multiple for the overloading tenant (bronze)")
+		dur        = fs.Duration("dur", 5*time.Second, "injection duration (wall clock)")
+		d          = fs.Int("d", 40, "FLD resolution for the per-tenant policy solves")
+		seed       = fs.Int64("seed", 1, "worker and balancer seed")
+		timeScale  = fs.Float64("timescale", 0, "modeled-to-wall compression (0 = derived from -target-qps)")
+		sloScale   = fs.Float64("slo-scale", 1, "scale factor on the built-in tenant SLOs")
+		metricsOut = fs.String("metrics-out", "", "write the final /metrics scrape to this file (CI artifact)")
+		traceOut   = fs.String("trace-out", "", "stream the plane's merged trace fragments as JSONL to this file (CI artifact; stitch with `trace -stitch`)")
+
+		saturate = fs.Bool("saturate", false, "saturation mode: offer queries as fast as possible at TimeScale=1 and report the wall-clock QPS ceiling")
+		clients  = fs.Int("clients", 0, "saturation mode: injector goroutines (default max(2, GOMAXPROCS))")
+		satFloor = fs.Float64("saturate-floor", 0, "saturation mode: fail unless the measured QPS ceiling reaches this (0 = report only)")
+		cpuProf  = fs.String("cpuprofile", "", "saturation mode: write a CPU profile of the injection window to this file")
 	)
-	flag.Parse()
-	logger, err := telemetry.SetupLogging(*logLevel, *logFmt, "soak")
+	logger, err := fs.Parse(args)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "soak:", err)
-		os.Exit(1)
+		return err
 	}
 
 	tenants := soakTenants(*sloScale)
@@ -138,21 +140,16 @@ func main() {
 		}
 	}
 	if len(keep) == 0 {
-		logger.Error("no model sustains per-worker rate", "perWorkerQps", perWorker)
-		os.Exit(1)
+		return fmt.Errorf("no model sustains the per-worker rate %.2f QPS", perWorker)
 	}
 	models = models.Subset(keep...)
 
-	var tw *telemetry.TraceWriter
-	if *traceOut != "" {
-		fh, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if err != nil {
-			logger.Error("trace-out open failed", "err", err)
-			os.Exit(1)
-		}
-		defer fh.Close()
-		tw = telemetry.NewTraceWriter(fh)
+	// A CI artifact, not a log: each soak starts its trace file afresh.
+	tw, closeTrace, err := cli.TraceWriter(*traceOut, true)
+	if err != nil {
+		return err
 	}
+	defer closeTrace()
 
 	logger.Info("soak starting",
 		"shards", *shards, "workersPerShard", *workers,
@@ -175,20 +172,17 @@ func main() {
 		// wall-clock stalls, which at this time scale arrive as bursts of
 		// modeled arrivals.
 		QueueSlack:  6,
-		Fair:        tenant.FairConfig{BurstSec: 1, BorrowReserve: 32**workers*6 - 16},
+		Fair:        tenant.FairConfig{BurstSec: 1, BorrowReserve: core.DefaultMaxQueue**workers*6 - 16},
 		Telemetry:   telemetry.NewRegistry(),
 		TraceWriter: tw,
 	})
 	if err != nil {
-		logger.Error("cluster start failed", "err", err)
-		os.Exit(1)
+		return fmt.Errorf("cluster start: %w", err)
 	}
 	defer c.Stop()
 
 	if *saturate {
-		code := runSaturate(c, tenants, logger, *dur, *clients, *satFloor, *cpuProf, *metricsOut)
-		c.Stop()
-		os.Exit(code)
+		return runSaturate(c, tenants, logger, *dur, *clients, *satFloor, *cpuProf, *metricsOut)
 	}
 
 	// Inject in-process through Gateway.Route (the HTTP hop stays on the
@@ -228,19 +222,18 @@ func main() {
 	// Refresh the goodput gauges, then read every per-tenant figure back
 	// through the exposition — the soak verifies what an external scraper
 	// would see, not internal state.
-	if _, err := http.Get(c.URL() + "/stats"); err != nil {
-		logger.Error("stats refresh failed", "err", err)
-		os.Exit(1)
+	resp, err := http.Get(c.URL() + "/stats")
+	if err != nil {
+		return fmt.Errorf("stats refresh: %w", err)
 	}
+	resp.Body.Close()
 	series, raw, err := scrapeMetrics(c.URL() + "/metrics")
 	if err != nil {
-		logger.Error("metrics scrape failed", "err", err)
-		os.Exit(1)
+		return fmt.Errorf("metrics scrape: %w", err)
 	}
 	if *metricsOut != "" {
 		if err := os.WriteFile(*metricsOut, raw, 0o644); err != nil {
-			logger.Error("metrics-out write failed", "err", err)
-			os.Exit(1)
+			return fmt.Errorf("-metrics-out: %w", err)
 		}
 		logger.Info("final exposition saved", "path", *metricsOut, "bytes", len(raw))
 	}
@@ -285,18 +278,17 @@ func main() {
 		"achievedWallQps", achieved, "wallDur", wallDur, "floor", *qpsFloor)
 
 	if failed {
-		logger.Error("soak FAILED")
-		os.Exit(1)
+		return errors.New("soak FAILED")
 	}
 	logger.Info("soak passed", "achievedWallQps", achieved)
+	return nil
 }
 
 // runSaturate is the -saturate flow: open-loop injection through the
 // gateway's fire-and-forget path from a fixed pool of client goroutines for
 // the configured duration, then one report of the measured wall-clock QPS
-// ceiling and the process CPU burned per offered query. Returns the process
-// exit code.
-func runSaturate(c *serve.ShardedCluster, tenants []tenant.Tenant, logger *slog.Logger, dur time.Duration, clients int, floor float64, cpuProfile, metricsOut string) int {
+// ceiling and the process CPU burned per offered query.
+func runSaturate(c *serve.ShardedCluster, tenants []tenant.Tenant, logger *slog.Logger, dur time.Duration, clients int, floor float64, cpuProfile, metricsOut string) error {
 	if clients <= 0 {
 		clients = runtime.GOMAXPROCS(0)
 		if clients < 2 {
@@ -311,13 +303,11 @@ func runSaturate(c *serve.ShardedCluster, tenants []tenant.Tenant, logger *slog.
 	if cpuProfile != "" {
 		fh, err := os.Create(cpuProfile)
 		if err != nil {
-			logger.Error("cpuprofile open failed", "err", err)
-			return 1
+			return fmt.Errorf("-cpuprofile: %w", err)
 		}
 		defer fh.Close()
 		if err := pprof.StartCPUProfile(fh); err != nil {
-			logger.Error("cpuprofile start failed", "err", err)
-			return 1
+			return fmt.Errorf("-cpuprofile: %w", err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -370,10 +360,9 @@ func runSaturate(c *serve.ShardedCluster, tenants []tenant.Tenant, logger *slog.
 		}
 	}
 	if floor > 0 && ceiling < floor {
-		logger.Error("saturation FAILED", "wallQpsCeiling", ceiling, "floor", floor)
-		return 1
+		return fmt.Errorf("saturation FAILED: wall QPS ceiling %.0f below -saturate-floor %.0f", ceiling, floor)
 	}
-	return 0
+	return nil
 }
 
 // rusageSeconds sums user+system CPU time of a rusage snapshot.

@@ -11,42 +11,40 @@ package main
 
 import (
 	"bufio"
-	"flag"
+	"context"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
 
+	"ramsis/internal/cli"
 	"ramsis/internal/stats"
 	"ramsis/internal/telemetry"
 	"ramsis/internal/trace"
 )
 
-func main() {
+func main() { cli.Main(run) }
+
+func run(_ context.Context, args []string, stdout io.Writer) error {
+	fs := cli.NewFlagSet("trace")
 	var (
-		in       = flag.String("in", "", "input trace file (default: built-in Twitter trace)")
-		interval = flag.Float64("interval", 10, "seconds per trace line")
-		export   = flag.String("export", "", "write the trace in artifact format to this path")
-		arrivals = flag.String("arrivals", "", "sample Poisson arrival times to this path")
-		scale    = flag.Float64("scale", 1, "multiply every interval load")
-		truncate = flag.Float64("truncate", 0, "keep only the first N seconds (0 = all)")
-		seed     = flag.Int64("seed", 1, "arrival sampling seed")
-		gamma    = flag.Int("gamma", 0, "sample Erlang-<shape> arrivals instead of Poisson (0 = Poisson)")
-		stitch   = flag.String("stitch", "", "comma-separated -trace-out JSONL files: merge fragments, print per-query critical paths")
-		top      = flag.Int("top", 10, "with -stitch, print only the N slowest queries (0 = all)")
-		logLevel = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		logFmt   = flag.String("log-format", "text", "log format: text or json")
+		in       = fs.String("in", "", "input trace file (default: built-in Twitter trace)")
+		interval = fs.Float64("interval", 10, "seconds per trace line")
+		export   = fs.String("export", "", "write the trace in artifact format to this path")
+		arrivals = fs.String("arrivals", "", "sample Poisson arrival times to this path")
+		scale    = fs.Float64("scale", 1, "multiply every interval load")
+		truncate = fs.Float64("truncate", 0, "keep only the first N seconds (0 = all)")
+		seed     = fs.Int64("seed", 1, "arrival sampling seed")
+		gamma    = fs.Int("gamma", 0, "sample Erlang-<shape> arrivals instead of Poisson (0 = Poisson)")
+		stitch   = fs.String("stitch", "", "comma-separated -trace-out JSONL files: merge fragments, print per-query critical paths")
+		top      = fs.Int("top", 10, "with -stitch, print only the N slowest queries (0 = all)")
 	)
-	flag.Parse()
-	if _, err := telemetry.SetupLogging(*logLevel, *logFmt, "trace"); err != nil {
-		log.Fatal(err)
+	if _, err := fs.Parse(args); err != nil {
+		return err
 	}
 
 	if *stitch != "" {
-		if err := stitchFiles(os.Stdout, strings.Split(*stitch, ","), *top); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return stitchFiles(stdout, strings.Split(*stitch, ","), *top)
 	}
 
 	tr := trace.Twitter()
@@ -54,7 +52,7 @@ func main() {
 		var err error
 		tr, err = trace.LoadQPSFile(*in, *interval)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if *scale != 1 {
@@ -64,17 +62,17 @@ func main() {
 		tr = tr.Truncate(*truncate)
 	}
 
-	fmt.Printf("trace:    %s\n", tr.Name)
-	fmt.Printf("duration: %.0f s (%d intervals of %.0f s)\n", tr.Duration(), len(tr.QPS), tr.IntervalSec)
-	fmt.Printf("load:     min %.0f / mean %.1f / max %.0f QPS\n", tr.MinQPS(), tr.MeanQPS(), tr.MaxQPS())
-	fmt.Printf("p50/p95:  %.0f / %.0f QPS\n", stats.Percentile(tr.QPS, 50), stats.Percentile(tr.QPS, 95))
-	fmt.Printf("queries:  ~%.0f expected\n", tr.MeanQPS()*tr.Duration())
+	fmt.Fprintf(stdout, "trace:    %s\n", tr.Name)
+	fmt.Fprintf(stdout, "duration: %.0f s (%d intervals of %.0f s)\n", tr.Duration(), len(tr.QPS), tr.IntervalSec)
+	fmt.Fprintf(stdout, "load:     min %.0f / mean %.1f / max %.0f QPS\n", tr.MinQPS(), tr.MeanQPS(), tr.MaxQPS())
+	fmt.Fprintf(stdout, "p50/p95:  %.0f / %.0f QPS\n", stats.Percentile(tr.QPS, 50), stats.Percentile(tr.QPS, 95))
+	fmt.Fprintf(stdout, "queries:  ~%.0f expected\n", tr.MeanQPS()*tr.Duration())
 
 	if *export != "" {
 		if err := tr.SaveQPSFile(*export); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("exported to %s\n", *export)
+		fmt.Fprintf(stdout, "exported to %s\n", *export)
 	}
 	if *arrivals != "" {
 		var arr []float64
@@ -85,27 +83,28 @@ func main() {
 		}
 		f, err := os.Create(*arrivals)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		w := bufio.NewWriter(f)
 		for _, a := range arr {
 			fmt.Fprintf(w, "%.6f\n", a)
 		}
 		if err := w.Flush(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("sampled %d arrival times to %s\n", len(arr), *arrivals)
+		fmt.Fprintf(stdout, "sampled %d arrival times to %s\n", len(arr), *arrivals)
 	}
+	return nil
 }
 
 // stitchFiles merges multi-process -trace-out JSONL files, groups fragments
 // by trace ID, and prints each query's span tree plus the critical-path
 // stage breakdown — where the latency went: queueing, batch wait, dispatch,
 // or inference.
-func stitchFiles(w *os.File, paths []string, top int) error {
+func stitchFiles(w io.Writer, paths []string, top int) error {
 	var all []telemetry.QueryTrace
 	for _, path := range paths {
 		path = strings.TrimSpace(path)
@@ -145,7 +144,7 @@ func stitchFiles(w *os.File, paths []string, top int) error {
 	return nil
 }
 
-func printStitched(w *os.File, s telemetry.StitchedTrace) {
+func printStitched(w io.Writer, s telemetry.StitchedTrace) {
 	final := s.Final()
 	head := fmt.Sprintf("trace %s", s.TraceID)
 	if t := s.Tenant(); t != "" {

@@ -10,7 +10,7 @@ import (
 	"log"
 
 	"ramsis"
-	"ramsis/internal/multislo"
+	"ramsis/examples/multislo/multislo"
 )
 
 func main() {

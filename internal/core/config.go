@@ -163,9 +163,9 @@ type Config struct {
 	Disc Discretization
 	// D is the FLD resolution (grid {0, SLO/D, ..., SLO}); default 100.
 	D int
-	// MaxQueue is N_w, the worker queue bound; default 32. It may exceed
-	// the profiled batch range: batches clamp to each model's profiled
-	// maximum, so over-long queues drain in partial batches.
+	// MaxQueue is N_w, the worker queue bound; default DefaultMaxQueue. It
+	// may exceed the profiled batch range: batches clamp to each model's
+	// profiled maximum, so over-long queues drain in partial batches.
 	MaxQueue int
 	// NoParetoPruning disables the §4.3.3 action-space pruning.
 	NoParetoPruning bool
@@ -208,13 +208,18 @@ type Config struct {
 	InitialValues []float64
 }
 
+// DefaultMaxQueue is the worker queue bound N_w a zero Config.MaxQueue means:
+// the MDP's state-space cap, and the per-worker unit of every online
+// admission bound derived from it.
+const DefaultMaxQueue = 32
+
 // withDefaults returns a copy with zero fields replaced by defaults.
 func (c Config) withDefaults() Config {
 	if c.D == 0 {
 		c.D = 100
 	}
 	if c.MaxQueue == 0 {
-		c.MaxQueue = 32
+		c.MaxQueue = DefaultMaxQueue
 	}
 	if c.Gamma == 0 {
 		c.Gamma = 0.99

@@ -23,13 +23,16 @@ type GenRequest struct {
 }
 
 // GenSummary is the JSON trailer of a /generate stream, reported in modeled
-// seconds (unscaled by TimeScale, like InferResponse.Latency).
+// seconds (unscaled by TimeScale, like InferResponse.Latency). DeadlineMet
+// is the batcher's SLO verdict (llm.Batcher.Finish), so a client counts
+// violations without re-judging Latency against its own copy of the SLO.
 type GenSummary struct {
-	Model   string  `json:"model"`
-	Prefill int     `json:"prefill"`
-	Decode  int     `json:"decode"`
-	TTFT    float64 `json:"ttft"`
-	Latency float64 `json:"latency"`
+	Model       string  `json:"model"`
+	Prefill     int     `json:"prefill"`
+	Decode      int     `json:"decode"`
+	TTFT        float64 `json:"ttft"`
+	Latency     float64 `json:"latency"`
+	DeadlineMet bool    `json:"deadlineMet"`
 }
 
 // maxGenerateBody bounds a /generate request body; a GenRequest is two
@@ -306,11 +309,12 @@ func (w *LLMWorker) finish(s *llm.Seq[*genStream], batch int, end float64) {
 	}
 	telemetry.Record(w.Traces, w.TraceWriter, qt)
 	s.Tag.sum = GenSummary{
-		Model:   m.Name,
-		Prefill: s.Prefill,
-		Decode:  s.Decode,
-		TTFT:    s.FirstTokenAt - s.Arrival,
-		Latency: lat,
+		Model:       m.Name,
+		Prefill:     s.Prefill,
+		Decode:      s.Decode,
+		TTFT:        s.FirstTokenAt - s.Arrival,
+		Latency:     lat,
+		DeadlineMet: !violated,
 	}
 	close(s.Tag.tok)
 }

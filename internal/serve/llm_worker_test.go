@@ -6,9 +6,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ramsis/internal/llm"
 	"ramsis/internal/sim"
+	"ramsis/internal/telemetry"
 )
 
 // TestLLMWorkerStreamsWireTTFT drives one long-prefill request through a
@@ -215,5 +217,65 @@ func TestLLMWorkerRejectsMalformedLengths(t *testing.T) {
 	}
 	if res.Tokens != 4 {
 		t.Fatalf("streamed %d tokens, want 4", res.Tokens)
+	}
+}
+
+// TestLLMWorkerTrailerCarriesBatcherVerdict pins the one SLO judgement on
+// the wire path: the trailer's DeadlineMet is llm.Batcher.Finish's verdict
+// (lat > SLO+1e-12), not a client-side re-comparison. One request on the
+// fake clock takes exactly L modeled seconds; served again under an SLO of
+// exactly L, and of L less half the tolerance — where a naive Latency > SLO
+// disagrees with the batcher — the trailer must say what the batcher counted.
+func TestLLMWorkerTrailerCarriesBatcherVerdict(t *testing.T) {
+	models := llm.BuiltinSet()
+	serveOne := func(slo float64) (GenSummary, float64) {
+		const timeScale = 1e-3
+		w := NewLLMWorker(models, slo, timeScale, sim.FixedSelector(models.Fastest()))
+		var g *genStream
+		clk := &replayClock{
+			at:     wallOffsets([]float64{0}, timeScale),
+			epoch:  time.Unix(0, 0),
+			submit: func(int) { g = w.submit(GenRequest{Prefill: 700, Decode: 6}, "") },
+			idle: func() bool {
+				w.mu.Lock()
+				defer w.mu.Unlock()
+				return w.b.Idle()
+			},
+		}
+		w.now, w.sleep = clk.Now, clk.Sleep
+		if err := w.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer w.Stop()
+		clk.run()
+		for range g.tok {
+		}
+		return g.sum, w.Telemetry.Counter(telemetry.MetricViolations).Value()
+	}
+
+	ref, _ := serveOne(8)
+	L := ref.Latency
+	if L <= 0 || !ref.DeadlineMet {
+		t.Fatalf("reference run: latency %v, deadlineMet %v", L, ref.DeadlineMet)
+	}
+	for _, tc := range []struct {
+		name string
+		slo  float64
+		met  bool
+	}{
+		{"latency == SLO", L, true},
+		{"inside the tolerance", L - 5e-13, true}, // Latency > SLO here, yet not a violation
+		{"past the tolerance", L - 1e-9, false},
+	} {
+		sum, violations := serveOne(tc.slo)
+		if sum.Latency != L {
+			t.Fatalf("%s: latency %v, reference run %v — the fake clock is not deterministic", tc.name, sum.Latency, L)
+		}
+		if sum.DeadlineMet != (violations == 0) {
+			t.Errorf("%s: trailer deadlineMet=%v, batcher counted %v violations", tc.name, sum.DeadlineMet, violations)
+		}
+		if sum.DeadlineMet != tc.met {
+			t.Errorf("%s: deadlineMet=%v, want %v", tc.name, sum.DeadlineMet, tc.met)
+		}
 	}
 }

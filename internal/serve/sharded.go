@@ -165,7 +165,7 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 	// the MaxQueue state bound the MDPs assume.
 	maxQueue := cfg.MaxQueue
 	if maxQueue <= 0 {
-		maxQueue = 32 // core.Config.MaxQueue default
+		maxQueue = core.DefaultMaxQueue
 	}
 	slack := cfg.QueueSlack
 	if slack < 1 {

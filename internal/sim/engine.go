@@ -259,8 +259,8 @@ type Engine struct {
 	// decision slack, DropExpired purging and the violation judgement
 	// alike — and enables per-tenant metrics. Queries whose tenant is
 	// absent fall back to the engine SLO. The policy stays engine-wide:
-	// per-tenant policy selection is the serve plane's job (and
-	// internal/multislo's, per class).
+	// per-tenant policy selection is the serve plane's job (and the
+	// multislo example's, per class).
 	TenantSLOs map[string]float64
 	// FairAdmit, when set, replaces Admit with per-tenant weighted-fair
 	// admission (internal/tenant's FairAdmitter) and enables per-tenant
