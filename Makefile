@@ -91,14 +91,15 @@ verify: build lint test race bench-module
 
 # Perf measurement over the hot paths: the MDP solve (the compiled CSR
 # Jacobi sweep), the adaptation re-solve matrix (Jacobi vs prioritized x
-# cold/warm x 1x/10x state space), MDP compilation, per-decision policy
+# cold/warm x 1x/10x state space), MDP compilation, the transition build
+# (probability tables alone and the whole build), per-decision policy
 # lookup, balancer pick, raw simulator throughput, and the end-to-end
 # data-plane tier (frontend and sharded-gateway query paths over a live
 # loopback cluster, allocation-gated). -count=3 repetitions with
 # allocation stats; raw output lands in bench.out and tools/benchjson
 # distills it into $(BENCH_OUT), the committed baseline (quote
 # best_ns_per_op when comparing).
-BENCH_KEY := 'BenchmarkValueIteration|BenchmarkResolve|BenchmarkCompile$$|BenchmarkPolicySelect|BenchmarkBalancerPick|BenchmarkSimulatorThroughput|BenchmarkLLMStepLoop|BenchmarkFrontendQuery|BenchmarkShardedGatewayQuery'
+BENCH_KEY := 'BenchmarkValueIteration|BenchmarkResolve|BenchmarkCompile$$|BenchmarkBuildWorkerMDP|BenchmarkPolicySelect|BenchmarkBalancerPick|BenchmarkSimulatorThroughput|BenchmarkLLMStepLoop|BenchmarkFrontendQuery|BenchmarkShardedGatewayQuery'
 BENCH_OUT ?= BENCH_10.json
 BENCH_BASE ?= BENCH_10.json
 
@@ -123,11 +124,16 @@ bench-compare:
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# CPU- and heap-profile the simulator throughput benchmark and print the
-# top hotspots (profiles land in ./profiles for interactive pprof use).
+# CPU- and heap-profile one benchmark — the simulator throughput benchmark
+# unless PROFILE_BENCH names another — and print the top hotspots (profiles
+# land in ./profiles for interactive pprof use).
+# `make profile PROFILE_BENCH=BenchmarkBuildWorkerMDP` is the transition
+# build's split quoted in DESIGN.md § "Transition-probability computation".
+PROFILE_BENCH ?= BenchmarkSimulatorThroughput
+
 profile:
 	mkdir -p profiles
-	$(GO) test -bench BenchmarkSimulatorThroughput -run '^$$' \
+	$(GO) test -bench $(PROFILE_BENCH) -run '^$$' \
 		-cpuprofile profiles/cpu.out -memprofile profiles/mem.out -o profiles/bench.test .
 	$(GO) tool pprof -top -nodecount 15 profiles/bench.test profiles/cpu.out
 	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space profiles/bench.test profiles/mem.out

@@ -268,6 +268,38 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildWorkerMDP measures the transition build — what an adaptive
+// re-solve spends most of its time in — on the repository benchmark's problem
+// (bench/: image zoo, 300 ms SLO, 80 workers, D=50) at two of its rates:
+// prepare is the probability tables alone, whole the full build.
+func BenchmarkBuildWorkerMDP(b *testing.B) {
+	for _, load := range []float64{3000, 4200} {
+		cfg := core.Config{
+			Models:  profile.ImageSet(),
+			SLO:     0.300,
+			Workers: 80,
+			Arrival: dist.NewPoisson(load),
+			D:       50,
+		}
+		b.Run(fmt.Sprintf("%.0fqps/prepare", load), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.PrepareWorkerTables(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("%.0fqps/whole", load), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.BuildWorkerMDP(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSimulatorThroughput measures raw discrete-event simulation speed
 // (queries per second of simulated serving, fixed-model scheduler).
 func BenchmarkSimulatorThroughput(b *testing.B) {

@@ -119,6 +119,8 @@ type Adapter struct {
 	mSwaps, mWarmStarts       *telemetry.Counter
 	mSwapSeconds              *telemetry.Histogram
 	mBucket, mResolveIters    *telemetry.Gauge
+	mResolveBuild             *telemetry.Gauge
+	mResolveSolve             *telemetry.Gauge
 }
 
 // New builds an adapter around an initial policy (solved offline for the
@@ -179,6 +181,8 @@ func New(cfg Config, initial *core.Policy) (*Adapter, error) {
 		a.mSwapSeconds = r.Histogram(telemetry.MetricAdaptSwapSeconds)
 		a.mBucket = r.Gauge(telemetry.MetricAdaptRateBucket)
 		a.mResolveIters = r.Gauge(telemetry.MetricAdaptResolveIterations)
+		a.mResolveBuild = r.Gauge(telemetry.MetricAdaptResolveBuildSeconds)
+		a.mResolveSolve = r.Gauge(telemetry.MetricAdaptResolveSolveSeconds)
 		a.mBucket.Set(bucket)
 	}
 	return a, nil
@@ -306,6 +310,8 @@ func (a *Adapter) resolve(bucket float64, start time.Time) {
 	a.lastResolveIterations.Store(uint64(pol.Iterations))
 	if a.mResolveIters != nil {
 		a.mResolveIters.Set(float64(pol.Iterations))
+		a.mResolveBuild.Set(pol.BuildTime.Seconds())
+		a.mResolveSolve.Set(pol.SolveTime.Seconds())
 	}
 	a.cache.Put(a.key(bucket), pol)
 	a.install(bucket, pol, start)

@@ -103,6 +103,21 @@ func TestAdapterDriftSolvesThenCacheHitsOnReturn(t *testing.T) {
 			t.Errorf("telemetry missing %q", want)
 		}
 	}
+	// Where the one re-solve's time went: iterations, build and solve of the
+	// 120-QPS policy it produced.
+	pol := a.PolicyFor(120)
+	for name, want := range map[string]float64{
+		telemetry.MetricAdaptResolveIterations:   float64(pol.Iterations),
+		telemetry.MetricAdaptResolveBuildSeconds: pol.BuildTime.Seconds(),
+		telemetry.MetricAdaptResolveSolveSeconds: pol.SolveTime.Seconds(),
+	} {
+		if got := reg.Gauge(name).Value(); got != want || got <= 0 {
+			t.Errorf("%s = %v, want %v (> 0)", name, got, want)
+		}
+		if !strings.Contains(out, name+" ") {
+			t.Errorf("exposition missing %s", name)
+		}
+	}
 }
 
 func TestAdapterOscillationNeverResolves(t *testing.T) {

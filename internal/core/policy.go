@@ -82,22 +82,46 @@ type Policy struct {
 // callers must not mutate it.
 func (p *Policy) SolveValues() []float64 { return p.values }
 
-// buildWorker is the front half of the scalar generator, shared by
-// BuildWorkerMDP and Generate: default and validate the configuration, lay
-// out the state space, and derive the §4 transition probabilities. The
-// returned builder carries the space (with the defaulted Config) and the
-// generation deadline, armed before the build.
-func buildWorker(cfg Config) (*builder, *mdp.MDP, error) {
+// newWorkerBuilder defaults and validates the configuration and lays out the
+// state space. The returned builder carries the space (with the defaulted
+// Config) and the generation deadline, armed here, before the build.
+func newWorkerBuilder(cfg Config) (*builder, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return newBuilder(newSpace(cfg)), nil
+}
+
+// buildWorker is the front half of the scalar generator, shared by
+// BuildWorkerMDP and Generate: a builder for the configuration and the §4
+// transition probabilities it derives.
+func buildWorker(cfg Config) (*builder, *mdp.MDP, error) {
+	b, err := newWorkerBuilder(cfg)
+	if err != nil {
 		return nil, nil, err
 	}
-	b := newBuilder(newSpace(cfg))
 	m := b.buildMDP()
 	if b.aborted.Load() {
 		return nil, nil, ErrTimeout
 	}
 	return b, m, nil
+}
+
+// PrepareWorkerTables runs the first phase of BuildWorkerMDP alone — action
+// enumeration and the probability tables the actions read — and returns the
+// number of (rate, latency) pairs tabulated. The build benchmark uses it to
+// split a build's cost between the tables and the per-state quadrature.
+func PrepareWorkerTables(cfg Config) (int, error) {
+	b, err := newWorkerBuilder(cfg)
+	if err != nil {
+		return 0, err
+	}
+	b.prepare()
+	if b.aborted.Load() {
+		return 0, ErrTimeout
+	}
+	return len(b.h), nil
 }
 
 // BuildWorkerMDP formulates (but does not solve) the worker MDP for the
@@ -167,8 +191,7 @@ func Generate(cfg Config) (*Policy, error) {
 	}
 	pol.Choices = make([]Choice, m.NumStates())
 	for s := range m.Actions {
-		acts := sp.actionsForState(s)
-		a := acts[sol.Policy[s]]
+		a := b.acts[s][sol.Policy[s]]
 		if a.Model == arrivalAction {
 			pol.Choices[s] = Choice{Arrival: true, Satisfies: true}
 			continue

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,8 +47,8 @@ import (
 // K of 1: Appendix I's rate for shortest-queue-first, and the Mitzenmacher
 // doubly-exponential tail for power-of-two-choices.
 
-// builder precomputes the shared probability tables and assembles the
-// sparse MDP in parallel across states.
+// builder enumerates each state's actions once, precomputes the probability
+// tables they read, and assembles the sparse MDP in parallel across states.
 type builder struct {
 	sp       *space
 	cells    int
@@ -56,13 +57,15 @@ type builder struct {
 	deadline time.Time
 	aborted  atomic.Bool
 
-	// Read-only after prepare(): probability tables keyed by process rate
-	// (round-robin uses one process; queue-aware balancers use one per
-	// queue-length regime) and action latency.
-	fk  map[float64][][]float64  // rate -> [cell][k-1] k-th-arrival pdf
-	h   map[tableKey][]float64   // (rate, latency) -> [cell*N_w + j-1]
-	cdf map[tableKey][]float64   // (rate, latency) -> CDF table over counts
-	sqf map[float64]dist.Process // SQF rate -> process
+	// Read-only after prepare(): each state's action list, and probability
+	// tables for the (rate, latency) pairs some action takes — keyed by
+	// process rate (round-robin uses one process; queue-aware balancers use
+	// one per queue-length regime) and action latency.
+	acts [][]actionSpec           // state -> actions, in Label order
+	fk   map[float64][][]float64  // rate -> [k-1][cell] k-th-arrival pdf
+	h    map[tableKey][]float64   // (rate, latency) -> [cell*N_w + j-1]
+	cdf  map[tableKey][]float64   // (rate, latency) -> CDF table over counts
+	sqf  map[float64]dist.Process // SQF rate -> process
 }
 
 type tableKey struct {
@@ -124,51 +127,44 @@ func (b *builder) procFor(n int) (dist.Process, int) {
 	return p, 1
 }
 
-// actionLatencies enumerates every distinct action latency (valid and
-// forced) the MDP can take.
-func (b *builder) actionLatencies() []float64 {
-	seen := map[float64]bool{}
-	for _, p := range b.sp.models.Profiles {
-		maxB := min(b.sp.cfg.MaxQueue, p.MaxBatch())
-		for bs := 1; bs <= maxB; bs++ {
-			seen[p.BatchLatency(bs)] = true
-		}
-	}
-	lats := make([]float64, 0, len(seen))
-	for l := range seen {
-		lats = append(lats, l)
-	}
-	sort.Float64s(lats)
-	return lats
-}
-
-// prepare fills the fk, h, and cdf tables, parallelized across latencies.
+// prepare enumerates each state's actions and fills the fk, h, and cdf
+// tables for the (rate, latency) pairs those actions take, parallelized
+// across pairs. A pair some partial-drain action reads (Batch < n: variable
+// batching, or a queue beyond a model's profiled batch range under either
+// strategy) gets the wide CDF table.
 func (b *builder) prepare() {
-	cfg := b.sp.cfg
-	type procK struct {
+	sp := b.sp
+	type job struct {
+		key  tableKey
 		proc dist.Process
 		k    int
+		wide bool
 	}
-	procs := map[float64]procK{}
-	if cfg.Balancing == RoundRobin {
-		procs[cfg.Arrival.Rate()] = procK{cfg.Arrival, cfg.Workers}
-	} else {
-		for n := 0; n <= cfg.MaxQueue; n++ {
-			p, k := b.procFor(n)
-			procs[p.Rate()] = procK{p, k}
+	var jobs []*job
+	byKey := map[tableKey]*job{}
+	b.acts = make([][]actionSpec, sp.numStates())
+	for s := range b.acts {
+		b.acts[s] = sp.actionsForState(s)
+		if s == sp.emptyState() {
+			continue
 		}
-	}
-	lats := b.actionLatencies()
-	type job struct {
-		rate float64
-		pk   procK
-		lat  float64
-	}
-	var jobs []job
-	for rate, pk := range procs {
-		b.fk[rate] = dist.KthArrivalTable(pk.proc, pk.k, b.cells, b.delta)
-		for _, l := range lats {
-			jobs = append(jobs, job{rate, pk, l})
+		n, _ := b.stateParams(s)
+		proc, k := b.procFor(n)
+		rate := proc.Rate()
+		if _, ok := b.fk[rate]; !ok {
+			b.fk[rate] = transpose(dist.KthArrivalTable(proc, k, b.cells, b.delta))
+		}
+		for _, a := range b.acts[s] {
+			key := tableKey{rate, a.Latency}
+			j := byKey[key]
+			if j == nil {
+				j = &job{key: key, proc: proc, k: k}
+				byKey[key] = j
+				jobs = append(jobs, j)
+			}
+			if a.Batch < n {
+				j.wide = true
+			}
 		}
 	}
 	var mu sync.Mutex
@@ -177,13 +173,25 @@ func (b *builder) prepare() {
 			return
 		}
 		j := jobs[i]
-		h := b.buildHTable(j.pk.proc, j.pk.k, j.lat)
-		c := b.buildCDFTable(j.pk.proc, j.pk.k, j.lat)
+		h := b.buildHTable(j.proc, j.k, j.key.lat)
+		c := b.buildCDFTable(j.proc, j.k, j.key.lat, j.wide)
 		mu.Lock()
-		b.h[tableKey{j.rate, j.lat}] = h
-		b.cdf[tableKey{j.rate, j.lat}] = c
+		b.h[j.key] = h
+		b.cdf[j.key] = c
 		mu.Unlock()
 	})
+}
+
+// transpose returns the [col][row] form of a rectangular [row][col] table.
+func transpose(t [][]float64) [][]float64 {
+	out := make([][]float64, len(t[0]))
+	for c := range out {
+		out[c] = make([]float64, len(t))
+		for r, row := range t {
+			out[c][r] = row[c]
+		}
+	}
+	return out
 }
 
 // buildHTable tabulates, for each fine cell g with midpoint t_g < l, the
@@ -209,10 +217,15 @@ func (b *builder) buildHTable(proc dist.Process, k int, l float64) []float64 {
 	return out
 }
 
-// buildCDFTable tabulates proc.CDF(k, l) for counts k = 0..(N_w+2)·K−1,
-// shared by the no-arrival case and variable-batching count sums.
-func (b *builder) buildCDFTable(proc dist.Process, k int, l float64) []float64 {
-	kmax := (b.sp.cfg.MaxQueue + 2) * k
+// buildCDFTable tabulates proc.CDF(i, l) over the counts the pair's actions
+// read: i = 0..K−1 for the no-arrival case of a full drain, and, when some
+// partial-drain action reads the pair (wide), i = 0..(N_w+2)·K−1 for the
+// variable-batching count sums.
+func (b *builder) buildCDFTable(proc dist.Process, k int, l float64, wide bool) []float64 {
+	kmax := k
+	if wide {
+		kmax = (b.sp.cfg.MaxQueue + 2) * k
+	}
 	out := make([]float64, kmax)
 	for i := 0; i < kmax; i++ {
 		out[i] = proc.CDF(i, l)
@@ -230,48 +243,40 @@ func (b *builder) cellsFor(l float64) int {
 }
 
 // phasePosterior computes P(r) ∝ PF((n−1)K + r, T_A) for r = 0..K−1 — the
-// interval-A term of Eq. 2. For Poisson arrivals it works in log space to
-// survive large means; on total underflow (an effectively unreachable
-// state) it falls back to a uniform phase.
-func phasePosterior(proc dist.Process, k, n int, ta float64) []float64 {
-	pr := make([]float64, k)
+// interval-A term of Eq. 2 — into the scratch's pr buffer. For Poisson
+// arrivals it works in log space to survive large means; on total underflow
+// (an effectively unreachable state) it falls back to a uniform phase.
+func (sc *stateScratch) phasePosterior(proc dist.Process, k, n int, ta float64) []float64 {
+	pr := sc.pr[:k]
 	if ta <= 0 {
+		clear(pr)
 		pr[0] = 1
 		return pr
 	}
 	base := (n - 1) * k
+	sum := 0.0
 	if p, ok := proc.(dist.Poisson); ok {
 		mu := p.Lambda * ta
-		logs := make([]float64, k)
 		maxLog := math.Inf(-1)
 		for r := 0; r < k; r++ {
 			kk := float64(base + r)
 			lg, _ := math.Lgamma(kk + 1)
-			logs[r] = kk*math.Log(mu) - mu - lg
-			if logs[r] > maxLog {
-				maxLog = logs[r]
+			pr[r] = kk*math.Log(mu) - mu - lg // log PF; exponentiated below
+			if pr[r] > maxLog {
+				maxLog = pr[r]
 			}
 		}
-		if math.IsInf(maxLog, -1) || math.IsNaN(maxLog) {
-			for r := range pr {
-				pr[r] = 1 / float64(k)
+		if !math.IsInf(maxLog, -1) && !math.IsNaN(maxLog) {
+			for r := 0; r < k; r++ {
+				pr[r] = math.Exp(pr[r] - maxLog)
+				sum += pr[r]
 			}
-			return pr
 		}
-		sum := 0.0
+	} else {
 		for r := 0; r < k; r++ {
-			pr[r] = math.Exp(logs[r] - maxLog)
+			pr[r] = proc.PF(base+r, ta)
 			sum += pr[r]
 		}
-		for r := range pr {
-			pr[r] /= sum
-		}
-		return pr
-	}
-	sum := 0.0
-	for r := 0; r < k; r++ {
-		pr[r] = proc.PF(base+r, ta)
-		sum += pr[r]
 	}
 	if sum <= 0 {
 		for r := range pr {
@@ -286,32 +291,41 @@ func phasePosterior(proc dist.Process, k, n int, ta float64) []float64 {
 }
 
 // firstArrivalDensity mixes the k-th-arrival densities over the phase
-// posterior: f̃(t_g) = Σ_r P(r)·f_{K−r}(t_g).
-func (b *builder) firstArrivalDensity(rate float64, k int, pr []float64) []float64 {
+// posterior, f̃(t_g) = Σ_r P(r)·f_{K−r}(t_g), for the first gmax cells — as
+// far as the state's longest full-drain action integrates. Each cell sums
+// over r ascending; r is the outer loop so the cells accumulate independently.
+func (b *builder) firstArrivalDensity(sc *stateScratch, rate float64, gmax int, pr []float64) []float64 {
 	fk := b.fk[rate]
-	out := make([]float64, b.cells)
-	for g := 0; g < b.cells; g++ {
-		row := fk[g]
-		s := 0.0
-		for r := 0; r < k; r++ {
-			if pr[r] == 0 {
-				continue
-			}
-			s += pr[r] * row[k-r-1]
+	ft := sc.ft[:gmax]
+	clear(ft)
+	for r, p := range pr {
+		if p == 0 {
+			continue
 		}
-		out[g] = s
+		for g, f := range fk[len(pr)-r-1][:len(ft)] {
+			ft[g] += p * f
+		}
 	}
-	return out
+	return ft
 }
 
-// stateScratch is per-goroutine reusable accumulation space.
+// stateScratch is per-goroutine reusable space: the successor accumulator,
+// and the per-state phase posterior (K entries), first-arrival density (one
+// per fine cell) and remaining-earliest slack distribution (one per bucket).
 type stateScratch struct {
 	probs []float64
 	dirty []int32
+
+	pr, ft, bucketP []float64
 }
 
-func newScratch(n int) *stateScratch {
-	return &stateScratch{probs: make([]float64, n)}
+func (b *builder) newScratch() *stateScratch {
+	return &stateScratch{
+		probs:   make([]float64, b.sp.numStates()),
+		pr:      make([]float64, b.sp.cfg.Workers),
+		ft:      make([]float64, b.cells),
+		bucketP: make([]float64, len(b.sp.grid)),
+	}
 }
 
 func (sc *stateScratch) add(s int32, p float64) {
@@ -361,7 +375,7 @@ func (sc *stateScratch) emit(overflow int32, floor float64) []mdp.Transition {
 			out = append(out, mdp.Transition{Next: overflow, P: 1 - kept})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Next < out[j].Next })
+	slices.SortFunc(out, func(x, y mdp.Transition) int { return cmp.Compare(x.Next, y.Next) })
 	// Reset scratch.
 	for _, s := range sc.dirty {
 		sc.probs[s] = 0
@@ -375,39 +389,39 @@ func (b *builder) buildMDP() *mdp.MDP {
 	b.prepare()
 	sp := b.sp
 	m := &mdp.MDP{Actions: make([][]mdp.Action, sp.numStates())}
-	parallelForScratch(sp.numStates(), func() *stateScratch { return newScratch(sp.numStates()) },
+	parallelForScratch(sp.numStates(), b.newScratch,
 		func(s int, sc *stateScratch) {
 			if b.expired() {
 				return
 			}
-			acts := sp.actionsForState(s)
+			acts := b.acts[s]
 			out := make([]mdp.Action, len(acts))
-			var (
-				pr []float64
-				ft []float64
-			)
+			m.Actions[s] = out
 			for ai, a := range acts {
-				out[ai] = mdp.Action{
-					Label:  ai,
-					Reward: sp.reward(a),
+				out[ai] = mdp.Action{Label: ai, Reward: sp.reward(a)}
+			}
+			if s == sp.emptyState() {
+				// Case 1 (Eq. 1): â moves (0, ·) to (1, SLO) surely.
+				top := sp.bucketOf(sp.cfg.SLO)
+				out[0].Transitions = []mdp.Transition{{Next: int32(sp.index(1, top)), P: 1}}
+				return
+			}
+			// Phase posterior and first-arrival density depend on the state
+			// only; share them across its actions. The density is read by
+			// full-drain actions, up to their latency.
+			n, tj := b.stateParams(s)
+			proc, k := b.procFor(n)
+			gmax := 0
+			for _, a := range acts {
+				if a.Batch >= n {
+					gmax = max(gmax, b.cellsFor(a.Latency))
 				}
-				if a.Model == arrivalAction {
-					// Case 1 (Eq. 1): â moves (0, ·) to (1, SLO) surely.
-					top := sp.bucketOf(sp.cfg.SLO)
-					out[ai].Transitions = []mdp.Transition{{Next: int32(sp.index(1, top)), P: 1}}
-					continue
-				}
-				if pr == nil {
-					// Phase posterior and first-arrival density depend on
-					// the state only; share them across its actions.
-					n, tj := b.stateParams(s)
-					proc, k := b.procFor(n)
-					pr = phasePosterior(proc, k, n, sp.cfg.SLO-tj)
-					ft = b.firstArrivalDensity(proc.Rate(), k, pr)
-				}
+			}
+			pr := sc.phasePosterior(proc, k, n, sp.cfg.SLO-tj)
+			ft := b.firstArrivalDensity(sc, proc.Rate(), gmax, pr)
+			for ai, a := range acts {
 				out[ai].Transitions = b.actionTransitions(s, a, sc, pr, ft)
 			}
-			m.Actions[s] = out
 		})
 	return m
 }
@@ -509,8 +523,9 @@ func (b *builder) variableTransitions(sc *stateScratch, n int, tj float64, a act
 	// Slack bucket distribution of the remaining-earliest query:
 	// slack' = x + T_j − l for x its interval-A position.
 	grid := sp.grid
-	bucketP := make([]float64, len(grid))
+	bucketP := sc.bucketP
 	if ta <= 0 || kaBar < target {
+		clear(bucketP)
 		// Degenerate window: the query sits at the window start.
 		bucketP[sp.bucketOf(tj-l)] = 1
 	} else {

@@ -81,6 +81,12 @@ const (
 	// recent successful re-solve — warm starts drive it down, which is what
 	// shrinks the drift-to-swap histogram.
 	MetricAdaptResolveIterations = "ramsis_adapt_resolve_iterations"
+	// MetricAdaptResolveBuildSeconds and MetricAdaptResolveSolveSeconds split
+	// the most recent successful re-solve's wall time into the transition
+	// build and the compile + solve — which of the two a slow drift-to-swap
+	// window was spent in.
+	MetricAdaptResolveBuildSeconds = "ramsis_adapt_resolve_build_seconds"
+	MetricAdaptResolveSolveSeconds = "ramsis_adapt_resolve_solve_seconds"
 
 	// MetricAdmitAdmitted counts queries the admission controller let
 	// through (only incremented when an admitter is configured).
