@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint staticcheck race bench-module verify bench bench-smoke bench-compare profile soak soak-smoke saturate saturate-smoke
+.PHONY: build test vet lint staticcheck size race bench-module verify bench bench-smoke bench-compare profile soak soak-smoke saturate saturate-smoke
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,19 @@ lint:
 # offline development never needs the network.
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
+
+# The four non-test line counts ROADMAP.md tracks, by the one command every
+# size claim in CHANGES.md is made with. CI's lint job runs it, so a PR's
+# claim is a log line.
+define SIZE_OF
+@printf '%6d  %s\n' "$$(find $(1) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" '$(1)'
+endef
+
+size:
+	$(call SIZE_OF,internal)
+	$(call SIZE_OF,internal/mdp internal/core)
+	$(call SIZE_OF,cmd/serve cmd/simulate)
+	$(call SIZE_OF,internal/sim internal/serve internal/llm internal/sched internal/baselines)
 
 # The admit, lb, serve, telemetry, adapt, tenant, llm, sim, and sched
 # packages are the concurrency-heavy ones (the degrader's atomic level +

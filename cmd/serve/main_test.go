@@ -161,6 +161,8 @@ func TestErrorsReturn(t *testing.T) {
 		"-trace-out":     "-trace-out " + filepath.Join(t.TempDir(), "missing", "traces.jsonl"),
 		"-tenants":       "-tenants " + filepath.Join(t.TempDir(), "missing.json"),
 		"-llm-profile":   "-workload llm -llm-profile " + filepath.Join(t.TempDir(), "missing.json"),
+		"-solver":        "-solver pi" + small,
+		"-agg-queue":     "-agg-queue 8" + small,
 	} {
 		err := run(context.Background(), strings.Fields(args), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), flagName) {

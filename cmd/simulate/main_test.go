@@ -113,6 +113,32 @@ func TestOutputGolden(t *testing.T) {
 	}
 }
 
+// TestMSTableFromMsgen closes the msgen → simulate round trip: a table
+// cmd/msgen writes at the rungs, run length and seed -m MS profiles in
+// process (most cells diverging on 30 workers) loads through -ms-table and
+// gives the same MS row, digit for digit, as profiling in process.
+func TestMSTableFromMsgen(t *testing.T) {
+	const row = "-m MS -workers 30 -load 1200 -dur 2"
+	dir := t.TempDir()
+	gen := exec.Command("go", "run", "ramsis/cmd/msgen", "-workers", "30", "-lo", "400", "-hi", "4400", "-step", "400", "-dur", "5", "-seed", "1", "-out", dir)
+	if out, err := gen.CombinedOutput(); err != nil {
+		t.Fatalf("%s: %v\n%s", gen, err, out)
+	}
+	table := filepath.Join(dir, "MS_image_30w_150ms.json")
+	results := func(args string) string {
+		var out bytes.Buffer
+		if err := run(context.Background(), strings.Fields(args), &out); err != nil {
+			t.Fatalf("simulate %s: %v", args, err)
+		}
+		_, after, _ := strings.Cut(out.String(), "\nsimulating ") // drop the loaded / profiling line
+		return after
+	}
+	loaded, profiled := results(row+" -ms-table "+table), results(row)
+	if loaded != profiled || !strings.Contains(loaded, "served:") {
+		t.Errorf("simulate %s\n--- with msgen's table\n%s--- profiled in process\n%s", row, loaded, profiled)
+	}
+}
+
 // TestErrorsReturn checks that a bad invocation comes back from run as an
 // error naming the offending flag — not a process exit — and before any
 // policy is generated.
@@ -126,6 +152,8 @@ func TestErrorsReturn(t *testing.T) {
 		"-trace":         "-trace sawtooth",
 		"-m":             "-m INFaaS -workers 2 -load 40 -dur 1",
 		"-adapt":         "-m JF -adapt",
+		"-solver":        "-solver pi",
+		"-agg-queue":     "-agg-queue 8",
 	} {
 		err := run(context.Background(), strings.Fields(args), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), flagName) {

@@ -1,11 +1,12 @@
 // Command trace inspects, generates, and converts query-load traces in the
 // artifact's one-QPS-per-line format, and stitches distributed query-trace
-// JSONL files into per-query critical paths:
+// JSONL files into per-query critical paths. Without --stitch it always
+// prints the trace's stats first:
 //
-//	trace --stats                      # stats of the built-in Twitter trace
-//	trace --export twitter.txt        # write it in the artifact format
-//	trace --stats --in mytrace.txt    # stats of an external trace
-//	trace --arrivals out.txt --seed 3 # sample Poisson arrival times
+//	trace                             # stats of the built-in Twitter trace
+//	trace --export twitter.txt        # ... and write it in the artifact format
+//	trace --in mytrace.txt            # stats of an external trace
+//	trace --arrivals out.txt --seed 3 # ... and sample Poisson arrival times
 //	trace --stitch a.jsonl,b.jsonl    # merge -trace-out files, print span trees
 package main
 

@@ -12,7 +12,7 @@ import (
 	"log"
 
 	"ramsis"
-	"ramsis/internal/resource"
+	"ramsis/examples/capacityplanning/resource"
 )
 
 func main() {

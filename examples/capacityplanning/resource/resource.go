@@ -4,6 +4,8 @@
 // direct resource scaling via an offline search over configurations; this
 // package implements that search plus a simple interval autoscaler in the
 // style of MArk/InferLine (§8), which RAMSIS composes with.
+//
+// It is kept beside its only importer, the capacityplanning example.
 package resource
 
 import (

@@ -23,18 +23,19 @@ import (
 
 	"ramsis/internal/core"
 	"ramsis/internal/dist"
+	"ramsis/internal/mdp"
 	"ramsis/internal/telemetry"
 )
 
 // Config parameterizes an Adapter.
 type Config struct {
 	// Base is the generation problem (models, SLO, workers, knobs). Its
-	// Arrival field is overridden per rate bucket via ArrivalFor. A zero
-	// Base.Solver defaults to core.SolvePrioritized: drift re-solves are
-	// latency-critical (dispatch runs on the stale policy until the swap)
-	// and the prioritized method reaches the same fixed point as value
-	// iteration in a fraction of the time, especially warm-started. Set
-	// Base.Solver explicitly to choose another method.
+	// Arrival field is overridden per rate bucket via ArrivalFor and its
+	// Solver is always mdp.MethodPrioritized, whatever the caller set:
+	// drift re-solves are latency-critical (dispatch runs on the stale
+	// policy until the swap) and the prioritized method reaches the same
+	// fixed point as the synchronous sweep in a fraction of the time,
+	// especially warm-started.
 	Base core.Config
 	// ArrivalFor maps a rate bucket to the arrival process policies are
 	// solved against. Nil defaults to Poisson, as in the paper.
@@ -134,9 +135,7 @@ func New(cfg Config, initial *core.Policy) (*Adapter, error) {
 	if cfg.ArrivalFor == nil {
 		cfg.ArrivalFor = func(rate float64) dist.Process { return dist.NewPoisson(rate) }
 	}
-	if cfg.Base.Solver == core.SolveValueIteration {
-		cfg.Base.Solver = core.SolvePrioritized
-	}
+	cfg.Base.Solver = mdp.MethodPrioritized
 	if cfg.Band == 0 {
 		cfg.Band = 0.2
 	}

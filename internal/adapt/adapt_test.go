@@ -336,15 +336,12 @@ func TestAdapterConcurrentLookupAndSwap(t *testing.T) {
 }
 
 // TestAdapterConcurrentPrioritizedResolve hammers the fast-resolve route
-// under -race: background drift re-solves on the prioritized solver with
-// aggregation warm starts, racing against lock-free dispatch lookups. Every
-// lookup must see a complete policy and every re-solved policy must decide
-// like its Jacobi reference.
+// under -race: background drift re-solves on the prioritized solver racing
+// against lock-free dispatch lookups. Every lookup must see a complete
+// policy and every re-solved policy must decide like its Jacobi reference.
 func TestAdapterConcurrentPrioritizedResolve(t *testing.T) {
-	base := adaptBase()
-	base.AggQueue = 4
 	a := newAdapter(t, Config{
-		Base: base, Band: 0.2, Dwell: -1, BucketSize: 20, Background: true,
+		Base: adaptBase(), Band: 0.2, Dwell: -1, BucketSize: 20, Background: true,
 	})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -24,7 +24,8 @@ type Key struct {
 // ConfigHash fingerprints the generation problem minus the arrival rate:
 // the worker's profile set (task, model names, accuracies, latency tables)
 // and every MDP-shaping knob. Two configs with equal hashes solve the same
-// MDP family, parameterized only by rate.
+// MDP family, parameterized only by rate. The solver is not a knob: every
+// method reaches the same fixed point and New fixes the one re-solves run.
 func ConfigHash(cfg core.Config) uint64 {
 	h := fnv.New64a()
 	buf := make([]byte, 8)
@@ -50,7 +51,6 @@ func ConfigHash(cfg core.Config) uint64 {
 	writeI(cfg.D)
 	writeI(cfg.MaxQueue)
 	writeI(int(cfg.Balancing))
-	writeI(int(cfg.Solver))
 	writeF(cfg.Gamma)
 	writeF(cfg.ProbFloor)
 	writeI(cfg.FineCells)
@@ -60,9 +60,6 @@ func ConfigHash(cfg core.Config) uint64 {
 	if cfg.BatchWeightedReward {
 		writeI(1)
 	}
-	// AggQueue is deliberately excluded: the aggregation warm start is a
-	// pure accelerator that cannot move the fixed point, so its policies are
-	// interchangeable.
 	return h.Sum64()
 }
 

@@ -85,7 +85,6 @@ func TestConfigHashIgnoresArrivalOnly(t *testing.T) {
 		"batching": func(c *core.Config) { c.Batching = core.VariableBatching },
 		"gamma":    func(c *core.Config) { c.Gamma = 0.9 },
 		"pruning":  func(c *core.Config) { c.NoParetoPruning = true },
-		"solver":   func(c *core.Config) { c.Solver = core.SolvePrioritized },
 	} {
 		mut := base
 		mutate(&mut)
@@ -94,11 +93,4 @@ func TestConfigHashIgnoresArrivalOnly(t *testing.T) {
 		}
 	}
 
-	// AggQueue is a pure accelerator — the fixed point and therefore the
-	// policy are unchanged — so aggregated and plain solves share a hash.
-	agg := base
-	agg.AggQueue = 8
-	if ConfigHash(agg) != h {
-		t.Error("hash changed with AggQueue; aggregation cannot move the fixed point")
-	}
 }

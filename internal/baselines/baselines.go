@@ -8,6 +8,8 @@
 package baselines
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 
 	"ramsis/internal/monitor"
@@ -120,6 +122,56 @@ func ProfileModelSwitching(profiles profile.Set, slo float64, workers int, loads
 		}
 	}
 	return t
+}
+
+// msTableFile is MSTable's JSON form. A diverging (model, rung) is +Inf in
+// memory, which JSON cannot carry, and null in the file.
+type msTableFile struct {
+	Loads []float64
+	P99   [][]*float64
+}
+
+// MarshalJSON writes the table with null for every diverging latency.
+func (t MSTable) MarshalJSON() ([]byte, error) {
+	f := msTableFile{Loads: t.Loads, P99: make([][]*float64, len(t.P99))}
+	for mi, row := range t.P99 {
+		f.P99[mi] = make([]*float64, len(row))
+		for li := range row {
+			if !math.IsInf(row[li], 1) {
+				f.P99[mi][li] = &row[li]
+			}
+		}
+	}
+	return json.Marshal(f)
+}
+
+// UnmarshalJSON reads a table written by MarshalJSON. The file comes from
+// outside the program, so a row that does not cover every load rung or holds
+// a negative latency is an error rather than a selection made on garbage.
+func (t *MSTable) UnmarshalJSON(data []byte) error {
+	var f msTableFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		return err
+	}
+	p99 := make([][]float64, len(f.P99))
+	for mi, row := range f.P99 {
+		if len(row) != len(f.Loads) {
+			return fmt.Errorf("baselines: MS table model %d has %d latencies for %d loads", mi, len(row), len(f.Loads))
+		}
+		p99[mi] = make([]float64, len(row))
+		for li, v := range row {
+			switch {
+			case v == nil:
+				p99[mi][li] = math.Inf(1)
+			case *v < 0: // NaN and ±Inf never get past the JSON decoder
+				return fmt.Errorf("baselines: MS table model %d load %v: invalid p99 latency %v", mi, f.Loads[li], *v)
+			default:
+				p99[mi][li] = *v
+			}
+		}
+	}
+	t.Loads, t.P99 = f.Loads, p99
+	return nil
 }
 
 // P99For returns the profiled p99 at the smallest rung covering the load

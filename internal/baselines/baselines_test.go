@@ -1,7 +1,9 @@
 package baselines
 
 import (
+	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"ramsis/internal/core"
@@ -102,6 +104,36 @@ func TestProfileModelSwitchingTable(t *testing.T) {
 	}
 	if !math.IsInf(tab.P99For(0, 1e6), 1) {
 		t.Error("P99For beyond range should be +Inf")
+	}
+}
+
+// TestMSTableJSON: the file form carries a diverging latency as null, so a
+// table with +Inf cells — every table msgen profiles at its defaults —
+// survives the round trip, and a file the program did not write is checked.
+func TestMSTableJSON(t *testing.T) {
+	tab := &MSTable{Loads: []float64{100, 200}, P99: [][]float64{{0.05, math.Inf(1)}, {math.Inf(1), math.Inf(1)}}}
+	data, err := json.Marshal(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"Loads":[100,200],"P99":[[0.05,null],[null,null]]}`; string(data) != want {
+		t.Errorf("file form %s, want %s", data, want)
+	}
+	var got MSTable
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&got, tab) {
+		t.Errorf("round trip gave %+v, want %+v", got, tab)
+	}
+	for name, bad := range map[string]string{
+		"negative latency": `{"Loads":[100],"P99":[[-0.01]]}`,
+		"short row":        `{"Loads":[100,200],"P99":[[0.05]]}`,
+		"NaN":              `{"Loads":[100],"P99":[[NaN]]}`,
+	} {
+		if err := json.Unmarshal([]byte(bad), new(MSTable)); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ type Run struct {
 
 	Workload, Task, Solver, LB, TraceOut, TenantsFile string
 	SLOMS, Load, Dur                                  float64
-	Workers, D, MaxQueue, AggQueue                    int
+	Workers, D, MaxQueue                              int
 	Seed                                              int64
 
 	Adapt                              bool
@@ -50,8 +50,7 @@ func (r *Run) Register(fs *FlagSet) {
 	fs.Int64Var(&r.Seed, "seed", 1, "workload seed")
 	fs.IntVar(&r.D, "d", 100, "FLD resolution for RAMSIS policies")
 	fs.IntVar(&r.MaxQueue, "maxqueue", 0, fmt.Sprintf("queue-length bound N_w (0 = default %d): caps the RAMSIS MDP state space, and with -admit cap also sets the online admission bound (workers x N_w outstanding) — one knob for both, since policy guarantees lapse past N_w anyway", core.DefaultMaxQueue))
-	fs.StringVar(&r.Solver, "solver", "vi", "RAMSIS MDP solver: vi (value iteration, the paper's default), pi (policy iteration), or prioritized (fast-resolve: residual-ordered Gauss-Seidel sweeps; same policy, far fewer sweeps — adaptive background re-solves use it regardless)")
-	fs.IntVar(&r.AggQueue, "agg-queue", 0, "queue-axis aggregation factor (>1): warm-start each solve from a queue-coarsened aggregate of the MDP; the policy is unchanged, only the solve converges faster — pair with a large -maxqueue")
+	fs.StringVar(&r.Solver, "solver", "vi", "RAMSIS MDP solver for offline generation: vi (value iteration, the paper's method) or prioritized (residual-ordered Gauss-Seidel sweeps; same policy, far fewer sweeps); -adapt re-solves always run prioritized")
 	fs.StringVar(&r.LB, "lb", "rr", "load balancer across worker queues: rr, jsq, or p2c (policies are generated with the matching MDP transition model)")
 	fs.StringVar(&r.TraceOut, "trace-out", "", "append per-query trace fragments (with their select decisions) as JSONL to this file; stitch with trace -stitch")
 
@@ -87,7 +86,7 @@ func (r *Run) PolicyConfig() (core.Config, error) {
 	solver, solverErr := core.ParseSolver(r.Solver)
 	return core.Config{
 		Models: models, SLO: r.SLO(), Workers: r.Workers, Arrival: dist.NewPoisson(1), D: r.D,
-		MaxQueue: r.MaxQueue, Balancing: balancing, Solver: solver, AggQueue: r.AggQueue,
+		MaxQueue: r.MaxQueue, Balancing: balancing, Solver: solver,
 	}, errors.Join(taskErr, lbErr, solverErr)
 }
 

@@ -3,7 +3,8 @@
 // Process whose transition probabilities are derived from the query arrival
 // distribution and the load-balancing strategy (§3-§5), plus the online
 // policy objects (state lookup, load-adaptive policy sets) the serving layer
-// consumes.
+// consumes. Solving is internal/mdp's: Config.Solver is one of its two
+// value-iteration methods and solve.go passes it through.
 package core
 
 import (
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"ramsis/internal/dist"
+	"ramsis/internal/mdp"
 	"ramsis/internal/profile"
 )
 
@@ -101,47 +103,16 @@ func ParseBalancing(s string) (Balancing, error) {
 	return RoundRobin, fmt.Errorf("core: unknown balancing strategy %q (want rr, jsq, or p2c)", s)
 }
 
-// Solver selects the exact MDP solution method (§4.1).
-type Solver int
-
-const (
-	// SolveValueIteration is the paper's default method.
-	SolveValueIteration Solver = iota
-	// SolvePolicyIteration is the alternative exact method §4.1 notes.
-	SolvePolicyIteration
-	// SolvePrioritized is the fast-resolve method: asynchronous prioritized
-	// value iteration (Gauss-Seidel backups in Bellman-residual order with
-	// adaptive-aggregation acceleration) on the compiled form. It reaches
-	// the same fixed point as value iteration within tolerance in far fewer
-	// sweeps; its values are not byte-pinned (value iteration's are), and
-	// tests check its greedy policy against value iteration's instead.
-	SolvePrioritized
-)
-
-func (s Solver) String() string {
-	switch s {
-	case SolveValueIteration:
-		return "value-iteration"
-	case SolvePolicyIteration:
-		return "policy-iteration"
-	case SolvePrioritized:
-		return "prioritized"
-	}
-	return fmt.Sprintf("Solver(%d)", int(s))
-}
-
-// ParseSolver maps a CLI solver name to the Solver method, accepting the
-// common abbreviations; "" means value iteration (the paper's default).
-func ParseSolver(s string) (Solver, error) {
+// ParseSolver maps a CLI solver name to the mdp.Method it selects; "" means
+// value iteration's synchronous sweep (the paper's method, §4.1).
+func ParseSolver(s string) (mdp.Method, error) {
 	switch s {
 	case "", "vi", "value-iteration":
-		return SolveValueIteration, nil
-	case "pi", "policy-iteration":
-		return SolvePolicyIteration, nil
+		return mdp.MethodJacobi, nil
 	case "prioritized", "pvi":
-		return SolvePrioritized, nil
+		return mdp.MethodPrioritized, nil
 	}
-	return SolveValueIteration, fmt.Errorf("core: unknown solver %q (want vi, pi, or prioritized)", s)
+	return mdp.MethodJacobi, fmt.Errorf("core: unknown -solver %q (want vi or prioritized)", s)
 }
 
 // Config describes one worker-level policy-generation problem: the offline
@@ -172,18 +143,11 @@ type Config struct {
 
 	// Gamma is the value-iteration discount factor; default 0.99.
 	Gamma float64
-	// Solver selects the exact solution method (§4.1: value iteration by
-	// default; policy iteration as the noted alternative; prioritized as
-	// the fast-resolve path for online re-solves).
-	Solver Solver
-	// AggQueue, when > 1, warm-starts the solve from a queue-coarsened
-	// aggregate problem: the queue axis is grouped by this factor, the
-	// small aggregate MDP is solved first, and its values are linearly
-	// disaggregated onto the full space as the solver's initial vector.
-	// The fixed point — and therefore the generated policy — is unchanged;
-	// only the iteration count to reach it drops. Ignored when
-	// Config.InitialValues already supplies a donor vector.
-	AggQueue int
+	// Solver selects the value-iteration sweep (§4.1): the zero value is
+	// the paper's synchronous sweep, whose values are byte-pinned;
+	// mdp.MethodPrioritized reaches the same fixed point within tolerance
+	// in far fewer backups and is what online re-solves run.
+	Solver mdp.Method
 	// ProbFloor prunes transition entries below it (their mass folds into
 	// the overflow complement, which is conservative); default 1e-10.
 	ProbFloor float64
@@ -255,9 +219,6 @@ func (c Config) Validate() error {
 	}
 	if c.Gamma < 0 || c.Gamma >= 1 {
 		return fmt.Errorf("core: discount %v outside [0,1)", c.Gamma)
-	}
-	if c.AggQueue < 0 {
-		return fmt.Errorf("core: invalid queue aggregation factor %d", c.AggQueue)
 	}
 	return nil
 }

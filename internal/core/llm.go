@@ -42,8 +42,8 @@ type LLMConfig struct {
 
 	// Gamma is the discount factor; default 0.99.
 	Gamma float64
-	// Solver selects the exact solution method, as in Config.
-	Solver Solver
+	// Solver selects the value-iteration sweep, as in Config.
+	Solver mdp.Method
 	// ProbFloor prunes transition entries below it; default 1e-10.
 	ProbFloor float64
 	// Timeout aborts generation with ErrTimeout when exceeded (0 = no limit).

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ramsis/internal/llm"
+	"ramsis/internal/mdp"
 )
 
 func llmTestConfig() LLMConfig {
@@ -102,7 +103,7 @@ func TestGenerateLLMPrioritizedMatchesValueIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Solver = SolvePrioritized
+	cfg.Solver = mdp.MethodPrioritized
 	pvi, err := GenerateLLM(cfg)
 	if err != nil {
 		t.Fatal(err)

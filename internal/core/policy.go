@@ -152,19 +152,11 @@ func Generate(cfg Config) (*Policy, error) {
 	sp := b.sp
 	cfg = sp.cfg
 
-	sol, err := solveSpec{cfg.Gamma, cfg.Solver, b.deadline}.solve(m, func(opts mdp.SolveOptions) []float64 {
-		if len(cfg.InitialValues) == m.NumStates() {
-			return cfg.InitialValues
-		}
-		if cfg.AggQueue > 1 {
-			// No donor vector: warm-start from the queue-coarsened
-			// aggregate solve. The warm start cannot change the fixed
-			// point, so the generated policy is identical to a cold
-			// solve's.
-			return aggregateWarmStart(m, sp, cfg.AggQueue, opts)
-		}
-		return nil
-	})
+	warm := cfg.InitialValues
+	if len(warm) != m.NumStates() {
+		warm = nil // a donor solved under different knobs: start cold
+	}
+	sol, err := solveSpec{cfg.Gamma, cfg.Solver, b.deadline}.solve(m, warm)
 	if err != nil {
 		return nil, err
 	}

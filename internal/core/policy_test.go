@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ramsis/internal/dist"
+	"ramsis/internal/mdp"
 	"ramsis/internal/profile"
 )
 
@@ -380,26 +381,28 @@ func TestAccuracyQuantiles(t *testing.T) {
 	}
 }
 
-func TestPolicyIterationMatchesValueIterationPolicies(t *testing.T) {
-	// §4.1: both exact methods must produce equally good policies.
-	cfgVI := genConfig(250)
-	cfgVI.D = 25
-	vi, err := Generate(cfgVI)
+// TestGeneratePrioritizedMatchesValueIteration pins -solver prioritized to
+// the byte-pinned default on a cold scalar generation, at a queue bound (3×)
+// past the one the adapt tests re-solve warm: same choice in every state.
+func TestGeneratePrioritizedMatchesValueIteration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("3x queue space generation is slow")
+	}
+	cfg := genConfig(300)
+	cfg.MaxQueue = 96
+	vi, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgPI := genConfig(250)
-	cfgPI.D = 25
-	cfgPI.Solver = SolvePolicyIteration
-	pi, err := Generate(cfgPI)
+	cfg.Solver = mdp.MethodPrioritized
+	pvi, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(vi.ExpectedAccuracy-pi.ExpectedAccuracy) > 1e-6 {
-		t.Errorf("VI accuracy %v != PI accuracy %v", vi.ExpectedAccuracy, pi.ExpectedAccuracy)
-	}
-	if math.Abs(vi.ExpectedViolation-pi.ExpectedViolation) > 1e-6 {
-		t.Errorf("VI violation %v != PI violation %v", vi.ExpectedViolation, pi.ExpectedViolation)
+	for s := range vi.Choices {
+		if pvi.Choices[s] != vi.Choices[s] {
+			t.Fatalf("state %d: prioritized choice %+v != Jacobi %+v", s, pvi.Choices[s], vi.Choices[s])
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // solveSpec is what the solve step reads from a Config or an LLMConfig.
 type solveSpec struct {
 	gamma    float64
-	solver   Solver
+	solver   mdp.Method
 	deadline time.Time // zero: no limit
 }
 
@@ -33,11 +33,9 @@ type solution struct {
 
 // solve is the back half of every generator: validate the built MDP, compile
 // it, solve it with the configured method, and take the stationary
-// distribution the §5.1 expectations weight. warm, when non-nil, is asked for
-// an initial value vector once the MDP is known valid (nil: cold start); it
-// receives the solve's own options so a coarse pre-solve runs under the same
-// discount, method and deadline.
-func (sp solveSpec) solve(m *mdp.MDP, warm func(mdp.SolveOptions) []float64) (*solution, error) {
+// distribution the §5.1 expectations weight. warm is the initial value vector
+// (nil: cold start); its length must be the MDP's state count.
+func (sp solveSpec) solve(m *mdp.MDP, warm []float64) (*solution, error) {
 	if err := m.Validate(1e-6); err != nil {
 		return nil, fmt.Errorf("core: built MDP invalid: %w", err)
 	}
@@ -45,18 +43,7 @@ func (sp solveSpec) solve(m *mdp.MDP, warm func(mdp.SolveOptions) []float64) (*s
 	// on the contiguous form.
 	start := time.Now()
 	cm := mdp.Compile(m)
-	opts := mdp.SolveOptions{Gamma: sp.gamma, Deadline: sp.deadline}
-	if sp.solver == SolvePrioritized {
-		opts.Method = mdp.MethodPrioritized
-	}
-	if warm != nil {
-		opts.InitialValues = warm(opts)
-	}
-	run := cm.Solve
-	if sp.solver == SolvePolicyIteration {
-		run = cm.PolicyIteration
-	}
-	res, err := run(opts)
+	res, err := cm.Solve(mdp.SolveOptions{Gamma: sp.gamma, Deadline: sp.deadline, Method: sp.solver, InitialValues: warm})
 	if errors.Is(err, mdp.ErrDeadline) {
 		return nil, ErrTimeout
 	}

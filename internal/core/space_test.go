@@ -258,7 +258,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Arrival = nil },
 		func(c *Config) { c.D = -1 },
 		func(c *Config) { c.MaxQueue = -2 },
-		func(c *Config) { c.AggQueue = -1 },
 		func(c *Config) { c.Gamma = 1.5 },
 	}
 	for i, mutate := range cases {

@@ -167,74 +167,6 @@ func (c *Compiled) ValueIteration(opts SolveOptions) (Result, error) {
 	return Result{Values: v, Policy: pol, Iterations: it}, nil
 }
 
-// PolicyEvaluation computes the discounted value of a fixed policy by
-// in-place iterative backups.
-func (c *Compiled) PolicyEvaluation(pol Policy, opts SolveOptions) ([]float64, error) {
-	opts = opts.withDefaults()
-	n := c.n
-	if len(pol) != n {
-		return nil, fmt.Errorf("mdp: policy length %d != states %d", len(pol), n)
-	}
-	v := make([]float64, n)
-	if err := opts.initialValues(v); err != nil {
-		return nil, err
-	}
-	gp := c.scaledProbs(opts.Gamma)
-	for it := 0; it < opts.MaxIter; it++ {
-		residual := 0.0
-		for s := 0; s < n; s++ {
-			a := c.actOff[s] + int32(pol[s])
-			q := backup(c.reward[a], gp[c.trOff[a]:c.trOff[a+1]], c.next[c.trOff[a]:c.trOff[a+1]], v)
-			if d := math.Abs(q - v[s]); d > residual {
-				residual = d
-			}
-			v[s] = q
-		}
-		if residual < opts.Tol {
-			break
-		}
-	}
-	return v, nil
-}
-
-// PolicyIteration solves the compiled MDP by alternating evaluation and
-// greedy improvement, the alternative exact method §4.1 mentions.
-func (c *Compiled) PolicyIteration(opts SolveOptions) (Result, error) {
-	opts = opts.withDefaults()
-	n := c.n
-	pol := make(Policy, n)
-	gp := c.scaledProbs(opts.Gamma)
-	var v []float64
-	for it := 1; it <= opts.MaxIter; it++ {
-		var err error
-		v, err = c.PolicyEvaluation(pol, opts)
-		if err != nil {
-			return Result{}, err
-		}
-		changed := false
-		for s := 0; s < n; s++ {
-			best := math.Inf(-1)
-			bestA := pol[s]
-			a0, a1 := c.actOff[s], c.actOff[s+1]
-			for a := a0; a < a1; a++ {
-				q := backup(c.reward[a], gp[c.trOff[a]:c.trOff[a+1]], c.next[c.trOff[a]:c.trOff[a+1]], v)
-				if q > best+1e-12 {
-					best = q
-					bestA = int(a - a0)
-				}
-			}
-			if bestA != pol[s] {
-				pol[s] = bestA
-				changed = true
-			}
-		}
-		if !changed {
-			return Result{Values: v, Policy: pol, Iterations: it}, nil
-		}
-	}
-	return Result{Values: v, Policy: pol, Iterations: opts.MaxIter}, nil
-}
-
 // StationaryDistribution computes the stationary distribution of the Markov
 // chain induced by the policy via power iteration [40] on the lazy chain
 // (I+P)/2, which converges for unichain MDPs regardless of periodicity.

@@ -77,41 +77,6 @@ func TestCompiledValueIterationByteIdentical(t *testing.T) {
 	}
 }
 
-func TestCompiledPolicyEvaluationByteIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for name, m := range compiledFixtures() {
-		c := Compile(m)
-		pol := make(Policy, m.NumStates())
-		for s := range pol {
-			pol[s] = rng.Intn(len(m.Actions[s]))
-		}
-		opts := SolveOptions{Gamma: 0.9, Tol: 1e-12}
-		want := refPolicyEvaluation(m, pol, opts)
-		got, err := c.PolicyEvaluation(pol, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameValues(t, name, got, want)
-	}
-}
-
-func TestCompiledPolicyIterationByteIdentical(t *testing.T) {
-	for name, m := range compiledFixtures() {
-		c := Compile(m)
-		opts := SolveOptions{Gamma: 0.95, Tol: 1e-12}
-		want := refPolicyIteration(m, opts)
-		got, err := c.PolicyIteration(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Iterations != want.Iterations {
-			t.Errorf("%s: %d iterations, reference took %d", name, got.Iterations, want.Iterations)
-		}
-		sameValues(t, name, got.Values, want.Values)
-		samePolicy(t, name, got.Policy, want.Policy)
-	}
-}
-
 func TestCompiledStationaryDistributionByteIdentical(t *testing.T) {
 	for name, m := range compiledFixtures() {
 		c := Compile(m)
@@ -193,9 +158,6 @@ func TestWarmStartLengthMismatchRejected(t *testing.T) {
 	bad := SolveOptions{Gamma: 0.9, InitialValues: []float64{1}}
 	if _, err := c.ValueIteration(bad); err == nil {
 		t.Error("compiled ValueIteration accepted a mismatched warm start")
-	}
-	if _, err := c.PolicyEvaluation(Policy{0, 0}, bad); err == nil {
-		t.Error("compiled PolicyEvaluation accepted a mismatched warm start")
 	}
 }
 

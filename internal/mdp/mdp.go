@@ -1,15 +1,17 @@
-// Package mdp implements finite Markov Decision Processes and the exact
-// solution methods RAMSIS uses for policy generation (§4.1): value
-// iteration (the default), policy iteration (noted as an alternative), and
-// power iteration over the induced Markov chain for the stationary state
-// distribution underlying the §5.1 accuracy/violation expectations.
+// Package mdp implements finite Markov Decision Processes and the solution
+// methods RAMSIS uses for policy generation (§4.1): value iteration — the
+// paper's synchronous sweep (the default) and a prioritized asynchronous
+// variant for online re-solves — and power iteration over the induced Markov
+// chain for the stationary state distribution underlying the §5.1
+// accuracy/violation expectations.
 //
 // The representation is deliberately sparse: worker MDPs concentrate
 // transition mass on a small neighborhood of queue states, so each action
 // stores only its non-negligible successor probabilities. MDP is the form
-// callers build; every solver runs on Compiled, its flattened CSR form, and
-// each method exists once — the tests pin those kernels bit for bit against
-// a naive slice-walking reference that lives in reference_test.go.
+// callers build; both solvers run on Compiled, its flattened CSR form, and
+// each exists once — the tests pin the synchronous sweep and the stationary
+// kernel bit for bit against a naive slice-walking reference that lives in
+// reference_test.go.
 package mdp
 
 import (
@@ -111,11 +113,11 @@ type SolveOptions struct {
 	// PRs) still sets it; the next benchmark PR drops it with that use.
 	Parallel int
 	// InitialValues, when non-nil, warm-starts the solve from a previously
-	// converged value vector instead of zeros (value iteration and policy
-	// evaluation). Its length must equal the MDP's state count. Warm
-	// starts do not change the fixed point — only the iteration count to
-	// reach it — so a re-solve seeded from a neighboring problem's values
-	// (e.g. an adjacent rate bucket) converges in fewer sweeps.
+	// converged value vector instead of zeros. Its length must equal the
+	// MDP's state count. Warm starts do not change the fixed point — only
+	// the iteration count to reach it — so a re-solve seeded from a
+	// neighboring problem's values (e.g. an adjacent rate bucket) converges
+	// in fewer sweeps.
 	InitialValues []float64
 	// Method selects the sweep strategy for Compiled.Solve: the default
 	// synchronous Jacobi sweep or asynchronous prioritized value iteration
@@ -136,8 +138,8 @@ func (o SolveOptions) withDefaults() SolveOptions {
 	return o
 }
 
-// Result reports a solve: optimal (or evaluated) state values, the policy,
-// and the iteration count used.
+// Result reports a solve: optimal state values, the policy, and the
+// iteration count used.
 type Result struct {
 	Values     []float64
 	Policy     Policy

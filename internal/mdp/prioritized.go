@@ -11,10 +11,10 @@ import (
 // form: asynchronous prioritized value iteration (Gauss-Seidel in-place
 // updates swept in Bellman-residual order) for the online/adaptive route.
 // It is not byte-pinned against the reference — that contract covers the
-// Jacobi, policy-evaluation/iteration and stationary kernels — but it
-// converges to the same fixed point within Tol and extracts the policy from
-// a final full greedy sweep, so the argmaxes agree wherever the optimal
-// action is separated by more than the tolerance.
+// Jacobi and stationary kernels — but it converges to the same fixed point
+// within Tol and extracts the policy from a final full greedy sweep, so the
+// argmaxes agree wherever the optimal action is separated by more than the
+// tolerance.
 
 // Method selects the Bellman sweep strategy for ValueIteration-family
 // solves.

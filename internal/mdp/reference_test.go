@@ -16,12 +16,12 @@ func refQ(a *Action, gamma float64, v []float64) float64 {
 	return q
 }
 
-// refGreedy returns a state's best backup value and action; an action
-// replaces the incumbent only when better by more than margin.
-func refGreedy(acts []Action, gamma float64, v []float64, incumbent int, margin float64) (float64, int) {
-	best, bestA := math.Inf(-1), incumbent
+// refGreedy returns a state's best backup value and action, the first of
+// equals.
+func refGreedy(acts []Action, gamma float64, v []float64) (float64, int) {
+	best, bestA := math.Inf(-1), 0
 	for ai := range acts {
-		if q := refQ(&acts[ai], gamma, v); q > best+margin {
+		if q := refQ(&acts[ai], gamma, v); q > best {
 			best, bestA = q, ai
 		}
 	}
@@ -38,7 +38,7 @@ func refValueIteration(m *MDP, o SolveOptions) Result {
 	for it := 1; ; it++ {
 		residual := 0.0
 		for s, acts := range m.Actions {
-			best, bestA := refGreedy(acts, o.Gamma, v, 0, 0)
+			best, bestA := refGreedy(acts, o.Gamma, v)
 			residual = math.Max(residual, math.Abs(best-v[s]))
 			next[s], pol[s] = best, bestA
 		}
@@ -49,7 +49,9 @@ func refValueIteration(m *MDP, o SolveOptions) Result {
 	}
 }
 
-// refPolicyEvaluation evaluates a fixed policy by in-place backups.
+// refPolicyEvaluation evaluates a fixed policy by in-place backups. No kernel
+// is pinned against it: it is what the optimality property test measures a
+// random policy's value with.
 func refPolicyEvaluation(m *MDP, pol Policy, o SolveOptions) []float64 {
 	o = o.withDefaults()
 	v := make([]float64, m.NumStates())
@@ -66,24 +68,6 @@ func refPolicyEvaluation(m *MDP, pol Policy, o SolveOptions) []float64 {
 		}
 	}
 	return v
-}
-
-// refPolicyIteration alternates evaluation and greedy improvement.
-func refPolicyIteration(m *MDP, o SolveOptions) Result {
-	o = o.withDefaults()
-	pol := make(Policy, m.NumStates())
-	for it := 1; ; it++ {
-		v := refPolicyEvaluation(m, pol, o)
-		changed := false
-		for s, acts := range m.Actions {
-			if _, bestA := refGreedy(acts, o.Gamma, v, pol[s], 1e-12); bestA != pol[s] {
-				pol[s], changed = bestA, true
-			}
-		}
-		if !changed || it == o.MaxIter {
-			return Result{Values: v, Policy: pol, Iterations: it}
-		}
-	}
 }
 
 // refStationary is power iteration on the lazy chain (I+P)/2 of the policy,
