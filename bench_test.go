@@ -4,7 +4,10 @@ package ramsis
 // evaluation (each regenerates the corresponding rows/series at the quick
 // grid — run cmd/experiments for the default or --full paper-scale grids),
 // plus micro-benchmarks of the core machinery and ablation benches for the
-// design choices DESIGN.md calls out.
+// design choices DESIGN.md calls out. These are developer tools — `go test
+// -bench <name> -benchmem .`, `make profile PROFILE_BENCH=<name>` — and
+// `make bench-smoke` runs each once so none rots; the numbers of record are
+// the repository benchmark's (bench/, BENCHMARK.json).
 
 import (
 	"fmt"
@@ -128,22 +131,20 @@ func BenchmarkPolicySelect(b *testing.B) {
 // BenchmarkValueIteration measures the exact MDP solve in isolation on the
 // built-in ImageNet-scale worker MDP (26 image models, D=50, 60 workers at
 // 2,400 QPS): the compiled CSR Jacobi sweep, the only value iteration there
-// is. The row is named compiled/sequential because that is its name in the
-// committed baseline it gates against.
+// is.
 func BenchmarkValueIteration(b *testing.B) {
 	m, err := core.BuildWorkerMDP(genCfg())
 	if err != nil {
 		b.Fatal(err)
 	}
 	cm := mdp.Compile(m)
-	b.Run("compiled/sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := cm.ValueIteration(mdp.SolveOptions{}); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cm.ValueIteration(mdp.SolveOptions{}); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
 }
 
 // resolveFixture holds the pre-built worker MDPs for BenchmarkResolve: the
@@ -219,7 +220,7 @@ func resolveSetup(b *testing.B, scale string) *resolveFixture {
 // prioritized Gauss-Seidel) x start (cold zeros vs warm from the neighboring
 // bucket's values) x state-space scale (the default 32-deep queue axis vs
 // 10x). The warm prioritized rows are the drift-dwell budget: <10ms at 1x,
-// and at 10x no worse than the 1x Jacobi baseline (~209ms in BENCH_4.json).
+// and at 10x no worse than the 1x cold Jacobi row.
 func BenchmarkResolve(b *testing.B) {
 	for _, scale := range []string{"1x", "10x"} {
 		for _, bc := range []struct {

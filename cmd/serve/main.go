@@ -76,7 +76,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	o.tw = tw
 	switch o.Workload {
 	case "llm":
-		return o.runLLM()
+		return o.runLLM(ctx)
 	case "scalar":
 	default:
 		return fmt.Errorf("unknown -workload %q (want scalar or llm)", o.Workload)
@@ -140,8 +140,9 @@ func (o *options) runSharded(ctx context.Context, base core.Config) error {
 // policy, and replays a token-annotated Poisson workload through them over
 // real HTTP. TTFT is measured twice: by the worker in modeled time and by the
 // client off the first streamed byte, so the summary separates the model's
-// prediction from the wire reality.
-func (o *options) runLLM() error {
+// prediction from the wire reality. Cancelling ctx ends the replay at the
+// next pacing sleep.
+func (o *options) runLLM(ctx context.Context) error {
 	models, class, err := o.LLM()
 	if err != nil {
 		return err
@@ -152,6 +153,11 @@ func (o *options) runLLM() error {
 	if err != nil {
 		return err
 	}
+	// Deferred first so it runs last: an interrupted replay returns through
+	// the workers' Stops, which end the streams still in flight, and only
+	// then waits for their client goroutines.
+	var wg sync.WaitGroup
+	defer wg.Wait()
 	// One registry across workers: counters and histograms merge, the KV
 	// gauge stays per-worker via its index label.
 	registry := telemetry.NewRegistry()
@@ -184,12 +190,13 @@ func (o *options) runLLM() error {
 		err error
 	}
 	replies := make([]reply, len(events))
-	var wg sync.WaitGroup
 	client := &http.Client{}
 	defer client.CloseIdleConnections()
 	start := time.Now()
 	for i, ev := range events {
-		time.Sleep(time.Until(start.Add(time.Duration(ev.T / o.timeScale * float64(time.Second)))))
+		if err := serve.SleepUntil(ctx, start.Add(time.Duration(ev.T/o.timeScale*float64(time.Second)))); err != nil {
+			return fmt.Errorf("replay interrupted after %d of %d queries: %w", i, len(events), err)
+		}
 		need := ev.Prefill + ev.Decode
 		mu.Lock()
 		wi := 0
@@ -340,7 +347,7 @@ func (o *options) runCluster(ctx context.Context, base core.Config) error {
 	arrivals := trace.PoissonArrivals(trace.Constant(o.Load, o.Dur), o.Seed)
 	o.Printf("replaying %d queries over %.0fs (wall %.0fs)...\n",
 		len(arrivals), o.Dur, o.Dur/o.timeScale)
-	m, err := cluster.Frontend.Replay(arrivals)
+	m, err := cluster.Frontend.Replay(ctx, arrivals)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -68,6 +69,26 @@ func waitGoroutines(t *testing.T, baseline int) {
 	}
 }
 
+// awaitOutput polls a running run's stdout until pattern matches and returns
+// the submatches; run returning first, or 20 s without a match, is fatal.
+func awaitOutput(t *testing.T, out *syncBuffer, done <-chan error, pattern string) []string {
+	t.Helper()
+	re := regexp.MustCompile(pattern)
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		select {
+		case err := <-done:
+			t.Fatalf("run returned before printing %q: %v\n%s", pattern, err, out.String())
+		default:
+		}
+		if m := re.FindStringSubmatch(out.String()); m != nil {
+			return m
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no %q line:\n%s", pattern, out.String())
+		}
+	}
+}
+
 // TestReplaySmoke runs both replay workloads end to end over localhost HTTP:
 // run returns nil after the summary, with nothing left running.
 func TestReplaySmoke(t *testing.T) {
@@ -111,20 +132,7 @@ func TestLiveSmoke(t *testing.T) {
 			done := make(chan error, 1)
 			go func() { done <- run(ctx, strings.Fields(tc.args+" -addr 127.0.0.1:0"), &out) }()
 
-			url := regexp.MustCompile(regexp.QuoteMeta(tc.banner) + `(http://[0-9.:]+)`)
-			var base string
-			for deadline := time.Now().Add(20 * time.Second); base == ""; time.Sleep(10 * time.Millisecond) {
-				select {
-				case err := <-done:
-					t.Fatalf("run returned before serving: %v\n%s", err, out.String())
-				default:
-				}
-				if m := url.FindStringSubmatch(out.String()); m != nil {
-					base = m[1]
-				} else if time.Now().After(deadline) {
-					t.Fatalf("no %q line:\n%s", tc.banner, out.String())
-				}
-			}
+			base := awaitOutput(t, &out, done, regexp.QuoteMeta(tc.banner)+`(http://[0-9.:]+)`)[1]
 			req, _ := http.NewRequest(http.MethodPost, base+"/query", strings.NewReader("{}"))
 			req.Header.Set("X-Tenant", "gold")
 			resp, err := http.DefaultClient.Do(req)
@@ -145,6 +153,39 @@ func TestLiveSmoke(t *testing.T) {
 				}
 			case <-time.After(10 * time.Second):
 				t.Fatal("run did not return after its context was cancelled")
+			}
+			waitGoroutines(t, baseline)
+		})
+	}
+}
+
+// TestReplayInterrupt cancels the context in the middle of a ten-minute
+// replay of each workload — what the first SIGINT does under cli.Main — and
+// requires run to return the cancellation promptly, through its deferred
+// Stops, with nothing left running.
+func TestReplayInterrupt(t *testing.T) {
+	for name, args := range map[string]string{
+		"scalar": "-workers 2 -load 40 -dur 600 -d 10",
+		"llm":    "-workload llm -workers 2 -slo 8000 -load 2 -dur 600 -llm-bucket 128",
+	} {
+		t.Run(name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var out syncBuffer
+			done := make(chan error, 1)
+			go func() { done <- run(ctx, strings.Fields(args), &out) }()
+			awaitOutput(t, &out, done, `(?m)^replaying \d+ `)
+			time.Sleep(500 * time.Millisecond) // let queries be in flight
+
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("run after cancel: %v, want context.Canceled", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("run did not return after its context was cancelled mid-replay")
 			}
 			waitGoroutines(t, baseline)
 		})

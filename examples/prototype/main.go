@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -60,7 +61,7 @@ func main() {
 	arrivals := trace.PoissonArrivals(tr, 11)
 	fmt.Printf("replaying %d queries over %.0f modeled seconds (%.0fs wall)...\n",
 		len(arrivals), duration, duration/timeScale)
-	m, err := cluster.Frontend.Replay(arrivals)
+	m, err := cluster.Frontend.Replay(context.Background(), arrivals)
 	if err != nil {
 		log.Fatal(err)
 	}

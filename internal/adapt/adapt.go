@@ -27,19 +27,19 @@ import (
 	"ramsis/internal/telemetry"
 )
 
+// cacheSize bounds the adapter's LRU policy cache.
+const cacheSize = 16
+
 // Config parameterizes an Adapter.
 type Config struct {
 	// Base is the generation problem (models, SLO, workers, knobs). Its
-	// Arrival field is overridden per rate bucket via ArrivalFor and its
-	// Solver is always mdp.MethodPrioritized, whatever the caller set:
-	// drift re-solves are latency-critical (dispatch runs on the stale
-	// policy until the swap) and the prioritized method reaches the same
-	// fixed point as the synchronous sweep in a fraction of the time,
-	// especially warm-started.
+	// Arrival field is overridden per rate bucket (Poisson at the bucket's
+	// rate, as in the paper) and its Solver is always
+	// mdp.MethodPrioritized, whatever the caller set: drift re-solves are
+	// latency-critical (dispatch runs on the stale policy until the swap)
+	// and the prioritized method reaches the same fixed point as the
+	// synchronous sweep in a fraction of the time, especially warm-started.
 	Base core.Config
-	// ArrivalFor maps a rate bucket to the arrival process policies are
-	// solved against. Nil defaults to Poisson, as in the paper.
-	ArrivalFor func(rate float64) dist.Process
 	// Band is the fractional hysteresis half-width around the solved-for
 	// rate (0 defaults to 0.2, i.e. ±20 %).
 	Band float64
@@ -52,8 +52,6 @@ type Config struct {
 	// hysteresis band width at the initial rate, Band×initial.Load, so a
 	// confirmed drift always changes buckets).
 	BucketSize float64
-	// CacheSize bounds the LRU policy cache (0 defaults to 16).
-	CacheSize int
 	// Background re-solves on a goroutine instead of inline. The serving
 	// path sets it so dispatch never stalls behind a solve; the simulator
 	// leaves it unset because an inline solve costs zero modeled time.
@@ -132,9 +130,6 @@ func New(cfg Config, initial *core.Policy) (*Adapter, error) {
 	if initial == nil {
 		return nil, errNilInitial
 	}
-	if cfg.ArrivalFor == nil {
-		cfg.ArrivalFor = func(rate float64) dist.Process { return dist.NewPoisson(rate) }
-	}
 	cfg.Base.Solver = mdp.MethodPrioritized
 	if cfg.Band == 0 {
 		cfg.Band = 0.2
@@ -155,16 +150,13 @@ func New(cfg Config, initial *core.Policy) (*Adapter, error) {
 			cfg.BucketSize = core.OnDemandRung
 		}
 	}
-	if cfg.CacheSize == 0 {
-		cfg.CacheSize = 16
-	}
 	a := &Adapter{
 		cfg:   cfg,
 		hash:  ConfigHash(cfg.Base),
 		det:   NewDetector(initial.Load, cfg.Band, cfg.Dwell),
-		cache: NewCache(cfg.CacheSize),
+		cache: NewCache(cacheSize),
 	}
-	set := core.NewPolicySet(cfg.Base, cfg.ArrivalFor)
+	set := core.NewPolicySet(cfg.Base, nil)
 	set.Insert(initial)
 	a.cur.Store(set)
 	bucket := bucketOf(initial.Load, cfg.BucketSize)
@@ -292,7 +284,7 @@ func (a *Adapter) resolve(bucket float64, start time.Time) {
 	a.resolves.Add(1)
 	inc(a.mResolves)
 	cfg := a.cfg.Base
-	cfg.Arrival = a.cfg.ArrivalFor(bucket)
+	cfg.Arrival = dist.NewPoisson(bucket)
 	if donor, ok := a.cache.Nearest(a.key(bucket)); ok {
 		if vals := donor.SolveValues(); vals != nil {
 			cfg.InitialValues = vals

@@ -22,10 +22,14 @@ import (
 )
 
 // Main is every command's main(): it runs the command under a context that
-// SIGINT or SIGTERM cancels — so a live mode returns through its deferred
-// Stop and Close calls — and turns a returned error into exit status 1.
+// SIGINT or SIGTERM cancels — so a live mode or a replay returns through its
+// deferred Stop and Close calls — and turns a returned error into exit
+// status 1. The first signal only cancels; it also restores the default
+// disposition, so a second one terminates a command that never reads its
+// context (a long simulation, an experiment grid).
 func Main(run func(ctx context.Context, args []string, stdout io.Writer) error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop)
 	err := run(ctx, os.Args[1:], os.Stdout)
 	stop()
 	if err == nil || errors.Is(err, flag.ErrHelp) {

@@ -100,19 +100,6 @@ func PoissonTail(k int, mu float64) float64 {
 	return regularizedGammaP(float64(k), mu)
 }
 
-// ErlangCDF returns P[S <= t] for S the sum of shape i.i.d. Exp(rate)
-// variables. Equivalently the probability that a Poisson(rate·t) count is at
-// least shape. ErlangCDF(0, ·, ·) is 1 (an empty sum is zero).
-func ErlangCDF(shape int, rate, t float64) float64 {
-	if shape <= 0 {
-		return 1
-	}
-	if t <= 0 {
-		return 0
-	}
-	return PoissonTail(shape, rate*t)
-}
-
 // ErlangPDF returns the Erlang(shape, rate) density at t.
 func ErlangPDF(shape int, rate, t float64) float64 {
 	if shape <= 0 || t < 0 {
@@ -158,9 +145,6 @@ func NewGamma(rate float64, shape int) Gamma {
 
 // Rate returns the mean arrival rate.
 func (g Gamma) Rate() float64 { return g.rate }
-
-// Shape returns the integer Erlang shape of one inter-arrival time.
-func (g Gamma) Shape() int { return g.shape }
 
 // PF returns P[k arrivals in t] for the Erlang renewal process, assuming an
 // arrival epoch at the interval start (ordinary renewal process).

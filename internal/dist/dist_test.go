@@ -125,24 +125,28 @@ func TestNewPoissonPanicsOnBadRate(t *testing.T) {
 	}
 }
 
+// erlangCDF is P[S <= t] for S the sum of shape i.i.d. Exp(rate) variables:
+// the probability that a Poisson(rate·t) count is at least shape.
+func erlangCDF(shape int, rate, t float64) float64 { return PoissonTail(shape, rate*t) }
+
 func TestErlangCDFProperties(t *testing.T) {
-	if got := ErlangCDF(0, 5, 1); got != 1 {
-		t.Errorf("ErlangCDF(0,...) = %g, want 1", got)
+	if got := erlangCDF(0, 5, 1); got != 1 {
+		t.Errorf("erlangCDF(0,...) = %g, want 1", got)
 	}
-	if got := ErlangCDF(3, 5, 0); got != 0 {
-		t.Errorf("ErlangCDF(3,5,0) = %g, want 0", got)
+	if got := erlangCDF(3, 5, 0); got != 0 {
+		t.Errorf("erlangCDF(3,5,0) = %g, want 0", got)
 	}
 	// Erlang(1, rate) is exponential.
 	for _, x := range []float64{0.1, 0.5, 2} {
 		want := 1 - math.Exp(-5*x)
-		if got := ErlangCDF(1, 5, x); !almostEqual(got, want, 1e-10) {
-			t.Errorf("ErlangCDF(1,5,%v) = %g, want %g", x, got, want)
+		if got := erlangCDF(1, 5, x); !almostEqual(got, want, 1e-10) {
+			t.Errorf("erlangCDF(1,5,%v) = %g, want %g", x, got, want)
 		}
 	}
 	// CDF decreasing in shape for fixed t (more stages take longer).
 	for shape := 1; shape < 20; shape++ {
-		a := ErlangCDF(shape, 10, 1)
-		b := ErlangCDF(shape+1, 10, 1)
+		a := erlangCDF(shape, 10, 1)
+		b := erlangCDF(shape+1, 10, 1)
 		if b > a+1e-12 {
 			t.Fatalf("ErlangCDF not decreasing in shape at %d: %g -> %g", shape, a, b)
 		}
@@ -164,7 +168,7 @@ func TestErlangPDFIntegratesToCDF(t *testing.T) {
 		sum += w * ErlangPDF(shape, rate, float64(i)*h)
 	}
 	got := sum * h
-	want := ErlangCDF(shape, rate, upper)
+	want := erlangCDF(shape, rate, upper)
 	if !almostEqual(got, want, 1e-6) {
 		t.Errorf("integral of pdf = %g, want cdf %g", got, want)
 	}
@@ -247,22 +251,6 @@ func TestGammaSamplerMeanRateAndVariance(t *testing.T) {
 	want := 4.0 / (2000 * 2000)
 	if math.Abs(variance-want)/want > 0.05 {
 		t.Errorf("sampled variance = %g, want ~%g", variance, want)
-	}
-}
-
-func TestTruncatedNormal(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 10000; i++ {
-		v := TruncatedNormal(rng, 0.01, 0.01, 0.001)
-		if v < 0.001 {
-			t.Fatalf("TruncatedNormal returned %g below floor", v)
-		}
-	}
-	if got := TruncatedNormal(rng, 0.05, 0, 0.1); got != 0.1 {
-		t.Errorf("zero-stddev below floor = %g, want 0.1", got)
-	}
-	if got := TruncatedNormal(rng, 0.5, 0, 0.1); got != 0.5 {
-		t.Errorf("zero-stddev above floor = %g, want 0.5", got)
 	}
 }
 

@@ -90,17 +90,6 @@ func RegIncBeta(a, b, x float64) float64 {
 	return 1 - front*betaCF(b, a, 1-x)/b
 }
 
-// BinomialTail returns P[Bin(n, p) >= k].
-func BinomialTail(n, k int, p float64) float64 {
-	if k <= 0 {
-		return 1
-	}
-	if k > n {
-		return 0
-	}
-	return RegIncBeta(float64(k), float64(n-k+1), p)
-}
-
 func lgammaOf(x float64) float64 {
 	v, _ := math.Lgamma(x)
 	return v

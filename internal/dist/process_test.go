@@ -96,37 +96,3 @@ func TestRegIncBetaKnownValues(t *testing.T) {
 		}
 	}
 }
-
-func TestBinomialTailExactSmall(t *testing.T) {
-	// n=5, p=0.4: P[X >= 2] = 1 - P0 - P1.
-	p0 := math.Pow(0.6, 5)
-	p1 := 5 * 0.4 * math.Pow(0.6, 4)
-	want := 1 - p0 - p1
-	if got := BinomialTail(5, 2, 0.4); math.Abs(got-want) > 1e-12 {
-		t.Errorf("BinomialTail(5,2,0.4) = %g, want %g", got, want)
-	}
-	if got := BinomialTail(5, 0, 0.4); got != 1 {
-		t.Errorf("BinomialTail(5,0,·) = %g, want 1", got)
-	}
-	if got := BinomialTail(5, 6, 0.4); got != 0 {
-		t.Errorf("BinomialTail(5,6,·) = %g, want 0", got)
-	}
-}
-
-func TestBinomialTailLargeN(t *testing.T) {
-	// Large-n sanity: P[Bin(3000, 0.5) >= 1500] ~ 0.5 (slightly above due
-	// to the atom at the median).
-	got := BinomialTail(3000, 1500, 0.5)
-	if got < 0.49 || got > 0.52 {
-		t.Errorf("BinomialTail(3000,1500,0.5) = %g, want ~0.5", got)
-	}
-	// Monotone in k.
-	prev := 1.0
-	for k := 0; k <= 3000; k += 100 {
-		cur := BinomialTail(3000, k, 0.3)
-		if cur > prev+1e-12 {
-			t.Fatalf("tail not monotone at k=%d", k)
-		}
-		prev = cur
-	}
-}

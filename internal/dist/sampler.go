@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -29,22 +28,6 @@ func (g Gamma) NextInterarrival(rng *rand.Rand) float64 {
 		sum += rng.ExpFloat64() / stageRate
 	}
 	return sum
-}
-
-// TruncatedNormal draws from a normal distribution with the given mean and
-// standard deviation, truncated below at lo. It is used to add the ~10 ms
-// inference-latency jitter the paper observes during profiling (§7.3.1).
-func TruncatedNormal(rng *rand.Rand, mean, stddev, lo float64) float64 {
-	if stddev <= 0 {
-		return math.Max(mean, lo)
-	}
-	for i := 0; i < 64; i++ {
-		v := mean + stddev*rng.NormFloat64()
-		if v >= lo {
-			return v
-		}
-	}
-	return lo
 }
 
 // OnOff is a bursty workload sampler: a two-phase process alternating

@@ -188,9 +188,6 @@ func (b *PowerOfTwoChoices) Pick(queueLens []int, healthy []bool) int {
 	return first
 }
 
-// Strategies lists the canonical -lb flag values.
-func Strategies() []string { return []string{"rr", "jsq", "p2c"} }
-
 // New builds a balancer from a -lb flag value. Accepted spellings:
 // "rr"/"round-robin", "jsq"/"shortest-queue", "p2c"/"power-of-two". The
 // seed only affects p2c.

@@ -123,9 +123,6 @@ func TestNewFactory(t *testing.T) {
 	if _, err := New("bogus", 1); err == nil {
 		t.Error("unknown strategy accepted")
 	}
-	if len(Strategies()) != 3 {
-		t.Errorf("Strategies() = %v", Strategies())
-	}
 }
 
 func TestBalancersConcurrentUse(t *testing.T) {

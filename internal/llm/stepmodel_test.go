@@ -166,9 +166,6 @@ func TestClasses(t *testing.T) {
 		if c.In == nil || c.Out == nil {
 			t.Fatalf("class %s has nil samplers", c.Name)
 		}
-		if f := c.PrefillFraction(); !(f > 0 && f < 1) {
-			t.Fatalf("class %s prefill fraction %v outside (0,1)", c.Name, f)
-		}
 		got, err := ClassByName(c.Name)
 		if err != nil || got.Name != c.Name {
 			t.Fatalf("ClassByName(%s) = %v, %v", c.Name, got.Name, err)
@@ -179,8 +176,9 @@ func TestClasses(t *testing.T) {
 	}
 	// Codegen is the prefill-heavy class; general is balanced. The gap is
 	// what the token-aware policy exploits.
-	if !(CodegenClass().PrefillFraction() > GeneralClass().PrefillFraction()+0.2) {
+	prefill := func(c Class) float64 { return c.In.MeanLen() / c.MeanTokens() }
+	if !(prefill(CodegenClass()) > prefill(GeneralClass())+0.2) {
 		t.Fatalf("codegen prefill fraction %.2f not clearly above general %.2f",
-			CodegenClass().PrefillFraction(), GeneralClass().PrefillFraction())
+			prefill(CodegenClass()), prefill(GeneralClass()))
 	}
 }

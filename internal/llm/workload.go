@@ -21,12 +21,6 @@ type Class struct {
 // MeanTokens returns the mean total tokens per query (prefill + decode).
 func (c Class) MeanTokens() float64 { return c.In.MeanLen() + c.Out.MeanLen() }
 
-// PrefillFraction returns the mean fraction of a query's tokens that are
-// prefill — the batch-composition prior policy generation uses.
-func (c Class) PrefillFraction() float64 {
-	return c.In.MeanLen() / c.MeanTokens()
-}
-
 // GeneralClass is the interactive-chat class: short-to-medium prompts,
 // medium outputs, both lognormal with heavy right tails.
 func GeneralClass() Class {

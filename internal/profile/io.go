@@ -3,148 +3,15 @@ package profile
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
-	"path/filepath"
-	"sort"
-
-	"ramsis/internal/stats"
 )
 
-// The artifact distributes profiles as profiles/MODELNAME/BATCHSIZE.json —
-// a JSON list of raw latencies from 100 invocations — plus accuracy maps.
-// These helpers write and read that layout, so profiles collected on real
-// hardware drop into this implementation directly: the p95 of each raw list
-// becomes the tabulated l_w(m, b), exactly as §7 profiles models.
-
-// ExportArtifact writes the set in the artifact layout under dir:
-// dir/MODEL/BATCH.json raw-latency lists (synthesized around each profile
-// entry with Gaussian jitter of stddev seconds, since our profiles are p95
-// tables) and dir/accuracy.json mapping model name to accuracy.
-func (s Set) ExportArtifact(dir string, samples int, stddev float64, seed int64) error {
-	if samples < 1 {
-		samples = 100
-	}
-	rng := rand.New(rand.NewSource(seed))
-	acc := map[string]float64{}
-	for _, p := range s.Profiles {
-		acc[p.Name] = p.Accuracy
-		mdir := filepath.Join(dir, p.Name)
-		if err := os.MkdirAll(mdir, 0o755); err != nil {
-			return err
-		}
-		for b := 1; b <= p.MaxBatch(); b++ {
-			p95 := p.BatchLatency(b)
-			sd := stddev
-			if cap := 0.15 * p95; sd > cap {
-				sd = cap
-			}
-			mean := p95 - 1.645*sd
-			lats := make([]float64, samples)
-			for i := range lats {
-				v := mean + sd*rng.NormFloat64()
-				if floor := p95 * 0.25; v < floor {
-					v = floor
-				}
-				lats[i] = v
-			}
-			data, err := json.Marshal(lats)
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(filepath.Join(mdir, fmt.Sprintf("%d.json", b)), data, 0o644); err != nil {
-				return err
-			}
-		}
-	}
-	data, err := json.MarshalIndent(acc, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "accuracy.json"), data, 0o644)
-}
-
-// ImportArtifact reads a profile directory in the artifact layout: each
-// model subdirectory's BATCH.json raw-latency lists collapse to their 95th
-// percentile (the paper's profiled statistic), and accuracy.json supplies
-// the accuracies. Task labels the resulting set.
-func ImportArtifact(dir, task string) (Set, error) {
-	accData, err := os.ReadFile(filepath.Join(dir, "accuracy.json"))
-	if err != nil {
-		return Set{}, fmt.Errorf("profile: accuracy map: %w", err)
-	}
-	var acc map[string]float64
-	if err := json.Unmarshal(accData, &acc); err != nil {
-		return Set{}, fmt.Errorf("profile: accuracy map: %w", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return Set{}, err
-	}
-	out := Set{Task: task}
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		a, ok := acc[name]
-		if !ok {
-			return Set{}, fmt.Errorf("profile: model %q has latencies but no accuracy", name)
-		}
-		batches, err := os.ReadDir(filepath.Join(dir, name))
-		if err != nil {
-			return Set{}, err
-		}
-		perBatch := map[int]float64{}
-		maxB := 0
-		for _, bf := range batches {
-			var b int
-			if _, err := fmt.Sscanf(bf.Name(), "%d.json", &b); err != nil || b < 1 {
-				continue
-			}
-			raw, err := os.ReadFile(filepath.Join(dir, name, bf.Name()))
-			if err != nil {
-				return Set{}, err
-			}
-			var lats []float64
-			if err := json.Unmarshal(raw, &lats); err != nil {
-				return Set{}, fmt.Errorf("profile: %s/%s: %w", name, bf.Name(), err)
-			}
-			if len(lats) == 0 {
-				return Set{}, fmt.Errorf("profile: %s/%s is empty", name, bf.Name())
-			}
-			perBatch[b] = stats.Percentile(lats, 95)
-			if b > maxB {
-				maxB = b
-			}
-		}
-		if maxB == 0 {
-			return Set{}, fmt.Errorf("profile: model %q has no batch profiles", name)
-		}
-		lat := make([]float64, maxB)
-		for b := 1; b <= maxB; b++ {
-			v, ok := perBatch[b]
-			if !ok {
-				return Set{}, fmt.Errorf("profile: model %q missing batch %d", name, b)
-			}
-			lat[b-1] = v
-		}
-		out.Profiles = append(out.Profiles, Profile{Model: Model{Name: name, Accuracy: a}, Latency: lat})
-	}
-	if out.Len() == 0 {
-		return Set{}, fmt.Errorf("profile: no models under %s", dir)
-	}
-	sort.Slice(out.Profiles, func(i, j int) bool { return out.Profiles[i].Name < out.Profiles[j].Name })
-	return out, nil
-}
-
-// Single-file kinded profile format: alongside the artifact directory
-// layout, a profile corpus round-trips as one JSON document whose "kind"
-// field names the profile family. Two kinds exist: "scalar" is this
-// package's per-(model, batch) latency tables, "llm" is internal/llm's
-// token-level step-time coefficient tables. Each loader rejects the other
-// kind with a pointed error, so a step-time profile can never silently feed
-// the scalar l_w(m,b) solve path (or vice versa).
+// Single-file kinded profile format: a profile corpus round-trips as one
+// JSON document whose "kind" field names the profile family. Two kinds
+// exist: "scalar" is this package's per-(model, batch) latency tables,
+// "llm" is internal/llm's token-level step-time coefficient tables. Each
+// loader rejects the other kind with a pointed error, so a step-time profile
+// can never silently feed the scalar l_w(m,b) solve path (or vice versa).
 const (
 	// KindScalar marks a per-(model, batch) latency-table profile file.
 	KindScalar = "scalar"

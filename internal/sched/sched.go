@@ -127,10 +127,11 @@ type Account struct {
 }
 
 // NewAccount builds an account. With a registry it registers the tenant's
-// ramsis_tenant_* counters and its windowed ramsis_slo_* gauges; now is the
-// gauges' scrape clock in modeled seconds (nil reads the tracker's last
-// observation, the simulator's only clock).
-func NewAccount(reg *telemetry.Registry, name string, slo float64, windows telemetry.SLOConfig, now func() float64) Account {
+// ramsis_tenant_* counters and its windowed ramsis_slo_* gauges (the
+// telemetry defaults: 0.99 over 60/300/3600 s); now is the gauges' scrape
+// clock in modeled seconds (nil reads the tracker's last observation, the
+// simulator's only clock).
+func NewAccount(reg *telemetry.Registry, name string, slo float64, now func() float64) Account {
 	a := Account{Name: name, SLO: slo}
 	if reg == nil {
 		return a
@@ -143,7 +144,7 @@ func NewAccount(reg *telemetry.Registry, name string, slo float64, windows telem
 	a.queries, a.violations = counter(telemetry.MetricTenantQueries), counter(telemetry.MetricTenantViolations)
 	a.admitted, a.shed = counter(telemetry.MetricTenantAdmitted), counter(telemetry.MetricTenantShed)
 	a.borrowed = counter(telemetry.MetricTenantBorrowed)
-	a.Attainment = telemetry.NewSLOTracker(windows)
+	a.Attainment = telemetry.NewSLOTracker(telemetry.SLOConfig{})
 	telemetry.RegisterSLOGauges(reg, a.Attainment, label, now)
 	return a
 }

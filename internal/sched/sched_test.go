@@ -65,7 +65,7 @@ func TestDecideClampAndCap(t *testing.T) {
 		reg := telemetry.NewRegistry()
 		ring := telemetry.NewDecisionBuffer(8)
 		c := New(Config{Profiles: []profile.Set{testSet()}, Telemetry: reg, Decisions: ring})
-		a := NewAccount(reg, "", 1, telemetry.SLOConfig{}, nil)
+		a := NewAccount(reg, "", 1, nil)
 		if tc.level > 0 {
 			a.Degrade = pinnedDegrader(t, tc.level)
 		}
@@ -98,7 +98,7 @@ func TestDecideClampAndCap(t *testing.T) {
 func TestDecideFallbackIsCounted(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := New(Config{Profiles: []profile.Set{testSet()}, Telemetry: reg})
-	a := NewAccount(reg, "", 1, telemetry.SLOConfig{}, nil)
+	a := NewAccount(reg, "", 1, nil)
 	for i, ch := range []Choice{
 		{Model: "no-such-model", Batch: 4, QueueLen: 4, Head: &a},
 		{Model: "mid", Batch: 0, QueueLen: 4, Head: &a},
@@ -140,8 +140,8 @@ func TestFinishJudgesEachQueryAgainstItsAccount(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ring := telemetry.NewDecisionBuffer(8)
 	c := New(Config{Profiles: []profile.Set{testSet()}, Telemetry: reg, Decisions: ring, WorkerOffset: 10})
-	strict := NewAccount(reg, "strict", 0.5, telemetry.SLOConfig{}, nil)
-	lax := NewAccount(reg, "lax", 2, telemetry.SLOConfig{}, nil)
+	strict := NewAccount(reg, "strict", 0.5, nil)
+	lax := NewAccount(reg, "lax", 2, nil)
 
 	var dec telemetry.Decision
 	pick := c.Decide(Choice{Now: 9.9, QueueLen: 3, Model: "mid", Batch: 3, Head: &strict}, &dec)
@@ -205,7 +205,7 @@ func TestAdmitAccountsTheVerdict(t *testing.T) {
 	ring := telemetry.NewDecisionBuffer(8)
 	traces := telemetry.NewTraceBuffer(8)
 	c := New(Config{Profiles: []profile.Set{testSet()}, AdmitPolicy: "cap", Telemetry: reg, Decisions: ring, Traces: traces, Process: "test"})
-	a := NewAccount(reg, "gold", 1, telemetry.SLOConfig{}, nil)
+	a := NewAccount(reg, "gold", 1, nil)
 	a.Degrade = admit.NewDegrader(admit.DegradeConfig{MaxLevel: 2, Window: 1, EnterShedRate: 0.01})
 
 	if !c.Admit(&a, admit.Verdict{Admit: true, EstWait: 0.01}, Arrival{ID: 1, Time: 0.1, Outstanding: 3}) {
@@ -254,7 +254,7 @@ func TestAdmitAccountsTheVerdict(t *testing.T) {
 // performs no allocation.
 func TestBareCoreAllocatesNothing(t *testing.T) {
 	c := New(Config{Profiles: []profile.Set{testSet()}})
-	a := NewAccount(nil, "", 1, telemetry.SLOConfig{}, nil)
+	a := NewAccount(nil, "", 1, nil)
 	q := &deadlines{5, 3}
 	allocs := testing.AllocsPerRun(100, func() {
 		n, d := c.Tightest(0, q)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -189,7 +190,7 @@ func TestReplayDeadlineAdmissionRaisesGoodput(t *testing.T) {
 			Admit:     a,
 			Seed:      1,
 		})
-		m, err := c.Frontend.Replay(arrivals)
+		m, err := c.Frontend.Replay(context.Background(), arrivals)
 		if err != nil {
 			t.Fatal(err)
 		}

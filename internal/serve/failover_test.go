@@ -98,7 +98,7 @@ func TestFrontendRoutesAroundDeadWorker(t *testing.T) {
 		if kill {
 			// The tracker must notice the death (failed dispatches and
 			// probes both feed it).
-			if !waitUntil(t, 2*time.Second, func() bool { return !f.Health.IsHealthy(1) }) {
+			if !waitUntil(t, 2*time.Second, func() bool { return !f.health.IsHealthy(1) }) {
 				t.Fatal("dead worker never marked unhealthy")
 			}
 			// Let any batch already queued to the dead worker drain through
@@ -243,7 +243,7 @@ func TestReplaySurvivesWorkerDeath(t *testing.T) {
 		}
 		_ = c.workers[1].Stop()
 	}()
-	m, err := c.Frontend.Replay(arrivals)
+	m, err := c.Frontend.Replay(context.Background(), arrivals)
 	close(replayed)
 	<-killed
 	if err != nil {
@@ -266,7 +266,7 @@ func TestReplaySurvivesWorkerDeath(t *testing.T) {
 	if out := c.Frontend.Outstanding(); out != 0 {
 		t.Errorf("%d queries still outstanding after the replay", out)
 	}
-	if !waitUntil(t, 2*time.Second, func() bool { return !c.Frontend.Health.IsHealthy(1) }) {
+	if !waitUntil(t, 2*time.Second, func() bool { return !c.Frontend.health.IsHealthy(1) }) {
 		t.Error("stopped worker never marked unhealthy")
 	}
 	t.Logf("served %d, shed %d, failed dispatches %d, violations %d", m.Served, m.Shed, m.FailedDispatches, m.Violations)

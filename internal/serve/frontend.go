@@ -88,12 +88,10 @@ type Frontend struct {
 	// round-robin, matching the §3.2.1 policy assumption. Start wraps it
 	// with pick-latency instrumentation.
 	Balancer lb.Balancer
-	// Health overrides the health tracker. When nil, Start builds and
-	// owns one probing Workers' /healthz every HealthInterval.
-	Health *lb.HealthTracker
-	// HealthInterval is the wall-clock probe period for the built-in
-	// tracker; default 500 ms divided by TimeScale, so detection latency
-	// compresses with modeled time in tests.
+	// HealthInterval is the wall-clock period at which the frontend's
+	// health tracker probes Workers' /healthz; default 500 ms divided by
+	// TimeScale, so detection latency compresses with modeled time in
+	// tests.
 	HealthInterval time.Duration
 	// Addr is the listen address; default "127.0.0.1:0" (random port).
 	Addr string
@@ -114,11 +112,6 @@ type Frontend struct {
 	// fragments ("gateway" in a sharded cluster; empty when the frontend
 	// is the root).
 	TraceParent string
-	// SLO accounting: per-tenant windowed attainment and burn-rate gauges
-	// (ramsis_slo_*{tenant,window}). SLOWindows overrides the tracker
-	// config; zero values take the telemetry defaults. In plane mode the
-	// trackers live on the shared TenantPlane instead.
-	SLOWindows telemetry.SLOConfig
 	// Admit, when set, screens every arriving query before it is routed:
 	// shed queries are answered 429 with a Retry-After hint instead of
 	// being enqueued. The simulator engine runs the same admitters.
@@ -145,11 +138,13 @@ type Frontend struct {
 	// worker w is exposed as worker WorkerOffset+w.
 	WorkerOffset int
 
-	closed    atomic.Bool
-	nextID    atomic.Int64
-	start     time.Time
-	wq        []*workerQueue
-	ownHealth bool
+	closed atomic.Bool
+	nextID atomic.Int64
+	start  time.Time
+	wq     []*workerQueue
+	// health masks workers that fail consecutive probes or dispatches out
+	// of the balancer's pick; Start builds it, Stop stops it.
+	health *lb.HealthTracker
 	// elapsed is the wall time since start (time.Since(start) unless a test
 	// substituted a fake clock before Start).
 	elapsed func() time.Duration
@@ -283,7 +278,7 @@ func (f *Frontend) Start() error {
 			cfg.AdmitPolicy = f.Admit.Name()
 		}
 		f.single = &tenantState{
-			Account: sched.NewAccount(f.Telemetry, "", f.SLO, f.SLOWindows, f.now),
+			Account: sched.NewAccount(f.Telemetry, "", f.SLO, f.now),
 			sel:     f.Select,
 			mon:     f.Monitor,
 			rateGa:  f.Telemetry.GaugeVec(telemetry.MetricTenantRate, "tenant").With(tenant.DefaultName),
@@ -306,19 +301,16 @@ func (f *Frontend) Start() error {
 		f.Balancer = lb.NewRoundRobin()
 	}
 	f.Balancer = lb.Instrumented(f.Balancer, f.Telemetry)
-	if f.Health == nil {
-		iv := f.HealthInterval
-		if iv <= 0 {
-			iv = time.Duration(float64(500*time.Millisecond) / f.TimeScale)
-			if iv < 5*time.Millisecond {
-				iv = 5 * time.Millisecond
-			}
+	iv := f.HealthInterval
+	if iv <= 0 {
+		iv = time.Duration(float64(500*time.Millisecond) / f.TimeScale)
+		if iv < 5*time.Millisecond {
+			iv = 5 * time.Millisecond
 		}
-		f.Health = lb.NewHealthTracker(f.Workers, lb.HealthConfig{Interval: iv, Telemetry: f.Telemetry})
-		f.Health.Start()
-		f.ownHealth = true
 	}
-	registerHealthGauges(f.Telemetry, f.Health, len(f.Workers), f.WorkerOffset)
+	f.health = lb.NewHealthTracker(f.Workers, lb.HealthConfig{Interval: iv, Telemetry: f.Telemetry})
+	f.health.Start()
+	registerHealthGauges(f.Telemetry, f.health, len(f.Workers), f.WorkerOffset)
 	f.wq = make([]*workerQueue, len(f.Workers))
 	for i := range f.wq {
 		ws := &workerQueue{}
@@ -369,7 +361,7 @@ func (f *Frontend) Start() error {
 func (f *Frontend) URL() string { return "http://" + f.addr }
 
 // Stop shuts down the HTTP server, the selector loops, and the health
-// tracker (if owned).
+// tracker.
 func (f *Frontend) Stop() error {
 	if f.srv == nil {
 		return nil // Start never bound a listener; nothing to tear down
@@ -382,9 +374,7 @@ func (f *Frontend) Stop() error {
 		ws.mu.Unlock()
 	}
 	f.loops.Wait()
-	if f.ownHealth {
-		f.Health.Stop()
-	}
+	f.health.Stop()
 	return err
 }
 
@@ -428,7 +418,7 @@ func (f *Frontend) Stats() StatsResponse {
 		ViolationRate:    vr,
 		QueueLengths:     qs,
 		FailedDispatches: int(tel.Failed.Value()),
-		WorkerHealthy:    f.Health.Healthy(),
+		WorkerHealthy:    f.health.Healthy(),
 		WorkerDispatches: ds,
 		Shed:             shed,
 		DegradeLevel:     level,
@@ -566,7 +556,7 @@ func (f *Frontend) enqueue(tenantName, traceID string, done chan QueryResponse) 
 	pickStart := f.now()
 	scr := f.picks.Get().(*pickScratch)
 	scr.lens = f.queueLensInto(scr.lens[:0])
-	scr.healthy = f.Health.HealthyInto(scr.healthy[:0])
+	scr.healthy = f.health.HealthyInto(scr.healthy[:0])
 	w := f.Balancer.Pick(scr.lens, scr.healthy)
 	f.picks.Put(scr)
 	enqueuedAt := f.now()
@@ -721,17 +711,17 @@ func (f *Frontend) post(w int, body []byte, traceCtx []byte, scr *dispatchScratc
 	f.workerDispatch[w].Inc()
 	lat, status, err := scr.postInfer(w, f.inferURLs[w], body, traceCtx)
 	if err != nil && status == 0 {
-		f.Health.ReportFailure(w)
+		f.health.ReportFailure(w)
 		return 0, false
 	}
 	if status >= 500 {
-		f.Health.ReportFailure(w)
+		f.health.ReportFailure(w)
 		return 0, false
 	}
 	if status < 200 || status >= 300 {
 		return 0, false
 	}
-	f.Health.ReportSuccess(w)
+	f.health.ReportSuccess(w)
 	if err != nil {
 		return 0, true // delivered; latency attribution degrades to dispatch
 	}
@@ -761,7 +751,7 @@ func (f *Frontend) failoverTarget(w int) int {
 	}
 	scr := f.picks.Get().(*pickScratch)
 	defer f.picks.Put(scr)
-	scr.healthy = f.Health.HealthyInto(scr.healthy[:0])
+	scr.healthy = f.health.HealthyInto(scr.healthy[:0])
 	scr.healthy[w] = false
 	if !anyHealthy(scr.healthy) {
 		return -1

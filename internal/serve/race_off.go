@@ -2,5 +2,5 @@
 
 package serve
 
-// raceEnabled reports whether the race detector is compiled in.
-const raceEnabled = false
+// RaceEnabled reports whether the race detector is compiled in.
+const RaceEnabled = false

@@ -2,8 +2,8 @@
 
 package serve
 
-// raceEnabled reports whether the race detector is compiled in. Timing-
+// RaceEnabled reports whether the race detector is compiled in. Timing-
 // sensitive tests consult it: the detector slows the serving path several
 // fold, so goodput thresholds calibrated for plain builds would measure
 // the detector, not the policy.
-const raceEnabled = true
+const RaceEnabled = true

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"time"
@@ -20,8 +21,11 @@ import (
 // Replay returns an error alongside the metrics when the selector
 // misbehaved (named a model outside Profiles, or a batch below one): the
 // frontend keeps such queries alive on a fallback model, but a replay is an
-// experiment, and a mis-wired policy must fail it loudly.
-func (f *Frontend) Replay(arrivals []float64) (sim.Metrics, error) {
+// experiment, and a mis-wired policy must fail it loudly. Cancelling ctx ends
+// the replay at the next pacing sleep: the queries already enqueued are
+// abandoned (their channels are buffered; the frontend's Stop drains them)
+// and the error wraps ctx.Err().
+func (f *Frontend) Replay(ctx context.Context, arrivals []float64) (sim.Metrics, error) {
 	m := sim.Metrics{ModelCounts: map[string]int{}}
 	if f.core == nil {
 		return m, fmt.Errorf("serve: replay needs a started frontend")
@@ -30,9 +34,9 @@ func (f *Frontend) Replay(arrivals []float64) (sim.Metrics, error) {
 	decisions, degraded, fallbacks := tel.Decisions.Value(), tel.Degraded.Value(), tel.Fallbacks.Value()
 	pending := make([]<-chan QueryResponse, 0, len(arrivals))
 	start := time.Now()
-	for _, a := range arrivals {
-		if d := time.Until(start.Add(time.Duration(a / f.TimeScale * float64(time.Second)))); d > 0 {
-			time.Sleep(d)
+	for i, a := range arrivals {
+		if err := SleepUntil(ctx, start.Add(time.Duration(a/f.TimeScale*float64(time.Second)))); err != nil {
+			return m, fmt.Errorf("serve: replay interrupted after %d of %d arrivals: %w", i, len(arrivals), err)
 		}
 		done, eerr := f.Enqueue("")
 		switch {
@@ -65,4 +69,22 @@ func (f *Frontend) Replay(arrivals []float64) (sim.Metrics, error) {
 			m.SelectFallbacks, f.Profiles.Profiles[0].Name)
 	}
 	return m, nil
+}
+
+// SleepUntil is a replay's pacing sleep: it blocks until the wall instant t
+// (returning at once when t has passed) or until ctx is done, and returns
+// ctx.Err() — so an interrupt ends the replay instead of waiting it out.
+func SleepUntil(ctx context.Context, t time.Time) error {
+	d := time.Until(t)
+	if d <= 0 {
+		return ctx.Err()
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-timer.C:
+		return nil
+	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -121,7 +122,7 @@ func TestPrototypeEndToEndRAMSIS(t *testing.T) {
 		Seed:      1,
 	})
 	arr := trace.PoissonArrivals(tr, 5)
-	m, err := c.Frontend.Replay(arr)
+	m, err := c.Frontend.Replay(context.Background(), arr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestPrototypeEndToEndRAMSIS(t *testing.T) {
 		t.Errorf("prototype accuracy %.4f far from expectation %.4f", acc, pol.ExpectedAccuracy)
 	}
 	budget := 0.20
-	if raceEnabled {
+	if RaceEnabled {
 		// The race detector multiplies the HTTP hop's wall cost several
 		// fold, and at this time scale that lands directly in modeled
 		// latency.
@@ -174,7 +175,7 @@ func TestPrototypeCentralModeBaseline(t *testing.T) {
 		Balancer:  lb.NewJoinShortestQueue(),
 		Seed:      1,
 	})
-	m, err := c.Frontend.Replay(trace.PoissonArrivals(tr, 6))
+	m, err := c.Frontend.Replay(context.Background(), trace.PoissonArrivals(tr, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestReplayErrorsOnNoWorkers(t *testing.T) {
 	if err := f.Start(); err == nil {
 		t.Error("no-worker frontend should not start")
 	}
-	if _, err := f.Replay([]float64{0}); err == nil {
+	if _, err := f.Replay(context.Background(), []float64{0}); err == nil {
 		t.Error("no-worker run should fail")
 	}
 }
@@ -212,7 +213,7 @@ func TestReplaySurfacesUnknownModel(t *testing.T) {
 		TimeScale: 50,
 		Select:    func(_, _ float64, n int, _ float64) (string, int) { return "not_a_model", n },
 	})
-	m, err := c.Frontend.Replay([]float64{0})
+	m, err := c.Frontend.Replay(context.Background(), []float64{0})
 	if err == nil {
 		t.Error("unknown model should surface as an error")
 	}

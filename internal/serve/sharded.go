@@ -64,9 +64,6 @@ type ShardedConfig struct {
 	// gateway routes, shard dispatches, worker inferences — into one JSONL
 	// stream, so a single file stitches end to end.
 	TraceWriter *telemetry.TraceWriter
-	// SLO configures the per-tenant attainment/burn-rate windows (zero
-	// values take the telemetry defaults: 0.99 over 60/300/3600 s).
-	SLO telemetry.SLOConfig
 }
 
 // ShardedCluster is a running sharded multi-tenant deployment.
@@ -190,7 +187,6 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 		Selectors:    selectors,
 		Fallback:     fallback,
 		DegradeDepth: cfg.DegradeDepth,
-		SLO:          cfg.SLO,
 		Now: func() float64 {
 			return time.Since(epoch).Seconds() * cfg.TimeScale
 		},

@@ -153,7 +153,7 @@ func TestShardedFairnessUnderOverload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second live soak")
 	}
-	if raceEnabled {
+	if RaceEnabled {
 		// The goodput floor measures real wall-clock serving; the race
 		// detector slows dispatch several fold, which at TimeScale 10
 		// lands as modeled SLO violations. Concurrency coverage of the

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -268,7 +269,7 @@ func TestReplayTelemetry(t *testing.T) {
 	for i := range arr {
 		arr[i] = float64(i) * 0.01
 	}
-	m, err := c.Frontend.Replay(arr)
+	m, err := c.Frontend.Replay(context.Background(), arr)
 	if err != nil {
 		t.Fatal(err)
 	}

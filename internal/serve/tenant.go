@@ -40,6 +40,10 @@ type tenantState struct {
 	rateGa *telemetry.Gauge
 }
 
+// monitorWindow is the per-tenant rate monitor window in modeled seconds,
+// matching the single-tenant frontends.
+const monitorWindow = 0.5
+
 // TenantPlaneConfig configures NewTenantPlane.
 type TenantPlaneConfig struct {
 	Registry *tenant.Registry
@@ -53,12 +57,6 @@ type TenantPlaneConfig struct {
 	// DegradeDepth > 0 gives every tenant its own degrader with that max
 	// level, replacing the single global clamp.
 	DegradeDepth int
-	// MonitorWindow is the per-tenant rate monitor window in modeled
-	// seconds (default 0.5, matching the single-tenant frontends).
-	MonitorWindow float64
-	// SLO configures the per-tenant attainment/burn-rate windows (zero
-	// values take the telemetry defaults: 0.99 over 60/300/3600 s).
-	SLO telemetry.SLOConfig
 	// Now supplies the plane's modeled clock for scrape-time SLO gauges
 	// (the sharded cluster passes its shared epoch); nil falls back to
 	// each tracker's last observation time.
@@ -69,9 +67,6 @@ type TenantPlaneConfig struct {
 // NewTenantPlane builds the shared per-tenant state for a sharded
 // deployment.
 func NewTenantPlane(cfg TenantPlaneConfig) *TenantPlane {
-	if cfg.MonitorWindow <= 0 {
-		cfg.MonitorWindow = 0.5
-	}
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
@@ -89,9 +84,9 @@ func NewTenantPlane(cfg TenantPlaneConfig) *TenantPlane {
 func (p *TenantPlane) newState(t tenant.Tenant, sel SelectFunc) *tenantState {
 	cfg := p.cfg
 	st := &tenantState{
-		Account: sched.NewAccount(cfg.Telemetry, t.Name, t.SLO(), cfg.SLO, cfg.Now),
+		Account: sched.NewAccount(cfg.Telemetry, t.Name, t.SLO(), cfg.Now),
 		sel:     sel,
-		mon:     monitor.NewMovingAverage(cfg.MonitorWindow),
+		mon:     monitor.NewMovingAverage(monitorWindow),
 		rateGa:  cfg.Telemetry.GaugeVec(telemetry.MetricTenantRate, "tenant").With(t.Name),
 	}
 	if cfg.DegradeDepth > 0 {

@@ -278,11 +278,6 @@ type Engine struct {
 	// degrade clamp, model select — with the inputs it saw and the realized
 	// latency, mirroring the serve plane's /debug/decisions ring.
 	Decisions *telemetry.DecisionBuffer
-	// SLOCfg configures the per-tenant attainment and burn-rate windows
-	// (zero values take the telemetry defaults). Trackers activate when
-	// Telemetry is set and register ramsis_slo_* gauges on it, computed by
-	// the same code the serve plane scrapes.
-	SLOCfg telemetry.SLOConfig
 
 	rng      *rand.Rand
 	central  []Query
@@ -362,7 +357,7 @@ func (e *Engine) account(tenant string) *account {
 			return a
 		}
 	}
-	a := &account{Account: sched.NewAccount(e.Telemetry, tenant, e.sloFor(tenant), e.SLOCfg, nil)}
+	a := &account{Account: sched.NewAccount(e.Telemetry, tenant, e.sloFor(tenant), nil)}
 	a.Degrade = e.Degrade
 	e.accts = append(e.accts, a)
 	e.last = a

@@ -16,21 +16,14 @@ import (
 type TokenQuery = llm.Request
 
 // ModelSelector picks the step model a worker's next engine step should run
-// (llm.Selector documents the observable state it is consulted with), under
-// a display name.
-type ModelSelector interface {
-	llm.Selector
-	Name() string
-}
+// (llm.Selector documents the observable state it is consulted with).
+type ModelSelector = llm.Selector
 
 // FixedSelector always selects one model — the no-selection baseline.
 type FixedSelector int
 
 // SelectModel returns the fixed index.
 func (s FixedSelector) SelectModel(int, int, float64, float64) int { return int(s) }
-
-// Name implements ModelSelector.
-func (s FixedSelector) Name() string { return "fixed" }
 
 // LLMPolicySelector drives selection from an offline-generated token-stream
 // policy (core.GenerateLLM): the worker's bucketed outstanding-token load is
@@ -64,9 +57,6 @@ func (s *LLMPolicySelector) SelectModel(_, outstandingTokens int, _, _ float64) 
 	return s.idx[c.ModelIdx]
 }
 
-// Name implements ModelSelector.
-func (s *LLMPolicySelector) Name() string { return "ramsis-token" }
-
 // ScalarPolicySelector drives selection from a scalar queue-state policy
 // (core.Generate over llm.Set.ScalarProfiles) — the profile-table baseline
 // the token-aware policy is compared against. It sees query count and head
@@ -98,9 +88,6 @@ func (s *ScalarPolicySelector) SelectModel(queued, _ int, _ float64, headSlack f
 	}
 	return s.idx[c.Model]
 }
-
-// Name implements ModelSelector.
-func (s *ScalarPolicySelector) Name() string { return "ramsis-scalar" }
 
 // LLMMetrics extends the scalar run metrics with the token-level series:
 // time-to-first-token and time-between-tokens percentiles, step and token

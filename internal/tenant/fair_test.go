@@ -192,7 +192,7 @@ func TestUnknownTenantShed(t *testing.T) {
 }
 
 func TestEmptyNameUsesDefaultTenant(t *testing.T) {
-	r, err := Single(DefaultName, 0.2, 100)
+	r, err := NewRegistry([]Tenant{{Name: DefaultName, SLOMS: 200, Weight: 1, RateQPS: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}

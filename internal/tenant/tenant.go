@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"sync/atomic"
 )
 
@@ -188,9 +187,6 @@ func (r *Registry) All() []Tenant { return r.snap.Load().list }
 // successful Reload, so per-tenant caches know when to rebuild.
 func (r *Registry) Version() uint64 { return r.snap.Load().version }
 
-// TotalWeight returns the sum of tenant weights.
-func (r *Registry) TotalWeight() float64 { return r.snap.Load().weight }
-
 // TotalRate returns the sum of contracted tenant rates in QPS — the
 // plane's default admission capacity.
 func (r *Registry) TotalRate() float64 { return r.snap.Load().rate }
@@ -223,22 +219,4 @@ func (r *Registry) ReloadFile(path string) error {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	return r.Reload(ts)
-}
-
-// Names returns the current tenant names sorted alphabetically (stable
-// ordering for printed tables and tests).
-func (r *Registry) Names() []string {
-	list := r.All()
-	names := make([]string, len(list))
-	for i, t := range list {
-		names[i] = t.Name
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Single wraps one tenant as a registry — the N=1 special case every
-// pre-existing single-tenant path reduces to.
-func Single(name string, sloSec, rateQPS float64) (*Registry, error) {
-	return NewRegistry([]Tenant{{Name: name, SLOMS: sloSec * 1000, Weight: 1, RateQPS: rateQPS}})
 }

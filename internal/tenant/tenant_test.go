@@ -70,9 +70,6 @@ func TestRegistryLookupAndTotals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.TotalWeight(); got != 4 {
-		t.Errorf("TotalWeight = %v, want 4", got)
-	}
 	if got := r.TotalRate(); got != 200 {
 		t.Errorf("TotalRate = %v, want 200", got)
 	}
@@ -82,13 +79,10 @@ func TestRegistryLookupAndTotals(t *testing.T) {
 	if _, ok := r.Lookup("nope"); ok {
 		t.Error("Lookup(nope) found a tenant")
 	}
-	if got := r.Names(); len(got) != 3 || got[0] != "batch" {
-		t.Errorf("Names = %v, want sorted [batch interactive standard]", got)
-	}
 }
 
 func TestResolveDefault(t *testing.T) {
-	r, err := Single(DefaultName, 0.2, 100)
+	r, err := NewRegistry([]Tenant{{Name: DefaultName, SLOMS: 200, Weight: 1, RateQPS: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
