@@ -57,10 +57,11 @@ size:
 # selector types, and sched is the dispatch core every frontend handler and
 # worker loop calls without a lock of its own); run them under the race
 # detector. Their tests scale sleeps by TimeScale, so the race pass stays
-# within a CI budget; the explicit timeout is for small boxes — sim alone
-# takes ~4.5 min under the detector on two cores (6 before its largest test
-# was shrunk), and go test runs it alongside serve, which can push it to the
-# 10-min default. cmd/serve's smoke tests start and stop every deployment
+# within a CI budget; the explicit timeout is for small boxes — on two cores
+# sim alone takes ~52 s under the detector and all of `go test ./...` ~59 s
+# (248 s and 89 s while cold generations defaulted to the 2,000-sweep Jacobi
+# solve, which is what the detector slows most), and go test runs sim
+# alongside serve. cmd/serve's smoke tests start and stop every deployment
 # the binary can (~45 s under the detector); cmd/simulate is
 # single-goroutine and ~90 s, so it stays out.
 race:
@@ -116,7 +117,9 @@ bench-smoke:
 # unless PROFILE_BENCH names another — and print the top hotspots (profiles
 # land in ./profiles for interactive pprof use).
 # `make profile PROFILE_BENCH=BenchmarkBuildWorkerMDP` is the transition
-# build's split quoted in DESIGN.md § "Transition-probability computation".
+# build's split quoted in DESIGN.md § "Transition-probability computation",
+# `PROFILE_BENCH=BenchmarkGenerateLLM` the token generation's build / solve
+# split quoted in § "Solver performance".
 PROFILE_BENCH ?= BenchmarkSimulatorThroughput
 
 profile:

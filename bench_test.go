@@ -14,6 +14,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"ramsis/internal/core"
 	"ramsis/internal/dist"
@@ -297,6 +298,46 @@ func BenchmarkBuildWorkerMDP(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkGenerateLLM measures one cold token-policy generation per class
+// on the repository benchmark's problem (bench/'s llmConfig: the built-in step
+// models, 8 s SLO, 2 workers, 128-token buckets to 65,536) and reports how the
+// wall time splits between the transition build and compile + solve, with the
+// solver's sweep-equivalents — the split DESIGN.md § Solver performance
+// quotes (`make profile PROFILE_BENCH=BenchmarkGenerateLLM` for where each
+// half goes).
+func BenchmarkGenerateLLM(b *testing.B) {
+	rates := map[string]float64{"general": 8, "codegen": 2, "reasoning": 0.5}
+	for _, cls := range llm.Classes() {
+		cfg := core.LLMConfig{
+			Models:      llm.BuiltinSet(),
+			SLO:         8.0,
+			Workers:     2,
+			Rate:        rates[cls.Name],
+			In:          cls.In,
+			Out:         cls.Out,
+			TokenBucket: 128,
+			MaxTokens:   65536,
+		}
+		b.Run(cls.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			var build, solve time.Duration
+			var sweeps int
+			for i := 0; i < b.N; i++ {
+				pol, err := core.GenerateLLM(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				build += pol.BuildTime
+				solve += pol.SolveTime
+				sweeps = pol.Iterations
+			}
+			b.ReportMetric(float64(build.Microseconds())/1e3/float64(b.N), "build-ms/op")
+			b.ReportMetric(float64(solve.Microseconds())/1e3/float64(b.N), "solve-ms/op")
+			b.ReportMetric(float64(sweeps), "sweeps")
 		})
 	}
 }

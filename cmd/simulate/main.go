@@ -147,7 +147,7 @@ func (o *options) runLLM() error {
 			return err
 		}
 	case "Scalar":
-		solver, err := core.ParseSolver(o.Solver)
+		jacobi, err := core.ParseSolver(o.Solver)
 		if err != nil {
 			return err
 		}
@@ -157,7 +157,7 @@ func (o *options) runLLM() error {
 			SLO:     o.SLO(),
 			Workers: o.Workers,
 			Arrival: dist.NewPoisson(rate),
-			Solver:  solver,
+			Jacobi:  jacobi,
 		})
 		if err != nil {
 			return err

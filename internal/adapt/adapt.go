@@ -23,7 +23,6 @@ import (
 
 	"ramsis/internal/core"
 	"ramsis/internal/dist"
-	"ramsis/internal/mdp"
 	"ramsis/internal/telemetry"
 )
 
@@ -34,11 +33,10 @@ const cacheSize = 16
 type Config struct {
 	// Base is the generation problem (models, SLO, workers, knobs). Its
 	// Arrival field is overridden per rate bucket (Poisson at the bucket's
-	// rate, as in the paper) and its Solver is always
-	// mdp.MethodPrioritized, whatever the caller set: drift re-solves are
-	// latency-critical (dispatch runs on the stale policy until the swap)
-	// and the prioritized method reaches the same fixed point as the
-	// synchronous sweep in a fraction of the time, especially warm-started.
+	// rate, as in the paper) and its Jacobi field is cleared, whatever the
+	// caller set: drift re-solves are latency-critical (dispatch runs on the
+	// stale policy until the swap) and the prioritized method reaches the
+	// same policy as the synchronous sweep in a fraction of the time.
 	Base core.Config
 	// Band is the fractional hysteresis half-width around the solved-for
 	// rate (0 defaults to 0.2, i.e. ±20 %).
@@ -130,7 +128,7 @@ func New(cfg Config, initial *core.Policy) (*Adapter, error) {
 	if initial == nil {
 		return nil, errNilInitial
 	}
-	cfg.Base.Solver = mdp.MethodPrioritized
+	cfg.Base.Jacobi = false
 	if cfg.Band == 0 {
 		cfg.Band = 0.2
 	}

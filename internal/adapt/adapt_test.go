@@ -216,9 +216,12 @@ func TestAdapterResolveErrorKeepsOldPolicy(t *testing.T) {
 // vector and reaches the same policy in strictly fewer iterations than the
 // identical problem solved cold from zeros.
 func TestAdapterWarmStartFewerIterations(t *testing.T) {
-	// Cold reference: the 120-QPS bucket solved from zeros.
+	// Cold reference: the 120-QPS bucket solved from zeros by the Jacobi
+	// sweep. (A cold prioritized solve takes 10 sweep-equivalents to the
+	// warm one's 11: DESIGN.md § Solver performance.)
 	cfg := adaptBase()
 	cfg.Arrival = dist.NewPoisson(120)
+	cfg.Jacobi = true
 	cold, err := core.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +237,7 @@ func TestAdapterWarmStartFewerIterations(t *testing.T) {
 		t.Fatal("LastResolveIterations not recorded")
 	}
 	if s.LastResolveIterations >= uint64(cold.Iterations) {
-		t.Errorf("warm-started resolve took %d iterations, cold solve %d — want strictly fewer",
+		t.Errorf("warm-started resolve took %d iterations, cold Jacobi solve %d — want strictly fewer",
 			s.LastResolveIterations, cold.Iterations)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ramsis/internal/dist"
+	"ramsis/internal/llm"
 	"ramsis/internal/mdp"
 	"ramsis/internal/profile"
 )
@@ -52,6 +53,22 @@ func smallBuildConfig(mut func(*Config)) Config {
 	return cfg
 }
 
+// buildGrid calls fn with every configuration of the balancer × batching ×
+// arrival × queue-bound matrix over smallBuildConfig, and its name.
+func buildGrid(fn func(name string, cfg Config)) {
+	for _, bal := range []Balancing{RoundRobin, ShortestQueueFirst, PowerOfTwoChoices} {
+		for _, bat := range []Batching{MaximalBatching, VariableBatching} {
+			for _, arr := range []dist.Process{dist.NewPoisson(300), dist.NewGamma(300, 2)} {
+				for _, maxQueue := range []int{0, 12} {
+					fn(fmt.Sprintf("%v/%v/%T/maxqueue=%d", bal, bat, arr, maxQueue), smallBuildConfig(func(c *Config) {
+						c.Arrival, c.Balancing, c.Batching, c.MaxQueue = arr, bal, bat, maxQueue
+					}))
+				}
+			}
+		}
+	}
+}
+
 // TestBuildGolden pins the transition build alone — every probability that
 // reaches the solver, bit for bit — across the balancer × batching × arrival
 // × queue-bound matrix TestGenerateGolden does not reach (variable batching,
@@ -94,22 +111,13 @@ func TestBuildGolden(t *testing.T) {
 		"bench/3000": 0x03f5022d1b49012a,
 		"bench/4200": 0xeb14b0826c312ae3,
 	}
-	for _, bal := range []Balancing{RoundRobin, ShortestQueueFirst, PowerOfTwoChoices} {
-		for _, bat := range []Batching{MaximalBatching, VariableBatching} {
-			for _, arr := range []dist.Process{dist.NewPoisson(300), dist.NewGamma(300, 2)} {
-				for _, maxQueue := range []int{0, 12} {
-					name := fmt.Sprintf("%v/%v/%T/maxqueue=%d", bal, bat, arr, maxQueue)
-					m, err := BuildWorkerMDP(smallBuildConfig(func(c *Config) {
-						c.Arrival, c.Balancing, c.Batching, c.MaxQueue = arr, bal, bat, maxQueue
-					}))
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					checkGolden(t, want, name, transitionHash(m))
-				}
-			}
+	buildGrid(func(name string, cfg Config) {
+		m, err := BuildWorkerMDP(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
+		checkGolden(t, want, name, transitionHash(m))
+	})
 	for _, load := range []float64{1200, 1800, 3000, 4200} {
 		name := fmt.Sprintf("bench/%v", load)
 		m, err := BuildWorkerMDP(benchConfig(load))
@@ -117,6 +125,37 @@ func TestBuildGolden(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		checkGolden(t, want, name, transitionHash(m))
+	}
+}
+
+// TestLLMBuildGolden pins the token MDP's transition build the same way:
+// every row of the repository benchmark's three classes (bench/'s llmConfig)
+// at two bucket widths. The constants were captured at commit 9d54030, the
+// last one whose CLT rows evaluated Φ at every bucket edge, so "bounding the
+// edge loop to mean ± 8.5σ leaves the rows unchanged" is a committed number.
+func TestLLMBuildGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden constants were captured on amd64, not %s", runtime.GOARCH)
+	}
+	want := map[string]uint64{
+		"general/bucket=128":   0x2a467201c8692ef8,
+		"general/bucket=512":   0xfaea1531706b83a7,
+		"codegen/bucket=128":   0xaea83efab5f3e514,
+		"codegen/bucket=512":   0xc62a621c9d4b5b4b,
+		"reasoning/bucket=128": 0x03e97979dd8720cf,
+		"reasoning/bucket=512": 0xb59898b70f507461,
+	}
+	for _, cls := range llm.Classes() {
+		for _, bucket := range []int{128, 512} {
+			name := fmt.Sprintf("%s/bucket=%d", cls.Name, bucket)
+			cfg := benchLLMConfig(cls)
+			cfg.TokenBucket = bucket
+			_, m, err := buildLLM(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			checkGolden(t, want, name, transitionHash(m))
+		}
 	}
 }
 

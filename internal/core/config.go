@@ -3,8 +3,8 @@
 // Process whose transition probabilities are derived from the query arrival
 // distribution and the load-balancing strategy (§3-§5), plus the online
 // policy objects (state lookup, load-adaptive policy sets) the serving layer
-// consumes. Solving is internal/mdp's: Config.Solver is one of its two
-// value-iteration methods and solve.go passes it through.
+// consumes. Solving is internal/mdp's: solve.go runs its prioritized method,
+// or its Jacobi sweep when Config.Jacobi asks for the paper's.
 package core
 
 import (
@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"ramsis/internal/dist"
-	"ramsis/internal/mdp"
 	"ramsis/internal/profile"
 )
 
@@ -103,16 +102,17 @@ func ParseBalancing(s string) (Balancing, error) {
 	return RoundRobin, fmt.Errorf("core: unknown balancing strategy %q (want rr, jsq, or p2c)", s)
 }
 
-// ParseSolver maps a CLI solver name to the mdp.Method it selects; "" means
-// value iteration's synchronous sweep (the paper's method, §4.1).
-func ParseSolver(s string) (mdp.Method, error) {
+// ParseSolver maps a CLI solver name to Config.Jacobi: "" and "prioritized"
+// are the default residual-ordered sweeps, "vi" the paper's synchronous value
+// iteration (§4.1).
+func ParseSolver(s string) (jacobi bool, err error) {
 	switch s {
-	case "", "vi", "value-iteration":
-		return mdp.MethodJacobi, nil
-	case "prioritized", "pvi":
-		return mdp.MethodPrioritized, nil
+	case "", "prioritized", "pvi":
+		return false, nil
+	case "vi", "value-iteration":
+		return true, nil
 	}
-	return mdp.MethodJacobi, fmt.Errorf("core: unknown -solver %q (want vi or prioritized)", s)
+	return false, fmt.Errorf("core: unknown -solver %q (want prioritized or vi)", s)
 }
 
 // Config describes one worker-level policy-generation problem: the offline
@@ -143,11 +143,12 @@ type Config struct {
 
 	// Gamma is the value-iteration discount factor; default 0.99.
 	Gamma float64
-	// Solver selects the value-iteration sweep (§4.1): the zero value is
-	// the paper's synchronous sweep, whose values are byte-pinned;
-	// mdp.MethodPrioritized reaches the same fixed point within tolerance
-	// in far fewer backups and is what online re-solves run.
-	Solver mdp.Method
+	// Jacobi solves with the paper's synchronous sweep (§4.1), whose values
+	// are byte-pinned, instead of the default prioritized sweeps. Both stop
+	// on a full sweep with residual below the solver tolerance, so either
+	// greedy policy is within 2γ·Tol/(1−γ) ≈ 2·10⁻⁷ accuracy of optimal;
+	// Jacobi takes ~2,000 sweeps to the default's 20–140.
+	Jacobi bool
 	// ProbFloor prunes transition entries below it (their mass folds into
 	// the overflow complement, which is conservative); default 1e-10.
 	ProbFloor float64

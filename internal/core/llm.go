@@ -42,8 +42,8 @@ type LLMConfig struct {
 
 	// Gamma is the discount factor; default 0.99.
 	Gamma float64
-	// Solver selects the value-iteration sweep, as in Config.
-	Solver mdp.Method
+	// Jacobi selects the paper's synchronous sweep, as in Config.
+	Jacobi bool
 	// ProbFloor prunes transition entries below it; default 1e-10.
 	ProbFloor float64
 	// Timeout aborts generation with ErrTimeout when exceeded (0 = no limit).
@@ -169,15 +169,17 @@ func (p *LLMPolicy) Select(outstandingTokens int) LLMChoice {
 
 // llmBuilder holds the shared pieces of one GenerateLLM run.
 type llmBuilder struct {
+	budget
 	cfg     LLMConfig
 	models  llm.Set // pruned, KV-cap-overridden action set
 	w       int     // bucket width in tokens
 	b       int     // load bucket count (states: 0..b+1)
 	cell    int     // fine-cell width for the one-arrival convolution
 	sumCell []float64
-	muS     float64 // mean total tokens per query
-	sigmaS  float64 // stddev of total tokens per query
-	lambdaW float64 // per-worker arrival rate
+	muS     float64     // mean total tokens per query
+	sigmaS  float64     // stddev of total tokens per query
+	lambdaW float64     // per-worker arrival rate
+	plans   [][]llmPlan // state -> actions' step plans, in Label order
 }
 
 // cellPMF tabulates P(X ∈ ((i-1)c, ic]) for i = 1..ceil(max/c).
@@ -203,6 +205,7 @@ func newLLMBuilder(cfg LLMConfig) *llmBuilder {
 		sigmaS:  math.Sqrt(cfg.In.VarLen() + cfg.Out.VarLen()),
 		lambdaW: cfg.Rate / float64(cfg.Workers),
 	}
+	g.arm(cfg.Timeout)
 	if !cfg.NoParetoPruning {
 		g.models = g.models.ParetoFront()
 	}
@@ -242,6 +245,12 @@ func (g *llmBuilder) bucketOf(tokens float64) int {
 // stdNormCDF is the standard normal CDF Φ(x).
 func stdNormCDF(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }
 
+// phiWindow is how many standard deviations around the mean the CLT rows
+// evaluate Φ over. Past +6√2 ≈ 8.49 math.Erfc returns exactly 2, so Φ is
+// exactly 1 and every further bucket difference exactly 0; below −8.5, Φ is
+// under 10⁻¹⁷, seven orders beneath the ProbFloor the row is cut at.
+const phiWindow = 8.5
+
 // transitions builds the sparse successor distribution of one step: the
 // post-step residual load base plus A ~ Poisson(λ_w·τ) arrivals, each
 // bringing In+Out tokens. A = 1 uses the exact (cell-discretized)
@@ -265,9 +274,17 @@ func (g *llmBuilder) transitions(base, tau float64) []mdp.Transition {
 		default:
 			mean := base + float64(a)*g.muS
 			sd := math.Sqrt(float64(a)) * g.sigmaS
-			prev := stdNormCDF((0 - mean) / sd)
-			mass[0] += pa * prev
-			for k := 1; k <= g.b; k++ {
+			// Edges lo..hi bracket mean ± phiWindow·sd; prev starts at the
+			// edge below the window so the telescoping sum is the full
+			// loop's, and past hi every term (overflow included) is 0.
+			w := float64(g.w)
+			lo := min(max(0, int((mean-phiWindow*sd)/w)), g.b)
+			hi := min(int((mean+phiWindow*sd)/w)+1, g.b)
+			prev := stdNormCDF((float64(lo*g.w) - mean) / sd)
+			if lo == 0 {
+				mass[0] += pa * prev
+			}
+			for k := lo + 1; k <= hi; k++ {
 				cur := stdNormCDF((float64(k*g.w) - mean) / sd)
 				mass[k] += pa * (cur - prev)
 				prev = cur
@@ -339,32 +356,32 @@ func (g *llmBuilder) stepPlan(m llm.StepModel, tokens float64) (p, d int, kv flo
 	return p, d, kv
 }
 
-// GenerateLLM runs the offline phase for one token-stream worker: it
-// formulates the bucketed outstanding-token MDP, solves it with the same
-// compiled solvers the scalar path uses, and computes stationary
-// expectations. The decision epoch is one engine step; a decision's reward
-// is the model's accuracy when the load (plus one typical in-flight query)
-// can drain within the SLO under the serial-decode drain model, else zero —
-// the token-level analog of the scalar Satisfies bound.
-func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
+// llmPlan is one action's saturated step: its prefill/decode composition,
+// step time, token rate and whether the load drains within the SLO.
+type llmPlan struct {
+	p, d      int
+	tau, rate float64
+	sat       bool
+}
+
+// buildLLM formulates (but does not solve) the bucketed outstanding-token
+// MDP: state 0 waits for an arrival, every other state offers one saturated
+// step per surviving model. A decision's reward is the model's accuracy when
+// the load (plus one typical in-flight query) can drain within the SLO under
+// the serial-decode drain model, else zero — the token-level analog of the
+// scalar Satisfies bound.
+func buildLLM(cfg LLMConfig) (*llmBuilder, *mdp.MDP, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	start := time.Now()
-	deadline := deadlineFor(cfg.Timeout)
 	g := newLLMBuilder(cfg)
 	if g.models.Len() == 0 {
-		return nil, fmt.Errorf("core: no step models survive Pareto pruning")
+		return nil, nil, fmt.Errorf("core: no step models survive Pareto pruning")
 	}
 	nStates := g.b + 2
 	m := &mdp.MDP{Actions: make([][]mdp.Action, nStates)}
-	type plan struct {
-		p, d      int
-		tau, rate float64
-		sat       bool
-	}
-	plans := make([][]plan, nStates)
+	g.plans = make([][]llmPlan, nStates)
 	// Empty worker: wait for the next arrival, which brings one query's
 	// In+Out tokens (the one-arrival convolution from zero load).
 	m.Actions[0] = []mdp.Action{{
@@ -374,10 +391,13 @@ func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
 	// States are independent, so they build across cores like the scalar
 	// worker MDP's do; each writes only its own m.Actions and plans slot.
 	parallelFor(nStates-1, func(i int) {
+		if g.expired() {
+			return
+		}
 		s := i + 1
 		rep := (float64(s) - 0.5) * float64(g.w)
 		acts := make([]mdp.Action, 0, g.models.Len())
-		pls := make([]plan, 0, g.models.Len())
+		pls := make([]llmPlan, 0, g.models.Len())
 		for mi, model := range g.models.Models {
 			p, d, kv := g.stepPlan(model, rep)
 			tau := model.StepTime(p, d, kv)
@@ -395,14 +415,31 @@ func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
 				Reward:      reward,
 				Transitions: g.transitions(base, tau),
 			})
-			pls = append(pls, plan{p: p, d: d, tau: tau, rate: rate, sat: sat})
+			pls = append(pls, llmPlan{p: p, d: d, tau: tau, rate: rate, sat: sat})
 		}
 		m.Actions[s] = acts
-		plans[s] = pls
+		g.plans[s] = pls
 	})
-	buildTime := time.Since(start)
+	if g.aborted.Load() {
+		return nil, nil, ErrTimeout
+	}
+	return g, m, nil
+}
 
-	sol, err := solveSpec{cfg.Gamma, cfg.Solver, deadline}.solve(m, nil)
+// GenerateLLM runs the offline phase for one token-stream worker: it
+// formulates the bucketed outstanding-token MDP, solves it with the same
+// compiled solvers the scalar path uses, and computes stationary
+// expectations. The decision epoch is one engine step.
+func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
+	start := time.Now()
+	g, m, err := buildLLM(cfg)
+	if err != nil {
+		return nil, err
+	}
+	buildTime := time.Since(start)
+	cfg = g.cfg
+
+	sol, err := solveSpec{cfg.Gamma, cfg.Jacobi, g.deadline}.solve(m, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -422,12 +459,12 @@ func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
 		SolveTime:   sol.solveTime,
 		models:      g.models,
 	}
-	pol.Choices = make([]LLMChoice, nStates)
+	pol.Choices = make([]LLMChoice, m.NumStates())
 	pol.Choices[0] = LLMChoice{Arrival: true, Satisfies: true}
-	for s := 1; s < nStates; s++ {
+	for s := 1; s < len(pol.Choices); s++ {
 		ai := sol.Policy[s]
 		mi := m.Actions[s][ai].Label
-		pl := plans[s][ai]
+		pl := g.plans[s][ai]
 		pol.Choices[s] = LLMChoice{
 			Model:         g.models.Models[mi].Name,
 			ModelIdx:      mi,

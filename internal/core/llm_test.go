@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ramsis/internal/llm"
-	"ramsis/internal/mdp"
 )
 
 func llmTestConfig() LLMConfig {
@@ -95,28 +94,10 @@ func TestGenerateLLMSelectMapsLoadsToBuckets(t *testing.T) {
 	}
 }
 
-// TestGenerateLLMPrioritizedMatchesValueIteration pins the fast-resolve
-// path to the default solver: same fixed point, same greedy policy.
+// TestGenerateLLMPrioritizedMatchesValueIteration pins the default solver
+// to the Jacobi sweep on the token MDP: same fixed point, same greedy policy.
 func TestGenerateLLMPrioritizedMatchesValueIteration(t *testing.T) {
-	cfg := llmTestConfig()
-	vi, err := GenerateLLM(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Solver = mdp.MethodPrioritized
-	pvi, err := GenerateLLM(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vi.Choices) != len(pvi.Choices) {
-		t.Fatalf("state count mismatch: %d vs %d", len(vi.Choices), len(pvi.Choices))
-	}
-	for s := range vi.Choices {
-		if vi.Choices[s].Model != pvi.Choices[s].Model {
-			t.Errorf("state %d: value iteration picks %s, prioritized picks %s",
-				s, vi.Choices[s].Model, pvi.Choices[s].Model)
-		}
-	}
+	assertJacobiChoices(t, llmChoices(llmTestConfig()))
 }
 
 func TestGenerateLLMKVCapOverride(t *testing.T) {
@@ -156,10 +137,20 @@ func TestGenerateLLMValidation(t *testing.T) {
 
 func TestGenerateLLMTimeout(t *testing.T) {
 	cfg := llmTestConfig()
-	// The deadline is armed on entry, so a nanosecond budget is spent long
-	// before the solver's first sweep checks it.
+	// The deadline is armed on entry, so a nanosecond budget is spent before
+	// the first state builds.
 	cfg.Timeout = time.Nanosecond
 	if _, err := GenerateLLM(cfg); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("GenerateLLM with a 1ns budget returned %v, want ErrTimeout", err)
+	}
+	// A budget that outlasts entry but not the build (tens of milliseconds
+	// for a bench class) stops the build itself: the solver never starts.
+	cfg = benchLLMConfig(llm.GeneralClass())
+	cfg.Timeout = 2 * time.Millisecond
+	if _, _, err := buildLLM(cfg); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("buildLLM with a 2ms budget returned %v, want ErrTimeout", err)
+	}
+	if _, err := GenerateLLM(cfg); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("GenerateLLM with a 2ms budget returned %v, want ErrTimeout", err)
 	}
 }

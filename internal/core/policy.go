@@ -156,7 +156,7 @@ func Generate(cfg Config) (*Policy, error) {
 	if len(warm) != m.NumStates() {
 		warm = nil // a donor solved under different knobs: start cold
 	}
-	sol, err := solveSpec{cfg.Gamma, cfg.Solver, b.deadline}.solve(m, warm)
+	sol, err := solveSpec{cfg.Gamma, cfg.Jacobi, b.deadline}.solve(m, warm)
 	if err != nil {
 		return nil, err
 	}

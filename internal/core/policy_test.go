@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ramsis/internal/dist"
-	"ramsis/internal/mdp"
 	"ramsis/internal/profile"
 )
 
@@ -381,29 +380,16 @@ func TestAccuracyQuantiles(t *testing.T) {
 	}
 }
 
-// TestGeneratePrioritizedMatchesValueIteration pins -solver prioritized to
-// the byte-pinned default on a cold scalar generation, at a queue bound (3×)
-// past the one the adapt tests re-solve warm: same choice in every state.
+// TestGeneratePrioritizedMatchesValueIteration pins the default solver to
+// the byte-pinned Jacobi sweep on a cold scalar generation, at a queue bound
+// (3×) past the one the adapt tests re-solve warm: same choice in every state.
 func TestGeneratePrioritizedMatchesValueIteration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3x queue space generation is slow")
 	}
 	cfg := genConfig(300)
 	cfg.MaxQueue = 96
-	vi, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Solver = mdp.MethodPrioritized
-	pvi, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := range vi.Choices {
-		if pvi.Choices[s] != vi.Choices[s] {
-			t.Fatalf("state %d: prioritized choice %+v != Jacobi %+v", s, pvi.Choices[s], vi.Choices[s])
-		}
-	}
+	assertJacobiChoices(t, scalarChoices(cfg))
 }
 
 func TestPolicyForNowNonBlocking(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"ramsis/internal/mdp"
@@ -11,16 +12,34 @@ import (
 // solveSpec is what the solve step reads from a Config or an LLMConfig.
 type solveSpec struct {
 	gamma    float64
-	solver   mdp.Method
+	jacobi   bool
 	deadline time.Time // zero: no limit
 }
 
-// deadlineFor arms a generation deadline at the moment of the call.
-func deadlineFor(timeout time.Duration) time.Time {
+// budget is a generation deadline armed at the moment of the call (zero: no
+// limit) that latches once it has passed, so the build's workers stop at
+// their next state and the generator returns ErrTimeout without solving.
+type budget struct {
+	deadline time.Time
+	aborted  atomic.Bool
+}
+
+func (b *budget) arm(timeout time.Duration) {
 	if timeout > 0 {
-		return time.Now().Add(timeout)
+		b.deadline = time.Now().Add(timeout)
 	}
-	return time.Time{}
+}
+
+// expired reports (and latches) deadline expiry.
+func (b *budget) expired() bool {
+	if b.aborted.Load() {
+		return true
+	}
+	if !b.deadline.IsZero() && time.Now().After(b.deadline) {
+		b.aborted.Store(true)
+		return true
+	}
+	return false
 }
 
 // solution is a solved MDP: the solver's result, the stationary distribution
@@ -32,18 +51,23 @@ type solution struct {
 }
 
 // solve is the back half of every generator: validate the built MDP, compile
-// it, solve it with the configured method, and take the stationary
-// distribution the §5.1 expectations weight. warm is the initial value vector
-// (nil: cold start); its length must be the MDP's state count.
+// it, solve it — prioritized sweeps unless the configuration asks for the
+// paper's Jacobi sweep — and take the stationary distribution the §5.1
+// expectations weight. warm is the initial value vector (nil: cold start);
+// its length must be the MDP's state count.
 func (sp solveSpec) solve(m *mdp.MDP, warm []float64) (*solution, error) {
 	if err := m.Validate(1e-6); err != nil {
 		return nil, fmt.Errorf("core: built MDP invalid: %w", err)
+	}
+	method := mdp.MethodPrioritized
+	if sp.jacobi {
+		method = mdp.MethodJacobi
 	}
 	// Compile once; the solve and the stationary-distribution pass both run
 	// on the contiguous form.
 	start := time.Now()
 	cm := mdp.Compile(m)
-	res, err := cm.Solve(mdp.SolveOptions{Gamma: sp.gamma, Deadline: sp.deadline, Method: sp.solver, InitialValues: warm})
+	res, err := cm.Solve(mdp.SolveOptions{Gamma: sp.gamma, Deadline: sp.deadline, Method: method, InitialValues: warm})
 	if errors.Is(err, mdp.ErrDeadline) {
 		return nil, ErrTimeout
 	}

@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"ramsis/internal/dist"
 	"ramsis/internal/mdp"
@@ -50,12 +48,11 @@ import (
 // builder enumerates each state's actions once, precomputes the probability
 // tables they read, and assembles the sparse MDP in parallel across states.
 type builder struct {
-	sp       *space
-	cells    int
-	delta    float64
-	tmax     float64
-	deadline time.Time
-	aborted  atomic.Bool
+	sp    *space
+	cells int
+	delta float64
+	tmax  float64
+	budget
 
 	// Read-only after prepare(): each state's action list, and probability
 	// tables for the (rate, latency) pairs some action takes — keyed by
@@ -92,20 +89,8 @@ func newBuilder(sp *space) *builder {
 		b.tmax = l
 	}
 	b.delta = b.tmax / float64(b.cells)
-	b.deadline = deadlineFor(cfg.Timeout)
+	b.arm(cfg.Timeout)
 	return b
-}
-
-// expired reports (and latches) deadline expiry.
-func (b *builder) expired() bool {
-	if b.aborted.Load() {
-		return true
-	}
-	if !b.deadline.IsZero() && time.Now().After(b.deadline) {
-		b.aborted.Store(true)
-		return true
-	}
-	return false
 }
 
 // procFor returns the worker-level arrival process and effective fan-out K
