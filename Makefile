@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint staticcheck size race bench-module verify bench-smoke profile soak soak-smoke saturate saturate-smoke
+.PHONY: build test vet lint staticcheck size race goldens bench-module verify bench-smoke profile soak soak-smoke saturate saturate-smoke
 
 build:
 	$(GO) build ./...
@@ -93,6 +93,13 @@ saturate-smoke:
 	$(GO) run ./cmd/soak -saturate -dur 2s -cpuprofile soak-cpu.pprof 2>&1 | tee saturate-smoke.out
 	$(GO) tool pprof -top -nodecount 20 soak-cpu.pprof | tee soak-cpu-top.txt
 
+# The generation goldens (transition builds and whole generated policies,
+# pinned bit for bit) under one and two scheduler threads: both builds fan
+# states out across GOMAXPROCS goroutines, so a result that depended on which
+# goroutine built which state would show here (~4 s on two cores).
+goldens:
+	$(GO) test -count=1 -cpu 1,2 -run 'Golden' ./internal/core/
+
 # The repository benchmark (BENCHMARK.json) lives in bench/, a module of
 # its own that compiles against this module's internal packages through a
 # replace directive — so root `go build/vet/test ./...` never see it, and an
@@ -102,7 +109,7 @@ bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Tier-1 verify path (see ROADMAP.md).
-verify: build lint test race bench-module
+verify: build lint test race goldens bench-module
 
 # The root Benchmark* functions are developer tools, not a record: numbers
 # are recorded and compared by the repository benchmark alone (`bash

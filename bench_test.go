@@ -486,30 +486,6 @@ func gammaName(g float64) string {
 	return "gamma0.999"
 }
 
-// BenchmarkAblationReward compares the paper's per-decision reward against
-// the batch-weighted variant.
-func BenchmarkAblationReward(b *testing.B) {
-	for _, weighted := range []bool{false, true} {
-		name := "paper"
-		if weighted {
-			name = "batchWeighted"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := genCfg()
-			cfg.BatchWeightedReward = weighted
-			var acc float64
-			for i := 0; i < b.N; i++ {
-				pol, err := core.Generate(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				acc = pol.ExpectedAccuracy
-			}
-			b.ReportMetric(acc, "expAccuracy")
-		})
-	}
-}
-
 // BenchmarkAblationProbFloor sweeps the sparse transition pruning threshold
 // (probability mass below it folds into the overflow state).
 func BenchmarkAblationProbFloor(b *testing.B) {

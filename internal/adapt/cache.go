@@ -57,9 +57,6 @@ func ConfigHash(cfg core.Config) uint64 {
 	if cfg.NoParetoPruning {
 		writeI(1)
 	}
-	if cfg.BatchWeightedReward {
-		writeI(1)
-	}
 	return h.Sum64()
 }
 

@@ -76,21 +76,28 @@ func TestConfigHashIgnoresArrivalOnly(t *testing.T) {
 		t.Error("hash changed with arrival rate; buckets of one problem must share it")
 	}
 
-	// Everything that shapes the MDP must change the hash.
+	// Everything that shapes the MDP must change the hash, and no two such
+	// changes may collide with each other.
+	seen := map[uint64]string{h: "base"}
 	for name, mutate := range map[string]func(*core.Config){
-		"workers":  func(c *core.Config) { c.Workers = 8 },
-		"D":        func(c *core.Config) { c.D = 50 },
-		"maxQueue": func(c *core.Config) { c.MaxQueue = 8 },
-		"models":   func(c *core.Config) { c.Models = profile.ImageSet() },
-		"batching": func(c *core.Config) { c.Batching = core.VariableBatching },
-		"gamma":    func(c *core.Config) { c.Gamma = 0.9 },
-		"pruning":  func(c *core.Config) { c.NoParetoPruning = true },
+		"workers":   func(c *core.Config) { c.Workers = 8 },
+		"D":         func(c *core.Config) { c.D = 50 },
+		"maxQueue":  func(c *core.Config) { c.MaxQueue = 8 },
+		"models":    func(c *core.Config) { c.Models = profile.ImageSet() },
+		"batching":  func(c *core.Config) { c.Batching = core.VariableBatching },
+		"disc":      func(c *core.Config) { c.Disc = core.ModelBased },
+		"balancing": func(c *core.Config) { c.Balancing = core.ShortestQueueFirst },
+		"gamma":     func(c *core.Config) { c.Gamma = 0.9 },
+		"probFloor": func(c *core.Config) { c.ProbFloor = 1e-8 },
+		"fineCells": func(c *core.Config) { c.FineCells = 128 },
+		"pruning":   func(c *core.Config) { c.NoParetoPruning = true },
 	} {
 		mut := base
 		mutate(&mut)
-		if ConfigHash(mut) == h {
-			t.Errorf("hash ignored %s change", name)
+		got := ConfigHash(mut)
+		if other, ok := seen[got]; ok {
+			t.Errorf("%s change hashes like %s", name, other)
 		}
+		seen[got] = name
 	}
-
 }

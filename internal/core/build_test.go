@@ -150,13 +150,33 @@ func TestLLMBuildGolden(t *testing.T) {
 			name := fmt.Sprintf("%s/bucket=%d", cls.Name, bucket)
 			cfg := benchLLMConfig(cls)
 			cfg.TokenBucket = bucket
-			_, m, err := buildLLM(cfg)
+			m, err := buildLLM(cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			checkGolden(t, want, name, transitionHash(m))
 		}
 	}
+}
+
+// buildWorker formulates (but does not solve) the worker MDP for cfg and
+// returns it with the builder that derived it.
+func buildWorker(cfg Config) (*builder, *mdp.MDP, error) {
+	b, err := newWorkerBuilder(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := build(b, &b.solveSpec)
+	return b, m, err
+}
+
+// buildLLM formulates (but does not solve) the token MDP for cfg.
+func buildLLM(cfg LLMConfig) (*mdp.MDP, error) {
+	g, err := newLLMBuilder(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return build(g, &g.solveSpec)
 }
 
 func checkGolden(t *testing.T, want map[string]uint64, name string, got uint64) {

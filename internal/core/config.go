@@ -157,9 +157,6 @@ type Config struct {
 	FineCells int
 	// Balancing strategy; default RoundRobin.
 	Balancing Balancing
-	// BatchWeightedReward multiplies the §4.1 reward by the batch size, an
-	// ablation of the paper's per-decision reward.
-	BatchWeightedReward bool
 	// Timeout aborts policy generation with ErrTimeout when exceeded
 	// (0 means no limit). Used by the Table 2 runtime study.
 	Timeout time.Duration
@@ -198,8 +195,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate reports configuration errors.
-func (c Config) Validate() error {
+// validate reports configuration errors.
+func (c Config) validate() error {
 	if c.Models.Len() == 0 {
 		return fmt.Errorf("core: no models configured")
 	}

@@ -7,8 +7,7 @@ import (
 	"runtime"
 	"testing"
 
-	"ramsis/internal/dist"
-	"ramsis/internal/profile"
+	"ramsis/internal/llm"
 )
 
 // goldenHash folds a generated policy into one FNV-64a: the integer fields
@@ -34,18 +33,12 @@ func (g *goldenHash) sum() uint64 {
 	return h.Sum64()
 }
 
-func goldenScalar(t *testing.T, bal Balancing) uint64 {
+// goldenScalar hashes the Jacobi-solved policy of cfg; stats adds its state,
+// transition and sweep counts.
+func goldenScalar(t *testing.T, cfg Config, stats bool) uint64 {
 	t.Helper()
-	pol, err := Generate(Config{
-		Models:    profile.ImageSet(),
-		SLO:       0.150,
-		Workers:   8,
-		Arrival:   dist.NewPoisson(300),
-		D:         10,
-		FineCells: 32,
-		Balancing: bal,
-		Jacobi:    true,
-	})
+	cfg.Jacobi = true
+	pol, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +48,18 @@ func goldenScalar(t *testing.T, bal Balancing) uint64 {
 	}
 	g.floats(pol.ExpectedAccuracy, pol.ExpectedViolation)
 	g.floats(pol.SolveValues()...)
+	if stats {
+		g.ints(pol.States, pol.Transitions, pol.Iterations)
+	}
 	return g.sum()
 }
 
-func goldenLLM(t *testing.T) uint64 {
+// goldenLLM hashes the Jacobi-solved token policy for one class at bucket
+// 128 / 8,192 tokens; stats adds its state, transition and sweep counts.
+func goldenLLM(t *testing.T, cls llm.Class, stats bool) uint64 {
 	t.Helper()
 	cfg := llmTestConfig()
+	cfg.In, cfg.Out = cls.In, cls.Out
 	cfg.TokenBucket, cfg.MaxTokens, cfg.Jacobi = 128, 8192, true
 	pol, err := GenerateLLM(cfg)
 	if err != nil {
@@ -71,34 +70,60 @@ func goldenLLM(t *testing.T) uint64 {
 		g.ints(c.ModelIdx, c.PrefillTokens, c.DecodeTokens)
 	}
 	g.floats(pol.ExpectedAccuracy, pol.ExpectedViolation)
+	if stats {
+		g.ints(pol.States, pol.Transitions, pol.Iterations)
+	}
 	return g.sum()
 }
 
 // TestGenerateGolden pins the whole generation pipeline — transition build,
 // compile, Jacobi value iteration (selected explicitly: the default solver's
-// values are not byte-pinned), stationary expectations — against constants
-// captured at commit ecb2c22 (the last one carrying the slice-form solvers),
-// so "policies unchanged" is a check against a committed number rather than
-// against a second implementation kept alive to be compared with. A change
-// that reorders any floating-point operation on that path shows up
-// here; update the constants only when that is the intent.
+// values are not byte-pinned), stationary expectations — against committed
+// constants, so "policies unchanged" is a check against a committed number
+// rather than against a second implementation kept alive to be compared
+// with. The first three rows were captured at commit ecb2c22 (the last one
+// carrying the slice-form solvers). The other five, at TestBuildGolden's
+// grid sizes (MaxQueue 12), also hash States, Transitions and Iterations;
+// they were captured at 18751c1, the last commit with one generator per
+// state space, and cover every path the shared generator runs: both
+// queue-aware balancers, variable batching, the model-based grid and all
+// three token classes. A change that reorders any floating-point operation
+// on that path shows up here; update the constants only when that is the
+// intent.
 func TestGenerateGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// The constants depend on every rounding step; architectures where
 		// the compiler fuses multiply-adds round differently.
 		t.Skipf("golden constants were captured on amd64, not %s", runtime.GOARCH)
 	}
+	grid := func(mut func(*Config)) Config {
+		return smallBuildConfig(func(c *Config) { c.MaxQueue = 12; mut(c) })
+	}
+	small := func(bal Balancing) Config {
+		return smallBuildConfig(func(c *Config) { c.Balancing = bal })
+	}
 	for _, c := range []struct {
 		name string
-		got  uint64
+		hash func() uint64
 		want uint64
 	}{
-		{"image/round-robin", goldenScalar(t, RoundRobin), 0xaf7936c65551bb4e},
-		{"image/shortest-queue-first", goldenScalar(t, ShortestQueueFirst), 0xd24588999d013141},
-		{"llm/general", goldenLLM(t), 0x7924431818c02b35},
+		{"image/round-robin", func() uint64 { return goldenScalar(t, small(RoundRobin), false) }, 0xaf7936c65551bb4e},
+		{"image/shortest-queue-first", func() uint64 { return goldenScalar(t, small(ShortestQueueFirst), false) }, 0xd24588999d013141},
+		{"llm/general", func() uint64 { return goldenLLM(t, llm.GeneralClass(), false) }, 0x7924431818c02b35},
+		{"image/power-of-two-choices", func() uint64 {
+			return goldenScalar(t, grid(func(c *Config) { c.Balancing = PowerOfTwoChoices }), true)
+		}, 0x023648fdbe620bfa},
+		{"image/variable", func() uint64 {
+			return goldenScalar(t, grid(func(c *Config) { c.Batching = VariableBatching }), true)
+		}, 0xdce120805f1fc218},
+		{"image/model-based", func() uint64 {
+			return goldenScalar(t, grid(func(c *Config) { c.Disc = ModelBased }), true)
+		}, 0x4325ce72a391d5cd},
+		{"llm/codegen", func() uint64 { return goldenLLM(t, llm.CodegenClass(), true) }, 0x5daf3a80c5fe1f95},
+		{"llm/reasoning", func() uint64 { return goldenLLM(t, llm.ReasoningClass(), true) }, 0x4dba4dd338658e94},
 	} {
-		if c.got != c.want {
-			t.Errorf("%s: golden hash %#016x, want %#016x", c.name, c.got, c.want)
+		if got := c.hash(); got != c.want {
+			t.Errorf("%s: golden hash %#016x, want %#016x", c.name, got, c.want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"ramsis/internal/profile"
 )
@@ -45,7 +46,7 @@ func LoadPolicy(path string, models profile.Set) (*Policy, error) {
 
 // bind reconstructs the unexported state space from the serialized fields.
 func (p *Policy) bind(models profile.Set) error {
-	cfg := Config{
+	sp := newSpace(Config{
 		Models:          models,
 		SLO:             p.SLO,
 		Workers:         p.Workers,
@@ -54,12 +55,8 @@ func (p *Policy) bind(models profile.Set) error {
 		D:               p.D,
 		MaxQueue:        p.MaxQueue,
 		NoParetoPruning: !p.Pruned,
-	}.withDefaults()
-	actionModels := models
-	if p.Pruned {
-		actionModels = models.ParetoFront()
-	}
-	sp := &space{cfg: cfg, models: actionModels, grid: p.Grid}
+	}.withDefaults())
+	sp.grid = p.Grid
 	if sp.numStates() != len(p.Choices) {
 		return fmt.Errorf("state count %d does not match %d choices", sp.numStates(), len(p.Choices))
 	}
@@ -68,17 +65,11 @@ func (p *Policy) bind(models profile.Set) error {
 		if c.Arrival {
 			continue
 		}
-		found := false
-		for mi, m := range sp.models.Profiles {
-			if m.Name == c.Model {
-				p.Choices[i].ModelIdx = mi
-				found = true
-				break
-			}
-		}
-		if !found {
+		mi := slices.IndexFunc(sp.models.Profiles, func(m profile.Profile) bool { return m.Name == c.Model })
+		if mi < 0 {
 			return fmt.Errorf("model %q not in bound set", c.Model)
 		}
+		p.Choices[i].ModelIdx = mi
 	}
 	p.space = sp
 	return nil

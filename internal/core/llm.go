@@ -66,8 +66,8 @@ func (c LLMConfig) withDefaults() LLMConfig {
 	return c
 }
 
-// Validate reports configuration errors.
-func (c LLMConfig) Validate() error {
+// validate reports configuration errors.
+func (c LLMConfig) validate() error {
 	if err := c.Models.Validate(); err != nil {
 		return err
 	}
@@ -111,9 +111,11 @@ type LLMChoice struct {
 
 // LLMPolicy is an offline-generated per-worker token-stream selection
 // policy: a mapping from bucketed outstanding-token load to the step model
-// the next engine step should run, with stationary expectations over its
-// MDP. State 0 is the empty worker; state k in 1..Buckets covers loads in
-// ((k-1)·TokenBucket, k·TokenBucket]; the last state absorbs overflow.
+// the next engine step should run. Its embedded stats hold the stationary
+// expectations, weighted by the tokens each decision schedules, and the
+// size and timing of the generation run. State 0 is the empty worker; state
+// k in 1..buckets() covers loads in ((k-1)·TokenBucket, k·TokenBucket]; the
+// last state absorbs overflow.
 type LLMPolicy struct {
 	Task        string  `json:"task"`
 	SLO         float64 `json:"slo"`
@@ -127,17 +129,7 @@ type LLMPolicy struct {
 	// decisions.
 	Choices []LLMChoice `json:"choices"`
 
-	// ExpectedAccuracy is the stationary token-weighted mean accuracy over
-	// satisfied decisions; ExpectedViolation the stationary token-weighted
-	// fraction of scheduled work on decisions that miss the SLO drain bound.
-	ExpectedAccuracy  float64 `json:"expectedAccuracy"`
-	ExpectedViolation float64 `json:"expectedViolation"`
-
-	States      int           `json:"states"`
-	Transitions int           `json:"transitions"`
-	Iterations  int           `json:"iterations"`
-	BuildTime   time.Duration `json:"buildTime"`
-	SolveTime   time.Duration `json:"solveTime"`
+	stats
 
 	models llm.Set
 }
@@ -146,8 +138,8 @@ type LLMPolicy struct {
 // Choices' ModelIdx indexes into it.
 func (p *LLMPolicy) Models() llm.Set { return p.models }
 
-// Buckets returns the load-bucket count (states minus empty and overflow).
-func (p *LLMPolicy) Buckets() int { return len(p.Choices) - 2 }
+// buckets returns the load-bucket count (states minus empty and overflow).
+func (p *LLMPolicy) buckets() int { return len(p.Choices) - 2 }
 
 // Select returns the policy's decision for a worker holding
 // outstandingTokens tokens of unfinished work (prefill not yet ingested
@@ -156,20 +148,14 @@ func (p *LLMPolicy) Buckets() int { return len(p.Choices) - 2 }
 // non-positive load maps to the lightest-load bucket so callers always get
 // a runnable model.
 func (p *LLMPolicy) Select(outstandingTokens int) LLMChoice {
-	b := p.Buckets()
 	k := (outstandingTokens + p.TokenBucket - 1) / p.TokenBucket
-	if k < 1 {
-		k = 1
-	}
-	if k > b+1 {
-		k = b + 1
-	}
-	return p.Choices[k]
+	return p.Choices[min(max(k, 1), p.buckets()+1)]
 }
 
-// llmBuilder holds the shared pieces of one GenerateLLM run.
+// llmBuilder is the token MDP's stateSpace: the shared pieces of one
+// GenerateLLM run, from which it builds one state's row at a time.
 type llmBuilder struct {
-	budget
+	solveSpec
 	cfg     LLMConfig
 	models  llm.Set // pruned, KV-cap-overridden action set
 	w       int     // bucket width in tokens
@@ -195,7 +181,14 @@ func cellPMF(s dist.LengthSampler, c int) []float64 {
 	return pmf
 }
 
-func newLLMBuilder(cfg LLMConfig) *llmBuilder {
+// newLLMBuilder defaults and validates the configuration and prepares the
+// one-arrival convolution every row reads; the generation deadline is armed
+// here, before the build.
+func newLLMBuilder(cfg LLMConfig) (*llmBuilder, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	g := &llmBuilder{
 		cfg:     cfg,
 		models:  cfg.Models.WithKVCap(cfg.KVCap),
@@ -205,10 +198,14 @@ func newLLMBuilder(cfg LLMConfig) *llmBuilder {
 		sigmaS:  math.Sqrt(cfg.In.VarLen() + cfg.Out.VarLen()),
 		lambdaW: cfg.Rate / float64(cfg.Workers),
 	}
-	g.arm(cfg.Timeout)
+	g.arm(cfg.Gamma, cfg.Jacobi, cfg.Timeout)
 	if !cfg.NoParetoPruning {
 		g.models = g.models.ParetoFront()
 	}
+	if g.models.Len() == 0 {
+		return nil, fmt.Errorf("core: no step models survive Pareto pruning")
+	}
+	g.plans = make([][]llmPlan, g.numStates())
 	// Quarter-bucket cells keep the one-arrival convolution's
 	// discretization error well inside the bucket width.
 	g.cell = max(1, g.w/4)
@@ -224,7 +221,7 @@ func newLLMBuilder(cfg LLMConfig) *llmBuilder {
 			g.sumCell[i+j-1] += in[i] * out[j]
 		}
 	}
-	return g
+	return g, nil
 }
 
 // bucketOf maps a token load to its state index.
@@ -232,14 +229,7 @@ func (g *llmBuilder) bucketOf(tokens float64) int {
 	if tokens <= 0 {
 		return 0
 	}
-	k := int(math.Ceil(tokens / float64(g.w)))
-	if k < 1 {
-		k = 1
-	}
-	if k > g.b {
-		k = g.b + 1
-	}
-	return k
+	return min(max(int(math.Ceil(tokens/float64(g.w))), 1), g.b+1)
 }
 
 // stdNormCDF is the standard normal CDF Φ(x).
@@ -364,107 +354,86 @@ type llmPlan struct {
 	sat       bool
 }
 
-// buildLLM formulates (but does not solve) the bucketed outstanding-token
-// MDP: state 0 waits for an arrival, every other state offers one saturated
-// step per surviving model. A decision's reward is the model's accuracy when
-// the load (plus one typical in-flight query) can drain within the SLO under
-// the serial-decode drain model, else zero — the token-level analog of the
-// scalar Satisfies bound.
-func buildLLM(cfg LLMConfig) (*llmBuilder, *mdp.MDP, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
+func (g *llmBuilder) numStates() int { return g.b + 2 }
+
+func (g *llmBuilder) newScratch() *stateScratch { return nil }
+
+// row builds state s's actions. State 0 waits for an arrival, which brings
+// one query's In+Out tokens (the one-arrival convolution from zero load);
+// every other state offers one saturated step per surviving model, in model
+// order. A decision's reward is the model's accuracy when the load (plus one
+// typical in-flight query) can drain within the SLO under the serial-decode
+// drain model, else zero — the token-level analog of the scalar Satisfies
+// bound.
+func (g *llmBuilder) row(s int, _ *stateScratch) []mdp.Action {
+	if s == 0 {
+		return []mdp.Action{{Label: -1, Transitions: g.arrivalTransitions()}}
 	}
-	g := newLLMBuilder(cfg)
-	if g.models.Len() == 0 {
-		return nil, nil, fmt.Errorf("core: no step models survive Pareto pruning")
-	}
-	nStates := g.b + 2
-	m := &mdp.MDP{Actions: make([][]mdp.Action, nStates)}
-	g.plans = make([][]llmPlan, nStates)
-	// Empty worker: wait for the next arrival, which brings one query's
-	// In+Out tokens (the one-arrival convolution from zero load).
-	m.Actions[0] = []mdp.Action{{
-		Label:       -1,
-		Transitions: g.arrivalTransitions(),
-	}}
-	// States are independent, so they build across cores like the scalar
-	// worker MDP's do; each writes only its own m.Actions and plans slot.
-	parallelFor(nStates-1, func(i int) {
-		if g.expired() {
-			return
+	rep := (float64(s) - 0.5) * float64(g.w)
+	acts := make([]mdp.Action, 0, g.models.Len())
+	pls := make([]llmPlan, 0, g.models.Len())
+	for mi, model := range g.models.Models {
+		p, d, kv := g.stepPlan(model, rep)
+		tau := model.StepTime(p, d, kv)
+		rate := float64(p+d) / tau
+		sat := g.drainTime(model, rep+g.muS) <= g.cfg.SLO
+		reward := 0.0
+		if sat {
+			reward = model.Accuracy
 		}
-		s := i + 1
-		rep := (float64(s) - 0.5) * float64(g.w)
-		acts := make([]mdp.Action, 0, g.models.Len())
-		pls := make([]llmPlan, 0, g.models.Len())
-		for mi, model := range g.models.Models {
-			p, d, kv := g.stepPlan(model, rep)
-			tau := model.StepTime(p, d, kv)
-			rate := float64(p+d) / tau
-			// Satisfies: the backlog plus one typical query drains within
-			// the SLO under the serial-decode drain model.
-			sat := g.drainTime(model, rep+g.muS) <= cfg.SLO
-			reward := 0.0
-			if sat {
-				reward = model.Accuracy
-			}
-			base := rep - float64(p+d)
-			acts = append(acts, mdp.Action{
-				Label:       mi,
-				Reward:      reward,
-				Transitions: g.transitions(base, tau),
-			})
-			pls = append(pls, llmPlan{p: p, d: d, tau: tau, rate: rate, sat: sat})
-		}
-		m.Actions[s] = acts
-		g.plans[s] = pls
-	})
-	if g.aborted.Load() {
-		return nil, nil, ErrTimeout
+		base := rep - float64(p+d)
+		acts = append(acts, mdp.Action{
+			Label:       mi,
+			Reward:      reward,
+			Transitions: g.transitions(base, tau),
+		})
+		pls = append(pls, llmPlan{p: p, d: d, tau: tau, rate: rate, sat: sat})
 	}
-	return g, m, nil
+	g.plans[s] = pls
+	return acts
+}
+
+// outcome is what action a of state s serves: one engine step's prefill and
+// decode tokens on model a, or nothing for the empty state's arrival wait.
+func (g *llmBuilder) outcome(s, a int) outcome {
+	if s == 0 {
+		return outcome{satisfies: true}
+	}
+	pl := g.plans[s][a]
+	return outcome{float64(pl.p + pl.d), g.models.Models[a].Accuracy, pl.sat}
 }
 
 // GenerateLLM runs the offline phase for one token-stream worker: it
-// formulates the bucketed outstanding-token MDP, solves it with the same
-// compiled solvers the scalar path uses, and computes stationary
-// expectations. The decision epoch is one engine step.
+// formulates the bucketed outstanding-token MDP and hands it to the
+// generator the scalar path uses, which solves it and computes stationary
+// expectations weighted by the tokens each decision schedules. The decision
+// epoch is one engine step.
 func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
 	start := time.Now()
-	g, m, err := buildLLM(cfg)
+	g, err := newLLMBuilder(cfg)
 	if err != nil {
 		return nil, err
 	}
-	buildTime := time.Since(start)
-	cfg = g.cfg
-
-	sol, err := solveSpec{cfg.Gamma, cfg.Jacobi, g.deadline}.solve(m, nil)
+	st, res, err := generate(g, &g.solveSpec, start, nil)
 	if err != nil {
 		return nil, err
 	}
-
 	pol := &LLMPolicy{
 		Task:        g.models.Task,
-		SLO:         cfg.SLO,
-		Workers:     cfg.Workers,
-		Load:        cfg.Rate,
+		SLO:         g.cfg.SLO,
+		Workers:     g.cfg.Workers,
+		Load:        g.cfg.Rate,
 		TokenBucket: g.w,
-		MaxTokens:   cfg.MaxTokens,
-		Pruned:      !cfg.NoParetoPruning,
-		States:      m.NumStates(),
-		Transitions: m.NumTransitions(),
-		Iterations:  sol.Iterations,
-		BuildTime:   buildTime,
-		SolveTime:   sol.solveTime,
+		MaxTokens:   g.cfg.MaxTokens,
+		Pruned:      !g.cfg.NoParetoPruning,
+		Choices:     make([]LLMChoice, st.States),
+		stats:       st,
 		models:      g.models,
 	}
-	pol.Choices = make([]LLMChoice, m.NumStates())
 	pol.Choices[0] = LLMChoice{Arrival: true, Satisfies: true}
 	for s := 1; s < len(pol.Choices); s++ {
-		ai := sol.Policy[s]
-		mi := m.Actions[s][ai].Label
-		pl := g.plans[s][ai]
+		mi := res.Policy[s]
+		pl := g.plans[s][mi]
 		pol.Choices[s] = LLMChoice{
 			Model:         g.models.Models[mi].Name,
 			ModelIdx:      mi,
@@ -475,7 +444,6 @@ func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
 			Satisfies:     pl.sat,
 		}
 	}
-	pol.computeExpectations(sol.stationary)
 	return pol, nil
 }
 
@@ -489,31 +457,4 @@ func (g *llmBuilder) arrivalTransitions() []mdp.Transition {
 		}
 	}
 	return g.sparse(mass)
-}
-
-// computeExpectations evaluates stationary accuracy and violation
-// expectations over the policy-induced chain's stationary distribution pi,
-// weighting each state by the tokens its decision schedules per step (the
-// token-level analog of the scalar batch weighting).
-func (p *LLMPolicy) computeExpectations(pi []float64) {
-	var servedMass, violMass, satMass, accMass float64
-	for s, c := range p.Choices {
-		if c.Arrival {
-			continue
-		}
-		w := pi[s] * float64(c.PrefillTokens+c.DecodeTokens)
-		servedMass += w
-		if c.Satisfies {
-			satMass += w
-			accMass += w * p.models.Models[c.ModelIdx].Accuracy
-		} else {
-			violMass += w
-		}
-	}
-	if servedMass > 0 {
-		p.ExpectedViolation = violMass / servedMass
-	}
-	if satMass > 0 {
-		p.ExpectedAccuracy = accMass / satMass
-	}
 }

@@ -25,8 +25,8 @@ func TestGenerateLLMPolicyNonTrivial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pol.States != pol.Buckets()+2 {
-		t.Fatalf("states %d, buckets %d", pol.States, pol.Buckets())
+	if pol.States != pol.buckets()+2 {
+		t.Fatalf("states %d, buckets %d", pol.States, pol.buckets())
 	}
 	if !pol.Choices[0].Arrival {
 		t.Fatal("state 0 should be the arrival action")
@@ -147,7 +147,7 @@ func TestGenerateLLMTimeout(t *testing.T) {
 	// for a bench class) stops the build itself: the solver never starts.
 	cfg = benchLLMConfig(llm.GeneralClass())
 	cfg.Timeout = 2 * time.Millisecond
-	if _, _, err := buildLLM(cfg); !errors.Is(err, ErrTimeout) {
+	if _, err := buildLLM(cfg); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("buildLLM with a 2ms budget returned %v, want ErrTimeout", err)
 	}
 	if _, err := GenerateLLM(cfg); !errors.Is(err, ErrTimeout) {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"ramsis/internal/mdp"
@@ -25,8 +24,9 @@ type Choice struct {
 }
 
 // Policy is an offline-generated per-worker model-selection policy (§3.1.3):
-// a mapping from worker-queue states (n, T_j) to MS decisions, together with
-// the §5.1 probabilistic guarantees computed over its MDP.
+// a mapping from worker-queue states (n, T_j) to MS decisions. Its embedded
+// stats hold the §5.1 probabilistic guarantees, weighted by the queries each
+// decision serves, and the size and timing of the generation run.
 type Policy struct {
 	// Task, SLO, Workers, Load, and knob settings identify the problem the
 	// policy was generated for.
@@ -47,28 +47,7 @@ type Policy struct {
 	// Choices maps state indices (space indexing) to decisions.
 	Choices []Choice `json:"choices"`
 
-	// ExpectedAccuracy is the §5.1 accuracy expectation: the stationary
-	// query-weighted mean profiled accuracy per satisfied query, a lower
-	// bound on the observed value.
-	ExpectedAccuracy float64 `json:"expectedAccuracy"`
-	// ExpectedViolation is the §5.1 latency-SLO violation rate expectation
-	// (stationary fraction of served queries whose decision misses the
-	// earliest deadline), an upper bound on the observed value.
-	ExpectedViolation float64 `json:"expectedViolation"`
-	// StateExpectedAccuracy is the paper's unweighted §5.1 formula
-	// Σ_{s∈S*} P(s)·Accuracy(π[s]), retained for reference.
-	StateExpectedAccuracy float64 `json:"stateExpectedAccuracy"`
-	// AccuracyDist is the stationary per-query accuracy distribution over
-	// satisfied queries (accuracy value -> probability mass), from which
-	// §5.1's summary statistics (median, 99th percentile, ...) derive.
-	AccuracyDist map[string]float64 `json:"accuracyDist,omitempty"`
-
-	// Stats describe the generation run.
-	States      int           `json:"states"`
-	Transitions int           `json:"transitions"`
-	Iterations  int           `json:"iterations"`
-	BuildTime   time.Duration `json:"buildTime"`
-	SolveTime   time.Duration `json:"solveTime"`
+	stats
 
 	space *space
 	// values is the converged solver value vector, retained in memory (not
@@ -82,30 +61,18 @@ type Policy struct {
 // callers must not mutate it.
 func (p *Policy) SolveValues() []float64 { return p.values }
 
-// newWorkerBuilder defaults and validates the configuration and lays out the
-// state space. The returned builder carries the space (with the defaulted
-// Config) and the generation deadline, armed here, before the build.
+// newWorkerBuilder defaults and validates the configuration, lays out the
+// state space, and prepares the tables its rows read. The returned builder
+// carries the space (with the defaulted Config) and the generation deadline,
+// armed here, before the build.
 func newWorkerBuilder(cfg Config) (*builder, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return newBuilder(newSpace(cfg)), nil
-}
-
-// buildWorker is the front half of the scalar generator, shared by
-// BuildWorkerMDP and Generate: a builder for the configuration and the §4
-// transition probabilities it derives.
-func buildWorker(cfg Config) (*builder, *mdp.MDP, error) {
-	b, err := newWorkerBuilder(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := b.buildMDP()
-	if b.aborted.Load() {
-		return nil, nil, ErrTimeout
-	}
-	return b, m, nil
+	b := newBuilder(newSpace(cfg))
+	b.prepare()
+	return b, nil
 }
 
 // PrepareWorkerTables runs the first phase of BuildWorkerMDP alone — action
@@ -117,7 +84,6 @@ func PrepareWorkerTables(cfg Config) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	b.prepare()
 	if b.aborted.Load() {
 		return 0, ErrTimeout
 	}
@@ -129,7 +95,11 @@ func PrepareWorkerTables(cfg Config) (int, error) {
 // The solver benchmarks use it to measure the Bellman sweep on a real
 // worker-scale state space rather than a synthetic MDP.
 func BuildWorkerMDP(cfg Config) (*mdp.MDP, error) {
-	_, m, err := buildWorker(cfg)
+	b, err := newWorkerBuilder(cfg)
+	if err != nil {
+		return nil, err
+	}
+	m, err := build(b, &b.solveSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -140,50 +110,40 @@ func BuildWorkerMDP(cfg Config) (*mdp.MDP, error) {
 }
 
 // Generate runs RAMSIS's offline phase for one worker: it formulates the
-// worker MDP (§4), solves it with value iteration (§4.1), and computes the
-// §5.1 expectations over the induced stationary distribution.
+// worker MDP (§4), solves it (§4.1), and computes the §5.1 expectations over
+// the induced stationary distribution, weighting each decision by the
+// queries it serves.
 func Generate(cfg Config) (*Policy, error) {
 	start := time.Now()
-	b, m, err := buildWorker(cfg)
+	b, err := newWorkerBuilder(cfg)
 	if err != nil {
 		return nil, err
 	}
-	buildTime := time.Since(start)
 	sp := b.sp
 	cfg = sp.cfg
-
-	warm := cfg.InitialValues
-	if len(warm) != m.NumStates() {
-		warm = nil // a donor solved under different knobs: start cold
-	}
-	sol, err := solveSpec{cfg.Gamma, cfg.Jacobi, b.deadline}.solve(m, warm)
+	st, res, err := generate(b, &b.solveSpec, start, cfg.InitialValues)
 	if err != nil {
 		return nil, err
 	}
-
 	pol := &Policy{
-		Task:        cfg.Models.Task,
-		SLO:         cfg.SLO,
-		Workers:     cfg.Workers,
-		Load:        cfg.Arrival.Rate(),
-		Batching:    cfg.Batching,
-		Disc:        cfg.Disc,
-		D:           cfg.D,
-		MaxQueue:    cfg.MaxQueue,
-		Balancing:   cfg.Balancing,
-		Pruned:      !cfg.NoParetoPruning,
-		Grid:        sp.grid,
-		States:      m.NumStates(),
-		Transitions: m.NumTransitions(),
-		Iterations:  sol.Iterations,
-		BuildTime:   buildTime,
-		SolveTime:   sol.solveTime,
-		space:       sp,
-		values:      sol.Values,
+		Task:      cfg.Models.Task,
+		SLO:       cfg.SLO,
+		Workers:   cfg.Workers,
+		Load:      cfg.Arrival.Rate(),
+		Batching:  cfg.Batching,
+		Disc:      cfg.Disc,
+		D:         cfg.D,
+		MaxQueue:  cfg.MaxQueue,
+		Balancing: cfg.Balancing,
+		Pruned:    !cfg.NoParetoPruning,
+		Grid:      sp.grid,
+		Choices:   make([]Choice, st.States),
+		stats:     st,
+		space:     sp,
+		values:    res.Values,
 	}
-	pol.Choices = make([]Choice, m.NumStates())
-	for s := range m.Actions {
-		a := b.acts[s][sol.Policy[s]]
+	for s, ai := range res.Policy {
+		a := b.acts[s][ai]
 		if a.Model == arrivalAction {
 			pol.Choices[s] = Choice{Arrival: true, Satisfies: true}
 			continue
@@ -196,73 +156,7 @@ func Generate(cfg Config) (*Policy, error) {
 			Satisfies: a.Satisfies,
 		}
 	}
-	pol.computeExpectations(sol.stationary)
 	return pol, nil
-}
-
-// computeExpectations evaluates the §5.1 guarantees: the stationary
-// distribution pi of the policy-induced chain weighted by queries served
-// per decision.
-func (p *Policy) computeExpectations(pi []float64) {
-	var servedMass, violMass, satMass, accMass, stateSat, stateAcc float64
-	accDist := map[float64]float64{}
-	for s, c := range p.Choices {
-		if c.Arrival {
-			continue
-		}
-		w := pi[s] * float64(c.Batch)
-		servedMass += w
-		if c.Satisfies {
-			satMass += w
-			acc := p.space.models.Profiles[c.ModelIdx].Accuracy
-			accMass += w * acc
-			accDist[acc] += w
-			stateSat += pi[s]
-			stateAcc += pi[s] * acc
-		} else {
-			violMass += w
-		}
-	}
-	if servedMass > 0 {
-		p.ExpectedViolation = violMass / servedMass
-	}
-	if satMass > 0 {
-		p.ExpectedAccuracy = accMass / satMass
-		p.AccuracyDist = map[string]float64{}
-		for acc, w := range accDist {
-			p.AccuracyDist[fmt.Sprintf("%.6f", acc)] = w / satMass
-		}
-	}
-	p.StateExpectedAccuracy = stateAcc
-}
-
-// AccuracyQuantile returns the q-th quantile (0 < q <= 1) of the stationary
-// per-satisfied-query accuracy distribution — the §5.1 summary statistics
-// (median: q = 0.5; 99th percentile: q = 0.99 of the *loss* direction, i.e.
-// the accuracy exceeded by 99% of queries is AccuracyQuantile(0.01)).
-func (p *Policy) AccuracyQuantile(q float64) float64 {
-	if len(p.AccuracyDist) == 0 || q <= 0 || q > 1 {
-		return 0
-	}
-	type bin struct {
-		acc  float64
-		mass float64
-	}
-	bins := make([]bin, 0, len(p.AccuracyDist))
-	for k, w := range p.AccuracyDist {
-		var a float64
-		fmt.Sscanf(k, "%f", &a)
-		bins = append(bins, bin{a, w})
-	}
-	sort.Slice(bins, func(i, j int) bool { return bins[i].acc < bins[j].acc })
-	cum := 0.0
-	for _, b := range bins {
-		cum += b.mass
-		if cum >= q-1e-12 {
-			return b.acc
-		}
-	}
-	return bins[len(bins)-1].acc
 }
 
 // Select returns the policy's decision for a worker-queue observation:

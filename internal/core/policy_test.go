@@ -174,17 +174,50 @@ func TestPolicySaveLoadRoundTrip(t *testing.T) {
 	if got.Load != pol.Load || got.SLO != pol.SLO || got.Workers != pol.Workers {
 		t.Errorf("metadata mismatch: %+v", got)
 	}
-	if math.Abs(got.ExpectedAccuracy-pol.ExpectedAccuracy) > 1e-12 {
-		t.Errorf("expected accuracy mismatch")
+	// The stats are an embedded struct; each of its keys must survive.
+	if got.stats != pol.stats {
+		t.Errorf("stats after reload %+v, want %+v", got.stats, pol.stats)
 	}
-	for _, n := range []int{0, 1, 5, 17, 32, 80} {
+	assertSameSelect(t, pol, got, 80)
+}
+
+// assertSameSelect fails unless two policies decide alike over an (n, slack)
+// grid reaching past the queue bound.
+func assertSameSelect(t *testing.T, want, got *Policy, maxN int) {
+	t.Helper()
+	for _, n := range []int{0, 1, 5, 17, 32, maxN} {
 		for _, sl := range []float64{0, 0.04, 0.11, 0.15} {
-			a, b := pol.Select(n, sl), got.Select(n, sl)
+			a, b := want.Select(n, sl), got.Select(n, sl)
 			if a.Model != b.Model || a.Batch != b.Batch || a.Satisfies != b.Satisfies {
-				t.Fatalf("Select(%d, %v) differs after reload: %+v vs %+v", n, sl, a, b)
+				t.Fatalf("Select(%d, %v) differs: %+v vs %+v", n, sl, b, a)
 			}
 		}
 	}
+}
+
+// TestLoadPolicyFromParentFormat loads a policy file written before the stats
+// moved into an embedded struct — it still carries the since-deleted
+// accuracyDist and stateExpectedAccuracy keys — and requires it to decide as
+// the same configuration generated today does.
+func TestLoadPolicyFromParentFormat(t *testing.T) {
+	got, err := LoadPolicy(filepath.Join("testdata", "policy-parent.json"), profile.ImageSet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := Generate(smallBuildConfig(func(c *Config) { c.MaxQueue = 8 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.States != pol.States || got.Transitions != pol.Transitions {
+		t.Errorf("loaded %d states / %d transitions, generated %d / %d",
+			got.States, got.Transitions, pol.States, pol.Transitions)
+	}
+	if math.Abs(got.ExpectedAccuracy-pol.ExpectedAccuracy) > 1e-12 ||
+		math.Abs(got.ExpectedViolation-pol.ExpectedViolation) > 1e-12 {
+		t.Errorf("loaded expectations %v / %v, generated %v / %v",
+			got.ExpectedAccuracy, got.ExpectedViolation, pol.ExpectedAccuracy, pol.ExpectedViolation)
+	}
+	assertSameSelect(t, pol, got, 20)
 }
 
 func TestLoadPolicyMissingModel(t *testing.T) {
@@ -231,7 +264,7 @@ func TestPolicySetSelection(t *testing.T) {
 	if p.Load != 500 {
 		t.Errorf("on-demand policy load = %v, want 500", p.Load)
 	}
-	if got := len(ps.Loads()); got != 4 {
+	if got := len(ps.Policies()); got != 4 {
 		t.Errorf("ladder size = %d, want 4 after on-demand insert", got)
 	}
 }
@@ -350,36 +383,6 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
-func TestAccuracyQuantiles(t *testing.T) {
-	pol, err := Generate(genConfig(300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pol.AccuracyDist) == 0 {
-		t.Fatal("no accuracy distribution computed")
-	}
-	mass := 0.0
-	for _, w := range pol.AccuracyDist {
-		mass += w
-	}
-	if math.Abs(mass-1) > 1e-9 {
-		t.Fatalf("accuracy distribution mass %v", mass)
-	}
-	med := pol.AccuracyQuantile(0.5)
-	lo := pol.AccuracyQuantile(0.01)
-	hi := pol.AccuracyQuantile(0.999)
-	if !(lo <= med && med <= hi) {
-		t.Errorf("quantiles not ordered: p1=%v p50=%v p99.9=%v", lo, med, hi)
-	}
-	// The mean must lie within the distribution's support.
-	if pol.ExpectedAccuracy < lo-1e-9 || pol.ExpectedAccuracy > hi+1e-9 {
-		t.Errorf("mean %v outside [%v, %v]", pol.ExpectedAccuracy, lo, hi)
-	}
-	if got := pol.AccuracyQuantile(0); got != 0 {
-		t.Errorf("invalid quantile should return 0, got %v", got)
-	}
-}
-
 // TestGeneratePrioritizedMatchesValueIteration pins the default solver to
 // the byte-pinned Jacobi sweep on a cold scalar generation, at a queue bound
 // (3×) past the one the adapt tests re-solve warm: same choice in every state.
@@ -455,7 +458,7 @@ func TestPolicySetConcurrentAccess(t *testing.T) {
 					t.Errorf("PolicyForNow(%v): %v", load, err)
 					return
 				}
-				_ = ps.Loads()
+				_ = ps.Policies()
 			}
 		}(g)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -40,17 +41,6 @@ func (ps *PolicySet) Policies() []*Policy {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	return append([]*Policy(nil), ps.policies...)
-}
-
-// Loads returns the loads the set currently covers, ascending.
-func (ps *PolicySet) Loads() []float64 {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	out := make([]float64, len(ps.policies))
-	for i, p := range ps.policies {
-		out[i] = p.Load
-	}
-	return out
 }
 
 // generate builds one policy (no locking).
@@ -102,15 +92,26 @@ func (ps *PolicySet) Clone() *PolicySet {
 func (ps *PolicySet) Best(load float64) *Policy {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if len(ps.policies) == 0 {
-		return nil
-	}
-	i := sort.Search(len(ps.policies), func(i int) bool { return ps.policies[i].Load >= load })
-	if i < len(ps.policies) {
-		return ps.policies[i]
-	}
-	return ps.policies[len(ps.policies)-1]
+	p, _ := ps.lookup(load)
+	return p
 }
+
+// lookup is §3.2.2's selection rule (caller holds the lock): the lowest-load
+// policy meeting load, with covered true; past the ladder, the highest-load
+// policy with covered false; nil for an empty set.
+func (ps *PolicySet) lookup(load float64) (p *Policy, covered bool) {
+	n := len(ps.policies)
+	if n == 0 {
+		return nil, false
+	}
+	i := sort.Search(n, func(i int) bool { return ps.policies[i].Load >= load })
+	if i < n {
+		return ps.policies[i], true
+	}
+	return ps.policies[n-1], false
+}
+
+var errEmptySet = errors.New("core: empty policy set")
 
 // GenerateLoads pre-computes policies for the given loads in parallel.
 func (ps *PolicySet) GenerateLoads(loads []float64) error {
@@ -180,19 +181,15 @@ func (ps *PolicySet) Refine(minLoad, maxLoad, accThreshold float64, maxPolicies 
 // OnDemandRung) and cached (§3.2.2).
 func (ps *PolicySet) PolicyFor(load float64) (*Policy, error) {
 	ps.mu.Lock()
-	if len(ps.policies) == 0 {
-		ps.mu.Unlock()
-		return nil, fmt.Errorf("core: empty policy set")
+	p, covered := ps.lookup(load)
+	ps.mu.Unlock()
+	if p == nil {
+		return nil, errEmptySet
 	}
-	i := sort.Search(len(ps.policies), func(i int) bool { return ps.policies[i].Load >= load })
-	if i < len(ps.policies) {
-		p := ps.policies[i]
-		ps.mu.Unlock()
+	if covered {
 		return p, nil
 	}
-	ps.mu.Unlock()
-	rung := roundUpRung(load)
-	p, err := ps.generate(rung)
+	p, err := ps.generate(roundUpRung(load))
 	if err != nil {
 		return nil, err
 	}
@@ -209,12 +206,12 @@ func (ps *PolicySet) PolicyFor(load float64) (*Policy, error) {
 func (ps *PolicySet) PolicyForNow(load float64) (*Policy, error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if len(ps.policies) == 0 {
-		return nil, fmt.Errorf("core: empty policy set")
+	p, covered := ps.lookup(load)
+	if p == nil {
+		return nil, errEmptySet
 	}
-	i := sort.Search(len(ps.policies), func(i int) bool { return ps.policies[i].Load >= load })
-	if i < len(ps.policies) {
-		return ps.policies[i], nil
+	if covered {
+		return p, nil
 	}
 	rung := roundUpRung(load)
 	if ps.generating == nil {
@@ -232,7 +229,7 @@ func (ps *PolicySet) PolicyForNow(load float64) (*Policy, error) {
 			}
 		}()
 	}
-	return ps.policies[len(ps.policies)-1], nil
+	return p, nil
 }
 
 func roundUpRung(load float64) float64 {

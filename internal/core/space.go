@@ -198,15 +198,10 @@ func (sp *space) actionsForState(s int) []actionSpec {
 	return sp.actionsFor(n, sp.grid[j])
 }
 
-// reward implements R_a(s, s') = Accuracy(a) · SLOSatisfied(s, a) (§4.1),
-// optionally batch-weighted (ablation).
+// reward implements R_a(s, s') = Accuracy(a) · SLOSatisfied(s, a) (§4.1).
 func (sp *space) reward(a actionSpec) float64 {
 	if a.Model == arrivalAction || !a.Satisfies {
 		return 0
 	}
-	r := sp.models.Profiles[a.Model].Accuracy
-	if sp.cfg.BatchWeightedReward {
-		r *= float64(a.Batch)
-	}
-	return r
+	return sp.models.Profiles[a.Model].Accuracy
 }

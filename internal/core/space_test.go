@@ -237,17 +237,11 @@ func TestReward(t *testing.T) {
 	if got := sp.reward(actionSpec{Model: arrivalAction, Satisfies: true}); got != 0 {
 		t.Errorf("arrival reward = %v, want 0", got)
 	}
-	cfgW := testConfig()
-	cfgW.BatchWeightedReward = true
-	spW := newSpace(cfgW)
-	if got, want := spW.reward(sat), 3*spW.models.Profiles[0].Accuracy; got != want {
-		t.Errorf("weighted reward = %v, want %v", got, want)
-	}
 }
 
 func TestConfigValidate(t *testing.T) {
 	good := testConfig()
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	cases := []func(*Config){
@@ -263,7 +257,7 @@ func TestConfigValidate(t *testing.T) {
 	for i, mutate := range cases {
 		c := testConfig()
 		mutate(&c)
-		if err := c.Validate(); err == nil {
+		if err := c.validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
@@ -271,7 +265,7 @@ func TestConfigValidate(t *testing.T) {
 	// to each model's profiled maximum and over-long queues drain partially.
 	big := testConfig()
 	big.MaxQueue = profile.MaxSupportedBatch * 10
-	if err := big.Validate(); err != nil {
+	if err := big.validate(); err != nil {
 		t.Errorf("10x max-queue config rejected: %v", err)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -45,14 +44,15 @@ import (
 // K of 1: Appendix I's rate for shortest-queue-first, and the Mitzenmacher
 // doubly-exponential tail for power-of-two-choices.
 
-// builder enumerates each state's actions once, precomputes the probability
-// tables they read, and assembles the sparse MDP in parallel across states.
+// builder is the scalar worker MDP's stateSpace: it enumerates each state's
+// actions once, precomputes the probability tables they read, and builds one
+// state's row at a time from them.
 type builder struct {
 	sp    *space
 	cells int
 	delta float64
 	tmax  float64
-	budget
+	solveSpec
 
 	// Read-only after prepare(): each state's action list, and probability
 	// tables for the (rate, latency) pairs some action takes — keyed by
@@ -89,7 +89,7 @@ func newBuilder(sp *space) *builder {
 		b.tmax = l
 	}
 	b.delta = b.tmax / float64(b.cells)
-	b.arm(cfg.Timeout)
+	b.arm(cfg.Gamma, cfg.Jacobi, cfg.Timeout)
 	return b
 }
 
@@ -369,46 +369,50 @@ func (sc *stateScratch) emit(overflow int32, floor float64) []mdp.Transition {
 	return out
 }
 
-// buildMDP assembles the full sparse MDP.
-func (b *builder) buildMDP() *mdp.MDP {
-	b.prepare()
+func (b *builder) numStates() int { return b.sp.numStates() }
+
+// row builds state s's actions: each one's §4.1 reward and its §4.4
+// successor distribution.
+func (b *builder) row(s int, sc *stateScratch) []mdp.Action {
 	sp := b.sp
-	m := &mdp.MDP{Actions: make([][]mdp.Action, sp.numStates())}
-	parallelForScratch(sp.numStates(), b.newScratch,
-		func(s int, sc *stateScratch) {
-			if b.expired() {
-				return
-			}
-			acts := b.acts[s]
-			out := make([]mdp.Action, len(acts))
-			m.Actions[s] = out
-			for ai, a := range acts {
-				out[ai] = mdp.Action{Label: ai, Reward: sp.reward(a)}
-			}
-			if s == sp.emptyState() {
-				// Case 1 (Eq. 1): â moves (0, ·) to (1, SLO) surely.
-				top := sp.bucketOf(sp.cfg.SLO)
-				out[0].Transitions = []mdp.Transition{{Next: int32(sp.index(1, top)), P: 1}}
-				return
-			}
-			// Phase posterior and first-arrival density depend on the state
-			// only; share them across its actions. The density is read by
-			// full-drain actions, up to their latency.
-			n, tj := b.stateParams(s)
-			proc, k := b.procFor(n)
-			gmax := 0
-			for _, a := range acts {
-				if a.Batch >= n {
-					gmax = max(gmax, b.cellsFor(a.Latency))
-				}
-			}
-			pr := sc.phasePosterior(proc, k, n, sp.cfg.SLO-tj)
-			ft := b.firstArrivalDensity(sc, proc.Rate(), gmax, pr)
-			for ai, a := range acts {
-				out[ai].Transitions = b.actionTransitions(s, a, sc, pr, ft)
-			}
-		})
-	return m
+	acts := b.acts[s]
+	out := make([]mdp.Action, len(acts))
+	for ai, a := range acts {
+		out[ai] = mdp.Action{Label: ai, Reward: sp.reward(a)}
+	}
+	if s == sp.emptyState() {
+		// Case 1 (Eq. 1): â moves (0, ·) to (1, SLO) surely.
+		top := sp.bucketOf(sp.cfg.SLO)
+		out[0].Transitions = []mdp.Transition{{Next: int32(sp.index(1, top)), P: 1}}
+		return out
+	}
+	// Phase posterior and first-arrival density depend on the state only;
+	// share them across its actions. The density is read by full-drain
+	// actions, up to their latency.
+	n, tj := b.stateParams(s)
+	proc, k := b.procFor(n)
+	gmax := 0
+	for _, a := range acts {
+		if a.Batch >= n {
+			gmax = max(gmax, b.cellsFor(a.Latency))
+		}
+	}
+	pr := sc.phasePosterior(proc, k, n, sp.cfg.SLO-tj)
+	ft := b.firstArrivalDensity(sc, proc.Rate(), gmax, pr)
+	for ai, a := range acts {
+		out[ai].Transitions = b.actionTransitions(s, a, sc, pr, ft)
+	}
+	return out
+}
+
+// outcome is what action a of state s serves: a batch of queries on one
+// model, or nothing for the arrival action.
+func (b *builder) outcome(s, a int) outcome {
+	act := b.acts[s][a]
+	if act.Model == arrivalAction {
+		return outcome{satisfies: true}
+	}
+	return outcome{float64(act.Batch), b.sp.models.Profiles[act.Model].Accuracy, act.Satisfies}
 }
 
 // stateParams returns (n, T_j) for a non-empty state, with the overflow
@@ -662,42 +666,4 @@ func p2cRate(cfg Config, models profile.Set, n int) float64 {
 		exp = 512
 	}
 	return clampRate(perWorker*math.Pow(rho, exp), perWorker)
-}
-
-// parallelFor runs fn(i) for i in [0, n) across GOMAXPROCS workers.
-func parallelFor(n int, fn func(i int)) {
-	parallelForScratch(n, func() *stateScratch { return nil }, func(i int, _ *stateScratch) { fn(i) })
-}
-
-// parallelForScratch runs fn(i, sc) for i in [0, n) across GOMAXPROCS
-// workers, each with its own scratch value from mk.
-func parallelForScratch(n int, mk func() *stateScratch, fn func(i int, sc *stateScratch)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		sc := mk()
-		for i := 0; i < n; i++ {
-			fn(i, sc)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, n)
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := mk()
-			for i := range next {
-				fn(i, sc)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -26,16 +26,14 @@ func smallConfig() Config {
 
 func buildFor(t *testing.T, cfg Config) (*space, *mdp.MDP) {
 	t.Helper()
-	if err := cfg.Validate(); err != nil {
+	b, m, err := buildWorker(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sp := newSpace(cfg)
-	b := newBuilder(sp)
-	m := b.buildMDP()
 	if err := m.Validate(1e-6); err != nil {
 		t.Fatalf("MDP invalid: %v", err)
 	}
-	return sp, m
+	return b.sp, m
 }
 
 func TestBuiltMDPValidates(t *testing.T) {

@@ -336,7 +336,7 @@ func TestPolicyDirCaching(t *testing.T) {
 	dir := t.TempDir()
 	h := New(Options{Quick: true, Out: io.Discard, PolicyDir: dir, D: 25})
 	s1 := h.policySet(profile.ImageSet(), 0.150, 4, []float64{100}, "", nil)
-	if len(s1.Loads()) != 1 {
+	if len(s1.Policies()) != 1 {
 		t.Fatal("policy not generated")
 	}
 	// A fresh harness must load from disk (same result, no panic).
