@@ -126,7 +126,9 @@ bench-smoke:
 # `make profile PROFILE_BENCH=BenchmarkBuildWorkerMDP` is the transition
 # build's split quoted in DESIGN.md § "Transition-probability computation",
 # `PROFILE_BENCH=BenchmarkGenerateLLM` the token generation's build / solve
-# split quoted in § "Solver performance".
+# split quoted in § "Solver performance", and
+# `PROFILE_BENCH=BenchmarkLLMStepLoop` the step loop's split quoted in
+# § "Token-level LLM workload" ("Step-loop cost").
 PROFILE_BENCH ?= BenchmarkSimulatorThroughput
 
 profile:

@@ -365,6 +365,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // continuous-batching admission, decode-first step composition, and KV
 // accounting over a sustained general-class token stream (fixed fastest
 // model, so the cost measured is the batching machinery, not selection).
+// Steps are the loop's unit of work — selection, composition and gap
+// recording run once per step — so it also reports steps/op and ns/step;
+// `make profile PROFILE_BENCH=BenchmarkLLMStepLoop` is where a step's time
+// goes.
 func BenchmarkLLMStepLoop(b *testing.B) {
 	models := llm.BuiltinSet()
 	cls, err := llm.ClassByName("general")
@@ -380,14 +384,18 @@ func BenchmarkLLMStepLoop(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	steps := 0
 	for i := 0; i < b.N; i++ {
 		e := sim.NewLLMEngine(models, 8.0, 2, sim.FixedSelector(models.Fastest()))
 		m := e.Run(queries)
 		if m.Served != len(queries) {
 			b.Fatalf("served %d of %d", m.Served, len(queries))
 		}
+		steps = m.Steps
 	}
 	b.ReportMetric(float64(tokens), "tokens/op")
+	b.ReportMetric(float64(steps), "steps/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(steps), "ns/step")
 }
 
 // BenchmarkBalancerPick compares the per-arrival routing cost of the three

@@ -330,13 +330,29 @@ func (b *Batcher[T]) Land(end float64) []*Seq[T] {
 	b.counts.PeakKV = max(b.counts.PeakKV, kv)
 	if t := b.tel; t != nil {
 		t.kv.Set(kv)
-		for _, s := range b.landed {
-			if s.First() {
-				t.ttft.Observe(s.Gap)
-			} else {
-				t.tbt.Observe(s.Gap)
-			}
-		}
+		ObserveGaps(b.landed, t.ttft, t.tbt)
 	}
 	return b.landed
+}
+
+// ObserveGaps records the tokens one step landed (Land's result, in batch
+// order): a sequence's first token is a TTFT observation, every later token
+// a TBT observation. Every sequence that also decoded in the previous step
+// has the same gap — end − prevEnd, to the bit — so a run of consecutive
+// equal TBT gaps goes to tbt as one ObserveN, and both histograms end
+// exactly as one Observe per token would leave them, sums included.
+func ObserveGaps[T any](landed []*Seq[T], ttft, tbt *telemetry.Histogram) {
+	gap, n := 0.0, 0
+	for _, s := range landed {
+		switch {
+		case s.First():
+			ttft.Observe(s.Gap)
+		case n > 0 && s.Gap == gap:
+			n++
+		default:
+			tbt.ObserveN(gap, n)
+			gap, n = s.Gap, 1
+		}
+	}
+	tbt.ObserveN(gap, n)
 }

@@ -1,0 +1,120 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"runtime"
+	"testing"
+	"time"
+
+	"ramsis/internal/llm"
+	"ramsis/internal/profile"
+	"ramsis/internal/sim"
+	"ramsis/internal/telemetry"
+	"ramsis/internal/tenant"
+)
+
+// requireGoroutines fails the test, dumping every goroutine's stack, unless
+// the goroutine count returns to baseline within 5 s. No slack is allowed:
+// after Stop nothing the deployment started may still be running.
+func requireGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines 5 s after Stop, %d before start:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestShardedClusterStopLeavesNoGoroutines starts the sharded plane in the
+// repository benchmark's plane_burst shape — tenants gold and silver, two
+// shards of one worker, p2c shard routing, zero-length inference — routes
+// one 32-query burst, stops it, and requires the goroutine count back at its
+// pre-start value.
+func TestShardedClusterStopLeavesNoGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	c, err := StartShardedCluster(ShardedConfig{
+		Models: profile.ImageSet(),
+		Tenants: []tenant.Tenant{
+			{Name: "gold", Class: "interactive", SLOMS: 1e12, Weight: 2, RateQPS: 2, BurstSec: 32},
+			{Name: "silver", Class: "standard", SLOMS: 2e12, Weight: 1, RateQPS: 1, BurstSec: 32},
+		},
+		Shards:          2,
+		WorkersPerShard: 1,
+		TimeScale:       1e10, // every profiled latency sleeps 0 ns
+		Seed:            1,
+		D:               40,
+		ShardBy:         "p2c",
+		Telemetry:       telemetry.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const burst = 32
+	pending := make([]<-chan QueryResponse, 0, burst)
+	for i := 0; i < burst; i++ {
+		name := "gold"
+		if i%3 == 2 {
+			name = "silver"
+		}
+		ch, eerr := c.Gateway.Route(name)
+		if eerr != nil {
+			c.Stop()
+			t.Fatalf("query %d: %v", i, eerr)
+		}
+		pending = append(pending, ch)
+	}
+	for i, ch := range pending {
+		if r := <-ch; r.Error != "" {
+			t.Errorf("query %d: %s", i, r.Error)
+		}
+	}
+	c.Stop()
+	requireGoroutines(t, baseline)
+}
+
+// TestLLMWorkerStopMidStreamLeavesNoGoroutines stops an LLM worker while a
+// /generate stream is in flight: the stream must end, and every goroutine
+// the worker, its handler and the client's connection started must exit.
+func TestLLMWorkerStopMidStreamLeavesNoGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	models := llm.BuiltinSet()
+	// At TimeScale 1 a decode step is tens of wall milliseconds, so 10,000
+	// tokens keep the stream open far longer than the test waits.
+	w := NewLLMWorker(models, 8.0, 1, sim.FixedSelector(models.Fastest()))
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Transport: &http.Transport{}}
+	body, _ := json.Marshal(GenRequest{Prefill: 100, Decode: 10000})
+	resp, err := client.Post(w.URL()+"/generate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		w.Stop()
+		t.Fatal(err)
+	}
+	var first [1]byte
+	if _, err := io.ReadFull(resp.Body, first[:]); err != nil {
+		w.Stop()
+		t.Fatalf("no first token: %v", err)
+	}
+	if err := w.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	rest, _ := io.ReadAll(resp.Body) // ends once Stop closes the connection
+	resp.Body.Close()
+	tokens := 1 + len(rest)
+	if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+		tokens = 1 + i // the summary trailer follows the token bytes
+	}
+	if tokens >= 10000 {
+		t.Errorf("stream delivered all %d tokens; Stop did not interrupt it", tokens)
+	}
+	client.CloseIdleConnections()
+	requireGoroutines(t, baseline)
+}

@@ -254,15 +254,13 @@ func (e *LLMEngine) startStep(lw *llmWorker, now float64) {
 // it generated and every query it finished.
 func (e *LLMEngine) completeStep(lw *llmWorker, end float64) {
 	batch := lw.b.Running()
-	for _, s := range lw.b.Land(end) {
-		if s.First() {
-			e.ttftHist.Observe(s.Gap)
-			if e.CollectLatencies {
+	landed := lw.b.Land(end)
+	llm.ObserveGaps(landed, e.ttftHist, e.tbtHist)
+	for _, s := range landed {
+		if e.CollectLatencies {
+			if s.First() {
 				e.metrics.TTFTs = append(e.metrics.TTFTs, s.Gap)
-			}
-		} else {
-			e.tbtHist.Observe(s.Gap)
-			if e.CollectLatencies {
+			} else {
 				e.metrics.TBTs = append(e.metrics.TBTs, s.Gap)
 			}
 		}

@@ -299,6 +299,81 @@ func TestLLMTokenAwarePolicyBeatsScalarOnPrefillBurst(t *testing.T) {
 	}
 }
 
+// seriesLines returns the exposition's _bucket, _sum and _count lines of the
+// histogram family name.
+func seriesLines(reg *telemetry.Registry, name string) []string {
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	var lines []string
+	for _, l := range strings.Split(b.String(), "\n") {
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if strings.HasPrefix(l, name+suffix+" ") || strings.HasPrefix(l, name+suffix+"{") {
+				lines = append(lines, l)
+			}
+		}
+	}
+	return lines
+}
+
+// TestLLMGapHistogramsMatchPerToken pins llm.ObserveGaps end to end: the
+// step loop records TBT once per run of equal gaps, yet the engine's TTFT
+// and TBT histograms and the registry's ramsis_llm_ttft_seconds /
+// ramsis_llm_tbt_seconds series must equal histograms fed one Observe per
+// collected token — counts, quantiles and the sum, to the bit.
+func TestLLMGapHistogramsMatchPerToken(t *testing.T) {
+	models := llm.BuiltinSet()
+	cls := llm.GeneralClass()
+	const slo, workers = 8.0, 2
+	pol, err := core.GenerateLLM(core.LLMConfig{
+		Models: models, SLO: slo, Workers: workers, Rate: 4,
+		In: cls.In, Out: cls.Out,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tokenSel, err := NewLLMPolicySelector(pol, models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := burstWorkload()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for name, sel := range map[string]ModelSelector{"fixed": FixedSelector(models.Fastest()), "token": tokenSel} {
+		e := NewLLMEngine(models, slo, workers, sel)
+		e.CollectLatencies = true
+		e.Telemetry = telemetry.NewRegistry()
+		m := e.Run(queries)
+		ref := telemetry.NewRegistry()
+		for _, tc := range []struct {
+			metric string
+			xs     []float64
+			got    *telemetry.Histogram
+		}{
+			{telemetry.MetricLLMTTFT, m.TTFTs, e.ttftHist},
+			{telemetry.MetricLLMTBT, m.TBTs, e.tbtHist},
+		} {
+			want := ref.Histogram(tc.metric)
+			for _, x := range tc.xs {
+				want.Observe(x)
+			}
+			if len(tc.xs) == 0 || tc.got.Count() != want.Count() || !same(tc.got.Sum(), want.Sum()) {
+				t.Errorf("%s %s: engine count %d sum %v, per-token %d / %v", name, tc.metric,
+					tc.got.Count(), tc.got.Sum(), want.Count(), want.Sum())
+			}
+			for p := 0.0; p <= 100; p += 0.5 {
+				if g, w := tc.got.Quantile(p), want.Quantile(p); !same(g, w) {
+					t.Errorf("%s %s: engine Quantile(%v) = %v, per-token %v", name, tc.metric, p, g, w)
+				}
+			}
+			got, wantLines := seriesLines(e.Telemetry, tc.metric), seriesLines(ref, tc.metric)
+			if strings.Join(got, "\n") != strings.Join(wantLines, "\n") {
+				t.Errorf("%s %s: registry series\n%s\nper-token\n%s", name, tc.metric,
+					strings.Join(got, "\n"), strings.Join(wantLines, "\n"))
+			}
+		}
+		t.Logf("%s: %d steps, %d TTFT and %d TBT observations", name, m.Steps, len(m.TTFTs), len(m.TBTs))
+	}
+}
+
 // TestLLMEngineDeterminism pins the engine: same inputs, same metrics.
 func TestLLMEngineDeterminism(t *testing.T) {
 	queries := burstWorkload()

@@ -80,11 +80,31 @@ func NewHistogram(upper []float64) *Histogram {
 
 // Observe records one sample. Bucket bounds are inclusive upper bounds, as
 // in the Prometheus exposition format (le).
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of the same value: one bucket lookup, one add
+// each to the bucket count and the total, and the n additions to the sum
+// made on a local copy that one compare-and-swap publishes. Called from one
+// goroutine it leaves the histogram exactly as n Observe(v) calls would, the
+// sum identical to the bit; concurrent callers interleave their sums per
+// call rather than per sample. n <= 0 records nothing.
+func (h *Histogram) ObserveN(v float64, n int) {
+	if n <= 0 {
+		return
+	}
 	i := sort.SearchFloat64s(h.upper, v)
-	h.counts[i].Add(1)
-	h.total.Add(1)
-	h.sum.add(v)
+	h.counts[i].Add(uint64(n))
+	h.total.Add(uint64(n))
+	for {
+		old := h.sum.bits.Load()
+		sum := math.Float64frombits(old)
+		for k := 0; k < n; k++ {
+			sum += v
+		}
+		if h.sum.bits.CompareAndSwap(old, math.Float64bits(sum)) {
+			break
+		}
+	}
 	for {
 		old := h.min.load()
 		if v >= old || h.min.bits.CompareAndSwap(math.Float64bits(old), math.Float64bits(v)) {

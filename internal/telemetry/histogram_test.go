@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"ramsis/internal/stats"
@@ -98,6 +99,137 @@ func TestHistogramQuantileMonotone(t *testing.T) {
 		}
 		prev = q
 	}
+}
+
+// TestObserveNMatchesObserve pins ObserveN's contract: from one goroutine,
+// ObserveN(v, n) leaves the histogram exactly as n Observe(v) calls would —
+// bucket counts, count, min, max, every quantile, the exposition text, and
+// the sum to the bit. Both histograms start from the same non-trivial state,
+// so the sum is a sequence of n additions onto a prior value, which a
+// shortcut like sum += n·v would not reproduce.
+func TestObserveNMatchesObserve(t *testing.T) {
+	upper := []float64{0.001, 0.01, 0.1, 1}
+	seeded := func() *Histogram {
+		h := NewHistogram(upper)
+		for _, v := range []float64{0.3, 0.0042, 0.7} {
+			h.Observe(v)
+		}
+		return h
+	}
+	values := map[string]float64{
+		"edge":        0.01,
+		"between":     0.0337,
+		"below first": 0.0002,
+		"above last":  2.75,
+		"+Inf":        math.Inf(1),
+		"-Inf":        math.Inf(-1),
+		"NaN":         math.NaN(),
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for name, v := range values {
+		for _, n := range []int{0, 1, 2, 17, 1000} {
+			got, want := seeded(), seeded()
+			got.ObserveN(v, n)
+			for k := 0; k < n; k++ {
+				want.Observe(v)
+			}
+			for i := range want.counts {
+				if g, w := got.counts[i].Load(), want.counts[i].Load(); g != w {
+					t.Errorf("%s n=%d: bucket %d holds %d, want %d", name, n, i, g, w)
+				}
+			}
+			if got.Count() != want.Count() {
+				t.Errorf("%s n=%d: count %d, want %d", name, n, got.Count(), want.Count())
+			}
+			if !same(got.Sum(), want.Sum()) {
+				t.Errorf("%s n=%d: sum %v (%#x), want %v (%#x)", name, n,
+					got.Sum(), math.Float64bits(got.Sum()), want.Sum(), math.Float64bits(want.Sum()))
+			}
+			if !same(got.Min(), want.Min()) || !same(got.Max(), want.Max()) {
+				t.Errorf("%s n=%d: min/max %v/%v, want %v/%v", name, n, got.Min(), got.Max(), want.Min(), want.Max())
+			}
+			for p := 0.0; p <= 100; p += 2.5 {
+				if g, w := got.Quantile(p), want.Quantile(p); !same(g, w) {
+					t.Errorf("%s n=%d: Quantile(%v) = %v, want %v", name, n, p, g, w)
+				}
+			}
+			var gb, wb bytes.Buffer
+			got.write(&gb, "x", "")
+			want.write(&wb, "x", "")
+			if gb.String() != wb.String() {
+				t.Errorf("%s n=%d: exposition\n%s\nwant\n%s", name, n, gb.String(), wb.String())
+			}
+		}
+	}
+}
+
+// TestObserveNConcurrent runs ObserveN from 8 goroutines at once (meant for
+// the race detector, `make race`): no sample may be lost from the count or
+// the buckets. Each goroutine's value is a small multiple of 1/8, so every
+// partial sum is exact and the total sum is order-independent.
+func TestObserveNConcurrent(t *testing.T) {
+	const goroutines, calls = 8, 500
+	h := NewHistogram([]float64{0.5, 1})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			v := float64(g+1) / 8 // 0.125 .. 1: buckets le=0.5 and le=1
+			for k := 0; k < calls; k++ {
+				h.ObserveN(v, g+1)
+			}
+		}(g)
+	}
+	wg.Wait()
+	var count, low uint64
+	var sum float64
+	for g := 0; g < goroutines; g++ {
+		n := uint64(calls * (g + 1))
+		count += n
+		sum += float64(n) * float64(g+1) / 8
+		if float64(g+1)/8 <= 0.5 {
+			low += n
+		}
+	}
+	if h.Count() != count {
+		t.Errorf("count %d, want %d", h.Count(), count)
+	}
+	if got := h.counts[0].Load(); got != low {
+		t.Errorf("le=0.5 bucket %d, want %d", got, low)
+	}
+	if got := h.counts[1].Load(); got != count-low {
+		t.Errorf("le=1 bucket %d, want %d", got, count-low)
+	}
+	if got := h.counts[2].Load(); got != 0 {
+		t.Errorf("+Inf bucket %d, want 0", got)
+	}
+	if h.Sum() != sum {
+		t.Errorf("sum %v, want %v", h.Sum(), sum)
+	}
+	if h.Min() != 0.125 || h.Max() != 1 {
+		t.Errorf("min/max %v/%v, want 0.125/1", h.Min(), h.Max())
+	}
+}
+
+// BenchmarkHistogramObserve compares recording eight equal samples one
+// Observe at a time against one ObserveN — the step loop's per-token versus
+// per-run cost for a batch of eight decoding sequences.
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := NewHistogram(DefaultLatencyBuckets())
+	b.Run("Observe-x8", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			v := float64(i%1000) / 1e4
+			for k := 0; k < 8; k++ {
+				h.Observe(v)
+			}
+		}
+	})
+	b.Run("ObserveN-8", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			h.ObserveN(float64(i%1000)/1e4, 8)
+		}
+	})
 }
 
 func TestHistogramRejectsUnsortedBuckets(t *testing.T) {

@@ -187,31 +187,36 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	// Snapshot the family/series structure under the lock; sample values
-	// are read atomically afterwards.
+	// Snapshot the family/series structure — help text and series pointers
+	// included, since lookup and Help write them under the lock — and read
+	// the sample values atomically afterwards.
 	type snap struct {
-		f    *family
-		keys []string
+		name, typ, help string
+		keys            []string
+		series          []metric
 	}
 	snaps := make([]snap, 0, len(names))
 	for _, n := range names {
 		f := r.families[n]
-		keys := make([]string, 0, len(f.series))
+		s := snap{name: f.name, typ: f.typ, help: f.help, keys: make([]string, 0, len(f.series))}
 		for k := range f.series {
-			keys = append(keys, k)
+			s.keys = append(s.keys, k)
 		}
-		sort.Strings(keys)
-		snaps = append(snaps, snap{f, keys})
+		sort.Strings(s.keys)
+		for _, k := range s.keys {
+			s.series = append(s.series, f.series[k])
+		}
+		snaps = append(snaps, s)
 	}
 	r.mu.Unlock()
 
 	for _, s := range snaps {
-		if s.f.help != "" {
-			fmt.Fprintf(w, "# HELP %s %s\n", s.f.name, s.f.help)
+		if s.help != "" {
+			fmt.Fprintf(w, "# HELP %s %s\n", s.name, s.help)
 		}
-		fmt.Fprintf(w, "# TYPE %s %s\n", s.f.name, s.f.typ)
-		for _, k := range s.keys {
-			s.f.series[k].write(w, s.f.name, k)
+		fmt.Fprintf(w, "# TYPE %s %s\n", s.name, s.typ)
+		for i, k := range s.keys {
+			s.series[i].write(w, s.name, k)
 		}
 	}
 }
