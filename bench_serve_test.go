@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"ramsis/internal/profile"
+	"ramsis/internal/sched"
 	"ramsis/internal/serve"
 	"ramsis/internal/telemetry"
 	"ramsis/internal/tenant"
@@ -31,7 +32,7 @@ const benchTimeScale = 20000
 // benchSelector is a fixed greedy selector (fastest model, batch = queue
 // length capped at the profile's max) so the benchmark exercises the
 // serving path without coupling to MDP solve behaviour.
-func benchSelector(models profile.Set) serve.SelectFunc {
+func benchSelector(models profile.Set) sched.Selector {
 	fastest := models.Fastest()
 	maxB := fastest.MaxBatch()
 	return func(_, _ float64, n int, _ float64) (string, int) {
@@ -137,7 +138,14 @@ func BenchmarkShardedGatewayQuery(b *testing.B) {
 // and 8.8 allocations per query before rounding down, steady to ±0.1 on a
 // loaded host, so one more allocation on the enqueue or dispatch path lands
 // on the ceiling and two land over it. The step loop (151 per 400-query
-// run) and the lookup (0) are single-goroutine and do not move.
+// run), the lookup (0) and the two scalar simulator runs are
+// single-goroutine and do not move. The simulator rows are whole runs, so
+// they count per run, not per query: the central-queue path
+// (SimulatorThroughput, 20,141 queries) and the balancer + policy path
+// (RAMSISScheduler, 24,070 queries). Their ceilings, 40,112 and 29,371,
+// are the counts measured when the rows were added, so an allocation added
+// to the engine's arrival or dispatch path fails; they add about 3 s to
+// this test.
 func TestDataPlaneAllocCeilings(t *testing.T) {
 	if serve.RaceEnabled {
 		t.Skip("under the race detector sync.Pool drops items on purpose: the counts are not the plain build's")
@@ -152,6 +160,8 @@ func TestDataPlaneAllocCeilings(t *testing.T) {
 		{"ShardedGatewayQuery", BenchmarkShardedGatewayQuery, 9},
 		{"LLMStepLoop", BenchmarkLLMStepLoop, 153},
 		{"PolicySelect", BenchmarkPolicySelect, 0},
+		{"SimulatorThroughput", BenchmarkSimulatorThroughput, 40112},
+		{"RAMSISScheduler", BenchmarkRAMSISScheduler, 29371},
 	} {
 		r := testing.Benchmark(tc.bench)
 		if r.N == 0 {

@@ -358,6 +358,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			b.Fatal("dropped queries")
 		}
 	}
+	b.StopTimer() // ReportMetric allocates: keep it out of allocs/op
 	b.ReportMetric(float64(len(arr)), "queries/op")
 }
 
@@ -439,6 +440,7 @@ func BenchmarkRAMSISScheduler(b *testing.B) {
 		e := sim.NewEngine(models, 0.150, 60, sim.Deterministic{}, sim.NewRAMSIS(set, monitor.Oracle{Trace: tr}), 1)
 		e.Run(arr)
 	}
+	b.StopTimer() // ReportMetric allocates: keep it out of allocs/op
 	b.ReportMetric(float64(len(arr)), "queries/op")
 }
 

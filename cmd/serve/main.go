@@ -25,6 +25,7 @@ import (
 	"ramsis/internal/core"
 	"ramsis/internal/lb"
 	"ramsis/internal/monitor"
+	"ramsis/internal/sched"
 	"ramsis/internal/serve"
 	"ramsis/internal/sim"
 	"ramsis/internal/stats"
@@ -301,7 +302,7 @@ func (o *options) runCluster(ctx context.Context, base core.Config) error {
 		if adapter, err = o.Adapter(base, pol, true, registry); err != nil {
 			return err
 		}
-		selector = serve.AdaptiveSelector(adapter)
+		selector = sched.AdaptiveSelector(adapter)
 		o.Printf("adaptation on: band ±%.0f%%, dwell %.1fs, bucket %.0f QPS\n",
 			o.AdaptBand*100, o.AdaptDwell, adapter.ActiveBucket())
 	}

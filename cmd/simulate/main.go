@@ -244,11 +244,10 @@ func (o *options) runScalar() error {
 		if r, adapter, err = o.ramsis(base, tr, mon); err != nil {
 			return err
 		}
-		r.Balance = balancing
 		r.LB = sim.BalancerFor(balancing, o.Seed)
 		sched = r
 	case "JF":
-		sched = &baselines.JellyfishPlus{Profiles: models, SLO: slo, Workers: o.Workers, Monitor: mon}
+		sched = sim.Scheme{Monitor: mon, Select: baselines.JellyfishPlus{Profiles: models, SLO: slo, Workers: o.Workers}.Selector()}
 	case "MS":
 		var table *baselines.MSTable
 		if o.msTable != "" {
@@ -272,9 +271,9 @@ func (o *options) runScalar() error {
 			o.Printf("profiling ModelSwitching response latencies...\n")
 			table = baselines.ProfileModelSwitching(models, slo, o.Workers, loads, 5, o.Seed)
 		}
-		sched = &baselines.ModelSwitching{Profiles: models, SLO: slo, Monitor: mon, Table: table}
+		sched = sim.Scheme{Monitor: mon, Select: baselines.ModelSwitching{Profiles: models, SLO: slo, Table: table}.Selector()}
 	case "Greedy":
-		sched = &baselines.Greedy{Profiles: models, SLO: slo}
+		sched = sim.Scheme{Monitor: mon, Select: baselines.Greedy{Profiles: models, SLO: slo}.Select}
 	default:
 		return fmt.Errorf("unknown method -m %q (want RAMSIS, JF, MS, or Greedy)", o.method)
 	}

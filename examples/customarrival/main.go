@@ -76,7 +76,7 @@ func main() {
 		}
 		tr := ramsis.ConstantTrace(load, 20)
 		sched := sim.NewRAMSIS(set, monitor.Oracle{Trace: tr})
-		sched.Balance = cse.balance
+		sched.LB = sim.BalancerFor(cse.balance, 1)
 		e := sim.NewEngine(models, sloMS/1000, workers, sim.Deterministic{}, sched, 5)
 		m := e.Run(trace.PoissonArrivals(tr, 5))
 		fmt.Printf("  %-22s accuracy %.4f, violations %.4f%%\n",

@@ -57,10 +57,10 @@ func main() {
 
 	fmt.Println("\nserving the trace with each MS&S scheme:")
 	mR := run("RAMSIS", sim.NewRAMSIS(system.PolicySet(), monitor.NewMovingAverage(0.5)))
-	mJ := run("Jellyfish+", &baselines.JellyfishPlus{
-		Profiles: models, SLO: slo, Workers: workers, Monitor: monitor.NewMovingAverage(0.5)})
-	mM := run("ModelSwitching", &baselines.ModelSwitching{
-		Profiles: models, SLO: slo, Monitor: monitor.NewMovingAverage(0.5), Table: msTable})
+	jf := baselines.JellyfishPlus{Profiles: models, SLO: slo, Workers: workers}
+	mJ := run("Jellyfish+", sim.Scheme{Monitor: monitor.NewMovingAverage(0.5), Select: jf.Selector()})
+	ms := baselines.ModelSwitching{Profiles: models, SLO: slo, Table: msTable}
+	mM := run("ModelSwitching", sim.Scheme{Monitor: monitor.NewMovingAverage(0.5), Select: ms.Selector()})
 
 	fmt.Printf("\nRAMSIS accuracy gain: %+.2f%% vs Jellyfish+, %+.2f%% vs ModelSwitching\n",
 		(mR.AccuracyPerSatisfiedQuery()-mJ.AccuracyPerSatisfiedQuery())*100,

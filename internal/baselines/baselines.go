@@ -2,9 +2,10 @@
 // schemes RAMSIS is evaluated against (§7 "Baseline MS&S Policies"):
 // Jellyfish+ [32], ModelSwitching [57] (including its offline
 // response-latency profiling), the INFaaS adaptation of Appendix H, and the
-// greedy deadline-aware selector of §8 (MDInference/ALERT-style). All share
-// the central-queue, eager-worker, adaptive-batching execution model the
-// paper describes.
+// greedy deadline-aware selector of §8 (MDInference/ALERT-style). Each is a
+// sched.Selector, so the same value runs in sim.Engine (as a sim.Scheme
+// with no balancer: eager workers on one central queue, the execution model
+// the paper describes) and in serve.Frontend.
 package baselines
 
 import (
@@ -12,29 +13,23 @@ import (
 	"fmt"
 	"math"
 
-	"ramsis/internal/monitor"
 	"ramsis/internal/profile"
+	"ramsis/internal/sched"
 	"ramsis/internal/sim"
 	"ramsis/internal/stats"
 	"ramsis/internal/trace"
 )
 
-// adaptiveMaxBatch returns the adaptive-batching cap [7] used by both
-// baselines: the largest batch whose inference latency stays within half the
-// SLO, anticipating worst-case central-queue wait (§7, Jellyfish+).
-func adaptiveMaxBatch(p profile.Profile, slo float64) int {
-	if b := p.MaxBatchWithin(slo / 2); b > 0 {
-		return b
+// LoadGranular is the selector the load-granular baselines share: the model
+// modelFor picks for the anticipated load, at the adaptive-batching cap [7]
+// — the largest batch whose inference latency stays within half the SLO,
+// anticipating worst-case central-queue wait (§7, Jellyfish+). The dispatch
+// core caps the batch by the queue length.
+func LoadGranular(models profile.Set, slo float64, modelFor func(load float64) int) sched.Selector {
+	return func(_, load float64, _ int, _ float64) (string, int) {
+		p := models.Profiles[modelFor(load)]
+		return p.Name, max(p.MaxBatchWithin(slo/2), 1)
 	}
-	return 1
-}
-
-// centralSelect implements the shared eager central-queue dispatch: the
-// load-selected model at the adaptive batch cap (the dispatch core caps it
-// by the queue length).
-func centralSelect(e *sim.Engine, model int, slo float64) (string, int) {
-	p := e.Profiles.Profiles[model]
-	return p.Name, adaptiveMaxBatch(p, slo)
 }
 
 // JellyfishPlus extends Jellyfish [32] with multi-worker load balancing:
@@ -45,21 +40,10 @@ type JellyfishPlus struct {
 	Profiles profile.Set
 	SLO      float64
 	Workers  int
-	Monitor  monitor.Monitor
-
-	lastLoad float64
-	lastPick int
-	havePick bool
-}
-
-// Route enqueues centrally and feeds the load monitor.
-func (j *JellyfishPlus) Route(e *sim.Engine, now float64, q sim.Query) {
-	j.Monitor.Observe(now)
-	e.EnqueueCentral(q)
 }
 
 // ModelFor returns the Jellyfish+ selection for a load.
-func (j *JellyfishPlus) ModelFor(load float64) int {
+func (j JellyfishPlus) ModelFor(load float64) int {
 	best, bestAcc := -1, math.Inf(-1)
 	for i, p := range j.Profiles.Profiles {
 		if p.BatchLatency(1) > j.SLO/2 {
@@ -79,15 +63,8 @@ func (j *JellyfishPlus) ModelFor(load float64) int {
 	return best
 }
 
-// Select serves a batch with the load-selected model.
-func (j *JellyfishPlus) Select(e *sim.Engine, now float64, _, _ int, _ float64) (string, int) {
-	load := j.Monitor.Load(now)
-	if !j.havePick || load != j.lastLoad {
-		j.lastPick = j.ModelFor(load)
-		j.lastLoad, j.havePick = load, true
-	}
-	return centralSelect(e, j.lastPick, j.SLO)
-}
+// Selector serves each batch with the load-selected model.
+func (j JellyfishPlus) Selector() sched.Selector { return LoadGranular(j.Profiles, j.SLO, j.ModelFor) }
 
 // MSTable is ModelSwitching's offline profile: the p99 response latency of
 // every model under every anticipated load on the evaluated resource
@@ -98,8 +75,8 @@ type MSTable struct {
 }
 
 // ProfileModelSwitching measures each model's response latency under each
-// load rung by running the fixed-model scheduler for dur seconds, exactly
-// the offline step §7 describes.
+// load rung by serving dur seconds of it with that model alone, at the
+// load-granular batch cap — exactly the offline step §7 describes.
 func ProfileModelSwitching(profiles profile.Set, slo float64, workers int, loads []float64, dur float64, seed int64) *MSTable {
 	t := &MSTable{Loads: append([]float64(nil), loads...)}
 	t.P99 = make([][]float64, profiles.Len())
@@ -113,8 +90,8 @@ func ProfileModelSwitching(profiles profile.Set, slo float64, workers int, loads
 				t.P99[mi][li] = math.Inf(1)
 				continue
 			}
-			sched := &sim.FixedModel{Model: mi, MaxBatch: adaptiveMaxBatch(p, slo)}
-			e := sim.NewEngine(profiles, slo, workers, sim.Deterministic{}, sched, seed+int64(mi*1000+li))
+			fixed := sim.Scheme{Select: LoadGranular(profiles, slo, func(float64) int { return mi })}
+			e := sim.NewEngine(profiles, slo, workers, sim.Deterministic{}, fixed, seed+int64(mi*1000+li))
 			e.CollectLatencies = true
 			arr := trace.PoissonArrivals(trace.Constant(load, dur), seed+int64(li))
 			m := e.Run(arr)
@@ -190,22 +167,11 @@ func (t *MSTable) P99For(model int, load float64) float64 {
 type ModelSwitching struct {
 	Profiles profile.Set
 	SLO      float64
-	Monitor  monitor.Monitor
 	Table    *MSTable
-
-	lastLoad float64
-	lastPick int
-	havePick bool
-}
-
-// Route enqueues centrally and feeds the load monitor.
-func (m *ModelSwitching) Route(e *sim.Engine, now float64, q sim.Query) {
-	m.Monitor.Observe(now)
-	e.EnqueueCentral(q)
 }
 
 // ModelFor returns the ModelSwitching selection for a load.
-func (m *ModelSwitching) ModelFor(load float64) int {
+func (m ModelSwitching) ModelFor(load float64) int {
 	best, bestAcc := -1, math.Inf(-1)
 	for i, p := range m.Profiles.Profiles {
 		if m.Table.P99For(i, load) > m.SLO {
@@ -221,15 +187,8 @@ func (m *ModelSwitching) ModelFor(load float64) int {
 	return best
 }
 
-// Select serves a batch with the load-selected model.
-func (m *ModelSwitching) Select(e *sim.Engine, now float64, _, _ int, _ float64) (string, int) {
-	load := m.Monitor.Load(now)
-	if !m.havePick || load != m.lastLoad {
-		m.lastPick = m.ModelFor(load)
-		m.lastLoad, m.havePick = load, true
-	}
-	return centralSelect(e, m.lastPick, m.SLO)
-}
+// Selector serves each batch with the load-selected model.
+func (m ModelSwitching) Selector() sched.Selector { return LoadGranular(m.Profiles, m.SLO, m.ModelFor) }
 
 // Greedy is the deadline-greedy selector of §8 (MDInference [33] /
 // ALERT [48] style): it picks the most accurate model that can serve the
@@ -241,12 +200,10 @@ type Greedy struct {
 	SLO      float64
 }
 
-// Route enqueues centrally.
-func (g *Greedy) Route(e *sim.Engine, _ float64, q sim.Query) { e.EnqueueCentral(q) }
-
 // Select chooses the most accurate model meeting the earliest deadline for
-// the whole queue (falling back to the fastest model when none can).
-func (g *Greedy) Select(_ *sim.Engine, _ float64, _, n int, slack float64) (string, int) {
+// the whole queue (falling back to the fastest model when none can). It
+// reads neither the time nor the load: g.Select is the selector.
+func (g Greedy) Select(_, _ float64, n int, slack float64) (string, int) {
 	best, bestAcc := -1, math.Inf(-1)
 	for i, p := range g.Profiles.Profiles {
 		if p.BatchLatency(min(n, p.MaxBatch())) <= slack && p.Accuracy > bestAcc {
@@ -268,18 +225,11 @@ type INFaaSAdapted struct {
 	Profiles  profile.Set
 	SLO       float64
 	Workers   int
-	Monitor   monitor.Monitor
 	AccTarget float64
 }
 
-// Route enqueues centrally and feeds the load monitor.
-func (f *INFaaSAdapted) Route(e *sim.Engine, now float64, q sim.Query) {
-	f.Monitor.Observe(now)
-	e.EnqueueCentral(q)
-}
-
 // ModelFor returns the INFaaS-style selection for a load.
-func (f *INFaaSAdapted) ModelFor(load float64) int {
+func (f INFaaSAdapted) ModelFor(load float64) int {
 	best := -1
 	bestLat := math.Inf(1)
 	for i, p := range f.Profiles.Profiles {
@@ -302,10 +252,8 @@ func (f *INFaaSAdapted) ModelFor(load float64) int {
 	return best
 }
 
-// Select serves a batch with the selected model.
-func (f *INFaaSAdapted) Select(e *sim.Engine, now float64, _, _ int, _ float64) (string, int) {
-	return centralSelect(e, f.ModelFor(f.Monitor.Load(now)), f.SLO)
-}
+// Selector serves each batch with the selected model.
+func (f INFaaSAdapted) Selector() sched.Selector { return LoadGranular(f.Profiles, f.SLO, f.ModelFor) }
 
 func fastestIndex(s profile.Set) int {
 	best, bestLat := 0, math.Inf(1)

@@ -16,21 +16,34 @@ import (
 
 func TestAdaptiveMaxBatch(t *testing.T) {
 	ps := profile.ImageSet()
-	fast, _ := ps.ByName("shufflenet_v2_x0_5")
-	got := adaptiveMaxBatch(fast, 0.150)
-	// l(b) = 6 + 16.9b <= 75 -> b = 4.
-	if got != 4 {
-		t.Errorf("adaptiveMaxBatch = %d, want 4", got)
+	batch := func(name string) int {
+		sel := LoadGranular(ps, 0.150, func(float64) int {
+			for i, p := range ps.Profiles {
+				if p.Name == name {
+					return i
+				}
+			}
+			t.Fatalf("no model %s", name)
+			return -1
+		})
+		model, b := sel(0, 0, 100, 1)
+		if model != name {
+			t.Errorf("selected %s, want %s", model, name)
+		}
+		return b
 	}
-	slow, _ := ps.ByName("efficientnet_v2_s")
-	if got := adaptiveMaxBatch(slow, 0.150); got != 1 {
-		t.Errorf("adaptiveMaxBatch for slow model = %d, want fallback 1", got)
+	// l(b) = 6 + 16.9b <= 75 -> b = 4.
+	if got := batch("shufflenet_v2_x0_5"); got != 4 {
+		t.Errorf("half-SLO batch cap = %d, want 4", got)
+	}
+	if got := batch("efficientnet_v2_s"); got != 1 {
+		t.Errorf("half-SLO batch cap for slow model = %d, want fallback 1", got)
 	}
 }
 
 func TestJellyfishModelSelectionMonotone(t *testing.T) {
 	ps := profile.ImageSet()
-	j := &JellyfishPlus{Profiles: ps, SLO: 0.150, Workers: 60, Monitor: monitor.NewMovingAverage(0.5)}
+	j := JellyfishPlus{Profiles: ps, SLO: 0.150, Workers: 60}
 	prevAcc := math.Inf(1)
 	for _, load := range []float64{400, 1200, 2000, 2800, 3600} {
 		m := j.ModelFor(load)
@@ -70,7 +83,7 @@ func TestJellyfishModelSelectionMonotone(t *testing.T) {
 
 func TestJellyfishFallbackAtImpossibleLoad(t *testing.T) {
 	ps := profile.ImageSet()
-	j := &JellyfishPlus{Profiles: ps, SLO: 0.150, Workers: 1, Monitor: monitor.NewMovingAverage(0.5)}
+	j := JellyfishPlus{Profiles: ps, SLO: 0.150, Workers: 1}
 	m := j.ModelFor(1e9)
 	if ps.Profiles[m].Name != "shufflenet_v2_x0_5" {
 		t.Errorf("fallback model = %s, want fastest", ps.Profiles[m].Name)
@@ -141,7 +154,7 @@ func TestModelSwitchingSelection(t *testing.T) {
 	ps := profile.ImageSet()
 	loads := []float64{400, 800, 1200, 1600, 2000, 2400, 2800, 3200}
 	tab := ProfileModelSwitching(ps, 0.150, 60, loads, 5, 1)
-	ms := &ModelSwitching{Profiles: ps, SLO: 0.150, Monitor: monitor.NewMovingAverage(0.5), Table: tab}
+	ms := ModelSwitching{Profiles: ps, SLO: 0.150, Table: tab}
 	low := ms.ModelFor(400)
 	high := ms.ModelFor(3200)
 	if ps.Profiles[low].Accuracy < ps.Profiles[high].Accuracy {
@@ -156,8 +169,8 @@ func TestModelSwitchingSelection(t *testing.T) {
 
 func TestGreedyMeetsDeadlinesGreedily(t *testing.T) {
 	ps := profile.ImageSet()
-	g := &Greedy{Profiles: ps, SLO: 0.150}
-	e := sim.NewEngine(ps, 0.150, 1, sim.Deterministic{}, g, 1)
+	g := Greedy{Profiles: ps, SLO: 0.150}
+	e := sim.NewEngine(ps, 0.150, 1, sim.Deterministic{}, sim.Scheme{Select: g.Select}, 1)
 	m := e.Run([]float64{0})
 	if m.Served != 1 || m.Violations != 0 {
 		t.Fatalf("greedy single query: %+v", m)
@@ -178,7 +191,7 @@ func TestGreedyMeetsDeadlinesGreedily(t *testing.T) {
 
 func TestINFaaSSelectsCheapestMeetingAccuracy(t *testing.T) {
 	ps := profile.ImageSet()
-	f := &INFaaSAdapted{Profiles: ps, SLO: 0.150, Workers: 60, Monitor: monitor.NewMovingAverage(0.5), AccTarget: 0.70}
+	f := INFaaSAdapted{Profiles: ps, SLO: 0.150, Workers: 60, AccTarget: 0.70}
 	m := f.ModelFor(400)
 	p := ps.Profiles[m]
 	if p.Accuracy < 0.70 {
@@ -214,14 +227,14 @@ func TestRAMSISBeatsBaselinesAtConstantLoad(t *testing.T) {
 	mR := eR.Run(arr)
 
 	// Jellyfish+.
-	jf := &JellyfishPlus{Profiles: ps, SLO: slo, Workers: workers, Monitor: monitor.Oracle{Trace: tr}}
-	eJ := sim.NewEngine(ps, slo, workers, sim.Deterministic{}, jf, 1)
+	jf := JellyfishPlus{Profiles: ps, SLO: slo, Workers: workers}
+	eJ := sim.NewEngine(ps, slo, workers, sim.Deterministic{}, sim.Scheme{Monitor: monitor.Oracle{Trace: tr}, Select: jf.Selector()}, 1)
 	mJ := eJ.Run(arr)
 
 	// ModelSwitching.
 	tab := ProfileModelSwitching(ps, slo, workers, []float64{250, 500, 750}, 5, 1)
-	msw := &ModelSwitching{Profiles: ps, SLO: slo, Monitor: monitor.Oracle{Trace: tr}, Table: tab}
-	eM := sim.NewEngine(ps, slo, workers, sim.Deterministic{}, msw, 1)
+	msw := ModelSwitching{Profiles: ps, SLO: slo, Table: tab}
+	eM := sim.NewEngine(ps, slo, workers, sim.Deterministic{}, sim.Scheme{Monitor: monitor.Oracle{Trace: tr}, Select: msw.Selector()}, 1)
 	mM := eM.Run(arr)
 
 	accR, accJ, accM := mR.AccuracyPerSatisfiedQuery(), mJ.AccuracyPerSatisfiedQuery(), mM.AccuracyPerSatisfiedQuery()

@@ -45,8 +45,8 @@ func (h *Harness) Fig2() Fig2Result {
 	arr := trace.PoissonArrivals(tr, h.opts.Seed)
 
 	// Load-granular baseline.
-	jf := &baselines.JellyfishPlus{Profiles: models, SLO: slo, Workers: workers, Monitor: monitor.Oracle{Trace: tr}}
-	eJ := sim.NewEngine(models, slo, workers, sim.Deterministic{}, jf, h.opts.Seed)
+	jf := baselines.JellyfishPlus{Profiles: models, SLO: slo, Workers: workers}
+	eJ := sim.NewEngine(models, slo, workers, sim.Deterministic{}, sim.Scheme{Monitor: monitor.Oracle{Trace: tr}, Select: jf.Selector()}, h.opts.Seed)
 	eJ.RecordDecisions = true
 	mJ := eJ.Run(arr)
 	jfModel := models.Profiles[jf.ModelFor(load)]

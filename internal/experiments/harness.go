@@ -337,21 +337,23 @@ func (h *Harness) run(s runSpec) sim.Metrics {
 	} else {
 		mon = monitor.NewMovingAverage(0.5)
 	}
+	// RAMSIS balances over per-worker queues; each baseline is a selector
+	// over the one central queue.
 	var sched sim.Scheduler
 	switch s.method {
 	case MethodRAMSIS:
 		set := h.policySet(s.models, s.slo, s.workers, s.ramsisLoads, s.variant, s.mutate)
 		r := sim.NewRAMSIS(set, mon)
-		r.Balance = s.balance
+		r.LB = sim.BalancerFor(s.balance, 1)
 		sched = r
 	case MethodJF:
-		sched = &baselines.JellyfishPlus{Profiles: s.models, SLO: s.slo, Workers: s.workers, Monitor: mon}
+		sched = sim.Scheme{Monitor: mon, Select: baselines.JellyfishPlus{Profiles: s.models, SLO: s.slo, Workers: s.workers}.Selector()}
 	case MethodMS:
-		sched = &baselines.ModelSwitching{Profiles: s.models, SLO: s.slo, Monitor: mon, Table: h.msTable(s.models, s.slo, s.workers)}
+		sched = sim.Scheme{Monitor: mon, Select: baselines.ModelSwitching{Profiles: s.models, SLO: s.slo, Table: h.msTable(s.models, s.slo, s.workers)}.Selector()}
 	case MethodGreedy:
-		sched = &baselines.Greedy{Profiles: s.models, SLO: s.slo}
+		sched = sim.Scheme{Monitor: mon, Select: baselines.Greedy{Profiles: s.models, SLO: s.slo}.Select}
 	case MethodINFaaS:
-		sched = &baselines.INFaaSAdapted{Profiles: s.models, SLO: s.slo, Workers: s.workers, Monitor: mon, AccTarget: s.accTarget}
+		sched = sim.Scheme{Monitor: mon, Select: baselines.INFaaSAdapted{Profiles: s.models, SLO: s.slo, Workers: s.workers, AccTarget: s.accTarget}.Selector()}
 	default:
 		panic("experiments: unknown method " + s.method)
 	}

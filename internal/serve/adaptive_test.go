@@ -13,6 +13,7 @@ import (
 	"ramsis/internal/dist"
 	"ramsis/internal/monitor"
 	"ramsis/internal/profile"
+	"ramsis/internal/sched"
 	"ramsis/internal/sim"
 )
 
@@ -62,7 +63,7 @@ func TestFrontendDispatchDuringPolicySwap(t *testing.T) {
 		SLO:       slo,
 		TimeScale: timeScale,
 		Workers:   urls,
-		Select:    AdaptiveSelector(a),
+		Select:    sched.AdaptiveSelector(a),
 		Monitor:   monitor.NewMovingAverage(0.5),
 	}
 	if err := f.Start(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"ramsis/internal/lb"
 	"ramsis/internal/monitor"
 	"ramsis/internal/profile"
+	"ramsis/internal/sched"
 	"ramsis/internal/sim"
 	"ramsis/internal/telemetry"
 )
@@ -22,7 +23,7 @@ type ClusterConfig struct {
 	// LatencyStdDev adds the §7.3.1 inference jitter in seconds (0 =
 	// deterministic p95 latencies).
 	LatencyStdDev float64
-	Select        SelectFunc
+	Select        sched.Selector
 	Monitor       monitor.Monitor
 	Seed          int64
 	// Balancer routes queries across worker queues (default round-robin).

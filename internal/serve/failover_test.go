@@ -11,6 +11,7 @@ import (
 
 	"ramsis/internal/admit"
 	"ramsis/internal/profile"
+	"ramsis/internal/sched"
 	"ramsis/internal/sim"
 )
 
@@ -45,7 +46,7 @@ func fireQueries(t *testing.T, url string, n int, pace time.Duration) {
 	wg.Wait()
 }
 
-func fixedSelector(model string) SelectFunc {
+func fixedSelector(model string) sched.Selector {
 	return func(_, _ float64, n int, _ float64) (string, int) { return model, n }
 }
 

@@ -82,7 +82,7 @@ type Frontend struct {
 	SLO       float64
 	TimeScale float64
 	Workers   []string
-	Select    SelectFunc
+	Select    sched.Selector
 	Monitor   monitor.Monitor
 	// Balancer picks the worker queue for each arriving query; default
 	// round-robin, matching the §3.2.1 policy assumption. Start wraps it

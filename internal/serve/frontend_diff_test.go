@@ -6,10 +6,12 @@ import (
 	"time"
 
 	"ramsis/internal/admit"
+	"ramsis/internal/baselines"
 	"ramsis/internal/core"
 	"ramsis/internal/dist"
 	"ramsis/internal/monitor"
 	"ramsis/internal/profile"
+	"ramsis/internal/sched"
 	"ramsis/internal/sim"
 	"ramsis/internal/telemetry"
 	"ramsis/internal/trace"
@@ -74,7 +76,9 @@ func TestFrontendQueryFinishingExactlyOnDeadlineMeetsIt(t *testing.T) {
 
 // TestFrontendMatchesSimEngine is the scalar sim ↔ serve differential: one
 // worker, the same arrivals, sim.Deterministic latency and the same policy
-// ladder, the frontend and its worker driven by a fake clock. Both drivers
+// ladder — or the same §7 baseline selector value, which the simulator runs
+// over its central queue — the frontend and its worker driven by a fake
+// clock. Both drivers
 // run internal/sched, so the two decision rings must show the identical
 // sequence — every admit, shed, degrade clamp and select, with its model,
 // batch, queue length and worker — with times, slack and each query's
@@ -100,6 +104,8 @@ func TestFrontendMatchesSimEngine(t *testing.T) {
 		monitor func() monitor.Monitor
 		admit   admit.Admitter
 		degrade bool
+		// sel, when set, replaces the policy ladder in both drivers.
+		sel sched.Selector
 	}{
 		// A rate step under a measured load walks the policy ladder up and
 		// back down; nothing is shed.
@@ -111,6 +117,12 @@ func TestFrontendMatchesSimEngine(t *testing.T) {
 		{name: "overload", load: trace.Constant(400, 10),
 			monitor: func() monitor.Monitor { return monitor.Oracle{Trace: pinned} },
 			admit:   admit.Cap{Limit: 4, Est: est}, degrade: true},
+		// A baseline is written once: the same Jellyfish+ selector drives the
+		// simulator's central queue and the frontend, and walks its
+		// load-granular choice across the same rate step.
+		{name: "jellyfish", load: trace.Step(25, 70, 2, 4, 6),
+			monitor: func() monitor.Monitor { return monitor.NewMovingAverage(0.5) },
+			sel:     baselines.JellyfishPlus{Profiles: models, SLO: slo, Workers: 1}.Selector()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -130,7 +142,12 @@ func TestFrontendMatchesSimEngine(t *testing.T) {
 				})
 			}
 
-			e := sim.NewEngine(models, slo, 1, sim.Deterministic{}, sim.NewRAMSIS(set, tc.monitor()), 1)
+			var scheme sim.Scheduler = sim.NewRAMSIS(set, tc.monitor())
+			sel := RAMSISSelector(set)
+			if tc.sel != nil {
+				scheme, sel = sim.Scheme{Monitor: tc.monitor(), Select: tc.sel}, tc.sel
+			}
+			e := sim.NewEngine(models, slo, 1, sim.Deterministic{}, scheme, 1)
 			e.Admit, e.Degrade = tc.admit, degrader()
 			e.Decisions = telemetry.NewDecisionBuffer(ringCap)
 			e.Traces = telemetry.NewTraceBuffer(len(arrivals))
@@ -138,7 +155,7 @@ func TestFrontendMatchesSimEngine(t *testing.T) {
 
 			f := &Frontend{
 				Profiles: models, SLO: slo, TimeScale: timeScale,
-				Select: RAMSISSelector(set), Monitor: tc.monitor(),
+				Select: sel, Monitor: tc.monitor(),
 				Admit: tc.admit, Degrade: degrader(),
 				Decisions: telemetry.NewDecisionBuffer(ringCap),
 			}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ramsis/internal/baselines"
 	"ramsis/internal/core"
 	"ramsis/internal/dist"
 	"ramsis/internal/lb"
@@ -170,7 +171,7 @@ func TestPrototypeCentralModeBaseline(t *testing.T) {
 		Workers:   workers,
 		SLO:       slo,
 		TimeScale: timeScale,
-		Select:    LoadGranularSelector(ps, slo, modelFor),
+		Select:    baselines.LoadGranular(ps, slo, modelFor),
 		Monitor:   monitor.Oracle{Trace: tr},
 		Balancer:  lb.NewJoinShortestQueue(),
 		Seed:      1,

@@ -10,6 +10,7 @@ import (
 	"ramsis/internal/dist"
 	"ramsis/internal/lb"
 	"ramsis/internal/profile"
+	"ramsis/internal/sched"
 	"ramsis/internal/telemetry"
 	"ramsis/internal/tenant"
 )
@@ -121,8 +122,8 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 	// and every adapter's hot-swaps land in the same buffer the gateway
 	// serves at /debug/decisions.
 	decisions := telemetry.NewDecisionBuffer(0)
-	selectors := make(map[string]SelectFunc, len(cfg.Tenants))
-	var fallback SelectFunc
+	selectors := make(map[string]sched.Selector, len(cfg.Tenants))
+	var fallback sched.Selector
 	for _, t := range cfg.Tenants {
 		base := core.Config{
 			Models:   cfg.Models,
@@ -149,7 +150,7 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 			if err != nil {
 				return nil, fmt.Errorf("serve: adapting tenant %s: %w", t.Name, err)
 			}
-			sel = AdaptiveSelector(adapter)
+			sel = sched.AdaptiveSelector(adapter)
 		}
 		selectors[t.Name] = sel
 		if fallback == nil {

@@ -30,7 +30,7 @@ type TenantPlane struct {
 // single-tenant frontend runs one, unnamed.
 type tenantState struct {
 	sched.Account
-	sel SelectFunc
+	sel sched.Selector
 
 	// monMu guards mon: Observe times must be non-decreasing, and arrivals
 	// for one tenant race across handlers and shards.
@@ -51,9 +51,9 @@ type TenantPlaneConfig struct {
 	Fair *tenant.FairAdmitter
 	// Selectors maps tenant name to its model selector (per-tenant policy
 	// or adapt loop). Tenants without an entry use Fallback.
-	Selectors map[string]SelectFunc
+	Selectors map[string]sched.Selector
 	// Fallback serves tenants with no dedicated selector (required).
-	Fallback SelectFunc
+	Fallback sched.Selector
 	// DegradeDepth > 0 gives every tenant its own degrader with that max
 	// level, replacing the single global clamp.
 	DegradeDepth int
@@ -81,7 +81,7 @@ func NewTenantPlane(cfg TenantPlaneConfig) *TenantPlane {
 	return p
 }
 
-func (p *TenantPlane) newState(t tenant.Tenant, sel SelectFunc) *tenantState {
+func (p *TenantPlane) newState(t tenant.Tenant, sel sched.Selector) *tenantState {
 	cfg := p.cfg
 	st := &tenantState{
 		Account: sched.NewAccount(cfg.Telemetry, t.Name, t.SLO(), cfg.Now),

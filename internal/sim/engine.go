@@ -2,8 +2,12 @@
 // "Simulation Framework"): given a trace of arrival times it records MS&S
 // decisions and tracks the central queue, per-worker queues, and worker
 // busy/available status, using profiled model latencies to determine how
-// long a worker stays busy. The same scheduling code drives the HTTP
-// prototype in internal/serve, mirroring the paper's shared implementation.
+// long a worker stays busy. The engine is the only code that touches the
+// queues: a scheme describes itself as a Scheme — monitor, balancer,
+// sched.Selector — so RAMSIS and every §7 baseline is a selector that runs
+// unchanged here and in internal/serve's frontend, and both drivers share
+// the admit / decide / finish core in internal/sched, mirroring the paper's
+// shared implementation.
 package sim
 
 import (
@@ -11,6 +15,8 @@ import (
 	"math/rand"
 
 	"ramsis/internal/admit"
+	"ramsis/internal/lb"
+	"ramsis/internal/monitor"
 	"ramsis/internal/profile"
 	"ramsis/internal/sched"
 	"ramsis/internal/stats"
@@ -34,18 +40,34 @@ type TenantAdmitter interface {
 	AdmitTenant(tenant string, r admit.Request) (v admit.Verdict, borrowed bool)
 }
 
-// Scheduler is the seam an MS&S scheme plugs into. Route must enqueue the
-// query (to a worker queue or the central queue). Select is consulted
-// whenever worker w is idle with work in sight — its own queue, or the
-// central queue when that is empty: n queries are visible and the tightest
-// deadline among those a batch could hold is slack seconds away. It names
-// the model and the batch size to run; the shared dispatch core
-// (internal/sched) validates the answer, applies the degrade clamp and caps
-// the batch, and the engine pops what is left.
-type Scheduler interface {
-	Route(e *Engine, now float64, q Query)
-	Select(e *Engine, now float64, w, n int, slack float64) (model string, batch int)
+// Scheme is how an MS&S scheme plugs into the engine, read once per run.
+// The engine observes Monitor on every admitted arrival and routes the
+// query: onto the worker queue Balancer picks, or, with no Balancer, onto
+// the one central queue idle workers pull from. Whenever worker w is idle
+// with work in sight — its own queue, or the central queue when that is
+// empty — the engine hands the selector Monitor.Load(now) (0 with no
+// Monitor), the n queries visible and the slack of the tightest deadline a
+// batch could hold. The selector names the model and the batch size; the
+// shared dispatch core (internal/sched) validates the answer, applies the
+// degrade clamp and caps the batch, and the engine pops what is left.
+type Scheme struct {
+	Monitor  monitor.Monitor
+	Balancer lb.Balancer
+	// Select serves every worker, unless PerWorker is set: then worker w
+	// runs PerWorker[w] (heterogeneous deployments, NewHeteroRAMSIS).
+	Select    sched.Selector
+	PerWorker []sched.Selector
 }
+
+// Scheduler is what NewEngine takes: anything that describes its Scheme.
+// models is the engine's profile set, for a scheme that names its model by
+// index (FixedModel).
+type Scheduler interface {
+	Scheme(models profile.Set) Scheme
+}
+
+// Scheme returns s, so a Scheme literal is a Scheduler.
+func (s Scheme) Scheme(profile.Set) Scheme { return s }
 
 // LatencyModel yields the realized inference latency for a decision.
 // Deterministic models return the p95 profile (the paper's simulator);
@@ -280,13 +302,16 @@ type Engine struct {
 	Decisions *telemetry.DecisionBuffer
 
 	rng      *rand.Rand
+	scheme   Scheme // Sched's description, read at the start of every run
 	central  []Query
 	wq       [][]Query
 	inflight []int // queries in the batch worker w is serving; 0 when idle
+	lens     []int // the balancer's input, rebuilt per arrival
 	events   eventQueue
 	metrics  Metrics
 	latHist  *telemetry.Histogram // always on; backs the Metrics percentiles
 	core     *sched.Core          // admit, decide and finish; rebuilt every run
+	one      [1]profile.Set       // backs the core's profile list without WorkerProfiles, so a run does not allocate it
 	// accts are the accounts in first-arrival order: one per tenant label
 	// when tenants are tracked, else the single unnamed one. They outlive a
 	// run, so a reused engine never registers a tenant's SLO gauges twice.
@@ -381,35 +406,36 @@ func NewEngine(profiles profile.Set, slo float64, workers int, lat LatencyModel,
 	}
 }
 
-// CentralLen returns the central queue length.
-func (e *Engine) CentralLen() int { return len(e.central) }
-
-// WorkerLen returns worker w's queue length.
-func (e *Engine) WorkerLen(w int) int { return len(e.wq[w]) }
-
-// QueueLens fills buf (grown as needed) with every worker's outstanding
-// work — queued plus in-service queries — which is the lb.Balancer input.
-// In-service queries must count: under maximal batching a busy worker's
-// queue reads empty the moment it pops, and a balancer looking at queued
-// work alone would keep stacking arrivals on it while idle workers starve.
-// The caller reuses the returned slice to keep the per-arrival routing
-// path allocation-free.
-func (e *Engine) QueueLens(buf []int) []int {
-	if cap(buf) < e.Workers {
-		buf = make([]int, e.Workers)
+// begin reads the scheme for a run.
+func (e *Engine) begin() {
+	e.scheme = e.Sched.Scheme(e.Profiles)
+	if e.scheme.Balancer != nil && e.lens == nil {
+		e.lens = make([]int, e.Workers)
 	}
-	buf = buf[:e.Workers]
-	for w := range e.wq {
-		buf[w] = len(e.wq[w]) + e.inflight[w]
-	}
-	return buf
 }
 
-// EnqueueCentral appends to the central queue.
-func (e *Engine) EnqueueCentral(q Query) { e.central = append(e.central, q) }
-
-// EnqueueWorker appends to worker w's queue.
-func (e *Engine) EnqueueWorker(w int, q Query) { e.wq[w] = append(e.wq[w], q) }
+// route observes an admitted arrival on the scheme's monitor and queues it:
+// on the worker the balancer picks, else centrally. The balancer sees every
+// worker's outstanding work — queued plus in-service queries. In-service
+// queries must count: under maximal batching a busy worker's queue reads
+// empty the moment it pops, and a balancer looking at queued work alone
+// would keep stacking arrivals on it while idle workers starve. Simulated
+// workers never fail, so the health mask is nil.
+func (e *Engine) route(now float64, q Query) {
+	if e.scheme.Monitor != nil {
+		e.scheme.Monitor.Observe(now)
+	}
+	if e.scheme.Balancer == nil {
+		e.central = append(e.central, q)
+		return
+	}
+	lens := e.lens
+	for w := range e.wq {
+		lens[w] = len(e.wq[w]) + e.inflight[w]
+	}
+	w := e.scheme.Balancer.Pick(lens, nil)
+	e.wq[w] = append(e.wq[w], q)
+}
 
 // event is a batch completion.
 type event struct {
@@ -502,6 +528,7 @@ func (e *Engine) Run(arrivals []float64) Metrics {
 // optionally tenant-labeled — tenant.Arrivals produces one) and returns
 // the aggregated metrics. Run is the unlabeled convenience wrapper.
 func (e *Engine) RunQueries(queries []Query) Metrics {
+	e.begin()
 	e.trackTenants = e.TenantSLOs != nil || e.FairAdmit != nil
 	e.metrics = Metrics{ModelCounts: map[string]int{}}
 	e.latHist = telemetry.NewHistogram(telemetry.DefaultLatencyBuckets())
@@ -511,7 +538,8 @@ func (e *Engine) RunQueries(queries []Query) Metrics {
 		Traces: e.Traces, TraceWriter: e.TraceWriter, Process: "sim",
 	}
 	if cfg.Profiles == nil {
-		cfg.Profiles = []profile.Set{e.Profiles}
+		e.one[0] = e.Profiles
+		cfg.Profiles = e.one[:]
 	}
 	if e.FairAdmit != nil {
 		cfg.AdmitPolicy = "fair"
@@ -537,7 +565,7 @@ func (e *Engine) RunQueries(queries []Query) Metrics {
 			q := queries[ai]
 			ai++
 			if e.admit(q) {
-				e.Sched.Route(e, nextArrival, q)
+				e.route(nextArrival, q)
 			}
 			e.dispatchIdle(nextArrival)
 		case haveEvent:
@@ -644,13 +672,21 @@ func (e *Engine) dispatchIdle(now float64) {
 }
 
 // dispatch makes one MS&S decision for idle worker w over queue q and
-// starts the batch: the scheduler chooses, the core decides what actually
-// runs, the engine pops it and schedules its completion.
+// starts the batch: the scheme's selector chooses, the core decides what
+// actually runs, the engine pops it and schedules its completion.
 func (e *Engine) dispatch(now float64, w int, q *[]Query) {
 	e.win = window{e, q}
 	n, deadline := e.core.Tightest(w, &e.win)
 	ch := sched.Choice{Now: now, Worker: w, QueueLen: n, Slack: deadline - now, Head: &e.account((*q)[0].Tenant).Account}
-	ch.Model, ch.Batch = e.Sched.Select(e, now, w, n, ch.Slack)
+	load := 0.0
+	if e.scheme.Monitor != nil {
+		load = e.scheme.Monitor.Load(now)
+	}
+	sel := e.scheme.Select
+	if e.scheme.PerWorker != nil {
+		sel = e.scheme.PerWorker[w]
+	}
+	ch.Model, ch.Batch = sel(now, load, n, ch.Slack)
 	var dec *telemetry.Decision
 	if e.core.Attributing() {
 		dec, ch.TraceID = new(telemetry.Decision), simTraceID((*q)[0].ID)

@@ -280,12 +280,8 @@ func TestQueryFinishingExactlyOnDeadlineMeetsIt(t *testing.T) {
 	}
 }
 
-// badModelSched names a model no worker loads.
-type badModelSched struct{ FixedModel }
-
-func (badModelSched) Select(*Engine, float64, int, int, float64) (string, int) {
-	return "no-such-model", 4
-}
+// badModel names a model no worker loads.
+func badModel(float64, float64, int, float64) (string, int) { return "no-such-model", 4 }
 
 // TestUnknownModelFallsBackAndIsCounted: a mis-wired scheduler never drops
 // queries or panics — every decision runs on the fallback model, and both
@@ -293,7 +289,7 @@ func (badModelSched) Select(*Engine, float64, int, int, float64) (string, int) {
 func TestUnknownModelFallsBackAndIsCounted(t *testing.T) {
 	ps := imageProfiles()
 	reg := telemetry.NewRegistry()
-	e := NewEngine(ps, 0.150, 1, Deterministic{}, &badModelSched{}, 1)
+	e := NewEngine(ps, 0.150, 1, Deterministic{}, Scheme{Select: badModel}, 1)
 	e.Telemetry = reg
 	m := e.Run([]float64{0, 0.001, 0.002})
 	if m.Served != 3 || m.SelectFallbacks != m.Decisions || m.Decisions == 0 {

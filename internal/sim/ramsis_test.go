@@ -144,16 +144,17 @@ func TestRAMSISRoundRobinBalance(t *testing.T) {
 	ps := ramsisFixture(t, workers, 0.150, []float64{100})
 	sched := NewRAMSIS(ps, monitor.NewMovingAverage(0.5))
 	e := NewEngine(profile.ImageSet(), 0.150, workers, Deterministic{}, sched, 1)
+	e.begin()
 	// Route 8 arrivals without dispatching (inspect queues directly).
 	for i := 0; i < 8; i++ {
-		sched.Route(e, float64(i)*1e-6, Query{ID: i})
+		e.route(float64(i)*1e-6, Query{ID: i})
 	}
 	for w := 0; w < workers; w++ {
-		if got := e.WorkerLen(w); got != 2 {
+		if got := len(e.wq[w]); got != 2 {
 			t.Errorf("worker %d queue = %d, want 2 (round-robin)", w, got)
 		}
 	}
-	if e.CentralLen() != 0 {
+	if len(e.central) != 0 {
 		t.Error("round-robin left queries in the central queue")
 	}
 }
@@ -180,22 +181,22 @@ func TestRAMSISShortestQueueFirstRouting(t *testing.T) {
 	const workers = 3
 	ps := ramsisFixture(t, workers, 0.150, []float64{100})
 	sched := NewRAMSIS(ps, monitor.NewMovingAverage(0.5))
-	sched.Balance = core.ShortestQueueFirst
+	sched.LB = BalancerFor(core.ShortestQueueFirst, 1)
 	e := NewEngine(profile.ImageSet(), 0.150, workers, Deterministic{}, sched, 1)
+	e.begin()
 	// Pre-load queues unevenly, then route: the arrival must join the
 	// shortest queue.
-	e.EnqueueWorker(0, Query{ID: 100})
-	e.EnqueueWorker(0, Query{ID: 101})
-	e.EnqueueWorker(1, Query{ID: 102})
-	sched.Route(e, 0, Query{ID: 0})
-	if got := e.WorkerLen(2); got != 1 {
+	e.wq[0] = []Query{{ID: 100}, {ID: 101}}
+	e.wq[1] = []Query{{ID: 102}}
+	e.route(0, Query{ID: 0})
+	if got := len(e.wq[2]); got != 1 {
 		t.Errorf("SQF routed to worker with len %d; queue lengths: %d %d %d",
-			got, e.WorkerLen(0), e.WorkerLen(1), e.WorkerLen(2))
+			got, len(e.wq[0]), len(e.wq[1]), len(e.wq[2]))
 	}
 	// Next arrival ties between workers 1 and 2 (len 1 each): either is
 	// acceptable, but it must not join worker 0 (len 2).
-	sched.Route(e, 0, Query{ID: 1})
-	if e.WorkerLen(0) != 2 {
+	e.route(0, Query{ID: 1})
+	if len(e.wq[0]) != 2 {
 		t.Errorf("SQF joined the longest queue")
 	}
 }
@@ -216,7 +217,7 @@ func TestRAMSISEndToEndWithSQF(t *testing.T) {
 	}
 	tr := trace.Constant(load, 15)
 	sched := NewRAMSIS(set, monitor.Oracle{Trace: tr})
-	sched.Balance = core.ShortestQueueFirst
+	sched.LB = BalancerFor(core.ShortestQueueFirst, 1)
 	e := NewEngine(profile.ImageSet(), slo, workers, Deterministic{}, sched, 1)
 	m := e.Run(trace.PoissonArrivals(tr, 19))
 	if m.Unserved != 0 {
@@ -231,46 +232,36 @@ func TestRAMSISPowerOfTwoRouting(t *testing.T) {
 	const workers = 4
 	ps := ramsisFixture(t, workers, 0.150, []float64{100})
 	sched := NewRAMSIS(ps, monitor.NewMovingAverage(0.5))
-	sched.Balance = core.PowerOfTwoChoices
+	sched.LB = BalancerFor(core.PowerOfTwoChoices, 1)
 	e := NewEngine(profile.ImageSet(), 0.150, workers, Deterministic{}, sched, 1)
+	e.begin()
 	// One empty worker among loaded ones: P2C must never join the longest
 	// queue when it samples the empty worker, so across many routes the
 	// empty worker takes a clear plurality.
 	for i := 0; i < 5; i++ {
-		e.EnqueueWorker(0, Query{ID: 100 + i})
-		e.EnqueueWorker(1, Query{ID: 200 + i})
-		e.EnqueueWorker(2, Query{ID: 300 + i})
+		for w := 0; w < 3; w++ {
+			e.wq[w] = append(e.wq[w], Query{ID: 100*(w+1) + i})
+		}
 	}
 	for i := 0; i < 40; i++ {
-		sched.Route(e, float64(i)*1e-6, Query{ID: i})
+		e.route(float64(i)*1e-6, Query{ID: i})
 	}
-	routed3 := e.WorkerLen(3)
+	routed3 := len(e.wq[3])
 	if routed3 < 10 {
 		t.Errorf("P2C routed only %d/40 to the drained worker; queues: %d %d %d %d",
-			routed3, e.WorkerLen(0), e.WorkerLen(1), e.WorkerLen(2), e.WorkerLen(3))
+			routed3, len(e.wq[0]), len(e.wq[1]), len(e.wq[2]), len(e.wq[3]))
 	}
-	if e.CentralLen() != 0 {
+	if len(e.central) != 0 {
 		t.Error("P2C left queries in the central queue")
 	}
 }
 
-// fixedModelLB is a minimal per-worker-queue scheduler for balancer
+// fixedModelLB is a minimal per-worker-queue scheme for balancer
 // comparisons: it routes through an lb.Balancer and serves one query at a
 // time on a fixed model, so the measured difference is the balancer's
 // alone (no model-selection or batching confound).
-type fixedModelLB struct {
-	model int
-	bal   lb.Balancer
-	lens  []int
-}
-
-func (s *fixedModelLB) Route(e *Engine, _ float64, q Query) {
-	s.lens = e.QueueLens(s.lens)
-	e.EnqueueWorker(s.bal.Pick(s.lens, nil), q)
-}
-
-func (s *fixedModelLB) Select(e *Engine, _ float64, _, _ int, _ float64) (string, int) {
-	return e.Profiles.Profiles[s.model].Name, 1
+func fixedModelLB(model string, bal lb.Balancer) Scheme {
+	return Scheme{Balancer: bal, Select: func(float64, float64, int, float64) (string, int) { return model, 1 }}
 }
 
 func TestJSQNoWorseThanRoundRobinOnBurstyTrace(t *testing.T) {
@@ -311,7 +302,7 @@ func TestJSQNoWorseThanRoundRobinOnBurstyTrace(t *testing.T) {
 	// arrival realization feeds every balancer.
 	arr := trace.Arrivals(tr, 13, func(r float64) dist.Sampler { return dist.NewOnOff(r, 2.5, 0.05, 0.2) })
 	run := func(bal lb.Balancer) Metrics {
-		e := NewEngine(models, slo, workers, Stochastic{StdDev: 0.010}, &fixedModelLB{model: mi, bal: bal}, 1)
+		e := NewEngine(models, slo, workers, Stochastic{StdDev: 0.010}, fixedModelLB(models.Profiles[mi].Name, bal), 1)
 		e.WorkerProfiles = wp
 		return e.Run(arr)
 	}

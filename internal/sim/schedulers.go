@@ -33,17 +33,14 @@ func BalancerFor(b core.Balancing, seed int64) lb.Balancer {
 // published set.
 type RAMSIS struct {
 	Monitor monitor.Monitor
-	// Balance selects the load-balancing strategy; policies should be
-	// generated with the matching core.Balancing (§3.2.1, Appendix I).
-	Balance core.Balancing
-	// LB overrides the balancer implementation. When nil it is derived
-	// from Balance on first use (deterministically seeded); set it
-	// explicitly to control the P2C sampling stream.
+	// LB routes arrivals over the per-worker queues; nil is round-robin
+	// (created on the first run and kept). Policies should be generated with
+	// the matching core.Balancing (§3.2.1, Appendix I), and BalancerFor maps
+	// one to the other.
 	LB lb.Balancer
 
-	sel     []sched.Selector // one for every worker, or one per worker
-	adapter *adapt.Adapter   // fed every load reading when the adaptation loop is closed
-	lens    []int
+	sel       sched.Selector   // every worker's, or nil when perWorker is set
+	perWorker []sched.Selector // one per worker (NewHeteroRAMSIS)
 }
 
 // blocking looks a load's policy up with PolicySet.PolicyFor: a load beyond
@@ -54,7 +51,7 @@ func blocking(set *core.PolicySet) sched.Selector {
 
 // NewRAMSIS wires a policy set and a load monitor into a scheduler.
 func NewRAMSIS(set *core.PolicySet, mon monitor.Monitor) *RAMSIS {
-	return &RAMSIS{Monitor: mon, sel: []sched.Selector{blocking(set)}}
+	return &RAMSIS{Monitor: mon, sel: blocking(set)}
 }
 
 // NewHeteroRAMSIS serves a heterogeneous deployment: each worker has its
@@ -65,76 +62,62 @@ func NewRAMSIS(set *core.PolicySet, mon monitor.Monitor) *RAMSIS {
 func NewHeteroRAMSIS(sets []*core.PolicySet, mon monitor.Monitor) *RAMSIS {
 	r := &RAMSIS{Monitor: mon}
 	for _, set := range sets {
-		r.sel = append(r.sel, blocking(set))
+		r.perWorker = append(r.perWorker, blocking(set))
 	}
 	return r
 }
 
-// AdaptiveRAMSIS is the RAMSIS scheduler NewAdaptiveRAMSIS builds.
-type AdaptiveRAMSIS = RAMSIS
-
 // NewAdaptiveRAMSIS closes the adaptation loop: every monitored load
-// reading also feeds the adapter's drift detector, so a sustained rate
-// change re-solves the per-worker MDP at the new rate and hot-swaps the
-// policy mid-run. Decisions stay lookup-only — the adapter owns all
-// generation — unlike NewRAMSIS, whose policy set generates on demand the
-// first time a load exceeds its ladder.
+// reading also feeds the adapter's drift detector — each admitted arrival's,
+// right after the monitor observes it, and each decision's, through
+// sched.AdaptiveSelector, so a rate drop (fewer arrivals) is still noticed
+// promptly — and a sustained rate change re-solves the per-worker MDP at
+// the new rate and hot-swaps the policy mid-run. Decisions stay lookup-only
+// — the adapter owns all generation — unlike NewRAMSIS, whose policy set
+// generates on demand the first time a load exceeds its ladder.
 //
 // Re-solves run inline (adapt.Config.Background unset): in a discrete-event
 // simulation a solve costs zero modeled time, which models a controller
 // whose re-solve is fast relative to the drift dwell time — the measured
 // 200 ms solve on the paper-scale worker MDP against multi-second dwell.
-func NewAdaptiveRAMSIS(a *adapt.Adapter, mon monitor.Monitor) *AdaptiveRAMSIS {
-	// Dispatch decisions feed the detector too, so a rate drop (fewer
-	// arrivals) is still noticed promptly.
-	sel := sched.PolicySelector(func(now, load float64) (*core.Policy, error) {
-		a.Observe(now, load)
-		return a.PolicyFor(load), nil
-	})
-	return &RAMSIS{Monitor: mon, sel: []sched.Selector{sel}, adapter: a}
+func NewAdaptiveRAMSIS(a *adapt.Adapter, mon monitor.Monitor) *RAMSIS {
+	return &RAMSIS{Monitor: feeding{mon, a}, sel: sched.AdaptiveSelector(a)}
 }
 
-// Route observes the arrival for load tracking and assigns the query to a
-// worker queue via the configured balancer: round-robin (§3.2.1),
-// shortest-queue-first (Appendix I), or power-of-two choices. Simulated
-// workers never fail, so the health mask is nil.
-func (r *RAMSIS) Route(e *Engine, now float64, q Query) {
-	r.Monitor.Observe(now)
-	if r.adapter != nil {
-		r.adapter.Observe(now, r.Monitor.Load(now))
-	}
+// feeding is a monitor whose every observed arrival also feeds the load
+// reading that follows it to an adapter's drift detector.
+type feeding struct {
+	monitor.Monitor
+	a *adapt.Adapter
+}
+
+func (f feeding) Observe(now float64) {
+	f.Monitor.Observe(now)
+	f.a.Observe(now, f.Monitor.Load(now))
+}
+
+// Scheme routes through LB (§3.2.1 round-robin, Appendix I
+// shortest-queue-first, or power-of-two choices) and applies the
+// lowest-load policy meeting the anticipated load to each worker's queue
+// state (§3.2.2).
+func (r *RAMSIS) Scheme(profile.Set) Scheme {
 	if r.LB == nil {
-		r.LB = BalancerFor(r.Balance, 1)
+		r.LB = lb.NewRoundRobin()
 	}
-	r.lens = e.QueueLens(r.lens)
-	e.EnqueueWorker(r.LB.Pick(r.lens, nil), q)
-}
-
-// Select applies the lowest-load policy meeting the anticipated load to
-// worker w's queue state (§3.2.2).
-func (r *RAMSIS) Select(_ *Engine, now float64, w, n int, slack float64) (string, int) {
-	sel := r.sel[0]
-	if len(r.sel) > 1 {
-		sel = r.sel[w]
-	}
-	return sel(now, r.Monitor.Load(now), n, slack)
+	return Scheme{Monitor: r.Monitor, Balancer: r.LB, Select: r.sel, PerWorker: r.perWorker}
 }
 
 // FixedModel always serves the same model from the central queue with eager
-// workers and a batch cap. It implements the offline response-latency
-// profiling runs of the ModelSwitching baseline and acts as the simplest
-// load-granular strawman.
+// workers and a batch cap: the simplest load-granular strawman.
 type FixedModel struct {
 	Model    int
 	MaxBatch int
 }
 
-// Route enqueues centrally.
-func (f *FixedModel) Route(e *Engine, _ float64, q Query) { e.EnqueueCentral(q) }
-
-// Select eagerly grabs up to MaxBatch queries.
-func (f *FixedModel) Select(e *Engine, _ float64, _, _ int, _ float64) (string, int) {
-	return e.Profiles.Profiles[f.Model].Name, max(f.MaxBatch, 1)
+// Scheme eagerly grabs up to MaxBatch queries for the Model-th of models.
+func (f *FixedModel) Scheme(models profile.Set) Scheme {
+	name, batch := models.Profiles[f.Model].Name, max(f.MaxBatch, 1)
+	return Scheme{Select: func(float64, float64, int, float64) (string, int) { return name, batch }}
 }
 
 // VerifyPolicy empirically validates a policy's §5.1 guarantees: it serves
@@ -153,8 +136,8 @@ func VerifyPolicy(pol *core.Policy, models profile.Set, dur float64, seed int64)
 	}, nil)
 	set.Insert(pol)
 	tr := trace.Constant(pol.Load, dur)
-	sched := NewRAMSIS(set, monitor.Oracle{Trace: tr})
-	sched.Balance = pol.Balancing
-	e := NewEngine(models, pol.SLO, pol.Workers, Deterministic{}, sched, seed)
+	r := NewRAMSIS(set, monitor.Oracle{Trace: tr})
+	r.LB = BalancerFor(pol.Balancing, 1)
+	e := NewEngine(models, pol.SLO, pol.Workers, Deterministic{}, r, seed)
 	return e.Run(trace.PoissonArrivals(tr, seed))
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"ramsis/internal/profile"
 	"ramsis/internal/telemetry"
 	"ramsis/internal/tenant"
 )
@@ -123,19 +124,16 @@ func TestFairnessUnderTenantOverload(t *testing.T) {
 	}
 }
 
-// slackSched is a per-worker-queue scheduler that picks by slack alone —
-// the slow accurate model when the slack covers it, else the fast one — and
-// always asks for the whole queue, so the decision depends on nothing but
-// the slack the engine hands it.
-type slackSched struct{ slow, fast int }
-
-func (s *slackSched) Route(e *Engine, _ float64, q Query) { e.EnqueueWorker(0, q) }
-
-func (s *slackSched) Select(e *Engine, _ float64, _, n int, slack float64) (string, int) {
-	if p := e.Profiles.Profiles[s.slow]; slack >= p.BatchLatency(min(n, p.MaxBatch())) {
-		return p.Name, n
-	}
-	return e.Profiles.Profiles[s.fast].Name, n
+// slackScheme picks by slack alone — the slow accurate model when the slack
+// covers it, else the fast one — and always asks for the whole queue, so
+// the decision depends on nothing but the slack the engine hands it.
+func slackScheme(ps profile.Set, slow, fast int) Scheme {
+	return Scheme{Select: func(_, _ float64, n int, slack float64) (string, int) {
+		if p := ps.Profiles[slow]; slack >= p.BatchLatency(min(n, p.MaxBatch())) {
+			return p.Name, n
+		}
+		return ps.Profiles[fast].Name, n
+	}}
 }
 
 // TestDecisionSlackHonorsTightestTenantDeadline is the head-of-line
@@ -157,7 +155,7 @@ func TestDecisionSlackHonorsTightestTenantDeadline(t *testing.T) {
 		{ID: 2, Arrival: slowLat - fastLat, Tenant: "strict"},
 	}
 	run := func(slos map[string]float64) Metrics {
-		e := NewEngine(ps, laxSLO, 1, Deterministic{}, &slackSched{slow: slow, fast: fast}, 1)
+		e := NewEngine(ps, laxSLO, 1, Deterministic{}, slackScheme(ps, slow, fast), 1)
 		e.TenantSLOs = slos
 		e.RecordDecisions = true
 		return e.RunQueries(qs)
