@@ -47,15 +47,17 @@ size:
 	$(call SIZE_OF,cmd/serve cmd/simulate)
 	$(call SIZE_OF,internal/sim internal/serve internal/llm internal/sched internal/baselines)
 
-# The admit, lb, serve, telemetry, adapt, tenant, llm, sim, and sched
-# packages are the concurrency-heavy ones (the degrader's atomic level +
-# locked windows, balancers, health tracker, per-worker queue locks, HTTP
-# dispatch and the /query shed path, the lock-free metrics registry, the
-# background policy re-solve / hot-swap path, the fair admitter +
+# The admit, lb, serve, telemetry, adapt, tenant, llm, sim, sched and
+# monitor packages are the concurrency-heavy ones (the degrader's atomic
+# level + locked windows, balancers, health tracker, per-worker queue locks,
+# HTTP dispatch and the /query shed path, the lock-free metrics registry,
+# the background policy re-solve / hot-swap path, the fair admitter +
 # hot-reloaded tenant registry, and the continuous-batching LLM worker's
 # step loop vs handler handoff — llm and sim back that worker's model and
-# selector types, and sched is the dispatch core every frontend handler and
-# worker loop calls without a lock of its own); run them under the race
+# selector types, sched is the dispatch core every frontend handler and
+# worker loop calls without a lock of its own, and monitor.Locked is the
+# one lock around each rate monitor those handlers observe and the worker
+# loops and metrics scrapes read); run them under the race
 # detector. Their tests scale sleeps by TimeScale, so the race pass stays
 # within a CI budget; the explicit timeout is for small boxes — on two cores
 # sim alone takes ~52 s under the detector and all of `go test ./...` ~59 s
@@ -65,7 +67,7 @@ size:
 # the binary can (~45 s under the detector); cmd/simulate is
 # single-goroutine and ~90 s, so it stays out.
 race:
-	$(GO) test -race -timeout 15m ./internal/admit/ ./internal/adapt/ ./internal/lb/ ./internal/serve/ ./internal/telemetry/ ./internal/tenant/ ./internal/llm/ ./internal/sim/ ./internal/sched/ ./cmd/serve/
+	$(GO) test -race -timeout 15m ./internal/admit/ ./internal/adapt/ ./internal/lb/ ./internal/serve/ ./internal/telemetry/ ./internal/tenant/ ./internal/llm/ ./internal/sim/ ./internal/sched/ ./internal/monitor/ ./cmd/serve/
 
 # Multi-tenant serving-plane soak: ≥100k offered wall QPS across 4 shards
 # and 3 tenants, one offering 4× its contract; asserts compliant goodput

@@ -59,7 +59,36 @@ type Verdict struct {
 	// EstWait is the estimated queue wait used for the decision; the
 	// degrader consumes it as its pressure signal.
 	EstWait float64
+	// Reason classifies the outcome: why a query was shed, and for the
+	// tenant-aware admitter also how one was admitted.
+	Reason Reason
 }
+
+// Reason classifies an admission outcome.
+type Reason string
+
+const (
+	// ReasonDeadline marks a query shed by Deadline: its deadline is
+	// unmeetable even in the best case.
+	ReasonDeadline Reason = "deadline"
+	// ReasonQueueFull marks a query shed by Cap: the backlog is at its bound.
+	ReasonQueueFull Reason = "queue_full"
+	// ReasonFair marks a query admitted within its tenant's fair share.
+	ReasonFair Reason = "fair"
+	// ReasonBorrowed marks a query over its tenant's fair share admitted
+	// from the plane's idle headroom.
+	ReasonBorrowed Reason = "borrowed"
+	// ReasonOverShare marks a query shed because its tenant exhausted its
+	// fair share and the plane had no headroom to lend.
+	ReasonOverShare Reason = "over_share"
+	// ReasonInner marks a query shed by the tenant-aware admitter's inner
+	// admitter (deadline unmeetable or queue cap) despite being within fair
+	// share.
+	ReasonInner Reason = "inner"
+	// ReasonUnknown marks a query shed because its tenant is not
+	// registered.
+	ReasonUnknown Reason = "unknown_tenant"
+)
 
 // Admitter decides, per arriving query, whether to enqueue or shed it. It
 // must be safe for concurrent use: the serve frontend calls it from every
@@ -109,7 +138,7 @@ func (d Deadline) Admit(r Request) Verdict {
 	if wait <= budget {
 		return Verdict{Admit: true, EstWait: wait}
 	}
-	return Verdict{EstWait: wait, RetryAfter: wait - budget}
+	return Verdict{EstWait: wait, RetryAfter: wait - budget, Reason: ReasonDeadline}
 }
 
 // Cap sheds queries once the outstanding backlog reaches Limit, enforcing
@@ -145,7 +174,7 @@ func (c Cap) Admit(r Request) Verdict {
 			retry = d
 		}
 	}
-	return Verdict{EstWait: wait, RetryAfter: retry}
+	return Verdict{EstWait: wait, RetryAfter: retry, Reason: ReasonQueueFull}
 }
 
 // Policies lists the admitter names New accepts.

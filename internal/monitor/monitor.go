@@ -5,7 +5,11 @@
 // predictor, modeled here as an oracle.
 package monitor
 
-import "ramsis/internal/trace"
+import (
+	"sync"
+
+	"ramsis/internal/trace"
+)
 
 // Monitor estimates the current query load (QPS) at the central queue.
 type Monitor interface {
@@ -75,6 +79,31 @@ func (m *MovingAverage) grow() {
 	}
 	m.buf = next
 	m.head = 0
+}
+
+// Locked serializes a monitor for concurrent use: the live frontend
+// observes arrivals from every request handler and reads the load from
+// every worker loop and metrics scrape.
+type Locked struct {
+	mu sync.Mutex
+	m  Monitor
+}
+
+// NewLocked guards m with a mutex.
+func NewLocked(m Monitor) *Locked { return &Locked{m: m} }
+
+// Observe records an arrival under the lock.
+func (l *Locked) Observe(t float64) {
+	l.mu.Lock()
+	l.m.Observe(t)
+	l.mu.Unlock()
+}
+
+// Load reads the load under the lock.
+func (l *Locked) Load(t float64) float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.m.Load(t)
 }
 
 // Oracle returns the true trace load, the perfect predictor of §7.2.

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"ramsis/internal/trace"
@@ -110,6 +111,37 @@ func TestMovingAverageDefaultWindow(t *testing.T) {
 	m := NewMovingAverage(0)
 	if m.window != 0.5 {
 		t.Errorf("default window = %v, want 0.5 (the paper's 500 ms)", m.window)
+	}
+}
+
+// TestLockedConcurrentObserveAndLoad: N goroutines observe and read one
+// Locked moving average at once (the live frontend's handlers and worker
+// loops); every arrival is counted, and no reader sees the count go down.
+// Every arrival is at one instant, so the non-decreasing-time contract holds
+// whatever the interleaving. Run it under -race (make race).
+func TestLockedConcurrentObserveAndLoad(t *testing.T) {
+	const goroutines, perG, at = 8, 2000, 1.0
+	l := NewLocked(NewMovingAverage(0.5))
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := 0.0
+			for i := 0; i < perG; i++ {
+				l.Observe(at)
+				got := l.Load(at)
+				if got < last+2 { // this goroutine's own arrival adds 1/0.5
+					t.Errorf("load %v after %v: an observed arrival was lost", got, last)
+					return
+				}
+				last = got
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := l.Load(at), goroutines*perG/0.5; got != want {
+		t.Errorf("final load %v, want %v", got, want)
 	}
 }
 

@@ -1,17 +1,19 @@
 // Package sched is the scalar dispatch core the simulator and the serving
 // prototype share (§7.3.1: the two run the same scheduling code and differ
 // only in latency variance). It owns the three behaviours both dispatch
-// loops need — Admit accounts an admission verdict, Decide turns a
-// selector's choice into the batch that dispatches, Finish accounts a
-// completed batch and each of its queries — plus the registry series and
-// the policy → selector adaptor they use.
+// loops need — Arrive screens an arrival through the core's admitter,
+// accounts the verdict and, once the query is admitted, observes it on its
+// account's rate monitor, so both drivers' selectors see the same load;
+// Decide turns a selector's choice into the batch that dispatches; Finish
+// accounts a completed batch and each of its queries — plus the registry
+// series and the policy → selector adaptor they use.
 //
 // The core works purely in modeled seconds handed in by its caller and
 // never reads a clock: sim.Engine drives it from its event loop,
 // serve.Frontend from wall time × TimeScale, and both therefore execute
 // the same decisions. It holds no queues and no locks. Everything it
-// touches concurrently (registry series, the degrader, the rings) is safe
-// for concurrent use, so the frontend calls it from every handler and
+// touches concurrently (registry series, the degrader, the rings, and the
+// frontend's monitors, each a monitor.Locked) is safe for concurrent use, so the frontend calls it from every handler and
 // worker loop without further synchronisation; without a registry, ring or
 // tracer it performs no atomic operation and allocates nothing.
 package sched
@@ -20,6 +22,7 @@ import (
 	"math"
 
 	"ramsis/internal/admit"
+	"ramsis/internal/monitor"
 	"ramsis/internal/profile"
 	"ramsis/internal/telemetry"
 )
@@ -30,9 +33,9 @@ type Config struct {
 	// one set per worker for a heterogeneous deployment. Selectors name
 	// models; the name → index map is built here, once.
 	Profiles []profile.Set
-	// AdmitPolicy names the admission policy in front of the core: the
-	// label of the shed counter ("" when nothing is ever shed).
-	AdmitPolicy string
+	// Admit, when set, screens every arrival (see Arrive); its Name labels
+	// the shed counter. Nil admits everything and records nothing.
+	Admit       Admitter
 	Telemetry   *telemetry.Registry
 	Decisions   *telemetry.DecisionBuffer
 	Traces      *telemetry.TraceBuffer
@@ -61,11 +64,35 @@ type modelSet struct {
 	served   []*telemetry.Counter // per-model served-queries series; nil without a registry
 }
 
+// Admitter screens one arrival for the named account. *tenant.FairAdmitter
+// satisfies it directly; Plain wraps a single-tenant admit.Admitter.
+type Admitter interface {
+	Admit(account string, r admit.Request) admit.Verdict
+	Name() string
+}
+
+// Plain is a single-tenant admitter as an Admitter: every account is
+// screened alike. A nil a is a nil Admitter.
+func Plain(a admit.Admitter) Admitter {
+	if a == nil {
+		return nil
+	}
+	return plain{a}
+}
+
+type plain struct{ admit.Admitter }
+
+func (p plain) Admit(_ string, r admit.Request) admit.Verdict { return p.Admitter.Admit(r) }
+
 // New builds a core.
 func New(cfg Config) *Core {
 	c := &Core{cfg: cfg}
 	if cfg.Telemetry != nil {
-		c.tel = NewSeries(cfg.Telemetry, cfg.AdmitPolicy)
+		policy := ""
+		if cfg.Admit != nil {
+			policy = cfg.Admit.Name()
+		}
+		c.tel = NewSeries(cfg.Telemetry, policy)
 	}
 	for _, set := range cfg.Profiles {
 		ms := modelSet{profiles: set.Profiles, index: make(map[string]int, set.Len()), order: set.SpeedOrder()}
@@ -117,6 +144,11 @@ type Account struct {
 	// Degrade, when set, takes this account's admission outcomes as its
 	// pressure signal, and its level clamps every batch the account heads.
 	Degrade *admit.Degrader
+	// Monitor, when set, is the account's arrival-rate monitor: Arrive
+	// observes every admitted arrival on it, and Load reads it. A driver
+	// that shares one among goroutines must make it safe for that
+	// (monitor.Locked).
+	Monitor monitor.Monitor
 	// Attainment is the account's windowed SLO tracker, behind its
 	// ramsis_slo_* gauges. It and the ramsis_tenant_* counters below are nil
 	// without a registry.
@@ -149,29 +181,60 @@ func NewAccount(reg *telemetry.Registry, name string, slo float64, now func() fl
 	return a
 }
 
-// Arrival is one query at the admission step, with what the admitter saw.
+// Load reads the account's monitored arrival rate at now (0 without a
+// monitor): what its selector is shown and its decision records carry.
+func (a *Account) Load(now float64) float64 {
+	if a.Monitor == nil {
+		return 0
+	}
+	return a.Monitor.Load(now)
+}
+
+// Arrival is one query at the arrival step.
 type Arrival struct {
 	ID      int
 	Time    float64
 	TraceID string
-	// Outstanding is the backlog the admitter was shown; Load the monitored
-	// arrival rate at the time.
-	Outstanding int
-	Load        float64
-	// Borrowed marks an admit beyond the tenant's fair share, let in
-	// against the plane's idle headroom.
-	Borrowed bool
+	// Backlog is the driver's queues. Arrive reads their Outstanding only
+	// when there is an admitter to screen with.
+	Backlog Backlog
 }
 
-// Admit accounts one admission verdict for account a and reports whether
-// the query proceeds to routing: the verdict feeds the degrader's pressure
-// window, the wait-estimate histogram and the admitted/shed counters
-// (global and the account's), lands in the decision ring as an admit,
-// borrow or shed, and a shed query leaves a single-span trace so it stays
-// visible next to the served ones. The wait estimate the verdict was
+// Backlog counts the queries a driver has admitted and not yet completed —
+// queued and in flight, summed across workers: the backlog an admitter's
+// wait estimate drains.
+type Backlog interface{ Outstanding() int }
+
+// Arrive is the arrival step both drivers run for every query of account
+// a: it screens the query through the core's admitter, accounts the verdict
+// and, when the query is admitted, observes it on the account's rate
+// monitor — after the verdict is recorded, so an admission record's rate is
+// the one before its own arrival. It returns the verdict; the query
+// proceeds to routing when Admit is set. Without an admitter every arrival
+// is admitted and observed, and nothing is recorded.
+func (c *Core) Arrive(a *Account, q Arrival) admit.Verdict {
+	v := admit.Verdict{Admit: true}
+	if c.cfg.Admit != nil {
+		backlog := q.Backlog.Outstanding()
+		v = c.cfg.Admit.Admit(a.Name, admit.Request{Now: q.Time, Outstanding: backlog})
+		c.account(a, v, q, backlog)
+	}
+	if v.Admit && a.Monitor != nil {
+		a.Monitor.Observe(q.Time)
+	}
+	return v
+}
+
+// account records one admission verdict for account a: the verdict feeds
+// the degrader's pressure window, the wait-estimate histogram and the
+// admitted/borrowed/shed counters (global and the account's), lands in the
+// decision ring as an admit, borrow or shed with the backlog and monitored
+// rate the admitter saw, and a shed query leaves a single-span trace so it
+// stays visible next to the served ones. The wait estimate the verdict was
 // premised on is the record's PredictedSec; admission makes no
 // realized-latency claim.
-func (c *Core) Admit(a *Account, v admit.Verdict, q Arrival) bool {
+func (c *Core) account(a *Account, v admit.Verdict, q Arrival, backlog int) {
+	borrowed := v.Admit && v.Reason == admit.ReasonBorrowed
 	level := 0
 	if d := a.Degrade; d != nil {
 		level = d.Level()
@@ -182,7 +245,7 @@ func (c *Core) Admit(a *Account, v admit.Verdict, q Arrival) bool {
 		if v.Admit {
 			t.Admitted.Inc()
 			a.admitted.Inc()
-			if q.Borrowed {
+			if borrowed {
 				a.borrowed.Inc()
 			}
 		} else {
@@ -193,7 +256,7 @@ func (c *Core) Admit(a *Account, v admit.Verdict, q Arrival) bool {
 	if c.cfg.Decisions != nil {
 		kind, outcome := telemetry.DecisionShed, "shed"
 		switch {
-		case v.Admit && q.Borrowed:
+		case borrowed:
 			kind, outcome = telemetry.DecisionBorrow, "admitted"
 		case v.Admit:
 			kind, outcome = telemetry.DecisionAdmit, "admitted"
@@ -201,7 +264,7 @@ func (c *Core) Admit(a *Account, v admit.Verdict, q Arrival) bool {
 		c.cfg.Decisions.Add(telemetry.Decision{
 			Kind: kind, Time: q.Time, TraceID: q.TraceID,
 			Tenant: a.Name, Shard: c.cfg.Shard, Worker: -1,
-			QueueLen: q.Outstanding, RateQPS: q.Load, DegradeLevel: level,
+			QueueLen: backlog, RateQPS: a.Load(q.Time), DegradeLevel: level,
 			PredictedSec: v.EstWait, Outcome: outcome,
 		})
 	}
@@ -213,7 +276,6 @@ func (c *Core) Admit(a *Account, v admit.Verdict, q Arrival) bool {
 			TraceID: q.TraceID, Tenant: a.Name, Spans: sp[:],
 		})
 	}
-	return v.Admit
 }
 
 // Window is the FIFO prefix of a worker's queue the next batch is drawn

@@ -197,44 +197,130 @@ func TestFinishJudgesEachQueryAgainstItsAccount(t *testing.T) {
 	}
 }
 
+// script is an admitter that hands out its verdicts in order.
+type script []admit.Verdict
+
+func (s *script) Admit(string, admit.Request) admit.Verdict {
+	v := (*s)[0]
+	*s = (*s)[1:]
+	return v
+}
+
+func (s *script) Name() string { return "cap" }
+
+// backlog is a driver's queues that count how often they were read.
+type backlog struct{ n, reads int }
+
+func (b *backlog) Outstanding() int { b.reads++; return b.n }
+
+// probe is a rate monitor whose load is the number of arrivals it has
+// observed, noting at each Observe how many records the ring held.
+type probe struct {
+	ring    *telemetry.DecisionBuffer
+	n       int
+	records []int // ring length at each Observe
+}
+
+func (p *probe) Observe(float64)      { p.n++; p.records = append(p.records, len(p.ring.Snapshot())) }
+func (p *probe) Load(float64) float64 { return float64(p.n) }
+
+// TestArriveScreensAccountsAndObserves covers the arrival step's four
+// cases: with no admitter the arrival is observed and nothing is recorded
+// (nor the backlog read); a shed query is not observed and leaves a shed
+// record with the pre-arrival rate plus a one-span trace; a borrow leaves a
+// borrow record; an admitted query is observed after its record is written.
+func TestArriveScreensAccountsAndObserves(t *testing.T) {
+	ring := telemetry.NewDecisionBuffer(8)
+	traces := telemetry.NewTraceBuffer(8)
+	q := &backlog{n: 7}
+	a := NewAccount(nil, "gold", 1, nil)
+	mon := &probe{ring: ring}
+	a.Monitor = mon
+
+	bare := New(Config{Profiles: []profile.Set{testSet()}, Decisions: ring, Traces: traces})
+	if v := bare.Arrive(&a, Arrival{ID: 0, Time: 0.1, TraceID: "t0", Backlog: q}); !v.Admit {
+		t.Errorf("no admitter: verdict %+v, want admitted", v)
+	}
+	if mon.n != 1 || len(ring.Snapshot()) != 0 || len(traces.Snapshot()) != 0 || q.reads != 0 {
+		t.Errorf("no admitter: %d observed, %d records, %d traces, backlog read %d times; want 1, 0, 0, 0",
+			mon.n, len(ring.Snapshot()), len(traces.Snapshot()), q.reads)
+	}
+
+	verdicts := script{
+		{EstWait: 0.7, RetryAfter: 1, Reason: admit.ReasonQueueFull},
+		{Admit: true, Reason: admit.ReasonBorrowed},
+		{Admit: true, EstWait: 0.01, Reason: admit.ReasonFair},
+	}
+	c := New(Config{Profiles: []profile.Set{testSet()}, Admit: &verdicts, Decisions: ring, Traces: traces, Process: "test"})
+	if v := c.Arrive(&a, Arrival{ID: 1, Time: 0.2, TraceID: "t1", Backlog: q}); v.Admit || v.RetryAfter != 1 {
+		t.Errorf("shed: verdict %+v", v)
+	}
+	if mon.n != 1 {
+		t.Errorf("shed arrival observed: %d observations", mon.n)
+	}
+	recs := ring.Snapshot()
+	if len(recs) != 1 || recs[0].Kind != telemetry.DecisionShed || recs[0].RateQPS != 1 || recs[0].QueueLen != 7 ||
+		recs[0].PredictedSec != 0.7 || recs[0].TraceID != "t1" {
+		t.Errorf("shed record %+v, want one shed at the pre-arrival rate 1 over a backlog of 7", recs)
+	}
+	shed := traces.Snapshot()
+	if len(shed) != 1 || shed[0].ID != 1 || shed[0].Error != "shed" || shed[0].TraceID != "t1" || shed[0].Process != "test" ||
+		len(shed[0].Spans) != 1 || shed[0].Spans[0].Stage != telemetry.StageShed {
+		t.Errorf("shed trace %+v", shed)
+	}
+
+	if v := c.Arrive(&a, Arrival{ID: 2, Time: 0.3, Backlog: q}); !v.Admit {
+		t.Errorf("borrow: verdict %+v", v)
+	}
+	if v := c.Arrive(&a, Arrival{ID: 3, Time: 0.4, Backlog: q}); !v.Admit {
+		t.Errorf("admit: verdict %+v", v)
+	}
+	recs = ring.Snapshot()
+	if len(recs) != 3 || recs[1].Kind != telemetry.DecisionBorrow || recs[2].Kind != telemetry.DecisionAdmit ||
+		recs[1].RateQPS != 1 || recs[2].RateQPS != 2 {
+		t.Fatalf("records %+v, want shed, borrow at rate 1, admit at rate 2", recs)
+	}
+	if mon.n != 3 || mon.records[1] != 2 || mon.records[2] != 3 {
+		t.Errorf("observations %d with the ring at %v; want 3, each admitted one after its own record", mon.n, mon.records)
+	}
+	if q.reads != 3 || len(traces.Snapshot()) != 1 {
+		t.Errorf("backlog read %d times, %d traces; want 3 and only the shed's", q.reads, len(traces.Snapshot()))
+	}
+}
+
 // TestAdmitAccountsTheVerdict walks admit, borrow and shed through one
-// account: degrader pressure, counters, the decision kinds and the shed
-// trace.
+// account's arrival step: degrader pressure, counters, the decision kinds
+// and the backlog each record carries.
 func TestAdmitAccountsTheVerdict(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ring := telemetry.NewDecisionBuffer(8)
-	traces := telemetry.NewTraceBuffer(8)
-	c := New(Config{Profiles: []profile.Set{testSet()}, AdmitPolicy: "cap", Telemetry: reg, Decisions: ring, Traces: traces, Process: "test"})
+	verdicts := script{
+		{Admit: true, EstWait: 0.01},
+		{Admit: true, Reason: admit.ReasonBorrowed},
+		{EstWait: 0.7, RetryAfter: 1},
+	}
+	c := New(Config{Profiles: []profile.Set{testSet()}, Admit: &verdicts, Telemetry: reg, Decisions: ring})
 	a := NewAccount(reg, "gold", 1, nil)
 	a.Degrade = admit.NewDegrader(admit.DegradeConfig{MaxLevel: 2, Window: 1, EnterShedRate: 0.01})
 
-	if !c.Admit(&a, admit.Verdict{Admit: true, EstWait: 0.01}, Arrival{ID: 1, Time: 0.1, Outstanding: 3}) {
-		t.Error("admitted verdict reported shed")
-	}
-	if !c.Admit(&a, admit.Verdict{Admit: true}, Arrival{ID: 2, Time: 0.2, Borrowed: true}) {
-		t.Error("borrowed verdict reported shed")
-	}
-	if c.Admit(&a, admit.Verdict{EstWait: 0.7, RetryAfter: 1}, Arrival{ID: 3, Time: 0.3, TraceID: "t3", Outstanding: 9}) {
-		t.Error("shed verdict reported admitted")
+	for i, want := range []bool{true, true, false} {
+		if v := c.Arrive(&a, Arrival{ID: i, Time: 0.1 * float64(i+1), Backlog: &backlog{n: 3 * i}}); v.Admit != want {
+			t.Errorf("verdict %d: admitted %v, want %v", i, v.Admit, want)
+		}
 	}
 	a.Degrade.Observe(2, false, 0) // close the window the shed fell in
 	if a.Degrade.Level() == 0 {
 		t.Error("shed verdict never reached the degrader")
 	}
 	var kinds []string
-	for _, d := range ring.Snapshot() {
+	for i, d := range ring.Snapshot() {
 		kinds = append(kinds, d.Kind)
-		if d.Tenant != "gold" || d.Worker != -1 {
+		if d.Tenant != "gold" || d.Worker != -1 || d.QueueLen != 3*i {
 			t.Errorf("admission record %+v", d)
 		}
 	}
 	if len(kinds) != 3 || kinds[0] != telemetry.DecisionAdmit || kinds[1] != telemetry.DecisionBorrow || kinds[2] != telemetry.DecisionShed {
 		t.Errorf("decision kinds %v, want admit, borrow, shed", kinds)
-	}
-	shed := traces.Snapshot()
-	if len(shed) != 1 || shed[0].ID != 3 || shed[0].Error != "shed" || shed[0].TraceID != "t3" || shed[0].Process != "test" ||
-		len(shed[0].Spans) != 1 || shed[0].Spans[0].Stage != telemetry.StageShed {
-		t.Errorf("shed trace %+v", shed)
 	}
 	for what, got := range map[string]float64{
 		"admitted":        reg.Counter(telemetry.MetricAdmitAdmitted).Value() - 2,

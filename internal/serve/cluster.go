@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"time"
 
 	"ramsis/internal/admit"
 	"ramsis/internal/lb"
@@ -28,8 +27,6 @@ type ClusterConfig struct {
 	Seed          int64
 	// Balancer routes queries across worker queues (default round-robin).
 	Balancer lb.Balancer
-	// HealthInterval overrides the frontend's health-probe period.
-	HealthInterval time.Duration
 	// Addr is the frontend listen address (default random localhost port).
 	Addr string
 	// Telemetry is shared by the frontend's /metrics; workers keep their
@@ -83,20 +80,19 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		urls[i] = w.URL()
 	}
 	c.Frontend = &Frontend{
-		Profiles:       cfg.Models,
-		SLO:            cfg.SLO,
-		TimeScale:      cfg.TimeScale,
-		Workers:        urls,
-		Select:         cfg.Select,
-		Monitor:        cfg.Monitor,
-		Balancer:       cfg.Balancer,
-		HealthInterval: cfg.HealthInterval,
-		Addr:           cfg.Addr,
-		Telemetry:      cfg.Telemetry,
-		TraceWriter:    cfg.TraceWriter,
-		Admit:          cfg.Admit,
-		Degrade:        cfg.Degrade,
-		RetryBudget:    cfg.RetryBudget,
+		Profiles:    cfg.Models,
+		SLO:         cfg.SLO,
+		TimeScale:   cfg.TimeScale,
+		Workers:     urls,
+		Select:      cfg.Select,
+		Monitor:     cfg.Monitor,
+		Balancer:    cfg.Balancer,
+		Addr:        cfg.Addr,
+		Telemetry:   cfg.Telemetry,
+		TraceWriter: cfg.TraceWriter,
+		Admit:       cfg.Admit,
+		Degrade:     cfg.Degrade,
+		RetryBudget: cfg.RetryBudget,
 	}
 	if err := c.Frontend.Start(); err != nil {
 		c.Stop()

@@ -218,14 +218,13 @@ func TestFrontendClientDisconnect(t *testing.T) {
 func TestReplaySurvivesWorkerDeath(t *testing.T) {
 	const timeScale, n = 10.0, 300
 	c := startCluster(t, ClusterConfig{
-		Models:         profile.ImageSet(),
-		Workers:        2,
-		SLO:            0.150,
-		TimeScale:      timeScale,
-		Select:         fixedSelector("shufflenet_v2_x0_5"),
-		HealthInterval: 10 * time.Millisecond,
-		Admit:          admit.Cap{Limit: 8},
-		Seed:           1,
+		Models:    profile.ImageSet(),
+		Workers:   2,
+		SLO:       0.150,
+		TimeScale: timeScale,
+		Select:    fixedSelector("shufflenet_v2_x0_5"),
+		Admit:     admit.Cap{Limit: 8},
+		Seed:      1,
 	})
 	arrivals := make([]float64, n)
 	for i := range arrivals {

@@ -108,10 +108,6 @@ type Frontend struct {
 	// builds one (DefaultDecisionCapacity) when nil. A sharded cluster
 	// passes one shared ring so the gateway serves the merged view.
 	Decisions *telemetry.DecisionBuffer
-	// TraceParent names the upstream process in this frontend's trace
-	// fragments ("gateway" in a sharded cluster; empty when the frontend
-	// is the root).
-	TraceParent string
 	// Admit, when set, screens every arriving query before it is routed:
 	// shed queries are answered 429 with a Retry-After hint instead of
 	// being enqueued. The simulator engine runs the same admitters.
@@ -128,7 +124,8 @@ type Frontend struct {
 	// deployment: arrivals resolve to a tenant whose own SLO, selector,
 	// rate monitor, degrader, and weighted-fair admission replace the
 	// frontend-wide Admit/Degrade/Monitor/Select/SLO fields. The plane is
-	// shared across shards.
+	// shared across shards, and the shard's trace fragments name the
+	// gateway as their parent.
 	Plane *TenantPlane
 	// Shard is this frontend's shard index in a sharded deployment
 	// (informational; 0 when unsharded).
@@ -148,9 +145,12 @@ type Frontend struct {
 	// elapsed is the wall time since start (time.Since(start) unless a test
 	// substituted a fake clock before Start).
 	elapsed func() time.Duration
-	// core is the dispatch core this frontend drives: admission accounting,
-	// the batch decision and per-query finish are the code sim.Engine runs.
+	// core is the dispatch core this frontend drives: the arrival step, the
+	// batch decision and per-query finish are the code sim.Engine runs.
 	core *sched.Core
+	// admitter is the core's admitter (nil when none): the plane's fair
+	// admitter, else Admit. Its Name is in every 429 body.
+	admitter sched.Admitter
 	// Series only the frontend has (the query path's are sched.Series):
 	// the failover retry budget's grants and refusals, and /infer POSTs
 	// per worker, which back both the exposition and
@@ -164,8 +164,8 @@ type Frontend struct {
 	// sharded plane, "frontend" standalone.
 	process string
 	// single is the one account of a single-tenant frontend, built from the
-	// frontend-wide SLO, Select, Monitor and Degrade fields; in plane mode
-	// arrivals resolve to the plane's per-tenant states instead.
+	// frontend-wide SLO, Select, Monitor (locked) and Degrade fields; in
+	// plane mode arrivals resolve to the plane's per-tenant states instead.
 	single *tenantState
 	// picks recycles the queue-length and health snapshots the balancer
 	// reads on every enqueue, so routing a query allocates nothing.
@@ -267,26 +267,23 @@ func (f *Frontend) Start() error {
 		Profiles:  []profile.Set{f.Profiles},
 		Telemetry: f.Telemetry, Decisions: f.Decisions,
 		Traces: f.Traces, TraceWriter: f.TraceWriter,
-		Parent: f.TraceParent, Shard: f.Shard, WorkerOffset: f.WorkerOffset,
+		Shard: f.Shard, WorkerOffset: f.WorkerOffset,
 	}
 	if f.Plane != nil {
-		f.process = fmt.Sprintf("shard-%d", f.Shard)
-		cfg.AdmitPolicy = f.Plane.cfg.Fair.Name()
+		f.process, cfg.Parent = fmt.Sprintf("shard-%d", f.Shard), "gateway"
+		f.admitter = f.Plane.cfg.Fair
 	} else {
 		f.process = "frontend"
-		if f.Admit != nil {
-			cfg.AdmitPolicy = f.Admit.Name()
-		}
-		f.single = &tenantState{
-			Account: sched.NewAccount(f.Telemetry, "", f.SLO, f.now),
-			sel:     f.Select,
-			mon:     f.Monitor,
-			rateGa:  f.Telemetry.GaugeVec(telemetry.MetricTenantRate, "tenant").With(tenant.DefaultName),
-		}
+		f.admitter = sched.Plain(f.Admit)
+		f.single = &tenantState{Account: sched.NewAccount(f.Telemetry, "", f.SLO, f.now), sel: f.Select}
 		f.single.Degrade = f.Degrade
+		if f.Monitor != nil {
+			f.single.Monitor = monitor.NewLocked(f.Monitor)
+		}
+		registerRateGauge(f.Telemetry, f.single, tenant.DefaultName, f.now)
 		sched.WireDegrade(f.Telemetry, f.Degrade)
 	}
-	cfg.Process = f.process
+	cfg.Process, cfg.Admit = f.process, f.admitter
 	f.core = sched.New(cfg)
 	for i, st := range telemetry.Stages() {
 		f.stages[i] = f.core.Series().Stage[st]
@@ -525,8 +522,9 @@ func (f *Frontend) Do(tenantName string) (QueryResponse, *EnqueueError) {
 	return entry(f.enqueue).do(tenantName)
 }
 
-// enqueue admits and routes one query onto a worker ring; done (which may
-// be nil for fire-and-forget callers) receives the response. This is the
+// enqueue runs one query through the core's arrival step and routes it onto
+// a worker ring, or answers 429 when it is shed; done (which may be nil for
+// fire-and-forget callers) receives the response. This is the
 // whole client-visible hot path before dispatch, and it is allocation-flat
 // at steady state: the balancer inputs come from the pick pool, the ring
 // reuses its slots, and the trace ID is the only per-query allocation.
@@ -548,9 +546,15 @@ func (f *Frontend) enqueue(tenantName, traceID string, done chan QueryResponse) 
 				Msg: fmt.Sprintf("unknown tenant %q", tenantName)}
 		}
 	}
-	rate := st.observe(arrival)
-	if err := f.admit(st, id, arrival, traceID, rate); err != nil {
-		return err
+	if v := f.core.Arrive(&st.Account, sched.Arrival{ID: id, Time: arrival, TraceID: traceID, Backlog: f}); !v.Admit {
+		// Clients back off in wall time, so the modeled-seconds hint is
+		// scaled down by TimeScale.
+		return &EnqueueError{
+			Status: http.StatusTooManyRequests,
+			Msg: "overloaded: shed by " + f.admitter.Name() + " admission (" + string(v.Reason) +
+				", est wait " + strconv.FormatFloat(v.EstWait, 'f', 3, 64) + "s)",
+			RetryAfterSec: v.RetryAfter / f.TimeScale,
+		}
 	}
 
 	pickStart := f.now()
@@ -596,51 +600,15 @@ func writeEnqueueError(rw http.ResponseWriter, e *EnqueueError) {
 	http.Error(rw, e.Msg, e.Status)
 }
 
-// outstanding totals queued plus in-dispatch queries across this shard's
-// workers — the admitters' backlog signal and the sharder's depth input.
+// Outstanding totals queued plus in-dispatch queries across this shard's
+// workers — the admitter's backlog signal (sched.Backlog) and the sharder's
+// depth input.
 func (f *Frontend) Outstanding() int {
 	n := 0
 	for _, ws := range f.wq {
 		n += int(ws.outstanding.Load())
 	}
 	return n
-}
-
-// admit screens one arrival through the admission layer in front of this
-// frontend — the plane's shared weighted-fair admitter, charging the
-// query's tenant, else the frontend-wide controller, else nothing — and has
-// the core account the verdict. It returns nil when the query may proceed
-// to routing; a shed query is answered 429, with the modeled-seconds
-// back-off hint scaled to wall time (clients back off in wall time under
-// compressed TimeScale).
-func (f *Frontend) admit(st *tenantState, id int, arrival float64, traceID string, rate float64) *EnqueueError {
-	in := sched.Arrival{ID: id, Time: arrival, TraceID: traceID, Outstanding: f.Outstanding(), Load: rate}
-	req := admit.Request{Now: arrival, Outstanding: in.Outstanding}
-	var v admit.Verdict
-	var msg string
-	switch {
-	case f.Plane != nil:
-		tv := f.Plane.cfg.Fair.Admit(st.Name, req)
-		v, in.Borrowed = tv.Verdict, tv.Reason == tenant.ReasonBorrowed
-		if !v.Admit {
-			msg = "tenant " + st.Name + " shed by weighted-fair admission (" + string(tv.Reason) + ")"
-		}
-	case f.Admit != nil:
-		if v = f.Admit.Admit(req); !v.Admit {
-			msg = "shed by " + f.Admit.Name() + " admission control (est wait " +
-				strconv.FormatFloat(v.EstWait, 'f', 3, 64) + "s)"
-		}
-	default:
-		return nil
-	}
-	if f.core.Admit(&st.Account, v, in) {
-		return nil
-	}
-	return &EnqueueError{
-		Status:        http.StatusTooManyRequests,
-		Msg:           "overloaded: " + msg,
-		RetryAfterSec: v.RetryAfter / f.TimeScale,
-	}
 }
 
 func (f *Frontend) handleStats(rw http.ResponseWriter, _ *http.Request) {
@@ -678,7 +646,7 @@ func (f *Frontend) workerLoop(w int) {
 		now := f.now()
 		st := head.st
 		ch := sched.Choice{
-			Now: now, Worker: w, QueueLen: n, Slack: deadline - now, Load: st.load(now),
+			Now: now, Worker: w, QueueLen: n, Slack: deadline - now, Load: st.Load(now),
 			Head: &st.Account, TraceID: head.traceID,
 		}
 		ch.Model, ch.Batch = st.sel(now, ch.Load, n, ch.Slack)

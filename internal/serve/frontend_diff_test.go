@@ -78,30 +78,33 @@ func TestFrontendQueryFinishingExactlyOnDeadlineMeetsIt(t *testing.T) {
 // worker, the same arrivals, sim.Deterministic latency and the same policy
 // ladder — or the same §7 baseline selector value, which the simulator runs
 // over its central queue — the frontend and its worker driven by a fake
-// clock. Both drivers
-// run internal/sched, so the two decision rings must show the identical
+// clock, and each driver's own 0.5 s moving-average monitor. Both drivers
+// run internal/sched — its arrival step observes the monitor on admitted
+// arrivals only — so the two decision rings must show the identical
 // sequence — every admit, shed, degrade clamp and select, with its model,
-// batch, queue length and worker — with times, slack and each query's
-// latency equal to a microsecond of modeled time (the fake wall clock runs
-// 1000× slower than modeled time, so its nanosecond grain is a picosecond
-// here). It goes through both drivers end to end, so it fails when either
-// one's admission, decision or finish path is edited away from the other's.
+// batch, queue length and worker — with times, slack, the monitored rate
+// and each query's latency equal to a microsecond of modeled time (the fake
+// wall clock runs 1000× slower than modeled time, so its nanosecond grain
+// is a picosecond here). It goes through both drivers end to end, so it
+// fails when either one's arrival, decision or finish path is edited away
+// from the other's. The ladder covers every rate either driver reads: the
+// simulator would generate a missing rung on the spot and the frontend in
+// the background, so a grown ladder fails the test.
 func TestFrontendMatchesSimEngine(t *testing.T) {
 	models := profile.ImageSet()
 	const slo, timeScale, ringCap = 0.150, 1e-3, 1 << 15
 	set := core.NewPolicySet(core.Config{
 		Models: models, SLO: slo, Workers: 1, Arrival: dist.NewPoisson(1), D: 25,
 	}, nil)
-	if err := set.GenerateLoads([]float64{40, 80, 160}); err != nil {
+	ladder := []float64{40, 80, 160}
+	if err := set.GenerateLoads(ladder); err != nil {
 		t.Fatal(err)
 	}
 	est := core.NewWaitEstimator(models, 1)
-	pinned := trace.Constant(40, 10)
 
 	cases := []struct {
 		name    string
 		load    trace.Trace
-		monitor func() monitor.Monitor
 		admit   admit.Admitter
 		degrade bool
 		// sel, when set, replaces the policy ladder in both drivers.
@@ -109,20 +112,18 @@ func TestFrontendMatchesSimEngine(t *testing.T) {
 	}{
 		// A rate step under a measured load walks the policy ladder up and
 		// back down; nothing is shed.
-		{name: "ramsis", load: trace.Step(25, 70, 2, 4, 6),
-			monitor: func() monitor.Monitor { return monitor.NewMovingAverage(0.5) }},
-		// Ten times the rate the pinned policy was solved for: the cap
-		// sheds most arrivals and the shed rate walks the degrader up, so
-		// shed and clamp decisions are in the sequence.
+		{name: "ramsis", load: trace.Step(25, 70, 2, 4, 6)},
+		// Ten times the ladder's lowest rate: the cap sheds most arrivals
+		// and the shed rate walks the degrader up, so shed and clamp
+		// decisions are in the sequence. Neither monitor counts the shed
+		// arrivals, so the rate both read stays on the ladder.
 		{name: "overload", load: trace.Constant(400, 10),
-			monitor: func() monitor.Monitor { return monitor.Oracle{Trace: pinned} },
-			admit:   admit.Cap{Limit: 4, Est: est}, degrade: true},
+			admit: admit.Cap{Limit: 4, Est: est}, degrade: true},
 		// A baseline is written once: the same Jellyfish+ selector drives the
 		// simulator's central queue and the frontend, and walks its
 		// load-granular choice across the same rate step.
 		{name: "jellyfish", load: trace.Step(25, 70, 2, 4, 6),
-			monitor: func() monitor.Monitor { return monitor.NewMovingAverage(0.5) },
-			sel:     baselines.JellyfishPlus{Profiles: models, SLO: slo, Workers: 1}.Selector()},
+			sel: baselines.JellyfishPlus{Profiles: models, SLO: slo, Workers: 1}.Selector()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -142,10 +143,10 @@ func TestFrontendMatchesSimEngine(t *testing.T) {
 				})
 			}
 
-			var scheme sim.Scheduler = sim.NewRAMSIS(set, tc.monitor())
+			var scheme sim.Scheduler = sim.NewRAMSIS(set, monitor.NewMovingAverage(0.5))
 			sel := RAMSISSelector(set)
 			if tc.sel != nil {
-				scheme, sel = sim.Scheme{Monitor: tc.monitor(), Select: tc.sel}, tc.sel
+				scheme, sel = sim.Scheme{Monitor: monitor.NewMovingAverage(0.5), Select: tc.sel}, tc.sel
 			}
 			e := sim.NewEngine(models, slo, 1, sim.Deterministic{}, scheme, 1)
 			e.Admit, e.Degrade = tc.admit, degrader()
@@ -155,7 +156,7 @@ func TestFrontendMatchesSimEngine(t *testing.T) {
 
 			f := &Frontend{
 				Profiles: models, SLO: slo, TimeScale: timeScale,
-				Select: sel, Monitor: tc.monitor(),
+				Select: sel, Monitor: monitor.NewMovingAverage(0.5),
 				Admit: tc.admit, Degrade: degrader(),
 				Decisions: telemetry.NewDecisionBuffer(ringCap),
 			}
@@ -204,6 +205,7 @@ func TestFrontendMatchesSimEngine(t *testing.T) {
 				if g.Kind != s.Kind || g.Model != s.Model || g.Batch != s.Batch ||
 					g.QueueLen != s.QueueLen || g.Worker != s.Worker || g.Outcome != s.Outcome ||
 					g.DegradeLevel != s.DegradeLevel || !near(g.Time, s.Time) || !near(g.SlackSec, s.SlackSec) ||
+					!near(g.RateQPS, s.RateQPS) ||
 					!near(g.PredictedSec, s.PredictedSec) || !near(g.RealizedSec, s.RealizedSec) {
 					t.Fatalf("decision %d diverges:\n sim   %+v\n serve %+v", i, s, g)
 				}
@@ -217,7 +219,14 @@ func TestFrontendMatchesSimEngine(t *testing.T) {
 			if tc.admit == nil && len(want.ModelCounts) < 2 {
 				t.Errorf("ramsis case served only %v; it no longer walks the policy ladder", want.ModelCounts)
 			}
-			t.Logf("%d arrivals, %d served, decisions %v, models %d", len(arrivals), served, kinds, len(want.ModelCounts))
+			maxRate := 0.0
+			for _, s := range exp {
+				maxRate = max(maxRate, s.RateQPS)
+			}
+			if n := len(set.Policies()); n != len(ladder) || maxRate > ladder[len(ladder)-1] {
+				t.Errorf("ladder %v grew to %d rungs; the drivers read rates up to %v", ladder, n, maxRate)
+			}
+			t.Logf("%d arrivals, %d served, decisions %v, models %d, rates up to %v", len(arrivals), served, kinds, len(want.ModelCounts), maxRate)
 		})
 	}
 }

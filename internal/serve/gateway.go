@@ -22,7 +22,7 @@ import (
 type Gateway struct {
 	// Shards are the started frontend shards, index = shard id.
 	Shards []*Frontend
-	// Sharder picks a shard per query (default rendezvous hashing).
+	// Sharder picks a shard per query (required).
 	Sharder tenant.Sharder
 	// Plane is the shared per-tenant control state (required).
 	Plane *TenantPlane
@@ -34,18 +34,17 @@ type Gateway struct {
 	// and the plane write into).
 	Telemetry *telemetry.Registry
 	// Traces rings the gateway-side fragments (tenant resolution + shard
-	// routing); Start builds one when nil.
+	// routing; required).
 	Traces *telemetry.TraceBuffer
 	// TraceWriter, when set, streams gateway fragments as JSONL. A sharded
 	// cluster shares one writer plane-wide so a single file stitches.
 	TraceWriter *telemetry.TraceWriter
 	// Decisions is the plane-wide policy-decision ring served at
-	// /debug/decisions (the sharded cluster passes the same ring every
-	// shard writes into).
+	// /debug/decisions (required: the same ring every shard writes into).
 	Decisions *telemetry.DecisionBuffer
 	// TraceSources are the rings merged into the gateway's /debug/traces:
 	// its own plus every shard's and worker's, so one endpoint yields a
-	// stitchable view of the whole plane.
+	// stitchable view of the whole plane (required).
 	TraceSources []*telemetry.TraceBuffer
 
 	shardQueries []*telemetry.Counter
@@ -83,25 +82,8 @@ func (g *Gateway) Start() error {
 	if g.Telemetry == nil {
 		return fmt.Errorf("serve: gateway needs the shared telemetry registry")
 	}
-	if g.Sharder == nil {
-		g.Sharder = tenant.Rendezvous{}
-	}
 	if g.start.IsZero() {
 		g.start = time.Now()
-	}
-	if g.Traces == nil {
-		g.Traces = telemetry.NewTraceBuffer(0)
-	}
-	if g.Decisions == nil {
-		g.Decisions = telemetry.NewDecisionBuffer(0)
-	}
-	if g.TraceSources == nil {
-		g.TraceSources = []*telemetry.TraceBuffer{g.Traces}
-		for _, fe := range g.Shards {
-			if fe.Traces != nil {
-				g.TraceSources = append(g.TraceSources, fe.Traces)
-			}
-		}
 	}
 	for i, fe := range g.Shards {
 		fe := fe

@@ -231,7 +231,6 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 			Balancer:     balancer,
 			Telemetry:    cfg.Telemetry,
 			TraceWriter:  cfg.TraceWriter,
-			TraceParent:  "gateway",
 			Decisions:    decisions,
 		}
 		fe.start = epoch // shared modeled-time epoch across shards

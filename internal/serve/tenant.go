@@ -25,19 +25,13 @@ type TenantPlane struct {
 }
 
 // tenantState is one tenant's live serving state: its account with the
-// dispatch core (SLO, degrader, counters, attainment tracker) plus what the
-// frontend consults per decision — selector and rate monitor. A
-// single-tenant frontend runs one, unnamed.
+// dispatch core (SLO, degrader, rate monitor, counters, attainment tracker)
+// plus the selector the frontend consults per decision. A single-tenant
+// frontend runs one, unnamed. The monitor is a monitor.Locked: arrivals for
+// one tenant race across handlers and shards.
 type tenantState struct {
 	sched.Account
 	sel sched.Selector
-
-	// monMu guards mon: Observe times must be non-decreasing, and arrivals
-	// for one tenant race across handlers and shards.
-	monMu sync.Mutex
-	mon   monitor.Monitor // nil: unmonitored, the load reads 0
-	// rateGa is the live monitored-rate gauge.
-	rateGa *telemetry.Gauge
 }
 
 // monitorWindow is the per-tenant rate monitor window in modeled seconds,
@@ -57,9 +51,8 @@ type TenantPlaneConfig struct {
 	// DegradeDepth > 0 gives every tenant its own degrader with that max
 	// level, replacing the single global clamp.
 	DegradeDepth int
-	// Now supplies the plane's modeled clock for scrape-time SLO gauges
-	// (the sharded cluster passes its shared epoch); nil falls back to
-	// each tracker's last observation time.
+	// Now is the plane's modeled clock for the scrape-time SLO and rate
+	// gauges (the sharded cluster passes its shared epoch).
 	Now       func() float64
 	Telemetry *telemetry.Registry
 }
@@ -67,9 +60,6 @@ type TenantPlaneConfig struct {
 // NewTenantPlane builds the shared per-tenant state for a sharded
 // deployment.
 func NewTenantPlane(cfg TenantPlaneConfig) *TenantPlane {
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = telemetry.NewRegistry()
-	}
 	p := &TenantPlane{cfg: cfg, states: map[string]*tenantState{}}
 	for _, t := range cfg.Registry.All() {
 		sel := cfg.Selectors[t.Name]
@@ -83,12 +73,9 @@ func NewTenantPlane(cfg TenantPlaneConfig) *TenantPlane {
 
 func (p *TenantPlane) newState(t tenant.Tenant, sel sched.Selector) *tenantState {
 	cfg := p.cfg
-	st := &tenantState{
-		Account: sched.NewAccount(cfg.Telemetry, t.Name, t.SLO(), cfg.Now),
-		sel:     sel,
-		mon:     monitor.NewMovingAverage(monitorWindow),
-		rateGa:  cfg.Telemetry.GaugeVec(telemetry.MetricTenantRate, "tenant").With(t.Name),
-	}
+	st := &tenantState{Account: sched.NewAccount(cfg.Telemetry, t.Name, t.SLO(), cfg.Now), sel: sel}
+	st.Monitor = monitor.NewLocked(monitor.NewMovingAverage(monitorWindow))
+	registerRateGauge(cfg.Telemetry, st, t.Name, cfg.Now)
 	if cfg.DegradeDepth > 0 {
 		st.Degrade = admit.NewDegrader(admit.DegradeConfig{MaxLevel: cfg.DegradeDepth, EnterWait: st.SLO})
 		gauge := cfg.Telemetry.GaugeVec(telemetry.MetricTenantDegradeLevel, "tenant").With(t.Name)
@@ -134,28 +121,10 @@ func (p *TenantPlane) state(name string) (*tenantState, bool) {
 	return st, true
 }
 
-// observe feeds one arrival into the tenant's rate monitor, refreshes its
-// live rate gauge and returns the rate.
-func (st *tenantState) observe(now float64) float64 {
-	if st.mon == nil {
-		return 0
-	}
-	st.monMu.Lock()
-	st.mon.Observe(now)
-	rate := st.mon.Load(now)
-	st.monMu.Unlock()
-	st.rateGa.Set(rate)
-	return rate
-}
-
-// load reads the tenant's monitored arrival rate.
-func (st *tenantState) load(now float64) float64 {
-	if st.mon == nil {
-		return 0
-	}
-	st.monMu.Lock()
-	defer st.monMu.Unlock()
-	return st.mon.Load(now)
+// registerRateGauge exposes the tenant's monitored arrival rate as
+// ramsis_tenant_rate_qps, read from its account at scrape time.
+func registerRateGauge(reg *telemetry.Registry, st *tenantState, name string, now func() float64) {
+	reg.GaugeFunc(telemetry.MetricTenantRate, func() float64 { return st.Load(now()) }, "tenant", name)
 }
 
 // TenantStats is one tenant's /stats breakdown.
@@ -204,7 +173,7 @@ func (p *TenantPlane) Stats(now float64) map[string]TenantStats {
 			SLOMS:        t.SLOMS,
 			Weight:       t.Weight,
 			ShareQPS:     p.cfg.Fair.Share(st.Name),
-			RateQPS:      st.load(now),
+			RateQPS:      st.Load(now),
 			Served:       served,
 			Violations:   violations,
 			Admitted:     count(telemetry.MetricTenantAdmitted),

@@ -6,8 +6,8 @@
 // queues: a scheme describes itself as a Scheme — monitor, balancer,
 // sched.Selector — so RAMSIS and every §7 baseline is a selector that runs
 // unchanged here and in internal/serve's frontend, and both drivers share
-// the admit / decide / finish core in internal/sched, mirroring the paper's
-// shared implementation.
+// the arrive / decide / finish core in internal/sched, mirroring the
+// paper's shared implementation.
 package sim
 
 import (
@@ -32,22 +32,16 @@ type Query struct {
 	Tenant string
 }
 
-// TenantAdmitter screens arrivals per tenant — the weighted-fair layer in
-// internal/tenant implements it. borrowed marks an admit beyond the
-// tenant's fair share. Defined here (not imported) so the simulator stays
-// independent of the tenant control plane.
-type TenantAdmitter interface {
-	AdmitTenant(tenant string, r admit.Request) (v admit.Verdict, borrowed bool)
-}
-
 // Scheme is how an MS&S scheme plugs into the engine, read once per run.
-// The engine observes Monitor on every admitted arrival and routes the
-// query: onto the worker queue Balancer picks, or, with no Balancer, onto
-// the one central queue idle workers pull from. Whenever worker w is idle
-// with work in sight — its own queue, or the central queue when that is
-// empty — the engine hands the selector Monitor.Load(now) (0 with no
-// Monitor), the n queries visible and the slack of the tightest deadline a
-// batch could hold. The selector names the model and the batch size; the
+// Monitor becomes every account's rate monitor, which the dispatch core
+// observes on every admitted arrival (sched.Core.Arrive); the engine then
+// routes the query: onto the worker queue Balancer picks, or, with no
+// Balancer, onto the one central queue idle workers pull from. Whenever
+// worker w is idle with work in sight — its own queue, or the central
+// queue when that is empty — the engine hands the selector the head
+// query's account load (Monitor's reading; 0 with no Monitor), the n
+// queries visible and the slack of the tightest deadline a batch could
+// hold. The selector names the model and the batch size; the
 // shared dispatch core (internal/sched) validates the answer, applies the
 // degrade clamp and caps the batch, and the engine pops what is left.
 type Scheme struct {
@@ -287,7 +281,7 @@ type Engine struct {
 	// FairAdmit, when set, replaces Admit with per-tenant weighted-fair
 	// admission (internal/tenant's FairAdmitter) and enables per-tenant
 	// metrics.
-	FairAdmit TenantAdmitter
+	FairAdmit sched.Admitter
 	// Traces, when set, rings one trace fragment per completed (or shed)
 	// query, process "sim", with the same span stages the serve plane
 	// records. Trace IDs are derived from query IDs ("sim-<id>"), never from
@@ -318,7 +312,10 @@ type Engine struct {
 	accts        []*account
 	last         *account // the account resolved last, almost always the next one too
 	trackTenants bool     // per-tenant accounting enabled for this run
-	win          window   // the queue under decision, as the core sees it
+	// traceArrivals marks a run whose admission records need trace IDs: an
+	// admitter screens arrivals and the core is attributing.
+	traceArrivals bool
+	win           window // the queue under decision, as the core sees it
 }
 
 // account is one tenant's sched.Account with the tally Metrics reports.
@@ -383,7 +380,7 @@ func (e *Engine) account(tenant string) *account {
 		}
 	}
 	a := &account{Account: sched.NewAccount(e.Telemetry, tenant, e.sloFor(tenant), nil)}
-	a.Degrade = e.Degrade
+	a.Degrade, a.Monitor = e.Degrade, e.scheme.Monitor
 	e.accts = append(e.accts, a)
 	e.last = a
 	return a
@@ -414,17 +411,14 @@ func (e *Engine) begin() {
 	}
 }
 
-// route observes an admitted arrival on the scheme's monitor and queues it:
-// on the worker the balancer picks, else centrally. The balancer sees every
-// worker's outstanding work — queued plus in-service queries. In-service
-// queries must count: under maximal batching a busy worker's queue reads
-// empty the moment it pops, and a balancer looking at queued work alone
-// would keep stacking arrivals on it while idle workers starve. Simulated
-// workers never fail, so the health mask is nil.
-func (e *Engine) route(now float64, q Query) {
-	if e.scheme.Monitor != nil {
-		e.scheme.Monitor.Observe(now)
-	}
+// route queues an admitted arrival: on the worker the balancer picks, else
+// centrally. The balancer sees every worker's outstanding work — queued
+// plus in-service queries. In-service queries must count: under maximal
+// batching a busy worker's queue reads empty the moment it pops, and a
+// balancer looking at queued work alone would keep stacking arrivals on it
+// while idle workers starve. Simulated workers never fail, so the health
+// mask is nil.
+func (e *Engine) route(q Query) {
 	if e.scheme.Balancer == nil {
 		e.central = append(e.central, q)
 		return
@@ -533,7 +527,7 @@ func (e *Engine) RunQueries(queries []Query) Metrics {
 	e.metrics = Metrics{ModelCounts: map[string]int{}}
 	e.latHist = telemetry.NewHistogram(telemetry.DefaultLatencyBuckets())
 	cfg := sched.Config{
-		Profiles:  e.WorkerProfiles,
+		Profiles: e.WorkerProfiles, Admit: e.FairAdmit,
 		Telemetry: e.Telemetry, Decisions: e.Decisions,
 		Traces: e.Traces, TraceWriter: e.TraceWriter, Process: "sim",
 	}
@@ -541,15 +535,14 @@ func (e *Engine) RunQueries(queries []Query) Metrics {
 		e.one[0] = e.Profiles
 		cfg.Profiles = e.one[:]
 	}
-	if e.FairAdmit != nil {
-		cfg.AdmitPolicy = "fair"
-	} else if e.Admit != nil {
-		cfg.AdmitPolicy = e.Admit.Name()
+	if cfg.Admit == nil {
+		cfg.Admit = sched.Plain(e.Admit)
 	}
 	e.core = sched.New(cfg)
+	e.traceArrivals = cfg.Admit != nil && e.core.Attributing()
 	sched.WireDegrade(e.Telemetry, e.Degrade)
 	for _, a := range e.accts {
-		a.m, a.SLO, a.Degrade = Tally{}, e.sloFor(a.Name), e.Degrade
+		a.m, a.SLO, a.Degrade, a.Monitor = Tally{}, e.sloFor(a.Name), e.Degrade, e.scheme.Monitor
 	}
 	e.events.reset(e.Workers)
 	ai := 0
@@ -564,8 +557,8 @@ func (e *Engine) RunQueries(queries []Query) Metrics {
 		case haveArrival && (!haveEvent || nextArrival <= e.events.nextTime()):
 			q := queries[ai]
 			ai++
-			if e.admit(q) {
-				e.route(nextArrival, q)
+			if e.arrive(q) {
+				e.route(q)
 			}
 			e.dispatchIdle(nextArrival)
 		case haveEvent:
@@ -590,10 +583,10 @@ func (e *Engine) RunQueries(queries []Query) Metrics {
 	}
 }
 
-// totalOutstanding counts every query admitted but not yet completed:
-// central queue, worker queues, and in-flight batches. This is the backlog
-// the admitter's wait estimate drains.
-func (e *Engine) totalOutstanding() int {
+// Outstanding counts every query admitted but not yet completed: central
+// queue, worker queues, and in-flight batches. This is the backlog the
+// admitter's wait estimate drains (sched.Backlog).
+func (e *Engine) Outstanding() int {
 	n := len(e.central)
 	for w := range e.wq {
 		n += len(e.wq[w]) + e.inflight[w]
@@ -601,32 +594,20 @@ func (e *Engine) totalOutstanding() int {
 	return n
 }
 
-// admit screens one arrival through the admission controller — FairAdmit
-// (per-tenant weighted fair) when configured, else the single-tenant Admit
-// — and has the core account the verdict. It returns true when the query
-// may be routed. With neither configured every arrival is admitted and
-// nothing is recorded.
-func (e *Engine) admit(q Query) bool {
-	if e.FairAdmit == nil && e.Admit == nil {
-		return true
-	}
-	in := sched.Arrival{ID: q.ID, Time: q.Arrival, Outstanding: e.totalOutstanding()}
-	if e.core.Attributing() {
+// arrive runs one arrival through the core's arrival step on its account
+// and reports whether it may be routed; a shed query counts in the
+// account's tally.
+func (e *Engine) arrive(q Query) bool {
+	in := sched.Arrival{ID: q.ID, Time: q.Arrival, Backlog: e}
+	if e.traceArrivals {
 		in.TraceID = simTraceID(q.ID)
 	}
-	req := admit.Request{Now: q.Arrival, Outstanding: in.Outstanding}
-	var v admit.Verdict
-	if e.FairAdmit != nil {
-		v, in.Borrowed = e.FairAdmit.AdmitTenant(q.Tenant, req)
-	} else {
-		v = e.Admit.Admit(req)
-	}
 	a := e.account(q.Tenant)
-	if !e.core.Admit(&a.Account, v, in) {
-		a.m.Shed++
-		return false
+	if e.core.Arrive(&a.Account, in).Admit {
+		return true
 	}
-	return true
+	a.m.Shed++
+	return false
 }
 
 // purgeExpired drops already-late queries from every queue head (FIFO
@@ -677,16 +658,13 @@ func (e *Engine) dispatchIdle(now float64) {
 func (e *Engine) dispatch(now float64, w int, q *[]Query) {
 	e.win = window{e, q}
 	n, deadline := e.core.Tightest(w, &e.win)
-	ch := sched.Choice{Now: now, Worker: w, QueueLen: n, Slack: deadline - now, Head: &e.account((*q)[0].Tenant).Account}
-	load := 0.0
-	if e.scheme.Monitor != nil {
-		load = e.scheme.Monitor.Load(now)
-	}
+	head := &e.account((*q)[0].Tenant).Account
+	ch := sched.Choice{Now: now, Worker: w, QueueLen: n, Slack: deadline - now, Load: head.Load(now), Head: head}
 	sel := e.scheme.Select
 	if e.scheme.PerWorker != nil {
 		sel = e.scheme.PerWorker[w]
 	}
-	ch.Model, ch.Batch = sel(now, load, n, ch.Slack)
+	ch.Model, ch.Batch = sel(now, ch.Load, n, ch.Slack)
 	var dec *telemetry.Decision
 	if e.core.Attributing() {
 		dec, ch.TraceID = new(telemetry.Decision), simTraceID((*q)[0].ID)

@@ -147,7 +147,7 @@ func TestRAMSISRoundRobinBalance(t *testing.T) {
 	e.begin()
 	// Route 8 arrivals without dispatching (inspect queues directly).
 	for i := 0; i < 8; i++ {
-		e.route(float64(i)*1e-6, Query{ID: i})
+		e.route(Query{ID: i})
 	}
 	for w := 0; w < workers; w++ {
 		if got := len(e.wq[w]); got != 2 {
@@ -188,14 +188,14 @@ func TestRAMSISShortestQueueFirstRouting(t *testing.T) {
 	// shortest queue.
 	e.wq[0] = []Query{{ID: 100}, {ID: 101}}
 	e.wq[1] = []Query{{ID: 102}}
-	e.route(0, Query{ID: 0})
+	e.route(Query{ID: 0})
 	if got := len(e.wq[2]); got != 1 {
 		t.Errorf("SQF routed to worker with len %d; queue lengths: %d %d %d",
 			got, len(e.wq[0]), len(e.wq[1]), len(e.wq[2]))
 	}
 	// Next arrival ties between workers 1 and 2 (len 1 each): either is
 	// acceptable, but it must not join worker 0 (len 2).
-	e.route(0, Query{ID: 1})
+	e.route(Query{ID: 1})
 	if len(e.wq[0]) != 2 {
 		t.Errorf("SQF joined the longest queue")
 	}
@@ -244,7 +244,7 @@ func TestRAMSISPowerOfTwoRouting(t *testing.T) {
 		}
 	}
 	for i := 0; i < 40; i++ {
-		e.route(float64(i)*1e-6, Query{ID: i})
+		e.route(Query{ID: i})
 	}
 	routed3 := len(e.wq[3])
 	if routed3 < 10 {

@@ -1,7 +1,6 @@
 package tenant
 
 import (
-	"fmt"
 	"sync"
 
 	"ramsis/internal/admit"
@@ -40,48 +39,6 @@ type FairConfig struct {
 	BorrowReserve int
 }
 
-// Reason classifies an admission outcome.
-type Reason string
-
-const (
-	// ReasonFair marks a query admitted within its tenant's fair share.
-	ReasonFair Reason = "fair"
-	// ReasonBorrowed marks a query over its tenant's fair share admitted
-	// from the plane's idle headroom.
-	ReasonBorrowed Reason = "borrowed"
-	// ReasonOverShare marks a query shed because its tenant exhausted its
-	// fair share and the plane had no headroom to lend.
-	ReasonOverShare Reason = "over_share"
-	// ReasonInner marks a query shed by the layered inner admitter
-	// (deadline unmeetable or queue cap) despite being within fair share.
-	ReasonInner Reason = "inner"
-	// ReasonUnknown marks a query shed because its tenant is not
-	// registered.
-	ReasonUnknown Reason = "unknown_tenant"
-)
-
-// Verdict is a tenant-aware admission decision: the layered inner
-// admitter's verdict plus the fairness outcome.
-type Verdict struct {
-	admit.Verdict
-	Tenant string
-	Reason Reason
-}
-
-// Counts aggregates one tenant's admission outcomes.
-type Counts struct {
-	Admitted  uint64 // within fair share
-	Borrowed  uint64 // admitted from idle headroom (also progress)
-	OverShare uint64 // shed: fair share exhausted, no headroom
-	InnerShed uint64 // shed by the inner admitter while within share
-}
-
-// Offered returns every decision made for the tenant.
-func (c Counts) Offered() uint64 { return c.Admitted + c.Borrowed + c.OverShare + c.InnerShed }
-
-// Shed returns the rejected total.
-func (c Counts) Shed() uint64 { return c.OverShare + c.InnerShed }
-
 // bucket is one tenant's token bucket. Tokens refill at the tenant's
 // fair-share rate and cap at burst; an admit spends one token.
 type bucket struct {
@@ -89,7 +46,6 @@ type bucket struct {
 	burst  float64 // max tokens
 	tokens float64
 	last   float64 // modeled seconds of the last refill
-	counts Counts
 }
 
 func (b *bucket) refill(now float64) {
@@ -172,7 +128,6 @@ func (f *FairAdmitter) rebuild(now float64) {
 		if old, ok := f.buckets[t.Name]; ok {
 			old.refill(now)
 			b.tokens = old.tokens
-			b.counts = old.counts
 			if b.tokens > b.burst {
 				b.tokens = b.burst
 			}
@@ -194,8 +149,10 @@ func (f *FairAdmitter) rebuild(now float64) {
 }
 
 // Admit decides one arrival for the named tenant (empty name resolves to
-// DefaultName when registered).
-func (f *FairAdmitter) Admit(name string, r admit.Request) Verdict {
+// DefaultName when registered). The verdict's Reason says how: within the
+// fair share, borrowed from the plane's headroom, or shed over share, by
+// the inner admitter, or for an unknown tenant.
+func (f *FairAdmitter) Admit(name string, r admit.Request) admit.Verdict {
 	if name == "" {
 		name = DefaultName
 	}
@@ -206,16 +163,16 @@ func (f *FairAdmitter) Admit(name string, r admit.Request) Verdict {
 	}
 	b, ok := f.buckets[name]
 	if !ok {
-		return Verdict{Tenant: name, Reason: ReasonUnknown, Verdict: admit.Verdict{RetryAfter: 1}}
+		return admit.Verdict{RetryAfter: 1, Reason: admit.ReasonUnknown}
 	}
 	b.refill(r.Now)
 	f.plane.refill(r.Now)
 
 	if b.tokens >= 1 {
-		iv := f.inner.Admit(r)
-		if !iv.Admit {
-			b.counts.InnerShed++
-			return Verdict{Tenant: name, Reason: ReasonInner, Verdict: iv}
+		v := f.inner.Admit(r)
+		if !v.Admit {
+			v.Reason = admit.ReasonInner
+			return v
 		}
 		b.tokens--
 		// Fair admits are guaranteed, but they consume real capacity: let the
@@ -224,8 +181,8 @@ func (f *FairAdmitter) Admit(name string, r admit.Request) Verdict {
 		// bounded by the sum of tenant bursts and repays at the plane's idle
 		// surplus rate.
 		f.plane.tokens--
-		b.counts.Admitted++
-		return Verdict{Tenant: name, Reason: ReasonFair, Verdict: iv}
+		v.Reason = admit.ReasonFair
+		return v
 	}
 
 	// Over fair share: admit from plane headroom if any remains. The inner
@@ -236,28 +193,20 @@ func (f *FairAdmitter) Admit(name string, r admit.Request) Verdict {
 		if f.cfg.BorrowReserve > 0 {
 			br.Outstanding += f.cfg.BorrowReserve
 		}
-		iv := f.inner.Admit(br)
-		if !iv.Admit {
-			b.counts.InnerShed++
-			return Verdict{Tenant: name, Reason: ReasonInner, Verdict: iv}
+		v := f.inner.Admit(br)
+		if !v.Admit {
+			v.Reason = admit.ReasonInner
+			return v
 		}
 		f.plane.tokens--
-		b.counts.Borrowed++
-		return Verdict{Tenant: name, Reason: ReasonBorrowed, Verdict: iv}
+		v.Reason = admit.ReasonBorrowed
+		return v
 	}
-	b.counts.OverShare++
 	retry := 1.0
 	if b.rate > 0 {
 		retry = (1 - b.tokens) / b.rate
 	}
-	return Verdict{Tenant: name, Reason: ReasonOverShare, Verdict: admit.Verdict{RetryAfter: retry}}
-}
-
-// AdmitTenant is the simulator-facing view (sim.TenantAdmitter): the plain
-// admit.Verdict of a tenant-aware decision, and whether it was a borrow.
-func (f *FairAdmitter) AdmitTenant(name string, r admit.Request) (v admit.Verdict, borrowed bool) {
-	tv := f.Admit(name, r)
-	return tv.Verdict, tv.Reason == ReasonBorrowed
+	return admit.Verdict{RetryAfter: retry, Reason: admit.ReasonOverShare}
 }
 
 // Share returns the tenant's current fair-share rate in QPS (0 for an
@@ -269,31 +218,4 @@ func (f *FairAdmitter) Share(name string) float64 {
 		return b.rate
 	}
 	return 0
-}
-
-// CountsFor returns one tenant's admission outcome counters.
-func (f *FairAdmitter) CountsFor(name string) Counts {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if b, ok := f.buckets[name]; ok {
-		return b.counts
-	}
-	return Counts{}
-}
-
-// AllCounts snapshots every tenant's counters.
-func (f *FairAdmitter) AllCounts() map[string]Counts {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[string]Counts, len(f.buckets))
-	for name, b := range f.buckets {
-		out[name] = b.counts
-	}
-	return out
-}
-
-// String describes the configuration for startup logs.
-func (f *FairAdmitter) String() string {
-	return fmt.Sprintf("weighted-fair admission: capacity %.0f QPS, burst %.1fs, borrow %v, inner %s",
-		f.capacity(), f.cfg.BurstSec, !f.cfg.NoBorrow, f.inner.Name())
 }
