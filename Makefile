@@ -128,9 +128,11 @@ bench-smoke:
 # `make profile PROFILE_BENCH=BenchmarkBuildWorkerMDP` is the transition
 # build's split quoted in DESIGN.md § "Transition-probability computation",
 # `PROFILE_BENCH=BenchmarkGenerateLLM` the token generation's build / solve
-# split quoted in § "Solver performance", and
+# split quoted in § "Solver performance",
 # `PROFILE_BENCH=BenchmarkLLMStepLoop` the step loop's split quoted in
-# § "Token-level LLM workload" ("Step-loop cost").
+# § "Token-level LLM workload" ("Step-loop cost"), and
+# `PROFILE_BENCH=BenchmarkRAMSISScheduler` the scalar engine's balancer +
+# policy path ("Engine cost", beside it).
 PROFILE_BENCH ?= BenchmarkSimulatorThroughput
 
 profile:

@@ -343,7 +343,9 @@ func BenchmarkGenerateLLM(b *testing.B) {
 }
 
 // BenchmarkSimulatorThroughput measures raw discrete-event simulation speed
-// (queries per second of simulated serving, fixed-model scheduler).
+// (queries per second of simulated serving, fixed-model scheduler, central
+// queue); it reports ns/query, and `make profile` is where a query's time
+// goes.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	models := profile.ImageSet()
 	// The arrival stream is input, not the work under test: generate it
@@ -360,6 +362,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	b.StopTimer() // ReportMetric allocates: keep it out of allocs/op
 	b.ReportMetric(float64(len(arr)), "queries/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(arr)), "ns/query")
 }
 
 // BenchmarkLLMStepLoop measures the token-level simulator's step loop:
@@ -426,7 +429,9 @@ func BenchmarkBalancerPick(b *testing.B) {
 }
 
 // BenchmarkRAMSISScheduler measures end-to-end simulated serving with the
-// RAMSIS scheduler (policy lookup per decision included).
+// RAMSIS scheduler (round-robin over per-worker queues, policy lookup per
+// decision included); it reports ns/query, and `make profile
+// PROFILE_BENCH=BenchmarkRAMSISScheduler` is where a query's time goes.
 func BenchmarkRAMSISScheduler(b *testing.B) {
 	set := core.NewPolicySet(genCfg(), nil)
 	if err := set.GenerateLoads([]float64{2400}); err != nil {
@@ -442,6 +447,7 @@ func BenchmarkRAMSISScheduler(b *testing.B) {
 	}
 	b.StopTimer() // ReportMetric allocates: keep it out of allocs/op
 	b.ReportMetric(float64(len(arr)), "queries/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(arr)), "ns/query")
 }
 
 // --- Ablation benches (design choices from DESIGN.md) ---

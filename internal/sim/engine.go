@@ -12,6 +12,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"ramsis/internal/admit"
@@ -295,17 +296,30 @@ type Engine struct {
 	// latency, mirroring the serve plane's /debug/decisions ring.
 	Decisions *telemetry.DecisionBuffer
 
-	rng      *rand.Rand
-	scheme   Scheme // Sched's description, read at the start of every run
-	central  []Query
-	wq       [][]Query
-	inflight []int // queries in the batch worker w is serving; 0 when idle
-	lens     []int // the balancer's input, rebuilt per arrival
-	events   eventQueue
-	metrics  Metrics
-	latHist  *telemetry.Histogram // always on; backs the Metrics percentiles
-	core     *sched.Core          // admit, decide and finish; rebuilt every run
-	one      [1]profile.Set       // backs the core's profile list without WorkerProfiles, so a run does not allocate it
+	rng     *rand.Rand
+	scheme  Scheme // Sched's description, read at the start of every run
+	central []Query
+	wq      [][]Query
+	// inflight[w] is the batch worker w is serving, empty when it is idle.
+	// Its storage is reused batch after batch: a worker has one batch in
+	// flight, and complete is done with it before the worker is offered work
+	// again.
+	inflight [][]Query
+	// lens[w] is worker w's outstanding work, len(wq[w]) + len(inflight[w]):
+	// the balancer's input, kept current by every enqueue, dispatch,
+	// completion and drop.
+	lens        []int
+	outstanding int      // every query admitted and not yet completed or dropped
+	idle        []uint64 // bit w set while worker w has no batch in flight
+	// counts[s][m] is the queries served on model m of profile set s (one
+	// set, or one per worker with WorkerProfiles, whose sets need not list
+	// the models alike); finishMetrics folds it into ModelCounts.
+	counts  [][]int
+	events  eventQueue
+	metrics Metrics
+	latHist *telemetry.Histogram // always on; backs the Metrics percentiles
+	core    *sched.Core          // admit, decide and finish; rebuilt every run
+	one     [1]profile.Set       // backs the core's profile list without WorkerProfiles, so a run does not allocate it
 	// accts are the accounts in first-arrival order: one per tenant label
 	// when tenants are tracked, else the single unnamed one. They outlive a
 	// run, so a reused engine never registers a tenant's SLO gauges twice.
@@ -391,7 +405,7 @@ func NewEngine(profiles profile.Set, slo float64, workers int, lat LatencyModel,
 	if workers < 1 {
 		panic(fmt.Sprintf("sim: invalid worker count %d", workers))
 	}
-	return &Engine{
+	e := &Engine{
 		Profiles: profiles,
 		SLO:      slo,
 		Workers:  workers,
@@ -399,36 +413,89 @@ func NewEngine(profiles profile.Set, slo float64, workers int, lat LatencyModel,
 		Sched:    sched,
 		rng:      rand.New(rand.NewSource(seed)),
 		wq:       make([][]Query, workers),
-		inflight: make([]int, workers),
+		inflight: make([][]Query, workers),
+		lens:     make([]int, workers),
+		idle:     make([]uint64, (workers+63)/64),
 	}
+	for w := 0; w < workers; w++ {
+		e.idle[w/64] |= 1 << (w % 64)
+	}
+	return e
 }
 
-// begin reads the scheme for a run.
+// begin sets a run up: it reads the scheme, builds the dispatch core and
+// resets the metrics and the accounts' tallies.
 func (e *Engine) begin() {
 	e.scheme = e.Sched.Scheme(e.Profiles)
-	if e.scheme.Balancer != nil && e.lens == nil {
-		e.lens = make([]int, e.Workers)
+	e.trackTenants = e.TenantSLOs != nil || e.FairAdmit != nil
+	e.metrics = Metrics{ModelCounts: map[string]int{}}
+	e.latHist = telemetry.NewHistogram(telemetry.DefaultLatencyBuckets())
+	cfg := sched.Config{
+		Profiles: e.WorkerProfiles, Admit: e.FairAdmit,
+		Telemetry: e.Telemetry, Decisions: e.Decisions,
+		Traces: e.Traces, TraceWriter: e.TraceWriter, Process: "sim",
 	}
+	if cfg.Profiles == nil {
+		e.one[0] = e.Profiles
+		cfg.Profiles = e.one[:]
+	}
+	if cfg.Admit == nil {
+		cfg.Admit = sched.Plain(e.Admit)
+	}
+	e.core = sched.New(cfg)
+	e.traceArrivals = cfg.Admit != nil && e.core.Attributing()
+	sched.WireDegrade(e.Telemetry, e.Degrade)
+	for _, a := range e.accts {
+		a.m, a.SLO, a.Degrade, a.Monitor = Tally{}, e.sloFor(a.Name), e.Degrade, e.scheme.Monitor
+	}
+	e.counts = e.counts[:0]
+	for _, set := range cfg.Profiles {
+		e.counts = append(e.counts, make([]int, set.Len()))
+	}
+	e.events.reset(e.Workers)
 }
 
-// route queues an admitted arrival: on the worker the balancer picks, else
-// centrally. The balancer sees every worker's outstanding work — queued
-// plus in-service queries. In-service queries must count: under maximal
-// batching a busy worker's queue reads empty the moment it pops, and a
-// balancer looking at queued work alone would keep stacking arrivals on it
-// while idle workers starve. Simulated workers never fail, so the health
-// mask is nil.
-func (e *Engine) route(q Query) {
+// route queues an admitted arrival — on the worker the balancer picks, else
+// centrally — and returns the one worker that may start it now: the
+// balancer's pick, or for the central queue the lowest-index idle worker
+// (-1 when every worker is busy). The balancer sees every worker's
+// outstanding work — queued plus in-service queries. In-service queries
+// must count: under maximal batching a busy worker's queue reads empty the
+// moment it pops, and a balancer looking at queued work alone would keep
+// stacking arrivals on it while idle workers starve. Simulated workers
+// never fail, so the health mask is nil.
+func (e *Engine) route(q Query) int {
 	if e.scheme.Balancer == nil {
 		e.central = append(e.central, q)
-		return
+		e.outstanding++
+		return e.firstIdle()
 	}
-	lens := e.lens
-	for w := range e.wq {
-		lens[w] = len(e.wq[w]) + e.inflight[w]
-	}
-	w := e.scheme.Balancer.Pick(lens, nil)
+	w := e.scheme.Balancer.Pick(e.lens, nil)
+	e.enqueue(w, q)
+	return w
+}
+
+// enqueue appends q to worker w's queue.
+func (e *Engine) enqueue(w int, q Query) {
 	e.wq[w] = append(e.wq[w], q)
+	e.lens[w]++
+	e.outstanding++
+}
+
+// firstIdle returns the lowest-index worker with no batch in flight, or -1.
+func (e *Engine) firstIdle() int {
+	for i, word := range e.idle {
+		if word != 0 {
+			return i*64 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
+}
+
+// pop removes q's first n queries by copying the rest to the front, so the
+// queue keeps its storage and the appends that follow do not reallocate.
+func pop(q *[]Query, n int) {
+	*q = (*q)[:copy(*q, (*q)[n:])]
 }
 
 // event is a batch completion.
@@ -523,76 +590,38 @@ func (e *Engine) Run(arrivals []float64) Metrics {
 // the aggregated metrics. Run is the unlabeled convenience wrapper.
 func (e *Engine) RunQueries(queries []Query) Metrics {
 	e.begin()
-	e.trackTenants = e.TenantSLOs != nil || e.FairAdmit != nil
-	e.metrics = Metrics{ModelCounts: map[string]int{}}
-	e.latHist = telemetry.NewHistogram(telemetry.DefaultLatencyBuckets())
-	cfg := sched.Config{
-		Profiles: e.WorkerProfiles, Admit: e.FairAdmit,
-		Telemetry: e.Telemetry, Decisions: e.Decisions,
-		Traces: e.Traces, TraceWriter: e.TraceWriter, Process: "sim",
+	for rest, more := queries, true; more; {
+		rest, more = e.step(rest)
 	}
-	if cfg.Profiles == nil {
-		e.one[0] = e.Profiles
-		cfg.Profiles = e.one[:]
-	}
-	if cfg.Admit == nil {
-		cfg.Admit = sched.Plain(e.Admit)
-	}
-	e.core = sched.New(cfg)
-	e.traceArrivals = cfg.Admit != nil && e.core.Attributing()
-	sched.WireDegrade(e.Telemetry, e.Degrade)
-	for _, a := range e.accts {
-		a.m, a.SLO, a.Degrade, a.Monitor = Tally{}, e.sloFor(a.Name), e.Degrade, e.scheme.Monitor
-	}
-	e.events.reset(e.Workers)
-	ai := 0
-	for {
-		var nextArrival float64
-		haveArrival := ai < len(queries)
-		if haveArrival {
-			nextArrival = queries[ai].Arrival
+	e.finishMetrics()
+	return e.metrics
+}
+
+// step handles the next event — the arrival at the head of rest, or the
+// earliest batch completion, the arrival first on a tie — and returns the
+// arrivals still to come; false when there was no event left.
+func (e *Engine) step(rest []Query) ([]Query, bool) {
+	switch {
+	case len(rest) > 0 && (e.events.len() == 0 || rest[0].Arrival <= e.events.nextTime()):
+		q, w := rest[0], -1
+		if e.arrive(q) {
+			w = e.route(q)
 		}
-		haveEvent := e.events.len() > 0
-		switch {
-		case haveArrival && (!haveEvent || nextArrival <= e.events.nextTime()):
-			q := queries[ai]
-			ai++
-			if e.arrive(q) {
-				e.route(q)
-			}
-			e.dispatchIdle(nextArrival)
-		case haveEvent:
-			ev := e.events.pop()
-			e.complete(ev)
-			e.inflight[ev.worker] = 0
-			e.dispatchIdle(ev.time)
-		default:
-			// No arrivals or events left; any queued queries are unserved
-			// (schedulers normally never leave work behind).
-			for _, q := range e.central {
-				e.account(q.Tenant).m.Unserved++
-			}
-			for _, left := range e.wq {
-				for _, q := range left {
-					e.account(q.Tenant).m.Unserved++
-				}
-			}
-			e.finishMetrics()
-			return e.metrics
-		}
+		e.offer(q.Arrival, w)
+		return rest[1:], true
+	case e.events.len() > 0:
+		ev := e.events.pop()
+		e.complete(ev)
+		e.offer(ev.time, ev.worker)
+		return rest, true
 	}
+	return rest, false
 }
 
 // Outstanding counts every query admitted but not yet completed: central
 // queue, worker queues, and in-flight batches. This is the backlog the
 // admitter's wait estimate drains (sched.Backlog).
-func (e *Engine) Outstanding() int {
-	n := len(e.central)
-	for w := range e.wq {
-		n += len(e.wq[w]) + e.inflight[w]
-	}
-	return n
-}
+func (e *Engine) Outstanding() int { return e.outstanding }
 
 // arrive runs one arrival through the core's arrival step on its account
 // and reports whether it may be routed; a shed query counts in the
@@ -614,41 +643,58 @@ func (e *Engine) arrive(q Query) bool {
 // order puts the oldest deadlines in front; with per-tenant SLOs the heads
 // are checked against their own deadlines).
 func (e *Engine) purgeExpired(now float64) {
-	drop := func(q *[]Query) {
-		for len(*q) > 0 {
-			a := e.account((*q)[0].Tenant)
-			if (*q)[0].Arrival+a.SLO >= now {
-				return
-			}
-			a.m.Dropped++
-			*q = (*q)[1:]
-		}
-	}
-	drop(&e.central)
+	e.outstanding -= e.dropExpired(&e.central, now)
 	for w := range e.wq {
-		drop(&e.wq[w])
+		n := e.dropExpired(&e.wq[w], now)
+		e.lens[w] -= n
+		e.outstanding -= n
 	}
 }
 
-// dispatchIdle offers work to every idle worker: a worker serves its own
-// queue, and the central queue when that is empty. One pass suffices —
-// dispatching only ever removes queued work, so a worker that found none
-// on its turn would find none on a second.
-func (e *Engine) dispatchIdle(now float64) {
+// dropExpired drops q's late head queries, counting each on its account,
+// and returns how many it dropped.
+func (e *Engine) dropExpired(q *[]Query, now float64) int {
+	n := 0
+	for ; n < len(*q); n++ {
+		a := e.account((*q)[n].Tenant)
+		if (*q)[n].Arrival+a.SLO >= now {
+			break
+		}
+		a.m.Dropped++
+	}
+	if n > 0 {
+		pop(q, n)
+	}
+	return n
+}
+
+// offer ends an event at now: under DropExpired it purges late queries,
+// then it offers work to w, the one worker whose work in sight the event
+// changed (-1 for none). An idle worker serves its own queue, and the
+// central queue when that is empty.
+//
+// One worker suffices because every event ends with no idle worker having
+// work in sight: its own queue is empty, and the central queue is empty
+// whenever any worker is idle. An event changes what one worker sees — an
+// arrival joins the queue of the worker the balancer picked, or the central
+// queue, which the lowest-index idle worker is first to see; a completion
+// idles the worker that finished — a purge only removes work, and
+// sched.Core.Decide always starts at least one query. So a scan over every
+// worker in index order would find only w, with the same decision and the
+// same latency draw.
+func (e *Engine) offer(now float64, w int) {
 	if e.DropExpired {
 		e.purgeExpired(now)
 	}
-	for w := 0; w < e.Workers; w++ {
-		if e.inflight[w] > 0 {
-			continue
-		}
-		q := &e.wq[w]
-		if len(*q) == 0 {
-			q = &e.central
-		}
-		if len(*q) > 0 {
-			e.dispatch(now, w, q)
-		}
+	if w < 0 || len(e.inflight[w]) > 0 {
+		return
+	}
+	q := &e.wq[w]
+	if len(*q) == 0 {
+		q = &e.central
+	}
+	if len(*q) > 0 {
+		e.dispatch(now, w, q)
 	}
 }
 
@@ -678,9 +724,13 @@ func (e *Engine) dispatch(now float64, w int, q *[]Query) {
 	}
 	p := e.core.Profile(w, pick.Model)
 	lat := e.Latency.Latency(*p, pick.Batch, e.rng)
-	e.inflight[w] = pick.Batch
-	batch := append([]Query(nil), (*q)[:pick.Batch]...)
-	*q = (*q)[pick.Batch:]
+	batch := append(e.inflight[w][:0], (*q)[:pick.Batch]...)
+	e.inflight[w] = batch
+	pop(q, pick.Batch)
+	if q == &e.central {
+		e.lens[w] += pick.Batch
+	}
+	e.idle[w/64] &^= 1 << (w % 64)
 	e.events.push(event{time: now + lat, start: now, worker: w, queries: batch, model: pick.Model, dec: dec})
 	if e.RecordDecisions {
 		e.metrics.DecisionLog = append(e.metrics.DecisionLog, DecisionRecord{
@@ -694,14 +744,20 @@ func (e *Engine) dispatch(now float64, w int, q *[]Query) {
 	}
 }
 
-// complete records a finished batch: the core accounts it and judges every
-// query; the engine folds the outcomes into its Metrics.
+// complete records a finished batch and idles its worker: the core accounts
+// the batch and judges every query; the engine folds the outcomes into its
+// Metrics.
 func (e *Engine) complete(ev event) {
-	p := e.core.Profile(ev.worker, ev.model)
-	pick := sched.Pick{Model: ev.model, Batch: len(ev.queries)}
-	fin := e.core.Finish(pick, ev.dec, ev.worker, ev.time-ev.start, ev.time, true)
+	w, n := ev.worker, len(ev.queries)
+	p := e.core.Profile(w, ev.model)
+	pick := sched.Pick{Model: ev.model, Batch: n}
+	fin := e.core.Finish(pick, ev.dec, w, ev.time-ev.start, ev.time, true)
 	e.metrics.Decisions++
-	e.metrics.ModelCounts[p.Name] += len(ev.queries)
+	if len(e.counts) == 1 {
+		e.counts[0][ev.model] += n
+	} else {
+		e.counts[w][ev.model] += n
+	}
 	var batchWait *telemetry.Histogram
 	if tel := e.core.Series(); tel != nil {
 		tel.Stage[telemetry.StageInference].Observe(ev.time - ev.start)
@@ -737,13 +793,34 @@ func (e *Engine) complete(ev event) {
 			})
 		}
 	}
+	e.inflight[w] = ev.queries[:0]
+	e.lens[w] -= n
+	e.outstanding -= n
+	e.idle[w/64] |= 1 << (w % 64)
 }
 
-// finishMetrics sums the accounts into the run totals and fills the
-// latency percentile fields: exact when every latency was collected,
+// finishMetrics ends a run: queries still queued count as unserved
+// (schedulers normally never leave work behind), the per-model counts fold
+// into ModelCounts, the accounts sum into the run totals, and the latency
+// percentile fields are filled — exact when every latency was collected,
 // histogram-approximated otherwise.
 func (e *Engine) finishMetrics() {
+	for _, q := range e.central {
+		e.account(q.Tenant).m.Unserved++
+	}
+	for _, left := range e.wq {
+		for _, q := range left {
+			e.account(q.Tenant).m.Unserved++
+		}
+	}
 	m := &e.metrics
+	for s, counts := range e.counts {
+		for mi, n := range counts {
+			if n > 0 {
+				m.ModelCounts[e.core.Profile(s, mi).Name] += n
+			}
+		}
+	}
 	if e.trackTenants {
 		m.Tenants = map[string]*Tally{}
 	}

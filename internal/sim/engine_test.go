@@ -1,11 +1,16 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"ramsis/internal/admit"
+	"ramsis/internal/lb"
+	"ramsis/internal/monitor"
 	"ramsis/internal/profile"
+	"ramsis/internal/sched"
 	"ramsis/internal/telemetry"
 	"ramsis/internal/trace"
 )
@@ -212,6 +217,217 @@ func TestDropExpiredLeavesTimelyQueries(t *testing.T) {
 	if m.Dropped != 0 || m.Served != 4 || m.Violations != 0 {
 		t.Errorf("timely workload affected by DropExpired: %+v", m)
 	}
+}
+
+// shortestChecked is JSQ that checks, at every pick, that the worker it
+// picked has a truly shortest backlog: lengths left stale by a drop would
+// misroute it.
+type shortestChecked struct {
+	t     *testing.T
+	e     *Engine
+	picks int
+}
+
+func (s *shortestChecked) Name() string { return "jsq" }
+
+func (s *shortestChecked) Pick(lens []int, healthy []bool) int {
+	w := lb.NewJoinShortestQueue().Pick(lens, healthy)
+	shortest := math.MaxInt
+	for v := range s.e.wq {
+		shortest = min(shortest, len(s.e.wq[v])+len(s.e.inflight[v]))
+	}
+	if got := len(s.e.wq[w]) + len(s.e.inflight[w]); got != shortest {
+		s.t.Errorf("pick %d: JSQ joined worker %d with %d outstanding, shortest has %d", s.picks, w, got, shortest)
+	}
+	s.picks++
+	return w
+}
+
+// TestDropExpiredWithJSQ: drops from worker queues leave the balancer's
+// lengths current. Three workers on the slowest model, one query at a
+// time, take a burst that outlasts the SLO; worker 0 is three times slower,
+// so most drops come off its queue, and JSQ must still join the shortest
+// queue after every purge. Every query is served or dropped.
+func TestDropExpiredWithJSQ(t *testing.T) {
+	ps := imageProfiles()
+	slow, _ := indexOf(ps, "efficientnet_v2_s")
+	arr := make([]float64, 400)
+	for i := range arr {
+		arr[i] = float64(i) * 0.004
+	}
+	bal := &shortestChecked{t: t}
+	e := NewEngine(ps, 0.300, 3, Deterministic{}, fixedModelLB(ps.Profiles[slow].Name, bal), 1)
+	bal.e = e
+	e.WorkerProfiles = []profile.Set{ps.ScaleLatency(3), ps, ps}
+	e.DropExpired = true
+	m := e.Run(arr)
+	if m.Dropped == 0 {
+		t.Fatal("no drops: the burst never overloaded the workers")
+	}
+	if m.Served+m.Dropped != len(arr) || m.Shed != 0 || m.Unserved != 0 {
+		t.Errorf("served %d + dropped %d != offered %d (shed %d, unserved %d)", m.Served, m.Dropped, len(arr), m.Shed, m.Unserved)
+	}
+	if bal.picks != len(arr) {
+		t.Errorf("balancer picked %d times for %d arrivals", bal.picks, len(arr))
+	}
+}
+
+// TestModelCountsWithReorderedWorkerSets: the run counts queries per model
+// index of each worker's own set, so a worker whose set lists the models in
+// another order still credits the model it ran.
+func TestModelCountsWithReorderedWorkerSets(t *testing.T) {
+	ps := imageProfiles()
+	rev := profile.Set{Task: ps.Task}
+	for i := ps.Len() - 1; i >= 0; i-- {
+		rev.Profiles = append(rev.Profiles, ps.Profiles[i])
+	}
+	e := NewEngine(ps, 0.150, 2, Deterministic{}, &FixedModel{Model: 0, MaxBatch: 4}, 1)
+	e.WorkerProfiles = []profile.Set{ps, rev}
+	m := e.Run(trace.PoissonArrivals(trace.Constant(200, 2), 5))
+	name := ps.Profiles[0].Name
+	if len(m.ModelCounts) != 1 || m.ModelCounts[name] != m.Served {
+		t.Errorf("model counts %v, want all %d served on %s", m.ModelCounts, m.Served, name)
+	}
+}
+
+// fitSlack serves the whole visible queue on the most accurate model whose
+// batch latency fits the slack, else on the fastest, so batch sizes and
+// models change from one dispatch to the next.
+func fitSlack(models profile.Set) sched.Selector {
+	return func(_, _ float64, n int, slack float64) (string, int) {
+		best := models.Fastest()
+		for _, p := range models.Profiles {
+			if p.BatchLatency(min(n, p.MaxBatch())) <= slack && p.Accuracy > best.Accuracy {
+				best = p
+			}
+		}
+		return best.Name, n
+	}
+}
+
+// jellyfishPlus is internal/baselines' Jellyfish+ (which imports this
+// package): on the central queue, the most accurate model whose throughput
+// within half the SLO on every worker covers the monitored load, at the
+// largest batch that stays within half the SLO.
+func jellyfishPlus(models profile.Set, slo float64, workers int) Scheme {
+	sel := func(_, load float64, _ int, _ float64) (string, int) {
+		best := models.Fastest()
+		for _, p := range models.Profiles {
+			fits := p.BatchLatency(1) <= slo/2 && float64(workers)*p.ThroughputWithin(slo/2) >= load
+			if fits && p.Accuracy > best.Accuracy {
+				best = p
+			}
+		}
+		return best.Name, max(best.MaxBatchWithin(slo/2), 1)
+	}
+	return Scheme{Monitor: monitor.NewMovingAverage(0.5), Select: sel}
+}
+
+// TestEngineEventLocalDispatch steps the engine one event at a time over a
+// grid of routing, latency noise, DropExpired and admission and checks,
+// after every event, what offering work to one worker per event rests on:
+// every lens entry is its worker's queue plus its batch in flight; no idle
+// worker has work in sight (its own queue, or the central queue); the
+// running Outstanding matches a recount; an event starts at most one batch;
+// and a batch from the central queue goes to the lowest-index worker that
+// was idle, the order a scan over every worker would take.
+func TestEngineEventLocalDispatch(t *testing.T) {
+	models := imageProfiles()
+	const slo = 0.150
+	schemes := []struct {
+		name    string
+		central bool
+		scheme  func(workers int) Scheme
+	}{
+		{"rr", false, func(int) Scheme { return Scheme{Balancer: lb.NewRoundRobin(), Select: fitSlack(models)} }},
+		{"jsq", false, func(int) Scheme { return Scheme{Balancer: lb.NewJoinShortestQueue(), Select: fitSlack(models)} }},
+		{"p2c", false, func(int) Scheme { return Scheme{Balancer: lb.NewPowerOfTwoChoices(3), Select: fitSlack(models)} }},
+		{"fixed", true, func(int) Scheme { return (&FixedModel{Model: 0, MaxBatch: 8}).Scheme(models) }},
+		{"jellyfish", true, func(workers int) Scheme { return jellyfishPlus(models, slo, workers) }},
+	}
+	var dropped, shed int
+	for _, workers := range []int{1, 3, 80} {
+		// Lulls let workers idle; bursts past capacity build queues long
+		// enough to expire and to hit the cap.
+		c := float64(workers) * models.Fastest().ThroughputWithin(slo/2)
+		tr := trace.Trace{IntervalSec: 0.5, QPS: []float64{0.3 * c, 3 * c, 0.1 * c, 2 * c}}
+		arr := trace.PoissonArrivals(tr, int64(workers))
+		for _, sc := range schemes {
+			for _, lat := range []LatencyModel{Deterministic{}, Stochastic{StdDev: 0.010}} {
+				for _, drop := range []bool{false, true} {
+					for _, capped := range []bool{false, true} {
+						name := fmt.Sprintf("%dw/%s/%T/drop=%v/cap=%v", workers, sc.name, lat, drop, capped)
+						e := NewEngine(models, slo, workers, lat, sc.scheme(workers), 7)
+						e.DropExpired, e.RecordDecisions = drop, true
+						if capped {
+							e.Admit = admit.Cap{Limit: 4 * workers}
+						}
+						if err := stepChecked(e, arr, sc.central); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						m := e.metrics
+						if m.Served+m.Dropped+m.Shed != len(arr) || m.Unserved != 0 || e.Outstanding() != 0 {
+							t.Fatalf("%s: served %d + dropped %d + shed %d of %d, unserved %d, outstanding %d",
+								name, m.Served, m.Dropped, m.Shed, len(arr), m.Unserved, e.Outstanding())
+						}
+						dropped += m.Dropped
+						shed += m.Shed
+					}
+				}
+			}
+		}
+	}
+	if dropped == 0 || shed == 0 {
+		t.Errorf("grid dropped %d and shed %d queries: the purge or the cap path went unexercised", dropped, shed)
+	}
+}
+
+// stepChecked runs arr through e one event at a time, checking the
+// event-local dispatch invariants after each.
+func stepChecked(e *Engine, arr []float64, central bool) error {
+	queries := make([]Query, len(arr))
+	for i, at := range arr {
+		queries[i] = Query{ID: i, Arrival: at}
+	}
+	e.begin()
+	for rest, more, ev := queries, true, 0; more; ev++ {
+		lowestIdle := e.Workers
+		for w := range e.inflight {
+			if len(e.inflight[w]) == 0 {
+				lowestIdle = w
+				break
+			}
+		}
+		logged := len(e.metrics.DecisionLog)
+		rest, more = e.step(rest)
+		switch started := e.metrics.DecisionLog[logged:]; {
+		case len(started) > 1:
+			return fmt.Errorf("event %d started %d batches", ev, len(started))
+		case len(started) == 1 && central && started[0].Worker > lowestIdle:
+			return fmt.Errorf("event %d: central batch went to worker %d, worker %d was idle", ev, started[0].Worker, lowestIdle)
+		}
+		n, idle := len(e.central), false
+		for w := range e.wq {
+			if got, want := e.lens[w], len(e.wq[w])+len(e.inflight[w]); got != want {
+				return fmt.Errorf("event %d: lens[%d] = %d, queued + in flight = %d", ev, w, got, want)
+			}
+			n += e.lens[w]
+			if len(e.inflight[w]) == 0 {
+				idle = true
+				if len(e.wq[w]) > 0 {
+					return fmt.Errorf("event %d: worker %d idle with %d queued", ev, w, len(e.wq[w]))
+				}
+			}
+		}
+		if idle && len(e.central) > 0 {
+			return fmt.Errorf("event %d: a worker is idle with %d queued centrally", ev, len(e.central))
+		}
+		if got := e.Outstanding(); got != n {
+			return fmt.Errorf("event %d: Outstanding() = %d, recount %d", ev, got, n)
+		}
+	}
+	e.finishMetrics()
+	return nil
 }
 
 func TestMetricsLatencyPercentiles(t *testing.T) {

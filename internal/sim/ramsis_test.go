@@ -186,8 +186,9 @@ func TestRAMSISShortestQueueFirstRouting(t *testing.T) {
 	e.begin()
 	// Pre-load queues unevenly, then route: the arrival must join the
 	// shortest queue.
-	e.wq[0] = []Query{{ID: 100}, {ID: 101}}
-	e.wq[1] = []Query{{ID: 102}}
+	e.enqueue(0, Query{ID: 100})
+	e.enqueue(0, Query{ID: 101})
+	e.enqueue(1, Query{ID: 102})
 	e.route(Query{ID: 0})
 	if got := len(e.wq[2]); got != 1 {
 		t.Errorf("SQF routed to worker with len %d; queue lengths: %d %d %d",
@@ -240,7 +241,7 @@ func TestRAMSISPowerOfTwoRouting(t *testing.T) {
 	// empty worker takes a clear plurality.
 	for i := 0; i < 5; i++ {
 		for w := 0; w < 3; w++ {
-			e.wq[w] = append(e.wq[w], Query{ID: 100*(w+1) + i})
+			e.enqueue(w, Query{ID: 100*(w+1) + i})
 		}
 	}
 	for i := 0; i < 40; i++ {
