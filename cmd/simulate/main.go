@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"log"
@@ -76,9 +77,29 @@ func run(_ context.Context, args []string, stdout io.Writer) error {
 	case "scalar":
 		return o.runScalar()
 	case "llm":
+		var unread []string
+		fs.Visit(func(f *flag.Flag) {
+			if llmUnread[f.Name] {
+				unread = append(unread, "-"+f.Name)
+			}
+		})
+		if unread != nil {
+			return fmt.Errorf("-workload llm does not read %s", strings.Join(unread, ", "))
+		}
 		return o.runLLM()
 	}
 	return fmt.Errorf("unknown -workload %q (want scalar or llm)", o.Workload)
+}
+
+// llmUnread are the flags runLLM does not read: the scalar model set and
+// policy sources, latency noise, balancing, admission, tenants and
+// adaptation. Setting one with -workload llm is an error, not a silent
+// no-op.
+var llmUnread = map[string]bool{
+	"task": true, "d": true, "policy": true, "ms-table": true, "noise": true, "lb": true,
+	"maxqueue": true, "admit": true, "admit-margin": true, "admit-degrade": true,
+	"tenants": true, "tenant-mult": true,
+	"adapt": true, "adapt-band": true, "adapt-dwell": true, "adapt-bucket": true,
 }
 
 // loadTrace builds the -trace query trace for both workloads.

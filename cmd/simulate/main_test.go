@@ -154,6 +154,8 @@ func TestErrorsReturn(t *testing.T) {
 		"-adapt":         "-m JF -adapt",
 		"-solver":        "-solver pi",
 		"-agg-queue":     "-agg-queue 8",
+		"-lb":            "-workload llm -lb jsq",
+		"-noise":         "-workload llm -m Fixed -noise 10",
 	} {
 		err := run(context.Background(), strings.Fields(args), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), flagName) {

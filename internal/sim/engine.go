@@ -8,6 +8,8 @@
 // unchanged here and in internal/serve's frontend, and both drivers share
 // the arrive / decide / finish core in internal/sched, mirroring the
 // paper's shared implementation.
+// One event loop serves both worker kinds: a scalar worker runs batches the
+// selector sizes, a token worker (LLMEngine) an llm.Batcher's steps.
 package sim
 
 import (
@@ -26,8 +28,9 @@ import (
 
 // Query is one inference request.
 type Query struct {
-	ID      int
-	Arrival float64 // seconds from trace start
+	ID              int
+	Arrival         float64 // seconds from trace start
+	Prefill, Decode int     // a token query's prompt and output tokens; scalar workers ignore them
 	// Tenant labels the query's owner in multi-tenant runs; empty in
 	// single-tenant workloads (the N=1 special case).
 	Tenant string
@@ -300,14 +303,14 @@ type Engine struct {
 	scheme  Scheme // Sched's description, read at the start of every run
 	central []Query
 	wq      [][]Query
-	// inflight[w] is the batch worker w is serving, empty when it is idle.
-	// Its storage is reused batch after batch: a worker has one batch in
-	// flight, and complete is done with it before the worker is offered work
-	// again.
-	inflight [][]Query
-	// lens[w] is worker w's outstanding work, len(wq[w]) + len(inflight[w]):
-	// the balancer's input, kept current by every enqueue, dispatch,
-	// completion and drop.
+	// inflight[w] is the batch worker w is serving, with no queries while it
+	// is idle. Its storage is reused batch after batch: a worker has one
+	// batch in flight, and complete is done with it before the worker is
+	// offered work again.
+	inflight []batch
+	// lens[w] is worker w's outstanding work, len(wq[w]) +
+	// len(inflight[w].queries): the balancer's input, kept current by every
+	// enqueue, dispatch, completion and drop.
 	lens        []int
 	outstanding int      // every query admitted and not yet completed or dropped
 	idle        []uint64 // bit w set while worker w has no batch in flight
@@ -330,6 +333,18 @@ type Engine struct {
 	// admitter screens arrivals and the core is attributing.
 	traceArrivals bool
 	win           window // the queue under decision, as the core sees it
+
+	tokens *tokenWorkers       // an LLMEngine's workers; nil for scalar workers
+	kind   workerKind          // the worker kind begin chose
+	reg    *telemetry.Registry // what the core and the accounts record into
+}
+
+// workerKind is what differs between the scalar kind, *Engine, and the token
+// kind, *tokenWorkers; begin chooses one per run.
+type workerKind interface {
+	enqueue(w int, q Query)   // queue an admitted query on worker w
+	start(now float64, w int) // start work on idle worker w if it has any, pushing its completion
+	complete(ev event)        // land a completion and idle its worker
 }
 
 // account is one tenant's sched.Account with the tally Metrics reports.
@@ -393,7 +408,7 @@ func (e *Engine) account(tenant string) *account {
 			return a
 		}
 	}
-	a := &account{Account: sched.NewAccount(e.Telemetry, tenant, e.sloFor(tenant), nil)}
+	a := &account{Account: sched.NewAccount(e.reg, tenant, e.sloFor(tenant), nil)}
 	a.Degrade, a.Monitor = e.Degrade, e.scheme.Monitor
 	e.accts = append(e.accts, a)
 	e.last = a
@@ -402,34 +417,30 @@ func (e *Engine) account(tenant string) *account {
 
 // NewEngine builds a simulator. Seed fixes the latency-noise stream.
 func NewEngine(profiles profile.Set, slo float64, workers int, lat LatencyModel, sched Scheduler, seed int64) *Engine {
-	if workers < 1 {
-		panic(fmt.Sprintf("sim: invalid worker count %d", workers))
-	}
-	e := &Engine{
-		Profiles: profiles,
-		SLO:      slo,
-		Workers:  workers,
-		Latency:  lat,
-		Sched:    sched,
-		rng:      rand.New(rand.NewSource(seed)),
-		wq:       make([][]Query, workers),
-		inflight: make([][]Query, workers),
-		lens:     make([]int, workers),
-		idle:     make([]uint64, (workers+63)/64),
-	}
-	for w := 0; w < workers; w++ {
-		e.idle[w/64] |= 1 << (w % 64)
-	}
+	e := &Engine{Profiles: profiles, Latency: lat, Sched: sched}
+	e.initWorkers(slo, workers)
+	e.rng = rand.New(rand.NewSource(seed))
+	e.wq, e.inflight = make([][]Query, workers), make([]batch, workers)
 	return e
 }
 
-// begin sets a run up: it reads the scheme, builds the dispatch core and
-// resets the metrics and the accounts' tallies.
+// initWorkers sets what both worker kinds keep per engine: the SLO, the
+// worker count, and every worker idle with nothing outstanding.
+func (e *Engine) initWorkers(slo float64, workers int) {
+	if workers < 1 {
+		panic(fmt.Sprintf("sim: invalid worker count %d", workers))
+	}
+	e.SLO, e.Workers = slo, workers
+	e.lens = make([]int, workers)
+	e.idle = make([]uint64, (workers+63)/64)
+	for w := 0; w < workers; w++ {
+		e.idle[w/64] |= 1 << (w % 64)
+	}
+}
+
+// begin sets a run up: it picks the worker kind, reads the scheme, builds
+// the dispatch core and resets the metrics and the accounts' tallies.
 func (e *Engine) begin() {
-	e.scheme = e.Sched.Scheme(e.Profiles)
-	e.trackTenants = e.TenantSLOs != nil || e.FairAdmit != nil
-	e.metrics = Metrics{ModelCounts: map[string]int{}}
-	e.latHist = telemetry.NewHistogram(telemetry.DefaultLatencyBuckets())
 	cfg := sched.Config{
 		Profiles: e.WorkerProfiles, Admit: e.FairAdmit,
 		Telemetry: e.Telemetry, Decisions: e.Decisions,
@@ -439,12 +450,24 @@ func (e *Engine) begin() {
 		e.one[0] = e.Profiles
 		cfg.Profiles = e.one[:]
 	}
+	e.kind = e
+	if e.tokens != nil {
+		// A batcher chooses its steps and records its queries' series: the
+		// core gets no profiles, and no registry to count them twice in.
+		e.kind, cfg.Profiles, cfg.Telemetry = e.tokens, nil, nil
+		e.tokens.begin()
+	}
+	e.reg = cfg.Telemetry
+	e.scheme = e.Sched.Scheme(e.Profiles)
+	e.trackTenants = e.TenantSLOs != nil || e.FairAdmit != nil
+	e.metrics = Metrics{ModelCounts: map[string]int{}}
+	e.latHist = telemetry.NewHistogram(telemetry.DefaultLatencyBuckets())
 	if cfg.Admit == nil {
 		cfg.Admit = sched.Plain(e.Admit)
 	}
 	e.core = sched.New(cfg)
 	e.traceArrivals = cfg.Admit != nil && e.core.Attributing()
-	sched.WireDegrade(e.Telemetry, e.Degrade)
+	sched.WireDegrade(e.reg, e.Degrade)
 	for _, a := range e.accts {
 		a.m, a.SLO, a.Degrade, a.Monitor = Tally{}, e.sloFor(a.Name), e.Degrade, e.scheme.Monitor
 	}
@@ -459,11 +482,11 @@ func (e *Engine) begin() {
 // centrally — and returns the one worker that may start it now: the
 // balancer's pick, or for the central queue the lowest-index idle worker
 // (-1 when every worker is busy). The balancer sees every worker's
-// outstanding work — queued plus in-service queries. In-service queries
-// must count: under maximal batching a busy worker's queue reads empty the
-// moment it pops, and a balancer looking at queued work alone would keep
-// stacking arrivals on it while idle workers starve. Simulated workers
-// never fail, so the health mask is nil.
+// outstanding work — queued plus in-service queries, a token worker's
+// tokens. In-service work must count: under maximal batching a busy
+// worker's queue reads empty the moment it pops, and a balancer looking at
+// queued work alone would keep stacking arrivals on it while idle workers
+// starve. Simulated workers never fail, so the health mask is nil.
 func (e *Engine) route(q Query) int {
 	if e.scheme.Balancer == nil {
 		e.central = append(e.central, q)
@@ -471,11 +494,11 @@ func (e *Engine) route(q Query) int {
 		return e.firstIdle()
 	}
 	w := e.scheme.Balancer.Pick(e.lens, nil)
-	e.enqueue(w, q)
+	e.kind.enqueue(w, q)
 	return w
 }
 
-// enqueue appends q to worker w's queue.
+// enqueue appends q to scalar worker w's queue.
 func (e *Engine) enqueue(w int, q Query) {
 	e.wq[w] = append(e.wq[w], q)
 	e.lens[w]++
@@ -498,24 +521,28 @@ func pop(q *[]Query, n int) {
 	*q = (*q)[:copy(*q, (*q)[n:])]
 }
 
-// event is a batch completion.
-type event struct {
-	time    float64
-	start   float64 // dispatch time, for the batch_wait/inference split
-	worker  int
+// batch is a scalar worker's batch in flight.
+type batch struct {
 	queries []Query
-	model   int // index into the worker's profile set
+	start   float64 // dispatch time, for the batch_wait/inference split
+	model   int     // index into the worker's profile set
 	// dec is the select decision that produced this batch, completed and
 	// attached to each query's trace fragment on completion; nil when
 	// attribution is off.
 	dec *telemetry.Decision
 }
 
-// eventQueue is a typed binary min-heap of batch completions ordered by
-// time. It replaces container/heap's interface{}-boxed API in the
-// simulator's hottest loop: push and pop sift directly on a concrete slice
-// preallocated to the worker count (each worker has at most one batch in
-// flight), so steady-state event traffic allocates nothing.
+// event ends a worker's batch or token step; the work stays with the worker.
+type event struct {
+	time   float64
+	worker int
+}
+
+// eventQueue is a typed binary min-heap of completions ordered by time,
+// ties lowest worker first. It replaces container/heap's interface{}-boxed
+// API in the simulator's hottest loop: push and pop sift directly on a
+// concrete slice preallocated to the worker count (each worker has at most
+// one completion pending), so steady-state event traffic allocates nothing.
 type eventQueue struct {
 	ev []event
 }
@@ -534,13 +561,19 @@ func (q *eventQueue) len() int { return len(q.ev) }
 // nextTime returns the earliest event time; the queue must be non-empty.
 func (q *eventQueue) nextTime() float64 { return q.ev[0].time }
 
+// before reports whether event i pops before event j.
+func (q *eventQueue) before(i, j int) bool {
+	a, b := &q.ev[i], &q.ev[j]
+	return a.time < b.time || a.time == b.time && a.worker < b.worker
+}
+
 // push inserts an event (sift-up).
 func (q *eventQueue) push(e event) {
 	q.ev = append(q.ev, e)
 	i := len(q.ev) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if q.ev[parent].time <= q.ev[i].time {
+		if !q.before(i, parent) {
 			break
 		}
 		q.ev[parent], q.ev[i] = q.ev[i], q.ev[parent]
@@ -553,16 +586,15 @@ func (q *eventQueue) pop() event {
 	top := q.ev[0]
 	last := len(q.ev) - 1
 	q.ev[0] = q.ev[last]
-	q.ev[last] = event{} // drop the queries slice reference
 	q.ev = q.ev[:last]
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < len(q.ev) && q.ev[l].time < q.ev[min].time {
+		if l < len(q.ev) && q.before(l, min) {
 			min = l
 		}
-		if r < len(q.ev) && q.ev[r].time < q.ev[min].time {
+		if r < len(q.ev) && q.before(r, min) {
 			min = r
 		}
 		if min == i {
@@ -611,7 +643,7 @@ func (e *Engine) step(rest []Query) ([]Query, bool) {
 		return rest[1:], true
 	case e.events.len() > 0:
 		ev := e.events.pop()
-		e.complete(ev)
+		e.kind.complete(ev)
 		e.offer(ev.time, ev.worker)
 		return rest, true
 	}
@@ -670,38 +702,39 @@ func (e *Engine) dropExpired(q *[]Query, now float64) int {
 
 // offer ends an event at now: under DropExpired it purges late queries,
 // then it offers work to w, the one worker whose work in sight the event
-// changed (-1 for none). An idle worker serves its own queue, and the
-// central queue when that is empty.
+// changed (-1 for none).
 //
 // One worker suffices because every event ends with no idle worker having
-// work in sight: its own queue is empty, and the central queue is empty
-// whenever any worker is idle. An event changes what one worker sees — an
-// arrival joins the queue of the worker the balancer picked, or the central
-// queue, which the lowest-index idle worker is first to see; a completion
-// idles the worker that finished — a purge only removes work, and
-// sched.Core.Decide always starts at least one query. So a scan over every
-// worker in index order would find only w, with the same decision and the
-// same latency draw.
+// work in sight: its own queue is empty (a token worker's batcher is idle),
+// and the central queue is empty whenever any worker is idle. An event
+// changes what one worker sees — an arrival joins the queue of the worker
+// the balancer picked, or the central queue, which the lowest-index idle
+// worker is first to see; a completion idles the worker that finished — a
+// purge only removes work, and sched.Core.Decide always starts at least one
+// query (llm.Batcher.Begin a step, unless it rejected everything waiting).
+// So a scan over every worker in index order would find only w, with the
+// same decision and the same latency draw.
 func (e *Engine) offer(now float64, w int) {
 	if e.DropExpired {
 		e.purgeExpired(now)
 	}
-	if w < 0 || len(e.inflight[w]) > 0 {
-		return
+	if w >= 0 && e.idle[w/64]&(1<<(w%64)) != 0 {
+		e.kind.start(now, w)
 	}
+}
+
+// start makes one MS&S decision for idle scalar worker w over its own
+// queue, or the central queue when that is empty, and starts the batch: the
+// scheme's selector chooses, the core decides what actually runs, the
+// engine pops it and schedules its completion.
+func (e *Engine) start(now float64, w int) {
 	q := &e.wq[w]
 	if len(*q) == 0 {
 		q = &e.central
 	}
-	if len(*q) > 0 {
-		e.dispatch(now, w, q)
+	if len(*q) == 0 {
+		return
 	}
-}
-
-// dispatch makes one MS&S decision for idle worker w over queue q and
-// starts the batch: the scheme's selector chooses, the core decides what
-// actually runs, the engine pops it and schedules its completion.
-func (e *Engine) dispatch(now float64, w int, q *[]Query) {
 	e.win = window{e, q}
 	n, deadline := e.core.Tightest(w, &e.win)
 	head := &e.account((*q)[0].Tenant).Account
@@ -724,14 +757,15 @@ func (e *Engine) dispatch(now float64, w int, q *[]Query) {
 	}
 	p := e.core.Profile(w, pick.Model)
 	lat := e.Latency.Latency(*p, pick.Batch, e.rng)
-	batch := append(e.inflight[w][:0], (*q)[:pick.Batch]...)
-	e.inflight[w] = batch
+	b := &e.inflight[w]
+	b.queries = append(b.queries[:0], (*q)[:pick.Batch]...)
+	b.start, b.model, b.dec = now, pick.Model, dec
 	pop(q, pick.Batch)
 	if q == &e.central {
 		e.lens[w] += pick.Batch
 	}
 	e.idle[w/64] &^= 1 << (w % 64)
-	e.events.push(event{time: now + lat, start: now, worker: w, queries: batch, model: pick.Model, dec: dec})
+	e.events.push(event{time: now + lat, worker: w})
 	if e.RecordDecisions {
 		e.metrics.DecisionLog = append(e.metrics.DecisionLog, DecisionRecord{
 			Time:     now,
@@ -748,62 +782,77 @@ func (e *Engine) dispatch(now float64, w int, q *[]Query) {
 // the batch and judges every query; the engine folds the outcomes into its
 // Metrics.
 func (e *Engine) complete(ev event) {
-	w, n := ev.worker, len(ev.queries)
-	p := e.core.Profile(w, ev.model)
-	pick := sched.Pick{Model: ev.model, Batch: n}
-	fin := e.core.Finish(pick, ev.dec, w, ev.time-ev.start, ev.time, true)
+	w, b := ev.worker, &e.inflight[ev.worker]
+	n := len(b.queries)
+	p := e.core.Profile(w, b.model)
+	pick := sched.Pick{Model: b.model, Batch: n}
+	fin := e.core.Finish(pick, b.dec, w, ev.time-b.start, ev.time, true)
 	e.metrics.Decisions++
 	if len(e.counts) == 1 {
-		e.counts[0][ev.model] += n
+		e.counts[0][b.model] += n
 	} else {
-		e.counts[w][ev.model] += n
+		e.counts[w][b.model] += n
 	}
 	var batchWait *telemetry.Histogram
 	if tel := e.core.Series(); tel != nil {
-		tel.Stage[telemetry.StageInference].Observe(ev.time - ev.start)
+		tel.Stage[telemetry.StageInference].Observe(ev.time - b.start)
 		batchWait = tel.Stage[telemetry.StageBatchWait]
 	}
 	tracing := e.core.Tracing()
-	for _, q := range ev.queries {
+	for _, q := range b.queries {
 		traceID := ""
 		if tracing {
 			traceID = simTraceID(q.ID)
 		}
 		a := e.account(q.Tenant)
 		lat, violated := fin.Query(&a.Account, q.Arrival, traceID)
-		a.m.Serve(violated, p.Accuracy)
-		e.latHist.Observe(lat)
-		if e.CollectLatencies {
-			e.metrics.Latencies = append(e.metrics.Latencies, lat)
-		}
+		e.serve(a, lat, violated, p.Accuracy)
 		if batchWait != nil {
-			batchWait.Observe(ev.start - q.Arrival)
+			batchWait.Observe(b.start - q.Arrival)
 		}
 		if tracing {
 			e.core.Trace(telemetry.QueryTrace{
 				ID: q.ID, Arrival: q.Arrival, Worker: ev.worker,
-				Model: p.Name, Batch: len(ev.queries),
+				Model: p.Name, Batch: n,
 				LatencyMS: lat * 1000, DeadlineMet: !violated,
 				TraceID: traceID, Tenant: q.Tenant,
-				Decision: ev.dec,
+				Decision: b.dec,
 				Spans: []telemetry.Span{
-					{Stage: telemetry.StageBatchWait, Seconds: ev.start - q.Arrival},
-					{Stage: telemetry.StageInference, Seconds: ev.time - ev.start},
+					{Stage: telemetry.StageBatchWait, Seconds: b.start - q.Arrival},
+					{Stage: telemetry.StageInference, Seconds: ev.time - b.start},
 				},
 			})
 		}
 	}
-	e.inflight[w] = ev.queries[:0]
+	b.queries = b.queries[:0]
 	e.lens[w] -= n
 	e.outstanding -= n
 	e.idle[w/64] |= 1 << (w % 64)
 }
 
+// serve counts one answered query on its account and in the run's latency
+// record.
+func (e *Engine) serve(a *account, latency float64, violated bool, accuracy float64) {
+	a.m.Serve(violated, accuracy)
+	e.latHist.Observe(latency)
+	if e.CollectLatencies {
+		e.metrics.Latencies = append(e.metrics.Latencies, latency)
+	}
+}
+
+// percentiles returns the p50, p95 and p99 of a run's observations: exact
+// when every one was collected in xs, else from their histogram h.
+func (e *Engine) percentiles(xs []float64, h *telemetry.Histogram) (p50, p95, p99 float64) {
+	if e.CollectLatencies && len(xs) > 0 {
+		return stats.Percentile(xs, 50), stats.Percentile(xs, 95), stats.Percentile(xs, 99)
+	}
+	return h.Quantile(50), h.Quantile(95), h.Quantile(99)
+}
+
 // finishMetrics ends a run: queries still queued count as unserved
 // (schedulers normally never leave work behind), the per-model counts fold
 // into ModelCounts, the accounts sum into the run totals, and the latency
-// percentile fields are filled — exact when every latency was collected,
-// histogram-approximated otherwise.
+// percentile fields are filled.
 func (e *Engine) finishMetrics() {
 	for _, q := range e.central {
 		e.account(q.Tenant).m.Unserved++
@@ -836,13 +885,5 @@ func (e *Engine) finishMetrics() {
 			m.Tenants[a.Name] = &tm
 		}
 	}
-	if e.CollectLatencies && len(m.Latencies) > 0 {
-		m.LatencyP50 = stats.Percentile(m.Latencies, 50)
-		m.LatencyP95 = stats.Percentile(m.Latencies, 95)
-		m.LatencyP99 = stats.Percentile(m.Latencies, 99)
-		return
-	}
-	m.LatencyP50 = e.latHist.Quantile(50)
-	m.LatencyP95 = e.latHist.Quantile(95)
-	m.LatencyP99 = e.latHist.Quantile(99)
+	m.LatencyP50, m.LatencyP95, m.LatencyP99 = e.percentiles(m.Latencies, e.latHist)
 }

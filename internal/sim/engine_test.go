@@ -8,6 +8,7 @@ import (
 
 	"ramsis/internal/admit"
 	"ramsis/internal/lb"
+	"ramsis/internal/llm"
 	"ramsis/internal/monitor"
 	"ramsis/internal/profile"
 	"ramsis/internal/sched"
@@ -234,9 +235,9 @@ func (s *shortestChecked) Pick(lens []int, healthy []bool) int {
 	w := lb.NewJoinShortestQueue().Pick(lens, healthy)
 	shortest := math.MaxInt
 	for v := range s.e.wq {
-		shortest = min(shortest, len(s.e.wq[v])+len(s.e.inflight[v]))
+		shortest = min(shortest, len(s.e.wq[v])+len(s.e.inflight[v].queries))
 	}
-	if got := len(s.e.wq[w]) + len(s.e.inflight[w]); got != shortest {
+	if got := len(s.e.wq[w]) + len(s.e.inflight[w].queries); got != shortest {
 		s.t.Errorf("pick %d: JSQ joined worker %d with %d outstanding, shortest has %d", s.picks, w, got, shortest)
 	}
 	s.picks++
@@ -330,7 +331,8 @@ func jellyfishPlus(models profile.Set, slo float64, workers int) Scheme {
 // worker has work in sight (its own queue, or the central queue); the
 // running Outstanding matches a recount; an event starts at most one batch;
 // and a batch from the central queue goes to the lowest-index worker that
-// was idle, the order a scan over every worker would take.
+// was idle, the order a scan over every worker would take. Token-worker
+// cells check the same invariants in the token kind's terms.
 func TestEngineEventLocalDispatch(t *testing.T) {
 	models := imageProfiles()
 	const slo = 0.150
@@ -380,6 +382,85 @@ func TestEngineEventLocalDispatch(t *testing.T) {
 	if dropped == 0 || shed == 0 {
 		t.Errorf("grid dropped %d and shed %d queries: the purge or the cap path went unexercised", dropped, shed)
 	}
+
+	// Token workers: the same loop with llm.Batcher steps as the work, over
+	// {1, 2, 3} workers × a fixed or a model-switching selector × the
+	// profiles' KV capacity or one tight enough to gate admission and turn
+	// the burst's 4,150-token queries away.
+	stepModels, queries := llm.BuiltinSet(), burstWorkload()
+	var rejected, switches int
+	for _, workers := range []int{1, 2, 3} {
+		for _, sel := range []ModelSelector{FixedSelector(stepModels.Fastest()), tokenLadder{fast: stepModels.Fastest(), accurate: stepModels.MostAccurate(), limit: 3000}} {
+			for _, kvCap := range []int{0, 3000} {
+				name := fmt.Sprintf("token %dw/%T/kv=%d", workers, sel, kvCap)
+				e := NewLLMEngine(stepModels, 8.0, workers, sel)
+				e.KVCap = kvCap
+				if err := stepCheckedTokens(e, queries); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				m := e.fold(e.metrics)
+				if m.Served+m.Dropped != len(queries) || e.Outstanding() != 0 {
+					t.Fatalf("%s: served %d + dropped %d of %d, outstanding %d", name, m.Served, m.Dropped, len(queries), e.Outstanding())
+				}
+				rejected += m.Dropped
+				switches += m.ModelSwitches
+			}
+		}
+	}
+	if rejected == 0 || switches == 0 {
+		t.Errorf("token grid rejected %d queries and switched models %d times: the KV gate or the switch path went unexercised", rejected, switches)
+	}
+}
+
+// tokenLadder serves the fastest model while a worker's outstanding tokens
+// exceed limit and the most accurate one otherwise, so token workers switch
+// models, and drain to do so, as the load moves.
+type tokenLadder struct{ fast, accurate, limit int }
+
+func (s tokenLadder) SelectModel(_, outstandingTokens int, _, _ float64) int {
+	if outstandingTokens > s.limit {
+		return s.fast
+	}
+	return s.accurate
+}
+
+// stepCheckedTokens runs queries through the token workers one event at a
+// time, checking after each: every lens entry is its batcher's outstanding
+// tokens; a worker has a step in flight exactly when its batcher is not
+// idle; the running Outstanding matches a recount from the tallies; and an
+// event starts at most one step.
+func stepCheckedTokens(e *LLMEngine, queries []Query) error {
+	e.Engine.begin()
+	steps := func() (n int) {
+		for _, b := range e.b {
+			n += b.Counts().Steps
+		}
+		return n
+	}
+	for rest, more, ev := queries, true, 0; more; ev++ {
+		before := steps()
+		rest, more = e.step(rest)
+		if started := steps() - before; started > 1 {
+			return fmt.Errorf("event %d started %d steps", ev, started)
+		}
+		for w, b := range e.b {
+			if got, want := e.lens[w], b.Outstanding(); got != want {
+				return fmt.Errorf("event %d: lens[%d] = %d, batcher outstanding %d", ev, w, got, want)
+			}
+			if busy := e.idle[w/64]&(1<<(w%64)) == 0; busy == b.Idle() {
+				return fmt.Errorf("event %d: worker %d step in flight %v, batcher idle %v", ev, w, busy, b.Idle())
+			}
+		}
+		ended := 0
+		for _, a := range e.accts {
+			ended += a.m.Served + a.m.Dropped + a.m.Shed
+		}
+		if got, want := e.Outstanding(), len(queries)-len(rest)-ended; got != want {
+			return fmt.Errorf("event %d: Outstanding() = %d, recount %d", ev, got, want)
+		}
+	}
+	e.finishMetrics()
+	return nil
 }
 
 // stepChecked runs arr through e one event at a time, checking the
@@ -393,7 +474,7 @@ func stepChecked(e *Engine, arr []float64, central bool) error {
 	for rest, more, ev := queries, true, 0; more; ev++ {
 		lowestIdle := e.Workers
 		for w := range e.inflight {
-			if len(e.inflight[w]) == 0 {
+			if len(e.inflight[w].queries) == 0 {
 				lowestIdle = w
 				break
 			}
@@ -408,11 +489,11 @@ func stepChecked(e *Engine, arr []float64, central bool) error {
 		}
 		n, idle := len(e.central), false
 		for w := range e.wq {
-			if got, want := e.lens[w], len(e.wq[w])+len(e.inflight[w]); got != want {
+			if got, want := e.lens[w], len(e.wq[w])+len(e.inflight[w].queries); got != want {
 				return fmt.Errorf("event %d: lens[%d] = %d, queued + in flight = %d", ev, w, got, want)
 			}
 			n += e.lens[w]
-			if len(e.inflight[w]) == 0 {
+			if len(e.inflight[w].queries) == 0 {
 				idle = true
 				if len(e.wq[w]) > 0 {
 					return fmt.Errorf("event %d: worker %d idle with %d queued", ev, w, len(e.wq[w]))
@@ -428,6 +509,23 @@ func stepChecked(e *Engine, arr []float64, central bool) error {
 	}
 	e.finishMetrics()
 	return nil
+}
+
+// TestEventQueueTiesPopLowestWorkerFirst: completions due at the same
+// instant pop in worker order, whatever order they were pushed in — the
+// order a scan over the workers by index would take them.
+func TestEventQueueTiesPopLowestWorkerFirst(t *testing.T) {
+	var q eventQueue
+	q.reset(8)
+	for w := 7; w >= 0; w-- {
+		q.push(event{time: 1 + float64(w%2), worker: w})
+	}
+	want := []int{0, 2, 4, 6, 1, 3, 5, 7}
+	for i, w := range want {
+		if ev := q.pop(); ev.worker != w || ev.time != 1+float64(w%2) {
+			t.Fatalf("pop %d: worker %d at %v, want worker %d at %v", i, ev.worker, ev.time, w, 1+float64(w%2))
+		}
+	}
 }
 
 func TestMetricsLatencyPercentiles(t *testing.T) {

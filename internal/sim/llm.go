@@ -1,19 +1,19 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 
 	"ramsis/internal/core"
+	"ramsis/internal/lb"
 	"ramsis/internal/llm"
-	"ramsis/internal/stats"
 	"ramsis/internal/telemetry"
 )
 
 // TokenQuery is one token-annotated query: a prompt of Prefill tokens to
 // ingest and Decode output tokens to generate.
-type TokenQuery = llm.Request
+type TokenQuery = Query
 
 // ModelSelector picks the step model a worker's next engine step should run
 // (llm.Selector documents the observable state it is consulted with).
@@ -113,209 +113,166 @@ type LLMMetrics struct {
 	DecodeTokens  int64
 }
 
-// llmWorker is one continuous-batching worker: the shared step scheduler
-// plus the event loop's view of its in-flight step.
-type llmWorker struct {
-	id      int
-	b       *llm.Batcher[struct{}]
-	busy    bool
-	stepEnd float64
-}
-
-// LLMEngine is the token-level discrete-event simulator: continuous-batching
-// workers that admit waiting queries into a running batch at every step
-// boundary, schedule decode-first under the model's token budget, chunk
-// prefills across steps, and gate admission on KV-cache reservations. The
-// scheduling itself is llm.Batcher — the same code cmd/serve's LLM workers
-// run against the wall clock; the engine only supplies the event loop. A
-// query's end-to-end latency is its queue wait plus the step times it rides
-// through; TTFT and TBT fall out of the same step walk.
+// LLMEngine is the token-level simulator: the embedded Engine's event loop
+// over continuous-batching workers. Each is an llm.Batcher — the scheduler
+// cmd/serve's LLM workers run against the wall clock — that admits waiting
+// queries into its running batch at every step boundary under KV-cache
+// reservations and composes each step decode-first, chunking prefills.
+//
+// A token run reads these Engine fields: SLO (the batchers' one violation
+// judgement), Workers, CollectLatencies, Traces and TraceWriter; Telemetry,
+// which gets the batchers' ramsis_llm_* and query series and nothing from
+// the dispatch core; Admit and FairAdmit, which screen every arrival (shed
+// queries count in Shed, per tenant under FairAdmit), with Decisions
+// recording their verdicts; and Sched, whose Balancer routes over each
+// worker's unfinished tokens (by default lb.JoinShortestQueue) and whose
+// Monitor observes every admitted arrival. Profiles, Latency,
+// WorkerProfiles, DropExpired, RecordDecisions, Degrade and TenantSLOs
+// describe scalar workers and have no effect on token workers.
 type LLMEngine struct {
+	Engine
 	Models   llm.Set
-	SLO      float64
-	Workers  int
 	Selector ModelSelector
 	// KVCap, when > 0, overrides every model's KV capacity in tokens.
 	KVCap int
-	// CollectLatencies records every latency, TTFT, and TBT observation for
-	// exact percentiles.
-	CollectLatencies bool
-	// Telemetry, when set, exposes the run's series (the same names
-	// cmd/serve's LLM workers export).
-	Telemetry *telemetry.Registry
-	// Traces and TraceWriter mirror the scalar engine's trace sinks.
-	Traces      *telemetry.TraceBuffer
-	TraceWriter *telemetry.TraceWriter
 
-	workers  []*llmWorker
-	metrics  LLMMetrics
-	latHist  *telemetry.Histogram
-	ttftHist *telemetry.Histogram
-	tbtHist  *telemetry.Histogram
+	tokenWorkers
 }
 
 // NewLLMEngine builds a token-level simulator over the step-model set.
 func NewLLMEngine(models llm.Set, slo float64, workers int, sel ModelSelector) *LLMEngine {
-	if workers < 1 {
-		panic(fmt.Sprintf("sim: invalid worker count %d", workers))
-	}
-	return &LLMEngine{Models: models, SLO: slo, Workers: workers, Selector: sel}
+	e := &LLMEngine{Engine: Engine{Sched: Scheme{Balancer: lb.NewJoinShortestQueue()}}, Models: models, Selector: sel}
+	e.initWorkers(slo, workers)
+	e.tokenWorkers.l = e
+	e.tokens = &e.tokenWorkers
+	return e
 }
 
-func (e *LLMEngine) tracing() bool { return e.Traces != nil || e.TraceWriter != nil }
-
-// Run replays the token-annotated queries through the continuous-batching
-// workers and returns the run's metrics. Queries are processed in arrival
-// order; arrivals route to the worker with the least outstanding token load.
+// Run replays the token-annotated queries in arrival order through the
+// token workers and returns the run's metrics.
 func (e *LLMEngine) Run(queries []TokenQuery) LLMMetrics {
+	if !slices.IsSortedFunc(queries, byArrival) {
+		queries = slices.Clone(queries)
+		slices.SortStableFunc(queries, byArrival)
+	}
+	return e.fold(e.RunQueries(queries))
+}
+
+func byArrival(a, b Query) int { return cmp.Compare(a.Arrival, b.Arrival) }
+
+// tokenWorkers is the token worker kind: worker w is an llm.Batcher tagging
+// each query with its account, and lens[w] counts its unfinished tokens.
+type tokenWorkers struct {
+	l                 *LLMEngine
+	b                 []*llm.Batcher[*account]
+	ttftHist, tbtHist *telemetry.Histogram
+	// ttfts and tbts hold every observation when CollectLatencies is set.
+	ttfts, tbts []float64
+}
+
+// begin builds one batcher per worker over the run's model set.
+func (t *tokenWorkers) begin() {
+	e := t.l
 	if err := e.Models.Validate(); err != nil {
 		panic(fmt.Sprintf("sim: invalid model set: %v", err))
 	}
 	models := e.Models.WithKVCap(e.KVCap)
-	e.metrics = LLMMetrics{Metrics: Metrics{ModelCounts: map[string]int{}}}
-	e.latHist = telemetry.NewHistogram(telemetry.DefaultLatencyBuckets())
-	e.ttftHist = telemetry.NewHistogram(telemetry.DefaultLatencyBuckets())
-	e.tbtHist = telemetry.NewHistogram(telemetry.DefaultLatencyBuckets())
-	e.workers = make([]*llmWorker, e.Workers)
-	for w := range e.workers {
-		e.workers[w] = &llmWorker{
-			id: w, stepEnd: math.Inf(1),
-			b: llm.NewBatcher[struct{}](models, e.SLO, e.Selector, e.Telemetry, w),
-		}
+	t.b = make([]*llm.Batcher[*account], e.Workers)
+	for w := range t.b {
+		t.b[w] = llm.NewBatcher[*account](models, e.SLO, e.Selector, e.Telemetry, w)
 	}
-
-	qs := append([]TokenQuery(nil), queries...)
-	sort.SliceStable(qs, func(i, j int) bool { return qs[i].Arrival < qs[j].Arrival })
-
-	qi := 0
-	for {
-		wmin, tmin := -1, math.Inf(1)
-		for w, lw := range e.workers {
-			if lw.busy && lw.stepEnd < tmin {
-				wmin, tmin = w, lw.stepEnd
-			}
-		}
-		if qi < len(qs) && qs[qi].Arrival <= tmin {
-			e.route(qs[qi])
-			qi++
-			continue
-		}
-		if wmin < 0 {
-			break
-		}
-		lw := e.workers[wmin]
-		e.completeStep(lw, tmin)
-		e.startStep(lw, tmin)
-	}
-	e.finish()
-	return e.metrics
+	t.ttftHist = telemetry.NewHistogram(telemetry.DefaultLatencyBuckets())
+	t.tbtHist = telemetry.NewHistogram(telemetry.DefaultLatencyBuckets())
+	t.ttfts, t.tbts = nil, nil
 }
 
-// route hands the query to the worker with the least outstanding token load
-// (a join-shortest-token-queue balancer; queue length alone would
-// under-weigh long-prefill arrivals).
-func (e *LLMEngine) route(q TokenQuery) {
-	best := e.workers[0]
-	for _, lw := range e.workers[1:] {
-		if lw.b.Outstanding() < best.b.Outstanding() {
-			best = lw
-		}
-	}
-	best.b.Push(q, struct{}{})
-	if !best.busy {
-		e.startStep(best, q.Arrival)
-	}
+func (t *tokenWorkers) enqueue(w int, q Query) {
+	e, b := t.l, t.b[w]
+	b.Push(llm.Request{ID: q.ID, Arrival: q.Arrival, Prefill: q.Prefill, Decode: q.Decode}, e.account(q.Tenant))
+	e.lens[w] = b.Outstanding()
+	e.outstanding++
 }
 
-// startStep runs the worker's step boundary at time now and schedules the
-// composed step's completion; queries whose KV footprint can never fit the
-// serving model are dropped.
-func (e *LLMEngine) startStep(lw *llmWorker, now float64) {
-	seconds, rejected, ok := lw.b.Begin(now)
+// start runs idle worker w's step boundary at now and schedules the
+// composed step's end; queries whose KV footprint can never fit the serving
+// model are dropped.
+func (t *tokenWorkers) start(now float64, w int) {
+	e, b := t.l, t.b[w]
+	seconds, rejected, ok := b.Begin(now)
 	for _, s := range rejected {
-		e.metrics.Dropped++
-		if e.tracing() {
-			telemetry.Record(e.Traces, e.TraceWriter, telemetry.QueryTrace{
-				ID: s.ID, Arrival: s.Arrival, Worker: lw.id,
-				Error:   "kv-oversize",
-				TraceID: simTraceID(s.ID), Process: "sim",
+		s.Tag.m.Dropped++
+		if e.core.Tracing() {
+			e.core.Trace(telemetry.QueryTrace{
+				ID: s.ID, Arrival: s.Arrival, Worker: w, Error: "kv-oversize",
+				TraceID: simTraceID(s.ID), Tenant: s.Tag.Name,
 				Spans: []telemetry.Span{{Stage: telemetry.StageShed}},
 			})
 		}
 	}
-	lw.busy = ok
-	lw.stepEnd = math.Inf(1)
+	e.outstanding -= len(rejected)
+	e.lens[w] = b.Outstanding()
 	if ok {
-		lw.stepEnd = now + seconds
+		e.idle[w/64] &^= 1 << (w % 64)
+		e.events.push(event{time: now + seconds, worker: w})
 	}
 }
 
-// completeStep lands the worker's step at time end and records every token
-// it generated and every query it finished.
-func (e *LLMEngine) completeStep(lw *llmWorker, end float64) {
-	batch := lw.b.Running()
-	landed := lw.b.Land(end)
-	llm.ObserveGaps(landed, e.ttftHist, e.tbtHist)
+// complete lands worker ev.worker's step and records every token it
+// generated and every query it finished.
+func (t *tokenWorkers) complete(ev event) {
+	e, w, b := t.l, ev.worker, t.b[ev.worker]
+	batch := b.Running()
+	landed := b.Land(ev.time)
+	llm.ObserveGaps(landed, t.ttftHist, t.tbtHist)
+	tracing := e.core.Tracing()
 	for _, s := range landed {
 		if e.CollectLatencies {
 			if s.First() {
-				e.metrics.TTFTs = append(e.metrics.TTFTs, s.Gap)
+				t.ttfts = append(t.ttfts, s.Gap)
 			} else {
-				e.metrics.TBTs = append(e.metrics.TBTs, s.Gap)
+				t.tbts = append(t.tbts, s.Gap)
 			}
 		}
-		if s.Done() {
-			e.complete(lw, s, batch, end)
+		if !s.Done() {
+			continue
+		}
+		traceID := ""
+		if tracing {
+			traceID = simTraceID(s.ID)
+		}
+		m := b.Model()
+		lat, violated := b.Finish(s, ev.time, traceID)
+		e.serve(s.Tag, lat, violated, m.Accuracy)
+		e.metrics.ModelCounts[m.Name]++
+		e.outstanding--
+		if tracing {
+			e.core.Trace(telemetry.QueryTrace{
+				ID: s.ID, Arrival: s.Arrival, Worker: w,
+				Model: m.Name, Batch: batch,
+				LatencyMS: lat * 1000, DeadlineMet: !violated,
+				TraceID: traceID, Tenant: s.Tag.Name,
+				Spans: s.Spans(ev.time),
+			})
 		}
 	}
+	e.lens[w] = b.Outstanding()
+	e.idle[w/64] |= 1 << (w % 64)
 }
 
-// complete records one finished query.
-func (e *LLMEngine) complete(lw *llmWorker, s *llm.Seq[struct{}], batch int, end float64) {
-	traceID := ""
-	if e.tracing() {
-		traceID = simTraceID(s.ID)
+// fold adds the batchers' run totals and the token percentiles to a
+// finished run's metrics; a decision is a step.
+func (t *tokenWorkers) fold(run Metrics) LLMMetrics {
+	m := LLMMetrics{Metrics: run, TTFTs: t.ttfts, TBTs: t.tbts}
+	for _, b := range t.b {
+		c := b.Counts()
+		m.Steps += c.Steps
+		m.ModelSwitches += c.Switches
+		m.PrefillTokens += c.PrefillTokens
+		m.DecodeTokens += c.DecodeTokens
+		m.PeakKVUsage = max(m.PeakKVUsage, c.PeakKV)
 	}
-	m := lw.b.Model()
-	lat, violated := lw.b.Finish(s, end, traceID)
-	e.metrics.Serve(violated, m.Accuracy)
-	e.latHist.Observe(lat)
-	if e.CollectLatencies {
-		e.metrics.Latencies = append(e.metrics.Latencies, lat)
-	}
-	e.metrics.ModelCounts[m.Name]++
-	if e.tracing() {
-		telemetry.Record(e.Traces, e.TraceWriter, telemetry.QueryTrace{
-			ID: s.ID, Arrival: s.Arrival, Worker: lw.id,
-			Model: m.Name, Batch: batch,
-			LatencyMS:   lat * 1000,
-			DeadlineMet: !violated,
-			TraceID:     traceID, Process: "sim",
-			Spans: s.Spans(end),
-		})
-	}
-}
-
-// finish sums the workers' scheduler totals and fills the percentile
-// fields: exact when every observation was collected, histogram-
-// approximated otherwise.
-func (e *LLMEngine) finish() {
-	for _, lw := range e.workers {
-		c := lw.b.Counts()
-		e.metrics.Steps += c.Steps
-		e.metrics.ModelSwitches += c.Switches
-		e.metrics.PrefillTokens += c.PrefillTokens
-		e.metrics.DecodeTokens += c.DecodeTokens
-		e.metrics.PeakKVUsage = max(e.metrics.PeakKVUsage, c.PeakKV)
-	}
-	e.metrics.Decisions = e.metrics.Steps
-	pct := func(xs []float64, h *telemetry.Histogram) (p50, p95, p99 float64) {
-		if e.CollectLatencies && len(xs) > 0 {
-			return stats.Percentile(xs, 50), stats.Percentile(xs, 95), stats.Percentile(xs, 99)
-		}
-		return h.Quantile(50), h.Quantile(95), h.Quantile(99)
-	}
-	e.metrics.LatencyP50, e.metrics.LatencyP95, e.metrics.LatencyP99 = pct(e.metrics.Latencies, e.latHist)
-	e.metrics.TTFTP50, e.metrics.TTFTP95, e.metrics.TTFTP99 = pct(e.metrics.TTFTs, e.ttftHist)
-	e.metrics.TBTP50, e.metrics.TBTP95, e.metrics.TBTP99 = pct(e.metrics.TBTs, e.tbtHist)
+	m.Decisions = m.Steps
+	m.TTFTP50, m.TTFTP95, m.TTFTP99 = t.l.percentiles(m.TTFTs, t.ttftHist)
+	m.TBTP50, m.TBTP95, m.TBTP99 = t.l.percentiles(m.TBTs, t.tbtHist)
+	return m
 }

@@ -3,13 +3,16 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"ramsis/internal/admit"
 	"ramsis/internal/core"
 	"ramsis/internal/dist"
 	"ramsis/internal/llm"
 	"ramsis/internal/telemetry"
+	"ramsis/internal/tenant"
 	"ramsis/internal/trace"
 )
 
@@ -172,7 +175,11 @@ func TestLLMModelSwitchDrainsRunningBatch(t *testing.T) {
 }
 
 // TestLLMTelemetryExposition checks the run's series land in the registry
-// under the canonical names, TTFT/TBT histograms included.
+// under the canonical names, TTFT/TBT histograms included, and that the
+// registry stays honest: the batchers and the dispatch core share the query
+// series, so a token run must count each query once and register no series
+// it never moves (the family list is the token engine's before it ran on
+// sim.Engine's loop).
 func TestLLMTelemetryExposition(t *testing.T) {
 	models := llm.BuiltinSet()
 	reg := telemetry.NewRegistry()
@@ -187,20 +194,32 @@ func TestLLMTelemetryExposition(t *testing.T) {
 	}
 	var b strings.Builder
 	reg.WritePrometheus(&b)
-	text := b.String()
-	for _, name := range []string{
-		telemetry.MetricLLMTTFT,
-		telemetry.MetricLLMTBT,
-		telemetry.MetricLLMStepSeconds,
-		telemetry.MetricLLMSteps,
-		telemetry.MetricLLMTokens,
-		telemetry.MetricLLMKVUsage,
-		telemetry.MetricQueries,
-		telemetry.MetricLatencySeconds,
-	} {
-		if !strings.Contains(text, name) {
-			t.Errorf("exposition missing %s", name)
+	var families []string
+	for _, l := range strings.Split(b.String(), "\n") {
+		if name, ok := strings.CutPrefix(l, "# TYPE "); ok {
+			families = append(families, strings.Fields(name)[0])
 		}
+	}
+	want := []string{
+		"ramsis_llm_kv_usage", "ramsis_llm_model_switches_total", "ramsis_llm_step_seconds",
+		"ramsis_llm_steps_total", "ramsis_llm_tbt_seconds", "ramsis_llm_tokens_total",
+		"ramsis_llm_ttft_seconds", "ramsis_model_queries_total", "ramsis_queries_total",
+		"ramsis_query_latency_seconds", "ramsis_satisfied_accuracy_sum", "ramsis_slo_violations_total",
+		"ramsis_stage_seconds",
+	}
+	slices.Sort(families)
+	if !slices.Equal(families, want) {
+		t.Errorf("exposition families\n%q\nwant\n%q", families, want)
+	}
+	if q := reg.Counter(telemetry.MetricQueries).Value(); int(q) != got.Served {
+		t.Errorf("%s = %v, served %d", telemetry.MetricQueries, q, got.Served)
+	}
+	steps := 0.0
+	for _, m := range models.Models {
+		steps += reg.CounterVec(telemetry.MetricLLMSteps, "model").With(m.Name).Value()
+	}
+	if int(steps) != got.Steps {
+		t.Errorf("Σ %s = %v, steps %d", telemetry.MetricLLMSteps, steps, got.Steps)
 	}
 	if !(got.TTFTP50 > 0) || !(got.TBTP50 > 0) {
 		t.Errorf("TTFT p50 %v / TBT p50 %v not populated", got.TTFTP50, got.TBTP50)
@@ -386,5 +405,63 @@ func TestLLMEngineDeterminism(t *testing.T) {
 	if a.Served != b.Served || a.Violations != b.Violations || a.Steps != b.Steps ||
 		a.LatencyP99 != b.LatencyP99 || a.TTFTP99 != b.TTFTP99 || a.TBTP99 != b.TBTP99 {
 		t.Fatalf("non-deterministic runs:\n%+v\n%+v", a.Metrics, b.Metrics)
+	}
+}
+
+// TestLLMAdmissionAndTenants: a token run screens every arrival through the
+// engine's admitters, as a scalar run does — one seeded burst under a cap on
+// outstanding queries, and under weighted-fair admission between two
+// tenants over that cap. Every tenant's offered queries are served, shed or
+// dropped, and the shed counts are pinned as captured.
+func TestLLMAdmissionAndTenants(t *testing.T) {
+	models := llm.BuiltinSet()
+	queries := burstWorkload()
+	offered := map[string]int{}
+	for i := range queries {
+		queries[i].Tenant = []string{"chat", "batch"}[i%2]
+		offered[queries[i].Tenant]++
+	}
+	reg, err := tenant.NewRegistry([]tenant.Tenant{
+		{Name: "chat", SLOMS: 8000, Weight: 2, RateQPS: 2},
+		{Name: "batch", SLOMS: 8000, Weight: 1, RateQPS: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		fair bool
+		shed map[string]int // pinned per tenant; "" is the single-tenant run
+	}{
+		{"cap", false, map[string]int{"": 63}},
+		{"fair", true, map[string]int{"chat": 31, "batch": 33}},
+	} {
+		e := NewLLMEngine(models, 8.0, 1, FixedSelector(models.Fastest()))
+		e.Admit = admit.Cap{Limit: 6}
+		if tc.fair {
+			e.FairAdmit = tenant.NewFairAdmitter(reg, e.Admit, tenant.FairConfig{})
+		}
+		m := e.Run(queries)
+		tallies := m.Tenants
+		if tallies == nil {
+			tallies = map[string]*Tally{"": &m.Tally}
+		}
+		if len(tallies) != len(tc.shed) {
+			t.Errorf("%s: tallies for %d tenants, want %d", tc.name, len(tallies), len(tc.shed))
+		}
+		for name, want := range tc.shed {
+			tm, off := tallies[name], len(queries)
+			if name != "" {
+				off = offered[name]
+			}
+			if tm == nil || tm.Served+tm.Shed+tm.Dropped != off || tm.Unserved != 0 {
+				t.Errorf("%s/%q: %+v, want served + shed + dropped = %d offered", tc.name, name, tm, off)
+				continue
+			}
+			t.Logf("%s/%q: served %d shed %d dropped %d", tc.name, name, tm.Served, tm.Shed, tm.Dropped)
+			if tm.Shed != want {
+				t.Errorf("%s/%q: shed %d, pinned %d", tc.name, name, tm.Shed, want)
+			}
+		}
 	}
 }
