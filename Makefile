@@ -99,9 +99,12 @@ saturate-smoke:
 # The generation goldens (transition builds and whole generated policies,
 # pinned bit for bit) under one and two scheduler threads: both builds fan
 # states out across GOMAXPROCS goroutines, so a result that depended on which
-# goroutine built which state would show here (~4 s on two cores).
+# goroutine built which state would show here. The token engine's golden
+# (TestLLMEngineGolden: traces, counts and TTFT/TBT multisets over a
+# worker / balancer / selector / KV grid) solves its policy the same way
+# (~9 s on two cores in all).
 goldens:
-	$(GO) test -count=1 -cpu 1,2 -run 'Golden' ./internal/core/
+	$(GO) test -count=1 -cpu 1,2 -run 'Golden' ./internal/core/ ./internal/sim/
 
 # The repository benchmark (BENCHMARK.json) lives in bench/, a module of
 # its own that compiles against this module's internal packages through a

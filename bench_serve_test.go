@@ -135,18 +135,25 @@ func BenchmarkShardedGatewayQuery(b *testing.B) {
 // concurrent callers, larger batches, the per-batch allocations spread over
 // more queries: 13 / 14 per query at 1, 7 / 8 at 2, 4 / 5 at 4, 2 / 3 at 8),
 // so the test pins GOMAXPROCS to 2, where the ceilings were measured: 7.6
-// and 8.8 allocations per query before rounding down, steady to ±0.1 on a
-// loaded host, so one more allocation on the enqueue or dispatch path lands
-// on the ceiling and two land over it. The step loop (151 per 400-query
-// run), the lookup (0) and the two scalar simulator runs are
-// single-goroutine and do not move. The simulator rows are whole runs, so
-// they count per run, not per query: the central-queue path
-// (SimulatorThroughput, 20,141 queries) and the balancer + policy path
-// (RAMSISScheduler, 24,070 queries). Their ceilings, 142 and 393, are the
-// per-run set-up alone: the engine keeps its queue, batch and length
-// storage, so no allocation scales with the queries, and one added to the
-// engine's arrival or dispatch path fails by thousands. They add about 3 s
-// to this test.
+// and 8.8 allocations per query (8.4-8.5 and 9.5-9.6 on a busier two-core
+// host), compared rounded down, so one more allocation on the enqueue or
+// dispatch path lands on the ceiling and two land over it.
+//
+// The other four rows are single-goroutine and count whole runs: the step
+// loop (a 400-query run), the lookup (0) and the two scalar simulator runs,
+// the central-queue path (SimulatorThroughput, 20,141 queries) and the
+// balancer + policy path (RAMSISScheduler, 24,070 queries). A run's own
+// count is fixed — 152, 0, 142 and 393 with the collector off — but GC
+// cycles move what the benchmark reads by up to about one allocation per
+// run: a RAMSISScheduler run allocates 1.2 MB, and the runtime adds about
+// one allocation per cycle it starts, so it reads 393.96-394.01, and
+// SimulatorThroughput 142.67-142.76. Truncating that straddles an integer
+// (against the old ceiling of 393 RAMSISScheduler failed 4 runs in 6), so
+// these rows compare the rounded count, and each simulator row's ceiling is
+// its run's count plus that one. The simulator rows are per-run
+// set-up alone: the engine keeps its queue, batch and length storage, so no
+// allocation scales with the queries, and one added to the engine's arrival
+// or dispatch path fails by thousands. They add about 3 s to this test.
 func TestDataPlaneAllocCeilings(t *testing.T) {
 	if serve.RaceEnabled {
 		t.Skip("under the race detector sync.Pool drops items on purpose: the counts are not the plain build's")
@@ -156,13 +163,14 @@ func TestDataPlaneAllocCeilings(t *testing.T) {
 		name    string
 		bench   func(*testing.B)
 		ceiling int64
+		perRun  bool // a single-goroutine run: compare the rounded count
 	}{
-		{"FrontendQuery", BenchmarkFrontendQuery, 8},
-		{"ShardedGatewayQuery", BenchmarkShardedGatewayQuery, 9},
-		{"LLMStepLoop", BenchmarkLLMStepLoop, 153},
-		{"PolicySelect", BenchmarkPolicySelect, 0},
-		{"SimulatorThroughput", BenchmarkSimulatorThroughput, 142},
-		{"RAMSISScheduler", BenchmarkRAMSISScheduler, 393},
+		{"FrontendQuery", BenchmarkFrontendQuery, 8, false},
+		{"ShardedGatewayQuery", BenchmarkShardedGatewayQuery, 9, false},
+		{"LLMStepLoop", BenchmarkLLMStepLoop, 153, true},
+		{"PolicySelect", BenchmarkPolicySelect, 0, true},
+		{"SimulatorThroughput", BenchmarkSimulatorThroughput, 143, true},
+		{"RAMSISScheduler", BenchmarkRAMSISScheduler, 394, true},
 	} {
 		r := testing.Benchmark(tc.bench)
 		if r.N == 0 {
@@ -170,7 +178,11 @@ func TestDataPlaneAllocCeilings(t *testing.T) {
 			continue
 		}
 		t.Logf("Benchmark%s: %.2f allocs/op over %d ops", tc.name, float64(r.MemAllocs)/float64(r.N), r.N)
-		if got := r.AllocsPerOp(); got > tc.ceiling {
+		got := r.AllocsPerOp()
+		if tc.perRun {
+			got = int64((r.MemAllocs + uint64(r.N)/2) / uint64(r.N))
+		}
+		if got > tc.ceiling {
 			t.Errorf("Benchmark%s: %d allocs/op, ceiling %d", tc.name, got, tc.ceiling)
 		}
 	}

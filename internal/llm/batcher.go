@@ -1,6 +1,10 @@
 package llm
 
-import "ramsis/internal/telemetry"
+import (
+	"math"
+
+	"ramsis/internal/telemetry"
+)
 
 // Request is one token-annotated query: a prompt of Prefill tokens to
 // ingest and Decode output tokens to generate, arriving at Arrival modeled
@@ -17,11 +21,14 @@ type Request struct {
 func (q Request) Tokens() int { return q.Prefill + q.Decode }
 
 // Selector picks the step model a worker's next engine step should run. It
-// is consulted at every step boundary with the worker's observable state:
-// queued is the query count (waiting + running), outstandingTokens the
-// unfinished token load, kvUsage the KV-cache occupancy fraction, and
-// headSlack the oldest query's remaining deadline headroom in seconds.
-// Returning a negative index keeps the current model.
+// is consulted exactly once at every step boundary — the boundaries inside a
+// decode run that Batcher.Begin lands itself included — with the worker's
+// observable state: queued is the query count (waiting + running),
+// outstandingTokens the unfinished token load, kvUsage the KV-cache
+// occupancy fraction, and headSlack the oldest query's remaining deadline
+// headroom in seconds. Returning a negative index keeps the current model.
+// A stateful selector therefore sees the same call sequence whether its
+// batcher runs one step per Begin or many.
 type Selector interface {
 	SelectModel(queued, outstandingTokens int, kvUsage, headSlack float64) int
 }
@@ -40,6 +47,8 @@ type Seq[T any] struct {
 	// and a TBT observation afterwards.
 	Gap float64
 
+	// lastTokenAt, decodeLeft and kvHeld lag a decode run Begin is landing
+	// by the run's steps until Begin settles the run, before it returns.
 	lastTokenAt float64 // the arrival, until the first token
 	prefillLeft int
 	decodeLeft  int
@@ -67,11 +76,14 @@ type Counts struct {
 
 // Batcher is one worker's continuous-batching step scheduler: a waiting
 // queue, a running batch, and KV-cache accounting against the serving
-// model's capacity. At every step boundary it consults the selector (an
+// model's capacity. At every step boundary it consults the selector once (an
 // immediate model switch when the running batch is empty, drain-then-switch
 // otherwise), admits waiting requests FIFO under full-footprint KV
 // reservations, composes the step decode-first with chunked prefill, and —
 // once the caller has let the step's modeled time pass — lands its tokens.
+// A step in which every running sequence decodes, none finishes and nothing
+// outside can happen first changes only counters, so Begin lands such steps
+// itself, a decode run, and hands its caller the first step that is not one.
 //
 // It works purely in modeled seconds handed in by its caller and never
 // reads a clock: the simulator drives it from its event loop, the serve
@@ -98,6 +110,17 @@ type Batcher[T any] struct {
 	// per-boundary result scratch, reused across steps
 	rejected []*Seq[T]
 	landed   []*Seq[T]
+	run      decodeRun // the decode steps the last Begin landed itself
+}
+
+// decodeRun is the decode steps one Begin landed itself: n sequences — the
+// head of the running batch — each decoding one token per step, for steps
+// steps from start, the first priced at kv tokens resident and the last
+// ending at end. Its counters land as it runs; its sequences' own fields
+// are settled once, before Begin returns; ObserveGaps replays its step ends.
+type decodeRun struct {
+	start, end   float64
+	steps, n, kv int
 }
 
 const seqSlab = 64
@@ -146,6 +169,11 @@ func (b *Batcher[T]) Model() *StepModel { return &b.models.Models[b.model] }
 // Counts returns the run totals so far.
 func (b *Batcher[T]) Counts() Counts { return b.counts }
 
+// DecodeRun reports how many decode steps the last Begin landed itself and
+// when the last of them ended (its now, when it landed none): the time a
+// caller's horizon must lie beyond.
+func (b *Batcher[T]) DecodeRun() (steps int, end float64) { return b.run.steps, b.run.end }
+
 // Finish accounts for a sequence Land reported Done at time end: it returns
 // the request's end-to-end latency and whether that violates the SLO — the
 // one SLO test both clocks apply — and records the outcome in the registry
@@ -168,59 +196,129 @@ func (b *Batcher[T]) Drain() []*Seq[T] {
 	return all
 }
 
-// Begin runs one step boundary at time now: consult the selector, drain or
-// switch the serving model, admit waiting requests under the KV reservation
-// cap, and compose the step decode-first. It returns the composed step's
-// modeled latency — the caller lets that long pass, then calls Land — plus
-// the requests rejected because their footprint can never fit the serving
-// model's cache (valid until the next Begin). ok is false when nothing is
-// runnable: the worker is idle until the next Push.
-func (b *Batcher[T]) Begin(now float64) (seconds float64, rejected []*Seq[T], ok bool) {
+// Begin runs step boundaries from time now: at each it consults the
+// selector once, drains or switches the serving model, admits waiting
+// requests under the KV reservation cap and composes the step decode-first.
+// While the composed step belongs to a decode run — every running sequence
+// decodes, one step after its last token, none finishes, and the step ends
+// strictly before horizon — Begin lands it itself, in O(1): the KV and
+// outstanding counts move by the running count, and the next boundary
+// starts at its end. It returns the first step that does not, as its
+// absolute end time (the run's step times summed one at a time) — the
+// caller lets that pass, then calls Land — plus the requests rejected
+// because their footprint can never fit the serving model's cache (valid
+// until the next Begin). ok is false when nothing is runnable: the worker is
+// idle until the next Push.
+//
+// A caller whose clock can run past a step passes its next outside event —
+// the simulator its next arrival — as horizon, so every push still finds
+// the batcher as one Begin per step would leave it; horizon = now runs one
+// step per call.
+func (b *Batcher[T]) Begin(now, horizon float64) (end float64, rejected []*Seq[T], ok bool) {
+	b.run = decodeRun{start: now, end: now}
 	if b.Idle() {
 		return 0, nil, false
 	}
-	if b.sel != nil {
-		b.maybeSwitch(now)
-	}
-	m := b.Model()
-	cap := m.KVCapTokens
 	b.rejected = b.rejected[:0]
-
-	if !b.draining {
-		for len(b.waiting) > 0 && len(b.running) < m.MaxSeqs {
-			s := b.waiting[0]
-			need := s.Tokens()
-			if b.kvReserved+need > cap {
-				if len(b.running) == 0 && b.kvReserved == 0 {
-					// Can never fit this model's cache even empty: reject
-					// rather than deadlock the queue head.
-					b.waiting = b.waiting[1:]
-					b.outTok -= need
-					b.rejected = append(b.rejected, s)
-					continue
-				}
-				break // FIFO admission: no head-of-line bypass
-			}
-			b.kvReserved += need
-			s.AdmitAt = now
-			b.running = append(b.running, s)
-			b.waiting = b.waiting[1:]
+	// left is the fewest decode tokens a running sequence owed at the last
+	// composition; lockstep, that every running sequence then decoded one
+	// step after its last token.
+	left, lockstep := 0, false
+	for {
+		if b.sel != nil {
+			b.maybeSwitch(now)
 		}
+		m := b.Model()
+		admitted := b.admit(now, m)
+		if len(b.running) == 0 {
+			return 0, b.rejected, false
+		}
+		p, d := 0, len(b.running)
+		composed := b.run.steps == 0 || admitted
+		if composed {
+			b.settle()
+			p, d, left, lockstep = b.compose(m, now)
+		}
+		tau := m.StepTime(p, d, float64(b.kvUsed)/float64(m.KVCapTokens))
+		end = now + tau
+		b.counts.Steps++
+		b.counts.PrefillTokens += int64(p)
+		b.counts.DecodeTokens += int64(d)
+		if t := b.tel; t != nil {
+			t.step.Observe(tau)
+			t.steps.With(m.Name).Inc()
+			t.prefillTokens.Add(float64(p))
+			t.decodeTokens.Add(float64(d))
+		}
+		if !lockstep || left-b.run.steps <= 1 || !(end < horizon) {
+			if !composed {
+				b.settle()
+			}
+			return end, b.rejected, true
+		}
+		// Land the decode step here: no sequence finishes, so only the
+		// counters move.
+		if b.run.steps == 0 {
+			b.run.n, b.run.kv = d, b.kvUsed
+		}
+		b.run.steps++
+		b.run.end = end
+		b.kvUsed += d
+		b.outTok -= d
+		b.counts.PeakKV = max(b.counts.PeakKV, float64(b.kvUsed)/float64(m.KVCapTokens))
+		now = end
 	}
-	if len(b.running) == 0 {
-		return 0, b.rejected, false
-	}
+}
 
-	// Compose the step: one decode token per eligible sequence first, then
-	// prefill chunks fill the remaining budget.
+// admit moves waiting requests into the running batch FIFO while their KV
+// reservations fit (none while draining), rejecting a head that can never
+// fit the serving model's empty cache; it reports whether it admitted any.
+func (b *Batcher[T]) admit(now float64, m *StepModel) bool {
+	if b.draining {
+		return false
+	}
+	admitted := false
+	for len(b.waiting) > 0 && len(b.running) < m.MaxSeqs {
+		s := b.waiting[0]
+		need := s.Tokens()
+		if b.kvReserved+need > m.KVCapTokens {
+			if len(b.running) == 0 && b.kvReserved == 0 {
+				// Can never fit this model's cache even empty: reject
+				// rather than deadlock the queue head.
+				b.waiting = b.waiting[1:]
+				b.outTok -= need
+				b.rejected = append(b.rejected, s)
+				continue
+			}
+			break // FIFO admission: no head-of-line bypass
+		}
+		b.kvReserved += need
+		s.AdmitAt = now
+		b.running = append(b.running, s)
+		b.waiting = b.waiting[1:]
+		admitted = true
+	}
+	return admitted
+}
+
+// compose schedules the step at now: one decode token per eligible sequence
+// first, then prefill chunks fill the remaining budget. It returns the
+// step's prefill and decode tokens, the fewest decode tokens a decoding
+// sequence owes, and whether every running sequence decodes one step after
+// its last token.
+func (b *Batcher[T]) compose(m *StepModel, now float64) (p, d, left int, lockstep bool) {
 	budget := m.StepBudget()
-	p, d := 0, 0
+	left, lockstep = math.MaxInt, true
 	for _, s := range b.running {
 		s.decodeScheduled = false
 		s.prefillChunk = 0
 		if s.prefillLeft == 0 && s.decodeLeft > 0 && d < budget {
 			s.decodeScheduled = true
 			d++
+			left = min(left, s.decodeLeft)
+			lockstep = lockstep && s.lastTokenAt == now
+		} else {
+			lockstep = false
 		}
 	}
 	for _, s := range b.running {
@@ -230,18 +328,21 @@ func (b *Batcher[T]) Begin(now float64) (seconds float64, rejected []*Seq[T], ok
 			p += chunk
 		}
 	}
+	return p, d, left, lockstep
+}
 
-	tau := m.StepTime(p, d, float64(b.kvUsed)/float64(cap))
-	b.counts.Steps++
-	b.counts.PrefillTokens += int64(p)
-	b.counts.DecodeTokens += int64(d)
-	if t := b.tel; t != nil {
-		t.step.Observe(tau)
-		t.steps.With(m.Name).Inc()
-		t.prefillTokens.Add(float64(p))
-		t.decodeTokens.Add(float64(d))
+// settle applies the decode run landed so far to its sequences: each
+// decoded one token per step, the last at the run's end.
+func (b *Batcher[T]) settle() {
+	k := b.run.steps
+	if k == 0 {
+		return
 	}
-	return tau, b.rejected, true
+	for _, s := range b.running[:b.run.n] {
+		s.decodeLeft -= k
+		s.kvHeld += k
+		s.lastTokenAt = b.run.end
+	}
 }
 
 // maybeSwitch applies the selector's decision: an immediate switch when the
@@ -281,12 +382,13 @@ func (b *Batcher[T]) headArrival() float64 {
 	return t
 }
 
-// Land lands the step's scheduled tokens at time end: prefill chunks enter
-// the KV cache (a finishing prefill emits the first token), decode tokens
-// advance their sequences, and finished sequences release their
-// reservations. It returns the sequences that generated a token — each
-// exactly one; see Seq.Gap, First and Done — in batch order (valid until the
-// next Land).
+// Land lands the step Begin returned — not the decode run Begin landed
+// before it — at time end: prefill chunks enter the KV cache (a finishing
+// prefill emits the first token), decode tokens advance their sequences,
+// and finished sequences release their reservations. It returns the
+// sequences that generated a token — each exactly one; see Seq.Gap, First
+// and Done — in batch order (valid until the next Land). With a registry it
+// records the run's and the step's tokens through ObserveGaps.
 func (b *Batcher[T]) Land(end float64) []*Seq[T] {
 	cap := float64(b.Model().KVCapTokens)
 	b.landed = b.landed[:0]
@@ -330,29 +432,54 @@ func (b *Batcher[T]) Land(end float64) []*Seq[T] {
 	b.counts.PeakKV = max(b.counts.PeakKV, kv)
 	if t := b.tel; t != nil {
 		t.kv.Set(kv)
-		ObserveGaps(b.landed, t.ttft, t.tbt)
+		b.ObserveGaps(t.ttft, t.tbt, nil, nil)
 	}
 	return b.landed
 }
 
-// ObserveGaps records the tokens one step landed (Land's result, in batch
-// order): a sequence's first token is a TTFT observation, every later token
-// a TBT observation. Every sequence that also decoded in the previous step
-// has the same gap — end − prevEnd, to the bit — so a run of consecutive
-// equal TBT gaps goes to tbt as one ObserveN, and both histograms end
-// exactly as one Observe per token would leave them, sums included.
-func ObserveGaps[T any](landed []*Seq[T], ttft, tbt *telemetry.Histogram) {
+// ObserveGaps records the tokens the last Land landed, in step order: first
+// the decode run Begin landed before that step — R tokens a step, each
+// step's gap its end − the previous end, replayed to the bit from the run's
+// start, step count, starting KV and R, so a run keeps no storage — then
+// the step's own tokens (Land's result, in batch order). A sequence's first
+// token is a TTFT observation, every later token a TBT observation; when
+// ttfts / tbts are non-nil each observation is appended there too. Every
+// sequence that also decoded in the previous step has the same gap, so a
+// run of consecutive equal TBT gaps goes to tbt as one ObserveN, and both
+// histograms end exactly as one Observe per token would leave them, sums
+// included. This is the one place gaps become observations.
+func (b *Batcher[T]) ObserveGaps(ttft, tbt *telemetry.Histogram, ttfts, tbts *[]float64) {
+	r, m := &b.run, b.Model()
+	prev, kv := r.start, r.kv
+	for i := 0; i < r.steps; i++ {
+		end := prev + m.StepTime(0, r.n, float64(kv)/float64(m.KVCapTokens))
+		observeTBT(tbt, tbts, end-prev, r.n)
+		prev, kv = end, kv+r.n
+	}
 	gap, n := 0.0, 0
-	for _, s := range landed {
+	for _, s := range b.landed {
 		switch {
 		case s.First():
 			ttft.Observe(s.Gap)
+			if ttfts != nil {
+				*ttfts = append(*ttfts, s.Gap)
+			}
 		case n > 0 && s.Gap == gap:
 			n++
 		default:
-			tbt.ObserveN(gap, n)
+			observeTBT(tbt, tbts, gap, n)
 			gap, n = s.Gap, 1
 		}
 	}
+	observeTBT(tbt, tbts, gap, n)
+}
+
+// observeTBT records n TBT observations of gap.
+func observeTBT(tbt *telemetry.Histogram, tbts *[]float64, gap float64, n int) {
 	tbt.ObserveN(gap, n)
+	if tbts != nil {
+		for ; n > 0; n-- {
+			*tbts = append(*tbts, gap)
+		}
+	}
 }

@@ -13,19 +13,19 @@ type token struct {
 	Done  bool
 }
 
-// runToIdle drives a batcher like the simulator's event loop does — begin a
-// step at now, land it Step.Seconds later — until nothing is runnable. It
-// returns the end time plus every token and rejection in order.
+// runToIdle drives a batcher one step per Begin (horizon = now) — begin a
+// step at now, land it at the end Begin returns — until nothing is
+// runnable. It returns the end time plus every token and rejection in order.
 func runToIdle(b *Batcher[int], now float64) (end float64, tokens []token, rejected []int) {
 	for {
-		seconds, rej, ok := b.Begin(now)
+		end, rej, ok := b.Begin(now, now)
 		for _, s := range rej {
 			rejected = append(rejected, s.ID)
 		}
 		if !ok {
 			return now, tokens, rejected
 		}
-		now += seconds
+		now = end
 		for _, s := range b.Land(now) {
 			tokens = append(tokens, token{s, s.Gap, s.First(), s.Done()})
 		}
@@ -129,7 +129,7 @@ func TestBatcherDrainThenSwitch(t *testing.T) {
 	models := BuiltinSet()
 	b := NewBatcher[int](models, 60, &scriptSelector{}, nil, 0)
 	b.Push(Request{ID: 1, Prefill: 10, Decode: 30}, 0)
-	tau, _, ok := b.Begin(0)
+	tau, _, ok := b.Begin(0, 0)
 	if !ok || b.Model().Name != models.Models[0].Name || b.Counts().Switches != 1 {
 		t.Fatalf("first boundary: on %s after %d switches; want an immediate switch to %s",
 			b.Model().Name, b.Counts().Switches, models.Models[0].Name)
@@ -161,7 +161,7 @@ func TestBatcherDrainFailsEverything(t *testing.T) {
 	b := NewBatcher[int](BuiltinSet().WithKVCap(1000), 60, nil, nil, 0)
 	b.Push(Request{ID: 1, Prefill: 800, Decode: 10}, 0)
 	b.Push(Request{ID: 2, Prefill: 800, Decode: 10}, 0)
-	if _, _, ok := b.Begin(0); !ok {
+	if _, _, ok := b.Begin(0, 0); !ok {
 		t.Fatal("nothing runnable")
 	}
 	if all := b.Drain(); len(all) != 2 {

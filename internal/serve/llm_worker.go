@@ -257,7 +257,8 @@ func (w *LLMWorker) handleGenerate(rw http.ResponseWriter, req *http.Request) {
 
 // loop drives the batcher from the wall clock: run a step boundary, hold
 // the batch for the step's modeled time compressed by TimeScale, then land
-// its tokens onto their streams.
+// its tokens onto their streams. Every token is streamed as it lands, so
+// Begin's horizon is now: one step per call.
 func (w *LLMWorker) loop() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -268,7 +269,8 @@ func (w *LLMWorker) loop() {
 		if w.stopped {
 			return
 		}
-		seconds, rejected, ok := w.b.Begin(w.modeledNow())
+		now := w.modeledNow()
+		end, rejected, ok := w.b.Begin(now, now)
 		for _, s := range rejected {
 			m := w.b.Model()
 			s.Tag.reject = fmt.Sprintf("request footprint %d tokens exceeds model %s KV capacity %d",
@@ -279,12 +281,12 @@ func (w *LLMWorker) loop() {
 			continue
 		}
 		w.mu.Unlock()
-		w.sleep(time.Duration(seconds / w.TimeScale * float64(time.Second)))
+		w.sleep(time.Duration((end - now) / w.TimeScale * float64(time.Second)))
 		w.mu.Lock()
 		if w.stopped {
 			return
 		}
-		end := w.modeledNow()
+		end = w.modeledNow()
 		batch := w.b.Running()
 		for _, s := range w.b.Land(end) {
 			s.Tag.tok <- struct{}{}

@@ -334,6 +334,10 @@ type Engine struct {
 	traceArrivals bool
 	win           window // the queue under decision, as the core sees it
 
+	// rest is the arrivals still to come, in arrival order: step takes its
+	// head, and a token worker's decode run ends before it.
+	rest []Query
+
 	tokens *tokenWorkers       // an LLMEngine's workers; nil for scalar workers
 	kind   workerKind          // the worker kind begin chose
 	reg    *telemetry.Registry // what the core and the accounts record into
@@ -622,32 +626,33 @@ func (e *Engine) Run(arrivals []float64) Metrics {
 // the aggregated metrics. Run is the unlabeled convenience wrapper.
 func (e *Engine) RunQueries(queries []Query) Metrics {
 	e.begin()
-	for rest, more := queries, true; more; {
-		rest, more = e.step(rest)
+	for e.rest = queries; e.step(); {
 	}
+	e.rest = nil
 	e.finishMetrics()
 	return e.metrics
 }
 
 // step handles the next event — the arrival at the head of rest, or the
-// earliest batch completion, the arrival first on a tie — and returns the
-// arrivals still to come; false when there was no event left.
-func (e *Engine) step(rest []Query) ([]Query, bool) {
+// earliest batch completion, the arrival first on a tie — and reports
+// whether there was one.
+func (e *Engine) step() bool {
 	switch {
-	case len(rest) > 0 && (e.events.len() == 0 || rest[0].Arrival <= e.events.nextTime()):
-		q, w := rest[0], -1
+	case len(e.rest) > 0 && (e.events.len() == 0 || e.rest[0].Arrival <= e.events.nextTime()):
+		q, w := e.rest[0], -1
+		e.rest = e.rest[1:]
 		if e.arrive(q) {
 			w = e.route(q)
 		}
 		e.offer(q.Arrival, w)
-		return rest[1:], true
+		return true
 	case e.events.len() > 0:
 		ev := e.events.pop()
 		e.kind.complete(ev)
 		e.offer(ev.time, ev.worker)
-		return rest, true
+		return true
 	}
-	return rest, false
+	return false
 }
 
 // Outstanding counts every query admitted but not yet completed: central

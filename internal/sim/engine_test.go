@@ -427,23 +427,32 @@ func (s tokenLadder) SelectModel(_, outstandingTokens int, _, _ float64) int {
 // stepCheckedTokens runs queries through the token workers one event at a
 // time, checking after each: every lens entry is its batcher's outstanding
 // tokens; a worker has a step in flight exactly when its batcher is not
-// idle; the running Outstanding matches a recount from the tallies; and an
-// event starts at most one step.
+// idle; the running Outstanding matches a recount from the tallies; an
+// event starts at most one run — the heap grows by at most one, and a
+// worker whose step count moved took its decode run plus the one step Begin
+// returned; and no step a batcher landed itself ends at or after the
+// arrival that follows it.
 func stepCheckedTokens(e *LLMEngine, queries []Query) error {
 	e.Engine.begin()
-	steps := func() (n int) {
-		for _, b := range e.b {
-			n += b.Counts().Steps
-		}
-		return n
-	}
-	for rest, more, ev := queries, true, 0; more; ev++ {
-		before := steps()
-		rest, more = e.step(rest)
-		if started := steps() - before; started > 1 {
-			return fmt.Errorf("event %d started %d steps", ev, started)
+	e.rest = queries
+	steps := make([]int, len(e.b))
+	for more, ev := true, 0; more; ev++ {
+		pending := e.events.len()
+		more = e.step()
+		if started := e.events.len() - pending; started > 1 {
+			return fmt.Errorf("event %d started %d runs", ev, started)
 		}
 		for w, b := range e.b {
+			if moved := b.Counts().Steps - steps[w]; moved > 0 {
+				n, end := b.DecodeRun()
+				if moved != n+1 {
+					return fmt.Errorf("event %d: worker %d took %d steps, not a run of %d and one more", ev, w, moved, n)
+				}
+				if n > 0 && len(e.rest) > 0 && !(end < e.rest[0].Arrival) {
+					return fmt.Errorf("event %d: worker %d landed a step ending at %v, not before the next arrival at %v", ev, w, end, e.rest[0].Arrival)
+				}
+				steps[w] += moved
+			}
 			if got, want := e.lens[w], b.Outstanding(); got != want {
 				return fmt.Errorf("event %d: lens[%d] = %d, batcher outstanding %d", ev, w, got, want)
 			}
@@ -455,7 +464,7 @@ func stepCheckedTokens(e *LLMEngine, queries []Query) error {
 		for _, a := range e.accts {
 			ended += a.m.Served + a.m.Dropped + a.m.Shed
 		}
-		if got, want := e.Outstanding(), len(queries)-len(rest)-ended; got != want {
+		if got, want := e.Outstanding(), len(queries)-len(e.rest)-ended; got != want {
 			return fmt.Errorf("event %d: Outstanding() = %d, recount %d", ev, got, want)
 		}
 	}
@@ -471,7 +480,8 @@ func stepChecked(e *Engine, arr []float64, central bool) error {
 		queries[i] = Query{ID: i, Arrival: at}
 	}
 	e.begin()
-	for rest, more, ev := queries, true, 0; more; ev++ {
+	e.rest = queries
+	for more, ev := true, 0; more; ev++ {
 		lowestIdle := e.Workers
 		for w := range e.inflight {
 			if len(e.inflight[w].queries) == 0 {
@@ -480,7 +490,7 @@ func stepChecked(e *Engine, arr []float64, central bool) error {
 			}
 		}
 		logged := len(e.metrics.DecisionLog)
-		rest, more = e.step(rest)
+		more = e.step()
 		switch started := e.metrics.DecisionLog[logged:]; {
 		case len(started) > 1:
 			return fmt.Errorf("event %d started %d batches", ev, len(started))

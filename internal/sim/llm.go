@@ -3,6 +3,7 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"ramsis/internal/core"
@@ -193,12 +194,19 @@ func (t *tokenWorkers) enqueue(w int, q Query) {
 	e.outstanding++
 }
 
-// start runs idle worker w's step boundary at now and schedules the
-// composed step's end; queries whose KV footprint can never fit the serving
-// model are dropped.
+// start runs idle worker w's step boundaries from now and schedules the end
+// of the first step its batcher does not land itself; queries whose KV
+// footprint can never fit the serving model are dropped. The next arrival
+// is the batcher's horizon: a decode run lands only steps that end before
+// it, so that arrival still finds lens and Outstanding() as one event per
+// step would leave them.
 func (t *tokenWorkers) start(now float64, w int) {
 	e, b := t.l, t.b[w]
-	seconds, rejected, ok := b.Begin(now)
+	horizon := math.Inf(1)
+	if len(e.rest) > 0 {
+		horizon = e.rest[0].Arrival
+	}
+	end, rejected, ok := b.Begin(now, horizon)
 	for _, s := range rejected {
 		s.Tag.m.Dropped++
 		if e.core.Tracing() {
@@ -213,26 +221,23 @@ func (t *tokenWorkers) start(now float64, w int) {
 	e.lens[w] = b.Outstanding()
 	if ok {
 		e.idle[w/64] &^= 1 << (w % 64)
-		e.events.push(event{time: now + seconds, worker: w})
+		e.events.push(event{time: end, worker: w})
 	}
 }
 
-// complete lands worker ev.worker's step and records every token it
-// generated and every query it finished.
+// complete lands worker ev.worker's step and records every token it and
+// the decode run before it generated, and every query it finished.
 func (t *tokenWorkers) complete(ev event) {
 	e, w, b := t.l, ev.worker, t.b[ev.worker]
 	batch := b.Running()
 	landed := b.Land(ev.time)
-	llm.ObserveGaps(landed, t.ttftHist, t.tbtHist)
+	var ttfts, tbts *[]float64
+	if e.CollectLatencies {
+		ttfts, tbts = &t.ttfts, &t.tbts
+	}
+	b.ObserveGaps(t.ttftHist, t.tbtHist, ttfts, tbts)
 	tracing := e.core.Tracing()
 	for _, s := range landed {
-		if e.CollectLatencies {
-			if s.First() {
-				t.ttfts = append(t.ttfts, s.Gap)
-			} else {
-				t.tbts = append(t.tbts, s.Gap)
-			}
-		}
 		if !s.Done() {
 			continue
 		}

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -461,6 +463,182 @@ func TestLLMAdmissionAndTenants(t *testing.T) {
 			t.Logf("%s/%q: served %d shed %d dropped %d", tc.name, name, tm.Served, tm.Shed, tm.Dropped)
 			if tm.Shed != want {
 				t.Errorf("%s/%q: shed %d, pinned %d", tc.name, name, tm.Shed, want)
+			}
+		}
+	}
+}
+
+// recordingSelector logs every consult, all four arguments to the bit,
+// before passing it on.
+type recordingSelector struct {
+	sel   ModelSelector
+	calls []uint64
+}
+
+func (r *recordingSelector) SelectModel(queued, outstanding int, kv, slack float64) int {
+	r.calls = append(r.calls, uint64(queued), uint64(outstanding), math.Float64bits(kv), math.Float64bits(slack))
+	return r.sel.SelectModel(queued, outstanding, kv, slack)
+}
+
+// batcherLog is what one batcher showed its caller over a stream.
+type batcherLog struct {
+	calls       []uint64 // the selector's consults, four words each
+	counts      llm.Counts
+	peakKV      uint64
+	finished    []uint64 // per finished sequence: ID, AdmitAt, FirstTokenAt and end bits
+	rejected    []int
+	ttfts, tbts []uint64
+	outstanding []int // Outstanding() as each push found it
+	stalled     bool  // still stepping an hour of modeled time after the last arrival
+	boundaries  int   // every step, and every Begin that found nothing to run
+}
+
+// driveBatcher runs queries (ascending) through one batcher the way the
+// token engine drives a worker — push at each arrival, Begin whenever it is
+// idle, Land at the end Begin returned, arrivals first on a tie — with
+// Begin's horizon the next push (runs) or now (one step per Begin). It
+// returns the log and the number of Begin calls.
+func driveBatcher(models llm.Set, sel ModelSelector, queries []TokenQuery, runs bool) (batcherLog, int) {
+	rec := &recordingSelector{sel: sel}
+	b := llm.NewBatcher[int](models, 8.0, rec, nil, 0)
+	ttftH := telemetry.NewHistogram(telemetry.DefaultLatencyBuckets())
+	tbtH := telemetry.NewHistogram(telemetry.DefaultLatencyBuckets())
+	var (
+		log         batcherLog
+		ttfts, tbts []float64
+		next, calls int
+		busy        bool
+		end         float64
+		boundaries  int // Begin calls that reached a boundary and found nothing to run
+	)
+	begin := func(now float64) {
+		horizon := now
+		if runs {
+			horizon = math.Inf(1)
+			if next < len(queries) {
+				horizon = queries[next].Arrival
+			}
+		}
+		idle := b.Idle()
+		var rejected []*llm.Seq[int]
+		end, rejected, busy = b.Begin(now, horizon)
+		calls++
+		if !idle && !busy {
+			boundaries++
+		}
+		for _, s := range rejected {
+			log.rejected = append(log.rejected, s.ID)
+		}
+	}
+	for {
+		if next < len(queries) && (!busy || queries[next].Arrival <= end) {
+			q := queries[next]
+			next++
+			log.outstanding = append(log.outstanding, b.Outstanding())
+			b.Push(llm.Request{ID: q.ID, Arrival: q.Arrival, Prefill: q.Prefill, Decode: q.Decode}, 0)
+			if !busy {
+				begin(q.Arrival)
+			}
+			continue
+		}
+		if !busy {
+			break
+		}
+		if end > queries[len(queries)-1].Arrival+3600 {
+			log.stalled = true
+			break
+		}
+		for _, s := range b.Land(end) {
+			if s.Done() {
+				log.finished = append(log.finished, uint64(s.ID),
+					math.Float64bits(s.AdmitAt), math.Float64bits(s.FirstTokenAt), math.Float64bits(end))
+			}
+		}
+		b.ObserveGaps(ttftH, tbtH, &ttfts, &tbts)
+		begin(end)
+	}
+	log.calls, log.counts = rec.calls, b.Counts()
+	log.peakKV, log.counts.PeakKV = math.Float64bits(log.counts.PeakKV), 0
+	for _, x := range ttfts {
+		log.ttfts = append(log.ttfts, math.Float64bits(x))
+	}
+	for _, x := range tbts {
+		log.tbts = append(log.tbts, math.Float64bits(x))
+	}
+	log.boundaries = log.counts.Steps + boundaries
+	return log, calls
+}
+
+// TestBatcherRunsMatchSingleSteps pins Begin's decode runs to one step per
+// Begin: two batchers take identical pushes, one with horizon = now, the
+// other with the next push as its horizon, and must show their callers the
+// same thing bit for bit — every selector consult (all four arguments, one
+// per boundary), Counts, each sequence's admission, first token and finish,
+// the TTFT and TBT observation sequences, and Outstanding() at every push —
+// under a fixed, a token-ladder, a stateful script and a token-policy
+// selector, at the profiles' KV capacity and at 3,000 tokens.
+func TestBatcherRunsMatchSingleSteps(t *testing.T) {
+	models := llm.BuiltinSet()
+	cls := llm.GeneralClass()
+	pol, err := core.GenerateLLM(core.LLMConfig{
+		Models: models, SLO: 8, Workers: 1, Rate: 4, In: cls.In, Out: cls.Out,
+		TokenBucket: 128, MaxTokens: 8192, Jacobi: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy, err := NewLLMPolicySelector(pol, models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	selectors := []struct {
+		name string
+		sel  func() ModelSelector
+	}{
+		{"fixed", func() ModelSelector { return FixedSelector(models.Fastest()) }},
+		{"ladder", func() ModelSelector {
+			return tokenLadder{fast: models.Fastest(), accurate: models.MostAccurate(), limit: 3000}
+		}},
+		{"script", func() ModelSelector { return &scriptSelector{} }},
+		{"policy", func() ModelSelector { return policy }},
+	}
+	burst := slices.Clone(burstWorkload())
+	slices.SortStableFunc(burst, byArrival)
+	workloads := map[string][]TokenQuery{"burst": burst, "poisson": poissonTokenWorkload(3, 60, 5)}
+	for wl, queries := range workloads {
+		for _, sc := range selectors {
+			for _, kvCap := range []int{0, 3000} {
+				name := fmt.Sprintf("%s/%s/kv=%d", wl, sc.name, kvCap)
+				set := models.WithKVCap(kvCap)
+				single, singleBegins := driveBatcher(set, sc.sel(), queries, false)
+				runs, runBegins := driveBatcher(set, sc.sel(), queries, true)
+				for _, f := range []struct {
+					what      string
+					want, got any
+				}{
+					{"selector consults", single.calls, runs.calls},
+					{"counts", single.counts, runs.counts},
+					{"peak KV", single.peakKV, runs.peakKV},
+					{"finished sequences", single.finished, runs.finished},
+					{"rejections", single.rejected, runs.rejected},
+					{"TTFT observations", single.ttfts, runs.ttfts},
+					{"TBT observations", single.tbts, runs.tbts},
+					{"Outstanding at each push", single.outstanding, runs.outstanding},
+					{"stalls", single.stalled, runs.stalled},
+				} {
+					if !reflect.DeepEqual(f.want, f.got) {
+						t.Errorf("%s: %s differ between one step per Begin and decode runs", name, f.what)
+					}
+				}
+				for _, l := range []batcherLog{single, runs} {
+					if len(l.calls) != 4*l.boundaries {
+						t.Errorf("%s: %d selector consults at %d step boundaries, want one each", name, len(l.calls)/4, l.boundaries)
+					}
+				}
+				if runBegins >= singleBegins {
+					t.Errorf("%s: %d Begin calls with runs, %d without: no decode run formed", name, runBegins, singleBegins)
+				}
+				t.Logf("%s: %d steps in %d Begins (%d one per Begin)", name, runs.counts.Steps, runBegins, singleBegins)
 			}
 		}
 	}
