@@ -129,8 +129,10 @@ bench-smoke:
 # CPU- and heap-profile one benchmark — the simulator throughput benchmark
 # unless PROFILE_BENCH names another — and print the top hotspots (profiles
 # land in ./profiles for interactive pprof use).
-# `make profile PROFILE_BENCH=BenchmarkBuildWorkerMDP` is the transition
-# build's split quoted in DESIGN.md § "Transition-probability computation",
+# `make profile PROFILE_BENCH='BenchmarkBuildWorkerMDP/4200qps/whole'` is
+# the transition build's split quoted in DESIGN.md § "Transition-probability
+# computation" (the bare benchmark name would profile every sub-benchmark,
+# `prepare` and the variable / Gamma builds included),
 # `PROFILE_BENCH=BenchmarkGenerateLLM` the token generation's build / solve
 # split quoted in § "Solver performance",
 # `PROFILE_BENCH=BenchmarkLLMStepLoop` the step loop's split quoted in

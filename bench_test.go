@@ -273,8 +273,21 @@ func BenchmarkCompile(b *testing.B) {
 // BenchmarkBuildWorkerMDP measures the transition build — what an adaptive
 // re-solve spends most of its time in — on the repository benchmark's problem
 // (bench/: image zoo, 300 ms SLO, 80 workers, D=50) at two of its rates:
-// prepare is the probability tables alone, whole the full build.
+// prepare is the probability tables alone, whole the full build. At 4200 QPS
+// the same problem is also built under variable batching (the wide cdf tables
+// and the Binomial-tail slack rows) and with Erlang-2 arrivals (the Gamma
+// tables), the incomplete-gamma kernel's other callers.
 func BenchmarkBuildWorkerMDP(b *testing.B) {
+	build := func(cfg core.Config) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.BuildWorkerMDP(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
 	for _, load := range []float64{3000, 4200} {
 		cfg := core.Config{
 			Models:  profile.ImageSet(),
@@ -291,14 +304,14 @@ func BenchmarkBuildWorkerMDP(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("%.0fqps/whole", load), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.BuildWorkerMDP(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run(fmt.Sprintf("%.0fqps/whole", load), build(cfg))
+		if load == 4200 {
+			variable, gamma := cfg, cfg
+			variable.Batching = core.VariableBatching
+			gamma.Arrival = dist.NewGamma(load, 2)
+			b.Run(fmt.Sprintf("%.0fqps/variable", load), build(variable))
+			b.Run(fmt.Sprintf("%.0fqps/gamma", load), build(gamma))
+		}
 	}
 }
 

@@ -188,7 +188,7 @@ func checkGolden(t *testing.T, want map[string]uint64, name string, got uint64) 
 
 // phasePosterior is the allocating form the transition tests call.
 func phasePosterior(proc dist.Process, k, n int, ta float64) []float64 {
-	return (&stateScratch{pr: make([]float64, k)}).phasePosterior(proc, k, n, ta)
+	return (&stateScratch{pr: make([]float64, k)}).phasePosterior(proc, k, n, ta, logFactorials(n*k))
 }
 
 // TestPrepareTabulatesWhatActionsRead checks the builder's tables against the

@@ -58,11 +58,12 @@ type builder struct {
 	// tables for the (rate, latency) pairs some action takes — keyed by
 	// process rate (round-robin uses one process; queue-aware balancers use
 	// one per queue-length regime) and action latency.
-	acts [][]actionSpec           // state -> actions, in Label order
-	fk   map[float64][][]float64  // rate -> [k-1][cell] k-th-arrival pdf
-	h    map[tableKey][]float64   // (rate, latency) -> [cell*N_w + j-1]
-	cdf  map[tableKey][]float64   // (rate, latency) -> CDF table over counts
-	sqf  map[float64]dist.Process // SQF rate -> process
+	acts    [][]actionSpec           // state -> actions, in Label order
+	fk      map[float64][][]float64  // rate -> [k-1][cell] k-th-arrival pdf
+	h       map[tableKey][]float64   // (rate, latency) -> [cell*N_w + j-1]
+	cdf     map[tableKey][]float64   // (rate, latency) -> CDF table over counts
+	sqf     map[float64]dist.Process // SQF rate -> process
+	logFact []float64                // log(i!), i < N_w·K: the phase posterior's counts
 }
 
 type tableKey struct {
@@ -73,12 +74,13 @@ type tableKey struct {
 func newBuilder(sp *space) *builder {
 	cfg := sp.cfg
 	b := &builder{
-		sp:    sp,
-		cells: cfg.FineCells,
-		fk:    make(map[float64][][]float64),
-		h:     make(map[tableKey][]float64),
-		cdf:   make(map[tableKey][]float64),
-		sqf:   make(map[float64]dist.Process),
+		sp:      sp,
+		cells:   cfg.FineCells,
+		fk:      make(map[float64][][]float64),
+		h:       make(map[tableKey][]float64),
+		cdf:     make(map[tableKey][]float64),
+		sqf:     make(map[float64]dist.Process),
+		logFact: logFactorials(cfg.MaxQueue * cfg.Workers),
 	}
 	// The longest action latency bounds the quadrature horizon: valid
 	// actions are within the SLO, and the forced action runs the fastest
@@ -167,14 +169,21 @@ func (b *builder) prepare() {
 	})
 }
 
-// transpose returns the [col][row] form of a rectangular [row][col] table.
+// transpose returns the [col][row] form of a rectangular [row][col] table,
+// each column cut after its last nonzero entry: a density that has underflowed
+// to 0 adds exactly +0 to f̃, so the cells past a column's end are skipped.
 func transpose(t [][]float64) [][]float64 {
 	out := make([][]float64, len(t[0]))
 	for c := range out {
-		out[c] = make([]float64, len(t))
+		col := make([]float64, len(t))
+		end := 0
 		for r, row := range t {
-			out[c][r] = row[c]
+			col[r] = row[c]
+			if col[r] != 0 {
+				end = r + 1
+			}
 		}
+		out[c] = col[:end]
 	}
 	return out
 }
@@ -187,15 +196,17 @@ func (b *builder) buildHTable(proc dist.Process, k int, l float64) []float64 {
 	nw := b.sp.cfg.MaxQueue
 	gmax := b.cellsFor(l)
 	out := make([]float64, gmax*nw)
+	ladder := dist.NewCDFLadder(proc, k, nw)
 	for g := 0; g < gmax; g++ {
 		x := l - (float64(g)+0.5)*b.delta
 		if x < 0 {
 			x = 0
 		}
-		prev := 0.0 // CDF((j-1)K - 1, x), starting at CDF(-1) = 0
-		for j := 1; j <= nw; j++ {
-			cur := proc.CDF(j*k-1, x)
-			out[g*nw+j-1] = cur - prev
+		row := out[g*nw : (g+1)*nw]
+		ladder.Fill(x, row) // row[j-1] = CDF(jK − 1, x)
+		prev := 0.0         // CDF((j-1)K - 1, x), starting at CDF(-1) = 0
+		for j, cur := range row {
+			row[j] = cur - prev
 			prev = cur
 		}
 	}
@@ -212,9 +223,7 @@ func (b *builder) buildCDFTable(proc dist.Process, k int, l float64, wide bool) 
 		kmax = (b.sp.cfg.MaxQueue + 2) * k
 	}
 	out := make([]float64, kmax)
-	for i := 0; i < kmax; i++ {
-		out[i] = proc.CDF(i, l)
-	}
+	dist.NewCDFLadder(proc, 1, kmax).Fill(l, out)
 	return out
 }
 
@@ -227,11 +236,21 @@ func (b *builder) cellsFor(l float64) int {
 	return g
 }
 
+// logFactorials returns log(i!) = lgamma(i+1) for i = 0..n−1.
+func logFactorials(n int) []float64 {
+	lf := make([]float64, n)
+	for i := range lf {
+		lf[i], _ = math.Lgamma(float64(i) + 1)
+	}
+	return lf
+}
+
 // phasePosterior computes P(r) ∝ PF((n−1)K + r, T_A) for r = 0..K−1 — the
-// interval-A term of Eq. 2 — into the scratch's pr buffer. For Poisson
-// arrivals it works in log space to survive large means; on total underflow
-// (an effectively unreachable state) it falls back to a uniform phase.
-func (sc *stateScratch) phasePosterior(proc dist.Process, k, n int, ta float64) []float64 {
+// interval-A term of Eq. 2 — into the scratch's pr buffer, reading log(i!)
+// from logFact (at least nK entries). For Poisson arrivals it works in log
+// space to survive large means; on total underflow (an effectively
+// unreachable state) it falls back to a uniform phase.
+func (sc *stateScratch) phasePosterior(proc dist.Process, k, n int, ta float64, logFact []float64) []float64 {
 	pr := sc.pr[:k]
 	if ta <= 0 {
 		clear(pr)
@@ -242,11 +261,11 @@ func (sc *stateScratch) phasePosterior(proc dist.Process, k, n int, ta float64) 
 	sum := 0.0
 	if p, ok := proc.(dist.Poisson); ok {
 		mu := p.Lambda * ta
+		logmu := math.Log(mu)
 		maxLog := math.Inf(-1)
 		for r := 0; r < k; r++ {
 			kk := float64(base + r)
-			lg, _ := math.Lgamma(kk + 1)
-			pr[r] = kk*math.Log(mu) - mu - lg // log PF; exponentiated below
+			pr[r] = kk*logmu - mu - logFact[base+r] // log PF; exponentiated below
 			if pr[r] > maxLog {
 				maxLog = pr[r]
 			}
@@ -287,7 +306,9 @@ func (b *builder) firstArrivalDensity(sc *stateScratch, rate float64, gmax int, 
 		if p == 0 {
 			continue
 		}
-		for g, f := range fk[len(pr)-r-1][:len(ft)] {
+		col := fk[len(pr)-r-1]
+		col = col[:min(len(col), len(ft))]
+		for g, f := range col {
 			ft[g] += p * f
 		}
 	}
@@ -397,7 +418,7 @@ func (b *builder) row(s int, sc *stateScratch) []mdp.Action {
 			gmax = max(gmax, b.cellsFor(a.Latency))
 		}
 	}
-	pr := sc.phasePosterior(proc, k, n, sp.cfg.SLO-tj)
+	pr := sc.phasePosterior(proc, k, n, sp.cfg.SLO-tj, b.logFact)
 	ft := b.firstArrivalDensity(sc, proc.Rate(), gmax, pr)
 	for ai, a := range acts {
 		out[ai].Transitions = b.actionTransitions(s, a, sc, pr, ft)
@@ -518,6 +539,8 @@ func (b *builder) variableTransitions(sc *stateScratch, n int, tj float64, a act
 		// Degenerate window: the query sits at the window start.
 		bucketP[sp.bucketOf(tj-l)] = 1
 	} else {
+		// P[arrival #target <= x] = P[Bin(kaBar, x/ta) >= target].
+		binTail := dist.NewIncBeta(target, kaBar-target+1)
 		cdfAt := func(x float64) float64 {
 			if x <= 0 {
 				return 0
@@ -525,8 +548,7 @@ func (b *builder) variableTransitions(sc *stateScratch, n int, tj float64, a act
 			if x >= ta {
 				return 1
 			}
-			// P[arrival #target <= x] = P[Bin(kaBar, x/ta) >= target].
-			return dist.RegIncBeta(target, kaBar-target+1, x/ta)
+			return binTail.At(x / ta)
 		}
 		prev := 0.0
 		for c := 0; c < len(grid); c++ {

@@ -184,10 +184,8 @@ func regularizedGammaP(a, x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	return 1 - gammaContinuedFraction(a, x)
+	lg, _ := math.Lgamma(a)
+	return incGamma(a, x, lg, math.Log(x), true)
 }
 
 // regularizedGammaQ computes Q(a, x) = 1 − P(a, x).
@@ -195,10 +193,8 @@ func regularizedGammaQ(a, x float64) float64 {
 	if x <= 0 {
 		return 1
 	}
-	if x < a+1 {
-		return 1 - gammaSeries(a, x)
-	}
-	return gammaContinuedFraction(a, x)
+	lg, _ := math.Lgamma(a)
+	return incGamma(a, x, lg, math.Log(x), false)
 }
 
 const (
@@ -206,8 +202,38 @@ const (
 	gammaMaxIter = 10000
 )
 
+// incGamma is the one incomplete-gamma kernel: P(a, x) when lower, else
+// Q(a, x), for x > 0, given lg = lgamma(a) and logx = log x, so a caller
+// evaluating many entries that share a or x computes each once. It takes the
+// series for x < a+1 and the continued fraction otherwise, and has two exits
+// that return what the full evaluation would round to: the series is at most
+// pre/a/(1 − x/(a+1)), so below 2⁻⁶⁰ Q = 1 − P is exactly 1; and a zero
+// prefactor zeroes the continued fraction's Q.
+func incGamma(a, x, lg, logx float64, lower bool) float64 {
+	pre := math.Exp(-x + a*logx - lg)
+	if x < a+1 {
+		if !lower && pre/a/(1-x/(a+1)) < 0x1p-60 {
+			return 1
+		}
+		p := gammaSeries(a, x) * pre
+		if lower {
+			return p
+		}
+		return 1 - p
+	}
+	q := 0.0
+	if pre != 0 {
+		q = pre * gammaContinuedFraction(a, x)
+	}
+	if lower {
+		return 1 - q
+	}
+	return q
+}
+
+// gammaSeries is the sum of the lower incomplete gamma's series, without its
+// prefactor.
 func gammaSeries(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
 	ap := a
 	sum := 1.0 / a
 	del := sum
@@ -219,11 +245,12 @@ func gammaSeries(a, x float64) float64 {
 			break
 		}
 	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
+	return sum
 }
 
+// gammaContinuedFraction is the upper incomplete gamma's continued fraction
+// (modified Lentz), without its prefactor.
 func gammaContinuedFraction(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
 	const tiny = 1e-300
 	b := x + 1 - a
 	c := 1 / tiny
@@ -247,5 +274,5 @@ func gammaContinuedFraction(a, x float64) float64 {
 			break
 		}
 	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
+	return h
 }

@@ -73,17 +73,80 @@ func fillErlangTable(table [][]float64, kmax, stride int, rate, delta float64) {
 	}
 }
 
-// RegIncBeta returns the regularized incomplete beta function I_x(a, b),
-// used for Binomial tails: P[Bin(n, p) >= k] = I_p(k, n-k+1).
-func RegIncBeta(a, b, x float64) float64 {
+// CDFLadder evaluates rows of count CDFs P[N(t) ≤ jk − 1], j = 1..n, equal
+// bit for bit to p.CDF(jk−1, t). For Poisson and Gamma arrivals each entry
+// is a regularized upper incomplete gamma Q(a_j, μ) — a_j = jk, μ = λt for
+// Poisson; a_j = jk·shape, μ = stage rate · t for Gamma — so lgamma(a_j) is
+// tabulated once per ladder, log μ computed once per row, and once an entry
+// rounds to 1 (Q rises with a) the rest of the row is 1 without evaluating.
+type CDFLadder struct {
+	stride int       // a_j = j·stride
+	rate   float64   // μ = rate·t
+	lg     []float64 // lgamma(a_j) at [j-1]
+}
+
+// NewCDFLadder returns the ladder of p's CDFs at counts jk − 1, j = 1..n.
+// p must be Poisson or Gamma.
+func NewCDFLadder(p Arrival, k, n int) CDFLadder {
+	var l CDFLadder
+	switch proc := p.(type) {
+	case Poisson:
+		l.stride, l.rate = k, proc.Lambda
+	case Gamma:
+		l.stride, l.rate = k*proc.shape, proc.rate*float64(proc.shape)
+	default:
+		panic("dist: CDFLadder needs Poisson or Gamma arrivals")
+	}
+	l.lg = make([]float64, n)
+	for j := range l.lg {
+		l.lg[j], _ = math.Lgamma(float64((j + 1) * l.stride))
+	}
+	return l
+}
+
+// Fill sets row[j-1] = P[N(t) ≤ jk − 1] for j = 1..len(row), len(row) ≤ n.
+func (l CDFLadder) Fill(t float64, row []float64) {
+	mu := l.rate * t
+	if mu <= 0 {
+		fillOnes(row)
+		return
+	}
+	logmu := math.Log(mu)
+	for j := range row {
+		row[j] = incGamma(float64((j+1)*l.stride), mu, l.lg[j], logmu, false)
+		if row[j] == 1 {
+			fillOnes(row[j+1:])
+			return
+		}
+	}
+}
+
+func fillOnes(s []float64) {
+	for i := range s {
+		s[i] = 1
+	}
+}
+
+// IncBeta is the regularized incomplete beta function I_x(a, b) at fixed
+// (a, b), used for Binomial tails: P[Bin(n, p) >= k] = I_p(k, n-k+1). Its
+// log-beta is computed once, for callers that evaluate many x.
+type IncBeta struct{ a, b, lbeta float64 }
+
+// NewIncBeta returns I_·(a, b).
+func NewIncBeta(a, b float64) IncBeta {
+	return IncBeta{a, b, lgammaOf(a) + lgammaOf(b) - lgammaOf(a+b)}
+}
+
+// At returns I_x(a, b).
+func (ib IncBeta) At(x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
 	if x >= 1 {
 		return 1
 	}
-	lbeta := lgammaOf(a) + lgammaOf(b) - lgammaOf(a+b)
-	front := math.Exp(a*math.Log(x) + b*math.Log(1-x) - lbeta)
+	a, b := ib.a, ib.b
+	front := math.Exp(a*math.Log(x) + b*math.Log(1-x) - ib.lbeta)
 	if x < (a+1)/(a+b+2) {
 		return front * betaCF(a, b, x) / a
 	}

@@ -79,18 +79,18 @@ func TestKthArrivalTableGamma(t *testing.T) {
 func TestRegIncBetaKnownValues(t *testing.T) {
 	// I_x(1, 1) = x (uniform CDF).
 	for _, x := range []float64{0, 0.25, 0.5, 0.9, 1} {
-		if got := RegIncBeta(1, 1, x); math.Abs(got-x) > 1e-12 {
+		if got := NewIncBeta(1, 1).At(x); math.Abs(got-x) > 1e-12 {
 			t.Errorf("I_%v(1,1) = %g, want %v", x, got, x)
 		}
 	}
 	// I_x(2, 1) = x^2.
-	if got := RegIncBeta(2, 1, 0.3); math.Abs(got-0.09) > 1e-12 {
+	if got := NewIncBeta(2, 1).At(0.3); math.Abs(got-0.09) > 1e-12 {
 		t.Errorf("I_0.3(2,1) = %g, want 0.09", got)
 	}
 	// Symmetry: I_x(a,b) = 1 - I_{1-x}(b,a).
 	for _, c := range []struct{ a, b, x float64 }{{3, 7, 0.2}, {10, 2, 0.8}, {50, 60, 0.45}} {
-		l := RegIncBeta(c.a, c.b, c.x)
-		r := 1 - RegIncBeta(c.b, c.a, 1-c.x)
+		l := NewIncBeta(c.a, c.b).At(c.x)
+		r := 1 - NewIncBeta(c.b, c.a).At(1-c.x)
 		if math.Abs(l-r) > 1e-10 {
 			t.Errorf("symmetry broken at %+v: %g vs %g", c, l, r)
 		}
