@@ -122,8 +122,12 @@ verify: build lint test race goldens bench-module
 # bench/run.sh`, BENCHMARK.json), and the allocation counts of the query
 # path and the step loop are ceilings in TestDataPlaneAllocCeilings. Here
 # every benchmark (figure regenerations included) runs exactly once: not a
-# perf measurement, just proof the harness cannot silently rot.
+# perf measurement, just proof the harness cannot silently rot. The
+# internal packages' benchmarks (the histogram's, the monitor's, ...) run
+# first, in a few seconds, so a root benchmark that outgrows a small host's
+# memory cannot hide them.
 bench-smoke:
+	$(GO) test -bench . -benchtime 1x -run '^$$' ./internal/...
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # CPU- and heap-profile one benchmark — the simulator throughput benchmark

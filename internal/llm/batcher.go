@@ -265,7 +265,6 @@ func (b *Batcher[T]) Begin(now, horizon float64) (end float64, rejected []*Seq[T
 		b.run.end = end
 		b.kvUsed += d
 		b.outTok -= d
-		b.counts.PeakKV = max(b.counts.PeakKV, float64(b.kvUsed)/float64(m.KVCapTokens))
 		now = end
 	}
 }
@@ -331,13 +330,16 @@ func (b *Batcher[T]) compose(m *StepModel, now float64) (p, d, left int, lockste
 	return p, d, left, lockstep
 }
 
-// settle applies the decode run landed so far to its sequences: each
-// decoded one token per step, the last at the run's end.
+// settle applies the decode run landed so far to its sequences — each
+// decoded one token per step, the last at the run's end — and to PeakKV:
+// the KV only grows during a run, so its last step's occupancy is the run's
+// peak.
 func (b *Batcher[T]) settle() {
 	k := b.run.steps
 	if k == 0 {
 		return
 	}
+	b.counts.PeakKV = max(b.counts.PeakKV, float64(b.kvUsed)/float64(b.Model().KVCapTokens))
 	for _, s := range b.running[:b.run.n] {
 		s.decodeLeft -= k
 		s.kvHeld += k
@@ -445,15 +447,17 @@ func (b *Batcher[T]) Land(end float64) []*Seq[T] {
 // token is a TTFT observation, every later token a TBT observation; when
 // ttfts / tbts are non-nil each observation is appended there too. Every
 // sequence that also decoded in the previous step has the same gap, so a
-// run of consecutive equal TBT gaps goes to tbt as one ObserveN, and both
+// run of consecutive equal TBT gaps is staged as one Tally.ObserveN, and
+// the run's and the step's TBT observations reach tbt in one Commit. Both
 // histograms end exactly as one Observe per token would leave them, sums
 // included. This is the one place gaps become observations.
 func (b *Batcher[T]) ObserveGaps(ttft, tbt *telemetry.Histogram, ttfts, tbts *[]float64) {
+	t := tbt.Tally()
 	r, m := &b.run, b.Model()
 	prev, kv := r.start, r.kv
 	for i := 0; i < r.steps; i++ {
 		end := prev + m.StepTime(0, r.n, float64(kv)/float64(m.KVCapTokens))
-		observeTBT(tbt, tbts, end-prev, r.n)
+		observeTBT(&t, tbts, end-prev, r.n)
 		prev, kv = end, kv+r.n
 	}
 	gap, n := 0.0, 0
@@ -467,15 +471,16 @@ func (b *Batcher[T]) ObserveGaps(ttft, tbt *telemetry.Histogram, ttfts, tbts *[]
 		case n > 0 && s.Gap == gap:
 			n++
 		default:
-			observeTBT(tbt, tbts, gap, n)
+			observeTBT(&t, tbts, gap, n)
 			gap, n = s.Gap, 1
 		}
 	}
-	observeTBT(tbt, tbts, gap, n)
+	observeTBT(&t, tbts, gap, n)
+	t.Commit()
 }
 
-// observeTBT records n TBT observations of gap.
-func observeTBT(tbt *telemetry.Histogram, tbts *[]float64, gap float64, n int) {
+// observeTBT stages n TBT observations of gap.
+func observeTBT(tbt *telemetry.Tally, tbts *[]float64, gap float64, n int) {
 	tbt.ObserveN(gap, n)
 	if tbts != nil {
 		for ; n > 0; n-- {

@@ -69,7 +69,7 @@ type StepModel struct {
 // StepTime returns the modeled latency in seconds of one engine step that
 // ingests prefillTokens prompt tokens and generates decodeTokens output
 // tokens at KV-cache usage kv (fraction of KVCapTokens resident).
-func (m StepModel) StepTime(prefillTokens, decodeTokens int, kv float64) float64 {
+func (m *StepModel) StepTime(prefillTokens, decodeTokens int, kv float64) float64 {
 	return m.Beta0 +
 		m.BetaPrefill*float64(prefillTokens) +
 		m.BetaDecode*float64(decodeTokens) +
@@ -77,7 +77,7 @@ func (m StepModel) StepTime(prefillTokens, decodeTokens int, kv float64) float64
 }
 
 // StepBudget returns the per-step scheduled-token budget.
-func (m StepModel) StepBudget() int {
+func (m *StepModel) StepBudget() int {
 	if m.MaxStepTokens > 0 {
 		return m.MaxStepTokens
 	}

@@ -80,19 +80,24 @@ func NewHistogram(upper []float64) *Histogram {
 
 // Observe records one sample. Bucket bounds are inclusive upper bounds, as
 // in the Prometheus exposition format (le).
-func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+func (h *Histogram) Observe(v float64) { h.observe(v, 1) }
 
 // ObserveN records n samples of the same value: one bucket lookup, one add
 // each to the bucket count and the total, and the n additions to the sum
 // made on a local copy that one compare-and-swap publishes. Called from one
 // goroutine it leaves the histogram exactly as n Observe(v) calls would, the
 // sum identical to the bit; concurrent callers interleave their sums per
-// call rather than per sample. n <= 0 records nothing.
+// call rather than per sample. n <= 0 records nothing. Many values at once
+// go through a Tally, which publishes them all with one commit.
 func (h *Histogram) ObserveN(v float64, n int) {
-	if n <= 0 {
-		return
+	if n > 0 {
+		h.observe(v, n)
 	}
-	i := sort.SearchFloat64s(h.upper, v)
+}
+
+// observe records n > 0 samples of v and returns their bucket.
+func (h *Histogram) observe(v float64, n int) (i int) {
+	i = sort.SearchFloat64s(h.upper, v)
 	h.counts[i].Add(uint64(n))
 	h.total.Add(uint64(n))
 	for {
@@ -105,18 +110,98 @@ func (h *Histogram) ObserveN(v float64, n int) {
 			break
 		}
 	}
-	for {
-		old := h.min.load()
-		if v >= old || h.min.bits.CompareAndSwap(math.Float64bits(old), math.Float64bits(v)) {
-			break
+	h.min.lower(v)
+	h.max.raise(v)
+	return i
+}
+
+// Tally stages samples for one histogram on its caller's stack and
+// publishes them with one Commit: a decode run's TBT gaps, many samples over
+// few buckets. ObserveN searches only when a value leaves the current
+// bucket, adds each run of same-bucket samples to that bucket's count as the
+// run ends, and adds every sample to a local sum in order; Commit adds the
+// total once, swaps in the sum with one compare-and-swap against the value
+// Tally loaded, and updates Min and Max once.
+//
+// If nothing else changed the histogram's sum in between, the histogram ends
+// exactly as one Observe per sample would leave it, Sum to the bit (for
+// samples that are not NaN). Otherwise the swap fails and Commit adds the
+// staged sum: counts, Min and Max stay exact and Sum is right to rounding,
+// no less than ObserveN promises concurrent callers. A Tally is not safe for
+// concurrent use, but tallies on one histogram may commit concurrently.
+type Tally struct {
+	h      *Histogram
+	start  uint64  // the sum's bits when the tally began
+	sum    float64 // start plus every staged sample, added in order
+	total  uint64
+	i      int     // bucket of the current run
+	lo, hi float64 // bucket i's bounds, (lo, hi]; empty before the first run
+	run    uint64  // staged samples in bucket i, not yet added to its count
+	min    float64
+	max    float64
+}
+
+// Tally starts a tally on h.
+func (h *Histogram) Tally() Tally {
+	start := h.sum.bits.Load()
+	return Tally{h: h, start: start, sum: math.Float64frombits(start),
+		min: math.Inf(1), max: math.Inf(-1)}
+}
+
+// ObserveN stages n samples of v; n <= 0 stages nothing.
+func (t *Tally) ObserveN(v float64, n int) {
+	if n <= 0 {
+		return
+	}
+	if !(v > t.lo && v <= t.hi) {
+		t.flush()
+		up := t.h.upper
+		t.i = sort.SearchFloat64s(up, v)
+		t.lo, t.hi = math.Inf(-1), math.Inf(1)
+		if t.i > 0 {
+			t.lo = up[t.i-1]
+		}
+		if t.i < len(up) {
+			t.hi = up[t.i]
 		}
 	}
-	for {
-		old := h.max.load()
-		if v <= old || h.max.bits.CompareAndSwap(math.Float64bits(old), math.Float64bits(v)) {
-			break
-		}
+	t.run += uint64(n)
+	t.total += uint64(n)
+	sum := t.sum
+	for k := 0; k < n; k++ {
+		sum += v
 	}
+	t.sum = sum
+	if v < t.min {
+		t.min = v
+	}
+	if v > t.max {
+		t.max = v
+	}
+}
+
+// flush adds the current run to its bucket's count.
+func (t *Tally) flush() {
+	if t.run > 0 {
+		t.h.counts[t.i].Add(t.run)
+		t.run = 0
+	}
+}
+
+// Commit publishes every staged sample to the histogram. The tally is spent
+// afterwards: stage a new batch on a fresh Tally.
+func (t *Tally) Commit() {
+	if t.total == 0 {
+		return
+	}
+	h := t.h
+	t.flush()
+	h.total.Add(t.total)
+	if !h.sum.bits.CompareAndSwap(t.start, math.Float64bits(t.sum)) {
+		h.sum.add(t.sum - math.Float64frombits(t.start))
+	}
+	h.min.lower(t.min)
+	h.max.raise(t.max)
 }
 
 // ObserveExemplar records one sample and, when traceID is non-empty, tags
@@ -130,11 +215,10 @@ func (h *Histogram) ObserveN(v float64, n int) {
 // sample, because boxing a fresh exemplar per observation was a measurable
 // share of the steady-state allocation profile.
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	h.Observe(v)
+	i := h.observe(v, 1)
 	if traceID == "" {
 		return
 	}
-	i := sort.SearchFloat64s(h.upper, v)
 	if h.exemplars[i].Load() != nil && h.exSample.Add(1)&0xf != 0 {
 		return
 	}

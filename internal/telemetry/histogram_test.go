@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -125,7 +127,6 @@ func TestObserveNMatchesObserve(t *testing.T) {
 		"-Inf":        math.Inf(-1),
 		"NaN":         math.NaN(),
 	}
-	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for name, v := range values {
 		for _, n := range []int{0, 1, 2, 17, 1000} {
 			got, want := seeded(), seeded()
@@ -133,26 +134,7 @@ func TestObserveNMatchesObserve(t *testing.T) {
 			for k := 0; k < n; k++ {
 				want.Observe(v)
 			}
-			for i := range want.counts {
-				if g, w := got.counts[i].Load(), want.counts[i].Load(); g != w {
-					t.Errorf("%s n=%d: bucket %d holds %d, want %d", name, n, i, g, w)
-				}
-			}
-			if got.Count() != want.Count() {
-				t.Errorf("%s n=%d: count %d, want %d", name, n, got.Count(), want.Count())
-			}
-			if !same(got.Sum(), want.Sum()) {
-				t.Errorf("%s n=%d: sum %v (%#x), want %v (%#x)", name, n,
-					got.Sum(), math.Float64bits(got.Sum()), want.Sum(), math.Float64bits(want.Sum()))
-			}
-			if !same(got.Min(), want.Min()) || !same(got.Max(), want.Max()) {
-				t.Errorf("%s n=%d: min/max %v/%v, want %v/%v", name, n, got.Min(), got.Max(), want.Min(), want.Max())
-			}
-			for p := 0.0; p <= 100; p += 2.5 {
-				if g, w := got.Quantile(p), want.Quantile(p); !same(g, w) {
-					t.Errorf("%s n=%d: Quantile(%v) = %v, want %v", name, n, p, g, w)
-				}
-			}
+			sameHistogram(t, fmt.Sprintf("%s n=%d", name, n), got, want)
 			var gb, wb bytes.Buffer
 			got.write(&gb, "x", "")
 			want.write(&wb, "x", "")
@@ -212,9 +194,170 @@ func TestObserveNConcurrent(t *testing.T) {
 	}
 }
 
+// sameHistogram reports every difference between got and want: each bucket
+// count, the count, Sum, Min and Max to the bit, and Quantile at 0.5 %
+// steps.
+func sameHistogram(t *testing.T, name string, got, want *Histogram) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i := range want.counts {
+		if g, w := got.counts[i].Load(), want.counts[i].Load(); g != w {
+			t.Errorf("%s: bucket %d holds %d, want %d", name, i, g, w)
+		}
+	}
+	if got.Count() != want.Count() {
+		t.Errorf("%s: count %d, want %d", name, got.Count(), want.Count())
+	}
+	if !same(got.Sum(), want.Sum()) {
+		t.Errorf("%s: sum %v (%#x), want %v (%#x)", name,
+			got.Sum(), math.Float64bits(got.Sum()), want.Sum(), math.Float64bits(want.Sum()))
+	}
+	if !same(got.Min(), want.Min()) || !same(got.Max(), want.Max()) {
+		t.Errorf("%s: min/max %v/%v, want %v/%v", name, got.Min(), got.Max(), want.Min(), want.Max())
+	}
+	for p := 0.0; p <= 100; p += 0.5 {
+		if g, w := got.Quantile(p), want.Quantile(p); !same(g, w) {
+			t.Errorf("%s: Quantile(%v) = %v, want %v", name, p, g, w)
+		}
+	}
+}
+
+// tallyValue draws a sample for the tally tests: mostly the previous value
+// or a nearby one, as a decode run's slowly growing gaps are, and otherwise
+// a bucket's upper bound exactly, one ulp either side of it, a value below
+// the first bound or in the overflow bucket.
+func tallyValue(rng *rand.Rand, upper []float64, prev float64) float64 {
+	b := upper[rng.Intn(len(upper))]
+	switch rng.Intn(8) {
+	case 0, 1:
+		return prev
+	case 2:
+		return prev * (1 + rng.Float64()*1e-3)
+	case 3:
+		return b
+	case 4:
+		return math.Nextafter(b, math.Inf(1))
+	case 5:
+		return math.Nextafter(b, 0)
+	case 6:
+		return upper[0] * rng.Float64()
+	default:
+		return upper[len(upper)-1] * (1 + 3*rng.Float64())
+	}
+}
+
+// TestTallyMatchesObserve pins Tally's uncontended contract: staged through
+// tallies, seeded random (v, n) sequences leave a histogram exactly as one
+// Observe per sample leaves another — every bucket count, Sum, Min and Max
+// to the bit, every Quantile. The sequences hit bucket bounds exactly and
+// by one ulp, fall below the first bound and into the overflow bucket,
+// include n = 0, and go through several tallies committed back to back,
+// one of them with nothing staged, on a histogram that already holds
+// samples.
+func TestTallyMatchesObserve(t *testing.T) {
+	upper := []float64{0.001, 0.01, 0.1, 1}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		got, want := NewHistogram(upper), NewHistogram(upper)
+		for _, v := range []float64{0.3, 0.0042, 0.7} {
+			got.Observe(v)
+			want.Observe(v)
+		}
+		// A value leaving its bucket for the previous bucket's upper bound
+		// must not stay in the cached bucket.
+		tl := got.Tally()
+		for _, v := range []float64{0.05, 0.01, 0.05, 0.1, 0.1000001} {
+			tl.ObserveN(v, 2)
+			want.Observe(v)
+			want.Observe(v)
+		}
+		tl.Commit()
+		empty := got.Tally()
+		empty.ObserveN(0.5, 0)
+		empty.Commit()
+		v := 0.02
+		for tallies := 0; tallies < 4; tallies++ {
+			tl := got.Tally()
+			for k := rng.Intn(40); k > 0; k-- {
+				v = tallyValue(rng, upper, v)
+				n := rng.Intn(12)
+				tl.ObserveN(v, n)
+				for ; n > 0; n-- {
+					want.Observe(v)
+				}
+			}
+			tl.Commit()
+		}
+		sameHistogram(t, fmt.Sprintf("seed %d", seed), got, want)
+	}
+}
+
+// TestTallyConcurrent commits tallies from several goroutines at once (meant
+// for the race detector, `make race`), each goroutine also calling ObserveN
+// between a tally's start and its commit, so the sum's compare-and-swap
+// fails at least that often. Counts, total, min and max must be exact and
+// the sum right to rounding.
+func TestTallyConcurrent(t *testing.T) {
+	const goroutines, tallies = 8, 300
+	upper := []float64{0.001, 0.01, 0.1, 1}
+	h := NewHistogram(upper)
+	want := make([]*Histogram, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		want[g] = NewHistogram(upper)
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g + 1)))
+			v := 0.02
+			for k := 0; k < tallies; k++ {
+				tl := h.Tally()
+				for j := rng.Intn(20); j > 0; j-- {
+					v = tallyValue(rng, upper, v)
+					n := rng.Intn(10)
+					tl.ObserveN(v, n)
+					want[g].ObserveN(v, n)
+				}
+				h.ObserveN(v, 1)
+				want[g].ObserveN(v, 1)
+				tl.Commit()
+			}
+		}(g)
+	}
+	wg.Wait()
+	var count uint64
+	var sum float64
+	lo, hi := math.Inf(1), math.Inf(-1)
+	buckets := make([]uint64, len(upper)+1)
+	for _, w := range want {
+		count += w.Count()
+		sum += w.Sum()
+		lo, hi = min(lo, w.Min()), max(hi, w.Max())
+		for i := range buckets {
+			buckets[i] += w.counts[i].Load()
+		}
+	}
+	for i, c := range buckets {
+		if got := h.counts[i].Load(); got != c {
+			t.Errorf("bucket %d holds %d, want %d", i, got, c)
+		}
+	}
+	if h.Count() != count {
+		t.Errorf("count %d, want %d", h.Count(), count)
+	}
+	if h.Min() != lo || h.Max() != hi {
+		t.Errorf("min/max %v/%v, want %v/%v", h.Min(), h.Max(), lo, hi)
+	}
+	if rel := math.Abs(h.Sum()-sum) / sum; rel > 1e-12 {
+		t.Errorf("sum %v, want %v (relative error %g)", h.Sum(), sum, rel)
+	}
+}
+
 // BenchmarkHistogramObserve compares recording eight equal samples one
 // Observe at a time against one ObserveN — the step loop's per-token versus
-// per-run cost for a batch of eight decoding sequences.
+// per-step cost for a batch of eight decoding sequences — and a decode run
+// of 16 such steps, its gaps growing slowly, published one ObserveN per step
+// against one Tally.
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := NewHistogram(DefaultLatencyBuckets())
 	b.Run("Observe-x8", func(b *testing.B) {
@@ -228,6 +371,24 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.Run("ObserveN-8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			h.ObserveN(float64(i%1000)/1e4, 8)
+		}
+	})
+	b.Run("ObserveN-16x8", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			v := float64(i%1000) / 1e4
+			for k := 0; k < 16; k++ {
+				h.ObserveN(v+float64(k)*1e-7, 8)
+			}
+		}
+	})
+	b.Run("Tally-16x8", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			v := float64(i%1000) / 1e4
+			t := h.Tally()
+			for k := 0; k < 16; k++ {
+				t.ObserveN(v+float64(k)*1e-7, 8)
+			}
+			t.Commit()
 		}
 	})
 }

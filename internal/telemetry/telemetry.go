@@ -263,6 +263,28 @@ func (a *atomicFloat) add(v float64) {
 	}
 }
 
+// lower stores v if it is below the current value (or either is NaN), the
+// histogram minimum's update.
+func (a *atomicFloat) lower(v float64) {
+	for {
+		old := a.bits.Load()
+		if v >= math.Float64frombits(old) || a.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
+// raise stores v if it is above the current value (or either is NaN), the
+// histogram maximum's update.
+func (a *atomicFloat) raise(v float64) {
+	for {
+		old := a.bits.Load()
+		if v <= math.Float64frombits(old) || a.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
 func (a *atomicFloat) store(v float64) { a.bits.Store(math.Float64bits(v)) }
 func (a *atomicFloat) load() float64   { return math.Float64frombits(a.bits.Load()) }
 
