@@ -101,10 +101,12 @@ saturate-smoke:
 # states out across GOMAXPROCS goroutines, so a result that depended on which
 # goroutine built which state would show here. The token engine's golden
 # (TestLLMEngineGolden: traces, counts and TTFT/TBT multisets over a
-# worker / balancer / selector / KV grid) solves its policy the same way
-# (~9 s on two cores in all).
+# worker / balancer / selector / KV grid) solves its policy the same way.
+# The Trimmed tests pin what the goldens' trimmed f̃ gives up against the
+# untrimmed reference: every state's choice, and at most (K+2)ε of mass per
+# state (~15 s on two cores in all).
 goldens:
-	$(GO) test -count=1 -cpu 1,2 -run 'Golden' ./internal/core/ ./internal/sim/
+	$(GO) test -count=1 -cpu 1,2 -run 'Golden|Trimmed' ./internal/core/ ./internal/sim/
 
 # The repository benchmark (BENCHMARK.json) lives in bench/, a module of
 # its own that compiles against this module's internal packages through a

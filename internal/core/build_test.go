@@ -74,22 +74,24 @@ func buildGrid(fn func(name string, cfg Config)) {
 // × queue-bound matrix TestGenerateGolden does not reach (variable batching,
 // power-of-two-choices, Gamma arrivals), plus the benchmark's problem at four
 // rates. The constants were captured at commit faf5a8a, the last one whose
-// builder tabulated every model × batch latency; a change that reorders any
-// floating-point operation of the build shows up here. Update them only when
-// that is the intent.
+// builder tabulated every model × batch latency, except the eleven
+// round-robin rows whose f̃ lost sub-ε tails (tailEps), re-captured once when
+// the trim landed (the untrimmed reference in trim_test.go reproduced all 28
+// old values then). A change that reorders any floating-point operation of
+// the build shows up here. Update them only when that is the intent.
 func TestBuildGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden constants were captured on amd64, not %s", runtime.GOARCH)
 	}
 	want := map[string]uint64{
-		"round-robin/max/dist.Poisson/maxqueue=0":                0x7e426dbf55577a58,
-		"round-robin/max/dist.Poisson/maxqueue=12":               0x9b96575982fb2e07,
-		"round-robin/max/dist.Gamma/maxqueue=0":                  0x23ab4184dea79921,
-		"round-robin/max/dist.Gamma/maxqueue=12":                 0x3a99df467743856d,
-		"round-robin/variable/dist.Poisson/maxqueue=0":           0xded6775df575c734,
+		"round-robin/max/dist.Poisson/maxqueue=0":                0x2a641da4eef092ea,
+		"round-robin/max/dist.Poisson/maxqueue=12":               0xaafc73c6c1be56ce,
+		"round-robin/max/dist.Gamma/maxqueue=0":                  0x1f9e25ac5eea249b,
+		"round-robin/max/dist.Gamma/maxqueue=12":                 0xb7e5c4f4376c426f,
+		"round-robin/variable/dist.Poisson/maxqueue=0":           0xd270596ad6189c31,
 		"round-robin/variable/dist.Poisson/maxqueue=12":          0x57ff9e57494bcac5,
-		"round-robin/variable/dist.Gamma/maxqueue=0":             0xaf1809640ef7fb20,
-		"round-robin/variable/dist.Gamma/maxqueue=12":            0x874a8b05071b715c,
+		"round-robin/variable/dist.Gamma/maxqueue=0":             0x6b7a9a80aeb29c1b,
+		"round-robin/variable/dist.Gamma/maxqueue=12":            0x2c9cdae46da79a01,
 		"shortest-queue-first/max/dist.Poisson/maxqueue=0":       0x4ae15ac445c77aa2,
 		"shortest-queue-first/max/dist.Poisson/maxqueue=12":      0x1aa134850b72d69f,
 		"shortest-queue-first/max/dist.Gamma/maxqueue=0":         0x4ae15ac445c77aa2,
@@ -106,10 +108,10 @@ func TestBuildGolden(t *testing.T) {
 		"power-of-two-choices/variable/dist.Poisson/maxqueue=12": 0xa5faa45f117258b9,
 		"power-of-two-choices/variable/dist.Gamma/maxqueue=0":    0x8d54cec194ce0ca4,
 		"power-of-two-choices/variable/dist.Gamma/maxqueue=12":   0xa5faa45f117258b9,
-		"bench/1200": 0x34d748285a54f0e7,
-		"bench/1800": 0xc3523044a038b882,
-		"bench/3000": 0x03f5022d1b49012a,
-		"bench/4200": 0xeb14b0826c312ae3,
+		"bench/1200": 0x20fbefe186cfcc2a,
+		"bench/1800": 0xd7cbb92a162f8a59,
+		"bench/3000": 0xc366a855124de2bd,
+		"bench/4200": 0x1c4a652bb9def9c7,
 	}
 	buildGrid(func(name string, cfg Config) {
 		m, err := BuildWorkerMDP(cfg)

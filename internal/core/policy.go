@@ -143,20 +143,24 @@ func Generate(cfg Config) (*Policy, error) {
 		values:    res.Values,
 	}
 	for s, ai := range res.Policy {
-		a := b.acts[s][ai]
-		if a.Model == arrivalAction {
-			pol.Choices[s] = Choice{Arrival: true, Satisfies: true}
-			continue
-		}
-		pol.Choices[s] = Choice{
-			Model:     sp.models.Profiles[a.Model].Name,
-			ModelIdx:  a.Model,
-			Batch:     a.Batch,
-			Latency:   a.Latency,
-			Satisfies: a.Satisfies,
-		}
+		pol.Choices[s] = b.choice(s, ai)
 	}
 	return pol, nil
+}
+
+// choice is the decision action ai of state s stands for.
+func (b *builder) choice(s, ai int) Choice {
+	a := b.acts[s][ai]
+	if a.Model == arrivalAction {
+		return Choice{Arrival: true, Satisfies: true}
+	}
+	return Choice{
+		Model:     b.sp.models.Profiles[a.Model].Name,
+		ModelIdx:  a.Model,
+		Batch:     a.Batch,
+		Latency:   a.Latency,
+		Satisfies: a.Satisfies,
+	}
 }
 
 // Select returns the policy's decision for a worker-queue observation:

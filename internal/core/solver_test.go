@@ -47,12 +47,19 @@ func assertJacobiChoices[C comparable](t *testing.T, gen func(jacobi bool) (int,
 	if iters >= jacobiIters {
 		t.Errorf("default solver took %d sweep-equivalents, Jacobi %d", iters, jacobiIters)
 	}
+	assertSameChoices(t, "default solver", got, "Jacobi", want)
+}
+
+// assertSameChoices fails unless got and want make the same choice in every
+// state.
+func assertSameChoices[C comparable](t *testing.T, gotName string, got []C, wantName string, want []C) {
+	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("state count mismatch: %d vs Jacobi's %d", len(got), len(want))
+		t.Fatalf("state count mismatch: %s %d vs %s's %d", gotName, len(got), wantName, len(want))
 	}
 	for s := range want {
 		if got[s] != want[s] {
-			t.Errorf("state %d: default solver chose %+v, Jacobi %+v", s, got[s], want[s])
+			t.Errorf("state %d: %s chose %+v, %s %+v", s, gotName, got[s], wantName, want[s])
 		}
 	}
 }

@@ -59,7 +59,7 @@ type builder struct {
 	// process rate (round-robin uses one process; queue-aware balancers use
 	// one per queue-length regime) and action latency.
 	acts    [][]actionSpec           // state -> actions, in Label order
-	fk      map[float64][][]float64  // rate -> [k-1][cell] k-th-arrival pdf
+	fk      map[float64][]window     // rate -> [k-1] k-th-arrival pdf's kept cells
 	h       map[tableKey][]float64   // (rate, latency) -> [cell*N_w + j-1]
 	cdf     map[tableKey][]float64   // (rate, latency) -> CDF table over counts
 	sqf     map[float64]dist.Process // SQF rate -> process
@@ -71,12 +71,27 @@ type tableKey struct {
 	lat  float64
 }
 
+// tailEps is the mass below which f̃'s terms are dropped: a k-th-arrival
+// density's head and tail cells each holding less than tailEps of Σ f·δ, and
+// phase-posterior weights below tailEps. Per state that moves at most
+// Σ_r P(r)·2ε + Σ_{P(r)<ε} P(r) ≤ (K+2)ε of f̃·δ — 8.2e-17 at K = 80, six
+// orders of magnitude under ProbFloor — and it keeps every product f̃ adds
+// out of the subnormal range, where each one costs many times a normal one.
+const tailEps = 1e-18
+
+// window is a density column's kept cells: f[i] is the density at fine cell
+// off+i, and every cell outside [off, off+len(f)) is dropped.
+type window struct {
+	off int
+	f   []float64
+}
+
 func newBuilder(sp *space) *builder {
 	cfg := sp.cfg
 	b := &builder{
 		sp:      sp,
 		cells:   cfg.FineCells,
-		fk:      make(map[float64][][]float64),
+		fk:      make(map[float64][]window),
 		h:       make(map[tableKey][]float64),
 		cdf:     make(map[tableKey][]float64),
 		sqf:     make(map[float64]dist.Process),
@@ -139,7 +154,7 @@ func (b *builder) prepare() {
 		proc, k := b.procFor(n)
 		rate := proc.Rate()
 		if _, ok := b.fk[rate]; !ok {
-			b.fk[rate] = transpose(dist.KthArrivalTable(proc, k, b.cells, b.delta))
+			b.fk[rate] = trimColumns(dist.KthArrivalTable(proc, k, b.cells, b.delta), b.delta)
 		}
 		for _, a := range b.acts[s] {
 			key := tableKey{rate, a.Latency}
@@ -169,21 +184,32 @@ func (b *builder) prepare() {
 	})
 }
 
-// transpose returns the [col][row] form of a rectangular [row][col] table,
-// each column cut after its last nonzero entry: a density that has underflowed
-// to 0 adds exactly +0 to f̃, so the cells past a column's end are skipped.
-func transpose(t [][]float64) [][]float64 {
-	out := make([][]float64, len(t[0]))
+// trimColumns returns each column of a [cell][k-1] density table as the
+// window of cells whose head mass and whose tail mass (Σ f·δ up to and from
+// the cell) are each at least tailEps: a column drops less than 2·tailEps of
+// its mass, and none of the underflowing cells at either end.
+func trimColumns(t [][]float64, delta float64) []window {
+	out := make([]window, len(t[0]))
+	col := make([]float64, len(t))
 	for c := range out {
-		col := make([]float64, len(t))
-		end := 0
 		for r, row := range t {
 			col[r] = row[c]
-			if col[r] != 0 {
-				end = r + 1
+		}
+		lo, head := 0, 0.0
+		for ; lo < len(col); lo++ {
+			if head += col[lo] * delta; head >= tailEps {
+				break
 			}
 		}
-		out[c] = col[:end]
+		hi, tail := len(col), 0.0
+		for ; hi > lo; hi-- {
+			if tail += col[hi-1] * delta; tail >= tailEps {
+				break
+			}
+		}
+		if lo < hi {
+			out[c] = window{lo, slices.Clone(col[lo:hi])}
+		}
 	}
 	return out
 }
@@ -296,20 +322,26 @@ func (sc *stateScratch) phasePosterior(proc dist.Process, k, n int, ta float64, 
 
 // firstArrivalDensity mixes the k-th-arrival densities over the phase
 // posterior, f̃(t_g) = Σ_r P(r)·f_{K−r}(t_g), for the first gmax cells — as
-// far as the state's longest full-drain action integrates. Each cell sums
-// over r ascending; r is the outer loop so the cells accumulate independently.
+// far as the state's longest full-drain action integrates. It skips every
+// weight P(r) < tailEps and adds only each column's kept window (trimColumns),
+// so per state it drops at most (K+2)·tailEps of f̃·δ, and no product it adds
+// is subnormal. Each cell sums over r ascending; r is the outer loop so the
+// cells accumulate independently.
 func (b *builder) firstArrivalDensity(sc *stateScratch, rate float64, gmax int, pr []float64) []float64 {
 	fk := b.fk[rate]
 	ft := sc.ft[:gmax]
 	clear(ft)
 	for r, p := range pr {
-		if p == 0 {
+		if p < tailEps {
 			continue
 		}
-		col := fk[len(pr)-r-1]
-		col = col[:min(len(col), len(ft))]
-		for g, f := range col {
-			ft[g] += p * f
+		w := fk[len(pr)-r-1]
+		if w.off >= len(ft) {
+			continue
+		}
+		dst := ft[w.off:min(w.off+len(w.f), len(ft))]
+		for g, f := range w.f[:len(dst)] {
+			dst[g] += p * f
 		}
 	}
 	return ft
@@ -395,6 +427,11 @@ func (b *builder) numStates() int { return b.sp.numStates() }
 // row builds state s's actions: each one's §4.1 reward and its §4.4
 // successor distribution.
 func (b *builder) row(s int, sc *stateScratch) []mdp.Action {
+	return b.rowWith(s, sc, b.firstArrivalDensity)
+}
+
+// rowWith is row with the first-arrival density computed by density.
+func (b *builder) rowWith(s int, sc *stateScratch, density func(sc *stateScratch, rate float64, gmax int, pr []float64) []float64) []mdp.Action {
 	sp := b.sp
 	acts := b.acts[s]
 	out := make([]mdp.Action, len(acts))
@@ -419,7 +456,7 @@ func (b *builder) row(s int, sc *stateScratch) []mdp.Action {
 		}
 	}
 	pr := sc.phasePosterior(proc, k, n, sp.cfg.SLO-tj, b.logFact)
-	ft := b.firstArrivalDensity(sc, proc.Rate(), gmax, pr)
+	ft := density(sc, proc.Rate(), gmax, pr)
 	for ai, a := range acts {
 		out[ai].Transitions = b.actionTransitions(s, a, sc, pr, ft)
 	}

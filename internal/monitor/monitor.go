@@ -27,7 +27,7 @@ type Monitor interface {
 // prefix occasionally, holding every arrival ever seen between compactions.
 type MovingAverage struct {
 	window float64
-	buf    []float64 // ring storage, len(buf) is the capacity
+	buf    []float64 // ring storage, len(buf) is the capacity: 16·2ⁿ slots
 	head   int       // index of the oldest retained arrival
 	n      int       // retained arrivals
 }
@@ -47,7 +47,7 @@ func (m *MovingAverage) Observe(t float64) {
 	if m.n == len(m.buf) {
 		m.grow()
 	}
-	m.buf[(m.head+m.n)%len(m.buf)] = t
+	m.buf[(m.head+m.n)&(len(m.buf)-1)] = t
 	m.n++
 }
 
@@ -58,11 +58,13 @@ func (m *MovingAverage) Load(t float64) float64 {
 }
 
 // evict drops arrivals older than the window. Each arrival is evicted at
-// most once, so the cost amortizes against its own Observe.
+// most once, so the cost amortizes against its own Observe. The ring's
+// length is a power of two, so a mask wraps the index.
 func (m *MovingAverage) evict(t float64) {
 	lo := t - m.window
+	mask := len(m.buf) - 1
 	for m.n > 0 && m.buf[m.head] < lo {
-		m.head = (m.head + 1) % len(m.buf)
+		m.head = (m.head + 1) & mask
 		m.n--
 	}
 }
@@ -75,7 +77,7 @@ func (m *MovingAverage) grow() {
 	}
 	next := make([]float64, c)
 	for i := 0; i < m.n; i++ {
-		next[i] = m.buf[(m.head+i)%len(m.buf)]
+		next[i] = m.buf[(m.head+i)&(len(m.buf)-1)]
 	}
 	m.buf = next
 	m.head = 0

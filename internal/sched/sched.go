@@ -126,11 +126,13 @@ func (c *Core) Tracing() bool { return c.cfg.Traces != nil || c.cfg.TraceWriter 
 // drivers hand Decide a telemetry.Decision (and trace IDs) only then.
 func (c *Core) Attributing() bool { return c.cfg.Decisions != nil || c.Tracing() }
 
-// Trace lands one fragment in the ring and the JSONL stream, stamped with
-// the driver's place in the plane.
-func (c *Core) Trace(qt telemetry.QueryTrace) {
+// Trace lands one fragment, with spans as its Spans, in the ring and the
+// JSONL stream, stamped with the driver's place in the plane. The spans
+// travel beside the trace so a stack array stays on the stack
+// (telemetry.Record).
+func (c *Core) Trace(qt telemetry.QueryTrace, spans []telemetry.Span) {
 	qt.Process, qt.Parent, qt.Shard = c.cfg.Process, c.cfg.Parent, c.cfg.Shard
-	telemetry.Record(c.cfg.Traces, c.cfg.TraceWriter, qt)
+	telemetry.Record(c.cfg.Traces, c.cfg.TraceWriter, qt, spans)
 }
 
 // Account is one tenant's serving account: the SLO its queries are judged
@@ -269,12 +271,12 @@ func (c *Core) account(a *Account, v admit.Verdict, q Arrival, backlog int) {
 		})
 	}
 	if !v.Admit && c.Tracing() {
-		// The ring copies spans on Add, so a stack span array suffices.
+		// Record copies the spans, so a stack span array suffices.
 		sp := [1]telemetry.Span{{Stage: telemetry.StageShed}}
 		c.Trace(telemetry.QueryTrace{
 			ID: q.ID, Arrival: q.Time, Worker: -1, Error: "shed",
-			TraceID: q.TraceID, Tenant: a.Name, Spans: sp[:],
-		})
+			TraceID: q.TraceID, Tenant: a.Name,
+		}, sp[:])
 	}
 }
 

@@ -814,8 +814,7 @@ func (f *Frontend) dispatch(w int, pick sched.Pick, scr *dispatchScratch) {
 			LatencyMS: lat * 1000, DeadlineMet: !violated, Error: resp.Error,
 			TraceID: pq.traceID, Tenant: pq.q.Tenant,
 			Decision: &scr.dec,
-			Spans:    spanBuf[:],
-		})
+		}, spanBuf[:])
 		if pq.done != nil {
 			pq.done <- resp
 		}

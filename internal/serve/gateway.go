@@ -187,12 +187,11 @@ func (g *Gateway) route(tenantName, traceID string, done chan QueryResponse) *En
 		ID: -1, Arrival: routeStart, Worker: -1,
 		TraceID: traceID, Process: "gateway",
 		Tenant: t.Name, Shard: s,
-		Spans: sp[:],
 	}
 	if eerr != nil {
 		qt.Error = eerr.Msg
 	}
-	telemetry.Record(g.Traces, g.TraceWriter, qt)
+	telemetry.Record(g.Traces, g.TraceWriter, qt, sp[:])
 	return eerr
 }
 

@@ -307,9 +307,8 @@ func (w *LLMWorker) finish(s *llm.Seq[*genStream], batch int, end float64) {
 		LatencyMS:   lat * 1000,
 		DeadlineMet: !violated,
 		TraceID:     s.Tag.traceID, Process: w.Name,
-		Spans: s.Spans(end),
 	}
-	telemetry.Record(w.Traces, w.TraceWriter, qt)
+	telemetry.Record(w.Traces, w.TraceWriter, qt, s.Spans(end))
 	s.Tag.sum = GenSummary{
 		Model:       m.Name,
 		Prefill:     s.Prefill,

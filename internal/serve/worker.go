@@ -238,7 +238,7 @@ func (w *Worker) recordTraces(req *http.Request, model string, batch int, lat fl
 	w.infHist.ObserveExemplar(lat, first)
 	// Walk the comma-joined IDs with Cut instead of Split: the substrings
 	// alias the header, and the span buffer is shared across fragments
-	// because the trace ring copies spans on Add.
+	// because telemetry.Record copies the spans.
 	var sp [1]telemetry.Span
 	sp[0] = telemetry.Span{Stage: telemetry.StageInference, Seconds: lat}
 	for rest := header; rest != ""; {
@@ -252,8 +252,7 @@ func (w *Worker) recordTraces(req *http.Request, model string, batch int, lat fl
 			Model: model, Batch: batch,
 			LatencyMS: lat * 1000,
 			TraceID:   id, Process: w.Name, Parent: parent,
-			Spans: sp[:],
 		}
-		telemetry.Record(w.Traces, w.TraceWriter, qt)
+		telemetry.Record(w.Traces, w.TraceWriter, qt, sp[:])
 	}
 }

@@ -822,10 +822,9 @@ func (e *Engine) complete(ev event) {
 				LatencyMS: lat * 1000, DeadlineMet: !violated,
 				TraceID: traceID, Tenant: q.Tenant,
 				Decision: b.dec,
-				Spans: []telemetry.Span{
-					{Stage: telemetry.StageBatchWait, Seconds: b.start - q.Arrival},
-					{Stage: telemetry.StageInference, Seconds: ev.time - b.start},
-				},
+			}, []telemetry.Span{
+				{Stage: telemetry.StageBatchWait, Seconds: b.start - q.Arrival},
+				{Stage: telemetry.StageInference, Seconds: ev.time - b.start},
 			})
 		}
 	}

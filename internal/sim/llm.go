@@ -213,8 +213,7 @@ func (t *tokenWorkers) start(now float64, w int) {
 			e.core.Trace(telemetry.QueryTrace{
 				ID: s.ID, Arrival: s.Arrival, Worker: w, Error: "kv-oversize",
 				TraceID: simTraceID(s.ID), Tenant: s.Tag.Name,
-				Spans: []telemetry.Span{{Stage: telemetry.StageShed}},
-			})
+			}, []telemetry.Span{{Stage: telemetry.StageShed}})
 		}
 	}
 	e.outstanding -= len(rejected)
@@ -256,8 +255,7 @@ func (t *tokenWorkers) complete(ev event) {
 				Model: m.Name, Batch: batch,
 				LatencyMS: lat * 1000, DeadlineMet: !violated,
 				TraceID: traceID, Tenant: s.Tag.Name,
-				Spans: s.Spans(ev.time),
-			})
+			}, s.Spans(ev.time))
 		}
 	}
 	e.lens[w] = b.Outstanding()

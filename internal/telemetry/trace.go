@@ -79,13 +79,18 @@ func (t QueryTrace) Span(stage string) (float64, bool) {
 	return 0, false
 }
 
-// Record lands one fragment in a component's trace ring and its JSONL
-// stream; either may be nil (not configured).
-func Record(ring *TraceBuffer, w *TraceWriter, qt QueryTrace) {
+// Record lands one fragment, with spans as its Spans, in a component's trace
+// ring and its JSONL stream; either may be nil (not configured). The spans
+// travel beside the trace, not in it, because escape analysis follows a
+// struct as a whole: the ring keeps qt, and a span array inside it would
+// move to the heap on every call. The ring copies the spans into its slot
+// and the stream encodes a copy, so a caller's stack array stays there.
+func Record(ring *TraceBuffer, w *TraceWriter, qt QueryTrace, spans []Span) {
 	if ring != nil {
-		ring.Add(qt)
+		ring.add(qt, spans)
 	}
 	if w != nil {
+		qt.Spans = append([]Span(nil), spans...)
 		_ = w.Write(qt)
 	}
 }
@@ -122,13 +127,14 @@ func NewTraceBuffer(n int) *TraceBuffer {
 // grown only past their high-water mark), so callers may pass
 // stack-allocated or reused buffers — the ring never retains caller
 // memory.
-func (b *TraceBuffer) Add(t QueryTrace) {
+func (b *TraceBuffer) Add(t QueryTrace) { b.add(t, t.Spans) }
+
+// add records t with spans as its Spans (t.Spans is ignored).
+func (b *TraceBuffer) add(t QueryTrace, spans []Span) {
 	b.mu.Lock()
 	slot := &b.buf[b.next]
-	spans := slot.Spans[:0]
-	spans = append(spans, t.Spans...)
+	t.Spans = append(slot.Spans[:0], spans...)
 	*slot = t
-	slot.Spans = spans
 	if t.Decision != nil {
 		b.decs[b.next] = *t.Decision
 		slot.Decision = &b.decs[b.next]
