@@ -104,9 +104,11 @@ saturate-smoke:
 # worker / balancer / selector / KV grid) solves its policy the same way.
 # The Trimmed tests pin what the goldens' trimmed f̃ gives up against the
 # untrimmed reference: every state's choice, and at most (K+2)ε of mass per
-# state (~15 s on two cores in all).
+# state. TestLLMPhiTableMatchesDirect pins the token build's per-goroutine
+# Φ tables against direct evaluation, row for row; at two workers each table
+# sees a different subset of rows (~22 s on two cores in all).
 goldens:
-	$(GO) test -count=1 -cpu 1,2 -run 'Golden|Trimmed' ./internal/core/ ./internal/sim/
+	$(GO) test -count=1 -cpu 1,2 -run 'Golden|Trimmed|TestLLMPhiTableMatchesDirect' ./internal/core/ ./internal/sim/
 
 # The repository benchmark (BENCHMARK.json) lives in bench/, a module of
 # its own that compiles against this module's internal packages through a

@@ -218,5 +218,15 @@ func (c Config) validate() error {
 	if c.Gamma < 0 || c.Gamma >= 1 {
 		return fmt.Errorf("core: discount %v outside [0,1)", c.Gamma)
 	}
+	return validateProbFloor(c.ProbFloor)
+}
+
+// validateProbFloor rejects a transition floor outside [0, 1): a negative
+// floor keeps every zero entry, so each row turns dense, and a NaN floor or
+// one of 1 or more drops every entry, so each row is empty.
+func validateProbFloor(floor float64) error {
+	if !(floor >= 0 && floor < 1) {
+		return fmt.Errorf("core: probability floor %v outside [0,1)", floor)
+	}
 	return nil
 }

@@ -92,7 +92,7 @@ func (c LLMConfig) validate() error {
 	if c.Gamma < 0 || c.Gamma >= 1 {
 		return fmt.Errorf("core: discount %v outside [0,1)", c.Gamma)
 	}
-	return nil
+	return validateProbFloor(c.ProbFloor)
 }
 
 // LLMChoice is one token-stream model-selection decision: run the next
@@ -245,10 +245,16 @@ const phiWindow = 8.5
 // post-step residual load base plus A ~ Poisson(λ_w·τ) arrivals, each
 // bringing In+Out tokens. A = 1 uses the exact (cell-discretized)
 // convolution of the two length pmfs; A >= 2 uses the CLT normal over
-// bucket edges, which the independent-sum variance justifies.
-func (g *llmBuilder) transitions(base, tau float64) []mdp.Transition {
-	mass := make([]float64, g.b+2)
+// bucket edges, which the independent-sum variance justifies. Φ comes from
+// the goroutine's phiTable, which returns exactly what stdNormCDF would.
+func (g *llmBuilder) transitions(sc *stateScratch, base, tau float64) []mdp.Transition {
+	mass := sc.mass
 	mu := g.lambdaW * tau
+	w := float64(g.w)
+	// Edge k lies j = k − q buckets above base's bucket floor q·w, so the
+	// Φ table files it under (a, base − q·w) at offset j.
+	q := math.Floor(base / w)
+	res, kq := sc.phi.residue(base-q*w), int(q)
 	cum := 0.0
 	for a := 0; ; a++ {
 		pa := dist.PoissonPMF(a, mu)
@@ -267,15 +273,15 @@ func (g *llmBuilder) transitions(base, tau float64) []mdp.Transition {
 			// Edges lo..hi bracket mean ± phiWindow·sd; prev starts at the
 			// edge below the window so the telescoping sum is the full
 			// loop's, and past hi every term (overflow included) is 0.
-			w := float64(g.w)
 			lo := min(max(0, int((mean-phiWindow*sd)/w)), g.b)
 			hi := min(int((mean+phiWindow*sd)/w)+1, g.b)
-			prev := stdNormCDF((float64(lo*g.w) - mean) / sd)
+			slab := res.slab(a, lo-kq, hi-kq)
+			prev := sc.phi.at(slab, lo-kq, (float64(lo*g.w)-mean)/sd)
 			if lo == 0 {
 				mass[0] += pa * prev
 			}
 			for k := lo + 1; k <= hi; k++ {
-				cur := stdNormCDF((float64(k*g.w) - mean) / sd)
+				cur := sc.phi.at(slab, k-kq, (float64(k*g.w)-mean)/sd)
 				mass[k] += pa * (cur - prev)
 				prev = cur
 			}
@@ -290,7 +296,8 @@ func (g *llmBuilder) transitions(base, tau float64) []mdp.Transition {
 }
 
 // sparse turns a per-state mass vector into a transition row: entries below
-// ProbFloor are dropped and the rest renormalized.
+// ProbFloor are dropped and the rest renormalized. It leaves mass zeroed for
+// the next row.
 func (g *llmBuilder) sparse(mass []float64) []mdp.Transition {
 	var out []mdp.Transition
 	total := 0.0
@@ -299,11 +306,89 @@ func (g *llmBuilder) sparse(mass []float64) []mdp.Transition {
 			out = append(out, mdp.Transition{Next: int32(s), P: p})
 			total += p
 		}
+		mass[s] = 0
 	}
 	for i := range out {
 		out[i].P /= total
 	}
 	return out
+}
+
+// phiTable is one build goroutine's cache of Φ at the CLT rows' bucket
+// edges. An action's argument (k·w − base − a·μ_S)/(√a·σ_S) depends on base
+// only through its residue r = base − ⌊base/w⌋·w up to rounding, so the
+// table keys a slab by (r, a) and indexes it densely by the edge's offset j
+// from base's bucket. But base + a·μ_S rounds to the ulp of its own
+// binade, so when whole buckets of base carry it across a power of two a
+// slot meets an argument a few ulps from the one it holds: each slot keeps
+// its argument's bits, a hit needs the new argument bit-equal, and a miss
+// evaluates stdNormCDF and takes the slot.
+// Every slot therefore holds some (x, Φ(x)) pair, and at returns exactly
+// stdNormCDF(x) whatever the configuration.
+type phiTable struct {
+	byRes map[float64]*phiResidue
+	evals int // stdNormCDF calls: one per miss
+}
+
+// phiResidue holds one residue's slabs, indexed by arrival count a.
+type phiResidue struct{ byA []phiSlab }
+
+// phiSlab holds one (residue, a) pair's slots, for edge offsets from off.
+type phiSlab struct {
+	off   int
+	slots []phiSlot
+}
+
+// phiSlot is Φ at one argument, keyed by the argument's bits.
+type phiSlot struct {
+	x   uint64
+	phi float64
+}
+
+// emptyPhiSlot is a slot no argument has filled: Φ at NaN is NaN, so even
+// it holds a true pair.
+var emptyPhiSlot = phiSlot{math.Float64bits(math.NaN()), stdNormCDF(math.NaN())}
+
+// residue returns r's slabs, creating them on first use.
+func (t *phiTable) residue(r float64) *phiResidue {
+	res, ok := t.byRes[r]
+	if !ok {
+		res = &phiResidue{}
+		t.byRes[r] = res
+	}
+	return res
+}
+
+// slab returns a's slab, grown to cover offsets lo..hi.
+func (res *phiResidue) slab(a, lo, hi int) *phiSlab {
+	if a >= len(res.byA) {
+		res.byA = append(res.byA, make([]phiSlab, a+1-len(res.byA))...)
+	}
+	s := &res.byA[a]
+	if len(s.slots) == 0 {
+		s.off = lo
+	}
+	if lo >= s.off && hi < s.off+len(s.slots) {
+		return s
+	}
+	lo, hi = min(lo, s.off), max(hi, s.off+len(s.slots)-1)
+	slots := make([]phiSlot, hi-lo+1)
+	for i := range slots {
+		slots[i] = emptyPhiSlot
+	}
+	copy(slots[s.off-lo:], s.slots)
+	s.off, s.slots = lo, slots
+	return s
+}
+
+// at returns stdNormCDF(x) for the edge at offset j of s.
+func (t *phiTable) at(s *phiSlab, j int, x float64) float64 {
+	slot := &s.slots[j-s.off]
+	if bits := math.Float64bits(x); slot.x != bits {
+		t.evals++
+		slot.x, slot.phi = bits, stdNormCDF(x)
+	}
+	return slot.phi
 }
 
 // drainTime models the engine's time to clear a backlog of tokens with the
@@ -356,7 +441,12 @@ type llmPlan struct {
 
 func (g *llmBuilder) numStates() int { return g.b + 2 }
 
-func (g *llmBuilder) newScratch() *stateScratch { return nil }
+func (g *llmBuilder) newScratch() *stateScratch {
+	return &stateScratch{
+		mass: make([]float64, g.b+2),
+		phi:  phiTable{byRes: map[float64]*phiResidue{}},
+	}
+}
 
 // row builds state s's actions. State 0 waits for an arrival, which brings
 // one query's In+Out tokens (the one-arrival convolution from zero load);
@@ -365,9 +455,15 @@ func (g *llmBuilder) newScratch() *stateScratch { return nil }
 // typical in-flight query) can drain within the SLO under the serial-decode
 // drain model, else zero — the token-level analog of the scalar Satisfies
 // bound.
-func (g *llmBuilder) row(s int, _ *stateScratch) []mdp.Action {
+func (g *llmBuilder) row(s int, sc *stateScratch) []mdp.Action {
+	return g.rowWith(s, sc, g.transitions)
+}
+
+// rowWith is row with the CLT kernel trans builds each step's successors
+// with.
+func (g *llmBuilder) rowWith(s int, sc *stateScratch, trans func(sc *stateScratch, base, tau float64) []mdp.Transition) []mdp.Action {
 	if s == 0 {
-		return []mdp.Action{{Label: -1, Transitions: g.arrivalTransitions()}}
+		return []mdp.Action{{Label: -1, Transitions: g.arrivalTransitions(sc.mass)}}
 	}
 	rep := (float64(s) - 0.5) * float64(g.w)
 	acts := make([]mdp.Action, 0, g.models.Len())
@@ -385,7 +481,7 @@ func (g *llmBuilder) row(s int, _ *stateScratch) []mdp.Action {
 		acts = append(acts, mdp.Action{
 			Label:       mi,
 			Reward:      reward,
-			Transitions: g.transitions(base, tau),
+			Transitions: trans(sc, base, tau),
 		})
 		pls = append(pls, llmPlan{p: p, d: d, tau: tau, rate: rate, sat: sat})
 	}
@@ -448,9 +544,9 @@ func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
 }
 
 // arrivalTransitions is the empty-state successor distribution: exactly one
-// arriving query's total-token distribution on the cell grid.
-func (g *llmBuilder) arrivalTransitions() []mdp.Transition {
-	mass := make([]float64, g.b+2)
+// arriving query's total-token distribution on the cell grid, accumulated
+// in the zeroed mass.
+func (g *llmBuilder) arrivalTransitions(mass []float64) []mdp.Transition {
 	for k := 1; k < len(g.sumCell); k++ {
 		if g.sumCell[k] > 0 {
 			mass[g.bucketOf(float64(k*g.cell))] += g.sumCell[k]

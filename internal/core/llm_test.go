@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -125,6 +126,9 @@ func TestGenerateLLMValidation(t *testing.T) {
 		"bad-bucket": func(c *LLMConfig) { c.TokenBucket = -1 },
 		"bad-max":    func(c *LLMConfig) { c.TokenBucket = 512; c.MaxTokens = 100 },
 		"bad-gamma":  func(c *LLMConfig) { c.Gamma = 1.5 },
+		"neg-floor":  func(c *LLMConfig) { c.ProbFloor = -1e-10 },
+		"nan-floor":  func(c *LLMConfig) { c.ProbFloor = math.NaN() },
+		"unit-floor": func(c *LLMConfig) { c.ProbFloor = 1 },
 	}
 	for name, mutate := range cases {
 		cfg := llmTestConfig()
@@ -143,8 +147,9 @@ func TestGenerateLLMTimeout(t *testing.T) {
 	if _, err := GenerateLLM(cfg); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("GenerateLLM with a 1ns budget returned %v, want ErrTimeout", err)
 	}
-	// A budget that outlasts entry but not the build (tens of milliseconds
-	// for a bench class) stops the build itself: the solver never starts.
+	// A budget that outlasts entry but not the build (10–20 ms for a bench
+	// class on one or two cores) stops the build itself: the solver never
+	// starts.
 	cfg = benchLLMConfig(llm.GeneralClass())
 	cfg.Timeout = 2 * time.Millisecond
 	if _, err := buildLLM(cfg); !errors.Is(err, ErrTimeout) {

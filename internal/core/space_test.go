@@ -253,6 +253,9 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.D = -1 },
 		func(c *Config) { c.MaxQueue = -2 },
 		func(c *Config) { c.Gamma = 1.5 },
+		func(c *Config) { c.ProbFloor = -1e-10 },
+		func(c *Config) { c.ProbFloor = math.NaN() },
+		func(c *Config) { c.ProbFloor = 1 },
 	}
 	for i, mutate := range cases {
 		c := testConfig()

@@ -350,11 +350,15 @@ func (b *builder) firstArrivalDensity(sc *stateScratch, rate float64, gmax int, 
 // stateScratch is per-goroutine reusable space: the successor accumulator,
 // and the per-state phase posterior (K entries), first-arrival density (one
 // per fine cell) and remaining-earliest slack distribution (one per bucket).
+// The token build uses only mass, one entry per state, and its Φ table.
 type stateScratch struct {
 	probs []float64
 	dirty []int32
 
 	pr, ft, bucketP []float64
+
+	mass []float64
+	phi  phiTable
 }
 
 func (b *builder) newScratch() *stateScratch {
