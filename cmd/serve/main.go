@@ -183,7 +183,9 @@ func (o *options) runLLM(ctx context.Context) error {
 		len(events), o.Dur, o.Dur/o.timeScale)
 
 	// Client-side join-shortest-token-queue routing: the replay tracks each
-	// worker's outstanding token load like the engine's balancer does.
+	// worker's outstanding token load and picks with the balancer
+	// sim.LLMEngine routes by default.
+	jsq := lb.NewJoinShortestQueue()
 	outTok := make([]int, o.Workers)
 	var mu sync.Mutex
 	type reply struct {
@@ -200,12 +202,7 @@ func (o *options) runLLM(ctx context.Context) error {
 		}
 		need := ev.Prefill + ev.Decode
 		mu.Lock()
-		wi := 0
-		for j := 1; j < o.Workers; j++ {
-			if outTok[j] < outTok[wi] {
-				wi = j
-			}
-		}
+		wi := jsq.Pick(outTok, nil)
 		outTok[wi] += need
 		mu.Unlock()
 		wg.Add(1)

@@ -72,8 +72,9 @@ type HealthTracker struct {
 	toUnhealthy *telemetry.Counter
 	toHealthy   *telemetry.Counter
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	stop     chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
 }
 
 // NewHealthTracker builds a tracker over the worker base URLs (not yet
@@ -106,9 +107,10 @@ func (t *HealthTracker) Start() {
 	}
 }
 
-// Stop halts the probe loops and waits for them to exit.
+// Stop halts the probe loops and waits for them to exit; repeating it does
+// nothing.
 func (t *HealthTracker) Stop() {
-	close(t.stop)
+	t.stopOnce.Do(func() { close(t.stop) })
 	t.wg.Wait()
 }
 

@@ -83,3 +83,16 @@ func TestHealthTrackerDetectsDeadServer(t *testing.T) {
 		t.Errorf("Healthy() = %v", h)
 	}
 }
+
+// TestHealthTrackerStopIsRepeatable stops a probing tracker twice: the
+// second Stop must return without closing the stop channel again.
+func TestHealthTrackerStopIsRepeatable(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+		rw.WriteHeader(http.StatusOK)
+	}))
+	defer srv.Close()
+	tr := NewHealthTracker([]string{srv.URL}, HealthConfig{Interval: 10 * time.Millisecond})
+	tr.Start()
+	tr.Stop()
+	tr.Stop()
+}

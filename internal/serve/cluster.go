@@ -32,7 +32,8 @@ type ClusterConfig struct {
 	// Telemetry is shared by the frontend's /metrics; workers keep their
 	// own registries (each serves its own /metrics endpoint).
 	Telemetry *telemetry.Registry
-	// TraceWriter streams each completed query trace as JSONL.
+	// TraceWriter streams each completed query trace as JSONL; the
+	// workers stream none.
 	TraceWriter *telemetry.TraceWriter
 	// Admit screens arrivals at the frontend; shed queries answer 429.
 	Admit admit.Admitter
@@ -43,19 +44,46 @@ type ClusterConfig struct {
 	RetryBudget *admit.RetryBudget
 }
 
-// latencyModel returns the workers' inference-latency model: the profiled
-// p95 exactly, or with the §7.3.1 jitter when stdDev > 0.
-func latencyModel(stdDev float64) sim.LatencyModel {
-	if stdDev > 0 {
-		return sim.Stochastic{StdDev: stdDev}
+// workerPool is a cluster's scalar workers and their base URLs, by global
+// index.
+type workerPool struct {
+	workers []*Worker
+	urls    []string
+}
+
+// startWorkerPool boots n scalar workers, worker i named "worker-<i>",
+// indexed i, seeded seed+i, jittered by latencyStdDev (§7.3.1) and
+// streaming its fragments to tw; on error it stops those already started.
+func startWorkerPool(n int, models profile.Set, latencyStdDev, timeScale float64, seed int64, tw *telemetry.TraceWriter) (*workerPool, error) {
+	var lat sim.LatencyModel = sim.Deterministic{}
+	if latencyStdDev > 0 {
+		lat = sim.Stochastic{StdDev: latencyStdDev}
 	}
-	return sim.Deterministic{}
+	pool := &workerPool{}
+	for i := 0; i < n; i++ {
+		w := NewWorker(models, lat, timeScale, seed+int64(i))
+		w.Name, w.Index, w.TraceWriter = fmt.Sprintf("worker-%d", i), i, tw
+		if err := w.Start(); err != nil {
+			pool.stop()
+			return nil, err
+		}
+		pool.workers = append(pool.workers, w)
+		pool.urls = append(pool.urls, w.URL())
+	}
+	return pool, nil
+}
+
+// stop stops every worker.
+func (p *workerPool) stop() {
+	for _, w := range p.workers {
+		_ = w.Stop()
+	}
 }
 
 // Cluster is a running localhost deployment.
 type Cluster struct {
 	Frontend *Frontend
-	workers  []*Worker
+	pool     *workerPool
 }
 
 // StartCluster boots the workers and the frontend. Stop releases
@@ -67,29 +95,21 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Select == nil {
 		return nil, fmt.Errorf("serve: cluster needs a selector")
 	}
-	lat := latencyModel(cfg.LatencyStdDev)
-	c := &Cluster{}
-	urls := make([]string, cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		w := NewWorker(cfg.Models, lat, cfg.TimeScale, cfg.Seed+int64(i))
-		if err := w.Start(); err != nil {
-			c.Stop()
-			return nil, err
-		}
-		c.workers = append(c.workers, w)
-		urls[i] = w.URL()
+	pool, err := startWorkerPool(cfg.Workers, cfg.Models, cfg.LatencyStdDev, cfg.TimeScale, cfg.Seed, nil)
+	if err != nil {
+		return nil, err
 	}
+	c := &Cluster{pool: pool}
 	c.Frontend = &Frontend{
 		Profiles:    cfg.Models,
 		SLO:         cfg.SLO,
 		TimeScale:   cfg.TimeScale,
-		Workers:     urls,
+		Workers:     pool.urls,
 		Select:      cfg.Select,
 		Monitor:     cfg.Monitor,
 		Balancer:    cfg.Balancer,
 		Addr:        cfg.Addr,
-		Telemetry:   cfg.Telemetry,
-		TraceWriter: cfg.TraceWriter,
+		process:     process{Telemetry: cfg.Telemetry, TraceWriter: cfg.TraceWriter},
 		Admit:       cfg.Admit,
 		Degrade:     cfg.Degrade,
 		RetryBudget: cfg.RetryBudget,
@@ -104,12 +124,8 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 // URL returns the frontend's base URL.
 func (c *Cluster) URL() string { return c.Frontend.URL() }
 
-// Stop shuts down the frontend and every worker.
+// Stop shuts down the frontend and every worker; repeating it does nothing.
 func (c *Cluster) Stop() {
-	if c.Frontend != nil {
-		_ = c.Frontend.Stop()
-	}
-	for _, w := range c.workers {
-		_ = w.Stop()
-	}
+	_ = c.Frontend.Stop()
+	c.pool.stop()
 }

@@ -241,7 +241,7 @@ func TestReplaySurvivesWorkerDeath(t *testing.T) {
 			case <-time.After(time.Millisecond):
 			}
 		}
-		_ = c.workers[1].Stop()
+		_ = c.pool.workers[1].Stop()
 	}()
 	m, err := c.Frontend.Replay(context.Background(), arrivals)
 	close(replayed)

@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -95,15 +94,9 @@ type Frontend struct {
 	HealthInterval time.Duration
 	// Addr is the listen address; default "127.0.0.1:0" (random port).
 	Addr string
-	// Telemetry is the metrics registry backing /metrics and /stats;
-	// Start builds one when nil.
-	Telemetry *telemetry.Registry
-	// Traces is the completed-query trace ring buffer behind
-	// /debug/traces; Start builds one (DefaultTraceCapacity) when nil.
-	Traces *telemetry.TraceBuffer
-	// TraceWriter, when set, additionally exports every completed trace
-	// as one JSONL line (the -trace-out flow).
-	TraceWriter *telemetry.TraceWriter
+	// process serves /metrics from the registry /stats also reads, and
+	// rings every completed query's trace at /debug/traces.
+	process
 	// Decisions is the policy-decision ring behind /debug/decisions; Start
 	// builds one (DefaultDecisionCapacity) when nil. A sharded cluster
 	// passes one shared ring so the gateway serves the merged view.
@@ -160,9 +153,9 @@ type Frontend struct {
 	// stages caches sched.Series.Stage in telemetry.Stages order: six map
 	// lookups per query are measurable at saturation.
 	stages [6]*telemetry.Histogram
-	// process names this frontend in trace fragments: "shard-<i>" in a
-	// sharded plane, "frontend" standalone.
-	process string
+	// name is this frontend's process name in trace fragments: "shard-<i>"
+	// in a sharded plane, "frontend" standalone.
+	name string
 	// single is the one account of a single-tenant frontend, built from the
 	// frontend-wide SLO, Select, Monitor (locked) and Degrade fields; in
 	// plane mode arrivals resolve to the plane's per-tenant states instead.
@@ -174,8 +167,6 @@ type Frontend struct {
 	// not concatenate or parse URL strings per POST.
 	inferURLs []*url.URL
 
-	srv   *http.Server
-	addr  string
 	loops sync.WaitGroup
 }
 
@@ -245,12 +236,7 @@ func (f *Frontend) Start() error {
 	if f.TimeScale <= 0 {
 		f.TimeScale = 1
 	}
-	if f.Telemetry == nil {
-		f.Telemetry = telemetry.NewRegistry()
-	}
-	if f.Traces == nil {
-		f.Traces = telemetry.NewTraceBuffer(0)
-	}
+	f.defaults()
 	if f.Decisions == nil {
 		f.Decisions = telemetry.NewDecisionBuffer(0)
 	}
@@ -270,10 +256,10 @@ func (f *Frontend) Start() error {
 		Shard: f.Shard, WorkerOffset: f.WorkerOffset,
 	}
 	if f.Plane != nil {
-		f.process, cfg.Parent = fmt.Sprintf("shard-%d", f.Shard), "gateway"
+		f.name, cfg.Parent = fmt.Sprintf("shard-%d", f.Shard), "gateway"
 		f.admitter = f.Plane.cfg.Fair
 	} else {
-		f.process = "frontend"
+		f.name = "frontend"
 		f.admitter = sched.Plain(f.Admit)
 		f.single = &tenantState{Account: sched.NewAccount(f.Telemetry, "", f.SLO, f.now), sel: f.Select}
 		f.single.Degrade = f.Degrade
@@ -283,7 +269,7 @@ func (f *Frontend) Start() error {
 		registerRateGauge(f.Telemetry, f.single, tenant.DefaultName, f.now)
 		sched.WireDegrade(f.Telemetry, f.Degrade)
 	}
-	cfg.Process, cfg.Admit = f.process, f.admitter
+	cfg.Process, cfg.Admit = f.name, f.admitter
 	f.core = sched.New(cfg)
 	for i, st := range telemetry.Stages() {
 		f.stages[i] = f.core.Series().Stage[st]
@@ -306,7 +292,6 @@ func (f *Frontend) Start() error {
 		}
 	}
 	f.health = lb.NewHealthTracker(f.Workers, lb.HealthConfig{Interval: iv, Telemetry: f.Telemetry})
-	f.health.Start()
 	registerHealthGauges(f.Telemetry, f.health, len(f.Workers), f.WorkerOffset)
 	f.wq = make([]*workerQueue, len(f.Workers))
 	for i := range f.wq {
@@ -328,42 +313,26 @@ func (f *Frontend) Start() error {
 		}
 		f.inferURLs[i] = pu
 	}
-	addr := f.Addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	f.addr = ln.Addr().String()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", entry(f.enqueue).serveHTTP)
 	mux.HandleFunc("/stats", f.handleStats)
-	mux.Handle("/metrics", f.Telemetry.Handler())
 	mux.Handle("/debug/traces", f.Traces.Handler())
 	mux.Handle("/debug/decisions", f.Decisions.Handler())
-	telemetry.RegisterPprof(mux)
-	f.srv = &http.Server{Handler: mux}
-	go func() { _ = f.srv.Serve(ln) }()
-
+	if err := f.serve(f.Addr, mux); err != nil {
+		return err
+	}
+	f.health.Start()
 	for w := range f.Workers {
 		f.loops.Add(1)
 		go f.workerLoop(w)
 	}
+	f.onStop(f.halt)
 	return nil
 }
 
-// URL returns the frontend's base URL.
-func (f *Frontend) URL() string { return "http://" + f.addr }
-
-// Stop shuts down the HTTP server, the selector loops, and the health
-// tracker.
-func (f *Frontend) Stop() error {
-	if f.srv == nil {
-		return nil // Start never bound a listener; nothing to tear down
-	}
-	err := f.srv.Close()
+// halt refuses new queries, waits for the selector loops to drain their
+// queues and exit, and then stops the health tracker.
+func (f *Frontend) halt() error {
 	f.closed.Store(true)
 	for _, ws := range f.wq {
 		ws.mu.Lock()
@@ -372,7 +341,7 @@ func (f *Frontend) Stop() error {
 	}
 	f.loops.Wait()
 	f.health.Stop()
-	return err
+	return nil
 }
 
 // Stats assembles the current snapshot from the telemetry registry and the
@@ -761,7 +730,7 @@ func (f *Frontend) dispatch(w int, pick sched.Pick, scr *dispatchScratch) {
 		scr.ids = append(scr.ids, queries[i].traceID...)
 	}
 	scr.ids = append(scr.ids, ';')
-	scr.ids = append(scr.ids, f.process...)
+	scr.ids = append(scr.ids, f.name...)
 	scr.body = appendInferRequest(scr.body[:0], p.Name, len(queries))
 	dispStart := f.now()
 	target := w

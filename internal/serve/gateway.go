@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"sync"
 	"time"
@@ -18,7 +17,8 @@ import (
 // address space — sharding here partitions queues and worker pools, not
 // machines). It also serves the merged observability surface: /metrics
 // from the registry every shard writes into, /stats with the per-tenant
-// breakdown, and /reload for tenant-config hot swaps.
+// breakdown, and /reload for tenant-config hot swaps. Stop closes the
+// gateway alone; the shards are stopped by their owner.
 type Gateway struct {
 	// Shards are the started frontend shards, index = shard id.
 	Shards []*Frontend
@@ -30,15 +30,10 @@ type Gateway struct {
 	Addr string
 	// TenantFile, when set, is re-parsed on POST /reload.
 	TenantFile string
-	// Telemetry is the shared registry (required: the same one the shards
-	// and the plane write into).
-	Telemetry *telemetry.Registry
-	// Traces rings the gateway-side fragments (tenant resolution + shard
-	// routing; required).
-	Traces *telemetry.TraceBuffer
-	// TraceWriter, when set, streams gateway fragments as JSONL. A sharded
-	// cluster shares one writer plane-wide so a single file stitches.
-	TraceWriter *telemetry.TraceWriter
+	// process's Telemetry is required here: the registry the shards and
+	// the plane write into. Its Traces rings the gateway-side fragments
+	// (tenant resolution and shard routing).
+	process
 	// Decisions is the plane-wide policy-decision ring served at
 	// /debug/decisions (required: the same ring every shard writes into).
 	Decisions *telemetry.DecisionBuffer
@@ -49,8 +44,6 @@ type Gateway struct {
 
 	shardQueries []*telemetry.Counter
 	goodputVec   *telemetry.GaugeVec
-	srv          *http.Server
-	addr         string
 	start        time.Time
 	// depthScratch recycles the per-route shard-depth snapshot the
 	// sharder reads, keeping the routing hot path allocation-free.
@@ -82,6 +75,7 @@ func (g *Gateway) Start() error {
 	if g.Telemetry == nil {
 		return fmt.Errorf("serve: gateway needs the shared telemetry registry")
 	}
+	g.defaults()
 	if g.start.IsZero() {
 		g.start = time.Now()
 	}
@@ -102,38 +96,13 @@ func (g *Gateway) Start() error {
 	g.Telemetry.Help(telemetry.MetricShardDepth, "Outstanding queries per frontend shard.")
 	g.Telemetry.Help(telemetry.MetricTenantGoodput, "Per-tenant goodput fraction: in-SLO served / offered.")
 
-	addr := g.Addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	g.addr = ln.Addr().String()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", entry(g.route).serveHTTP)
 	mux.HandleFunc("/stats", g.handleStats)
 	mux.HandleFunc("/reload", g.handleReload)
-	mux.Handle("/metrics", g.Telemetry.Handler())
 	mux.HandleFunc("/debug/traces", g.handleTraces)
 	mux.Handle("/debug/decisions", g.Decisions.Handler())
-	telemetry.RegisterPprof(mux)
-	g.srv = &http.Server{Handler: mux}
-	go func() { _ = g.srv.Serve(ln) }()
-	return nil
-}
-
-// URL returns the gateway's base URL.
-func (g *Gateway) URL() string { return "http://" + g.addr }
-
-// Stop closes the gateway listener (the shards are stopped by their
-// owner).
-func (g *Gateway) Stop() error {
-	if g.srv == nil {
-		return nil
-	}
-	return g.srv.Close()
+	return g.serve(g.Addr, mux)
 }
 
 // now returns modeled seconds since the plane's shared epoch.

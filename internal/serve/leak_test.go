@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -32,14 +34,11 @@ func requireGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// TestShardedClusterStopLeavesNoGoroutines starts the sharded plane in the
-// repository benchmark's plane_burst shape — tenants gold and silver, two
-// shards of one worker, p2c shard routing, zero-length inference — routes
-// one 32-query burst, stops it, and requires the goroutine count back at its
-// pre-start value.
-func TestShardedClusterStopLeavesNoGoroutines(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	c, err := StartShardedCluster(ShardedConfig{
+// burstPlane is the repository benchmark's plane_burst shape: tenants gold
+// and silver, two shards of one worker, p2c shard routing, zero-length
+// inference.
+func burstPlane() ShardedConfig {
+	return ShardedConfig{
 		Models: profile.ImageSet(),
 		Tenants: []tenant.Tenant{
 			{Name: "gold", Class: "interactive", SLOMS: 1e12, Weight: 2, RateQPS: 2, BurstSec: 32},
@@ -52,7 +51,27 @@ func TestShardedClusterStopLeavesNoGoroutines(t *testing.T) {
 		D:               40,
 		ShardBy:         "p2c",
 		Telemetry:       telemetry.NewRegistry(),
-	})
+	}
+}
+
+// burstCluster is burstPlane's single-tenant counterpart: one frontend over
+// two workers, the fastest model at the largest batch it takes.
+func burstCluster() ClusterConfig {
+	fastest := profile.ImageSet().Fastest()
+	return ClusterConfig{
+		Models: profile.ImageSet(), Workers: 2, SLO: 1e9, TimeScale: 1e10, Seed: 1,
+		Select: func(_, _ float64, n int, _ float64) (string, int) {
+			return fastest.Name, min(n, fastest.MaxBatch())
+		},
+	}
+}
+
+// TestShardedClusterStopLeavesNoGoroutines starts the sharded plane in the
+// plane_burst shape, routes one 32-query burst, stops it, and requires the
+// goroutine count back at its pre-start value.
+func TestShardedClusterStopLeavesNoGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	c, err := StartShardedCluster(burstPlane())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,6 +96,105 @@ func TestShardedClusterStopLeavesNoGoroutines(t *testing.T) {
 	}
 	c.Stop()
 	requireGoroutines(t, baseline)
+}
+
+// TestClusterStopLeavesNoGoroutines is the single-tenant shape: one
+// 32-query burst through StartCluster's frontend, then Stop.
+func TestClusterStopLeavesNoGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	c, err := StartCluster(burstCluster())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const burst = 32
+	pending := make([]<-chan QueryResponse, 0, burst)
+	for i := 0; i < burst; i++ {
+		ch, eerr := c.Frontend.Enqueue("")
+		if eerr != nil {
+			c.Stop()
+			t.Fatalf("query %d: %v", i, eerr)
+		}
+		pending = append(pending, ch)
+	}
+	for i, ch := range pending {
+		if r := <-ch; r.Error != "" {
+			t.Errorf("query %d: %s", i, r.Error)
+		}
+	}
+	c.Stop()
+	requireGoroutines(t, baseline)
+}
+
+// TestStartClusterOnBoundAddrLeavesNoGoroutines starts a cluster whose
+// frontend address is taken: StartCluster must return the listen error and
+// leave nothing running, the workers it booted and the frontend's health
+// probes included.
+func TestStartClusterOnBoundAddrLeavesNoGoroutines(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	baseline := runtime.NumGoroutine()
+	cfg := burstCluster()
+	cfg.Addr = ln.Addr().String()
+	if c, err := StartCluster(cfg); err == nil {
+		c.Stop()
+		t.Fatalf("StartCluster on bound %s succeeded", cfg.Addr)
+	}
+	requireGoroutines(t, baseline)
+}
+
+// TestStopIsRepeatable stops every deployment shape twice at once and then
+// once more: no Stop may panic, and nothing may be left running.
+func TestStopIsRepeatable(t *testing.T) {
+	models := llm.BuiltinSet()
+	for _, tc := range []struct {
+		name  string
+		start func() (stop func(), err error)
+	}{
+		{"Cluster", func() (func(), error) {
+			c, err := StartCluster(burstCluster())
+			if err != nil {
+				return nil, err
+			}
+			return c.Stop, nil
+		}},
+		{"ShardedCluster", func() (func(), error) {
+			c, err := StartShardedCluster(burstPlane())
+			if err != nil {
+				return nil, err
+			}
+			return c.Stop, nil
+		}},
+		{"Worker", func() (func(), error) {
+			w := NewWorker(profile.ImageSet(), sim.Deterministic{}, 1e10, 1)
+			return func() { _ = w.Stop() }, w.Start()
+		}},
+		{"LLMWorker", func() (func(), error) {
+			w := NewLLMWorker(models, 8.0, 1e10, sim.FixedSelector(models.Fastest()))
+			return func() { _ = w.Stop() }, w.Start()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			stop, err := tc.start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for i := 0; i < 2; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					stop()
+				}()
+			}
+			wg.Wait()
+			stop()
+			requireGoroutines(t, baseline)
+		})
+	}
 }
 
 // TestLLMWorkerStopMidStreamLeavesNoGoroutines stops an LLM worker while a

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sync"
 	"time"
@@ -73,18 +72,13 @@ type LLMWorker struct {
 	Selector sim.ModelSelector
 	// KVCap, when > 0, overrides every model's KV capacity in tokens.
 	KVCap int
-	// Telemetry backs /metrics; Start builds a registry when nil. The LLM
-	// serving series (TTFT, TBT, step latency, token counts, KV usage) use
-	// the same names the simulator's engine exports.
-	Telemetry *telemetry.Registry
 	// Name and Index mark this worker's trace fragments, as on Worker.
 	Name  string
 	Index int
-	// Traces rings a fragment per served request (batch_wait, prefill,
-	// decode spans); Start builds one when nil.
-	Traces *telemetry.TraceBuffer
-	// TraceWriter, when set, additionally streams fragments as JSONL.
-	TraceWriter *telemetry.TraceWriter
+	// process serves /metrics, whose LLM series (TTFT, TBT, step latency,
+	// tokens, KV usage) share the simulator engine's names, and a fragment
+	// per request (batch_wait, prefill, decode spans) at /debug/traces.
+	process
 
 	// now and sleep are the worker's clock (time.Now and time.Sleep unless a
 	// test substituted a fake before Start).
@@ -97,8 +91,6 @@ type LLMWorker struct {
 	b       *llm.Batcher[*genStream]
 	maxKV   int // largest KV capacity in the set: no request above it is servable
 	stopped bool
-	srv     *http.Server
-	addr    string
 }
 
 // NewLLMWorker builds an LLM worker server (not yet started).
@@ -126,59 +118,34 @@ func (w *LLMWorker) Start() error {
 		w.maxKV = max(w.maxKV, m.KVCapTokens)
 	}
 	w.cond = sync.NewCond(&w.mu)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	w.addr = ln.Addr().String()
-	if w.Telemetry == nil {
-		w.Telemetry = telemetry.NewRegistry()
-	}
+	w.defaults()
 	if w.Name == "" {
 		w.Name = "llm-worker"
-	}
-	if w.Traces == nil {
-		w.Traces = telemetry.NewTraceBuffer(0)
 	}
 	if w.now == nil {
 		w.now, w.sleep = time.Now, time.Sleep
 	}
 	w.epoch = w.now()
 	w.b = llm.NewBatcher[*genStream](models, w.SLO, w.Selector, w.Telemetry, max(w.Index, 0))
-	mux := http.NewServeMux()
-	mux.HandleFunc("/generate", w.handleGenerate)
-	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, _ *http.Request) {
-		rw.WriteHeader(http.StatusOK)
-	})
-	mux.Handle("/metrics", w.Telemetry.Handler())
-	mux.Handle("/debug/traces", w.Traces.Handler())
-	telemetry.RegisterPprof(mux)
-	w.srv = &http.Server{Handler: mux}
-	go func() { _ = w.srv.Serve(ln) }()
+	if err := w.serve("", workerMux("/generate", w.handleGenerate, w.Traces)); err != nil {
+		return err
+	}
+	w.onStop(w.halt)
 	go w.loop()
 	return nil
 }
 
-// URL returns the worker's base URL.
-func (w *LLMWorker) URL() string { return "http://" + w.addr }
-
-// Stop halts the step loop, fails any in-flight requests, and shuts the
-// server down.
-func (w *LLMWorker) Stop() error {
+// halt stops the step loop and fails every in-flight request.
+func (w *LLMWorker) halt() error {
 	w.mu.Lock()
-	if !w.stopped && w.b != nil {
-		w.stopped = true
-		for _, s := range w.b.Drain() {
-			s.Tag.reject = "worker stopped"
-			close(s.Tag.tok)
-		}
-		w.cond.Broadcast()
+	defer w.mu.Unlock()
+	w.stopped = true
+	for _, s := range w.b.Drain() {
+		s.Tag.reject = "worker stopped"
+		close(s.Tag.tok)
 	}
-	w.mu.Unlock()
-	if w.srv == nil {
-		return nil
-	}
-	return w.srv.Close()
+	w.cond.Broadcast()
+	return nil
 }
 
 // modeledNow returns modeled seconds since Start.

@@ -72,7 +72,7 @@ type ShardedCluster struct {
 	Gateway *Gateway
 	Plane   *TenantPlane
 	shards  []*Frontend
-	workers []*Worker
+	pool    *workerPool
 }
 
 // StartShardedCluster solves one policy set per tenant (sized to the
@@ -194,46 +194,30 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 		Telemetry: cfg.Telemetry,
 	})
 
-	latModel := latencyModel(cfg.LatencyStdDev)
-
-	c := &ShardedCluster{Plane: plane}
-	// Worker rings feed the gateway's merged /debug/traces alongside its own
-	// and the shards'.
-	var traceSources []*telemetry.TraceBuffer
+	pool, err := startWorkerPool(cfg.Shards*cfg.WorkersPerShard, cfg.Models, cfg.LatencyStdDev, cfg.TimeScale, cfg.Seed, cfg.TraceWriter)
+	if err != nil {
+		return nil, err
+	}
+	c := &ShardedCluster{Plane: plane, pool: pool}
 	for s := 0; s < cfg.Shards; s++ {
-		urls := make([]string, cfg.WorkersPerShard)
-		for i := 0; i < cfg.WorkersPerShard; i++ {
-			global := s*cfg.WorkersPerShard + i
-			w := NewWorker(cfg.Models, latModel, cfg.TimeScale, cfg.Seed+int64(global))
-			w.Name = fmt.Sprintf("worker-%d", global)
-			w.Index = global
-			w.TraceWriter = cfg.TraceWriter
-			if err := w.Start(); err != nil {
-				c.Stop()
-				return nil, err
-			}
-			c.workers = append(c.workers, w)
-			urls[i] = w.URL()
-			traceSources = append(traceSources, w.Traces)
-		}
 		balancer, err := lb.New(cfg.LB, cfg.Seed+int64(s))
 		if err != nil {
 			c.Stop()
 			return nil, err
 		}
+		lo := s * cfg.WorkersPerShard
 		fe := &Frontend{
 			Profiles:     cfg.Models,
 			TimeScale:    cfg.TimeScale,
-			Workers:      urls,
+			Workers:      pool.urls[lo : lo+cfg.WorkersPerShard],
 			Plane:        plane,
 			Shard:        s,
-			WorkerOffset: s * cfg.WorkersPerShard,
+			WorkerOffset: lo,
 			Balancer:     balancer,
-			Telemetry:    cfg.Telemetry,
-			TraceWriter:  cfg.TraceWriter,
+			process:      process{Telemetry: cfg.Telemetry, TraceWriter: cfg.TraceWriter},
 			Decisions:    decisions,
+			start:        epoch, // shared modeled-time epoch across shards
 		}
-		fe.start = epoch // shared modeled-time epoch across shards
 		if err := fe.Start(); err != nil {
 			c.Stop()
 			return nil, err
@@ -246,20 +230,22 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 	for _, fe := range c.shards {
 		sources = append(sources, fe.Traces)
 	}
-	sources = append(sources, traceSources...)
+	// Worker rings feed the gateway's merged /debug/traces alongside its
+	// own and the shards'.
+	for _, w := range pool.workers {
+		sources = append(sources, w.Traces)
+	}
 	c.Gateway = &Gateway{
 		Shards:       c.shards,
 		Sharder:      sharder,
 		Plane:        plane,
 		Addr:         cfg.Addr,
 		TenantFile:   cfg.TenantFile,
-		Telemetry:    cfg.Telemetry,
-		Traces:       gwTraces,
-		TraceWriter:  cfg.TraceWriter,
+		process:      process{Telemetry: cfg.Telemetry, Traces: gwTraces, TraceWriter: cfg.TraceWriter},
 		Decisions:    decisions,
 		TraceSources: sources,
+		start:        epoch,
 	}
-	c.Gateway.start = epoch
 	if err := c.Gateway.Start(); err != nil {
 		c.Stop()
 		return nil, err
@@ -273,7 +259,8 @@ func (c *ShardedCluster) URL() string { return c.Gateway.URL() }
 // Shards returns the started frontend shards.
 func (c *ShardedCluster) Shards() []*Frontend { return c.shards }
 
-// Stop tears down the gateway, every shard, and every worker.
+// Stop tears down the gateway, every shard, and every worker; repeating it
+// does nothing.
 func (c *ShardedCluster) Stop() {
 	if c.Gateway != nil {
 		_ = c.Gateway.Stop()
@@ -281,7 +268,5 @@ func (c *ShardedCluster) Stop() {
 	for _, fe := range c.shards {
 		_ = fe.Stop()
 	}
-	for _, w := range c.workers {
-		_ = w.Stop()
-	}
+	c.pool.stop()
 }

@@ -67,9 +67,9 @@ func TestFrontendTelemetryAcceptance(t *testing.T) {
 	var jsonl bytes.Buffer
 	f := &Frontend{
 		Profiles: profile.ImageSet(), SLO: 0.150, TimeScale: 10, Workers: urls,
-		Select:      fixedSelector("shufflenet_v2_x0_5"),
-		Monitor:     monitor.NewMovingAverage(0.5),
-		TraceWriter: telemetry.NewTraceWriter(&jsonl),
+		Select:  fixedSelector("shufflenet_v2_x0_5"),
+		Monitor: monitor.NewMovingAverage(0.5),
+		process: process{TraceWriter: telemetry.NewTraceWriter(&jsonl)},
 	}
 	if err := f.Start(); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -47,25 +46,15 @@ type Worker struct {
 	Profiles  profile.Set
 	Latency   sim.LatencyModel
 	TimeScale float64
-	// Telemetry backs the worker's own /metrics endpoint (inference
-	// counts, realized inference latency, batch sizes); Start builds a
-	// registry when nil. /debug/pprof is wired on the same mux.
-	Telemetry *telemetry.Registry
 	// Name is this worker's process name in trace fragments ("worker-3");
-	// default "worker". The sharded cluster names workers by their global
-	// index.
+	// default "worker". A cluster names workers by their global index.
 	Name string
 	// Index is the worker's global index, stamped on its trace fragments
 	// (-1 when unset).
 	Index int
-	// Traces rings the worker-side fragments of batches whose dispatch
-	// carried X-Trace-Id; Start builds one when nil. Served at
-	// /debug/traces on the worker's own mux, like the frontends'.
-	Traces *telemetry.TraceBuffer
-	// TraceWriter, when set, additionally streams worker fragments as
-	// JSONL (a sharded cluster shares one writer across processes, so one
-	// file holds every fragment of every trace).
-	TraceWriter *telemetry.TraceWriter
+	// process serves /metrics (inference counts, latency, batch sizes) and
+	// the fragments of batches dispatched with X-Trace-Id at /debug/traces.
+	process
 
 	// sleep holds a batch for its inference latency (time.Sleep unless a
 	// test substituted a fake clock before Start).
@@ -73,8 +62,6 @@ type Worker struct {
 
 	mu      sync.Mutex
 	rng     *rand.Rand
-	srv     *http.Server
-	addr    string
 	infHist *telemetry.Histogram
 	bsHist  *telemetry.Histogram
 	// infCtr caches the per-model inference counters built at Start, so
@@ -102,19 +89,9 @@ func NewWorker(profiles profile.Set, lat sim.LatencyModel, timeScale float64, se
 
 // Start listens on a random localhost port and serves until Stop.
 func (w *Worker) Start() error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	w.addr = ln.Addr().String()
-	if w.Telemetry == nil {
-		w.Telemetry = telemetry.NewRegistry()
-	}
+	w.defaults()
 	if w.Name == "" {
 		w.Name = "worker"
-	}
-	if w.Traces == nil {
-		w.Traces = telemetry.NewTraceBuffer(0)
 	}
 	if w.sleep == nil {
 		w.sleep = time.Sleep
@@ -129,28 +106,19 @@ func (w *Worker) Start() error {
 	}
 	w.Telemetry.Help(telemetry.MetricInferenceSeconds, "Realized inference latency per batch in modeled seconds.")
 	w.Telemetry.Help(telemetry.MetricInferences, "Batches executed, by model.")
+	return w.serve("", workerMux("/infer", w.handleInfer, w.Traces))
+}
+
+// workerMux is a worker's own routes, shared by both worker kinds: its work
+// route, /healthz for the frontends' health trackers, and its trace ring.
+func workerMux(route string, work http.HandlerFunc, traces *telemetry.TraceBuffer) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/infer", w.handleInfer)
+	mux.HandleFunc(route, work)
 	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, _ *http.Request) {
 		rw.WriteHeader(http.StatusOK)
 	})
-	mux.Handle("/metrics", w.Telemetry.Handler())
-	mux.Handle("/debug/traces", w.Traces.Handler())
-	telemetry.RegisterPprof(mux)
-	w.srv = &http.Server{Handler: mux}
-	go func() { _ = w.srv.Serve(ln) }()
-	return nil
-}
-
-// URL returns the worker's base URL.
-func (w *Worker) URL() string { return "http://" + w.addr }
-
-// Stop shuts the server down.
-func (w *Worker) Stop() error {
-	if w.srv == nil {
-		return nil
-	}
-	return w.srv.Close()
+	mux.Handle("/debug/traces", traces.Handler())
+	return mux
 }
 
 func (w *Worker) handleInfer(rw http.ResponseWriter, req *http.Request) {

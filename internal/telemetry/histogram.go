@@ -80,36 +80,14 @@ func NewHistogram(upper []float64) *Histogram {
 
 // Observe records one sample. Bucket bounds are inclusive upper bounds, as
 // in the Prometheus exposition format (le).
-func (h *Histogram) Observe(v float64) { h.observe(v, 1) }
+func (h *Histogram) Observe(v float64) { h.observe(v) }
 
-// ObserveN records n samples of the same value: one bucket lookup, one add
-// each to the bucket count and the total, and the n additions to the sum
-// made on a local copy that one compare-and-swap publishes. Called from one
-// goroutine it leaves the histogram exactly as n Observe(v) calls would, the
-// sum identical to the bit; concurrent callers interleave their sums per
-// call rather than per sample. n <= 0 records nothing. Many values at once
-// go through a Tally, which publishes them all with one commit.
-func (h *Histogram) ObserveN(v float64, n int) {
-	if n > 0 {
-		h.observe(v, n)
-	}
-}
-
-// observe records n > 0 samples of v and returns their bucket.
-func (h *Histogram) observe(v float64, n int) (i int) {
+// observe records one sample of v and returns its bucket.
+func (h *Histogram) observe(v float64) (i int) {
 	i = sort.SearchFloat64s(h.upper, v)
-	h.counts[i].Add(uint64(n))
-	h.total.Add(uint64(n))
-	for {
-		old := h.sum.bits.Load()
-		sum := math.Float64frombits(old)
-		for k := 0; k < n; k++ {
-			sum += v
-		}
-		if h.sum.bits.CompareAndSwap(old, math.Float64bits(sum)) {
-			break
-		}
-	}
+	h.counts[i].Add(1)
+	h.total.Add(1)
+	h.sum.add(v)
 	h.min.lower(v)
 	h.max.raise(v)
 	return i
@@ -126,9 +104,9 @@ func (h *Histogram) observe(v float64, n int) (i int) {
 // If nothing else changed the histogram's sum in between, the histogram ends
 // exactly as one Observe per sample would leave it, Sum to the bit (for
 // samples that are not NaN). Otherwise the swap fails and Commit adds the
-// staged sum: counts, Min and Max stay exact and Sum is right to rounding,
-// no less than ObserveN promises concurrent callers. A Tally is not safe for
-// concurrent use, but tallies on one histogram may commit concurrently.
+// staged sum: counts, Min and Max stay exact and Sum is right to rounding.
+// A Tally is not safe for concurrent use, but tallies on one histogram may
+// commit concurrently.
 type Tally struct {
 	h      *Histogram
 	start  uint64  // the sum's bits when the tally began
@@ -215,7 +193,7 @@ func (t *Tally) Commit() {
 // sample, because boxing a fresh exemplar per observation was a measurable
 // share of the steady-state allocation profile.
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	i := h.observe(v, 1)
+	i := h.observe(v)
 	if traceID == "" {
 		return
 	}

@@ -103,97 +103,6 @@ func TestHistogramQuantileMonotone(t *testing.T) {
 	}
 }
 
-// TestObserveNMatchesObserve pins ObserveN's contract: from one goroutine,
-// ObserveN(v, n) leaves the histogram exactly as n Observe(v) calls would —
-// bucket counts, count, min, max, every quantile, the exposition text, and
-// the sum to the bit. Both histograms start from the same non-trivial state,
-// so the sum is a sequence of n additions onto a prior value, which a
-// shortcut like sum += n·v would not reproduce.
-func TestObserveNMatchesObserve(t *testing.T) {
-	upper := []float64{0.001, 0.01, 0.1, 1}
-	seeded := func() *Histogram {
-		h := NewHistogram(upper)
-		for _, v := range []float64{0.3, 0.0042, 0.7} {
-			h.Observe(v)
-		}
-		return h
-	}
-	values := map[string]float64{
-		"edge":        0.01,
-		"between":     0.0337,
-		"below first": 0.0002,
-		"above last":  2.75,
-		"+Inf":        math.Inf(1),
-		"-Inf":        math.Inf(-1),
-		"NaN":         math.NaN(),
-	}
-	for name, v := range values {
-		for _, n := range []int{0, 1, 2, 17, 1000} {
-			got, want := seeded(), seeded()
-			got.ObserveN(v, n)
-			for k := 0; k < n; k++ {
-				want.Observe(v)
-			}
-			sameHistogram(t, fmt.Sprintf("%s n=%d", name, n), got, want)
-			var gb, wb bytes.Buffer
-			got.write(&gb, "x", "")
-			want.write(&wb, "x", "")
-			if gb.String() != wb.String() {
-				t.Errorf("%s n=%d: exposition\n%s\nwant\n%s", name, n, gb.String(), wb.String())
-			}
-		}
-	}
-}
-
-// TestObserveNConcurrent runs ObserveN from 8 goroutines at once (meant for
-// the race detector, `make race`): no sample may be lost from the count or
-// the buckets. Each goroutine's value is a small multiple of 1/8, so every
-// partial sum is exact and the total sum is order-independent.
-func TestObserveNConcurrent(t *testing.T) {
-	const goroutines, calls = 8, 500
-	h := NewHistogram([]float64{0.5, 1})
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			v := float64(g+1) / 8 // 0.125 .. 1: buckets le=0.5 and le=1
-			for k := 0; k < calls; k++ {
-				h.ObserveN(v, g+1)
-			}
-		}(g)
-	}
-	wg.Wait()
-	var count, low uint64
-	var sum float64
-	for g := 0; g < goroutines; g++ {
-		n := uint64(calls * (g + 1))
-		count += n
-		sum += float64(n) * float64(g+1) / 8
-		if float64(g+1)/8 <= 0.5 {
-			low += n
-		}
-	}
-	if h.Count() != count {
-		t.Errorf("count %d, want %d", h.Count(), count)
-	}
-	if got := h.counts[0].Load(); got != low {
-		t.Errorf("le=0.5 bucket %d, want %d", got, low)
-	}
-	if got := h.counts[1].Load(); got != count-low {
-		t.Errorf("le=1 bucket %d, want %d", got, count-low)
-	}
-	if got := h.counts[2].Load(); got != 0 {
-		t.Errorf("+Inf bucket %d, want 0", got)
-	}
-	if h.Sum() != sum {
-		t.Errorf("sum %v, want %v", h.Sum(), sum)
-	}
-	if h.Min() != 0.125 || h.Max() != 1 {
-		t.Errorf("min/max %v/%v, want 0.125/1", h.Min(), h.Max())
-	}
-}
-
 // sameHistogram reports every difference between got and want: each bucket
 // count, the count, Sum, Min and Max to the bit, and Quantile at 0.5 %
 // steps.
@@ -293,7 +202,7 @@ func TestTallyMatchesObserve(t *testing.T) {
 }
 
 // TestTallyConcurrent commits tallies from several goroutines at once (meant
-// for the race detector, `make race`), each goroutine also calling ObserveN
+// for the race detector, `make race`), each goroutine also calling Observe
 // between a tally's start and its commit, so the sum's compare-and-swap
 // fails at least that often. Counts, total, min and max must be exact and
 // the sum right to rounding.
@@ -316,10 +225,12 @@ func TestTallyConcurrent(t *testing.T) {
 					v = tallyValue(rng, upper, v)
 					n := rng.Intn(10)
 					tl.ObserveN(v, n)
-					want[g].ObserveN(v, n)
+					for k := 0; k < n; k++ {
+						want[g].Observe(v)
+					}
 				}
-				h.ObserveN(v, 1)
-				want[g].ObserveN(v, 1)
+				h.Observe(v)
+				want[g].Observe(v)
 				tl.Commit()
 			}
 		}(g)
@@ -353,11 +264,10 @@ func TestTallyConcurrent(t *testing.T) {
 	}
 }
 
-// BenchmarkHistogramObserve compares recording eight equal samples one
-// Observe at a time against one ObserveN — the step loop's per-token versus
-// per-step cost for a batch of eight decoding sequences — and a decode run
-// of 16 such steps, its gaps growing slowly, published one ObserveN per step
-// against one Tally.
+// BenchmarkHistogramObserve records eight equal samples one Observe at a
+// time — the step loop's per-token cost for a batch of eight decoding
+// sequences — and a decode run of 16 such steps, its gaps growing slowly,
+// one Observe per sample against one Tally.
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := NewHistogram(DefaultLatencyBuckets())
 	b.Run("Observe-x8", func(b *testing.B) {
@@ -368,16 +278,13 @@ func BenchmarkHistogramObserve(b *testing.B) {
 			}
 		}
 	})
-	b.Run("ObserveN-8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			h.ObserveN(float64(i%1000)/1e4, 8)
-		}
-	})
-	b.Run("ObserveN-16x8", func(b *testing.B) {
+	b.Run("Observe-16x8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			v := float64(i%1000) / 1e4
 			for k := 0; k < 16; k++ {
-				h.ObserveN(v+float64(k)*1e-7, 8)
+				for j := 0; j < 8; j++ {
+					h.Observe(v + float64(k)*1e-7)
+				}
 			}
 		}
 	})
