@@ -3,16 +3,17 @@
 //	experiments --exp all            # every experiment, scaled default
 //	experiments --exp fig5 --full    # one experiment at paper scale
 //
-// Experiments: fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table2
-// infaas sqf all. (Table 1 is qualitative — see README; Tables 3 and 4 are
-// printed together with Figs. 5 and 6.)
+// Experiments: fig2 fig3 fig9 table2 fig5 fig6 fig7 fig8 fig10 fig11 fig12
+// infaas sqf misspec scaling greedy overload, or all. (Table 1 is
+// qualitative — see README; Tables 3 and 4 are printed together with
+// Figs. 5 and 6.) The figure sweeps run on GOMAXPROCS goroutines; their
+// results do not depend on it.
 package main
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"time"
 
@@ -24,27 +25,23 @@ func main() { cli.Main(run) }
 
 func run(_ context.Context, args []string, stdout io.Writer) error {
 	fs := cli.NewFlagSet("experiments")
+	order := []string{"fig2", "fig3", "fig9", "table2", "fig5", "fig6", "fig7", "fig8", "fig10", "fig11", "fig12", "infaas", "sqf", "misspec", "scaling", "greedy", "overload"}
 	var (
-		exp        = fs.String("exp", "all", "experiment id (fig3, fig5, ..., table2, infaas, sqf, all)")
+		exp        = fs.String("exp", "all", "experiment id: "+strings.Join(order, ", ")+", or all")
 		full       = fs.Bool("full", false, "paper-scale grid (slow)")
 		quick      = fs.Bool("quick", false, "minimal grid for smoke runs")
 		seed       = fs.Int64("seed", 1, "workload seed")
 		policyDir  = fs.String("policy-dir", "", "cache generated policies under this directory")
 		resultsDir = fs.String("results-dir", "", "write structured JSON results under this directory")
 		plotFlag   = fs.Bool("plot", false, "render ASCII charts alongside the numeric rows")
-		parallel   = fs.Int("parallel", 1, "max concurrent simulation runs in the figure sweeps (0 = GOMAXPROCS); results are identical at any setting")
 	)
 	if _, err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *parallel == 0 {
-		*parallel = runtime.GOMAXPROCS(0)
-	}
 	h := experiments.New(experiments.Options{
 		Full: *full, Quick: *quick, Seed: *seed, Out: stdout,
 		PolicyDir: *policyDir, ResultsDir: *resultsDir, Plot: *plotFlag,
-		Parallel: *parallel,
 	})
 	runners := map[string]func(){
 		"fig2":     func() { h.Fig2() },
@@ -65,7 +62,6 @@ func run(_ context.Context, args []string, stdout io.Writer) error {
 		"greedy":   func() { h.Greedy() },
 		"overload": func() { h.Overload() },
 	}
-	order := []string{"fig2", "fig3", "fig9", "table2", "fig5", "fig6", "fig7", "fig8", "fig10", "fig11", "fig12", "infaas", "sqf", "misspec", "scaling", "greedy", "overload"}
 
 	ids := []string{*exp}
 	if *exp == "all" {

@@ -1,9 +1,10 @@
 package experiments
 
 import (
+	"fmt"
+
 	"ramsis/internal/core"
 	"ramsis/internal/profile"
-	"ramsis/internal/trace"
 )
 
 // Fig10 reproduces §C: impact of the time discretization. RAMSIS runs with
@@ -12,43 +13,19 @@ import (
 // conservative and loses accuracy.
 func (h *Harness) Fig10() Series {
 	const slo, workers = 0.150, 60
-	models := profile.ImageSet()
-	loads := loadRange(800, 3200, 800)
-	dur := 15.0
-	switch h.scale() {
-	case scaleFull:
-		loads = loadRange(400, 3200, 400)
-		dur = 30.0
-	case scaleQuick:
-		loads = []float64{1600}
-		dur = 8.0
+	loads, dur := h.constLoads(loadRange(800, 3200, 800), loadRange(400, 3200, 400), []float64{1600})
+	disc := func(label string, mut func(*core.Config)) arm {
+		return constArm(label, dur, runSpec{models: profile.ImageSet(), slo: slo, workers: workers,
+			method: MethodRAMSIS, variant: label, mutate: mut})
 	}
-	variants := []struct {
-		label string
-		mut   func(*core.Config)
-	}{
-		{"FLD D=2", func(c *core.Config) { c.Disc = core.FixedLength; c.D = 2 }},
-		{"FLD D=10", func(c *core.Config) { c.Disc = core.FixedLength; c.D = 10 }},
-		{"FLD D=100", func(c *core.Config) { c.Disc = core.FixedLength; c.D = 100 }},
-		{"MD", func(c *core.Config) { c.Disc = core.ModelBased }},
+	fld := func(d int) arm {
+		return disc(fmt.Sprintf("FLD D=%d", d), func(c *core.Config) { c.Disc = core.FixedLength; c.D = d })
 	}
-	series := Series{}
 	h.printf("Fig. 10 (§C): time discretization (image, SLO 150 ms, %d workers)\n", workers)
-	h.printf("%10s  %10s %10s %10s %10s\n", "load(QPS)", "FLD D=2", "FLD D=10", "FLD D=100", "MD")
-	for _, load := range loads {
-		tr := trace.Constant(load, dur)
-		row := map[string]float64{}
-		for _, v := range variants {
-			met := h.run(runSpec{models: models, slo: slo, workers: workers,
-				method: MethodRAMSIS, tr: tr, oracle: true, ramsisLoads: []float64{load},
-				variant: v.label, mutate: v.mut})
-			series.add(Point{X: load, Method: v.label,
-				Accuracy: met.AccuracyPerSatisfiedQuery(), Violation: met.ViolationRate()})
-			row[v.label] = met.AccuracyPerSatisfiedQuery()
-		}
-		h.printf("%10.0f  %10.4f %10.4f %10.4f %10.4f\n", load,
-			row["FLD D=2"], row["FLD D=10"], row["FLD D=100"], row["MD"])
-	}
+	series, _ := h.sweep("load(QPS)", loads, []arm{
+		fld(2), fld(10), fld(100),
+		disc("MD", func(c *core.Config) { c.Disc = core.ModelBased }),
+	})
 	h.printf("\n")
 	h.plotSeries("Fig. 10: discretization (accuracy vs load)", series)
 	h.saveResult("fig10", series)
@@ -61,54 +38,33 @@ func (h *Harness) Fig10() Series {
 // workers to keep variable-batching policy generation tractable.
 func (h *Harness) Fig11() Series {
 	const slo, workers = 0.150, 20
-	models := profile.ImageSet()
-	loads := loadRange(300, 1100, 400)
-	dur := 15.0
-	switch h.scale() {
-	case scaleFull:
-		loads = loadRange(100, 1100, 200)
-		dur = 30.0
-	case scaleQuick:
-		loads = []float64{300, 700}
-		dur = 8.0
+	loads, dur := h.constLoads(loadRange(300, 1100, 400), loadRange(100, 1100, 200), []float64{300, 700})
+	batching := func(label string, b core.Batching) arm {
+		return constArm(label, dur, runSpec{models: profile.ImageSet(), slo: slo, workers: workers,
+			method: MethodRAMSIS, variant: "batch-" + label,
+			mutate: func(c *core.Config) { c.Batching = b; c.D = 50 },
+			record: b == core.VariableBatching})
 	}
-	variants := []struct {
-		label string
-		mut   func(*core.Config)
-	}{
-		{"max", func(c *core.Config) { c.Batching = core.MaximalBatching; c.D = 50 }},
-		{"variable", func(c *core.Config) { c.Batching = core.VariableBatching; c.D = 50 }},
-	}
-	series := Series{}
 	h.printf("Fig. 11 (§D): maximal vs variable batching (image, SLO 150 ms, %d workers)\n", workers)
-	h.printf("%10s  %10s %10s %16s\n", "load(QPS)", "max", "variable", "var b=n share")
+	series, cells := h.sweep("load(QPS)", loads, []arm{
+		batching("max", core.MaximalBatching),
+		batching("variable", core.VariableBatching),
+	})
 	var maxBatchDecisions, totalDecisions int
-	for _, load := range loads {
-		tr := trace.Constant(load, dur)
-		row := map[string]float64{}
-		share := 0.0
-		for _, v := range variants {
-			met := h.run(runSpec{models: models, slo: slo, workers: workers,
-				method: MethodRAMSIS, tr: tr, oracle: true, ramsisLoads: []float64{load},
-				variant: "batch-" + v.label, mutate: v.mut, record: v.label == "variable"})
-			series.add(Point{X: load, Method: v.label,
-				Accuracy: met.AccuracyPerSatisfiedQuery(), Violation: met.ViolationRate()})
-			row[v.label] = met.AccuracyPerSatisfiedQuery()
-			if v.label == "variable" {
-				maxed := 0
-				for _, d := range met.DecisionLog {
-					if d.Batch >= d.QueueLen || d.Batch >= profile.MaxSupportedBatch {
-						maxed++
-					}
-				}
-				if len(met.DecisionLog) > 0 {
-					share = float64(maxed) / float64(len(met.DecisionLog))
-				}
-				maxBatchDecisions += maxed
-				totalDecisions += len(met.DecisionLog)
+	for li, load := range loads {
+		log := cells[li][1].DecisionLog
+		maxed := 0
+		for _, d := range log {
+			if d.Batch >= d.QueueLen || d.Batch >= profile.MaxSupportedBatch {
+				maxed++
 			}
 		}
-		h.printf("%10.0f  %10.4f %10.4f %15.1f%%\n", load, row["max"], row["variable"], share*100)
+		if len(log) > 0 {
+			h.printf("%10.5g  variable batching chose the maximal batch in %.1f%% of decisions\n",
+				load, 100*float64(maxed)/float64(len(log)))
+		}
+		maxBatchDecisions += maxed
+		totalDecisions += len(log)
 	}
 	if totalDecisions > 0 {
 		h.printf("variable batching chose the maximal batch in %.1f%% of decisions (paper: ~80%%)\n",
@@ -127,41 +83,14 @@ func (h *Harness) Fig12() Series {
 	const slo, workers = 0.150, 60
 	full := profile.ImageSet()
 	three := profile.AblationImageSet()
-	loads := loadRange(800, 3200, 800)
-	dur := 15.0
-	switch h.scale() {
-	case scaleFull:
-		loads = loadRange(400, 3200, 400)
-		dur = 30.0
-	case scaleQuick:
-		loads = []float64{1600, 3200}
-		dur = 8.0
-	}
-	series := Series{}
+	loads, dur := h.constLoads(loadRange(800, 3200, 800), loadRange(400, 3200, 400), []float64{1600, 3200})
 	h.printf("Fig. 12 (§E): 3-model ablation (image, SLO 150 ms, %d workers)\n", workers)
-	h.printf("%10s  %12s %12s %12s %12s\n", "load(QPS)", "RAMSIS", "JF+", "RAMSIS-3m", "JF+-3m")
-	for _, load := range loads {
-		tr := trace.Constant(load, dur)
-		row := map[string]float64{}
-		for _, sc := range []struct {
-			label  string
-			models profile.Set
-			method string
-		}{
-			{"RAMSIS", full, MethodRAMSIS},
-			{"JF+", full, MethodJF},
-			{"RAMSIS-3m", three, MethodRAMSIS},
-			{"JF+-3m", three, MethodJF},
-		} {
-			met := h.run(runSpec{models: sc.models, slo: slo, workers: workers,
-				method: sc.method, tr: tr, oracle: true, ramsisLoads: []float64{load}})
-			series.add(Point{X: load, Method: sc.label,
-				Accuracy: met.AccuracyPerSatisfiedQuery(), Violation: met.ViolationRate()})
-			row[sc.label] = met.AccuracyPerSatisfiedQuery()
-		}
-		h.printf("%10.0f  %12.4f %12.4f %12.4f %12.4f\n", load,
-			row["RAMSIS"], row["JF+"], row["RAMSIS-3m"], row["JF+-3m"])
-	}
+	series, _ := h.sweep("load(QPS)", loads, []arm{
+		constArm("RAMSIS", dur, runSpec{models: full, slo: slo, workers: workers, method: MethodRAMSIS}),
+		constArm("JF+", dur, runSpec{models: full, slo: slo, workers: workers, method: MethodJF}),
+		constArm("RAMSIS-3m", dur, runSpec{models: three, slo: slo, workers: workers, method: MethodRAMSIS}),
+		constArm("JF+-3m", dur, runSpec{models: three, slo: slo, workers: workers, method: MethodJF}),
+	})
 	h.printf("\n")
 	h.plotSeries("Fig. 12: model ablation (accuracy vs load)", series)
 	h.saveResult("fig12", series)
@@ -171,45 +100,44 @@ func (h *Harness) Fig12() Series {
 // INFaaS reproduces §H: the INFaaS adaptation sweeps accuracy targets equal
 // to each model's accuracy; because its objective minimizes latency (and
 // thus accuracy) subject to the target, even its best target never beats
-// RAMSIS.
+// RAMSIS. One sweep runs every target (rows) at every load (columns); a
+// second runs RAMSIS at each load, and each load's best reported target is
+// the INFaaS(best) point.
 func (h *Harness) INFaaS() Series {
 	const slo, workers = 0.150, 60
 	models := profile.ImageSet()
-	loads := loadRange(800, 3200, 800)
-	dur := 15.0
-	switch h.scale() {
-	case scaleFull:
-		loads = loadRange(400, 3200, 400)
-		dur = 30.0
-	case scaleQuick:
-		loads = []float64{1600}
-		dur = 8.0
+	loads, dur := h.constLoads(loadRange(800, 3200, 800), loadRange(400, 3200, 400), []float64{1600})
+	var targets []float64
+	for _, p := range models.ParetoFront().Profiles {
+		targets = append(targets, p.Accuracy)
 	}
-	series := Series{}
-	h.printf("§H: INFaaS-adapted accuracy-target sweep (image, SLO 150 ms, %d workers)\n", workers)
-	h.printf("%10s  %14s %14s %10s\n", "load(QPS)", "INFaaS(best)", "INFaaS(worst)", "RAMSIS")
+	var infaas []arm
 	for _, load := range loads {
-		tr := trace.Constant(load, dur)
-		bestAcc, worstAcc := 0.0, 1.0
-		for _, p := range models.ParetoFront().Profiles {
-			met := h.run(runSpec{models: models, slo: slo, workers: workers,
-				method: MethodINFaaS, tr: tr, oracle: true, accTarget: p.Accuracy})
-			if met.ViolationRate() < 0.05 {
+		infaas = append(infaas, arm{fmt.Sprintf("%g QPS", load), func(target float64) runSpec {
+			s := constLoad(runSpec{models: models, slo: slo, workers: workers, method: MethodINFaaS}, load, dur)
+			s.accTarget = target
+			return s
+		}})
+	}
+	h.printf("§H: INFaaS-adapted accuracy-target sweep (image, SLO 150 ms, %d workers)\n", workers)
+	_, cells := h.sweep("target", targets, infaas)
+	series, ram := h.sweep("load(QPS)", loads, []arm{
+		constArm(MethodRAMSIS, dur, runSpec{models: models, slo: slo, workers: workers, method: MethodRAMSIS}),
+	})
+	for li, load := range loads {
+		bestAcc, worstAcc, best := 0.0, 1.0, 0.0
+		for ti, target := range targets {
+			if met := cells[ti][li]; met.ViolationRate() < 0.05 {
 				acc := met.AccuracyPerSatisfiedQuery()
 				if acc > bestAcc {
-					bestAcc = acc
+					bestAcc, best = acc, target
 				}
-				if acc < worstAcc {
-					worstAcc = acc
-				}
+				worstAcc = min(worstAcc, acc)
 			}
 		}
-		ram := h.run(runSpec{models: models, slo: slo, workers: workers,
-			method: MethodRAMSIS, tr: tr, oracle: true, ramsisLoads: []float64{load}})
 		series.add(Point{X: load, Method: "INFaaS(best)", Accuracy: bestAcc})
-		series.add(Point{X: load, Method: MethodRAMSIS,
-			Accuracy: ram.AccuracyPerSatisfiedQuery(), Violation: ram.ViolationRate()})
-		h.printf("%10.0f  %14.4f %14.4f %10.4f\n", load, bestAcc, worstAcc, ram.AccuracyPerSatisfiedQuery())
+		h.printf("%10.5g  best target %.4f: INFaaS(best) %.4f, INFaaS(worst) %.4f, RAMSIS %.4f\n",
+			load, best, bestAcc, worstAcc, ram[li][0].AccuracyPerSatisfiedQuery())
 	}
 	h.printf("\n")
 	h.plotSeries("Appendix H: INFaaS sweep (accuracy vs load)", series)
@@ -224,33 +152,12 @@ func (h *Harness) INFaaS() Series {
 func (h *Harness) Greedy() Series {
 	const slo, workers = 0.150, 20
 	models := profile.ImageSet()
-	loads := []float64{300, 600, 900}
-	dur := 15.0
-	switch h.scale() {
-	case scaleFull:
-		loads = loadRange(150, 1050, 150)
-		dur = 30.0
-	case scaleQuick:
-		loads = []float64{300, 900}
-		dur = 8.0
-	}
-	series := Series{}
+	loads, dur := h.constLoads([]float64{300, 600, 900}, loadRange(150, 1050, 150), []float64{300, 900})
 	h.printf("§8 greedy selection vs RAMSIS (image, SLO 150 ms, %d workers)\n", workers)
-	h.printf("%10s  %12s %12s %14s %14s\n", "load(QPS)", "RAMSIS acc", "Greedy acc", "RAMSIS viol", "Greedy viol")
-	for _, load := range loads {
-		tr := trace.Constant(load, dur)
-		ram := h.run(runSpec{models: models, slo: slo, workers: workers,
-			method: MethodRAMSIS, tr: tr, oracle: true, ramsisLoads: []float64{load}})
-		grd := h.run(runSpec{models: models, slo: slo, workers: workers,
-			method: MethodGreedy, tr: tr, oracle: true})
-		series.add(Point{X: load, Method: MethodRAMSIS,
-			Accuracy: ram.AccuracyPerSatisfiedQuery(), Violation: ram.ViolationRate()})
-		series.add(Point{X: load, Method: MethodGreedy,
-			Accuracy: grd.AccuracyPerSatisfiedQuery(), Violation: grd.ViolationRate()})
-		h.printf("%10.0f  %12.4f %12.4f %14.5f %14.5f\n", load,
-			ram.AccuracyPerSatisfiedQuery(), grd.AccuracyPerSatisfiedQuery(),
-			ram.ViolationRate(), grd.ViolationRate())
-	}
+	series, _ := h.sweep("load(QPS)", loads, []arm{
+		constArm(MethodRAMSIS, dur, runSpec{models: models, slo: slo, workers: workers, method: MethodRAMSIS}),
+		constArm(MethodGreedy, dur, runSpec{models: models, slo: slo, workers: workers, method: MethodGreedy}),
+	})
 	h.printf("\n")
 	h.saveResult("greedy", series)
 	return series
@@ -265,33 +172,14 @@ func (h *Harness) Greedy() Series {
 func (h *Harness) SQF() Series {
 	const slo, workers = 0.150, 8
 	models := profile.ImageSet()
-	loads := []float64{100, 200, 300}
-	dur := 15.0
-	switch h.scale() {
-	case scaleFull:
-		loads = loadRange(50, 350, 50)
-		dur = 30.0
-	case scaleQuick:
-		loads = []float64{150, 300}
-		dur = 8.0
-	}
-	series := Series{}
+	loads, dur := h.constLoads([]float64{100, 200, 300}, loadRange(50, 350, 50), []float64{150, 300})
 	h.printf("§I: round-robin vs shortest-queue-first RAMSIS (image, SLO 150 ms, %d workers)\n", workers)
-	h.printf("%10s  %10s %10s %12s %12s\n", "load(QPS)", "RR acc", "SQF acc", "RR viol", "SQF viol")
-	for _, load := range loads {
-		tr := trace.Constant(load, dur)
-		rr := h.run(runSpec{models: models, slo: slo, workers: workers,
-			method: MethodRAMSIS, tr: tr, oracle: true, ramsisLoads: []float64{load}})
-		sqf := h.run(runSpec{models: models, slo: slo, workers: workers,
-			method: MethodRAMSIS, tr: tr, oracle: true, ramsisLoads: []float64{load},
+	series, _ := h.sweep("load(QPS)", loads, []arm{
+		constArm("RR", dur, runSpec{models: models, slo: slo, workers: workers, method: MethodRAMSIS}),
+		constArm("SQF", dur, runSpec{models: models, slo: slo, workers: workers, method: MethodRAMSIS,
 			variant: "sqf", mutate: func(c *core.Config) { c.Balancing = core.ShortestQueueFirst },
-			balance: core.ShortestQueueFirst})
-		series.add(Point{X: load, Method: "RR", Accuracy: rr.AccuracyPerSatisfiedQuery(), Violation: rr.ViolationRate()})
-		series.add(Point{X: load, Method: "SQF", Accuracy: sqf.AccuracyPerSatisfiedQuery(), Violation: sqf.ViolationRate()})
-		h.printf("%10.0f  %10.4f %10.4f %12.5f %12.5f\n", load,
-			rr.AccuracyPerSatisfiedQuery(), sqf.AccuracyPerSatisfiedQuery(),
-			rr.ViolationRate(), sqf.ViolationRate())
-	}
+			balance: core.ShortestQueueFirst}),
+	})
 	h.printf("\n")
 	h.plotSeries("Appendix I: balancing (accuracy vs load)", series)
 	h.saveResult("sqf", series)

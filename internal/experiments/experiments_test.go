@@ -4,23 +4,44 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"ramsis/internal/core"
 	"ramsis/internal/profile"
 	"ramsis/internal/trace"
 )
 
-// quickHarness runs the minimal grid; these tests assert the paper's
-// structural claims, not absolute numbers.
-func quickHarness() *Harness {
-	return New(Options{Quick: true, Out: io.Discard, Seed: 1})
+// quickHarness runs the minimal grid and saves results under a temporary
+// directory; these tests assert the paper's structural claims, not absolute
+// numbers.
+func quickHarness(t *testing.T) *Harness {
+	return New(Options{Quick: true, Out: io.Discard, Seed: 1, ResultsDir: t.TempDir()})
+}
+
+// checkSaved decodes the name.json the harness wrote and requires it to
+// equal the result the experiment returned.
+func checkSaved[T any](t *testing.T, h *Harness, name string, want T) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(h.opts.ResultsDir, name+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got T
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatalf("%s.json: %v", name, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s.json decodes to %+v, want %+v", name, got, want)
+	}
 }
 
 func TestFig3Fig9Profiles(t *testing.T) {
-	h := quickHarness()
+	h := quickHarness(t)
 	img := h.Fig3()
 	if len(img) != 26 {
 		t.Fatalf("Fig3 rows = %d, want 26", len(img))
@@ -38,32 +59,32 @@ func TestFig3Fig9Profiles(t *testing.T) {
 	if len(txt) != 5 {
 		t.Fatalf("Fig9 rows = %d, want 5", len(txt))
 	}
+	checkSaved(t, h, "fig3", img)
+	checkSaved(t, h, "fig9", txt)
 }
 
 func TestFig5ProductionTraceClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped with -short")
 	}
-	h := quickHarness()
+	h := quickHarness(t)
 	res := h.Fig5()
-	for task, bySLO := range res.Accuracy {
-		for slo, series := range bySLO {
-			checkRAMSISWins(t, series, task, slo)
-		}
+	for _, p := range res {
+		checkRAMSISWins(t, p.Series, p.Task, p.SLO)
 	}
+	checkSaved(t, h, "fig5", res)
 }
 
 func TestFig6ConstantLoadClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped with -short")
 	}
-	h := quickHarness()
+	h := quickHarness(t)
 	res := h.Fig6()
-	for task, bySLO := range res.Accuracy {
-		for slo, series := range bySLO {
-			checkRAMSISWins(t, series, task, slo)
-		}
+	for _, p := range res {
+		checkRAMSISWins(t, p.Series, p.Task, p.SLO)
 	}
+	checkSaved(t, h, "fig6", res)
 }
 
 // checkRAMSISWins asserts the headline claim on a series: at every point
@@ -93,8 +114,9 @@ func TestFig7FidelityBounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped with -short")
 	}
-	h := quickHarness()
+	h := quickHarness(t)
 	pts := h.Fig7()
+	checkSaved(t, h, "fig7", pts)
 	if len(pts) == 0 {
 		t.Fatal("no fidelity points")
 	}
@@ -124,8 +146,9 @@ func TestFig8ModelCountClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped with -short")
 	}
-	h := quickHarness()
+	h := quickHarness(t)
 	series := h.Fig8()
+	checkSaved(t, h, "fig8", series)
 	r9 := map[float64]Point{}
 	for _, p := range series["RAMSIS M=9"] {
 		r9[p.X] = p
@@ -165,8 +188,9 @@ func TestFig10DiscretizationOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped with -short")
 	}
-	h := quickHarness()
+	h := quickHarness(t)
 	series := h.Fig10()
+	checkSaved(t, h, "fig10", series)
 	at := func(label string, x float64) float64 {
 		for _, p := range series[label] {
 			if p.X == x {
@@ -192,8 +216,9 @@ func TestFig11BatchingEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped with -short")
 	}
-	h := quickHarness()
+	h := quickHarness(t)
 	series := h.Fig11()
+	checkSaved(t, h, "fig11", series)
 	maxPts := map[float64]Point{}
 	for _, p := range series["max"] {
 		maxPts[p.X] = p
@@ -213,8 +238,9 @@ func TestFig12AblationClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped with -short")
 	}
-	h := quickHarness()
+	h := quickHarness(t)
 	series := h.Fig12()
+	checkSaved(t, h, "fig12", series)
 	jf3 := map[float64]Point{}
 	for _, p := range series["JF+-3m"] {
 		jf3[p.X] = p
@@ -235,8 +261,9 @@ func TestINFaaSNeverBeatsRAMSIS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped with -short")
 	}
-	h := quickHarness()
+	h := quickHarness(t)
 	series := h.INFaaS()
+	checkSaved(t, h, "infaas", series)
 	ram := map[float64]Point{}
 	for _, p := range series[MethodRAMSIS] {
 		ram[p.X] = p
@@ -256,8 +283,15 @@ func TestSQFRunsCleanly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped with -short")
 	}
-	h := quickHarness()
+	h := quickHarness(t)
 	series := h.SQF()
+	checkSaved(t, h, "sqf", series)
+	// The policy cache serves each arm its own policies: with a cold cache
+	// the figure is the one generated without it.
+	cached := New(Options{Quick: true, Out: io.Discard, Seed: 1, PolicyDir: t.TempDir()}).SQF()
+	if !reflect.DeepEqual(cached, series) {
+		t.Errorf("SQF with -policy-dir = %+v, want %+v", cached, series)
+	}
 	for _, label := range []string{"RR", "SQF"} {
 		if len(series[label]) == 0 {
 			t.Fatalf("missing %s series", label)
@@ -270,32 +304,36 @@ func TestSQFRunsCleanly(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerial pins the -parallel contract: the same grid run
-// serially and with 4 concurrent runs produces bit-identical figure output,
-// because every run has its own seeded RNG streams and results are placed
-// by grid position. Fig. 6 exercises runAll plus both single-flight caches
+// TestParallelMatchesSerial pins runAll's contract: the same grid run on one
+// goroutine and on four produces bit-identical figure output, because every
+// run has its own seeded RNG streams and results are placed by grid
+// position. Fig. 6 exercises the sweep plus both single-flight caches
 // (policy sets and the ModelSwitching profile).
 func TestParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped with -short")
 	}
-	var serialOut, parallelOut bytes.Buffer
-	serial := New(Options{Quick: true, Out: &serialOut, Seed: 1}).Fig6()
-	parallel := New(Options{Quick: true, Out: &parallelOut, Seed: 1, Parallel: 4}).Fig6()
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("parallel Fig6 result differs from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	fig6 := func(procs int) ([]Panel, string) {
+		runtime.GOMAXPROCS(procs)
+		var out bytes.Buffer
+		return New(Options{Quick: true, Out: &out, Seed: 1}).Fig6(), out.String()
 	}
-	if serialOut.String() != parallelOut.String() {
-		t.Errorf("parallel Fig6 printed rows differ from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serialOut.String(), parallelOut.String())
+	serial, serialOut := fig6(1)
+	parallel, parallelOut := fig6(4)
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Errorf("Fig6 at GOMAXPROCS 4 differs from 1:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	}
+	if serialOut != parallelOut {
+		t.Errorf("Fig6 printed rows at GOMAXPROCS 4 differ from 1:\n--- serial ---\n%s\n--- parallel ---\n%s",
+			serialOut, parallelOut)
 	}
 }
 
 // TestRunAllPanicPropagates pins runAll's error semantics: a panicking spec
-// (unknown method) aborts the sweep like the serial path does, instead of
-// dying in a worker goroutine.
+// (unknown method) aborts the sweep instead of dying in a worker goroutine.
 func TestRunAllPanicPropagates(t *testing.T) {
-	h := New(Options{Quick: true, Out: io.Discard, Parallel: 2})
+	h := New(Options{Quick: true, Out: io.Discard})
 	defer func() {
 		if recover() == nil {
 			t.Error("runAll swallowed the worker panic")
@@ -347,35 +385,72 @@ func TestPolicyDirCaching(t *testing.T) {
 	if p1.ExpectedAccuracy != p2.ExpectedAccuracy {
 		t.Errorf("cached policy differs: %v vs %v", p1.ExpectedAccuracy, p2.ExpectedAccuracy)
 	}
+	// A file generated under another balancing assumption is not this
+	// config's policy, even when it sits at this config's path.
+	sqf := core.Config{Models: profile.ImageSet(), SLO: 0.150, Workers: 4, D: 25, Balancing: core.ShortestQueueFirst}
+	if err := p1.Save(h.policyPath(sqf, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if missing := h.loadCached(core.NewPolicySet(sqf, nil), sqf, []float64{100}); len(missing) != 1 {
+		t.Errorf("a round-robin policy file was loaded for a shortest-queue-first config")
+	}
 }
 
+// TestPolicyPathKeysVariantFields pins the policy cache's key: configs that
+// differ only in a field some figure's variant mutate sets must not share a
+// cache file, or whichever arm generates first decides the other's policy.
+func TestPolicyPathKeysVariantFields(t *testing.T) {
+	h := New(Options{Out: io.Discard, PolicyDir: "cache"})
+	base := core.Config{Models: profile.ImageSet(), SLO: 0.150, Workers: 8}
+	for field, mutate := range map[string]func(*core.Config){
+		"D":         func(c *core.Config) { c.D = 50 },
+		"Disc":      func(c *core.Config) { c.Disc = core.ModelBased },
+		"Batching":  func(c *core.Config) { c.Batching = core.VariableBatching },
+		"Balancing": func(c *core.Config) { c.Balancing = core.ShortestQueueFirst },
+	} {
+		cfg := base
+		mutate(&cfg)
+		if h.policyPath(cfg, 300) == h.policyPath(base, 300) {
+			t.Errorf("configs differing in %s share the cache file %s", field, h.policyPath(base, 300))
+		}
+	}
+}
+
+// TestResultsDirExport pins saveResult's failure semantics: no directory
+// is a no-op, and a result that cannot be encoded or written fails the run
+// instead of leaving a missing artifact behind a clean exit.
 func TestResultsDirExport(t *testing.T) {
-	dir := t.TempDir()
-	h := New(Options{Quick: true, Out: io.Discard, ResultsDir: dir})
-	h.Fig3()
-	h.saveResult("probe", map[string]int{"a": 1})
-	data, err := os.ReadFile(filepath.Join(dir, "probe.json"))
-	if err != nil {
+	New(Options{Quick: true, Out: io.Discard}).saveResult("probe", math.NaN())
+
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var got map[string]int
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
+	for name, c := range map[string]struct {
+		dir string
+		v   interface{}
+	}{
+		"unencodable": {t.TempDir(), math.NaN()},
+		"unwritable":  {file, 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: saveResult did not fail the run", name)
+				}
+			}()
+			New(Options{Quick: true, Out: io.Discard, ResultsDir: c.dir}).saveResult("probe", c.v)
+		}()
 	}
-	if got["a"] != 1 {
-		t.Errorf("round trip lost data: %v", got)
-	}
-	// No directory configured: silently skipped.
-	h2 := New(Options{Quick: true, Out: io.Discard})
-	h2.saveResult("probe", 1)
 }
 
 func TestFig2LullExploitation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped with -short")
 	}
-	h := quickHarness()
+	h := quickHarness(t)
 	res := h.Fig2()
+	checkSaved(t, h, "fig2", res)
 	// The load-granular baseline is pinned to one model...
 	if len(res.ModelShare[MethodJF]) != 1 {
 		t.Errorf("Jellyfish+ used %d models at constant load, want 1", len(res.ModelShare[MethodJF]))
@@ -396,8 +471,9 @@ func TestMisspecArrivalSensitivity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped with -short")
 	}
-	h := quickHarness()
+	h := quickHarness(t)
 	pts := h.Misspec()
+	checkSaved(t, h, "misspec", pts)
 	byName := map[string]MisspecPoint{}
 	for _, p := range pts {
 		byName[p.Arrivals] = p
@@ -419,8 +495,9 @@ func TestGreedyPaysInViolations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped with -short")
 	}
-	h := quickHarness()
+	h := quickHarness(t)
 	series := h.Greedy()
+	checkSaved(t, h, "greedy", series)
 	ram := map[float64]Point{}
 	for _, p := range series[MethodRAMSIS] {
 		ram[p.X] = p
@@ -444,8 +521,9 @@ func TestScalingStaysPolynomial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped with -short")
 	}
-	h := quickHarness()
+	h := quickHarness(t)
 	pts := h.Scaling()
+	checkSaved(t, h, "scaling", pts)
 	if len(pts) < 4 {
 		t.Fatalf("scaling produced %d points", len(pts))
 	}

@@ -5,10 +5,8 @@ import (
 
 	"ramsis/internal/baselines"
 	"ramsis/internal/core"
-	"ramsis/internal/monitor"
 	"ramsis/internal/profile"
 	"ramsis/internal/sim"
-	"ramsis/internal/trace"
 )
 
 // Fig2Result quantifies the paper's motivating Fig. 2: under the same
@@ -41,21 +39,15 @@ func (h *Harness) Fig2() Fig2Result {
 	// most accurate feasible model: ~70% of mobilenet_v3_small's capacity.
 	mb, _ := models.ByName("mobilenet_v3_small")
 	load := 0.7 * float64(workers) * mb.ThroughputWithin(slo/2)
-	tr := trace.Constant(load, dur)
-	arr := trace.PoissonArrivals(tr, h.opts.Seed)
-
-	// Load-granular baseline.
 	jf := baselines.JellyfishPlus{Profiles: models, SLO: slo, Workers: workers}
-	eJ := sim.NewEngine(models, slo, workers, sim.Deterministic{}, sim.Scheme{Monitor: monitor.Oracle{Trace: tr}, Select: jf.Selector()}, h.opts.Seed)
-	eJ.RecordDecisions = true
-	mJ := eJ.Run(arr)
 	jfModel := models.Profiles[jf.ModelFor(load)]
-
-	// RAMSIS.
-	set := h.policySet(models, slo, workers, []float64{load}, "fig2", func(c *core.Config) { c.D = 50 })
-	eR := sim.NewEngine(models, slo, workers, sim.Deterministic{}, sim.NewRAMSIS(set, monitor.Oracle{Trace: tr}), h.opts.Seed)
-	eR.RecordDecisions = true
-	mR := eR.Run(arr)
+	// The load-granular baseline and RAMSIS see the same arrivals.
+	mets := h.runAll([]runSpec{
+		constLoad(runSpec{models: models, slo: slo, workers: workers, method: MethodJF, record: true}, load, dur),
+		constLoad(runSpec{models: models, slo: slo, workers: workers, method: MethodRAMSIS, record: true,
+			variant: "fig2", mutate: func(c *core.Config) { c.D = 50 }}, load, dur),
+	})
+	mJ, mR := mets[0], mets[1]
 
 	res := Fig2Result{ModelShare: map[string]map[string]float64{
 		MethodRAMSIS: decisionShare(mR),

@@ -7,11 +7,30 @@ import (
 	"ramsis/internal/trace"
 )
 
-// Fig5Result holds the production-trace sweep: accuracy (Fig. 5) and SLO
-// violation rates (Table 3) per task, SLO, worker count, and method.
-type Fig5Result struct {
-	// Task -> SLO seconds -> Series over worker counts.
-	Accuracy map[string]map[float64]Series
+// Panel is one (task, SLO) panel of Fig. 5 or Fig. 6 with its Table 3 or 4
+// rows: each method's series over the figure's x axis.
+type Panel struct {
+	Task   string
+	SLO    float64
+	Series Series
+}
+
+// panels sweeps every (task, SLO) panel — each task's first SLO only at
+// quick scale — and saves the panels as name.json.
+func (h *Harness) panels(name string, panel func(task string, models profile.Set, slo float64) Series) []Panel {
+	var out []Panel
+	for _, task := range []string{"image", "text"} {
+		models, _ := profile.SetForTask(task)
+		slos := slosFor(task)
+		if h.scale() == scaleQuick {
+			slos = slos[:1]
+		}
+		for _, slo := range slos {
+			out = append(out, Panel{Task: task, SLO: slo, Series: panel(task, models, slo)})
+		}
+	}
+	h.saveResult(name, out)
+	return out
 }
 
 // Fig5 reproduces §7.1: RAMSIS vs ModelSwitching vs Jellyfish+ on the
@@ -19,68 +38,35 @@ type Fig5Result struct {
 // three SLOs per task. It also prints Table 3 (the violation rates for the
 // same grid). Points are marked reported only when the violation rate is
 // below 5%, as in the paper.
-func (h *Harness) Fig5() Fig5Result {
+func (h *Harness) Fig5() []Panel {
 	tr := trace.Twitter()
 	// The worker grid must be dense enough for the §7.1 resource-reduction
 	// metric to resolve (the paper reports savings down to ~14%).
-	workers := []int{20, 40, 60, 80, 100}
-	tasks := []string{"image", "text"}
+	workers := []float64{20, 40, 60, 80, 100}
 	switch h.scale() {
 	case scaleFull:
-		workers = []int{20, 30, 40, 50, 60, 70, 80, 90, 100}
+		workers = []float64{20, 30, 40, 50, 60, 70, 80, 90, 100}
 	case scaleQuick:
-		workers = []int{20, 60}
+		workers = []float64{20, 60}
 		tr = tr.Truncate(30)
 	default:
 		tr = tr.Truncate(60)
 	}
-	methods := []string{MethodRAMSIS, MethodMS, MethodJF}
-	res := Fig5Result{Accuracy: map[string]map[float64]Series{}}
-
-	for _, task := range tasks {
-		models, _ := profile.SetForTask(task)
-		res.Accuracy[task] = map[float64]Series{}
-		slos := slosFor(task)
-		if h.scale() == scaleQuick {
-			slos = slos[:1]
+	ladder := h.ladderFor(tr)
+	return h.panels("fig5", func(task string, models profile.Set, slo float64) Series {
+		h.printf("Fig. 5 / Table 3 (%s, SLO %.0f ms, trace %s %.0fs)\n", task, slo*1000, tr.Name, tr.Duration())
+		var arms []arm
+		for _, m := range []string{MethodRAMSIS, MethodMS, MethodJF} {
+			arms = append(arms, arm{m, func(w float64) runSpec {
+				return runSpec{models: models, slo: slo, workers: int(w), method: m, tr: tr, ramsisLoads: ladder}
+			}})
 		}
-		for _, slo := range slos {
-			series := Series{}
-			h.printf("Fig. 5 / Table 3 (%s, SLO %.0f ms, trace %s %.0fs)\n", task, slo*1000, tr.Name, tr.Duration())
-			h.printf("%8s  %28s  %28s\n", "", "accuracy per satisfied query", "violation rate")
-			h.printf("%8s  %8s %8s %8s  %8s %8s %8s\n", "#workers",
-				MethodRAMSIS, MethodMS, MethodJF, MethodRAMSIS, MethodMS, MethodJF)
-			var specs []runSpec
-			for _, w := range workers {
-				for _, m := range methods {
-					specs = append(specs, runSpec{
-						models: models, slo: slo, workers: w, method: m,
-						tr: tr, ramsisLoads: h.ladderFor(tr),
-					})
-				}
-			}
-			mets := h.runAll(specs)
-			for wi, w := range workers {
-				row := map[string]Point{}
-				for mi, m := range methods {
-					met := mets[wi*len(methods)+mi]
-					p := Point{X: float64(w), Method: m,
-						Accuracy: met.AccuracyPerSatisfiedQuery(), Violation: met.ViolationRate()}
-					series.add(p)
-					row[m] = p
-				}
-				h.printf("%8d  %8.4f %8.4f %8.4f  %8.4f %8.4f %8.4f\n", w,
-					row[MethodRAMSIS].Accuracy, row[MethodMS].Accuracy, row[MethodJF].Accuracy,
-					row[MethodRAMSIS].Violation, row[MethodMS].Violation, row[MethodJF].Violation)
-			}
-			res.Accuracy[task][slo] = series
-			h.plotSeries(fmt.Sprintf("Fig. 5 (%s, SLO %.0f ms): accuracy vs workers", task, slo*1000), series)
-			h.summarizeGains(series)
-			h.summarizeResourceReduction(series)
-		}
-	}
-	h.saveResult("fig5", res)
-	return res
+		series, _ := h.sweep("#workers", workers, arms)
+		h.plotSeries(fmt.Sprintf("Fig. 5 (%s, SLO %.0f ms): accuracy vs workers", task, slo*1000), series)
+		h.summarizeGains(series)
+		h.summarizeResourceReduction(series)
+		return series
+	})
 }
 
 // ResourceReduction computes the paper's headline cost metric (§7.1): for

@@ -4,78 +4,25 @@ import (
 	"fmt"
 
 	"ramsis/internal/profile"
-	"ramsis/internal/trace"
 )
-
-// Fig6Result holds the constant-load sweep: accuracy (Fig. 6) and violation
-// rates (Table 4) per task and SLO over query load.
-type Fig6Result struct {
-	Accuracy map[string]map[float64]Series
-}
 
 // Fig6 reproduces §7.2: constant query load under Poisson arrivals for 30
 // seconds, 60 workers (image) / 20 workers (text), with a perfect load
 // monitor, sweeping load 400-4000 QPS. Also prints Table 4's violation
 // rates.
-func (h *Harness) Fig6() Fig6Result {
-	loads := loadRange(400, 4000, 800)
-	dur := 15.0
-	tasks := []string{"image", "text"}
-	switch h.scale() {
-	case scaleFull:
-		loads = loadRange(400, 4000, 400)
-		dur = 30.0
-	case scaleQuick:
-		loads = []float64{800, 2400, 4000}
-		dur = 8.0
-	}
-	methods := []string{MethodRAMSIS, MethodMS, MethodJF}
-	res := Fig6Result{Accuracy: map[string]map[float64]Series{}}
-
-	for _, task := range tasks {
-		models, _ := profile.SetForTask(task)
+func (h *Harness) Fig6() []Panel {
+	loads, dur := h.constLoads(loadRange(400, 4000, 800), loadRange(400, 4000, 400), []float64{800, 2400, 4000})
+	return h.panels("fig6", func(task string, models profile.Set, slo float64) Series {
 		workers := fig6Workers(task)
-		res.Accuracy[task] = map[float64]Series{}
-		slos := slosFor(task)
-		if h.scale() == scaleQuick {
-			slos = slos[:1]
+		h.printf("Fig. 6 / Table 4 (%s, SLO %.0f ms, %d workers, %.0fs constant load)\n",
+			task, slo*1000, workers, dur)
+		var arms []arm
+		for _, m := range []string{MethodRAMSIS, MethodMS, MethodJF} {
+			arms = append(arms, constArm(m, dur, runSpec{models: models, slo: slo, workers: workers, method: m}))
 		}
-		for _, slo := range slos {
-			series := Series{}
-			h.printf("Fig. 6 / Table 4 (%s, SLO %.0f ms, %d workers, %.0fs constant load)\n",
-				task, slo*1000, workers, dur)
-			h.printf("%10s  %28s  %28s\n", "", "accuracy per satisfied query", "violation rate")
-			h.printf("%10s  %8s %8s %8s  %8s %8s %8s\n", "load(QPS)",
-				MethodRAMSIS, MethodMS, MethodJF, MethodRAMSIS, MethodMS, MethodJF)
-			var specs []runSpec
-			for _, load := range loads {
-				tr := trace.Constant(load, dur)
-				for _, m := range methods {
-					specs = append(specs, runSpec{
-						models: models, slo: slo, workers: workers, method: m,
-						tr: tr, oracle: true, ramsisLoads: []float64{load},
-					})
-				}
-			}
-			mets := h.runAll(specs)
-			for li, load := range loads {
-				row := map[string]Point{}
-				for mi, m := range methods {
-					met := mets[li*len(methods)+mi]
-					p := Point{X: load, Method: m,
-						Accuracy: met.AccuracyPerSatisfiedQuery(), Violation: met.ViolationRate()}
-					series.add(p)
-					row[m] = p
-				}
-				h.printf("%10.0f  %8.4f %8.4f %8.4f  %8.4f %8.4f %8.4f\n", load,
-					row[MethodRAMSIS].Accuracy, row[MethodMS].Accuracy, row[MethodJF].Accuracy,
-					row[MethodRAMSIS].Violation, row[MethodMS].Violation, row[MethodJF].Violation)
-			}
-			res.Accuracy[task][slo] = series
-			h.plotSeries(fmt.Sprintf("Fig. 6 (%s, SLO %.0f ms): accuracy vs load", task, slo*1000), series)
-			h.summarizeGains(series)
-		}
-	}
-	h.saveResult("fig6", res)
-	return res
+		series, _ := h.sweep("load(QPS)", loads, arms)
+		h.plotSeries(fmt.Sprintf("Fig. 6 (%s, SLO %.0f ms): accuracy vs load", task, slo*1000), series)
+		h.summarizeGains(series)
+		return series
+	})
 }

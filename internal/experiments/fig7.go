@@ -3,7 +3,6 @@ package experiments
 import (
 	"ramsis/internal/profile"
 	"ramsis/internal/sim"
-	"ramsis/internal/trace"
 )
 
 // Fig7Point is one fidelity measurement: expectation vs simulation vs
@@ -74,13 +73,10 @@ func (h *Harness) Fig7() []Fig7Point {
 	for _, workers := range workerSet {
 		for _, load := range loadsFor(workers) {
 			cells = append(cells, cell{workers, load})
-			tr := trace.Constant(load, dur)
-			specs = append(specs,
-				runSpec{models: models, slo: slo, workers: workers,
-					method: MethodRAMSIS, tr: tr, oracle: true, ramsisLoads: []float64{load}},
-				runSpec{models: models, slo: slo, workers: workers,
-					method: MethodRAMSIS, tr: tr, oracle: true, ramsisLoads: []float64{load},
-					latency: sim.Stochastic{StdDev: 0.010}})
+			det := constLoad(runSpec{models: models, slo: slo, workers: workers, method: MethodRAMSIS}, load, dur)
+			noisy := det
+			noisy.latency = sim.Stochastic{StdDev: 0.010}
+			specs = append(specs, det, noisy)
 		}
 	}
 	mets := h.runAll(specs)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"ramsis/internal/profile"
-	"ramsis/internal/trace"
 )
 
 // Fig8 reproduces §7.3.2: sensitivity to the model count. The low scenario
@@ -16,49 +15,14 @@ func (h *Harness) Fig8() Series {
 	const slo, workers = 0.150, 100
 	nine := profile.ImageSet().ParetoFront()
 	sixty := profile.InterpolatedSet(profile.ImageSet(), 60)
-	loads := loadRange(800, 4000, 800)
-	dur := 15.0
-	switch h.scale() {
-	case scaleFull:
-		loads = loadRange(400, 4000, 400)
-		dur = 30.0
-	case scaleQuick:
-		loads = []float64{800, 2400}
-		dur = 8.0
-	}
-	scenarios := []struct {
-		label  string
-		models profile.Set
-		method string
-	}{
-		{"RAMSIS M=9", nine, MethodRAMSIS},
-		{"RAMSIS M=60", sixty, MethodRAMSIS},
-		{"MS M=9", nine, MethodMS},
-		{"MS M=60", sixty, MethodMS},
-	}
-	series := Series{}
+	loads, dur := h.constLoads(loadRange(800, 4000, 800), loadRange(400, 4000, 400), []float64{800, 2400})
 	h.printf("Fig. 8: model-count sensitivity (image, SLO %.0f ms, %d workers)\n", slo*1000, workers)
-	h.printf("%10s  %12s %12s %12s %12s\n", "load(QPS)", "RAMSIS M=9", "RAMSIS M=60", "MS M=9", "MS M=60")
-	var specs []runSpec
-	for _, load := range loads {
-		tr := trace.Constant(load, dur)
-		for _, sc := range scenarios {
-			specs = append(specs, runSpec{models: sc.models, slo: slo, workers: workers,
-				method: sc.method, tr: tr, oracle: true, ramsisLoads: []float64{load}})
-		}
-	}
-	mets := h.runAll(specs)
-	for li, load := range loads {
-		row := map[string]float64{}
-		for si, sc := range scenarios {
-			met := mets[li*len(scenarios)+si]
-			series.add(Point{X: load, Method: sc.label,
-				Accuracy: met.AccuracyPerSatisfiedQuery(), Violation: met.ViolationRate()})
-			row[sc.label] = met.AccuracyPerSatisfiedQuery()
-		}
-		h.printf("%10.0f  %12.4f %12.4f %12.4f %12.4f\n", load,
-			row["RAMSIS M=9"], row["RAMSIS M=60"], row["MS M=9"], row["MS M=60"])
-	}
+	series, _ := h.sweep("load(QPS)", loads, []arm{
+		constArm("RAMSIS M=9", dur, runSpec{models: nine, slo: slo, workers: workers, method: MethodRAMSIS}),
+		constArm("RAMSIS M=60", dur, runSpec{models: sixty, slo: slo, workers: workers, method: MethodRAMSIS}),
+		constArm("MS M=9", dur, runSpec{models: nine, slo: slo, workers: workers, method: MethodMS}),
+		constArm("MS M=60", dur, runSpec{models: sixty, slo: slo, workers: workers, method: MethodMS}),
+	})
 	h.printf("\n")
 	h.plotSeries("Fig. 8: model-count sensitivity (accuracy vs load)", series)
 	h.saveResult("fig8", series)

@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,11 +59,6 @@ type Options struct {
 	Plot bool
 	// D is the FLD resolution for generated policies; default 100 (§6).
 	D int
-	// Parallel bounds the number of simulation runs in flight at once in
-	// the figure sweeps (Figs. 5-8). 0 or 1 runs serially. Results are
-	// identical at any setting: every run draws from its own seeded RNG
-	// streams and lands in its grid slot, not completion order.
-	Parallel int
 }
 
 // Harness runs experiments with memoized policy sets and baseline profiles.
@@ -137,23 +133,22 @@ func (h *Harness) plotSeries(title string, series Series) {
 }
 
 // saveResult writes an experiment's structured result to ResultsDir as
-// <name>.json; it is a no-op when no directory is configured.
+// <name>.json; it is a no-op when no directory is configured. A result that
+// cannot be written fails the run, as a failed policy generation does: an
+// experiment whose artifact is missing has not reproduced anything.
 func (h *Harness) saveResult(name string, v interface{}) {
 	if h.opts.ResultsDir == "" {
 		return
 	}
-	if err := os.MkdirAll(h.opts.ResultsDir, 0o755); err != nil {
-		h.printf("results: %v\n", err)
-		return
-	}
 	data, err := json.MarshalIndent(v, "", " ")
-	if err != nil {
-		h.printf("results: %v\n", err)
-		return
+	if err == nil {
+		err = os.MkdirAll(h.opts.ResultsDir, 0o755)
 	}
-	path := filepath.Join(h.opts.ResultsDir, name+".json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		h.printf("results: %v\n", err)
+	if err == nil {
+		err = os.WriteFile(filepath.Join(h.opts.ResultsDir, name+".json"), data, 0o644)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("experiments: results %s: %v", name, err))
 	}
 }
 
@@ -191,6 +186,18 @@ func fig6Workers(task string) int {
 		return 20
 	}
 	return 60
+}
+
+// constLoads picks a constant-load figure's grid by scale: the default
+// loads run 15 s each, the paper-scale loads 30 s, the quick loads 8 s.
+func (h *Harness) constLoads(def, full, quick []float64) (loads []float64, dur float64) {
+	switch h.scale() {
+	case scaleFull:
+		return full, 30
+	case scaleQuick:
+		return quick, 8
+	}
+	return def, 15
 }
 
 // loadRange builds QPS rungs from lo to hi inclusive.
@@ -247,18 +254,19 @@ func (h *Harness) policyPath(cfg core.Config, load float64) string {
 	if d == 0 {
 		d = h.opts.D
 	}
-	return fmt.Sprintf("%s/%s_%dm%.0f_%dw_D%d_%s_%s/%.0f.json",
+	return fmt.Sprintf("%s/%s_%dm%.0f_%dw_D%d_%s_%s_%s/%.0f.json",
 		h.opts.PolicyDir, cfg.Models.Task, cfg.Models.Len(), cfg.SLO*1000,
-		cfg.Workers, d, cfg.Batching, cfg.Disc, load)
+		cfg.Workers, d, cfg.Batching, cfg.Disc, cfg.Balancing, load)
 }
 
 // loadCached pulls cached policies from disk, returning the loads still to
-// generate.
+// generate. A file is input from outside the run: one generated under
+// another balancing assumption counts as missing, not as this config's.
 func (h *Harness) loadCached(set *core.PolicySet, cfg core.Config, loads []float64) []float64 {
 	var missing []float64
 	for _, load := range loads {
 		p, err := core.LoadPolicy(h.policyPath(cfg, load), cfg.Models)
-		if err != nil {
+		if err != nil || p.Balancing != cfg.Balancing {
 			missing = append(missing, load)
 			continue
 		}
@@ -370,30 +378,20 @@ func (h *Harness) run(s runSpec) sim.Metrics {
 	return e.Run(trace.PoissonArrivals(s.tr, seed))
 }
 
-// runAll simulates every spec and returns metrics in spec order. With
-// Options.Parallel > 1 up to that many runs are in flight at once; each
-// writes only its own slot, so output is identical to the serial path.
-// A panic in any run (policy generation, unknown method) is re-raised
-// here after the remaining workers drain, matching serial semantics.
+// runAll simulates every spec on a pool of GOMAXPROCS goroutines and
+// returns metrics in spec order. Every run draws from its own seeded RNG
+// streams and writes only its own slot, so the result is the same at any
+// GOMAXPROCS. A panic in any run (policy generation, unknown method) is
+// re-raised here once the other workers drain.
 func (h *Harness) runAll(specs []runSpec) []sim.Metrics {
 	out := make([]sim.Metrics, len(specs))
-	workers := h.opts.Parallel
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers <= 1 {
-		for i, s := range specs {
-			out[i] = h.run(s)
-		}
-		return out
-	}
 	var (
 		next     atomic.Int64
 		wg       sync.WaitGroup
 		panicMu  sync.Mutex
 		panicked interface{}
 	)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(runtime.GOMAXPROCS(0), len(specs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -420,6 +418,77 @@ func (h *Harness) runAll(specs []runSpec) []sim.Metrics {
 		panic(panicked)
 	}
 	return out
+}
+
+// arm is one compared configuration of a sweep: a label (the Series key and
+// column heading) and the run it makes at grid value x.
+type arm struct {
+	label string
+	at    func(x float64) runSpec
+}
+
+// constArm is the arm that runs s under a dur-second constant load of x
+// QPS (constLoad).
+func constArm(label string, dur float64, s runSpec) arm {
+	return arm{label, func(x float64) runSpec { return constLoad(s, x, dur) }}
+}
+
+// constLoad fills s for a dur-second constant load of qps: the trace, the
+// perfect load monitor (§7.2) and, for RAMSIS, the one-rung ladder at qps.
+func constLoad(s runSpec, qps, dur float64) runSpec {
+	s.tr = trace.Constant(qps, dur)
+	s.oracle = true
+	s.ramsisLoads = []float64{qps}
+	return s
+}
+
+// sweep runs every arm at every x in one runAll, prints one row per x
+// (xlabel heads the x column; each arm's accuracy, then each arm's
+// violation rate), and returns the series keyed by arm label with the
+// per-cell metrics, cells[xi][ai], for figures that derive more.
+func (h *Harness) sweep(xlabel string, xs []float64, arms []arm) (Series, [][]sim.Metrics) {
+	specs := make([]runSpec, 0, len(xs)*len(arms))
+	for _, x := range xs {
+		for _, a := range arms {
+			specs = append(specs, a.at(x))
+		}
+	}
+	mets := h.runAll(specs)
+
+	widths := make([]int, len(arms))
+	accWidth := -1
+	for i, a := range arms {
+		widths[i] = max(len(a.label), 8)
+		accWidth += widths[i] + 1
+	}
+	h.printf("%10s  %-*s  %s\n", "", accWidth, "accuracy", "violation rate")
+	h.printf("%10s ", xlabel)
+	for i, a := range arms {
+		h.printf(" %*s", widths[i], a.label)
+	}
+	h.printf(" ")
+	for i, a := range arms {
+		h.printf(" %*s", widths[i], a.label)
+	}
+	h.printf("\n")
+
+	series := Series{}
+	cells := make([][]sim.Metrics, len(xs))
+	for xi, x := range xs {
+		cells[xi] = mets[xi*len(arms) : (xi+1)*len(arms)]
+		h.printf("%10.5g ", x)
+		for i, m := range cells[xi] {
+			series.add(Point{X: x, Method: arms[i].label,
+				Accuracy: m.AccuracyPerSatisfiedQuery(), Violation: m.ViolationRate()})
+			h.printf(" %*.4f", widths[i], m.AccuracyPerSatisfiedQuery())
+		}
+		h.printf(" ")
+		for i, m := range cells[xi] {
+			h.printf(" %*.5f", widths[i], m.ViolationRate())
+		}
+		h.printf("\n")
+	}
+	return series, cells
 }
 
 // Point is one (x, method) measurement in a figure's series.

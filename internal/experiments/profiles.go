@@ -13,15 +13,15 @@ type ProfileRow struct {
 // Fig3 prints the image classification model profile (26 TorchVision
 // models, 9 on the Pareto front).
 func (h *Harness) Fig3() []ProfileRow {
-	return h.profileFigure("Fig. 3: image classification model profile (p95 latency vs accuracy)", profile.ImageSet())
+	return h.profileFigure("fig3", "Fig. 3: image classification model profile (p95 latency vs accuracy)", profile.ImageSet())
 }
 
 // Fig9 prints the text classification model profile (5 BERT models).
 func (h *Harness) Fig9() []ProfileRow {
-	return h.profileFigure("Fig. 9: text classification model profile (p95 latency vs accuracy)", profile.TextSet())
+	return h.profileFigure("fig9", "Fig. 9: text classification model profile (p95 latency vs accuracy)", profile.TextSet())
 }
 
-func (h *Harness) profileFigure(title string, s profile.Set) []ProfileRow {
+func (h *Harness) profileFigure(name, title string, s profile.Set) []ProfileRow {
 	onFront := map[string]bool{}
 	for _, p := range s.ParetoFront().Profiles {
 		onFront[p.Name] = true
@@ -44,5 +44,6 @@ func (h *Harness) profileFigure(title string, s profile.Set) []ProfileRow {
 		h.printf("%-22s %9.2f %12.1f %7s\n", r.Name, r.Accuracy*100, r.LatencyMS, mark)
 	}
 	h.printf("pareto front: %d of %d models\n\n", len(onFront), s.Len())
+	h.saveResult(name, rows)
 	return rows
 }
