@@ -108,9 +108,13 @@ saturate-smoke:
 # untrimmed reference: every state's choice, and at most (K+2)ε of mass per
 # state. TestLLMPhiTableMatchesDirect pins the token build's per-goroutine
 # Φ tables against direct evaluation, row for row; at two workers each table
-# sees a different subset of rows (~22 s on two cores in all).
+# sees a different subset of rows. TestDefaultSolverMatchesJacobi's token
+# grid pins the banded token solve to Jacobi's choice in every state of 30
+# configurations whose builds fan out the same way (~40 s on two cores in
+# all).
 goldens:
 	$(GO) test -count=1 -cpu 1,2 -run 'Golden|Trimmed|TestLLMPhiTableMatchesDirect' ./internal/core/ ./internal/sim/
+	$(GO) test -count=1 -cpu 1,2 -run 'TestDefaultSolverMatchesJacobi/llm/' ./internal/core/
 
 # The repository benchmark (BENCHMARK.json) lives in bench/, a module of
 # its own that compiles against this module's internal packages through a
@@ -143,8 +147,9 @@ bench-smoke:
 # the transition build's split quoted in DESIGN.md § "Transition-probability
 # computation" (the bare benchmark name would profile every sub-benchmark,
 # `prepare` and the variable / Gamma builds included),
-# `PROFILE_BENCH=BenchmarkGenerateLLM` the token generation's build / solve
-# split quoted in § "Solver performance",
+# `PROFILE_BENCH=BenchmarkGenerateLLM` the token generation's build / solve /
+# stationary-and-expectations split quoted in § "Solver performance" (the
+# stationary pass is now its largest piece),
 # `PROFILE_BENCH=BenchmarkLLMStepLoop` the step loop's split quoted in
 # § "Token-level LLM workload" ("Step-loop cost"), and
 # `PROFILE_BENCH=BenchmarkRAMSISScheduler` the scalar engine's balancer +

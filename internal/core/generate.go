@@ -58,9 +58,11 @@ type stats struct {
 // solver settings and a deadline armed at the moment of the call (zero: no
 // limit) that latches once it has passed, so the build's workers stop at
 // their next state and the generator returns ErrTimeout without solving.
+// ordered is set by a state space whose index is its load axis.
 type solveSpec struct {
 	gamma    float64
 	jacobi   bool
+	ordered  bool
 	deadline time.Time
 	aborted  atomic.Bool
 }
@@ -128,7 +130,7 @@ func generate(ss stateSpace, spec *solveSpec, start time.Time, warm []float64) (
 	// on the contiguous form.
 	solveStart := time.Now()
 	cm := mdp.Compile(m)
-	res, err = cm.Solve(mdp.SolveOptions{Gamma: spec.gamma, Deadline: spec.deadline, Method: method, InitialValues: warm})
+	res, err = cm.Solve(mdp.SolveOptions{Gamma: spec.gamma, Deadline: spec.deadline, Method: method, InitialValues: warm, Ordered: spec.ordered})
 	if errors.Is(err, mdp.ErrDeadline) {
 		return st, res, ErrTimeout
 	}

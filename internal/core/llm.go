@@ -183,7 +183,8 @@ func cellPMF(s dist.LengthSampler, c int) []float64 {
 
 // newLLMBuilder defaults and validates the configuration and prepares the
 // one-arrival convolution every row reads; the generation deadline is armed
-// here, before the build.
+// here, before the build. State s is load bucket s, so the solve is told
+// its states are ordered.
 func newLLMBuilder(cfg LLMConfig) (*llmBuilder, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -199,6 +200,7 @@ func newLLMBuilder(cfg LLMConfig) (*llmBuilder, error) {
 		lambdaW: cfg.Rate / float64(cfg.Workers),
 	}
 	g.arm(cfg.Gamma, cfg.Jacobi, cfg.Timeout)
+	g.ordered = true
 	if !cfg.NoParetoPruning {
 		g.models = g.models.ParetoFront()
 	}

@@ -123,6 +123,11 @@ type SolveOptions struct {
 	// synchronous Jacobi sweep or asynchronous prioritized value iteration
 	// (Gauss-Seidel in Bellman-residual order, the fast-resolve path).
 	Method Method
+	// Ordered declares that state indices run along one ordered axis, as
+	// the token MDP's load buckets do. The prioritized solve's aggregation
+	// step then groups contiguous index bands instead of residual
+	// quantiles, falling back to quantiles if a band correction stalls.
+	Ordered bool
 }
 
 func (o SolveOptions) withDefaults() SolveOptions {

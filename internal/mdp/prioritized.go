@@ -1,6 +1,7 @@
 package mdp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -54,9 +55,12 @@ func (c *Compiled) Solve(opts SolveOptions) (Result, error) {
 }
 
 // prioritized alternates full Gauss-Seidel verification sweeps with
-// residual-ordered drains of a bucketed priority queue. Iterations reports
-// sweep-equivalents: full sweeps plus prioritized backups divided by the
-// state count, so warm re-solves show the backup saving directly.
+// aggregation corrections while most states still move, and with
+// residual-ordered drains of a bucketed priority queue once few do.
+// Iterations reports sweep-equivalents: full sweeps plus prioritized
+// backups divided by the state count, so warm re-solves show the backup
+// saving directly. With o.Ordered the corrections group index bands until
+// one fails to shrink the residual, and residual quantiles after that.
 func (c *Compiled) prioritized(o SolveOptions) (Result, error) {
 	o = o.withDefaults()
 	if o.Gamma <= 0 || o.Gamma >= 1 {
@@ -76,6 +80,8 @@ func (c *Compiled) prioritized(o SolveOptions) (Result, error) {
 	sweeps := 0
 	d := make([]float64, n) // signed value change of the last sweep, per state
 	sc := newAggScratch(n)
+	bands := o.Ordered
+	lastCorrected := math.Inf(1) // residual of the sweep before the last correction
 
 	for {
 		if !o.Deadline.IsZero() && time.Now().After(o.Deadline) {
@@ -129,7 +135,14 @@ func (c *Compiled) prioritized(o SolveOptions) (Result, error) {
 				q := backup(c.reward[a], gp[c.trOff[a]:c.trOff[a+1]], c.next[c.trOff[a]:c.trOff[a+1]], v)
 				d[s] = q - v[s]
 			}
-			aggCorrect(c, v, pol, d, o.Gamma, sc)
+			// Bands can stall on a chain that is not one load axis: a
+			// sweep whose residual exceeds the last corrected one's hands
+			// the rest of the solve to residual quantiles.
+			if bands && residual > lastCorrected {
+				bands = false
+			}
+			lastCorrected = residual
+			aggCorrect(c, v, pol, d, o.Gamma, sc, bands)
 			continue
 		}
 		// Endgame: the residual is confined to a small active set, so
@@ -184,7 +197,7 @@ func (c *Compiled) greedy(s int, gp, v []float64) (float64, int) {
 // aggScratch holds the buffers of the adaptive-aggregation correction,
 // allocated once per solve and reused across steps.
 type aggScratch struct {
-	ord  []int32   // states ordered by last-sweep change
+	ord  []int32   // states in group order: by index or by last-sweep change
 	gid  []int32   // group id per state
 	phat []float64 // m×m aggregated policy-chain transition matrix
 	rhat []float64 // m: mean residual per group (becomes the correction)
@@ -227,29 +240,26 @@ func newAggScratch(n int) *aggScratch {
 }
 
 // aggCorrect applies one adaptive-aggregation step (Bertsekas–Castañón):
-// states are grouped into m quantile buckets of their last sweep's signed
-// value change, the greedy policy's chain is aggregated into an m×m matrix
-// P̂, and the exact solve of (I − γP̂)·y = r̂ yields the geometric tail of
-// the residual under a piecewise-constant error model. Adding y[group(s)]
-// to every state cancels the chain's slow error modes — the near-unit
-// eigenvectors that are nearly constant within quantile groups — which
-// plain sweeps damp only at rate γ per pass. The correction is a pure
-// accelerator: it moves the iterate, never the fixed point, and the solver
-// still terminates only on a clean full sweep.
-func aggCorrect(c *Compiled, v []float64, pol Policy, d []float64, gamma float64, sc *aggScratch) {
+// states are grouped into m groups — contiguous index bands when bands is
+// set, else quantile buckets of their last sweep's signed value change —
+// the greedy policy's chain is aggregated into an m×m matrix P̂, and the
+// exact solve of (I − γP̂)·y = r̂ yields the geometric tail of the residual
+// under a piecewise-constant error model. Adding y[group(s)] to every state
+// cancels the chain's slow error modes — the near-unit eigenvectors that
+// are nearly constant within a group — which plain sweeps damp only at
+// rate γ per pass. On a chain whose index is its load axis those modes are
+// smooth in the index, so bands represent them where residual quantiles
+// mix distant loads. The correction is a pure accelerator: it moves the
+// iterate, never the fixed point, and the solver still terminates only on
+// a clean full sweep.
+func aggCorrect(c *Compiled, v []float64, pol Policy, d []float64, gamma float64, sc *aggScratch, bands bool) {
 	n, m := c.n, sc.m
 	for i := range sc.ord {
 		sc.ord[i] = int32(i)
 	}
-	slices.SortFunc(sc.ord, func(a, b int32) int {
-		switch {
-		case d[a] < d[b]:
-			return -1
-		case d[a] > d[b]:
-			return 1
-		}
-		return 0
-	})
+	if !bands {
+		slices.SortFunc(sc.ord, func(a, b int32) int { return cmp.Compare(d[a], d[b]) })
+	}
 	for i, s := range sc.ord {
 		sc.gid[s] = int32(i * m / n)
 	}

@@ -2,6 +2,7 @@ package mdp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,7 +18,8 @@ func solvePrioritized(c *Compiled, opts SolveOptions) (Result, error) {
 // TestPrioritizedMatchesJacobiFixedPoint pins the fast-resolve contract:
 // prioritized Gauss-Seidel sweeps reach the same fixed point as the pinned
 // Jacobi kernel within tolerance and extract the same greedy policy, on
-// every equivalence fixture including the single-state MDP.
+// every equivalence fixture including the single-state MDP, with residual
+// groups and with index bands (Ordered).
 func TestPrioritizedMatchesJacobiFixedPoint(t *testing.T) {
 	for name, m := range compiledFixtures() {
 		c := Compile(m)
@@ -26,18 +28,21 @@ func TestPrioritizedMatchesJacobiFixedPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := solvePrioritized(c, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := range want.Values {
-			// Both vectors are within Tol/(1-gamma) of the true fixed
-			// point; allow that bound between the two approximations.
-			if d := math.Abs(got.Values[s] - want.Values[s]); d > 1e-10/(1-0.95)*2 {
-				t.Fatalf("%s: prioritized V(%d) = %v, Jacobi %v (diff %g)", name, s, got.Values[s], want.Values[s], d)
+		for _, ordered := range []bool{false, true} {
+			opts.Ordered = ordered
+			got, err := solvePrioritized(c, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
+			for s := range want.Values {
+				// Both vectors are within Tol/(1-gamma) of the true fixed
+				// point; allow that bound between the two approximations.
+				if d := math.Abs(got.Values[s] - want.Values[s]); d > 1e-10/(1-0.95)*2 {
+					t.Fatalf("%s (ordered %v): prioritized V(%d) = %v, Jacobi %v (diff %g)", name, ordered, s, got.Values[s], want.Values[s], d)
+				}
+			}
+			samePolicy(t, fmt.Sprintf("%s prioritized (ordered %v)", name, ordered), got.Policy, want.Policy)
 		}
-		samePolicy(t, name+" prioritized", got.Policy, want.Policy)
 	}
 }
 
