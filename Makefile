@@ -134,11 +134,20 @@ verify: build lint test race goldens bench-module
 # every benchmark (figure regenerations included) runs exactly once: not a
 # perf measurement, just proof the harness cannot silently rot. The
 # internal packages' benchmarks (the histogram's, the monitor's, ...) run
-# first, in a few seconds, so a root benchmark that outgrows a small host's
-# memory cannot hide them.
+# first, in a few seconds. Each root benchmark then runs in its own process
+# of one compiled test binary, so one that outgrows a small host's memory
+# and is killed fails alone instead of taking every benchmark after it
+# down; the target exits non-zero naming every benchmark that failed.
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./internal/...
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) test -c -o "$$dir/root.test" . || exit 1; \
+	failed=""; \
+	for b in $$("$$dir/root.test" -test.list '^Benchmark'); do \
+		echo "--- $$b"; \
+		"$$dir/root.test" -test.run '^$$' -test.bench "^$$b$$" -test.benchtime 1x || failed="$$failed $$b"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "bench-smoke: failed:$$failed"; exit 1; fi
 
 # CPU- and heap-profile one benchmark — the simulator throughput benchmark
 # unless PROFILE_BENCH names another — and print the top hotspots (profiles

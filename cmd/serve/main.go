@@ -77,6 +77,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	o.tw = tw
 	switch o.Workload {
 	case "llm":
+		if err := fs.Unread("-workload llm", llmUnread...); err != nil {
+			return err
+		}
 		return o.runLLM(ctx)
 	case "scalar":
 	default:
@@ -87,9 +90,33 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 	if o.TenantsFile != "" {
+		if err := fs.Unread("-tenants", shardedUnread...); err != nil {
+			return err
+		}
 		return o.runSharded(ctx, base)
 	}
 	return o.runCluster(ctx, base)
+}
+
+// llmUnread are the flags runLLM does not read: the scalar model set,
+// balancing, adaptation, tenants, admission, latency noise and every
+// frontend, gateway and failover knob.
+var llmUnread = []string{
+	"task", "d", "maxqueue", "lb",
+	"adapt", "adapt-band", "adapt-dwell", "adapt-bucket",
+	"tenants", "admit", "admit-margin", "admit-degrade",
+	"noise", "frontend", "addr", "shards", "shard-by", "retry-budget",
+}
+
+// shardedUnread are the flags runSharded does not read: the tenant contracts
+// carry each SLO and rate, the plane serves until interrupted, solves with
+// the default solver and adapts with adapt's default band, dwell and bucket,
+// its admission is weighted-fair, and its workload is scalar.
+var shardedUnread = []string{
+	"slo", "load", "dur", "solver",
+	"adapt-band", "adapt-dwell", "adapt-bucket",
+	"admit", "admit-margin", "retry-budget", "frontend",
+	"llm-profile", "llm-class", "llm-kv-cap", "llm-bucket",
 }
 
 // runSharded starts the multi-tenant sharded serving plane from the tenant

@@ -114,12 +114,7 @@ func TestReplaySmoke(t *testing.T) {
 // answered, cancels the context — what SIGINT does under cli.Main — and
 // requires run to return nil with the deployment stopped.
 func TestLiveSmoke(t *testing.T) {
-	tenants := filepath.Join(t.TempDir(), "tenants.json")
-	if err := os.WriteFile(tenants, []byte(`[
-		{"name": "gold", "class": "interactive", "sloMs": 2000, "weight": 2, "rateQps": 10},
-		{"name": "bronze", "class": "batch", "sloMs": 8000, "weight": 1, "rateQps": 12}]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	tenants := tenantsFile(t)
 	for name, tc := range map[string]struct{ args, banner string }{
 		"frontend": {"-frontend -workers 2 -load 40 -timescale 20 -d 10", "live inference service at "},
 		"tenants":  {"-tenants " + tenants + " -shards 2 -workers 1 -timescale 20 -d 10", "multi-tenant gateway at "},
@@ -159,6 +154,18 @@ func TestLiveSmoke(t *testing.T) {
 	}
 }
 
+// tenantsFile writes a two-tenant contract file and returns its path.
+func tenantsFile(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "tenants.json")
+	if err := os.WriteFile(path, []byte(`[
+		{"name": "gold", "class": "interactive", "sloMs": 2000, "weight": 2, "rateQps": 10},
+		{"name": "bronze", "class": "batch", "sloMs": 8000, "weight": 1, "rateQps": 12}]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestReplayInterrupt cancels the context in the middle of a ten-minute
 // replay of each workload — what the first SIGINT does under cli.Main — and
 // requires run to return the cancellation promptly, through its deferred
@@ -193,9 +200,12 @@ func TestReplayInterrupt(t *testing.T) {
 }
 
 // TestErrorsReturn checks that a bad invocation comes back from run as an
-// error naming the offending flag, not a process exit.
+// error naming the offending flag, not a process exit — a flag the chosen
+// mode does not read included. Each run gets a short deadline, so one that
+// serves instead of failing (a live mode ignoring the flag) ends the row.
 func TestErrorsReturn(t *testing.T) {
 	small := " -workers 1 -load 10 -dur 1 -d 10"
+	tenants := tenantsFile(t)
 	for flagName, args := range map[string]string{
 		"-workload":      "-workload tokens",
 		"-admit-degrade": "-admit-degrade 3" + small,
@@ -204,8 +214,14 @@ func TestErrorsReturn(t *testing.T) {
 		"-llm-profile":   "-workload llm -llm-profile " + filepath.Join(t.TempDir(), "missing.json"),
 		"-solver":        "-solver pi" + small,
 		"-agg-queue":     "-agg-queue 8" + small,
+		"-lb":            "-workload llm -lb jsq -workers 1 -load 0.5 -dur 2 -timescale 50",
+		"-retry-budget":  "-workload llm -retry-budget 5 -workers 1 -load 0.5 -dur 2 -timescale 50",
+		"-adapt-band":    "-tenants " + tenants + " -adapt-band 0.3 -workers 1 -timescale 20 -d 10 -addr 127.0.0.1:0",
+		"-llm-class":     "-tenants " + tenants + " -llm-class codegen -workers 1 -timescale 20 -d 10 -addr 127.0.0.1:0",
 	} {
-		err := run(context.Background(), strings.Fields(args), io.Discard)
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		err := run(ctx, strings.Fields(args), io.Discard)
+		cancel()
 		if err == nil || !strings.Contains(err.Error(), flagName) {
 			t.Errorf("serve %s: error %v, want one naming %s", args, err, flagName)
 		}

@@ -12,7 +12,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"log"
@@ -77,14 +76,8 @@ func run(_ context.Context, args []string, stdout io.Writer) error {
 	case "scalar":
 		return o.runScalar()
 	case "llm":
-		var unread []string
-		fs.Visit(func(f *flag.Flag) {
-			if llmUnread[f.Name] {
-				unread = append(unread, "-"+f.Name)
-			}
-		})
-		if unread != nil {
-			return fmt.Errorf("-workload llm does not read %s", strings.Join(unread, ", "))
+		if err := fs.Unread("-workload llm", llmUnread...); err != nil {
+			return err
 		}
 		return o.runLLM()
 	}
@@ -93,13 +86,12 @@ func run(_ context.Context, args []string, stdout io.Writer) error {
 
 // llmUnread are the flags runLLM does not read: the scalar model set and
 // policy sources, latency noise, balancing, admission, tenants and
-// adaptation. Setting one with -workload llm is an error, not a silent
-// no-op.
-var llmUnread = map[string]bool{
-	"task": true, "d": true, "policy": true, "ms-table": true, "noise": true, "lb": true,
-	"maxqueue": true, "admit": true, "admit-margin": true, "admit-degrade": true,
-	"tenants": true, "tenant-mult": true,
-	"adapt": true, "adapt-band": true, "adapt-dwell": true, "adapt-bucket": true,
+// adaptation.
+var llmUnread = []string{
+	"task", "d", "policy", "ms-table", "noise", "lb",
+	"maxqueue", "admit", "admit-margin", "admit-degrade",
+	"tenants", "tenant-mult",
+	"adapt", "adapt-band", "adapt-dwell", "adapt-bucket",
 }
 
 // loadTrace builds the -trace query trace for both workloads.

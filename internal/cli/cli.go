@@ -16,6 +16,8 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 
 	"ramsis/internal/telemetry"
@@ -69,6 +71,22 @@ func (fs *FlagSet) Parse(args []string) (*slog.Logger, error) {
 		return nil, usageError{err}
 	}
 	return telemetry.SetupLogging(fs.logLevel, fs.logFormat, fs.Name())
+}
+
+// Unread returns an error naming every flag in names that the command line
+// set, for a mode that does not read them: a flag the mode would ignore is an
+// error, not a silent no-op. It returns nil when none of them was set.
+func (fs *FlagSet) Unread(mode string, names ...string) error {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(names, f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if set == nil {
+		return nil
+	}
+	return fmt.Errorf("%s does not read %s", mode, strings.Join(set, ", "))
 }
 
 // TraceWriter opens a -trace-out file for JSONL trace fragments, appending

@@ -50,7 +50,7 @@ func (r *Run) Register(fs *FlagSet) {
 	fs.Int64Var(&r.Seed, "seed", 1, "workload seed")
 	fs.IntVar(&r.D, "d", 100, "FLD resolution for RAMSIS policies")
 	fs.IntVar(&r.MaxQueue, "maxqueue", 0, fmt.Sprintf("queue-length bound N_w (0 = default %d): caps the RAMSIS MDP state space, and with -admit cap also sets the online admission bound (workers x N_w outstanding) — one knob for both, since policy guarantees lapse past N_w anyway", core.DefaultMaxQueue))
-	fs.StringVar(&r.Solver, "solver", "prioritized", "RAMSIS MDP solver for offline generation: prioritized (residual-ordered Gauss-Seidel sweeps) or vi (the paper's synchronous value iteration, byte-pinned; same policy, ~2,000 sweeps instead of 20-140); -adapt re-solves always run prioritized")
+	fs.StringVar(&r.Solver, "solver", "prioritized", "RAMSIS MDP solver for offline generation: prioritized (Gauss-Seidel sweeps with aggregation corrections) or vi (the paper's synchronous value iteration, byte-pinned; same policy, ~2,000 sweeps instead of 17-41); -adapt re-solves always run prioritized")
 	fs.StringVar(&r.LB, "lb", "rr", "load balancer across worker queues: rr, jsq, or p2c (policies are generated with the matching MDP transition model)")
 	fs.StringVar(&r.TraceOut, "trace-out", "", "append per-query trace fragments (with their select decisions) as JSONL to this file; stitch with trace -stitch")
 

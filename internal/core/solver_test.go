@@ -149,3 +149,33 @@ func TestOrderedFallback(t *testing.T) {
 		})
 	}
 }
+
+// TestRestrictedEndgame solves the benchmark's smoke grid (D 10, FineCells
+// 32) at 3,000 QPS, whose residual lingers on a few of its 354 states after
+// the aggregation steps. The restricted Gauss-Seidel pass over the states still
+// moving must finish it in under 100 sweep-equivalents — full sweeps alone
+// need over a thousand — on Jacobi's choice in every state; MaxIter 300
+// makes a missing endgame fail fast.
+func TestRestrictedEndgame(t *testing.T) {
+	cfg := benchConfig(3000)
+	cfg.D, cfg.FineCells = 10, 32
+	m, err := BuildWorkerMDP(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm := mdp.Compile(m)
+	opts := mdp.SolveOptions{Gamma: 0.99}
+	want, err := cm.ValueIteration(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Method, opts.MaxIter = mdp.MethodPrioritized, 300
+	got, err := cm.Solve(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Iterations >= 100 {
+		t.Errorf("prioritized solve took %d sweep-equivalents, want < 100", got.Iterations)
+	}
+	assertSameChoices(t, "prioritized solve", got.Policy, "Jacobi", want.Policy)
+}

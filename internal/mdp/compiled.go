@@ -3,7 +3,6 @@ package mdp
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 )
 
@@ -27,11 +26,6 @@ type Compiled struct {
 	trOff  []int32   // len numActions+1: transition index range per action
 	next   []int32   // per transition: successor state
 	prob   []float64 // per transition: probability
-
-	// Reverse adjacency for the prioritized solver, built lazily by
-	// predecessors() and shared across solves on this Compiled.
-	predOnce sync.Once
-	pred     *predCSR
 }
 
 // Compile flattens an MDP into its compiled form. The MDP must be valid
@@ -130,7 +124,6 @@ func (c *Compiled) ValueIteration(opts SolveOptions) (Result, error) {
 	next := make([]float64, n)
 	pol := make(Policy, n)
 	gp := c.scaledProbs(opts.Gamma)
-	actOff, trOff, reward, succ := c.actOff, c.trOff, c.reward, c.next
 
 	it := 0
 	for ; it < opts.MaxIter; it++ {
@@ -139,19 +132,7 @@ func (c *Compiled) ValueIteration(opts SolveOptions) (Result, error) {
 		}
 		residual := 0.0
 		for s := 0; s < n; s++ {
-			// The argmax is written out rather than shared with the
-			// prioritized solver's greedy: as a call it costs this sweep
-			// about a tenth (98–116 vs 90–113 ms per 1× solve).
-			best := math.Inf(-1)
-			bestA := 0
-			a0, a1 := actOff[s], actOff[s+1]
-			for a := a0; a < a1; a++ {
-				q := backup(reward[a], gp[trOff[a]:trOff[a+1]], succ[trOff[a]:trOff[a+1]], v)
-				if q > best {
-					best = q
-					bestA = int(a - a0)
-				}
-			}
+			best, bestA := c.greedy(s, gp, v)
 			if d := math.Abs(best - v[s]); d > residual {
 				residual = d
 			}

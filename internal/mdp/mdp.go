@@ -1,9 +1,11 @@
 // Package mdp implements finite Markov Decision Processes and the solution
 // methods RAMSIS uses for policy generation (§4.1): value iteration — the
-// paper's synchronous sweep (the default) and a prioritized asynchronous
-// variant for online re-solves — and power iteration over the induced Markov
-// chain for the stationary state distribution underlying the §5.1
-// accuracy/violation expectations.
+// paper's synchronous sweep (the default) and an asynchronous Gauss-Seidel
+// variant for fast re-solves, which corrects with aggregation steps while
+// most states move and finishes with passes restricted to the states still
+// moving — and power iteration over the induced Markov chain for the
+// stationary state distribution underlying the §5.1 accuracy/violation
+// expectations.
 //
 // The representation is deliberately sparse: worker MDPs concentrate
 // transition mass on a small neighborhood of queue states, so each action
@@ -121,7 +123,8 @@ type SolveOptions struct {
 	InitialValues []float64
 	// Method selects the sweep strategy for Compiled.Solve: the default
 	// synchronous Jacobi sweep or asynchronous prioritized value iteration
-	// (Gauss-Seidel in Bellman-residual order, the fast-resolve path).
+	// (Gauss-Seidel sweeps with aggregation corrections and a restricted
+	// endgame, the fast-resolve path).
 	Method Method
 	// Ordered declares that state indices run along one ordered axis, as
 	// the token MDP's load buckets do. The prioritized solve's aggregation

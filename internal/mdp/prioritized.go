@@ -9,12 +9,13 @@ import (
 )
 
 // This file implements the fast-resolve kernel layered on the compiled CSR
-// form: asynchronous prioritized value iteration (Gauss-Seidel in-place
-// updates swept in Bellman-residual order) for the online/adaptive route.
-// It is not byte-pinned against the reference — that contract covers the
-// Jacobi and stationary kernels — but it converges to the same fixed point
-// within Tol and extracts the policy from a final full greedy sweep, so the
-// argmaxes agree wherever the optimal action is separated by more than the
+// form: asynchronous value iteration (Gauss-Seidel in-place updates, with an
+// aggregation step while most states move and a pass restricted to the
+// states still moving once few do) for the online/adaptive route. It is not
+// byte-pinned against the reference — that contract covers the Jacobi and
+// stationary kernels — but it converges to the same fixed point within Tol
+// and extracts the policy from a final full greedy sweep, so the argmaxes
+// agree wherever the optimal action is separated by more than the
 // tolerance.
 
 // Method selects the Bellman sweep strategy for ValueIteration-family
@@ -26,13 +27,11 @@ const (
 	// every state backs up from the previous iterate. Its values are pinned
 	// bit for bit by the equivalence tests.
 	MethodJacobi Method = iota
-	// MethodPrioritized is asynchronous prioritized value iteration:
-	// Gauss-Seidel in-place updates, swept in Bellman-residual order via a
-	// bucketed priority queue over the CSR arrays. Warm-started re-solves
-	// converge in far fewer backups than full Jacobi sweeps because only
-	// the states whose residuals still exceed Tol are touched. The result
-	// matches the Jacobi fixed point within Tol but is not byte-identical
-	// to it.
+	// MethodPrioritized is asynchronous value iteration: Gauss-Seidel
+	// in-place sweeps, accelerated by aggregation corrections while most
+	// states still move and finished by passes over only the states whose
+	// last change exceeded Tol once few do. The result matches the Jacobi
+	// fixed point within Tol but is not byte-identical to it.
 	MethodPrioritized
 )
 
@@ -56,8 +55,8 @@ func (c *Compiled) Solve(opts SolveOptions) (Result, error) {
 
 // prioritized alternates full Gauss-Seidel verification sweeps with
 // aggregation corrections while most states still move, and with
-// residual-ordered drains of a bucketed priority queue once few do.
-// Iterations reports sweep-equivalents: full sweeps plus prioritized
+// Gauss-Seidel passes restricted to the states still moving once few do.
+// Iterations reports sweep-equivalents: full sweeps plus restricted
 // backups divided by the state count, so warm re-solves show the backup
 // saving directly. With o.Ordered the corrections group index bands until
 // one fails to shrink the residual, and residual quantiles after that.
@@ -74,11 +73,10 @@ func (c *Compiled) prioritized(o SolveOptions) (Result, error) {
 	gp := c.scaledProbs(o.Gamma)
 	pol := make(Policy, n)
 
-	preds := c.predecessors()
-	pq := newBucketQueue(n, o.Tol)
 	backups := 0
 	sweeps := 0
 	d := make([]float64, n) // signed value change of the last sweep, per state
+	var moving []int32      // endgame: states whose last change exceeded Tol
 	sc := newAggScratch(n)
 	bands := o.Ordered
 	lastCorrected := math.Inf(1) // residual of the sweep before the last correction
@@ -145,33 +143,32 @@ func (c *Compiled) prioritized(o SolveOptions) (Result, error) {
 			aggCorrect(c, v, pol, d, o.Gamma, sc, bands)
 			continue
 		}
-		// Endgame: the residual is confined to a small active set, so
-		// full sweeps waste n−active backups per pass. Seed the bucketed
-		// priority queue with the predecessors of every state that still
-		// moved, most-moved first.
+		// Endgame: the residual is confined to the few states that still
+		// moved, so full sweeps waste n−active backups per pass. Back up
+		// only those states, in index order and in place, until none of
+		// them moves by more than Tol or one sweep-equivalent (n backups)
+		// is spent; the next full sweep carries their change to every
+		// other state and alone declares convergence. The set is empty
+		// when the residual equals Tol exactly, and then no pass runs.
+		moving = moving[:0]
 		for s := 0; s < n; s++ {
-			if dd := math.Abs(d[s]); dd > o.Tol {
-				pq.pushAll(preds.at(s), dd)
+			if math.Abs(d[s]) > o.Tol {
+				moving = append(moving, int32(s))
 			}
 		}
-		// Drain in residual order: each pop re-backs-up one state in
-		// place; a change above Tol re-prioritizes its predecessors. The
-		// round is budgeted at n backups — one sweep-equivalent — so a
-		// slow-mixing local cluster can never cost more than the full
-		// sweep it replaces; the next sweep then either confirms global
-		// convergence or re-seeds the queue with whatever was left.
-		for budget := n; budget > 0; budget-- {
-			s, ok := pq.pop()
-			if !ok {
-				break
+		for spent := 0; len(moving) > 0 && spent+len(moving) <= n; spent += len(moving) {
+			moved := false
+			for _, s := range moving {
+				q, bestA := c.greedy(int(s), gp, v)
+				if math.Abs(q-v[s]) > o.Tol {
+					moved = true
+				}
+				v[s] = q
+				pol[s] = bestA
 			}
-			q, bestA := c.greedy(s, gp, v)
-			dd := math.Abs(q - v[s])
-			v[s] = q
-			pol[s] = bestA
-			backups++
-			if dd > o.Tol {
-				pq.pushAll(preds.at(s), dd)
+			backups += len(moving)
+			if !moved {
+				break
 			}
 		}
 	}
@@ -179,7 +176,8 @@ func (c *Compiled) prioritized(o SolveOptions) (Result, error) {
 }
 
 // greedy returns the best backup value and action index (within state s)
-// against the in-place value vector v, first action winning ties.
+// against the value vector v, first action winning ties: the one Bellman
+// argmax, shared by the Jacobi sweep and every prioritized backup.
 func (c *Compiled) greedy(s int, gp, v []float64) (float64, int) {
 	best := math.Inf(-1)
 	bestA := 0
@@ -315,143 +313,4 @@ func aggCorrect(c *Compiled, v []float64, pol Policy, d []float64, gamma float64
 	for s := 0; s < n; s++ {
 		v[s] += b[sc.gid[s]]
 	}
-}
-
-// predCSR is the reverse adjacency of the compiled MDP: predecessors of
-// state s — every state with at least one action transitioning into s —
-// occupy [off[s], off[s+1]) of list. Duplicate (pred, succ) pairs arising
-// from multiple actions or transitions are collapsed, so a residual bump
-// enqueues each predecessor once.
-type predCSR struct {
-	off  []int32
-	list []int32
-}
-
-func (p *predCSR) at(s int) []int32 { return p.list[p.off[s]:p.off[s+1]] }
-
-// predecessors builds (and memoizes) the reverse CSR. The build is
-// O(transitions), about the cost of one Bellman sweep, paid once per
-// Compiled.
-func (c *Compiled) predecessors() *predCSR {
-	c.predOnce.Do(func() {
-		n := c.n
-		counts := make([]int32, n+1)
-		// mark[succ] records the last predecessor that noted succ; states
-		// iterate in increasing order, so the check dedups (pred, succ)
-		// pairs exactly across all of a state's actions and transitions.
-		mark := make([]int32, n)
-		for i := range mark {
-			mark[i] = -1
-		}
-		countPass := func(record func(pred, succ int32)) {
-			for s := 0; s < n; s++ {
-				a0, a1 := c.actOff[s], c.actOff[s+1]
-				t0, t1 := c.trOff[a0], c.trOff[a1]
-				for t := t0; t < t1; t++ {
-					succ := c.next[t]
-					if mark[succ] == int32(s) {
-						continue
-					}
-					mark[succ] = int32(s)
-					record(int32(s), succ)
-				}
-			}
-		}
-		countPass(func(_, succ int32) { counts[succ+1]++ })
-		for i := 0; i < n; i++ {
-			counts[i+1] += counts[i]
-		}
-		list := make([]int32, counts[n])
-		fill := make([]int32, n)
-		copy(fill, counts[:n])
-		for i := range mark {
-			mark[i] = -1
-		}
-		countPass(func(pred, succ int32) {
-			list[fill[succ]] = pred
-			fill[succ]++
-		})
-		c.pred = &predCSR{off: counts, list: list}
-	})
-	return c.pred
-}
-
-// bucketQueue is an approximate max-priority queue over states keyed by
-// Bellman residual, bucketed by binary exponent of residual/tol: bucket b
-// holds residuals in [tol·2^b, tol·2^(b+1)). Push is O(1); pop scans down
-// from the highest non-empty bucket. A state is queued at most once at its
-// highest pending priority — re-pushing at a lower priority is a no-op, and
-// a stale entry left in a lower bucket after an upgrade is skipped on pop.
-type bucketQueue struct {
-	tol     float64
-	buckets [][]int32
-	at      []int16 // current bucket per state, -1 when not queued
-	top     int     // highest possibly non-empty bucket
-}
-
-const numBuckets = 64
-
-func newBucketQueue(n int, tol float64) *bucketQueue {
-	q := &bucketQueue{
-		tol:     tol,
-		buckets: make([][]int32, numBuckets),
-		at:      make([]int16, n),
-		top:     -1,
-	}
-	for i := range q.at {
-		q.at[i] = -1
-	}
-	return q
-}
-
-// bucketOf maps a residual to its bucket index, clamped to the top bucket
-// for huge residuals; residuals at or below tol do not queue.
-func (q *bucketQueue) bucketOf(pri float64) int {
-	if !(pri > q.tol) {
-		return -1
-	}
-	b := math.Ilogb(pri / q.tol)
-	if b < 0 {
-		b = 0
-	}
-	if b >= numBuckets {
-		b = numBuckets - 1
-	}
-	return b
-}
-
-func (q *bucketQueue) push(s int32, pri float64) {
-	b := q.bucketOf(pri)
-	if b < 0 || int(q.at[s]) >= b {
-		return
-	}
-	q.at[s] = int16(b)
-	q.buckets[b] = append(q.buckets[b], s)
-	if b > q.top {
-		q.top = b
-	}
-}
-
-func (q *bucketQueue) pushAll(states []int32, pri float64) {
-	for _, s := range states {
-		q.push(s, pri)
-	}
-}
-
-func (q *bucketQueue) pop() (int, bool) {
-	for q.top >= 0 {
-		b := q.buckets[q.top]
-		if len(b) == 0 {
-			q.top--
-			continue
-		}
-		s := b[len(b)-1]
-		q.buckets[q.top] = b[:len(b)-1]
-		if int(q.at[s]) != q.top {
-			continue // stale entry: the state was upgraded and popped higher
-		}
-		q.at[s] = -1
-		return int(s), true
-	}
-	return 0, false
 }

@@ -47,8 +47,9 @@ func TestPrioritizedMatchesJacobiFixedPoint(t *testing.T) {
 }
 
 // TestPrioritizedSingleState covers the degenerate space: one state, two
-// actions, self-loops only — the priority queue's predecessor list is the
-// state itself and the solve must still terminate at the right value.
+// actions, self-loops only — one moving state is never fewer than n/16, so
+// every sweep takes the aggregation step with a single group, and the solve
+// must still terminate at the right value.
 func TestPrioritizedSingleState(t *testing.T) {
 	m := &MDP{Actions: [][]Action{{
 		{Label: 0, Reward: 1, Transitions: []Transition{{Next: 0, P: 1}}},
@@ -70,8 +71,8 @@ func TestPrioritizedSingleState(t *testing.T) {
 
 // TestPrioritizedZeroResidualEarlyExit pins the warm-start fast path: a
 // solve seeded with the exact fixed point finds every residual below Tol on
-// the first verification sweep, enqueues nothing, and exits after exactly
-// one sweep-equivalent.
+// the first verification sweep, backs up nothing more, and exits after
+// exactly one sweep-equivalent.
 func TestPrioritizedZeroResidualEarlyExit(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := Compile(randomMDP(rng, 60, 3, 5))
@@ -119,6 +120,76 @@ func TestPrioritizedWarmBeatsCold(t *testing.T) {
 	samePolicy(t, "perturbed warm start", res.Policy, cold.Policy)
 }
 
+// slowStateMDP is n states of which only state 0 carries reward: a
+// self-loop earning r per step. The other n−1 are zero-reward self-loops
+// that never move, so every residual after the first sweep sits on state 0
+// alone — one moving state, fewer than n/16 once n exceeds 16.
+func slowStateMDP(n int, r float64) *MDP {
+	m := &MDP{Actions: make([][]Action, n)}
+	for s := range m.Actions {
+		reward := 0.0
+		if s == 0 {
+			reward = r
+		}
+		m.Actions[s] = []Action{{Label: 0, Reward: reward, Transitions: []Transition{{Next: int32(s), P: 1}}}}
+	}
+	return m
+}
+
+// TestPrioritizedRestrictedEndgame pins the endgame's saving: with one slow
+// state among 32, each round backs up that state alone up to n times before
+// the next full sweep, so the solve spends about two sweep-equivalents per
+// 33 contractions of the error. Full sweeps alone need about 2,000 at
+// γ = 0.99 and Tol 1e-9.
+func TestPrioritizedRestrictedEndgame(t *testing.T) {
+	const gamma, tol = 0.99, 1e-9
+	c := Compile(slowStateMDP(32, 1))
+	res, err := solvePrioritized(c, SolveOptions{Gamma: gamma, Tol: tol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations >= 200 {
+		t.Errorf("solve took %d sweep-equivalents, want < 200", res.Iterations)
+	}
+	if d := math.Abs(res.Values[0] - 1/(1-gamma)); d > tol/(1-gamma) {
+		t.Errorf("V(0) = %v, want %v (diff %g)", res.Values[0], 1/(1-gamma), d)
+	}
+	for s, v := range res.Values[1:] {
+		if v != 0 {
+			t.Errorf("V(%d) = %v, want 0", s+1, v)
+		}
+	}
+}
+
+// TestPrioritizedEndgameEmptySet covers the endgame's guard: a first sweep
+// whose only change equals Tol exactly is not converged (that needs a
+// residual below Tol), yet no state moved by more than Tol, so the endgame
+// finds no state to back up. It must fall through to the next full sweep,
+// which converges, instead of spinning on the empty set; the solve runs on
+// its own goroutine so a spin fails the test rather than hanging it.
+func TestPrioritizedEndgameEmptySet(t *testing.T) {
+	c := Compile(slowStateMDP(32, 1))
+	done := make(chan Result, 1)
+	go func() {
+		res, err := solvePrioritized(c, SolveOptions{Gamma: 0.5, Tol: 1})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	select {
+	case res := <-done:
+		if res.Iterations != 2 {
+			t.Errorf("solve took %d sweep-equivalents, want 2 full sweeps", res.Iterations)
+		}
+		if res.Values[0] != 1.5 {
+			t.Errorf("V(0) = %v, want 1.5 after two sweeps", res.Values[0])
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("solve did not return: the endgame spins on an empty active set")
+	}
+}
+
 func TestPrioritizedDeadline(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := Compile(randomMDP(rng, 200, 4, 8))
@@ -129,50 +200,5 @@ func TestPrioritizedDeadline(t *testing.T) {
 	})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
-	}
-}
-
-// TestPredecessorsCSR verifies the reverse adjacency on a hand-built chain:
-// dedup across actions and transitions, and correct offsets.
-func TestPredecessorsCSR(t *testing.T) {
-	c := Compile(twoStateChain())
-	p := c.predecessors()
-	// State 0: reached only by state 0's action 0 self-loop.
-	if got := p.at(0); len(got) != 1 || got[0] != 0 {
-		t.Errorf("preds(0) = %v, want [0]", got)
-	}
-	// State 1: reached by state 0 (action 1) and state 1 (self-loop),
-	// each once despite state 1's action also looping.
-	if got := p.at(1); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("preds(1) = %v, want [0 1]", got)
-	}
-}
-
-// TestBucketQueue exercises the priority-bucket invariants: upgrades
-// supersede stale entries, downgrades are no-ops, and pops come out in
-// bucket order.
-func TestBucketQueue(t *testing.T) {
-	q := newBucketQueue(4, 1e-9)
-	q.push(0, 1e-6)
-	q.push(1, 1e-3)
-	q.push(0, 1e-8) // downgrade: ignored, state 0 stays at 1e-6
-	q.push(2, 1e-6)
-	q.push(2, 1.0) // upgrade: the 1e-6 entry goes stale
-	if s, ok := q.pop(); !ok || s != 2 {
-		t.Fatalf("pop = %d, want 2 (highest bucket)", s)
-	}
-	if s, ok := q.pop(); !ok || s != 1 {
-		t.Fatalf("pop = %d, want 1", s)
-	}
-	if s, ok := q.pop(); !ok || s != 0 {
-		t.Fatalf("pop = %d, want 0", s)
-	}
-	if _, ok := q.pop(); ok {
-		t.Fatal("queue should be empty (stale entry must not re-pop)")
-	}
-	// Residuals at or below tol never queue.
-	q.push(3, 1e-9)
-	if _, ok := q.pop(); ok {
-		t.Fatal("sub-tolerance push queued a state")
 	}
 }
