@@ -110,10 +110,12 @@ saturate-smoke:
 # Φ tables against direct evaluation, row for row; at two workers each table
 # sees a different subset of rows. TestDefaultSolverMatchesJacobi's token
 # grid pins the banded token solve to Jacobi's choice in every state of 30
-# configurations whose builds fan out the same way (~40 s on two cores in
-# all).
+# configurations whose builds fan out the same way. TestStationaryMatchesGTH
+# bounds the stationary pass on the grid's and the benchmark's policy chains
+# by 1e-12 in L1 against an exact GTH solve at both thread counts (~40 s on
+# two cores in all).
 goldens:
-	$(GO) test -count=1 -cpu 1,2 -run 'Golden|Trimmed|TestLLMPhiTableMatchesDirect' ./internal/core/ ./internal/sim/
+	$(GO) test -count=1 -cpu 1,2 -run 'Golden|Trimmed|TestLLMPhiTableMatchesDirect|TestStationaryMatchesGTH' ./internal/core/ ./internal/sim/
 	$(GO) test -count=1 -cpu 1,2 -run 'TestDefaultSolverMatchesJacobi/llm/' ./internal/core/
 
 # The repository benchmark (BENCHMARK.json) lives in bench/, a module of

@@ -88,9 +88,12 @@ func goldenLLM(t *testing.T, cls llm.Class, stats bool) uint64 {
 // they were captured at 18751c1, the last commit with one generator per
 // state space, and cover every path the shared generator runs: both
 // queue-aware balancers, variable batching, the model-based grid and all
-// three token classes. A change that reorders any floating-point operation
-// on that path shows up here; update the constants only when that is the
-// intent.
+// three token classes. All eight were re-captured once when the stationary
+// pass moved from power iteration on the lazy chain to symmetric
+// Gauss–Seidel: a hash over the choices alone was unchanged on every row,
+// and each expectation moved by at most 3e-13, towards an exact (GTH) π. A
+// change that reorders any floating-point operation on that path shows up
+// here; update the constants only when that is the intent.
 func TestGenerateGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// The constants depend on every rounding step; architectures where
@@ -108,20 +111,20 @@ func TestGenerateGolden(t *testing.T) {
 		hash func() uint64
 		want uint64
 	}{
-		{"image/round-robin", func() uint64 { return goldenScalar(t, small(RoundRobin), false) }, 0x7ae05ebb3a0bea88},
-		{"image/shortest-queue-first", func() uint64 { return goldenScalar(t, small(ShortestQueueFirst), false) }, 0xd24588999d013141},
-		{"llm/general", func() uint64 { return goldenLLM(t, llm.GeneralClass(), false) }, 0x7924431818c02b35},
+		{"image/round-robin", func() uint64 { return goldenScalar(t, small(RoundRobin), false) }, 0x1dc402dfc5750598},
+		{"image/shortest-queue-first", func() uint64 { return goldenScalar(t, small(ShortestQueueFirst), false) }, 0xc54b473c5e1269d6},
+		{"llm/general", func() uint64 { return goldenLLM(t, llm.GeneralClass(), false) }, 0x9b0c8017053972c9},
 		{"image/power-of-two-choices", func() uint64 {
 			return goldenScalar(t, grid(func(c *Config) { c.Balancing = PowerOfTwoChoices }), true)
-		}, 0x023648fdbe620bfa},
+		}, 0x16797e5d756130d7},
 		{"image/variable", func() uint64 {
 			return goldenScalar(t, grid(func(c *Config) { c.Batching = VariableBatching }), true)
-		}, 0xdce120805f1fc218},
+		}, 0x94cbf6beb4873365},
 		{"image/model-based", func() uint64 {
 			return goldenScalar(t, grid(func(c *Config) { c.Disc = ModelBased }), true)
-		}, 0x4325ce72a391d5cd},
-		{"llm/codegen", func() uint64 { return goldenLLM(t, llm.CodegenClass(), true) }, 0x5daf3a80c5fe1f95},
-		{"llm/reasoning", func() uint64 { return goldenLLM(t, llm.ReasoningClass(), true) }, 0x4dba4dd338658e94},
+		}, 0x8e3cb02ae0357a13},
+		{"llm/codegen", func() uint64 { return goldenLLM(t, llm.CodegenClass(), true) }, 0x23d83abf30c42a02},
+		{"llm/reasoning", func() uint64 { return goldenLLM(t, llm.ReasoningClass(), true) }, 0x958959b04ecf45b4},
 	} {
 		if got := c.hash(); got != c.want {
 			t.Errorf("%s: golden hash %#016x, want %#016x", c.name, got, c.want)

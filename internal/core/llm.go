@@ -299,9 +299,16 @@ func (g *llmBuilder) transitions(sc *stateScratch, base, tau float64) []mdp.Tran
 
 // sparse turns a per-state mass vector into a transition row: entries below
 // ProbFloor are dropped and the rest renormalized. It leaves mass zeroed for
-// the next row.
+// the next row. The row is counted first so it is allocated once, at its
+// length: the rows are most of a token generation's bytes.
 func (g *llmBuilder) sparse(mass []float64) []mdp.Transition {
-	var out []mdp.Transition
+	kept := 0
+	for _, p := range mass {
+		if p >= g.cfg.ProbFloor {
+			kept++
+		}
+	}
+	out := make([]mdp.Transition, 0, kept)
 	total := 0.0
 	for s, p := range mass {
 		if p >= g.cfg.ProbFloor {

@@ -395,8 +395,19 @@ func (sc *stateScratch) emit(overflow int32, floor float64) []mdp.Transition {
 	if rem := 1 - total; rem > 0 {
 		sc.add(overflow, rem)
 	}
+	// Size the row to what it keeps, plus the overflow entry the fold below
+	// appends when overflow holds no mass yet.
+	n := 1
+	for _, s := range sc.dirty {
+		if s == overflow {
+			n--
+		}
+		if sc.probs[s] >= floor || s == overflow {
+			n++
+		}
+	}
 	kept := 0.0
-	out := make([]mdp.Transition, 0, len(sc.dirty))
+	out := make([]mdp.Transition, 0, n)
 	for _, s := range sc.dirty {
 		p := sc.probs[s]
 		if p >= floor || s == overflow {

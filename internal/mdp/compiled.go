@@ -71,11 +71,13 @@ func Compile(m *MDP) *Compiled {
 	return c
 }
 
-// backup accumulates one action's Bellman backup: reward + Σ gp[k]*v[next[k]],
-// in transition order. The 4-way unroll keeps a single accumulator — the adds
-// stay in the same order with the same rounding as the rolled loop, so the
-// result is bit-identical; the unroll only amortizes loop control and lets
-// the loads of the next group issue while the accumulator chain drains.
+// backup accumulates q + Σ gp[k]*v[next[k]] in order: one action's Bellman
+// backup (q its reward, gp its scaled probabilities), or a Gauss–Seidel
+// step's in-edge sum (q 0, gp the in-edge probabilities). The 4-way unroll
+// keeps a single accumulator — the adds stay in the same order with the same
+// rounding as the rolled loop, so the result is bit-identical; the unroll
+// only amortizes loop control and lets the loads of the next group issue
+// while the accumulator chain drains.
 func backup(q float64, gps []float64, nxs []int32, v []float64) float64 {
 	nxs = nxs[:len(gps)] // bounds-check elimination for nxs[j]
 	j := 0
@@ -148,10 +150,16 @@ func (c *Compiled) ValueIteration(opts SolveOptions) (Result, error) {
 	return Result{Values: v, Policy: pol, Iterations: it}, nil
 }
 
-// StationaryDistribution computes the stationary distribution of the Markov
-// chain induced by the policy via power iteration [40] on the lazy chain
-// (I+P)/2, which converges for unichain MDPs regardless of periodicity.
-// RAMSIS uses it to compute the §5.1 expectations.
+// StationaryDistribution computes the stationary distribution π = πP of the
+// Markov chain induced by the policy; RAMSIS weights the §5.1 expectations
+// by it. The kernel is symmetric Gauss–Seidel over the chain transposed once
+// per call: each sweep updates x_t = Σ_{s≠t} x_s·P_st / (1 − P_tt) in place,
+// forward over t = 0…n−1 and then backward, so neither direction of the
+// state index is favoured. An absorbing state (P_tt = 1) keeps its value.
+// After each sweep x is renormalised to sum 1, absorbing the mass the
+// pruned rows drift by, and the iteration stops when the L1 change over the
+// sweep falls below tol (default 1e-12). maxIter bounds the sweeps (default
+// 200,000); running out of them is an error, not a silently unconverged π.
 func (c *Compiled) StationaryDistribution(pol Policy, tol float64, maxIter int) ([]float64, error) {
 	n := c.n
 	if len(pol) != n {
@@ -163,36 +171,88 @@ func (c *Compiled) StationaryDistribution(pol Policy, tol float64, maxIter int) 
 	if maxIter == 0 {
 		maxIter = 200000
 	}
+	in := c.transpose(pol)
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = 1 / float64(n)
 	}
-	next := make([]float64, n)
+	prev := make([]float64, n)
+	diff := 0.0
 	for it := 0; it < maxIter; it++ {
-		for i := range next {
-			next[i] = 0.5 * x[i] // lazy self-loop half
+		copy(prev, x)
+		for t := 0; t < n; t++ {
+			in.update(x, t)
 		}
-		for s := 0; s < n; s++ {
-			a := c.actOff[s] + int32(pol[s])
-			w := 0.5 * x[s]
-			for k := c.trOff[a]; k < c.trOff[a+1]; k++ {
-				next[c.next[k]] += w * c.prob[k]
-			}
+		for t := n - 1; t >= 0; t-- {
+			in.update(x, t)
 		}
-		// Renormalize to absorb pruned probability mass drift.
 		sum := 0.0
-		for _, p := range next {
+		for _, p := range x {
 			sum += p
 		}
-		diff := 0.0
-		for i := range next {
-			next[i] /= sum
-			diff += math.Abs(next[i] - x[i])
+		diff = 0
+		for i := range x {
+			x[i] /= sum
+			diff += math.Abs(x[i] - prev[i])
 		}
-		x, next = next, x
 		if diff < tol {
-			break
+			return x, nil
 		}
 	}
-	return x, nil
+	return nil, fmt.Errorf("mdp: stationary distribution not converged after %d sweeps (L1 change %g, tol %g)", maxIter, diff, tol)
+}
+
+// inEdges is a policy chain transposed: the off-diagonal in-edges of target
+// t occupy [off[t], off[t+1]) of src and prob, in increasing source order,
+// and stay[t] is 1 − P_tt.
+type inEdges struct {
+	off  []int32
+	src  []int32
+	prob []float64
+	stay []float64
+}
+
+// transpose walks each state's chosen action once, twice over: first to
+// count every target's in-edges and sum its self-loop mass, then to place
+// the edges.
+func (c *Compiled) transpose(pol Policy) inEdges {
+	n := c.n
+	in := inEdges{off: make([]int32, n+1), stay: make([]float64, n)}
+	for s := 0; s < n; s++ {
+		a := c.actOff[s] + int32(pol[s])
+		for k := c.trOff[a]; k < c.trOff[a+1]; k++ {
+			if t := c.next[k]; int(t) == s {
+				in.stay[s] += c.prob[k] // P_ss for now
+			} else {
+				in.off[t+1]++
+			}
+		}
+	}
+	for t := 0; t < n; t++ {
+		in.off[t+1] += in.off[t]
+		in.stay[t] = 1 - in.stay[t]
+	}
+	in.src = make([]int32, in.off[n])
+	in.prob = make([]float64, in.off[n])
+	fill := append([]int32(nil), in.off[:n]...)
+	for s := 0; s < n; s++ {
+		a := c.actOff[s] + int32(pol[s])
+		for k := c.trOff[a]; k < c.trOff[a+1]; k++ {
+			if t := c.next[k]; int(t) != s {
+				in.src[fill[t]] = int32(s)
+				in.prob[fill[t]] = c.prob[k]
+				fill[t]++
+			}
+		}
+	}
+	return in
+}
+
+// update is one Gauss–Seidel step at target t, reading x as it stands.
+func (in *inEdges) update(x []float64, t int) {
+	if in.stay[t] == 0 {
+		return // absorbing
+	}
+	lo, hi := in.off[t], in.off[t+1]
+	x[t] = backup(0, in.prob[lo:hi], in.src[lo:hi], x) / in.stay[t]
 }

@@ -3,7 +3,7 @@
 // paper's synchronous sweep (the default) and an asynchronous Gauss-Seidel
 // variant for fast re-solves, which corrects with aggregation steps while
 // most states move and finishes with passes restricted to the states still
-// moving — and power iteration over the induced Markov chain for the
+// moving — and symmetric Gauss-Seidel over the induced Markov chain for the
 // stationary state distribution underlying the §5.1 accuracy/violation
 // expectations.
 //

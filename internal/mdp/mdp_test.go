@@ -191,6 +191,24 @@ func TestStationaryDistributionSumsToOneProperty(t *testing.T) {
 	}
 }
 
+// TestStationaryDistributionNotConverged: running out of sweeps is an
+// error, not a silently unconverged π. The chain needs about ten sweeps to
+// reach the tolerance; three are not enough.
+func TestStationaryDistributionNotConverged(t *testing.T) {
+	m := randomMDP(rand.New(rand.NewSource(3)), 40, 1, 0)
+	c, pol := Compile(m), make(Policy, 40)
+	if _, err := c.StationaryDistribution(pol, 1e-13, 0); err != nil {
+		t.Fatalf("default sweep budget: %v", err)
+	}
+	pi, err := c.StationaryDistribution(pol, 1e-13, 3)
+	if err == nil {
+		t.Fatalf("three sweeps returned π = %v and no error", pi[:3])
+	}
+	if pi != nil {
+		t.Errorf("unconverged π returned beside the error %v", err)
+	}
+}
+
 // randomMDP builds a random ergodic MDP: every action's successor set
 // includes all states with positive probability.
 func randomMDP(rng *rand.Rand, states, actions, _ int) *MDP {

@@ -70,33 +70,60 @@ func refPolicyEvaluation(m *MDP, pol Policy, o SolveOptions) []float64 {
 	return v
 }
 
-// refStationary is power iteration on the lazy chain (I+P)/2 of the policy,
-// renormalized every step, until the L1 change drops below tol.
+// refStationary is symmetric Gauss–Seidel on π = πP: each sweep sets
+// x_t = Σ_{s≠t} x_s·P_st / (1 − P_tt) in place for t = 0…n−1 and then
+// t = n−1…0, summing each target's in-edges in increasing source order and
+// leaving an absorbing state as it is; then it renormalises, until the L1
+// change over a sweep drops below tol.
 func refStationary(m *MDP, pol Policy, tol float64) []float64 {
 	n := m.NumStates()
+	type edge struct {
+		s int
+		p float64
+	}
+	in := make([][]edge, n)
+	self := make([]float64, n)
+	for s := range m.Actions {
+		for _, tr := range m.Actions[s][pol[s]].Transitions {
+			if int(tr.Next) == s {
+				self[s] += tr.P
+			} else {
+				in[tr.Next] = append(in[tr.Next], edge{s, tr.P})
+			}
+		}
+	}
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = 1 / float64(n)
 	}
-	next := make([]float64, n)
-	for it := 0; it < 200000; it++ {
-		for i := range next {
-			next[i] = 0.5 * x[i]
+	update := func(t int) {
+		if 1-self[t] == 0 {
+			return
 		}
-		for s := range m.Actions {
-			for _, tr := range m.Actions[s][pol[s]].Transitions {
-				next[tr.Next] += 0.5 * x[s] * tr.P
-			}
+		acc := 0.0
+		for _, e := range in[t] {
+			acc += x[e.s] * e.p
+		}
+		x[t] = acc / (1 - self[t])
+	}
+	prev := make([]float64, n)
+	for it := 0; it < 200000; it++ {
+		copy(prev, x)
+		for t := 0; t < n; t++ {
+			update(t)
+		}
+		for t := n - 1; t >= 0; t-- {
+			update(t)
 		}
 		sum, diff := 0.0, 0.0
-		for _, p := range next {
+		for _, p := range x {
 			sum += p
 		}
-		for i := range next {
-			next[i] /= sum
-			diff += math.Abs(next[i] - x[i])
+		for i := range x {
+			x[i] /= sum
+			diff += math.Abs(x[i] - prev[i])
 		}
-		if x, next = next, x; diff < tol {
+		if diff < tol {
 			break
 		}
 	}
