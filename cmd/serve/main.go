@@ -317,19 +317,21 @@ func (o *options) runCluster(ctx context.Context, base core.Config) error {
 	}
 
 	// All serve paths share one registry so /metrics (frontend mode) and the
-	// adapter's ramsis_adapt_* series land in the same exposition.
+	// adapter's ramsis_adapt_* series land in the same exposition. The
+	// adapter generates in the background either way: dispatch never stalls
+	// behind a generation.
 	registry := telemetry.NewRegistry()
-	selector := serve.RAMSISSelector(set)
 	var adapter *adapt.Adapter
-	if o.Adapt {
-		// Background: never stall dispatch behind a re-solve.
+	if !o.Adapt {
+		adapter = adapt.NewCoverage(set, true, registry)
+	} else {
 		if adapter, err = o.Adapter(base, pol, true, registry); err != nil {
 			return err
 		}
-		selector = sched.AdaptiveSelector(adapter)
 		o.Printf("adaptation on: band ±%.0f%%, dwell %.1fs, bucket %.0f QPS\n",
 			o.AdaptBand*100, o.AdaptDwell, adapter.ActiveBucket())
 	}
+	defer adapter.Stop()
 	// A replay is self-contained, so its frontend takes a random port rather
 	// than contending for -addr.
 	listen := ""
@@ -342,7 +344,7 @@ func (o *options) runCluster(ctx context.Context, base core.Config) error {
 		SLO:           slo,
 		TimeScale:     o.timeScale,
 		LatencyStdDev: o.noise / 1000,
-		Select:        selector,
+		Select:        sched.AdaptiveSelector(adapter),
 		Monitor:       monitor.NewMovingAverage(0.5),
 		Seed:          o.Seed,
 		Balancer:      balancer,

@@ -14,7 +14,9 @@ import (
 	"log"
 
 	"ramsis"
+	"ramsis/internal/adapt"
 	"ramsis/internal/monitor"
+	"ramsis/internal/sched"
 	"ramsis/internal/serve"
 	"ramsis/internal/trace"
 )
@@ -40,6 +42,11 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// A monitored load past the ladder generates its rung in the background
+	// (§3.2.2) while dispatch keeps the top rung; Stop waits for it.
+	adapter := adapt.NewCoverage(system.PolicySet(), true, nil)
+	defer adapter.Stop()
+
 	fmt.Println("starting worker HTTP servers and the frontend...")
 	cluster, err := serve.StartCluster(serve.ClusterConfig{
 		Models:        models,
@@ -47,7 +54,7 @@ func main() {
 		SLO:           sloMS / 1000,
 		TimeScale:     timeScale,
 		LatencyStdDev: 0.010,
-		Select:        serve.RAMSISSelector(system.PolicySet()),
+		Select:        sched.AdaptiveSelector(adapter),
 		Monitor:       monitor.NewMovingAverage(0.5),
 		Seed:          1,
 	})

@@ -1,17 +1,21 @@
-// Package adapt closes the loop between the load monitor and the offline
-// policy generator (§3.2.2, §6 "Query Load Adaptation"): a drift detector
-// watches the monitored arrival rate, and when the rate has genuinely moved
-// away from what the active policy was solved for — outside a hysteresis
-// band for a minimum dwell time — the adapter re-solves the per-worker MDP
-// at the new rate and hot-swaps the result into the dispatch path without
-// pausing it. Policy sets are copy-on-write behind an atomic pointer, so
-// the decision path is a lock-free load; an LRU cache keyed by (rate
-// bucket, SLO, config hash) makes returning to a previously seen rate a
-// lookup instead of a solve.
+// Package adapt is the one place a policy is generated online. An Adapter
+// answers decisions from a policy ladder (core.PolicySet) and generates
+// into it when its trigger fires; the constructor picks the trigger:
 //
-// The same adapter drives both the simulator (inline re-solves: a solve
-// costs zero modeled time) and the serving prototype (background re-solves
-// on a goroutine: dispatch keeps running on the old policy until the swap).
+//   - NewCoverage, §3.2.2's on-demand rule: a load above the ladder's top
+//     rung generates the rung covering it, with no dwell.
+//   - New, §6's drift rule: when the monitored rate sits outside a
+//     hysteresis band around the active policy's rate for a minimum dwell,
+//     the per-worker MDP is re-solved at the new rate's bucket. An LRU
+//     cache keyed by (rate bucket, SLO, config hash) makes returning to a
+//     seen rate a lookup, and the nearest cached bucket warm-starts a solve.
+//
+// A new policy is published with PolicySet.Insert, whose lock every lookup
+// already takes, and an adapter runs one generation at a time. The
+// simulator and the serving prototype differ only in Config.Background:
+// inline, a generation costs zero modeled time and answers the decision
+// that fired it; in the background, decisions keep the old ladder until
+// the insert, and Stop waits for the goroutine.
 package adapt
 
 import (
@@ -28,6 +32,11 @@ import (
 
 // cacheSize bounds the adapter's LRU policy cache.
 const cacheSize = 16
+
+// onDemandRung is the granularity the coverage trigger rounds a load up
+// to, so a stream of slightly different loads past the ladder does not
+// generate a policy per decision.
+const onDemandRung = 100.0
 
 // Config parameterizes an Adapter.
 type Config struct {
@@ -53,6 +62,7 @@ type Config struct {
 	// Background re-solves on a goroutine instead of inline. The serving
 	// path sets it so dispatch never stalls behind a solve; the simulator
 	// leaves it unset because an inline solve costs zero modeled time.
+	// Stop waits for the goroutine.
 	Background bool
 	// Telemetry optionally mirrors the adapter's counters into a metrics
 	// registry under the ramsis_adapt_* names.
@@ -67,17 +77,17 @@ type Config struct {
 
 // Stats is a consistent snapshot of the adapter's counters.
 type Stats struct {
-	// Resolves counts MDP re-solves attempted on drift (cache hits do not
-	// solve and are not counted).
+	// Resolves counts generations attempted: re-solves on drift (cache
+	// hits do not solve and are not counted), or rungs on demand.
 	Resolves uint64
-	// ResolveErrors counts re-solves that failed; the previous policy
-	// stayed active.
+	// ResolveErrors counts generations that failed; the ladder stayed as
+	// it was.
 	ResolveErrors uint64
 	// CacheHits counts drift events served from the LRU cache.
 	CacheHits uint64
 	// CacheMisses counts drift events that had to solve.
 	CacheMisses uint64
-	// Swaps counts policy-set hot-swaps published to the dispatch path.
+	// Swaps counts policies published to the dispatch path.
 	Swaps uint64
 	// WarmStarts counts re-solves seeded from a cached neighboring bucket's
 	// converged value vector instead of zeros.
@@ -90,18 +100,19 @@ type Stats struct {
 	ActiveBucket float64
 }
 
-// Adapter owns the drift detector, the policy cache, and the published
-// policy set. Observe feeds it monitored rates; PolicyFor serves the
-// dispatch path lock-free.
+// Adapter owns a policy ladder and the trigger that generates into it.
+// Policy answers decisions; Observe feeds the drift trigger alone.
 type Adapter struct {
 	cfg  Config
 	hash uint64
+	set  *core.PolicySet
 
 	mu        sync.Mutex
-	det       *Detector
-	resolving bool
+	det       *Detector // nil under the coverage trigger
+	resolving bool      // the one-generation latch
+	stopped   bool
+	running   sync.WaitGroup // one per latch holder, inline or background
 
-	cur    atomic.Pointer[core.PolicySet]
 	bucket atomic.Uint64 // Float64bits of the active rate bucket
 	cache  *Cache
 
@@ -120,10 +131,24 @@ type Adapter struct {
 	mResolveSolve             *telemetry.Gauge
 }
 
-// New builds an adapter around an initial policy (solved offline for the
-// anticipated starting rate). The detector centers on the policy's load,
-// and the policy seeds both the published set and the cache — so drifting
-// away and back is one solve and one cache hit.
+// NewCoverage builds §3.2.2's on-demand adapter over a policy ladder. A
+// rung it generates goes through set.GenerateLoads, so it keeps the set's
+// arrival family and lands in the caller's set. reg, when set, mirrors
+// Resolves, ResolveErrors and Swaps under their ramsis_adapt_* names.
+func NewCoverage(set *core.PolicySet, background bool, reg *telemetry.Registry) *Adapter {
+	a := &Adapter{cfg: Config{Background: background}, set: set}
+	if reg != nil {
+		a.mResolves = reg.Counter(telemetry.MetricAdaptResolves)
+		a.mResolveErrors = reg.Counter(telemetry.MetricAdaptResolveErrors)
+		a.mSwaps = reg.Counter(telemetry.MetricAdaptSwaps)
+	}
+	return a
+}
+
+// New builds §6's drift adapter around an initial policy (solved offline
+// for the anticipated starting rate). The detector centers on the policy's
+// load, and the policy seeds both the adapter's ladder and the cache — so
+// drifting away and back is one solve and one cache hit.
 func New(cfg Config, initial *core.Policy) (*Adapter, error) {
 	if initial == nil {
 		return nil, errNilInitial
@@ -145,18 +170,17 @@ func New(cfg Config, initial *core.Policy) (*Adapter, error) {
 		// at small deployments.)
 		cfg.BucketSize = initial.Load * cfg.Band
 		if cfg.BucketSize <= 0 {
-			cfg.BucketSize = core.OnDemandRung
+			cfg.BucketSize = onDemandRung
 		}
 	}
 	a := &Adapter{
 		cfg:   cfg,
 		hash:  ConfigHash(cfg.Base),
+		set:   core.NewPolicySet(cfg.Base, nil),
 		det:   NewDetector(initial.Load, cfg.Band, cfg.Dwell),
 		cache: NewCache(cacheSize),
 	}
-	set := core.NewPolicySet(cfg.Base, nil)
-	set.Insert(initial)
-	a.cur.Store(set)
+	a.set.Insert(initial)
 	bucket := bucketOf(initial.Load, cfg.BucketSize)
 	a.bucket.Store(math.Float64bits(bucket))
 	a.cache.Put(a.key(bucket), initial)
@@ -197,14 +221,73 @@ func bucketOf(rate, size float64) float64 {
 	return b
 }
 
-// Current returns the published policy set. The returned set is never
-// mutated after publication.
-func (a *Adapter) Current() *core.PolicySet { return a.cur.Load() }
-
-// PolicyFor returns the policy serving an anticipated load from the current
-// set: one atomic pointer load plus a ladder lookup, never a solve.
+// PolicyFor returns the ladder's policy for an anticipated load: a lookup,
+// never a generation, and no trigger.
 func (a *Adapter) PolicyFor(load float64) *core.Policy {
-	return a.cur.Load().Best(load)
+	p, _ := a.set.Best(load)
+	return p
+}
+
+// Policy answers one decision at modeled time now: it feeds the anticipated
+// load to the adapter's trigger and returns the ladder's policy for it (nil
+// only for an empty ladder). Under the coverage trigger a covered load costs
+// one ladder lookup and takes no lock of the adapter's.
+func (a *Adapter) Policy(now, load float64) *core.Policy {
+	if a.det != nil {
+		a.Observe(now, load)
+		return a.PolicyFor(load)
+	}
+	p, covered := a.set.Best(load)
+	if covered || p == nil {
+		return p
+	}
+	return a.cover(load, p)
+}
+
+// cover is the coverage trigger for a load above the ladder's top rung,
+// top. Inline, the decision gets the new rung; in the background, or while
+// another generation runs, or after Stop, it gets top.
+func (a *Adapter) cover(load float64, top *core.Policy) *core.Policy {
+	a.mu.Lock()
+	if a.stopped || a.resolving {
+		a.mu.Unlock()
+		return top
+	}
+	a.begin()
+	a.mu.Unlock()
+	rung := roundUpRung(load)
+	if a.cfg.Background {
+		go a.generateRung(rung)
+		return top
+	}
+	a.generateRung(rung)
+	return a.PolicyFor(load)
+}
+
+// roundUpRung is the smallest positive multiple of onDemandRung at or
+// above load (the division may round down onto one below it).
+func roundUpRung(load float64) float64 {
+	r := max(onDemandRung, math.Ceil(load/onDemandRung)*onDemandRung)
+	if r < load {
+		r += onDemandRung
+	}
+	return r
+}
+
+// generateRung generates one rung into the ladder and counts it. A failed
+// generation leaves the ladder as it was, so the next uncovered decision
+// retries.
+func (a *Adapter) generateRung(rung float64) {
+	defer a.end()
+	a.resolves.Add(1)
+	inc(a.mResolves)
+	if err := a.set.GenerateLoads([]float64{rung}); err != nil {
+		a.resolveErrors.Add(1)
+		inc(a.mResolveErrors)
+		return
+	}
+	a.swaps.Add(1)
+	inc(a.mSwaps)
 }
 
 // ActiveBucket returns the rate bucket of the currently active policy.
@@ -226,18 +309,22 @@ func (a *Adapter) Stats() Stats {
 	}
 }
 
-// Observe feeds one monitored rate reading at modeled time now. When drift
-// is confirmed, it re-solves (or cache-loads) a policy for the drifted
-// rate's bucket and hot-swaps it into the published set. With
-// Config.Background the solve runs on a goroutine and Observe returns
-// immediately; otherwise the swap completes before Observe returns.
+// Observe feeds one monitored rate reading at modeled time now to the
+// drift trigger; a coverage adapter ignores it. When drift is confirmed, it
+// re-solves (or cache-loads) a policy for the drifted rate's bucket and
+// inserts it into the ladder. With Config.Background the solve runs on a
+// goroutine and Observe returns immediately; otherwise the swap completes
+// before Observe returns.
 //
 // A failed re-solve leaves the previous policy active; it is retried on the
 // next confirmed drift event.
 func (a *Adapter) Observe(now, rate float64) {
+	if a.det == nil {
+		return
+	}
 	a.lastNow.Store(math.Float64bits(now))
 	a.mu.Lock()
-	if a.resolving || !a.det.Observe(now, rate) {
+	if a.stopped || a.resolving || !a.det.Observe(now, rate) {
 		a.mu.Unlock()
 		return
 	}
@@ -251,7 +338,7 @@ func (a *Adapter) Observe(now, rate float64) {
 		a.mu.Unlock()
 		return
 	}
-	a.resolving = true
+	a.begin()
 	a.mu.Unlock()
 
 	start := time.Now()
@@ -259,7 +346,7 @@ func (a *Adapter) Observe(now, rate float64) {
 		a.cacheHits.Add(1)
 		inc(a.mCacheHits)
 		a.install(target, pol, start)
-		a.clearResolving()
+		a.end()
 		return
 	}
 	a.cacheMisses.Add(1)
@@ -278,7 +365,7 @@ func (a *Adapter) Observe(now, rate float64) {
 // close to the new fixed point and converges in fewer sweeps — directly
 // shrinking the drift-to-swap window dispatch spends on the stale policy.
 func (a *Adapter) resolve(bucket float64, start time.Time) {
-	defer a.clearResolving()
+	defer a.end()
 	a.resolves.Add(1)
 	inc(a.mResolves)
 	cfg := a.cfg.Base
@@ -306,19 +393,16 @@ func (a *Adapter) resolve(bucket float64, start time.Time) {
 	a.install(bucket, pol, start)
 }
 
-// Install publishes a policy for a rate bucket immediately: the current set
-// is cloned copy-on-write, the policy inserted, and the new set stored in
-// one atomic swap. Dispatchers holding the old pointer finish their
-// decision on the old ladder; the next decision sees the new one.
+// Install publishes a policy for a rate bucket immediately: one insert into
+// the ladder. A decision already past its lookup finishes on the old
+// policy; the next one sees the new ladder.
 func (a *Adapter) Install(bucket float64, pol *core.Policy) {
 	a.install(bucket, pol, time.Now())
 }
 
 func (a *Adapter) install(bucket float64, pol *core.Policy, start time.Time) {
 	a.mu.Lock()
-	next := a.cur.Load().Clone()
-	next.Insert(pol)
-	a.cur.Store(next)
+	a.set.Insert(pol)
 	a.bucket.Store(math.Float64bits(bucket))
 	a.mu.Unlock()
 	a.swaps.Add(1)
@@ -344,10 +428,29 @@ func (a *Adapter) install(bucket float64, pol *core.Policy, start time.Time) {
 	}
 }
 
-func (a *Adapter) clearResolving() {
+// begin takes the one-generation latch; the caller holds mu and has seen
+// the adapter neither stopped nor resolving.
+func (a *Adapter) begin() {
+	a.resolving = true
+	a.running.Add(1)
+}
+
+// end releases the latch.
+func (a *Adapter) end() {
 	a.mu.Lock()
 	a.resolving = false
 	a.mu.Unlock()
+	a.running.Done()
+}
+
+// Stop waits for a generation in flight, inline or background; after it,
+// triggers do nothing. Whoever constructs an adapter stops it, and
+// repeating Stop does nothing.
+func (a *Adapter) Stop() {
+	a.mu.Lock()
+	a.stopped = true
+	a.mu.Unlock()
+	a.running.Wait()
 }
 
 func inc(c *telemetry.Counter) {

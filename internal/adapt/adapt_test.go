@@ -45,6 +45,7 @@ func newAdapter(t *testing.T, cfg Config) *Adapter {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(a.Stop)
 	return a
 }
 
@@ -70,7 +71,7 @@ func TestAdapterDriftSolvesThenCacheHitsOnReturn(t *testing.T) {
 	if pol := a.PolicyFor(120); pol == nil || pol.Load != 120 {
 		t.Fatalf("PolicyFor(120) = %+v, want the freshly solved 120 policy", pol)
 	}
-	if n := len(a.Current().Policies()); n != 2 {
+	if n := len(a.set.Policies()); n != 2 {
 		t.Fatalf("ladder has %d policies, want 2", n)
 	}
 
@@ -194,6 +195,7 @@ func TestAdapterResolveErrorKeepsOldPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer a.Stop()
 	a.cfg.Base.Models = profile.Set{}
 	before := a.PolicyFor(20)
 	a.Observe(0, 120)

@@ -61,7 +61,7 @@ func (r *Run) PrintExpectation(accuracy, violation float64) {
 
 // PrintAdaptation prints the adaptation loop's counters; nothing without -adapt.
 func (r *Run) PrintAdaptation(a *adapt.Adapter) {
-	if a == nil {
+	if !r.Adapt {
 		return
 	}
 	s := a.Stats()

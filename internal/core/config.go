@@ -1,10 +1,11 @@
 // Package core implements RAMSIS, the paper's contribution: offline
 // generation of per-worker model-selection policies from a Markov Decision
 // Process whose transition probabilities are derived from the query arrival
-// distribution and the load-balancing strategy (§3-§5), plus the online
-// policy objects (state lookup, load-adaptive policy sets) the serving layer
-// consumes. Solving is internal/mdp's: solve.go runs its prioritized method,
-// or its Jacobi sweep when Config.Jacobi asks for the paper's.
+// distribution and the load-balancing strategy (§3-§5), plus the policy
+// objects the serving layer reads (state lookup, and the per-load ladder
+// §3.2.2 selects from; a rung generated online is internal/adapt's).
+// Solving is internal/mdp's: generate.go runs its prioritized method, or its
+// Jacobi sweep when Config.Jacobi asks for the paper's.
 package core
 
 import (

@@ -4,9 +4,7 @@ import (
 	"math"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"ramsis/internal/dist"
 	"ramsis/internal/profile"
@@ -256,16 +254,17 @@ func TestPolicySetSelection(t *testing.T) {
 			t.Errorf("PolicyFor(%v).Load = %v, want %v (lowest load meeting demand)", c.load, p.Load, c.want)
 		}
 	}
-	// Beyond the ladder: a new policy is generated on demand (§3.2.2).
+	// Beyond the ladder: the top rung, uncovered, and nothing generated —
+	// the 500 rung is internal/adapt's to generate (TestCoverageGeneratesOnDemand).
 	p, err := ps.PolicyFor(500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Load != 500 {
-		t.Errorf("on-demand policy load = %v, want 500", p.Load)
+	if best, covered := ps.Best(500); p.Load != 400 || best != p || covered {
+		t.Errorf("PolicyFor(500).Load = %v, Best covered = %v; want the 400 rung, uncovered", p.Load, covered)
 	}
-	if got := len(ps.Policies()); got != 4 {
-		t.Errorf("ladder size = %d, want 4 after on-demand insert", got)
+	if got := len(ps.Policies()); got != 3 {
+		t.Errorf("ladder size = %d after a lookup past it, want 3", got)
 	}
 }
 
@@ -393,74 +392,4 @@ func TestGeneratePrioritizedMatchesValueIteration(t *testing.T) {
 	cfg := genConfig(300)
 	cfg.MaxQueue = 96
 	assertJacobiChoices(t, scalarChoices(cfg))
-}
-
-func TestPolicyForNowNonBlocking(t *testing.T) {
-	base := genConfig(1)
-	base.D = 25
-	ps := NewPolicySet(base, nil)
-	if _, err := ps.PolicyForNow(100); err == nil {
-		t.Error("empty set should error")
-	}
-	if err := ps.GenerateLoads([]float64{100}); err != nil {
-		t.Fatal(err)
-	}
-	// Within the ladder: normal lookup.
-	p, err := ps.PolicyForNow(80)
-	if err != nil || p.Load != 100 {
-		t.Fatalf("PolicyForNow(80) = %v, %v", p, err)
-	}
-	// Beyond the ladder: returns the highest policy immediately and
-	// generates the missing rung in the background.
-	start := time.Now()
-	p, err = ps.PolicyForNow(180)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) > 100*time.Millisecond {
-		t.Errorf("PolicyForNow blocked for %v", time.Since(start))
-	}
-	if p.Load != 100 {
-		t.Errorf("interim policy load %v, want the current maximum 100", p.Load)
-	}
-	// The background generation eventually lands on the 200-QPS rung.
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		if p, err := ps.PolicyFor(180); err == nil && p.Load == 200 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background policy generation never completed")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-func TestPolicySetConcurrentAccess(t *testing.T) {
-	base := genConfig(1)
-	base.D = 20
-	ps := NewPolicySet(base, nil)
-	if err := ps.GenerateLoads([]float64{100, 200}); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				load := float64(50 + (g*37+i*13)%150)
-				if _, err := ps.PolicyFor(load); err != nil {
-					t.Errorf("PolicyFor(%v): %v", load, err)
-					return
-				}
-				if _, err := ps.PolicyForNow(load); err != nil {
-					t.Errorf("PolicyForNow(%v): %v", load, err)
-					return
-				}
-				_ = ps.Policies()
-			}
-		}(g)
-	}
-	wg.Wait()
 }

@@ -9,22 +9,16 @@ import (
 	"ramsis/internal/dist"
 )
 
-// PolicySet holds MS policies specialized per query load (§3.1.3) and
-// implements the online selection rule of §3.2.2: use the lowest-load policy
-// that meets the anticipated load, generating a new one on demand when the
-// anticipated load exceeds every pre-computed policy.
+// PolicySet holds MS policies specialized per query load (§3.1.3), sorted
+// by load: the offline ladder that §3.2.2's online rule reads. Best is the
+// rule's lookup. A rung generated online, for a load past the ladder, is
+// internal/adapt's job, so a lookup never generates.
 type PolicySet struct {
-	mu         sync.Mutex
-	base       Config
-	arrival    func(load float64) dist.Process
-	policies   []*Policy // sorted by ascending Load
-	generating map[float64]bool
+	mu       sync.Mutex
+	base     Config
+	arrival  func(load float64) dist.Process
+	policies []*Policy // sorted by ascending Load
 }
-
-// OnDemandRung is the granularity on-demand loads are rounded up to, so a
-// stream of slightly different anticipated loads does not generate a policy
-// per observation.
-const OnDemandRung = 100.0
 
 // NewPolicySet creates a policy set over the base configuration; each
 // policy's arrival distribution is arrivalFor(load), defaulting to Poisson
@@ -43,13 +37,6 @@ func (ps *PolicySet) Policies() []*Policy {
 	return append([]*Policy(nil), ps.policies...)
 }
 
-// generate builds one policy (no locking).
-func (ps *PolicySet) generate(load float64) (*Policy, error) {
-	cfg := ps.base
-	cfg.Arrival = ps.arrival(load)
-	return Generate(cfg)
-}
-
 // insert adds a policy keeping the slice sorted (caller holds the lock).
 func (ps *PolicySet) insert(p *Policy) {
 	i := sort.Search(len(ps.policies), func(i int) bool { return ps.policies[i].Load >= p.Load })
@@ -63,43 +50,22 @@ func (ps *PolicySet) insert(p *Policy) {
 }
 
 // Insert adds an externally constructed policy (e.g. loaded from a cache
-// directory) into the set.
+// directory, or re-solved by internal/adapt) into the set. It is the one
+// way a ladder changes while it serves: a concurrent Best sees the ladder
+// before the insert or after it.
 func (ps *PolicySet) Insert(p *Policy) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	ps.insert(p)
 }
 
-// Clone returns a copy-on-write duplicate: the ladder slice is copied but
-// the (immutable) policy objects are shared. The adaptation layer publishes
-// whole sets behind an atomic pointer, so a set is never mutated after
-// publication — readers get a consistent ladder without taking its lock.
-func (ps *PolicySet) Clone() *PolicySet {
+// Best is §3.2.2's selection rule: the lowest-load policy meeting an
+// anticipated load, with covered true; past the ladder, the highest-load
+// policy, with covered false. It returns nil only for an empty set, and it
+// never generates.
+func (ps *PolicySet) Best(load float64) (p *Policy, covered bool) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	return &PolicySet{
-		base:     ps.base,
-		arrival:  ps.arrival,
-		policies: append([]*Policy(nil), ps.policies...),
-	}
-}
-
-// Best returns the policy that should serve an anticipated load without
-// ever generating: the lowest-load policy meeting the load (§3.2.2), or the
-// highest-load policy available when the load exceeds the whole ladder. It
-// returns nil only for an empty set. Generation is the adaptation layer's
-// job; the decision path must stay lookup-only.
-func (ps *PolicySet) Best(load float64) *Policy {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	p, _ := ps.lookup(load)
-	return p
-}
-
-// lookup is §3.2.2's selection rule (caller holds the lock): the lowest-load
-// policy meeting load, with covered true; past the ladder, the highest-load
-// policy with covered false; nil for an empty set.
-func (ps *PolicySet) lookup(load float64) (p *Policy, covered bool) {
 	n := len(ps.policies)
 	if n == 0 {
 		return nil, false
@@ -111,14 +77,15 @@ func (ps *PolicySet) lookup(load float64) (p *Policy, covered bool) {
 	return ps.policies[n-1], false
 }
 
-var errEmptySet = errors.New("core: empty policy set")
-
-// GenerateLoads pre-computes policies for the given loads in parallel.
+// GenerateLoads generates policies for the given loads in parallel and
+// inserts them; on any error it inserts none.
 func (ps *PolicySet) GenerateLoads(loads []float64) error {
 	pols := make([]*Policy, len(loads))
 	errs := make([]error, len(loads))
 	parallelFor(len(loads), func(i int) {
-		pols[i], errs[i] = ps.generate(loads[i])
+		cfg := ps.base
+		cfg.Arrival = ps.arrival(loads[i])
+		pols[i], errs[i] = Generate(cfg)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -175,70 +142,12 @@ func (ps *PolicySet) Refine(minLoad, maxLoad, accThreshold float64, maxPolicies 
 	}
 }
 
-// PolicyFor returns the policy for an anticipated query load: the
-// lowest-load policy whose load meets it. If the load exceeds every
-// pre-computed policy, a new one is generated (rounded up to the next
-// OnDemandRung) and cached (§3.2.2).
+// PolicyFor is Best with an error for an empty set: past the ladder it
+// returns the highest-load policy and generates nothing.
 func (ps *PolicySet) PolicyFor(load float64) (*Policy, error) {
-	ps.mu.Lock()
-	p, covered := ps.lookup(load)
-	ps.mu.Unlock()
+	p, _ := ps.Best(load)
 	if p == nil {
-		return nil, errEmptySet
-	}
-	if covered {
-		return p, nil
-	}
-	p, err := ps.generate(roundUpRung(load))
-	if err != nil {
-		return nil, err
-	}
-	ps.mu.Lock()
-	ps.insert(p)
-	ps.mu.Unlock()
-	return p, nil
-}
-
-// PolicyForNow is the non-blocking variant used by real-time serving: when
-// the anticipated load exceeds the ladder it immediately returns the
-// highest-load policy available and generates the missing policy in the
-// background, so serving never stalls behind policy generation.
-func (ps *PolicySet) PolicyForNow(load float64) (*Policy, error) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	p, covered := ps.lookup(load)
-	if p == nil {
-		return nil, errEmptySet
-	}
-	if covered {
-		return p, nil
-	}
-	rung := roundUpRung(load)
-	if ps.generating == nil {
-		ps.generating = map[float64]bool{}
-	}
-	if !ps.generating[rung] {
-		ps.generating[rung] = true
-		go func() {
-			p, err := ps.generate(rung)
-			ps.mu.Lock()
-			defer ps.mu.Unlock()
-			delete(ps.generating, rung)
-			if err == nil {
-				ps.insert(p)
-			}
-		}()
+		return nil, errors.New("core: empty policy set")
 	}
 	return p, nil
-}
-
-func roundUpRung(load float64) float64 {
-	r := float64(int(load/OnDemandRung)) * OnDemandRung
-	if r < load {
-		r += OnDemandRung
-	}
-	if r <= 0 {
-		r = OnDemandRung
-	}
-	return r
 }

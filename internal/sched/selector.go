@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ramsis/internal/adapt"
-	"ramsis/internal/core"
 )
 
 // Selector is an online model-selection decision for one worker queue:
@@ -13,35 +12,21 @@ import (
 // and batch size to run. Core.Decide validates, clamps and caps the answer.
 type Selector func(now, load float64, queueLen int, slack float64) (model string, batch int)
 
-// PolicySelector adapts a source of offline-generated policies to the
-// online selector interface (§3.2.2): look up the policy serving the
-// anticipated load, then the decision for the worker's queue state. The
-// lookup is the one thing that differs between callers — the simulator
-// blocks on PolicySet.PolicyFor (generation costs no virtual time), the
-// frontend uses PolicySet.PolicyForNow so real-time serving never stalls
-// behind policy generation, and AdaptiveSelector feeds an adapt.Adapter's
-// drift detector before answering from its published set.
-func PolicySelector(policyFor func(now, load float64) (*core.Policy, error)) Selector {
+// AdaptiveSelector is an adapt.Adapter as a selector, the same in the
+// simulator and the frontend (§3.2.2): the adapter's trigger sees the
+// anticipated load and answers with the policy serving it, then the policy
+// decides for the worker's queue state. Which constructor built the adapter
+// picks the trigger, and its Background setting is the one difference
+// between the drivers: on the frontend's dispatch path a generation runs on
+// a goroutine rather than stalling the worker loop, and dispatch keeps the
+// old ladder until the new policy is inserted.
+func AdaptiveSelector(a *adapt.Adapter) Selector {
 	return func(now, load float64, n int, slack float64) (string, int) {
-		pol, err := policyFor(now, load)
-		if err != nil || pol == nil {
-			panic(fmt.Sprintf("sched: no policy for load %v: %v", load, err))
+		pol := a.Policy(now, load)
+		if pol == nil {
+			panic(fmt.Sprintf("sched: no policy for load %v: empty policy set", load))
 		}
 		c := pol.Select(n, slack)
 		return c.Model, c.Batch
 	}
-}
-
-// AdaptiveSelector is an adapt.Adapter as a selector, the same in the
-// simulator and the frontend: every selection feeds the monitored load to
-// the drift detector, and the policy lookup goes through the adapter's
-// atomically published set. On the frontend's dispatch path the adapter
-// should be configured with Background set, so a confirmed drift starts its
-// re-solve on a goroutine rather than stalling the worker loop; dispatch
-// keeps using the old policy until the solved one is hot-swapped in.
-func AdaptiveSelector(a *adapt.Adapter) Selector {
-	return PolicySelector(func(now, load float64) (*core.Policy, error) {
-		a.Observe(now, load)
-		return a.PolicyFor(load), nil
-	})
 }

@@ -48,6 +48,7 @@ func TestFrontendDispatchDuringPolicySwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer a.Stop()
 
 	urls := make([]string, workers)
 	for i := 0; i < workers; i++ {

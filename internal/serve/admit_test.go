@@ -185,7 +185,7 @@ func TestReplayDeadlineAdmissionRaisesGoodput(t *testing.T) {
 			Workers:   workers,
 			SLO:       slo,
 			TimeScale: timeScale,
-			Select:    RAMSISSelector(set),
+			Select:    coverSelector(t, set),
 			Monitor:   monitor.Oracle{Trace: pinned},
 			Admit:     a,
 			Seed:      1,

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"ramsis/internal/adapt"
 	"ramsis/internal/admit"
 	"ramsis/internal/baselines"
 	"ramsis/internal/core"
@@ -87,18 +89,31 @@ func TestFrontendQueryFinishingExactlyOnDeadlineMeetsIt(t *testing.T) {
 // wall clock runs 1000× slower than modeled time, so its nanosecond grain
 // is a picosecond here). It goes through both drivers end to end, so it
 // fails when either one's arrival, decision or finish path is edited away
-// from the other's. The ladder covers every rate either driver reads: the
-// simulator would generate a missing rung on the spot and the frontend in
-// the background, so a grown ladder fails the test.
+// from the other's. Each driver reads its own copy of the policy ladder
+// through §3.2.2's coverage adapter, inline in both, so a rate past the
+// ladder generates the same rung in each at the same decision.
 func TestFrontendMatchesSimEngine(t *testing.T) {
 	models := profile.ImageSet()
 	const slo, timeScale, ringCap = 0.150, 1e-3, 1 << 15
-	set := core.NewPolicySet(core.Config{
-		Models: models, SLO: slo, Workers: 1, Arrival: dist.NewPoisson(1), D: 25,
-	}, nil)
+	base := core.Config{Models: models, SLO: slo, Workers: 1, Arrival: dist.NewPoisson(1), D: 25}
+	generated := core.NewPolicySet(base, nil)
 	ladder := []float64{40, 80, 160}
-	if err := set.GenerateLoads(ladder); err != nil {
+	if err := generated.GenerateLoads(ladder); err != nil {
 		t.Fatal(err)
+	}
+	copyLadder := func() *core.PolicySet {
+		set := core.NewPolicySet(base, nil)
+		for _, p := range generated.Policies() {
+			set.Insert(p)
+		}
+		return set
+	}
+	rungs := func(set *core.PolicySet) []float64 {
+		var out []float64
+		for _, p := range set.Policies() {
+			out = append(out, p.Load)
+		}
+		return out
 	}
 	est := core.NewWaitEstimator(models, 1)
 
@@ -109,10 +124,16 @@ func TestFrontendMatchesSimEngine(t *testing.T) {
 		degrade bool
 		// sel, when set, replaces the policy ladder in both drivers.
 		sel sched.Selector
+		// above: the rate steps past the ladder's top rung, so both
+		// drivers generate rungs on demand; otherwise no ladder may grow.
+		above bool
 	}{
 		// A rate step under a measured load walks the policy ladder up and
 		// back down; nothing is shed.
 		{name: "ramsis", load: trace.Step(25, 70, 2, 4, 6)},
+		// A step to 1.5× the top rung: the first rate read past 160 QPS
+		// generates its rung in both drivers, in the decision that read it.
+		{name: "above", load: trace.Step(70, 240, 2, 4, 6), above: true},
 		// Ten times the ladder's lowest rate: the cap sheds most arrivals
 		// and the shed rate walks the degrader up, so shed and clamp
 		// decisions are in the sequence. Neither monitor counts the shed
@@ -143,8 +164,11 @@ func TestFrontendMatchesSimEngine(t *testing.T) {
 				})
 			}
 
-			var scheme sim.Scheduler = sim.NewRAMSIS(set, monitor.NewMovingAverage(0.5))
-			sel := RAMSISSelector(set)
+			simSet, serveSet := copyLadder(), copyLadder()
+			var scheme sim.Scheduler = sim.NewRAMSIS(simSet, monitor.NewMovingAverage(0.5))
+			cover := adapt.NewCoverage(serveSet, false, nil)
+			t.Cleanup(cover.Stop)
+			sel := sched.AdaptiveSelector(cover)
 			if tc.sel != nil {
 				scheme, sel = sim.Scheme{Monitor: monitor.NewMovingAverage(0.5), Select: tc.sel}, tc.sel
 			}
@@ -223,10 +247,17 @@ func TestFrontendMatchesSimEngine(t *testing.T) {
 			for _, s := range exp {
 				maxRate = max(maxRate, s.RateQPS)
 			}
-			if n := len(set.Policies()); n != len(ladder) || maxRate > ladder[len(ladder)-1] {
-				t.Errorf("ladder %v grew to %d rungs; the drivers read rates up to %v", ladder, n, maxRate)
+			simRungs, serveRungs := rungs(simSet), rungs(serveSet)
+			if !slices.Equal(simRungs, serveRungs) {
+				t.Errorf("ladders diverged: sim %v, serve %v", simRungs, serveRungs)
 			}
-			t.Logf("%d arrivals, %d served, decisions %v, models %d, rates up to %v", len(arrivals), served, kinds, len(want.ModelCounts), maxRate)
+			if grew := len(simRungs) > len(ladder); grew != tc.above || (maxRate > ladder[len(ladder)-1]) != tc.above {
+				t.Errorf("ladder %v is %v; the drivers read rates up to %v", ladder, simRungs, maxRate)
+			}
+			if tc.above && cover.Stats().Resolves != uint64(len(serveRungs)-len(ladder)) {
+				t.Errorf("serve generated %+v for rungs %v", cover.Stats(), serveRungs)
+			}
+			t.Logf("%d arrivals, %d served, decisions %v, models %d, rates up to %v, rungs %v", len(arrivals), served, kinds, len(want.ModelCounts), maxRate, simRungs)
 		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -95,6 +96,74 @@ func TestShardedClusterStopLeavesNoGoroutines(t *testing.T) {
 		}
 	}
 	c.Stop()
+	requireGoroutines(t, baseline)
+}
+
+// generationStacks returns the stack of every goroutine inside internal/core —
+// after a plane's Stop, one is a policy generation nobody joined.
+func generationStacks() string {
+	buf := make([]byte, 1<<20)
+	var out []string
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "ramsis/internal/core.") {
+			out = append(out, g)
+		}
+	}
+	return strings.Join(out, "\n\n")
+}
+
+// TestShardedClusterStopJoinsOnDemandGeneration stops the sharded plane
+// while an on-demand generation is in flight: a 32-query burst reads a
+// rate far past the tenant's one-rung ladder (its 1 QPS contract), so the
+// tenant's coverage adapter starts the 100-QPS rung's generation in the
+// background. Stop must wait for it — no goroutine may still be inside
+// internal/core once Stop returns — and leave nothing running.
+func TestShardedClusterStopJoinsOnDemandGeneration(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	reg := telemetry.NewRegistry()
+	c, err := StartShardedCluster(ShardedConfig{
+		Models:          profile.ImageSet(),
+		Tenants:         []tenant.Tenant{{Name: "gold", Class: "interactive", SLOMS: 150, Weight: 1, RateQPS: 1, BurstSec: 64}},
+		Shards:          1,
+		WorkersPerShard: 1,
+		TimeScale:       1000,
+		Seed:            1,
+		D:               100,
+		Telemetry:       reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const burst = 32
+	pending := make([]<-chan QueryResponse, 0, burst)
+	for i := 0; i < burst; i++ {
+		ch, eerr := c.Gateway.Route("gold")
+		if eerr != nil {
+			c.Stop()
+			t.Fatalf("query %d: %v", i, eerr)
+		}
+		pending = append(pending, ch)
+	}
+	for i, ch := range pending {
+		if r := <-ch; r.Error != "" {
+			t.Errorf("query %d: %s", i, r.Error)
+		}
+	}
+	resolves, swaps := reg.Counter(telemetry.MetricAdaptResolves), reg.Counter(telemetry.MetricAdaptSwaps)
+	if resolves.Value() != 1 {
+		c.Stop()
+		t.Fatalf("the burst started %v on-demand generations, want 1", resolves.Value())
+	}
+	inFlight := swaps.Value() == 0
+	start := time.Now()
+	c.Stop()
+	if g := generationStacks(); g != "" {
+		t.Fatalf("Stop returned while a policy generation was running:\n%s", g)
+	}
+	if swaps.Value() != 1 {
+		t.Errorf("Stop returned with %v rungs generated, want the one in flight", swaps.Value())
+	}
+	t.Logf("generation in flight at Stop: %v; Stop took %v", inFlight, time.Since(start))
 	requireGoroutines(t, baseline)
 }
 

@@ -10,16 +10,26 @@ import (
 	"testing"
 	"time"
 
+	"ramsis/internal/adapt"
 	"ramsis/internal/baselines"
 	"ramsis/internal/core"
 	"ramsis/internal/dist"
 	"ramsis/internal/lb"
 	"ramsis/internal/monitor"
 	"ramsis/internal/profile"
+	"ramsis/internal/sched"
 	"ramsis/internal/sim"
 	"ramsis/internal/telemetry"
 	"ramsis/internal/trace"
 )
+
+// coverSelector is a serve path's selector over a policy ladder: §3.2.2's
+// coverage adapter in the background, stopped with the test.
+func coverSelector(t *testing.T, set *core.PolicySet) sched.Selector {
+	a := adapt.NewCoverage(set, true, nil)
+	t.Cleanup(a.Stop)
+	return sched.AdaptiveSelector(a)
+}
 
 func startWorkers(t *testing.T, n int, lat sim.LatencyModel, timeScale float64) []string {
 	t.Helper()
@@ -118,7 +128,7 @@ func TestPrototypeEndToEndRAMSIS(t *testing.T) {
 		Workers:   workers,
 		SLO:       slo,
 		TimeScale: timeScale,
-		Select:    RAMSISSelector(set),
+		Select:    coverSelector(t, set),
 		Monitor:   monitor.Oracle{Trace: tr},
 		Seed:      1,
 	})
@@ -241,7 +251,7 @@ func TestFrontendLiveQueries(t *testing.T) {
 		SLO:       slo,
 		TimeScale: timeScale,
 		Workers:   urls,
-		Select:    RAMSISSelector(set),
+		Select:    coverSelector(t, set),
 		Monitor:   monitor.NewMovingAverage(0.5),
 	}
 	if err := f.Start(); err != nil {
@@ -343,7 +353,7 @@ func TestClusterLifecycle(t *testing.T) {
 		Workers:   2,
 		SLO:       0.150,
 		TimeScale: 5,
-		Select:    RAMSISSelector(set),
+		Select:    coverSelector(t, set),
 		Monitor:   monitor.NewMovingAverage(0.5),
 		Seed:      1,
 	})

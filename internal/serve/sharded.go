@@ -55,8 +55,9 @@ type ShardedConfig struct {
 	Fair tenant.FairConfig
 	// DegradeDepth > 0 arms a per-tenant degrader with that max level.
 	DegradeDepth int
-	// Adaptive runs each tenant's selector through the PR 3 adapt loop
-	// (background re-solve on drift) instead of a fixed policy set.
+	// Adaptive runs each tenant's selector through §6's drift adapter
+	// (background re-solve on drift) instead of §3.2.2's coverage adapter
+	// over the tenant's ladder.
 	Adaptive bool
 	// Telemetry is the registry shared by every shard, the plane, and the
 	// gateway (default: a fresh one).
@@ -69,10 +70,11 @@ type ShardedConfig struct {
 
 // ShardedCluster is a running sharded multi-tenant deployment.
 type ShardedCluster struct {
-	Gateway *Gateway
-	Plane   *TenantPlane
-	shards  []*Frontend
-	pool    *workerPool
+	Gateway  *Gateway
+	Plane    *TenantPlane
+	shards   []*Frontend
+	pool     *workerPool
+	adapters []*adapt.Adapter // one per tenant
 }
 
 // StartShardedCluster solves one policy set per tenant (sized to the
@@ -124,6 +126,7 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 	decisions := telemetry.NewDecisionBuffer(0)
 	selectors := make(map[string]sched.Selector, len(cfg.Tenants))
 	var fallback sched.Selector
+	var adapters []*adapt.Adapter
 	for _, t := range cfg.Tenants {
 		base := core.Config{
 			Models:   cfg.Models,
@@ -138,20 +141,21 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 		if err := set.GenerateLoads([]float64{rate}); err != nil {
 			return nil, fmt.Errorf("serve: solving tenant %s: %w", t.Name, err)
 		}
-		sel := RAMSISSelector(set)
-		if cfg.Adaptive {
-			adapter, err := adapt.New(adapt.Config{
-				Base:       base,
-				Background: true, // never stall dispatch behind a re-solve
-				Telemetry:  cfg.Telemetry,
-				Decisions:  decisions,
-				Tenant:     t.Name,
-			}, set.Policies()[0])
-			if err != nil {
-				return nil, fmt.Errorf("serve: adapting tenant %s: %w", t.Name, err)
-			}
-			sel = sched.AdaptiveSelector(adapter)
+		// Background either way: never stall dispatch behind a generation.
+		var adapter *adapt.Adapter
+		if !cfg.Adaptive {
+			adapter = adapt.NewCoverage(set, true, cfg.Telemetry)
+		} else if adapter, err = adapt.New(adapt.Config{
+			Base:       base,
+			Background: true,
+			Telemetry:  cfg.Telemetry,
+			Decisions:  decisions,
+			Tenant:     t.Name,
+		}, set.Policies()[0]); err != nil {
+			return nil, fmt.Errorf("serve: adapting tenant %s: %w", t.Name, err)
 		}
+		adapters = append(adapters, adapter)
+		sel := sched.AdaptiveSelector(adapter)
 		selectors[t.Name] = sel
 		if fallback == nil {
 			fallback = sel // hot-reloaded tenants borrow the first solve
@@ -198,7 +202,7 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &ShardedCluster{Plane: plane, pool: pool}
+	c := &ShardedCluster{Plane: plane, pool: pool, adapters: adapters}
 	for s := 0; s < cfg.Shards; s++ {
 		balancer, err := lb.New(cfg.LB, cfg.Seed+int64(s))
 		if err != nil {
@@ -259,14 +263,18 @@ func (c *ShardedCluster) URL() string { return c.Gateway.URL() }
 // Shards returns the started frontend shards.
 func (c *ShardedCluster) Shards() []*Frontend { return c.shards }
 
-// Stop tears down the gateway, every shard, and every worker; repeating it
-// does nothing.
+// Stop tears down the gateway, every shard, every tenant's adapter — each
+// waits for a generation in flight — and every worker; repeating it does
+// nothing.
 func (c *ShardedCluster) Stop() {
 	if c.Gateway != nil {
 		_ = c.Gateway.Stop()
 	}
 	for _, fe := range c.shards {
 		_ = fe.Stop()
+	}
+	for _, a := range c.adapters {
+		a.Stop()
 	}
 	c.pool.stop()
 }

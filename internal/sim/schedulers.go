@@ -27,10 +27,10 @@ func BalancerFor(b core.Balancing, seed int64) lb.Balancer {
 
 // RAMSIS is the online phase of §3.2: a load balancer over per-worker
 // queues plus per-worker model selectors driven by offline-generated
-// policies, switching policies with the monitored load. The three
-// constructors differ only in where a worker's policy comes from — one
-// ladder for every worker, one ladder per worker, or the adaptation loop's
-// published set.
+// policies, switching policies with the monitored load. Every worker's
+// selector is an adapt.Adapter's; the three constructors differ only in
+// its ladder and trigger — one ladder for every worker or one per worker,
+// each under §3.2.2's coverage trigger, or a drift adapter's.
 type RAMSIS struct {
 	Monitor monitor.Monitor
 	// LB routes arrivals over the per-worker queues; nil is round-robin
@@ -43,43 +43,39 @@ type RAMSIS struct {
 	perWorker []sched.Selector // one per worker (NewHeteroRAMSIS)
 }
 
-// blocking looks a load's policy up with PolicySet.PolicyFor: a load beyond
-// the ladder generates its policy on the spot, which costs no virtual time.
-func blocking(set *core.PolicySet) sched.Selector {
-	return sched.PolicySelector(func(_, load float64) (*core.Policy, error) { return set.PolicyFor(load) })
-}
-
-// NewRAMSIS wires a policy set and a load monitor into a scheduler.
+// NewRAMSIS wires a policy set and a load monitor into a scheduler. A load
+// beyond the ladder generates its rung inline, through §3.2.2's coverage
+// adapter, which costs no virtual time.
 func NewRAMSIS(set *core.PolicySet, mon monitor.Monitor) *RAMSIS {
-	return &RAMSIS{Monitor: mon, sel: blocking(set)}
+	return &RAMSIS{Monitor: mon, sel: sched.AdaptiveSelector(adapt.NewCoverage(set, false, nil))}
 }
 
 // NewHeteroRAMSIS serves a heterogeneous deployment: each worker has its
 // own policy set, generated from that worker type's latency profiles (§7
 // notes homogeneity is not fundamental because policies are per-worker;
 // §4's transition probabilities only need the worker's own latencies and
-// its round-robin share of arrivals). Pair it with Engine.WorkerProfiles.
+// its round-robin share of arrivals), each under an inline coverage adapter.
+// Pair it with Engine.WorkerProfiles.
 func NewHeteroRAMSIS(sets []*core.PolicySet, mon monitor.Monitor) *RAMSIS {
 	r := &RAMSIS{Monitor: mon}
 	for _, set := range sets {
-		r.perWorker = append(r.perWorker, blocking(set))
+		r.perWorker = append(r.perWorker, sched.AdaptiveSelector(adapt.NewCoverage(set, false, nil)))
 	}
 	return r
 }
 
-// NewAdaptiveRAMSIS closes the adaptation loop: every monitored load
+// NewAdaptiveRAMSIS closes §6's adaptation loop: every monitored load
 // reading also feeds the adapter's drift detector — each admitted arrival's,
 // right after the monitor observes it, and each decision's, through
 // sched.AdaptiveSelector, so a rate drop (fewer arrivals) is still noticed
 // promptly — and a sustained rate change re-solves the per-worker MDP at
-// the new rate and hot-swaps the policy mid-run. Decisions stay lookup-only
-// — the adapter owns all generation — unlike NewRAMSIS, whose policy set
-// generates on demand the first time a load exceeds its ladder.
+// the new rate and inserts the policy mid-run. Unlike NewRAMSIS, a load
+// past the adapter's ladder generates nothing until the drift detector
+// confirms it.
 //
 // Re-solves run inline (adapt.Config.Background unset): in a discrete-event
 // simulation a solve costs zero modeled time, which models a controller
-// whose re-solve is fast relative to the drift dwell time — the measured
-// 200 ms solve on the paper-scale worker MDP against multi-second dwell.
+// whose re-solve is fast relative to the drift dwell time.
 func NewAdaptiveRAMSIS(a *adapt.Adapter, mon monitor.Monitor) *RAMSIS {
 	return &RAMSIS{Monitor: feeding{mon, a}, sel: sched.AdaptiveSelector(a)}
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -40,6 +41,9 @@ func LoadQPSFile(path string, intervalSec float64) (Trace, error) {
 		}
 		if q < 0 {
 			return Trace{}, fmt.Errorf("trace: %s:%d: negative load %v", path, line, q)
+		}
+		if math.IsNaN(q) || math.IsInf(q, 0) {
+			return Trace{}, fmt.Errorf("trace: %s:%d: non-finite load %v", path, line, q)
 		}
 		tr.QPS = append(tr.QPS, q)
 	}

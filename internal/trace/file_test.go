@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -72,5 +74,24 @@ func TestLoadQPSFileErrors(t *testing.T) {
 	os.WriteFile(empty, []byte("# nothing\n"), 0o644)
 	if _, err := LoadQPSFile(empty, 10); err == nil {
 		t.Error("empty trace accepted")
+	}
+}
+
+// TestLoadQPSFileRejectsNonFinite: strconv.ParseFloat reads "nan" and
+// "inf", which no rate sampler or summary can take; each is rejected with
+// its file and line, like a negative load.
+func TestLoadQPSFileRejectsNonFinite(t *testing.T) {
+	dir := t.TempDir()
+	for i, v := range []string{"nan", "inf", "+Inf", "-Inf", "NaN"} {
+		path := filepath.Join(dir, fmt.Sprintf("f%d.txt", i))
+		os.WriteFile(path, []byte("100\n"+v+"\n"), 0o644)
+		tr, err := LoadQPSFile(path, 10)
+		if err == nil {
+			t.Errorf("%q accepted: %v", v, tr.QPS)
+			continue
+		}
+		if want := fmt.Sprintf("%s:2:", path); !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %q does not name %s", v, err, want)
+		}
 	}
 }

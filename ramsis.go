@@ -18,6 +18,7 @@ package ramsis
 import (
 	"fmt"
 
+	"ramsis/internal/adapt"
 	"ramsis/internal/core"
 	"ramsis/internal/dist"
 	"ramsis/internal/monitor"
@@ -78,6 +79,7 @@ type System struct {
 	SLO     float64
 	Workers int
 	set     *core.PolicySet
+	cover   *adapt.Adapter // §3.2.2's inline coverage trigger over set
 }
 
 // New builds a System.
@@ -103,11 +105,13 @@ func New(opts Options) (*System, error) {
 		shape := opts.GammaShape
 		arrival = func(load float64) dist.Process { return dist.NewGamma(load, shape) }
 	}
+	set := core.NewPolicySet(base, arrival)
 	return &System{
 		Models:  opts.Models,
 		SLO:     base.SLO,
 		Workers: opts.Workers,
-		set:     core.NewPolicySet(base, arrival),
+		set:     set,
+		cover:   adapt.NewCoverage(set, false, nil),
 	}, nil
 }
 
@@ -123,9 +127,16 @@ func (s *System) PrecomputePolicyLadder(minLoad, maxLoad float64) error {
 	return s.set.Refine(minLoad, maxLoad, 0.01, 0)
 }
 
-// Policy returns the policy RAMSIS would apply at the anticipated load
-// (generating one on demand if the load exceeds the precomputed ladder).
-func (s *System) Policy(load float64) (*Policy, error) { return s.set.PolicyFor(load) }
+// Policy returns the policy RAMSIS would apply at the anticipated load. A
+// load past the precomputed ladder first gets its covering rung generated
+// into the ladder (§3.2.2); while a concurrent call's generation runs, or
+// when generation fails, the answer is the ladder's top rung.
+func (s *System) Policy(load float64) (*Policy, error) {
+	if p := s.cover.Policy(0, load); p != nil {
+		return p, nil
+	}
+	return nil, fmt.Errorf("ramsis: no policies precomputed")
+}
 
 // Policies returns the precomputed ladder sorted by load.
 func (s *System) Policies() []*Policy { return s.set.Policies() }
