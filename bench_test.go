@@ -134,11 +134,10 @@ func BenchmarkPolicySelect(b *testing.B) {
 // 2,400 QPS): the compiled CSR Jacobi sweep, the only value iteration there
 // is.
 func BenchmarkValueIteration(b *testing.B) {
-	m, err := core.BuildWorkerMDP(genCfg())
+	cm, err := core.BuildWorkerMDP(genCfg())
 	if err != nil {
 		b.Fatal(err)
 	}
-	cm := mdp.Compile(m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -177,13 +176,12 @@ func resolveSetup(b *testing.B, scale string) *resolveFixture {
 		}
 		drift := cfg
 		drift.Arrival = dist.NewPoisson(2880)
-		m2, err := core.BuildWorkerMDP(drift)
+		fx.cm, err = core.BuildWorkerMDP(drift)
 		if err != nil {
 			fx.err = err
 			return
 		}
-		fx.cm = mdp.Compile(m2)
-		res, err := mdp.Compile(m).Solve(mdp.SolveOptions{Method: mdp.MethodPrioritized})
+		res, err := m.Solve(mdp.SolveOptions{Method: mdp.MethodPrioritized})
 		if err != nil {
 			fx.err = err
 			return
@@ -253,20 +251,6 @@ func BenchmarkResolve(b *testing.B) {
 				b.ReportMetric(float64(iters), "iterations")
 			})
 		}
-	}
-}
-
-// BenchmarkCompile measures the one-time cost of flattening an MDP into the
-// CSR form, which every Generate call pays before solving.
-func BenchmarkCompile(b *testing.B) {
-	m, err := core.BuildWorkerMDP(genCfg())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mdp.Compile(m)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -123,7 +124,7 @@ func parseMultipliers(s string) (map[string]float64, error) {
 			return nil, fmt.Errorf("-tenant-mult: %q is not name=factor", kv)
 		}
 		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || f <= 0 {
+		if err != nil || !(f > 0) || math.IsInf(f, 0) {
 			return nil, fmt.Errorf("-tenant-mult: bad factor in %q", kv)
 		}
 		out[strings.TrimSpace(name)] = f

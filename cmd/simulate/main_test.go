@@ -163,3 +163,19 @@ func TestErrorsReturn(t *testing.T) {
 		}
 	}
 }
+
+// TestParseMultipliersRejectsNonFinite checks that a -tenant-mult factor of
+// NaN or ±Inf is the "bad factor" error, not a multiplier the arrival
+// generator panics on.
+func TestParseMultipliersRejectsNonFinite(t *testing.T) {
+	for _, factor := range []string{"nan", "NaN", "inf", "+Inf", "-inf", "0", "-2"} {
+		arg := "bronze=" + factor
+		if m, err := parseMultipliers(arg); err == nil || !strings.Contains(err.Error(), "bad factor") {
+			t.Errorf("parseMultipliers(%q) = %v, %v; want a bad-factor error", arg, m, err)
+		}
+	}
+	m, err := parseMultipliers("bronze=4,gold=0.5")
+	if err != nil || m["bronze"] != 4 || m["gold"] != 0.5 {
+		t.Errorf("parseMultipliers(bronze=4,gold=0.5) = %v, %v", m, err)
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"os/signal"
 	"slices"
@@ -65,9 +66,20 @@ func NewFlagSet(name string) *FlagSet {
 	return fs
 }
 
-// Parse parses args, then installs the process logger under the command's name.
+// Parse parses args, then installs the process logger under the command's
+// name. A float flag set to NaN or ±Inf is a usage error naming the flag.
 func (fs *FlagSet) Parse(args []string) (*slog.Logger, error) {
-	if err := fs.FlagSet.Parse(args); err != nil {
+	err := fs.FlagSet.Parse(args)
+	fs.Visit(func(f *flag.Flag) {
+		if g, ok := f.Value.(flag.Getter); ok && err == nil {
+			if x, ok := g.Get().(float64); ok && (math.IsNaN(x) || math.IsInf(x, 0)) {
+				err = fmt.Errorf("invalid value %q for flag -%s: not a finite number", f.Value, f.Name)
+				fmt.Fprintln(fs.Output(), err) // as the flag package reports a bad value
+				fs.Usage()
+			}
+		}
+	})
+	if err != nil {
 		return nil, usageError{err}
 	}
 	return telemetry.SetupLogging(fs.logLevel, fs.logFormat, fs.Name())

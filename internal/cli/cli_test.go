@@ -1,6 +1,8 @@
 package cli
 
 import (
+	"errors"
+	"io"
 	"strings"
 	"testing"
 )
@@ -34,5 +36,36 @@ func TestUnread(t *testing.T) {
 				t.Errorf("Unread = %v, want %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestParseRejectsNonFiniteFloats checks that a float flag set to NaN or ±Inf
+// is a usage error naming the flag, that a finite value and an unset flag
+// pass, and that non-float flags are not screened.
+func TestParseRejectsNonFiniteFloats(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		bad  string // flag the error must name; "" = no error
+	}{
+		{[]string{"-load", "nan"}, "-load"},
+		{[]string{"-load", "inf"}, "-load"},
+		{[]string{"-load", "-inf"}, "-load"},
+		{[]string{"-load", "5", "-noise", "NaN"}, "-noise"},
+		{[]string{"-load", "2.5"}, ""},
+		{[]string{"-name", "nan"}, ""},
+		{nil, ""},
+	} {
+		fs := NewFlagSet("test")
+		fs.SetOutput(io.Discard)
+		fs.Float64("load", 1, "")
+		fs.Float64("noise", 10, "")
+		fs.String("name", "", "")
+		_, err := fs.Parse(tc.args)
+		switch {
+		case tc.bad == "" && err != nil:
+			t.Errorf("%q: Parse = %v, want nil", tc.args, err)
+		case tc.bad != "" && (err == nil || !strings.Contains(err.Error(), tc.bad) || !errors.As(err, new(usageError))):
+			t.Errorf("%q: Parse = %v, want a usage error naming %s", tc.args, err, tc.bad)
+		}
 	}
 }

@@ -13,17 +13,29 @@ import (
 
 // transitionHash folds every (Next, Float64bits(P)) of a built MDP, in
 // state / action / row order, into one FNV-64a.
-func transitionHash(m *mdp.MDP) uint64 {
+func transitionHash(m *mdp.Compiled) uint64 {
 	var g goldenHash
-	for _, acts := range m.Actions {
-		for _, a := range acts {
-			for _, tr := range a.Transitions {
-				g.ints(int(tr.Next))
-				g.floats(tr.P)
+	for s := 0; s < m.NumStates(); s++ {
+		for a := 0; a < m.NumActions(s); a++ {
+			_, next, prob := m.Action(s, a)
+			for k, nx := range next {
+				g.ints(int(nx))
+				g.floats(prob[k])
 			}
 		}
 	}
 	return g.sum()
+}
+
+// successors returns action a of state s as a map from successor to
+// probability.
+func successors(m *mdp.Compiled, s, a int) map[int]float64 {
+	_, next, prob := m.Action(s, a)
+	row := make(map[int]float64, len(next))
+	for k, nx := range next {
+		row[int(nx)] = prob[k]
+	}
+	return row
 }
 
 // benchConfig is the repository benchmark's generation problem (bench/'s
@@ -163,7 +175,7 @@ func TestLLMBuildGolden(t *testing.T) {
 
 // buildWorker formulates (but does not solve) the worker MDP for cfg and
 // returns it with the builder that derived it.
-func buildWorker(cfg Config) (*builder, *mdp.MDP, error) {
+func buildWorker(cfg Config) (*builder, *mdp.Compiled, error) {
 	b, err := newWorkerBuilder(cfg)
 	if err != nil {
 		return nil, nil, err
@@ -173,7 +185,7 @@ func buildWorker(cfg Config) (*builder, *mdp.MDP, error) {
 }
 
 // buildLLM formulates (but does not solve) the token MDP for cfg.
-func buildLLM(cfg LLMConfig) (*mdp.MDP, error) {
+func buildLLM(cfg LLMConfig) (*mdp.Compiled, error) {
 	g, err := newLLMBuilder(cfg)
 	if err != nil {
 		return nil, err

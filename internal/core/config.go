@@ -217,16 +217,17 @@ func (c Config) validate() error {
 	if c.MaxQueue < 1 {
 		return fmt.Errorf("core: invalid max queue %d", c.MaxQueue)
 	}
-	if c.Gamma < 0 || c.Gamma >= 1 {
-		return fmt.Errorf("core: discount %v outside [0,1)", c.Gamma)
-	}
-	return validateProbFloor(c.ProbFloor)
+	return validateSolve(c.Gamma, c.ProbFloor)
 }
 
-// validateProbFloor rejects a transition floor outside [0, 1): a negative
-// floor keeps every zero entry, so each row turns dense, and a NaN floor or
-// one of 1 or more drops every entry, so each row is empty.
-func validateProbFloor(floor float64) error {
+// validateSolve rejects, NaN included, a discount outside (0, 1) and a
+// transition floor outside [0, 1): a negative floor keeps every zero entry,
+// so each row turns dense, and a NaN floor or one of 1 or more drops every
+// entry, so each row is empty.
+func validateSolve(gamma, floor float64) error {
+	if !(gamma > 0 && gamma < 1) {
+		return fmt.Errorf("core: discount %v outside (0,1)", gamma)
+	}
 	if !(floor >= 0 && floor < 1) {
 		return fmt.Errorf("core: probability floor %v outside [0,1)", floor)
 	}

@@ -15,11 +15,11 @@ import (
 // worker-queue space (builder, §4) or the token-load space (llmBuilder).
 type stateSpace interface {
 	numStates() int
-	// newScratch returns one build goroutine's reusable space, or nil.
+	// newScratch returns one build goroutine's reusable space.
 	newScratch() *stateScratch
-	// row builds state s's actions. It is called once per state, from
-	// several goroutines at a time.
-	row(s int, sc *stateScratch) []mdp.Action
+	// row writes state s's actions and their successors to sc.w. It is
+	// called once per state, from several goroutines at a time.
+	row(s int, sc *stateScratch)
 	// outcome reports what action a of state s serves.
 	outcome(s, a int) outcome
 }
@@ -86,18 +86,35 @@ func (sp *solveSpec) expired() bool {
 	return false
 }
 
-// build formulates (but does not solve) ss's MDP. States are independent, so
-// they build across cores, each goroutine with its own scratch.
-func build(ss stateSpace, spec *solveSpec) (*mdp.MDP, error) {
-	m := &mdp.MDP{Actions: make([][]mdp.Action, ss.numStates())}
-	parallelForScratch(len(m.Actions), ss.newScratch, func(s int, sc *stateScratch) {
-		if spec.expired() {
-			return
+// chunkStates is how many consecutive states a build goroutine writes before
+// it cuts them into a chunk: its writer stays small, and cuts stay rare.
+const chunkStates = 16
+
+// build formulates (but does not solve) ss's MDP and validates it. States are
+// independent, so chunks of consecutive states build across cores, each
+// goroutine writing with its own scratch; the chunks are stitched in state
+// order.
+func build(ss stateSpace, spec *solveSpec) (*mdp.Compiled, error) {
+	n := ss.numStates()
+	chunks := make([]*mdp.Compiled, (n+chunkStates-1)/chunkStates)
+	parallelForScratch(len(chunks), ss.newScratch, func(c int, sc *stateScratch) {
+		for s := c * chunkStates; s < min(n, (c+1)*chunkStates); s++ {
+			if spec.expired() {
+				return
+			}
+			ss.row(s, sc)
 		}
-		m.Actions[s] = ss.row(s, sc)
+		chunks[c] = sc.w.Cut()
 	})
 	if spec.aborted.Load() {
 		return nil, ErrTimeout
+	}
+	m, err := mdp.Stitch(chunks)
+	if err == nil {
+		err = m.Validate(1e-6)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: built MDP invalid: %w", err)
 	}
 	return m, nil
 }
@@ -116,9 +133,6 @@ func generate(ss stateSpace, spec *solveSpec, start time.Time, warm []float64) (
 		return st, res, err
 	}
 	st.States, st.Transitions, st.BuildTime = m.NumStates(), m.NumTransitions(), time.Since(start)
-	if err := m.Validate(1e-6); err != nil {
-		return st, res, fmt.Errorf("core: built MDP invalid: %w", err)
-	}
 	if len(warm) != st.States {
 		warm = nil
 	}
@@ -126,11 +140,8 @@ func generate(ss stateSpace, spec *solveSpec, start time.Time, warm []float64) (
 	if spec.jacobi {
 		method = mdp.MethodJacobi
 	}
-	// Compile once; the solve and the stationary-distribution pass both run
-	// on the contiguous form.
 	solveStart := time.Now()
-	cm := mdp.Compile(m)
-	res, err = cm.Solve(mdp.SolveOptions{Gamma: spec.gamma, Deadline: spec.deadline, Method: method, InitialValues: warm, Ordered: spec.ordered})
+	res, err = m.Solve(mdp.SolveOptions{Gamma: spec.gamma, Deadline: spec.deadline, Method: method, InitialValues: warm, Ordered: spec.ordered})
 	if errors.Is(err, mdp.ErrDeadline) {
 		return st, res, ErrTimeout
 	}
@@ -138,7 +149,7 @@ func generate(ss stateSpace, spec *solveSpec, start time.Time, warm []float64) (
 		return st, res, err
 	}
 	st.SolveTime, st.Iterations = time.Since(solveStart), res.Iterations
-	pi, err := cm.StationaryDistribution(res.Policy, 1e-13, 0)
+	pi, err := m.StationaryDistribution(res.Policy, 1e-13, 0)
 	if err != nil {
 		return st, res, err
 	}

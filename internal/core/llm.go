@@ -89,10 +89,7 @@ func (c LLMConfig) validate() error {
 	if c.MaxTokens < c.TokenBucket {
 		return fmt.Errorf("core: max tokens %d below bucket width %d", c.MaxTokens, c.TokenBucket)
 	}
-	if c.Gamma < 0 || c.Gamma >= 1 {
-		return fmt.Errorf("core: discount %v outside [0,1)", c.Gamma)
-	}
-	return validateProbFloor(c.ProbFloor)
+	return validateSolve(c.Gamma, c.ProbFloor)
 }
 
 // LLMChoice is one token-stream model-selection decision: run the next
@@ -165,7 +162,7 @@ type llmBuilder struct {
 	muS     float64     // mean total tokens per query
 	sigmaS  float64     // stddev of total tokens per query
 	lambdaW float64     // per-worker arrival rate
-	plans   [][]llmPlan // state -> actions' step plans, in Label order
+	plans   [][]llmPlan // state -> actions' step plans, in action order
 }
 
 // cellPMF tabulates P(X ∈ ((i-1)c, ic]) for i = 1..ceil(max/c).
@@ -243,13 +240,13 @@ func stdNormCDF(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }
 // under 10⁻¹⁷, seven orders beneath the ProbFloor the row is cut at.
 const phiWindow = 8.5
 
-// transitions builds the sparse successor distribution of one step: the
+// transitions writes the sparse successor distribution of one step: the
 // post-step residual load base plus A ~ Poisson(λ_w·τ) arrivals, each
 // bringing In+Out tokens. A = 1 uses the exact (cell-discretized)
 // convolution of the two length pmfs; A >= 2 uses the CLT normal over
 // bucket edges, which the independent-sum variance justifies. Φ comes from
 // the goroutine's phiTable, which returns exactly what stdNormCDF would.
-func (g *llmBuilder) transitions(sc *stateScratch, base, tau float64) []mdp.Transition {
+func (g *llmBuilder) transitions(sc *stateScratch, base, tau float64) {
 	mass := sc.mass
 	mu := g.lambdaW * tau
 	w := float64(g.w)
@@ -294,33 +291,25 @@ func (g *llmBuilder) transitions(sc *stateScratch, base, tau float64) []mdp.Tran
 			break
 		}
 	}
-	return g.sparse(mass)
+	g.sparse(&sc.w, mass)
 }
 
-// sparse turns a per-state mass vector into a transition row: entries below
-// ProbFloor are dropped and the rest renormalized. It leaves mass zeroed for
-// the next row. The row is counted first so it is allocated once, at its
-// length: the rows are most of a token generation's bytes.
-func (g *llmBuilder) sparse(mass []float64) []mdp.Transition {
-	kept := 0
+// sparse writes a per-state mass vector as the current action's successors:
+// entries below ProbFloor are dropped and the rest renormalized. It leaves
+// mass zeroed for the next row.
+func (g *llmBuilder) sparse(w *mdp.Writer, mass []float64) {
+	total := 0.0
 	for _, p := range mass {
 		if p >= g.cfg.ProbFloor {
-			kept++
+			total += p
 		}
 	}
-	out := make([]mdp.Transition, 0, kept)
-	total := 0.0
 	for s, p := range mass {
 		if p >= g.cfg.ProbFloor {
-			out = append(out, mdp.Transition{Next: int32(s), P: p})
-			total += p
+			w.Edge(int32(s), p/total)
 		}
 		mass[s] = 0
 	}
-	for i := range out {
-		out[i].P /= total
-	}
-	return out
 }
 
 // phiTable is one build goroutine's cache of Φ at the CLT rows' bucket
@@ -457,27 +446,29 @@ func (g *llmBuilder) newScratch() *stateScratch {
 	}
 }
 
-// row builds state s's actions. State 0 waits for an arrival, which brings
+// row writes state s's actions. State 0 waits for an arrival, which brings
 // one query's In+Out tokens (the one-arrival convolution from zero load);
 // every other state offers one saturated step per surviving model, in model
 // order. A decision's reward is the model's accuracy when the load (plus one
 // typical in-flight query) can drain within the SLO under the serial-decode
 // drain model, else zero — the token-level analog of the scalar Satisfies
 // bound.
-func (g *llmBuilder) row(s int, sc *stateScratch) []mdp.Action {
-	return g.rowWith(s, sc, g.transitions)
+func (g *llmBuilder) row(s int, sc *stateScratch) {
+	g.rowWith(s, sc, g.transitions)
 }
 
-// rowWith is row with the CLT kernel trans builds each step's successors
+// rowWith is row with the CLT kernel trans writes each step's successors
 // with.
-func (g *llmBuilder) rowWith(s int, sc *stateScratch, trans func(sc *stateScratch, base, tau float64) []mdp.Transition) []mdp.Action {
+func (g *llmBuilder) rowWith(s int, sc *stateScratch, trans func(sc *stateScratch, base, tau float64)) {
+	sc.w.State()
 	if s == 0 {
-		return []mdp.Action{{Label: -1, Transitions: g.arrivalTransitions(sc.mass)}}
+		sc.w.Action(0)
+		g.arrivalTransitions(sc)
+		return
 	}
 	rep := (float64(s) - 0.5) * float64(g.w)
-	acts := make([]mdp.Action, 0, g.models.Len())
 	pls := make([]llmPlan, 0, g.models.Len())
-	for mi, model := range g.models.Models {
+	for _, model := range g.models.Models {
 		p, d, kv := g.stepPlan(model, rep)
 		tau := model.StepTime(p, d, kv)
 		rate := float64(p+d) / tau
@@ -486,16 +477,11 @@ func (g *llmBuilder) rowWith(s int, sc *stateScratch, trans func(sc *stateScratc
 		if sat {
 			reward = model.Accuracy
 		}
-		base := rep - float64(p+d)
-		acts = append(acts, mdp.Action{
-			Label:       mi,
-			Reward:      reward,
-			Transitions: trans(sc, base, tau),
-		})
+		sc.w.Action(reward)
+		trans(sc, rep-float64(p+d), tau)
 		pls = append(pls, llmPlan{p: p, d: d, tau: tau, rate: rate, sat: sat})
 	}
 	g.plans[s] = pls
-	return acts
 }
 
 // outcome is what action a of state s serves: one engine step's prefill and
@@ -552,14 +538,14 @@ func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
 	return pol, nil
 }
 
-// arrivalTransitions is the empty-state successor distribution: exactly one
-// arriving query's total-token distribution on the cell grid, accumulated
-// in the zeroed mass.
-func (g *llmBuilder) arrivalTransitions(mass []float64) []mdp.Transition {
+// arrivalTransitions writes the empty-state successor distribution: exactly
+// one arriving query's total-token distribution on the cell grid,
+// accumulated in the zeroed mass.
+func (g *llmBuilder) arrivalTransitions(sc *stateScratch) {
 	for k := 1; k < len(g.sumCell); k++ {
 		if g.sumCell[k] > 0 {
-			mass[g.bucketOf(float64(k*g.cell))] += g.sumCell[k]
+			sc.mass[g.bucketOf(float64(k*g.cell))] += g.sumCell[k]
 		}
 	}
-	return g.sparse(mass)
+	g.sparse(&sc.w, sc.mass)
 }

@@ -126,6 +126,7 @@ func TestGenerateLLMValidation(t *testing.T) {
 		"bad-bucket": func(c *LLMConfig) { c.TokenBucket = -1 },
 		"bad-max":    func(c *LLMConfig) { c.TokenBucket = 512; c.MaxTokens = 100 },
 		"bad-gamma":  func(c *LLMConfig) { c.Gamma = 1.5 },
+		"nan-gamma":  func(c *LLMConfig) { c.Gamma = math.NaN() },
 		"neg-floor":  func(c *LLMConfig) { c.ProbFloor = -1e-10 },
 		"nan-floor":  func(c *LLMConfig) { c.ProbFloor = math.NaN() },
 		"unit-floor": func(c *LLMConfig) { c.ProbFloor = 1 },

@@ -80,10 +80,7 @@ func TestTransitionsMatchMonteCarlo(t *testing.T) {
 				}
 				counts[next]++
 			}
-			got := map[int]float64{}
-			for _, tr := range m.Actions[s][ai].Transitions {
-				got[int(tr.Next)] = tr.P
-			}
+			got := successors(m, s, ai)
 			for next, c := range counts {
 				emp := float64(c) / samples
 				// Monte Carlo noise: ~4 sigma of a binomial proportion,
@@ -176,10 +173,7 @@ func TestVariableBatchingMatchesMonteCarlo(t *testing.T) {
 			}
 			counts[next]++
 		}
-		got := map[int]float64{}
-		for _, tr := range m.Actions[s][ai].Transitions {
-			got[int(tr.Next)] = tr.P
-		}
+		got := successors(m, s, ai)
 		for next, c := range counts {
 			emp := float64(c) / samples
 			// The implementation collapses the phase mixture to its mean

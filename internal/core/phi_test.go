@@ -34,13 +34,13 @@ func newDirectPhi(g *llmBuilder) directPhi {
 	return directPhi{g, map[uint64]struct{}{}, map[phiArg]struct{}{}}
 }
 
-func (d directPhi) row(s int, sc *stateScratch) []mdp.Action {
-	return d.rowWith(s, sc, d.transitions)
+func (d directPhi) row(s int, sc *stateScratch) {
+	d.rowWith(s, sc, d.transitions)
 }
 
 // transitions is llmBuilder.transitions with every Φ evaluated directly
 // into a freshly allocated mass vector.
-func (d directPhi) transitions(_ *stateScratch, base, tau float64) []mdp.Transition {
+func (d directPhi) transitions(sc *stateScratch, base, tau float64) {
 	g := d.llmBuilder
 	w := float64(g.w)
 	q := math.Floor(base / w)
@@ -84,18 +84,17 @@ func (d directPhi) transitions(_ *stateScratch, base, tau float64) []mdp.Transit
 			break
 		}
 	}
-	return g.sparse(mass)
+	g.sparse(&sc.w, mass)
 }
 
-// serialRows builds every row of ss on one goroutine with one scratch,
-// which it returns.
-func serialRows(ss stateSpace) ([][]mdp.Action, *stateScratch) {
+// serialRows writes every row of ss on one goroutine with one scratch, as
+// one chunk, and returns it with the scratch.
+func serialRows(ss stateSpace) (*mdp.Compiled, *stateScratch) {
 	sc := ss.newScratch()
-	rows := make([][]mdp.Action, ss.numStates())
-	for s := range rows {
-		rows[s] = ss.row(s, sc)
+	for s := range ss.numStates() {
+		ss.row(s, sc)
 	}
-	return rows, sc
+	return sc.w.Cut(), sc
 }
 
 // TestLLMPhiTableMatchesDirect pins the token build's Φ table against the
@@ -143,7 +142,7 @@ func TestLLMPhiTableMatchesDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compareRows(t, "parallel build", got.Actions, want)
+			compareRows(t, "parallel build", got, want)
 
 			g, err := newLLMBuilder(c.cfg)
 			if err != nil {
@@ -171,31 +170,31 @@ func TestLLMPhiTableMatchesDirect(t *testing.T) {
 }
 
 // compareRows reports the first state whose actions differ between got and
-// want in label, reward or any (Next, Float64bits(P)).
-func compareRows(t *testing.T, what string, got, want [][]mdp.Action) {
+// want in count, reward or any (Next, Float64bits(P)).
+func compareRows(t *testing.T, what string, got, want *mdp.Compiled) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d states, want %d", what, len(got), len(want))
+	if got.NumStates() != want.NumStates() {
+		t.Fatalf("%s: %d states, want %d", what, got.NumStates(), want.NumStates())
 	}
-	for s := range want {
-		if !sameActions(got[s], want[s]) {
+	for s := range want.NumStates() {
+		if !sameActions(got, want, s) {
 			t.Fatalf("%s: state %d differs from the reference kernel", what, s)
 		}
 	}
 }
 
-func sameActions(x, y []mdp.Action) bool {
-	if len(x) != len(y) {
+func sameActions(x, y *mdp.Compiled, s int) bool {
+	if x.NumActions(s) != y.NumActions(s) {
 		return false
 	}
-	for i := range x {
-		if x[i].Label != y[i].Label || math.Float64bits(x[i].Reward) != math.Float64bits(y[i].Reward) ||
-			len(x[i].Transitions) != len(y[i].Transitions) {
+	for a := range x.NumActions(s) {
+		xr, xn, xp := x.Action(s, a)
+		yr, yn, yp := y.Action(s, a)
+		if math.Float64bits(xr) != math.Float64bits(yr) || len(xn) != len(yn) {
 			return false
 		}
-		for j, tr := range x[i].Transitions {
-			u := y[i].Transitions[j]
-			if tr.Next != u.Next || math.Float64bits(tr.P) != math.Float64bits(u.P) {
+		for k := range xn {
+			if xn[k] != yn[k] || math.Float64bits(xp[k]) != math.Float64bits(yp[k]) {
 				return false
 			}
 		}

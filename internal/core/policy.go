@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"ramsis/internal/mdp"
@@ -90,23 +89,16 @@ func PrepareWorkerTables(cfg Config) (int, error) {
 	return len(b.h), nil
 }
 
-// BuildWorkerMDP formulates (but does not solve) the worker MDP for the
-// configuration — the §4 transition-probability computation in isolation.
-// The solver benchmarks use it to measure the Bellman sweep on a real
-// worker-scale state space rather than a synthetic MDP.
-func BuildWorkerMDP(cfg Config) (*mdp.MDP, error) {
+// BuildWorkerMDP formulates and validates (but does not solve) the worker MDP
+// for the configuration — the §4 transition-probability computation in
+// isolation. The solver benchmarks use it to measure the Bellman sweep on a
+// real worker-scale state space rather than a synthetic MDP.
+func BuildWorkerMDP(cfg Config) (*mdp.Compiled, error) {
 	b, err := newWorkerBuilder(cfg)
 	if err != nil {
 		return nil, err
 	}
-	m, err := build(b, &b.solveSpec)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Validate(1e-6); err != nil {
-		return nil, fmt.Errorf("core: built MDP invalid: %w", err)
-	}
-	return m, nil
+	return build(b, &b.solveSpec)
 }
 
 // Generate runs RAMSIS's offline phase for one worker: it formulates the

@@ -127,11 +127,10 @@ func TestDefaultSolverMatchesJacobi(t *testing.T) {
 func TestOrderedFallback(t *testing.T) {
 	for _, load := range []float64{4200, 4400} {
 		t.Run(fmt.Sprintf("%vqps", load), func(t *testing.T) {
-			m, err := BuildWorkerMDP(benchConfig(load))
+			cm, err := BuildWorkerMDP(benchConfig(load))
 			if err != nil {
 				t.Fatal(err)
 			}
-			cm := mdp.Compile(m)
 			opts := mdp.SolveOptions{Gamma: 0.99}
 			want, err := cm.ValueIteration(opts)
 			if err != nil {
@@ -159,11 +158,10 @@ func TestOrderedFallback(t *testing.T) {
 func TestRestrictedEndgame(t *testing.T) {
 	cfg := benchConfig(3000)
 	cfg.D, cfg.FineCells = 10, 32
-	m, err := BuildWorkerMDP(cfg)
+	cm, err := BuildWorkerMDP(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := mdp.Compile(m)
 	opts := mdp.SolveOptions{Gamma: 0.99}
 	want, err := cm.ValueIteration(opts)
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 // state's probabilities into the states still left, so no step subtracts.
 // root is eliminated last. It must be recurrent, which makes every pivot
 // positive; transient states then get exactly 0.
-func gthStationary(t *testing.T, m *mdp.MDP, pol mdp.Policy, root int) []float64 {
+func gthStationary(t *testing.T, m *mdp.Compiled, pol mdp.Policy, root int) []float64 {
 	t.Helper()
 	n := m.NumStates()
 	// Swap root and state 0, so elimination runs from n−1 down to 1.
@@ -30,9 +30,10 @@ func gthStationary(t *testing.T, m *mdp.MDP, pol mdp.Policy, root int) []float64
 		return s
 	}
 	a := make([]float64, n*n)
-	for s := range m.Actions {
-		for _, tr := range m.Actions[s][pol[s]].Transitions {
-			a[at(s)*n+at(int(tr.Next))] += tr.P
+	for s := range n {
+		_, next, prob := m.Action(s, pol[s])
+		for k, nx := range next {
+			a[at(s)*n+at(int(nx))] += prob[k]
 		}
 	}
 	for k := n - 1; k > 0; k-- {
@@ -75,9 +76,9 @@ func gthStationary(t *testing.T, m *mdp.MDP, pol mdp.Policy, root int) []float64
 // 1e-12 in L1 of want — or of the GTH solve when want is nil. That solve is
 // rooted at π's largest state, which is recurrent unless π is far off; a
 // transient root fails it.
-func assertStationary(t *testing.T, m *mdp.MDP, pol mdp.Policy, want []float64) {
+func assertStationary(t *testing.T, m *mdp.Compiled, pol mdp.Policy, want []float64) {
 	t.Helper()
-	pi, err := mdp.Compile(m).StationaryDistribution(pol, 1e-13, 0)
+	pi, err := m.StationaryDistribution(pol, 1e-13, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func assertGenerateStationary(t *testing.T, ss stateSpace, spec *solveSpec) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mdp.Compile(m).Solve(mdp.SolveOptions{Gamma: spec.gamma, Method: mdp.MethodPrioritized, Ordered: spec.ordered})
+	res, err := m.Solve(mdp.SolveOptions{Gamma: spec.gamma, Method: mdp.MethodPrioritized, Ordered: spec.ordered})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,32 +151,42 @@ func TestStationaryMatchesGTH(t *testing.T) {
 	}
 }
 
-// chain is a one-action MDP whose rows are P.
-func chain(rows [][]mdp.Transition) *mdp.MDP {
-	m := &mdp.MDP{Actions: make([][]mdp.Action, len(rows))}
-	for s, tr := range rows {
-		m.Actions[s] = []mdp.Action{{Transitions: tr}}
+// edge is one entry of a hand-written chain row.
+type edge struct {
+	next int32
+	p    float64
+}
+
+// chain writes the one-action MDP whose rows are P.
+func chain(rows [][]edge) *mdp.Compiled {
+	var w mdp.Writer
+	for _, row := range rows {
+		w.State()
+		w.Action(0)
+		for _, e := range row {
+			w.Edge(e.next, e.p)
+		}
 	}
-	return m
+	return w.Cut()
 }
 
 // randomRow spreads probability 1 over targets with random weights.
-func randomRow(rng *rand.Rand, targets []int) []mdp.Transition {
-	row := make([]mdp.Transition, len(targets))
+func randomRow(rng *rand.Rand, targets []int) []edge {
+	row := make([]edge, len(targets))
 	sum := 0.0
 	for i, t := range targets {
-		row[i] = mdp.Transition{Next: int32(t), P: 0.05 + rng.Float64()}
-		sum += row[i].P
+		row[i] = edge{int32(t), 0.05 + rng.Float64()}
+		sum += row[i].p
 	}
 	for i := range row {
-		row[i].P /= sum
+		row[i].p /= sum
 	}
 	return row
 }
 
 // cyclicChain is a random chain of period k: the states are dealt at random
 // into k classes, and each state moves to every state of the next class.
-func cyclicChain(rng *rand.Rand, n, k int) *mdp.MDP {
+func cyclicChain(rng *rand.Rand, n, k int) *mdp.Compiled {
 	classes := make([][]int, k)
 	of := make([]int, n)
 	for s := 0; s < n; s++ {
@@ -186,7 +197,7 @@ func cyclicChain(rng *rand.Rand, n, k int) *mdp.MDP {
 		of[s] = c
 		classes[c] = append(classes[c], s)
 	}
-	rows := make([][]mdp.Transition, n)
+	rows := make([][]edge, n)
 	for s := range rows {
 		rows[s] = randomRow(rng, classes[(of[s]+1)%k])
 	}
@@ -205,10 +216,10 @@ func TestStationaryDistributionHardChains(t *testing.T) {
 		}
 		return pi
 	}
-	cycle := func(n int) *mdp.MDP {
-		rows := make([][]mdp.Transition, n)
+	cycle := func(n int) *mdp.Compiled {
+		rows := make([][]edge, n)
 		for s := range rows {
-			rows[s] = []mdp.Transition{{Next: int32((s + 1) % n), P: 1}}
+			rows[s] = []edge{{int32((s + 1) % n), 1}}
 		}
 		return chain(rows)
 	}
@@ -222,11 +233,11 @@ func TestStationaryDistributionHardChains(t *testing.T) {
 	}
 
 	// One absorbing state, 11 of 30, which every other state can reach.
-	absorbing := make([][]mdp.Transition, 30)
+	absorbing := make([][]edge, 30)
 	for s := range absorbing {
 		absorbing[s] = randomRow(rng, all(30))
 		if s == 11 {
-			absorbing[s] = []mdp.Transition{{Next: 11, P: 1}}
+			absorbing[s] = []edge{{11, 1}}
 		}
 	}
 	onlyAbsorbing := make([]float64, 30)
@@ -238,7 +249,7 @@ func TestStationaryDistributionHardChains(t *testing.T) {
 	for s := 0; s < 20; s += 2 {
 		recurrent = append(recurrent, s)
 	}
-	reducible := make([][]mdp.Transition, 36)
+	reducible := make([][]edge, 36)
 	for s := range reducible {
 		if s < 20 && s%2 == 0 {
 			reducible[s] = randomRow(rng, recurrent)
@@ -249,7 +260,7 @@ func TestStationaryDistributionHardChains(t *testing.T) {
 
 	for _, c := range []struct {
 		name string
-		m    *mdp.MDP
+		m    *mdp.Compiled
 		want []float64 // nil: the GTH solve
 	}{
 		{"3-cycle", cycle(3), uniform(3)},

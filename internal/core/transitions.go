@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -58,7 +57,7 @@ type builder struct {
 	// tables for the (rate, latency) pairs some action takes — keyed by
 	// process rate (round-robin uses one process; queue-aware balancers use
 	// one per queue-length regime) and action latency.
-	acts    [][]actionSpec           // state -> actions, in Label order
+	acts    [][]actionSpec           // state -> actions, in action order
 	fk      map[float64][]window     // rate -> [k-1] k-th-arrival pdf's kept cells
 	h       map[tableKey][]float64   // (rate, latency) -> [cell*N_w + j-1]
 	cdf     map[tableKey][]float64   // (rate, latency) -> CDF table over counts
@@ -347,11 +346,14 @@ func (b *builder) firstArrivalDensity(sc *stateScratch, rate float64, gmax int, 
 	return ft
 }
 
-// stateScratch is per-goroutine reusable space: the successor accumulator,
-// and the per-state phase posterior (K entries), first-arrival density (one
-// per fine cell) and remaining-earliest slack distribution (one per bucket).
-// The token build uses only mass, one entry per state, and its Φ table.
+// stateScratch is per-goroutine reusable space: the writer its rows go to,
+// the successor accumulator, and the per-state phase posterior (K entries),
+// first-arrival density (one per fine cell) and remaining-earliest slack
+// distribution (one per bucket). The token build uses only the writer, mass
+// (one entry per state) and its Φ table.
 type stateScratch struct {
+	w mdp.Writer
+
 	probs []float64
 	dirty []int32
 
@@ -377,10 +379,10 @@ func (sc *stateScratch) add(s int32, p float64) {
 	sc.probs[s] += p
 }
 
-// emit converts accumulated probabilities into sorted sparse transitions,
-// folding entries below the floor (and any residual mass) into the overflow
-// state per Eq. 3, then normalizing.
-func (sc *stateScratch) emit(overflow int32, floor float64) []mdp.Transition {
+// emit writes the accumulated probabilities as the current action's
+// successors, in state order, folding entries below the floor (and any
+// residual mass) into the overflow state per Eq. 3, then normalizing.
+func (sc *stateScratch) emit(overflow int32, floor float64) {
 	total := 0.0
 	for _, s := range sc.dirty {
 		total += sc.probs[s]
@@ -395,69 +397,52 @@ func (sc *stateScratch) emit(overflow int32, floor float64) []mdp.Transition {
 	if rem := 1 - total; rem > 0 {
 		sc.add(overflow, rem)
 	}
-	// Size the row to what it keeps, plus the overflow entry the fold below
-	// appends when overflow holds no mass yet.
-	n := 1
+	// Keep the entries at the floor or above, and overflow, moving them to
+	// the front of dirty and summing them in dirty order; drop the rest.
+	kept, keep := 0.0, sc.dirty[:0]
 	for _, s := range sc.dirty {
-		if s == overflow {
-			n--
-		}
-		if sc.probs[s] >= floor || s == overflow {
-			n++
-		}
-	}
-	kept := 0.0
-	out := make([]mdp.Transition, 0, n)
-	for _, s := range sc.dirty {
-		p := sc.probs[s]
-		if p >= floor || s == overflow {
-			out = append(out, mdp.Transition{Next: s, P: p})
+		if p := sc.probs[s]; p >= floor || s == overflow {
+			keep = append(keep, s)
 			kept += p
+		} else {
+			sc.probs[s] = 0
 		}
 	}
 	// Fold pruned mass into overflow (conservative) and renormalize.
+	// Overflow only ever gains positive mass, so it holds none exactly
+	// when it is not among the kept entries yet.
 	if kept < 1 {
-		for i := range out {
-			if out[i].Next == overflow {
-				out[i].P += 1 - kept
-				kept = 1
-				break
-			}
+		if sc.probs[overflow] == 0 {
+			keep = append(keep, overflow)
 		}
-		if kept < 1 {
-			out = append(out, mdp.Transition{Next: overflow, P: 1 - kept})
-		}
+		sc.probs[overflow] += 1 - kept
 	}
-	slices.SortFunc(out, func(x, y mdp.Transition) int { return cmp.Compare(x.Next, y.Next) })
-	// Reset scratch.
-	for _, s := range sc.dirty {
+	slices.Sort(keep)
+	for _, s := range keep {
+		sc.w.Edge(s, sc.probs[s])
 		sc.probs[s] = 0
 	}
-	sc.dirty = sc.dirty[:0]
-	return out
+	sc.dirty = keep[:0]
 }
 
 func (b *builder) numStates() int { return b.sp.numStates() }
 
-// row builds state s's actions: each one's §4.1 reward and its §4.4
+// row writes state s's actions: each one's §4.1 reward and its §4.4
 // successor distribution.
-func (b *builder) row(s int, sc *stateScratch) []mdp.Action {
-	return b.rowWith(s, sc, b.firstArrivalDensity)
+func (b *builder) row(s int, sc *stateScratch) {
+	b.rowWith(s, sc, b.firstArrivalDensity)
 }
 
 // rowWith is row with the first-arrival density computed by density.
-func (b *builder) rowWith(s int, sc *stateScratch, density func(sc *stateScratch, rate float64, gmax int, pr []float64) []float64) []mdp.Action {
+func (b *builder) rowWith(s int, sc *stateScratch, density func(sc *stateScratch, rate float64, gmax int, pr []float64) []float64) {
 	sp := b.sp
 	acts := b.acts[s]
-	out := make([]mdp.Action, len(acts))
-	for ai, a := range acts {
-		out[ai] = mdp.Action{Label: ai, Reward: sp.reward(a)}
-	}
+	sc.w.State()
 	if s == sp.emptyState() {
 		// Case 1 (Eq. 1): â moves (0, ·) to (1, SLO) surely.
-		top := sp.bucketOf(sp.cfg.SLO)
-		out[0].Transitions = []mdp.Transition{{Next: int32(sp.index(1, top)), P: 1}}
-		return out
+		sc.w.Action(sp.reward(acts[0]))
+		sc.w.Edge(int32(sp.index(1, sp.bucketOf(sp.cfg.SLO))), 1)
+		return
 	}
 	// Phase posterior and first-arrival density depend on the state only;
 	// share them across its actions. The density is read by full-drain
@@ -472,10 +457,18 @@ func (b *builder) rowWith(s int, sc *stateScratch, density func(sc *stateScratch
 	}
 	pr := sc.phasePosterior(proc, k, n, sp.cfg.SLO-tj, b.logFact)
 	ft := density(sc, proc.Rate(), gmax, pr)
-	for ai, a := range acts {
-		out[ai].Transitions = b.actionTransitions(s, a, sc, pr, ft)
+	// Each action's successors: case 2 of §4.4, plus the overflow
+	// complement of case 3 in emit.
+	for _, a := range acts {
+		sc.w.Action(sp.reward(a))
+		key := tableKey{proc.Rate(), a.Latency}
+		if a.Batch < n {
+			b.variableTransitions(sc, n, tj, a, pr, b.cdf[key], k)
+		} else {
+			b.fullDrainTransitions(sc, a, pr, ft, b.cdf[key], b.h[key], k)
+		}
+		sc.emit(int32(sp.overflowState()), sp.cfg.ProbFloor)
 	}
-	return out
 }
 
 // outcome is what action a of state s serves: a batch of queries on one
@@ -496,24 +489,6 @@ func (b *builder) stateParams(s int) (int, float64) {
 	}
 	n, j := b.sp.decompose(s)
 	return n, b.sp.grid[j]
-}
-
-// actionTransitions computes the successor distribution of taking action a
-// in state s (case 2 of §4.4, plus the overflow complement of case 3).
-func (b *builder) actionTransitions(s int, a actionSpec, sc *stateScratch, pr, ft []float64) []mdp.Transition {
-	sp := b.sp
-	n, tj := b.stateParams(s)
-	proc, k := b.procFor(n)
-	l := a.Latency
-	key := tableKey{proc.Rate(), l}
-	cdfT := b.cdf[key]
-
-	if a.Batch < n {
-		b.variableTransitions(sc, n, tj, a, pr, cdfT, k)
-	} else {
-		b.fullDrainTransitions(sc, a, pr, ft, cdfT, b.h[key], k)
-	}
-	return sc.emit(int32(sp.overflowState()), sp.cfg.ProbFloor)
 }
 
 // fullDrainTransitions handles b == n (maximal batching, and the b = n case

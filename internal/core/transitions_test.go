@@ -24,7 +24,7 @@ func smallConfig() Config {
 	}.withDefaults()
 }
 
-func buildFor(t *testing.T, cfg Config) (*space, *mdp.MDP) {
+func buildFor(t *testing.T, cfg Config) (*space, *mdp.Compiled) {
 	t.Helper()
 	b, m, err := buildWorker(cfg)
 	if err != nil {
@@ -57,17 +57,16 @@ func TestArrivalActionTransition(t *testing.T) {
 	cfg := smallConfig()
 	cfg.FineCells = 256
 	sp, m := buildFor(t, cfg)
-	acts := m.Actions[sp.emptyState()]
-	if len(acts) != 1 {
-		t.Fatalf("empty state has %d actions, want 1", len(acts))
+	if acts := m.NumActions(sp.emptyState()); acts != 1 {
+		t.Fatalf("empty state has %d actions, want 1", acts)
 	}
-	trs := acts[0].Transitions
-	if len(trs) != 1 || trs[0].P != 1 {
-		t.Fatalf("arrival action transitions = %+v, want single certain", trs)
+	_, next, prob := m.Action(sp.emptyState(), 0)
+	if len(next) != 1 || prob[0] != 1 {
+		t.Fatalf("arrival action transitions = %v / %v, want single certain", next, prob)
 	}
 	wantNext := sp.index(1, sp.bucketOf(cfg.SLO))
-	if int(trs[0].Next) != wantNext {
-		t.Errorf("arrival action goes to %d, want (1, SLO) = %d", trs[0].Next, wantNext)
+	if int(next[0]) != wantNext {
+		t.Errorf("arrival action goes to %d, want (1, SLO) = %d", next[0], wantNext)
 	}
 }
 
@@ -77,19 +76,19 @@ func TestOverflowStateMatchesFullQueueZeroSlack(t *testing.T) {
 	cfg := smallConfig()
 	cfg.FineCells = 256
 	sp, m := buildFor(t, cfg)
-	over := m.Actions[sp.overflowState()]
-	full := m.Actions[sp.index(cfg.MaxQueue, 0)]
-	if len(over) != len(full) {
-		t.Fatalf("action counts differ: %d vs %d", len(over), len(full))
+	over, full := sp.overflowState(), sp.index(cfg.MaxQueue, 0)
+	if m.NumActions(over) != m.NumActions(full) {
+		t.Fatalf("action counts differ: %d vs %d", m.NumActions(over), m.NumActions(full))
 	}
-	for ai := range over {
-		ot, ft := over[ai].Transitions, full[ai].Transitions
-		if len(ot) != len(ft) {
+	for ai := 0; ai < m.NumActions(over); ai++ {
+		_, on, op := m.Action(over, ai)
+		_, fn, fp := m.Action(full, ai)
+		if len(on) != len(fn) {
 			t.Fatalf("transition counts differ for action %d", ai)
 		}
-		for i := range ot {
-			if ot[i].Next != ft[i].Next || math.Abs(ot[i].P-ft[i].P) > 1e-9 {
-				t.Fatalf("transition %d differs: %+v vs %+v", i, ot[i], ft[i])
+		for i := range on {
+			if on[i] != fn[i] || math.Abs(op[i]-fp[i]) > 1e-9 {
+				t.Fatalf("transition %d differs: (%d, %v) vs (%d, %v)", i, on[i], op[i], fn[i], fp[i])
 			}
 		}
 	}
@@ -176,10 +175,7 @@ func TestTransitionsMatchLiteralPaperFormula(t *testing.T) {
 		s := sp.index(cse.n, cse.j)
 		acts := sp.actionsForState(s)
 		for ai, a := range acts {
-			got := map[int]float64{}
-			for _, tr := range m.Actions[s][ai].Transitions {
-				got[int(tr.Next)] = tr.P
-			}
+			got := successors(m, s, ai)
 			for np := 1; np <= cfg.MaxQueue; np++ {
 				for jp := 0; jp < len(sp.grid)-1; jp++ {
 					want := literalCase2(cfg, sp.grid, cse.n, cse.j, a.Latency, np, jp)
@@ -203,12 +199,7 @@ func TestEmptyNextStateProbabilityExact(t *testing.T) {
 	acts := sp.actionsForState(s)
 	for ai, a := range acts {
 		want := cfg.Arrival.CDF(cfg.Workers-1, a.Latency)
-		got := 0.0
-		for _, tr := range m.Actions[s][ai].Transitions {
-			if int(tr.Next) == sp.emptyState() {
-				got = tr.P
-			}
-		}
+		got := successors(m, s, ai)[sp.emptyState()]
 		// The builder renormalizes tiny quadrature overshoot across the
 		// whole row, so allow a matching slack here.
 		if math.Abs(got-want) > 1e-6 {
@@ -241,15 +232,15 @@ func TestVariableBatchingPartialServeKeepsQueue(t *testing.T) {
 				continue
 			}
 			rem := cse.n - a.Batch
-			for _, tr := range m.Actions[s][ai].Transitions {
-				if int(tr.Next) == sp.emptyState() && tr.P > 1e-9 {
-					t.Fatalf("partial serve (n=%d,b=%d) reached empty state with P=%v", cse.n, a.Batch, tr.P)
+			for next, p := range successors(m, s, ai) {
+				if next == sp.emptyState() && p > 1e-9 {
+					t.Fatalf("partial serve (n=%d,b=%d) reached empty state with P=%v", cse.n, a.Batch, p)
 				}
-				if int(tr.Next) != sp.overflowState() && int(tr.Next) != sp.emptyState() {
-					nn, _ := sp.decompose(int(tr.Next))
-					if nn < rem && tr.P > 1e-9 {
+				if next != sp.overflowState() && next != sp.emptyState() {
+					nn, _ := sp.decompose(next)
+					if nn < rem && p > 1e-9 {
 						t.Fatalf("partial serve (n=%d,b=%d) transitioned to n'=%d < rem=%d with P=%v",
-							cse.n, a.Batch, nn, rem, tr.P)
+							cse.n, a.Batch, nn, rem, p)
 					}
 				}
 			}
@@ -331,12 +322,13 @@ func TestTransitionsConcentrateNearExpectedArrivals(t *testing.T) {
 	a := sp.actionsForState(s)[0]
 	meanArrivals := cfg.Arrival.Rate() * a.Latency / float64(cfg.Workers)
 	mean := 0.0
-	for _, tr := range m.Actions[s][0].Transitions {
-		if int(tr.Next) == sp.emptyState() || int(tr.Next) == sp.overflowState() {
+	_, next, prob := m.Action(s, 0)
+	for k, nx := range next {
+		if int(nx) == sp.emptyState() || int(nx) == sp.overflowState() {
 			continue
 		}
-		nn, _ := sp.decompose(int(tr.Next))
-		mean += tr.P * float64(nn)
+		nn, _ := sp.decompose(int(nx))
+		mean += prob[k] * float64(nn)
 	}
 	if math.Abs(mean-meanArrivals) > 0.35 {
 		t.Errorf("mean next queue %v, want ~%v (λ·l/K)", mean, meanArrivals)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ramsis/internal/dist"
-	"ramsis/internal/mdp"
 )
 
 // untrimmed is the worker builder with f̃ formed by the reference kernel:
@@ -34,8 +33,8 @@ func newUntrimmed(b *builder) untrimmed {
 	return u
 }
 
-func (u untrimmed) row(s int, sc *stateScratch) []mdp.Action {
-	return u.rowWith(s, sc, u.density)
+func (u untrimmed) row(s int, sc *stateScratch) {
+	u.rowWith(s, sc, u.density)
 }
 
 // density is firstArrivalDensity without the trim: each cell sums

@@ -1,24 +1,23 @@
 package mdp
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
-// Compiled is a cache-friendly compiled form of an MDP: the pointer-chasing
-// [][]Action → []Transition representation flattened into contiguous arrays
-// in CSR style. Actions of state s occupy [actOff[s], actOff[s+1]) of the
-// per-action arrays; transitions of (global) action a occupy
-// [trOff[a], trOff[a+1]) of the per-transition arrays. A Bellman backup then
-// streams sequentially through reward/trOff/next/prob instead of chasing one
-// heap object per action, which is where a slice-walking solver's time goes.
+// Compiled is an MDP in CSR form, the one form there is. Actions of state s
+// occupy [actOff[s], actOff[s+1]) of the per-action arrays; transitions of
+// (global) action a occupy [trOff[a], trOff[a+1]) of the per-transition
+// arrays, so a Bellman backup streams through contiguous memory. Every state
+// needs an action and every action's probabilities sum to 1 (Validate).
 //
-// The solve kernels on Compiled perform exactly the floating-point
-// operations a naive walk of the slice form performs, in the same order
-// (same double-buffering, same action and transition ordering), so their
-// values and policies are byte-identical to the test-only reference in
-// reference_test.go — the property the equivalence tests pin.
+// The solve kernels perform exactly the floating-point operations a naive
+// walk of the rows performs, in the same order, so their values and policies
+// are byte-identical to the test-only reference in reference_test.go — the
+// property the equivalence tests pin.
 type Compiled struct {
 	n      int
 	actOff []int32   // len n+1: action index range per state
@@ -28,47 +27,130 @@ type Compiled struct {
 	prob   []float64 // per transition: probability
 }
 
-// Compile flattens an MDP into its compiled form. The MDP must be valid
-// (every state has at least one action); Compile is cheap relative to one
-// Bellman sweep, so callers compile once and solve many times.
-func Compile(m *MDP) *Compiled {
-	n := m.NumStates()
-	numActs := 0
-	numTr := 0
-	for _, acts := range m.Actions {
-		numActs += len(acts)
-		for _, a := range acts {
-			numTr += len(a.Transitions)
-		}
+// Writer appends rows in the compiled layout, state by state; Cut takes them
+// as a chunk. The zero value is ready to use.
+type Writer struct {
+	c Compiled // actOff and trOff without their closing entries
+}
+
+// State opens the next state; the actions written after it are its own.
+func (w *Writer) State() { w.c.actOff = append(w.c.actOff, int32(len(w.c.reward))) }
+
+// Action opens an action of the current state with its expected reward.
+func (w *Writer) Action(reward float64) {
+	w.c.reward = append(w.c.reward, reward)
+	w.c.trOff = append(w.c.trOff, int32(len(w.c.next)))
+}
+
+// Edge appends successor next, with probability p, to the current action.
+func (w *Writer) Edge(next int32, p float64) {
+	w.c.next = append(w.c.next, next)
+	w.c.prob = append(w.c.prob, p)
+}
+
+// Cut returns the states written since the last Cut as a chunk of exact-size
+// arrays and empties w, which keeps its capacity. A chunk of every state is
+// the MDP itself; Stitch joins several.
+func (w *Writer) Cut() *Compiled {
+	c := &w.c
+	ch := &Compiled{
+		n:      len(c.actOff),
+		actOff: slices.Concat(c.actOff, []int32{int32(len(c.reward))}),
+		reward: slices.Clone(c.reward),
+		trOff:  slices.Concat(c.trOff, []int32{int32(len(c.next))}),
+		next:   slices.Clone(c.next),
+		prob:   slices.Clone(c.prob),
 	}
-	if numActs >= math.MaxInt32 || numTr >= math.MaxInt32 {
-		panic(fmt.Sprintf("mdp: MDP too large to compile (%d actions, %d transitions)", numActs, numTr))
+	c.actOff, c.reward, c.trOff = c.actOff[:0], c.reward[:0], c.trOff[:0]
+	c.next, c.prob = c.next[:0], c.prob[:0]
+	return ch
+}
+
+// Stitch joins chunks, in order, into one MDP: chunk i's states follow
+// chunk i−1's, and each chunk's offsets are rebased onto the joined arrays.
+// It fails when the actions or the transitions reach MaxInt32, which int32
+// offsets cannot index.
+func Stitch(chunks []*Compiled) (*Compiled, error) {
+	n, acts, trs := 0, 0, 0
+	for _, ch := range chunks {
+		n, acts, trs = n+ch.n, acts+len(ch.reward), trs+len(ch.next)
+	}
+	if acts >= math.MaxInt32 || trs >= math.MaxInt32 {
+		return nil, fmt.Errorf("mdp: MDP too large (%d actions, %d transitions)", acts, trs)
 	}
 	c := &Compiled{
 		n:      n,
-		actOff: make([]int32, n+1),
-		reward: make([]float64, numActs),
-		trOff:  make([]int32, numActs+1),
-		next:   make([]int32, numTr),
-		prob:   make([]float64, numTr),
+		actOff: make([]int32, 0, n+1),
+		reward: make([]float64, 0, acts),
+		trOff:  make([]int32, 0, acts+1),
+		next:   make([]int32, 0, trs),
+		prob:   make([]float64, 0, trs),
 	}
-	ai, ti := int32(0), int32(0)
-	for s, acts := range m.Actions {
-		c.actOff[s] = ai
-		for _, a := range acts {
-			c.reward[ai] = a.Reward
-			c.trOff[ai] = ti
-			for _, tr := range a.Transitions {
-				c.next[ti] = tr.Next
-				c.prob[ti] = tr.P
-				ti++
+	for _, ch := range chunks {
+		a0, t0 := int32(len(c.reward)), int32(len(c.next))
+		for _, o := range ch.actOff[:ch.n] {
+			c.actOff = append(c.actOff, a0+o)
+		}
+		for _, o := range ch.trOff[:len(ch.reward)] {
+			c.trOff = append(c.trOff, t0+o)
+		}
+		c.reward = append(c.reward, ch.reward...)
+		c.next = append(c.next, ch.next...)
+		c.prob = append(c.prob, ch.prob...)
+	}
+	c.actOff = append(c.actOff, int32(len(c.reward)))
+	c.trOff = append(c.trOff, int32(len(c.next)))
+	return c, nil
+}
+
+// Validate checks structural soundness: at least one state, non-empty
+// action sets, successor indices in range, probabilities in [0,1] summing
+// to 1 within tol.
+func (c *Compiled) Validate(tol float64) error {
+	if c.n == 0 {
+		return errors.New("mdp: no states")
+	}
+	for s := 0; s < c.n; s++ {
+		a0, a1 := c.actOff[s], c.actOff[s+1]
+		if a0 == a1 {
+			return fmt.Errorf("mdp: state %d has no actions", s)
+		}
+		for a := a0; a < a1; a++ {
+			ai, sum := a-a0, 0.0
+			for k := c.trOff[a]; k < c.trOff[a+1]; k++ {
+				next, p := c.next[k], c.prob[k]
+				if next < 0 || int(next) >= c.n {
+					return fmt.Errorf("mdp: state %d action %d: successor %d out of range", s, ai, next)
+				}
+				if p < -tol || p > 1+tol || math.IsNaN(p) {
+					return fmt.Errorf("mdp: state %d action %d: probability %v invalid", s, ai, p)
+				}
+				sum += p
 			}
-			ai++
+			if math.Abs(sum-1) > tol {
+				return fmt.Errorf("mdp: state %d action %d: probabilities sum to %v", s, ai, sum)
+			}
 		}
 	}
-	c.actOff[n] = ai
-	c.trOff[ai] = ti
-	return c
+	return nil
+}
+
+// NumStates returns |S|.
+func (c *Compiled) NumStates() int { return c.n }
+
+// NumTransitions returns the stored transition count, a measure of solve
+// cost per sweep.
+func (c *Compiled) NumTransitions() int { return len(c.next) }
+
+// NumActions returns how many actions state s has.
+func (c *Compiled) NumActions(s int) int { return int(c.actOff[s+1] - c.actOff[s]) }
+
+// Action returns action a of state s: its reward, its successors and their
+// probabilities. The slices alias the MDP; callers must not modify them.
+func (c *Compiled) Action(s, a int) (reward float64, next []int32, prob []float64) {
+	i := c.actOff[s] + int32(a)
+	lo, hi := c.trOff[i], c.trOff[i+1]
+	return c.reward[i], c.next[lo:hi:hi], c.prob[lo:hi:hi]
 }
 
 // backup accumulates q + Σ gp[k]*v[next[k]] in order: one action's Bellman
@@ -114,15 +196,11 @@ func (c *Compiled) scaledProbs(gamma float64) []float64 {
 // SolveOptions.InitialValues it warm-starts from a previous solve's value
 // vector and typically converges in far fewer sweeps.
 func (c *Compiled) ValueIteration(opts SolveOptions) (Result, error) {
-	opts = opts.withDefaults()
-	if opts.Gamma <= 0 || opts.Gamma >= 1 {
-		return Result{}, fmt.Errorf("mdp: gamma %v outside (0,1)", opts.Gamma)
-	}
-	n := c.n
-	v := make([]float64, n)
-	if err := opts.initialValues(v); err != nil {
+	opts, v, err := opts.start(c.n)
+	if err != nil {
 		return Result{}, err
 	}
+	n := c.n
 	next := make([]float64, n)
 	pol := make(Policy, n)
 	gp := c.scaledProbs(opts.Gamma)

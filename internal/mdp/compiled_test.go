@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -11,9 +13,9 @@ import (
 // compiledFixtures is the table the equivalence tests sweep: hand-built and
 // random MDPs covering degenerate sizes, state counts that don't divide the
 // partition count, and varying action fan-out.
-func compiledFixtures() map[string]*MDP {
+func compiledFixtures() map[string]*Compiled {
 	rng := rand.New(rand.NewSource(42))
-	return map[string]*MDP{
+	return map[string]*Compiled{
 		"twoStateChain": twoStateChain(),
 		"single":        randomMDP(rng, 1, 2, 1),
 		"small":         randomMDP(rng, 23, 3, 5),
@@ -47,8 +49,8 @@ func samePolicy(t *testing.T, name string, got, want Policy) {
 // as the naive slice walk of reference_test.go, so values and policies match
 // bit for bit — cold and warm-started.
 func TestCompiledValueIterationByteIdentical(t *testing.T) {
-	for name, m := range compiledFixtures() {
-		c := Compile(m)
+	for name, c := range compiledFixtures() {
+		m := expand(c)
 		opts := SolveOptions{Gamma: 0.95, Tol: 1e-10}
 		want := refValueIteration(m, opts)
 		got, err := c.ValueIteration(opts)
@@ -78,9 +80,9 @@ func TestCompiledValueIterationByteIdentical(t *testing.T) {
 }
 
 func TestCompiledStationaryDistributionByteIdentical(t *testing.T) {
-	for name, m := range compiledFixtures() {
-		c := Compile(m)
-		pol := make(Policy, m.NumStates())
+	for name, c := range compiledFixtures() {
+		m := expand(c)
+		pol := make(Policy, c.NumStates())
 		want := refStationary(m, pol, 1e-13)
 		got, err := c.StationaryDistribution(pol, 1e-13, 0)
 		if err != nil {
@@ -90,17 +92,60 @@ func TestCompiledStationaryDistributionByteIdentical(t *testing.T) {
 	}
 }
 
-func TestCompileShapes(t *testing.T) {
-	m := twoStateChain()
-	c := Compile(m)
-	if c.n != m.NumStates() {
-		t.Errorf("compiled %d states, want %d", c.n, m.NumStates())
+// TestStitchShapes checks the stitched form's arrays on the two-state chain
+// written one state per chunk.
+func TestStitchShapes(t *testing.T) {
+	rows := expand(twoStateChain())
+	var w Writer
+	rows.write(&w, 0, 1)
+	first := w.Cut()
+	rows.write(&w, 1, 2)
+	c, err := Stitch([]*Compiled{first, w.Cut()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(c.next) != m.NumTransitions() {
-		t.Errorf("compiled %d transitions, want %d", len(c.next), m.NumTransitions())
+	if c.NumStates() != 2 || c.NumTransitions() != 3 || len(c.reward) != 3 {
+		t.Errorf("stitched %d states, %d actions, %d transitions; want 2, 3, 3", c.NumStates(), len(c.reward), c.NumTransitions())
 	}
-	if got := len(c.reward); got != 3 {
-		t.Errorf("compiled %d actions, want 3", got)
+	if !slices.Equal(c.actOff, []int32{0, 2, 3}) || !slices.Equal(c.trOff, []int32{0, 1, 2, 3}) {
+		t.Errorf("offsets %v / %v, want [0 2 3] / [0 1 2 3]", c.actOff, c.trOff)
+	}
+	if !slices.Equal(c.next, []int32{0, 1, 1}) || !slices.Equal(c.reward, []float64{1, 0, 5}) {
+		t.Errorf("successors %v, rewards %v; want [0 1 1], [1 0 5]", c.next, c.reward)
+	}
+}
+
+// TestStitchMatchesOneChunk writes the medium fixture's rows in chunks of
+// uneven size, an empty one among them, through one reused Writer: the
+// stitched arrays must equal a one-chunk build of the same rows, and read
+// back as the same rows.
+func TestStitchMatchesOneChunk(t *testing.T) {
+	whole := compiledFixtures()["medium"]
+	rows := expand(whole)
+	var w Writer
+	var chunks []*Compiled
+	s := 0
+	for _, size := range []int{1, 0, 23, 2, 64, 16, 51} {
+		rows.write(&w, s, s+size)
+		chunks = append(chunks, w.Cut())
+		s += size
+	}
+	if s != len(rows) {
+		t.Fatalf("chunks cover %d of %d states", s, len(rows))
+	}
+	c, err := Stitch(chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.n != whole.n || !slices.Equal(c.actOff, whole.actOff) || !slices.Equal(c.trOff, whole.trOff) ||
+		!slices.Equal(c.next, whole.next) || !slices.Equal(c.reward, whole.reward) || !slices.Equal(c.prob, whole.prob) {
+		t.Fatal("stitched arrays differ from the one-chunk build")
+	}
+	if !reflect.DeepEqual(expand(c), rows) {
+		t.Fatal("stitched rows read back differently")
+	}
+	if err := c.Validate(1e-9); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -110,8 +155,7 @@ func TestCompileShapes(t *testing.T) {
 // point, in a single verification sweep.
 func TestWarmStartConvergesFaster(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	m := randomMDP(rng, 80, 4, 6)
-	c := Compile(m)
+	c := randomMDP(rng, 80, 4, 6)
 	opts := SolveOptions{Gamma: 0.97, Tol: 1e-10}
 	cold, err := c.ValueIteration(opts)
 	if err != nil {
@@ -154,7 +198,7 @@ func TestWarmStartConvergesFaster(t *testing.T) {
 }
 
 func TestWarmStartLengthMismatchRejected(t *testing.T) {
-	c := Compile(twoStateChain())
+	c := twoStateChain()
 	bad := SolveOptions{Gamma: 0.9, InitialValues: []float64{1}}
 	if _, err := c.ValueIteration(bad); err == nil {
 		t.Error("compiled ValueIteration accepted a mismatched warm start")
@@ -163,7 +207,7 @@ func TestWarmStartLengthMismatchRejected(t *testing.T) {
 
 func TestCompiledValueIterationDeadline(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c := Compile(randomMDP(rng, 200, 4, 8))
+	c := randomMDP(rng, 200, 4, 8)
 	_, err := c.ValueIteration(SolveOptions{
 		Gamma:    0.999999,
 		Tol:      1e-300, // unreachable: force the deadline path

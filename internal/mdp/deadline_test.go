@@ -9,7 +9,7 @@ import (
 
 func TestValueIterationDeadline(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c := Compile(randomMDP(rng, 200, 4, 8))
+	c := randomMDP(rng, 200, 4, 8)
 	_, err := c.Solve(SolveOptions{
 		Gamma:    0.999999,
 		Tol:      1e-300, // unreachable: force the deadline path
@@ -21,7 +21,7 @@ func TestValueIterationDeadline(t *testing.T) {
 }
 
 func TestValueIterationNoDeadlineByDefault(t *testing.T) {
-	if _, err := Compile(twoStateChain()).Solve(SolveOptions{Gamma: 0.9}); err != nil {
+	if _, err := twoStateChain().Solve(SolveOptions{Gamma: 0.9}); err != nil {
 		t.Fatalf("default solve failed: %v", err)
 	}
 }

@@ -9,89 +9,30 @@
 //
 // The representation is deliberately sparse: worker MDPs concentrate
 // transition mass on a small neighborhood of queue states, so each action
-// stores only its non-negligible successor probabilities. MDP is the form
-// callers build; both solvers run on Compiled, its flattened CSR form, and
-// each exists once — the tests pin the synchronous sweep and the stationary
-// kernel bit for bit against a naive slice-walking reference that lives in
-// reference_test.go.
+// stores only its non-negligible successor probabilities. Compiled, a CSR
+// layout, is the one form: builders write rows with a Writer and Stitch its
+// chunks, and every kernel runs on it. The tests pin the synchronous sweep
+// and the stationary kernel bit for bit against a naive reference walking a
+// test-only slice form expanded from Compiled (reference_test.go).
 package mdp
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 )
 
-// Transition is one sparse entry of P_a(s, ·).
-type Transition struct {
-	Next int32   // successor state index
-	P    float64 // transition probability
-}
+// MDP names Compiled only because bench/ (frozen between benchmark PRs)
+// still declares *mdp.MDP; the next benchmark PR drops it with that use.
+type MDP = Compiled
 
-// Action is one action available in a state: an expected immediate reward
-// and a sparse successor distribution. Label is an opaque caller tag (RAMSIS
-// stores the (model, batch) action index there).
-type Action struct {
-	Label       int
-	Reward      float64
-	Transitions []Transition
-}
+// Compile returns m, the one form there is. It stays declared only because
+// bench/ (frozen between benchmark PRs) still calls it; the next benchmark
+// PR drops it with that use.
+func Compile(m *MDP) *Compiled { return m }
 
-// MDP is a finite MDP in sparse form: Actions[s] lists the valid actions in
-// state s. Every state must have at least one action and every action's
-// transition probabilities must sum to 1.
-type MDP struct {
-	Actions [][]Action
-}
-
-// NumStates returns |S|.
-func (m *MDP) NumStates() int { return len(m.Actions) }
-
-// NumTransitions returns the total sparse transition count, a measure of
-// solve cost per sweep.
-func (m *MDP) NumTransitions() int {
-	n := 0
-	for _, acts := range m.Actions {
-		for _, a := range acts {
-			n += len(a.Transitions)
-		}
-	}
-	return n
-}
-
-// Validate checks structural soundness: non-empty action sets, successor
-// indices in range, probabilities in [0,1] summing to 1 within tol.
-func (m *MDP) Validate(tol float64) error {
-	n := len(m.Actions)
-	if n == 0 {
-		return errors.New("mdp: no states")
-	}
-	for s, acts := range m.Actions {
-		if len(acts) == 0 {
-			return fmt.Errorf("mdp: state %d has no actions", s)
-		}
-		for ai, a := range acts {
-			sum := 0.0
-			for _, tr := range a.Transitions {
-				if tr.Next < 0 || int(tr.Next) >= n {
-					return fmt.Errorf("mdp: state %d action %d: successor %d out of range", s, ai, tr.Next)
-				}
-				if tr.P < -tol || tr.P > 1+tol || math.IsNaN(tr.P) {
-					return fmt.Errorf("mdp: state %d action %d: probability %v invalid", s, ai, tr.P)
-				}
-				sum += tr.P
-			}
-			if math.Abs(sum-1) > tol {
-				return fmt.Errorf("mdp: state %d action %d: probabilities sum to %v", s, ai, sum)
-			}
-		}
-	}
-	return nil
-}
-
-// Policy maps each state to the index (into MDP.Actions[s]) of its chosen
-// action.
+// Policy maps each state to the index, among that state's actions, of its
+// chosen action.
 type Policy []int
 
 // ErrDeadline reports that a solver hit its wall-clock deadline.
@@ -154,14 +95,18 @@ type Result struct {
 	Iterations int
 }
 
-// initialValues validates and applies a warm start into v (already zeroed).
-func (o SolveOptions) initialValues(v []float64) error {
-	if o.InitialValues == nil {
-		return nil
+// start applies the defaults, rejects a discount outside (0, 1) — NaN
+// included — and returns a solve's first iterate over n states: zeros, or
+// the warm start.
+func (o SolveOptions) start(n int) (SolveOptions, []float64, error) {
+	o = o.withDefaults()
+	if !(o.Gamma > 0 && o.Gamma < 1) {
+		return o, nil, fmt.Errorf("mdp: gamma %v outside (0,1)", o.Gamma)
 	}
-	if len(o.InitialValues) != len(v) {
-		return fmt.Errorf("mdp: initial values length %d != states %d", len(o.InitialValues), len(v))
+	if o.InitialValues != nil && len(o.InitialValues) != n {
+		return o, nil, fmt.Errorf("mdp: initial values length %d != states %d", len(o.InitialValues), n)
 	}
+	v := make([]float64, n)
 	copy(v, o.InitialValues)
-	return nil
+	return o, v, nil
 }

@@ -10,37 +10,44 @@ import (
 // twoStateChain: state 0 has actions "stay" (reward 1) and "go" (reward 0,
 // moves to 1); state 1 has only "stay" with reward 5. With any discount
 // close to 1, the optimal policy leaves state 0.
-func twoStateChain() *MDP {
-	return &MDP{Actions: [][]Action{
+func twoStateChain() *Compiled {
+	return refMDP{
 		{
-			{Label: 0, Reward: 1, Transitions: []Transition{{Next: 0, P: 1}}},
-			{Label: 1, Reward: 0, Transitions: []Transition{{Next: 1, P: 1}}},
+			{reward: 1, edges: []refEdge{{0, 1}}},
+			{reward: 0, edges: []refEdge{{1, 1}}},
 		},
 		{
-			{Label: 0, Reward: 5, Transitions: []Transition{{Next: 1, P: 1}}},
+			{reward: 5, edges: []refEdge{{1, 1}}},
 		},
-	}}
+	}.compile()
 }
 
+// TestValidate runs every check Validate makes on hand-written MDPs, and
+// pins each one's message.
 func TestValidate(t *testing.T) {
-	m := twoStateChain()
-	if err := m.Validate(1e-9); err != nil {
+	if err := twoStateChain().Validate(1e-9); err != nil {
 		t.Fatalf("valid MDP rejected: %v", err)
 	}
-	bad := &MDP{Actions: [][]Action{{{Reward: 0, Transitions: []Transition{{Next: 0, P: 0.5}}}}}}
-	if err := bad.Validate(1e-9); err == nil {
-		t.Error("under-normalized transitions accepted")
-	}
-	bad2 := &MDP{Actions: [][]Action{{{Transitions: []Transition{{Next: 5, P: 1}}}}}}
-	if err := bad2.Validate(1e-9); err == nil {
-		t.Error("out-of-range successor accepted")
-	}
-	empty := &MDP{Actions: [][]Action{{}}}
-	if err := empty.Validate(1e-9); err == nil {
-		t.Error("state with no actions accepted")
-	}
-	if err := (&MDP{}).Validate(1e-9); err == nil {
-		t.Error("empty MDP accepted")
+	one := func(edges ...refEdge) refMDP { return refMDP{{{edges: edges}}} }
+	for name, c := range map[string]struct {
+		m    refMDP
+		want string
+	}{
+		"under-normalized":      {one(refEdge{0, 0.5}), "mdp: state 0 action 0: probabilities sum to 0.5"},
+		"out-of-range":          {one(refEdge{5, 1}), "mdp: state 0 action 0: successor 5 out of range"},
+		"negative successor":    {one(refEdge{-1, 1}), "mdp: state 0 action 0: successor -1 out of range"},
+		"negative probability":  {one(refEdge{0, -0.5}, refEdge{0, 1.5}), "mdp: state 0 action 0: probability -0.5 invalid"},
+		"probability above one": {one(refEdge{0, 1.5}), "mdp: state 0 action 0: probability 1.5 invalid"},
+		"NaN probability":       {one(refEdge{0, math.NaN()}), "mdp: state 0 action 0: probability NaN invalid"},
+		"no actions":            {refMDP{{}}, "mdp: state 0 has no actions"},
+		"second state":          {refMDP{{{edges: []refEdge{{1, 1}}}}, {}}, "mdp: state 1 has no actions"},
+		"second action":         {refMDP{{{edges: []refEdge{{0, 1}}}, {edges: []refEdge{{0, 0.25}}}}}, "mdp: state 0 action 1: probabilities sum to 0.25"},
+		"no states":             {refMDP{}, "mdp: no states"},
+	} {
+		err := c.m.compile().Validate(1e-9)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: Validate = %v, want %q", name, err, c.want)
+		}
 	}
 }
 
@@ -51,7 +58,7 @@ func TestNumTransitions(t *testing.T) {
 }
 
 func TestValueIterationOptimalPolicy(t *testing.T) {
-	res, err := Compile(twoStateChain()).ValueIteration(SolveOptions{Gamma: 0.9, Tol: 1e-12})
+	res, err := twoStateChain().ValueIteration(SolveOptions{Gamma: 0.9, Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +75,8 @@ func TestValueIterationOptimalPolicy(t *testing.T) {
 }
 
 func TestValueIterationRejectsBadGamma(t *testing.T) {
-	c := Compile(twoStateChain())
-	for _, g := range []float64{-0.5, 1.0, 2.0} {
+	c := twoStateChain()
+	for _, g := range []float64{-0.5, 1.0, 2.0, math.NaN()} {
 		for _, method := range []Method{MethodJacobi, MethodPrioritized} {
 			if _, err := c.Solve(SolveOptions{Gamma: g, Method: method}); err == nil {
 				t.Errorf("%s: gamma %v accepted", method, g)
@@ -83,31 +90,26 @@ func TestValueIterationValuesAreOptimalProperty(t *testing.T) {
 	// optimality equation and dominates the value of a random policy.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := randomMDP(rng, 12, 3, 4)
-		c := Compile(m)
+		c := randomMDP(rng, 12, 3, 4)
+		m := expand(c)
 		res, err := c.ValueIteration(SolveOptions{Gamma: 0.9, Tol: 1e-12})
 		if err != nil {
 			return false
 		}
 		// Bellman residual check.
-		for s := range m.Actions {
+		for s := range m {
 			best := math.Inf(-1)
-			for ai := range m.Actions[s] {
-				a := &m.Actions[s][ai]
-				q := a.Reward
-				for _, tr := range a.Transitions {
-					q += 0.9 * tr.P * res.Values[tr.Next]
-				}
-				best = math.Max(best, q)
+			for ai := range m[s] {
+				best = math.Max(best, refQ(&m[s][ai], 0.9, res.Values))
 			}
 			if math.Abs(best-res.Values[s]) > 1e-6 {
 				return false
 			}
 		}
 		// Dominance over a random policy.
-		pol := make(Policy, len(m.Actions))
+		pol := make(Policy, len(m))
 		for s := range pol {
-			pol[s] = rng.Intn(len(m.Actions[s]))
+			pol[s] = rng.Intn(len(m[s]))
 		}
 		v := refPolicyEvaluation(m, pol, SolveOptions{Gamma: 0.9, Tol: 1e-12})
 		for s := range v {
@@ -124,11 +126,11 @@ func TestValueIterationValuesAreOptimalProperty(t *testing.T) {
 
 func TestStationaryDistribution(t *testing.T) {
 	// Two-state chain with P(0->1)=0.3, P(1->0)=0.6: stationary = (2/3, 1/3).
-	m := &MDP{Actions: [][]Action{
-		{{Transitions: []Transition{{Next: 0, P: 0.7}, {Next: 1, P: 0.3}}}},
-		{{Transitions: []Transition{{Next: 0, P: 0.6}, {Next: 1, P: 0.4}}}},
-	}}
-	pi, err := Compile(m).StationaryDistribution(Policy{0, 0}, 1e-14, 0)
+	m := refMDP{
+		{{edges: []refEdge{{0, 0.7}, {1, 0.3}}}},
+		{{edges: []refEdge{{0, 0.6}, {1, 0.4}}}},
+	}
+	pi, err := m.compile().StationaryDistribution(Policy{0, 0}, 1e-14, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +142,11 @@ func TestStationaryDistribution(t *testing.T) {
 func TestStationaryDistributionPeriodicChain(t *testing.T) {
 	// A strictly periodic two-cycle: the lazy iteration must still converge
 	// to (1/2, 1/2).
-	m := &MDP{Actions: [][]Action{
-		{{Transitions: []Transition{{Next: 1, P: 1}}}},
-		{{Transitions: []Transition{{Next: 0, P: 1}}}},
-	}}
-	pi, err := Compile(m).StationaryDistribution(Policy{0, 0}, 1e-14, 0)
+	m := refMDP{
+		{{edges: []refEdge{{1, 1}}}},
+		{{edges: []refEdge{{0, 1}}}},
+	}
+	pi, err := m.compile().StationaryDistribution(Policy{0, 0}, 1e-14, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +158,9 @@ func TestStationaryDistributionPeriodicChain(t *testing.T) {
 func TestStationaryDistributionSumsToOneProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := randomMDP(rng, 15, 2, 5)
-		pol := make(Policy, len(m.Actions))
-		pi, err := Compile(m).StationaryDistribution(pol, 1e-12, 0)
+		c := randomMDP(rng, 15, 2, 5)
+		pol := make(Policy, c.NumStates())
+		pi, err := c.StationaryDistribution(pol, 1e-12, 0)
 		if err != nil {
 			return false
 		}
@@ -174,9 +176,9 @@ func TestStationaryDistributionSumsToOneProperty(t *testing.T) {
 		}
 		// Fixed point: pi P = pi.
 		next := make([]float64, len(pi))
-		for s := range m.Actions {
-			for _, tr := range m.Actions[s][pol[s]].Transitions {
-				next[tr.Next] += pi[s] * tr.P
+		for s, acts := range expand(c) {
+			for _, e := range acts[pol[s]].edges {
+				next[e.next] += pi[s] * e.p
 			}
 		}
 		for i := range next {
@@ -195,8 +197,7 @@ func TestStationaryDistributionSumsToOneProperty(t *testing.T) {
 // error, not a silently unconverged π. The chain needs about ten sweeps to
 // reach the tolerance; three are not enough.
 func TestStationaryDistributionNotConverged(t *testing.T) {
-	m := randomMDP(rand.New(rand.NewSource(3)), 40, 1, 0)
-	c, pol := Compile(m), make(Policy, 40)
+	c, pol := randomMDP(rand.New(rand.NewSource(3)), 40, 1, 0), make(Policy, 40)
 	if _, err := c.StationaryDistribution(pol, 1e-13, 0); err != nil {
 		t.Fatalf("default sweep budget: %v", err)
 	}
@@ -209,11 +210,12 @@ func TestStationaryDistributionNotConverged(t *testing.T) {
 	}
 }
 
-// randomMDP builds a random ergodic MDP: every action's successor set
+// randomMDP writes a random ergodic MDP: every action's successor set
 // includes all states with positive probability.
-func randomMDP(rng *rand.Rand, states, actions, _ int) *MDP {
-	m := &MDP{Actions: make([][]Action, states)}
+func randomMDP(rng *rand.Rand, states, actions, _ int) *Compiled {
+	var w Writer
 	for s := 0; s < states; s++ {
+		w.State()
 		for a := 0; a < actions; a++ {
 			ws := make([]float64, states)
 			sum := 0.0
@@ -221,12 +223,11 @@ func randomMDP(rng *rand.Rand, states, actions, _ int) *MDP {
 				ws[i] = rng.Float64() + 0.01
 				sum += ws[i]
 			}
-			act := Action{Label: a, Reward: rng.Float64()}
-			for i, w := range ws {
-				act.Transitions = append(act.Transitions, Transition{Next: int32(i), P: w / sum})
+			w.Action(rng.Float64())
+			for i, x := range ws {
+				w.Edge(int32(i), x/sum)
 			}
-			m.Actions[s] = append(m.Actions[s], act)
 		}
 	}
-	return m
+	return w.Cut()
 }

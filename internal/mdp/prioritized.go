@@ -61,15 +61,11 @@ func (c *Compiled) Solve(opts SolveOptions) (Result, error) {
 // saving directly. With o.Ordered the corrections group index bands until
 // one fails to shrink the residual, and residual quantiles after that.
 func (c *Compiled) prioritized(o SolveOptions) (Result, error) {
-	o = o.withDefaults()
-	if o.Gamma <= 0 || o.Gamma >= 1 {
-		return Result{}, fmt.Errorf("mdp: gamma %v outside (0,1)", o.Gamma)
-	}
-	n := c.n
-	v := make([]float64, n)
-	if err := o.initialValues(v); err != nil {
+	o, v, err := o.start(c.n)
+	if err != nil {
 		return Result{}, err
 	}
+	n := c.n
 	gp := c.scaledProbs(o.Gamma)
 	pol := make(Policy, n)
 

@@ -21,8 +21,7 @@ func solvePrioritized(c *Compiled, opts SolveOptions) (Result, error) {
 // every equivalence fixture including the single-state MDP, with residual
 // groups and with index bands (Ordered).
 func TestPrioritizedMatchesJacobiFixedPoint(t *testing.T) {
-	for name, m := range compiledFixtures() {
-		c := Compile(m)
+	for name, c := range compiledFixtures() {
 		opts := SolveOptions{Gamma: 0.95, Tol: 1e-10}
 		want, err := c.ValueIteration(opts)
 		if err != nil {
@@ -51,11 +50,10 @@ func TestPrioritizedMatchesJacobiFixedPoint(t *testing.T) {
 // every sweep takes the aggregation step with a single group, and the solve
 // must still terminate at the right value.
 func TestPrioritizedSingleState(t *testing.T) {
-	m := &MDP{Actions: [][]Action{{
-		{Label: 0, Reward: 1, Transitions: []Transition{{Next: 0, P: 1}}},
-		{Label: 1, Reward: 3, Transitions: []Transition{{Next: 0, P: 1}}},
-	}}}
-	c := Compile(m)
+	c := refMDP{{
+		{reward: 1, edges: []refEdge{{0, 1}}},
+		{reward: 3, edges: []refEdge{{0, 1}}},
+	}}.compile()
 	res, err := solvePrioritized(c, SolveOptions{Gamma: 0.9, Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +73,7 @@ func TestPrioritizedSingleState(t *testing.T) {
 // exactly one sweep-equivalent.
 func TestPrioritizedZeroResidualEarlyExit(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	c := Compile(randomMDP(rng, 60, 3, 5))
+	c := randomMDP(rng, 60, 3, 5)
 	opts := SolveOptions{Gamma: 0.95, Tol: 1e-9}
 	cold, err := solvePrioritized(c, opts)
 	if err != nil {
@@ -98,7 +96,7 @@ func TestPrioritizedZeroResidualEarlyExit(t *testing.T) {
 // strictly fewer sweep-equivalents than the cold solve.
 func TestPrioritizedWarmBeatsCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	c := Compile(randomMDP(rng, 120, 4, 6))
+	c := randomMDP(rng, 120, 4, 6)
 	opts := SolveOptions{Gamma: 0.97, Tol: 1e-10}
 	cold, err := solvePrioritized(c, opts)
 	if err != nil {
@@ -124,16 +122,18 @@ func TestPrioritizedWarmBeatsCold(t *testing.T) {
 // self-loop earning r per step. The other n−1 are zero-reward self-loops
 // that never move, so every residual after the first sweep sits on state 0
 // alone — one moving state, fewer than n/16 once n exceeds 16.
-func slowStateMDP(n int, r float64) *MDP {
-	m := &MDP{Actions: make([][]Action, n)}
-	for s := range m.Actions {
+func slowStateMDP(n int, r float64) *Compiled {
+	var w Writer
+	for s := 0; s < n; s++ {
 		reward := 0.0
 		if s == 0 {
 			reward = r
 		}
-		m.Actions[s] = []Action{{Label: 0, Reward: reward, Transitions: []Transition{{Next: int32(s), P: 1}}}}
+		w.State()
+		w.Action(reward)
+		w.Edge(int32(s), 1)
 	}
-	return m
+	return w.Cut()
 }
 
 // TestPrioritizedRestrictedEndgame pins the endgame's saving: with one slow
@@ -143,7 +143,7 @@ func slowStateMDP(n int, r float64) *MDP {
 // γ = 0.99 and Tol 1e-9.
 func TestPrioritizedRestrictedEndgame(t *testing.T) {
 	const gamma, tol = 0.99, 1e-9
-	c := Compile(slowStateMDP(32, 1))
+	c := slowStateMDP(32, 1)
 	res, err := solvePrioritized(c, SolveOptions{Gamma: gamma, Tol: tol})
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestPrioritizedRestrictedEndgame(t *testing.T) {
 // which converges, instead of spinning on the empty set; the solve runs on
 // its own goroutine so a spin fails the test rather than hanging it.
 func TestPrioritizedEndgameEmptySet(t *testing.T) {
-	c := Compile(slowStateMDP(32, 1))
+	c := slowStateMDP(32, 1)
 	done := make(chan Result, 1)
 	go func() {
 		res, err := solvePrioritized(c, SolveOptions{Gamma: 0.5, Tol: 1})
@@ -192,7 +192,7 @@ func TestPrioritizedEndgameEmptySet(t *testing.T) {
 
 func TestPrioritizedDeadline(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c := Compile(randomMDP(rng, 200, 4, 8))
+	c := randomMDP(rng, 200, 4, 8)
 	_, err := solvePrioritized(c, SolveOptions{
 		Gamma:    0.999999,
 		Tol:      1e-300, // unreachable: force the deadline path
