@@ -23,7 +23,7 @@ import (
 func TestRunWritesLoadableTable(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
-	args := "-workers 8 -lo 200 -hi 600 -step 200 -dur 2 -seed 3 -out " + dir
+	args := "-workers 8 -lo 200 -hi 600 -step 200 -dur 10 -seed 3 -out " + dir
 	if err := run(context.Background(), strings.Fields(args), &out); err != nil {
 		t.Fatalf("msgen %s: %v", args, err)
 	}
@@ -39,7 +39,7 @@ func TestRunWritesLoadableTable(t *testing.T) {
 	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
-	want := baselines.ProfileModelSwitching(profile.ImageSet(), 0.150, 8, []float64{200, 400, 600}, 2, 3)
+	want := baselines.ProfileModelSwitching(profile.ImageSet(), 0.150, 8, []float64{200, 400, 600}, 10, 3)
 	if !reflect.DeepEqual(&got, want) {
 		t.Errorf("decoded table differs from the profiled one:\n got %+v\nwant %+v", got, *want)
 	}

@@ -93,7 +93,7 @@ func awaitOutput(t *testing.T, out *syncBuffer, done <-chan error, pattern strin
 // run returns nil after the summary, with nothing left running.
 func TestReplaySmoke(t *testing.T) {
 	for name, tc := range map[string]struct{ args, want string }{
-		"scalar": {"-workers 2 -load 40 -dur 2 -timescale 20 -d 10 -admit cap", `(?m)^served: +[1-9]\d*\noffered / shed:`},
+		"scalar": {"-workers 2 -load 40 -dur 10 -timescale 20 -d 10 -admit cap", `(?m)^served: +[1-9]\d*\noffered / shed:`},
 		"llm":    {"-workload llm -workers 2 -slo 8000 -load 2 -dur 10 -timescale 50 -llm-bucket 128", `(?m)^served / failed: +[1-9]\d* / 0$`},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -283,7 +283,7 @@ func (o *options) runScalar() error {
 				loads = append(loads, l)
 			}
 			o.Printf("profiling ModelSwitching response latencies...\n")
-			table = baselines.ProfileModelSwitching(models, slo, o.Workers, loads, 5, o.Seed)
+			table = baselines.ProfileModelSwitching(models, slo, o.Workers, loads, 10, o.Seed)
 		}
 		sched = sim.Scheme{Monitor: mon, Select: baselines.ModelSwitching{Profiles: models, SLO: slo, Table: table}.Selector()}
 	case "Greedy":

@@ -70,7 +70,7 @@ func normalize(out string) string {
 // golden: served, decisions, shed, accuracy, violations, percentiles and
 // adaptation counters must all be digit-identical.
 func TestOutputGolden(t *testing.T) {
-	const small = "-workers 2 -load 40 -dur 2 -d 10"
+	const small = "-workers 2 -load 40 -dur 10 -d 10"
 	const llm = "-workload llm -workers 2 -slo 8000 -load 2 -dur 10 -llm-bucket 128"
 	for name, args := range map[string]string{
 		"ramsis":     small + " -m RAMSIS",
@@ -78,7 +78,7 @@ func TestOutputGolden(t *testing.T) {
 		"ms":         small + " -m MS",
 		"greedy":     small + " -m Greedy",
 		"jsq":        small + " -lb jsq",
-		"admit":      "-d 10 -dur 2 -workers 4 -load 900 -admit deadline -admit-degrade 5",
+		"admit":      "-d 10 -dur 10 -workers 4 -load 900 -admit deadline -admit-degrade 5",
 		"adapt":      "-workers 2 -load 40 -d 10 -dur 8 -adapt -adapt-dwell 0.5 -adapt-bucket 20 -trace step -step-load 120 -step-at 2 -step-dur 3",
 		"tenants":    small + " -tenants testdata/tenants.json -tenant-mult bronze=4",
 		"llm-ramsis": llm + " -m RAMSIS",
@@ -118,9 +118,9 @@ func TestOutputGolden(t *testing.T) {
 // process (most cells diverging on 30 workers) loads through -ms-table and
 // gives the same MS row, digit for digit, as profiling in process.
 func TestMSTableFromMsgen(t *testing.T) {
-	const row = "-m MS -workers 30 -load 1200 -dur 2"
+	const row = "-m MS -workers 30 -load 1200 -dur 10"
 	dir := t.TempDir()
-	gen := exec.Command("go", "run", "ramsis/cmd/msgen", "-workers", "30", "-lo", "400", "-hi", "4400", "-step", "400", "-dur", "5", "-seed", "1", "-out", dir)
+	gen := exec.Command("go", "run", "ramsis/cmd/msgen", "-workers", "30", "-lo", "400", "-hi", "4400", "-step", "400", "-dur", "10", "-seed", "1", "-out", dir)
 	if out, err := gen.CombinedOutput(); err != nil {
 		t.Fatalf("%s: %v\n%s", gen, err, out)
 	}

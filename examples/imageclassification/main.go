@@ -45,7 +45,7 @@ func main() {
 	// ModelSwitching: offline response-latency profiling (§7).
 	fmt.Println("profiling ModelSwitching response latencies...")
 	msTable := baselines.ProfileModelSwitching(models, slo, workers,
-		[]float64{200, 300, 400, 500, 600, 700}, 5, 1)
+		[]float64{200, 300, 400, 500, 600, 700}, 10, 1)
 
 	run := func(name string, sched sim.Scheduler) sim.Metrics {
 		e := sim.NewEngine(models, slo, workers, sim.Deterministic{}, sched, 1)

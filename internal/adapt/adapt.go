@@ -6,9 +6,9 @@
 //     rung generates the rung covering it, with no dwell.
 //   - New, §6's drift rule: when the monitored rate sits outside a
 //     hysteresis band around the active policy's rate for a minimum dwell,
-//     the per-worker MDP is re-solved at the new rate's bucket. An LRU
-//     cache keyed by (rate bucket, SLO, config hash) makes returning to a
-//     seen rate a lookup, and the nearest cached bucket warm-starts a solve.
+//     the per-worker MDP is re-solved at the new rate's bucket. The ladder
+//     is the one store: a bucket it already holds is installed with no
+//     solve, and otherwise its nearest bucket's policy warm-starts one.
 //
 // A new policy is published with PolicySet.Insert, whose lock every lookup
 // already takes, and an adapter runs one generation at a time. The
@@ -19,6 +19,7 @@
 package adapt
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -29,9 +30,6 @@ import (
 	"ramsis/internal/dist"
 	"ramsis/internal/telemetry"
 )
-
-// cacheSize bounds the adapter's LRU policy cache.
-const cacheSize = 16
 
 // onDemandRung is the granularity the coverage trigger rounds a load up
 // to, so a stream of slightly different loads past the ladder does not
@@ -48,14 +46,14 @@ type Config struct {
 	// same policy as the synchronous sweep in a fraction of the time.
 	Base core.Config
 	// Band is the fractional hysteresis half-width around the solved-for
-	// rate (0 defaults to 0.2, i.e. ±20 %).
+	// rate, in [0, 1) (0 defaults to 0.2, i.e. ±20 %).
 	Band float64
 	// Dwell is how long (modeled seconds) the rate must sit outside the
 	// band before drift is confirmed (0 defaults to 2 s; negative means
 	// fire immediately).
 	Dwell float64
 	// BucketSize quantizes drifted rates before solving, so near-identical
-	// rates share one policy and one cache entry (0 defaults to the
+	// rates share one policy in the ladder (0 defaults to the
 	// hysteresis band width at the initial rate, Band×initial.Load, so a
 	// confirmed drift always changes buckets).
 	BucketSize float64
@@ -77,19 +75,19 @@ type Config struct {
 
 // Stats is a consistent snapshot of the adapter's counters.
 type Stats struct {
-	// Resolves counts generations attempted: re-solves on drift (cache
+	// Resolves counts generations attempted: re-solves on drift (ladder
 	// hits do not solve and are not counted), or rungs on demand.
 	Resolves uint64
 	// ResolveErrors counts generations that failed; the ladder stayed as
 	// it was.
 	ResolveErrors uint64
-	// CacheHits counts drift events served from the LRU cache.
+	// CacheHits counts drift events whose bucket the ladder held (no solve).
 	CacheHits uint64
 	// CacheMisses counts drift events that had to solve.
 	CacheMisses uint64
 	// Swaps counts policies published to the dispatch path.
 	Swaps uint64
-	// WarmStarts counts re-solves seeded from a cached neighboring bucket's
+	// WarmStarts counts re-solves seeded from the ladder's nearest bucket's
 	// converged value vector instead of zeros.
 	WarmStarts uint64
 	// LastResolveIterations is the solver iteration count of the most
@@ -103,9 +101,8 @@ type Stats struct {
 // Adapter owns a policy ladder and the trigger that generates into it.
 // Policy answers decisions; Observe feeds the drift trigger alone.
 type Adapter struct {
-	cfg  Config
-	hash uint64
-	set  *core.PolicySet
+	cfg Config
+	set *core.PolicySet
 
 	mu        sync.Mutex
 	det       *Detector // nil under the coverage trigger
@@ -114,7 +111,6 @@ type Adapter struct {
 	running   sync.WaitGroup // one per latch holder, inline or background
 
 	bucket atomic.Uint64 // Float64bits of the active rate bucket
-	cache  *Cache
 
 	lastNow atomic.Uint64 // Float64bits of the last Observe's modeled time
 
@@ -147,11 +143,14 @@ func NewCoverage(set *core.PolicySet, background bool, reg *telemetry.Registry) 
 
 // New builds §6's drift adapter around an initial policy (solved offline
 // for the anticipated starting rate). The detector centers on the policy's
-// load, and the policy seeds both the adapter's ladder and the cache — so
-// drifting away and back is one solve and one cache hit.
+// load, and the policy seeds the adapter's ladder — so drifting away and
+// back is one solve and one ladder hit.
 func New(cfg Config, initial *core.Policy) (*Adapter, error) {
 	if initial == nil {
-		return nil, errNilInitial
+		return nil, errors.New("adapt: initial policy required")
+	}
+	if !(cfg.Band >= 0 && cfg.Band < 1) {
+		return nil, fmt.Errorf("adapt: hysteresis band %g outside [0, 1)", cfg.Band)
 	}
 	cfg.Base.Jacobi = false
 	if cfg.Band == 0 {
@@ -174,16 +173,13 @@ func New(cfg Config, initial *core.Policy) (*Adapter, error) {
 		}
 	}
 	a := &Adapter{
-		cfg:   cfg,
-		hash:  ConfigHash(cfg.Base),
-		set:   core.NewPolicySet(cfg.Base, nil),
-		det:   NewDetector(initial.Load, cfg.Band, cfg.Dwell),
-		cache: NewCache(cacheSize),
+		cfg: cfg,
+		set: core.NewPolicySet(cfg.Base, nil),
+		det: NewDetector(initial.Load, cfg.Band, cfg.Dwell),
 	}
 	a.set.Insert(initial)
 	bucket := bucketOf(initial.Load, cfg.BucketSize)
 	a.bucket.Store(math.Float64bits(bucket))
-	a.cache.Put(a.key(bucket), initial)
 	if r := cfg.Telemetry; r != nil {
 		a.mResolves = r.Counter(telemetry.MetricAdaptResolves)
 		a.mResolveErrors = r.Counter(telemetry.MetricAdaptResolveErrors)
@@ -199,17 +195,6 @@ func New(cfg Config, initial *core.Policy) (*Adapter, error) {
 		a.mBucket.Set(bucket)
 	}
 	return a, nil
-}
-
-type nilInitialError struct{}
-
-func (nilInitialError) Error() string { return "adapt: initial policy required" }
-
-var errNilInitial = nilInitialError{}
-
-// key builds the cache key for a rate bucket under the adapter's problem.
-func (a *Adapter) key(bucket float64) Key {
-	return Key{Bucket: bucket, SLO: a.cfg.Base.SLO, ConfigHash: a.hash}
 }
 
 // bucketOf quantizes a rate to the nearest bucket (minimum one bucket).
@@ -241,15 +226,17 @@ func (a *Adapter) Policy(now, load float64) *core.Policy {
 	if covered || p == nil {
 		return p
 	}
-	return a.cover(load, p)
+	return a.cover(load)
 }
 
-// cover is the coverage trigger for a load above the ladder's top rung,
-// top. Inline, the decision gets the new rung; in the background, or while
-// another generation runs, or after Stop, it gets top.
-func (a *Adapter) cover(load float64, top *core.Policy) *core.Policy {
+// cover is the coverage trigger for a load above the ladder's top rung.
+// Inline, the decision gets the new rung; in the background, or while
+// another generation runs, or after Stop, it gets the top rung. The lookup
+// is repeated under mu: a generation may have covered load since the last.
+func (a *Adapter) cover(load float64) *core.Policy {
 	a.mu.Lock()
-	if a.stopped || a.resolving {
+	top, covered := a.set.Best(load)
+	if a.stopped || a.resolving || covered {
 		a.mu.Unlock()
 		return top
 	}
@@ -311,10 +298,10 @@ func (a *Adapter) Stats() Stats {
 
 // Observe feeds one monitored rate reading at modeled time now to the
 // drift trigger; a coverage adapter ignores it. When drift is confirmed, it
-// re-solves (or cache-loads) a policy for the drifted rate's bucket and
-// inserts it into the ladder. With Config.Background the solve runs on a
-// goroutine and Observe returns immediately; otherwise the swap completes
-// before Observe returns.
+// installs the ladder's policy for the drifted rate's bucket, or re-solves
+// one into the ladder. With Config.Background the solve runs on a goroutine
+// and Observe returns immediately; otherwise the swap completes before
+// Observe returns.
 //
 // A failed re-solve leaves the previous policy active; it is retried on the
 // next confirmed drift event.
@@ -342,40 +329,56 @@ func (a *Adapter) Observe(now, rate float64) {
 	a.mu.Unlock()
 
 	start := time.Now()
-	if pol, ok := a.cache.Get(a.key(target)); ok {
+	hit, donor := a.stored(target)
+	if hit != nil {
 		a.cacheHits.Add(1)
 		inc(a.mCacheHits)
-		a.install(target, pol, start)
+		a.install(target, hit, start)
 		a.end()
 		return
 	}
 	a.cacheMisses.Add(1)
 	inc(a.mCacheMisses)
 	if a.cfg.Background {
-		go a.resolve(target, start)
+		go a.resolve(target, donor, start)
 	} else {
-		a.resolve(target, start)
+		a.resolve(target, donor, start)
 	}
 }
 
-// resolve generates a policy for the bucket, caches it, and swaps it in.
-// When the cache holds a policy for any bucket of the same problem, the
-// solve warm-starts from the nearest bucket's converged value vector: the
-// state space is identical (only the arrival differs), so the solver starts
-// close to the new fixed point and converges in fewer sweeps — directly
-// shrinking the drift-to-swap window dispatch spends on the stale policy.
-func (a *Adapter) resolve(bucket float64, start time.Time) {
+// stored looks a rate bucket up in the ladder: hit is a policy whose load
+// quantizes to bucket; otherwise donor is the policy of the nearest bucket,
+// the lower one on a tie (the ladder is sorted by load, so the first found).
+func (a *Adapter) stored(bucket float64) (hit, donor *core.Policy) {
+	best := math.Inf(1)
+	for _, p := range a.set.Policies() {
+		b := bucketOf(p.Load, a.cfg.BucketSize)
+		if b == bucket {
+			return p, nil
+		}
+		if d := math.Abs(b - bucket); d < best {
+			best, donor = d, p
+		}
+	}
+	return nil, donor
+}
+
+// resolve generates a policy for the bucket and swaps it in. The solve
+// warm-starts from the donor's converged value vector (the ladder is never
+// empty, so there is one): the state space is identical (only the arrival
+// differs), so the solver starts close to the new fixed point and converges
+// in fewer sweeps — directly shrinking the drift-to-swap window dispatch
+// spends on the stale policy.
+func (a *Adapter) resolve(bucket float64, donor *core.Policy, start time.Time) {
 	defer a.end()
 	a.resolves.Add(1)
 	inc(a.mResolves)
 	cfg := a.cfg.Base
 	cfg.Arrival = dist.NewPoisson(bucket)
-	if donor, ok := a.cache.Nearest(a.key(bucket)); ok {
-		if vals := donor.SolveValues(); vals != nil {
-			cfg.InitialValues = vals
-			a.warmStarts.Add(1)
-			inc(a.mWarmStarts)
-		}
+	if vals := donor.SolveValues(); vals != nil {
+		cfg.InitialValues = vals
+		a.warmStarts.Add(1)
+		inc(a.mWarmStarts)
 	}
 	pol, err := core.Generate(cfg)
 	if err != nil {
@@ -389,7 +392,6 @@ func (a *Adapter) resolve(bucket float64, start time.Time) {
 		a.mResolveBuild.Set(pol.BuildTime.Seconds())
 		a.mResolveSolve.Set(pol.SolveTime.Seconds())
 	}
-	a.cache.Put(a.key(bucket), pol)
 	a.install(bucket, pol, start)
 }
 

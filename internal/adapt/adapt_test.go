@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -256,35 +257,105 @@ func TestAdapterWarmStartFewerIterations(t *testing.T) {
 	}
 }
 
-// TestCacheNearest pins the donor-selection rule: same SLO and config hash
-// only, closest bucket, lower bucket on ties, and no recency bump.
-func TestCacheNearest(t *testing.T) {
-	pol := func(load float64) *core.Policy { return &core.Policy{Load: load} }
-	c := NewCache(8)
-	base := Key{SLO: 0.150, ConfigHash: 1}
-	for _, b := range []float64{20, 120, 300} {
-		k := base
-		k.Bucket = b
-		c.Put(k, pol(b))
+// TestStoredHitAndDonor pins the ladder lookup a drift makes: a policy in
+// the target bucket is a hit; otherwise the nearest bucket donates, the
+// lower one on a tie.
+func TestStoredHitAndDonor(t *testing.T) {
+	ladder := func(size float64, loads ...float64) *Adapter {
+		a := &Adapter{cfg: Config{BucketSize: size}, set: core.NewPolicySet(core.Config{}, nil)}
+		for _, l := range loads {
+			a.set.Insert(&core.Policy{Load: l})
+		}
+		return a
 	}
-	otherSLO := Key{Bucket: 90, SLO: 0.300, ConfigHash: 1}
-	c.Put(otherSLO, pol(90))
+	a := ladder(20, 20, 120, 300)
+	for _, tc := range []struct {
+		bucket, hit, donor float64 // 0 = none
+	}{
+		{100, 0, 120},
+		{70, 0, 20}, // equidistant from 20 and 120
+		{120, 120, 0},
+		{20, 20, 0},
+		{1000, 0, 300},
+	} {
+		hit, donor := a.stored(tc.bucket)
+		if load(hit) != tc.hit || load(donor) != tc.donor {
+			t.Errorf("stored(%v) = hit %v, donor %v; want hit %v, donor %v",
+				tc.bucket, load(hit), load(donor), tc.hit, tc.donor)
+		}
+	}
+	// An off-grid initial policy is found under the bucket it quantizes to.
+	if hit, _ := ladder(100, 1617).stored(1600); load(hit) != 1617 {
+		t.Errorf("stored(1600) over a 1617-QPS policy = %v, want a hit", load(hit))
+	}
+	if hit, donor := ladder(20).stored(20); hit != nil || donor != nil {
+		t.Errorf("empty ladder: hit %v, donor %v", hit, donor)
+	}
+}
 
-	want := base
-	want.Bucket = 100
-	got, ok := c.Nearest(want)
-	if !ok || got.Load != 120 {
-		t.Fatalf("Nearest(100) = %v, %v; want the 120 bucket", got, ok)
+func load(p *core.Policy) float64 {
+	if p == nil {
+		return 0
 	}
-	// Equidistant 20 vs 120 from 70: the lower bucket wins deterministically.
-	want.Bucket = 70
-	if got, _ := c.Nearest(want); got.Load != 20 {
-		t.Errorf("Nearest(70) = %v, want the 20 bucket on a tie", got.Load)
+	return p.Load
+}
+
+// TestAdapterLadderRemembersEveryBucket drifts through 20 buckets, then
+// back to the first: the ladder keeps every policy it was given, so the
+// return installs the initial policy and solves nothing.
+func TestAdapterLadderRemembersEveryBucket(t *testing.T) {
+	a := newAdapter(t, Config{Band: 0.01, Dwell: -1, BucketSize: 20})
+	initial := a.PolicyFor(20)
+	var now float64
+	for rate := 40.0; rate <= 420; rate += 20 {
+		now++
+		a.Observe(now, rate)
 	}
-	// A different SLO never donates even when its bucket is closest.
-	miss := Key{Bucket: 90, SLO: 0.500, ConfigHash: 1}
-	if _, ok := c.Nearest(miss); ok {
-		t.Error("Nearest crossed an SLO boundary")
+	s := a.Stats()
+	if s.Resolves != 20 || s.ActiveBucket != 420 {
+		t.Fatalf("after 20 drifts: %+v", s)
+	}
+	a.Observe(now+1, 20)
+	s = a.Stats()
+	if s.Resolves != 20 || s.CacheHits != 1 || s.ActiveBucket != 20 {
+		t.Fatalf("return to the first bucket: %+v, want no solve and one hit", s)
+	}
+	if a.PolicyFor(20) != initial {
+		t.Error("return to the first bucket did not serve the initial policy")
+	}
+}
+
+// TestAdapterInstalledBucketIsHit publishes a policy with Install, drifts
+// away and back to its bucket: the published policy serves with no solve.
+func TestAdapterInstalledBucketIsHit(t *testing.T) {
+	a := newAdapter(t, Config{Band: 0.2, Dwell: -1, BucketSize: 20})
+	p220 := initialPolicy(t, 220)
+	a.Install(220, p220)
+	a.Observe(0, 120) // out of the band around 20: solves the 120 bucket
+	a.Observe(1, 220)
+	s := a.Stats()
+	if s.Resolves != 1 || s.CacheHits != 1 || s.ActiveBucket != 220 {
+		t.Fatalf("drift back to the installed bucket: %+v, want one solve and one hit", s)
+	}
+	if a.PolicyFor(220) != p220 {
+		t.Error("the installed policy does not serve its bucket")
+	}
+}
+
+func TestNewRejectsBandOutsideUnitInterval(t *testing.T) {
+	pol := &core.Policy{Load: 20}
+	for _, band := range []float64{-0.5, 1, 1.5, math.NaN()} {
+		if _, err := New(Config{Base: adaptBase(), Band: band}, pol); err == nil || !strings.Contains(err.Error(), "band") {
+			t.Errorf("New(band %v) = %v, want an error naming the band", band, err)
+		}
+	}
+	for _, band := range []float64{0, 0.2, 0.99} {
+		a, err := New(Config{Base: adaptBase(), Band: band}, pol)
+		if err != nil {
+			t.Errorf("New(band %v) = %v", band, err)
+			continue
+		}
+		a.Stop()
 	}
 }
 
@@ -307,6 +378,7 @@ func TestAdapterConcurrentLookupAndSwap(t *testing.T) {
 		}
 		return pol
 	}()
+	initial := a.PolicyFor(20)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -330,7 +402,7 @@ func TestAdapterConcurrentLookupAndSwap(t *testing.T) {
 		if i%2 == 0 {
 			a.Install(120, p120)
 		} else {
-			a.Install(20, a.cache.mustGet(t, a.key(20)))
+			a.Install(20, initial)
 		}
 	}
 	close(stop)
@@ -399,14 +471,4 @@ func TestAdapterConcurrentPrioritizedResolve(t *testing.T) {
 				s, warm.Choices[s], cold.Choices[s])
 		}
 	}
-}
-
-// mustGet is a test helper: fetch a policy known to be cached.
-func (c *Cache) mustGet(t *testing.T, k Key) *core.Policy {
-	t.Helper()
-	pol, ok := c.Get(k)
-	if !ok {
-		t.Fatal("expected cached policy missing")
-	}
-	return pol
 }

@@ -86,6 +86,21 @@ func TestCoverageGeneratesOnDemand(t *testing.T) {
 	}
 }
 
+// TestCoverageStaleLookupGeneratesNothing is a decision whose ladder lookup
+// came before another's generation finished: it reaches cover with a load
+// the ladder now covers, and is answered from the new rung instead of
+// generating it again.
+func TestCoverageStaleLookupGeneratesNothing(t *testing.T) {
+	a := NewCoverage(ladder(t, nil, 100), false, nil)
+	defer a.Stop()
+	if p := a.Policy(0, 180); p.Load != 200 {
+		t.Fatalf("Policy(180).Load = %v, want 200", p.Load)
+	}
+	if p := a.cover(180); p.Load != 200 || a.Stats().Resolves != 1 {
+		t.Errorf("stale lookup got the %v rung, %+v; want the 200 rung and one generation", p.Load, a.Stats())
+	}
+}
+
 // TestCoverageBackgroundStaleWindow pins the background trigger's stale
 // window: the decision that fires it returns at once with the top rung,
 // every decision gets the top rung until Stats().Swaps increments, and

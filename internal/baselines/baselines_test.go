@@ -93,7 +93,7 @@ func TestJellyfishFallbackAtImpossibleLoad(t *testing.T) {
 func TestProfileModelSwitchingTable(t *testing.T) {
 	ps := profile.ImageSet().Subset("shufflenet_v2_x0_5", "efficientnet_b2", "efficientnet_v2_s")
 	loads := []float64{100, 200, 400}
-	tab := ProfileModelSwitching(ps, 0.150, 4, loads, 5, 1)
+	tab := ProfileModelSwitching(ps, 0.150, 4, loads, 10, 1)
 	if len(tab.P99) != 3 || len(tab.P99[0]) != 3 {
 		t.Fatalf("table shape wrong: %dx%d", len(tab.P99), len(tab.P99[0]))
 	}
@@ -153,7 +153,7 @@ func TestMSTableJSON(t *testing.T) {
 func TestModelSwitchingSelection(t *testing.T) {
 	ps := profile.ImageSet()
 	loads := []float64{400, 800, 1200, 1600, 2000, 2400, 2800, 3200}
-	tab := ProfileModelSwitching(ps, 0.150, 60, loads, 5, 1)
+	tab := ProfileModelSwitching(ps, 0.150, 60, loads, 10, 1)
 	ms := ModelSwitching{Profiles: ps, SLO: 0.150, Table: tab}
 	low := ms.ModelFor(400)
 	high := ms.ModelFor(3200)
@@ -232,7 +232,7 @@ func TestRAMSISBeatsBaselinesAtConstantLoad(t *testing.T) {
 	mJ := eJ.Run(arr)
 
 	// ModelSwitching.
-	tab := ProfileModelSwitching(ps, slo, workers, []float64{250, 500, 750}, 5, 1)
+	tab := ProfileModelSwitching(ps, slo, workers, []float64{250, 500, 750}, 10, 1)
 	msw := ModelSwitching{Profiles: ps, SLO: slo, Table: tab}
 	eM := sim.NewEngine(ps, slo, workers, sim.Deterministic{}, sim.Scheme{Monitor: monitor.Oracle{Trace: tr}, Select: msw.Selector()}, 1)
 	mM := eM.Run(arr)

@@ -69,3 +69,43 @@ func TestParseRejectsNonFiniteFloats(t *testing.T) {
 		}
 	}
 }
+
+// TestRegisterRejectsNonPositiveLoadAndDur checks that -load and -dur take
+// only positive values: zero or a negative value is a usage error naming the
+// flag, not a run that panics on a Poisson rate or replays nothing.
+func TestRegisterRejectsNonPositiveLoadAndDur(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		bad  string // flag the error must name; "" = no error
+	}{
+		{[]string{"-load", "-5"}, "-load"},
+		{[]string{"-load", "0"}, "-load"},
+		{[]string{"-dur", "-3"}, "-dur"},
+		{[]string{"-dur", "0"}, "-dur"},
+		{[]string{"-load", "x"}, "-load"},
+		{[]string{"-load", "inf"}, "-load"},
+		{[]string{"-load", "2.5", "-dur", "7"}, ""},
+		{nil, ""},
+	} {
+		fs := NewFlagSet("test")
+		fs.SetOutput(io.Discard)
+		r := &Run{Load: 120, Dur: 10}
+		r.Register(fs)
+		_, err := fs.Parse(tc.args)
+		switch {
+		case tc.bad == "" && err != nil:
+			t.Errorf("%q: Parse = %v, want nil", tc.args, err)
+		case tc.bad != "" && (err == nil || !strings.Contains(err.Error(), tc.bad) || !errors.As(err, new(usageError))):
+			t.Errorf("%q: Parse = %v, want a usage error naming %s", tc.args, err, tc.bad)
+		}
+	}
+	r := &Run{Load: 120, Dur: 10}
+	fs := NewFlagSet("test")
+	r.Register(fs)
+	if _, err := fs.Parse([]string{"-load", "2.5", "-dur", "7"}); err != nil || r.Load != 2.5 || r.Dur != 7 {
+		t.Errorf("Parse = %v: load %v, dur %v; want 2.5 and 7", err, r.Load, r.Dur)
+	}
+	if got := fs.Lookup("load").DefValue; got != "120" {
+		t.Errorf("-load default %q, want 120", got)
+	}
+}

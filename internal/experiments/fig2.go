@@ -33,7 +33,7 @@ func (h *Harness) Fig2() Fig2Result {
 	models := profile.ImageSet()
 	dur := 20.0
 	if h.scale() == scaleQuick {
-		dur = 8
+		dur = 10
 	}
 	// Pick the load so that Jellyfish+'s choice is pinned well below the
 	// most accurate feasible model: ~70% of mobilenet_v3_small's capacity.

@@ -38,7 +38,7 @@ type Fig7Point struct {
 func (h *Harness) Fig7() []Fig7Point {
 	models := profile.ImageSet()
 	const slo = 0.150
-	dur := 15.0
+	dur := 20.0
 	workerSet := []int{40, 60, 80}
 	loadsFor := func(workers int) []float64 {
 		// Sweep up to just past each configuration's peak capacity so the
@@ -50,7 +50,7 @@ func (h *Harness) Fig7() []Fig7Point {
 	case scaleFull:
 		dur = 30.0
 	case scaleQuick:
-		dur = 8.0
+		dur = 10.0
 		workerSet = []int{60}
 		loadsFor = func(workers int) []float64 {
 			max := 600.0 * float64(workers) / 10

@@ -189,15 +189,15 @@ func fig6Workers(task string) int {
 }
 
 // constLoads picks a constant-load figure's grid by scale: the default
-// loads run 15 s each, the paper-scale loads 30 s, the quick loads 8 s.
+// loads run 20 s each, the paper-scale loads 30 s, the quick loads 10 s.
 func (h *Harness) constLoads(def, full, quick []float64) (loads []float64, dur float64) {
 	switch h.scale() {
 	case scaleFull:
 		return full, 30
 	case scaleQuick:
-		return quick, 8
+		return quick, 10
 	}
-	return def, 15
+	return def, 20
 }
 
 // loadRange builds QPS rungs from lo to hi inclusive.
@@ -286,7 +286,7 @@ func (h *Harness) saveCached(set *core.PolicySet, cfg core.Config, loads []float
 }
 
 // msTable memoizes ModelSwitching's offline response-latency profile (§7:
-// 400-4000 QPS on every resource configuration).
+// 400-4000 QPS on every resource configuration, 10 s per rung).
 func (h *Harness) msTable(models profile.Set, slo float64, workers int) *baselines.MSTable {
 	key := fmt.Sprintf("%s|%d|%.0f|%d", models.Task, models.Len(), slo*1000, workers)
 	h.mu.Lock()
@@ -297,16 +297,14 @@ func (h *Harness) msTable(models profile.Set, slo float64, workers int) *baselin
 	}
 	h.mu.Unlock()
 	e.once.Do(func() {
-		var step, dur float64
+		step := 400.0
 		switch h.scale() {
 		case scaleFull:
-			step, dur = 100, 10
+			step = 100
 		case scaleQuick:
-			step, dur = 800, 3
-		default:
-			step, dur = 400, 5
+			step = 800
 		}
-		e.table = baselines.ProfileModelSwitching(models, slo, workers, loadRange(400, 4400, step), dur, h.opts.Seed)
+		e.table = baselines.ProfileModelSwitching(models, slo, workers, loadRange(400, 4400, step), 10, h.opts.Seed)
 	})
 	return e.table
 }

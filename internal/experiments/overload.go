@@ -35,7 +35,7 @@ func (h *Harness) Overload() []OverloadPoint {
 	models := profile.ImageSet()
 	dur := 20.0
 	if h.scale() == scaleQuick {
-		dur = 8
+		dur = 10
 	}
 	set := h.policySet(models, slo, workers, []float64{solved}, "", nil)
 	est := core.NewWaitEstimator(models, workers)

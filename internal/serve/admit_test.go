@@ -168,7 +168,7 @@ func TestFrontendShedsUnderHammer(t *testing.T) {
 // through the full HTTP stack, deadline admission must achieve strictly
 // higher goodput than admitting everything.
 func TestReplayDeadlineAdmissionRaisesGoodput(t *testing.T) {
-	const workers, slo, solved, mult, dur, timeScale = 2, 0.150, 80.0, 3.0, 4.0, 25.0
+	const workers, slo, solved, mult, dur, timeScale = 2, 0.150, 80.0, 3.0, 10.0, 25.0
 	set := core.NewPolicySet(core.Config{
 		Models: profile.ImageSet(), SLO: slo, Workers: workers,
 		Arrival: dist.NewPoisson(solved), D: 50,

@@ -165,7 +165,7 @@ func TestPrototypeEndToEndRAMSIS(t *testing.T) {
 func TestPrototypeCentralModeBaseline(t *testing.T) {
 	const workers, slo, load, timeScale = 4, 0.150, 100.0, 5.0
 	ps := profile.ImageSet()
-	tr := trace.Constant(load, 8)
+	tr := trace.Constant(load, 10)
 	// A Jellyfish+-style fixed selection at this load.
 	modelFor := func(load float64) int {
 		for i, p := range ps.Profiles {

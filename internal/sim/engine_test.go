@@ -102,7 +102,7 @@ func TestConservationAllQueriesAccounted(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	ps := imageProfiles()
-	arr := trace.PoissonArrivals(trace.Constant(500, 5), 9)
+	arr := trace.PoissonArrivals(trace.Constant(500, 10), 9)
 	run := func() Metrics {
 		e := NewEngine(ps, 0.150, 4, Stochastic{StdDev: 0.010}, &FixedModel{Model: 0, MaxBatch: 8}, 42)
 		return e.Run(arr)
@@ -284,7 +284,7 @@ func TestModelCountsWithReorderedWorkerSets(t *testing.T) {
 	}
 	e := NewEngine(ps, 0.150, 2, Deterministic{}, &FixedModel{Model: 0, MaxBatch: 4}, 1)
 	e.WorkerProfiles = []profile.Set{ps, rev}
-	m := e.Run(trace.PoissonArrivals(trace.Constant(200, 2), 5))
+	m := e.Run(trace.PoissonArrivals(trace.Constant(200, 10), 5))
 	name := ps.Profiles[0].Name
 	if len(m.ModelCounts) != 1 || m.ModelCounts[name] != m.Served {
 		t.Errorf("model counts %v, want all %d served on %s", m.ModelCounts, m.Served, name)

@@ -178,7 +178,7 @@ func TestSimTracingIsDeterminismNeutral(t *testing.T) {
 			e.Traces = telemetry.NewTraceBuffer(0)
 			e.Decisions = telemetry.NewDecisionBuffer(0)
 		}
-		return e.Run(trace.PoissonArrivals(trace.Constant(200, 1), 3))
+		return e.Run(trace.PoissonArrivals(trace.Constant(200, 10), 3))
 	}
 	a, b := run(false), run(true)
 	if a.Served != b.Served || a.Violations != b.Violations || a.Shed != b.Shed {

@@ -88,7 +88,7 @@ func TestDegradedModeEscalatesAndClampsUnderOverload(t *testing.T) {
 	models := profile.ImageSet()
 	order := models.SpeedOrder()
 	slowest := order[len(order)-1]
-	const workers, slo, dur = 4, 0.150, 8.0
+	const workers, slo, dur = 4, 0.150, 10.0
 
 	est := core.NewWaitEstimator(models, workers)
 	// A short window lets the level walk the full 26-model ladder within

@@ -216,7 +216,7 @@ func TestRAMSISEndToEndWithSQF(t *testing.T) {
 	if err := set.GenerateLoads([]float64{load}); err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.Constant(load, 15)
+	tr := trace.Constant(load, 20)
 	sched := NewRAMSIS(set, monitor.Oracle{Trace: tr})
 	sched.LB = BalancerFor(core.ShortestQueueFirst, 1)
 	e := NewEngine(profile.ImageSet(), slo, workers, Deterministic{}, sched, 1)

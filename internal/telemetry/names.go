@@ -54,13 +54,13 @@ const (
 	MetricBatchSize = "ramsis_batch_size"
 
 	// MetricAdaptResolves counts background MDP re-solves triggered by rate
-	// drift (cache hits do not solve and are not counted here).
+	// drift (ladder hits do not solve and are not counted here).
 	MetricAdaptResolves = "ramsis_adapt_resolves_total"
 	// MetricAdaptResolveErrors counts re-solves that failed; the previous
 	// policy set stays active.
 	MetricAdaptResolveErrors = "ramsis_adapt_resolve_errors_total"
-	// MetricAdaptCacheHits counts drift events served from the LRU policy
-	// cache (return to a previously solved rate bucket).
+	// MetricAdaptCacheHits counts drift events whose rate bucket the policy
+	// ladder already held (a solved or installed bucket): no solve.
 	MetricAdaptCacheHits = "ramsis_adapt_cache_hits_total"
 	// MetricAdaptCacheMisses counts drift events that had to solve.
 	MetricAdaptCacheMisses = "ramsis_adapt_cache_misses_total"
@@ -69,13 +69,13 @@ const (
 	MetricAdaptSwaps = "ramsis_adapt_swaps_total"
 	// MetricAdaptSwapSeconds is the drift-to-swap latency histogram in wall
 	// seconds: how long dispatch ran on the stale policy after drift was
-	// confirmed (≈ solve time on a miss, ≈ 0 on a cache hit).
+	// confirmed (≈ solve time on a miss, ≈ 0 on a ladder hit).
 	MetricAdaptSwapSeconds = "ramsis_adapt_swap_seconds"
 	// MetricAdaptRateBucket is the rate bucket (QPS) of the currently
 	// active policy.
 	MetricAdaptRateBucket = "ramsis_adapt_rate_bucket"
-	// MetricAdaptWarmStarts counts re-solves warm-started from a cached
-	// neighboring bucket's converged value vector instead of zeros.
+	// MetricAdaptWarmStarts counts re-solves warm-started from the ladder's
+	// nearest bucket's converged value vector instead of zeros.
 	MetricAdaptWarmStarts = "ramsis_adapt_warm_starts_total"
 	// MetricAdaptResolveIterations is the solver iteration count of the most
 	// recent successful re-solve — warm starts drive it down, which is what

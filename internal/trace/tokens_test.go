@@ -35,7 +35,7 @@ func TestTokenArrivalsDeterministicAndAnnotated(t *testing.T) {
 }
 
 func TestTokenArrivalTimesMatchPoissonArrivals(t *testing.T) {
-	tr := Constant(200, 5)
+	tr := Constant(200, 10)
 	in := dist.NewLognormalLen(100, 0.5, 1, 512)
 	out := dist.NewLognormalLen(100, 0.5, 1, 512)
 	plain := PoissonArrivals(tr, 9)

@@ -93,18 +93,21 @@ func (t Trace) QPSAt(tsec float64) float64 {
 	return t.QPS[i]
 }
 
-// Constant returns a constant-load trace of the given duration, the workload
-// of §7.2 (30-second constant query load under Poisson arrivals).
+// Constant returns a constant-load trace lasting durationSec, the workload
+// of §7.2 (30-second constant query load under Poisson arrivals):
+// ⌈durationSec/10⌉ intervals of equal length, so a multiple of ten seconds
+// runs in ten-second intervals. It panics if durationSec is not positive
+// and finite.
 func Constant(qps, durationSec float64) Trace {
-	n := int(math.Ceil(durationSec / 10))
-	if n < 1 {
-		n = 1
+	if !(durationSec > 0) || math.IsInf(durationSec, 1) {
+		panic(fmt.Sprintf("trace: invalid constant-trace duration %v", durationSec))
 	}
+	n := int(math.Ceil(durationSec / 10))
 	qs := make([]float64, n)
 	for i := range qs {
 		qs[i] = qps
 	}
-	return Trace{Name: fmt.Sprintf("constant-%g", qps), IntervalSec: 10, QPS: qs}
+	return Trace{Name: fmt.Sprintf("constant-%g", qps), IntervalSec: durationSec / float64(n), QPS: qs}
 }
 
 // Step returns a trace that runs at baseQPS, steps to stepQPS on

@@ -61,6 +61,40 @@ func TestConstantTrace(t *testing.T) {
 	}
 }
 
+// TestConstantLastsItsDuration checks that a constant trace whose duration
+// is not a multiple of ten seconds ends at that duration: it lasts 2 s and
+// samples no arrival at or after 2 s, about 400 at 200 QPS. A duration that
+// is not positive and finite has no trace and panics.
+func TestConstantLastsItsDuration(t *testing.T) {
+	tr := Constant(200, 2)
+	if tr.Duration() != 2 {
+		t.Errorf("duration = %v, want 2", tr.Duration())
+	}
+	arr := PoissonArrivals(tr, 1)
+	if n := len(arr); n < 300 || n > 500 {
+		t.Errorf("%d arrivals in 2 s at 200 QPS", n)
+	}
+	for _, a := range arr {
+		if a >= 2 {
+			t.Fatalf("arrival at %v, past the 2 s trace", a)
+		}
+	}
+	// Durations of whole tens keep their ten-second intervals.
+	if tr := Constant(200, 30); tr.IntervalSec != 10 || len(tr.QPS) != 3 {
+		t.Errorf("Constant(200, 30) = %d intervals of %v s, want 3 of 10 s", len(tr.QPS), tr.IntervalSec)
+	}
+	for _, bad := range []float64{0, -3, math.Inf(1), math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Constant(200, %v) did not panic", bad)
+				}
+			}()
+			Constant(200, bad)
+		}()
+	}
+}
+
 func TestScaleAndTruncate(t *testing.T) {
 	tr := Twitter()
 	half := tr.Scale(0.5)

@@ -53,7 +53,8 @@ func TextModels() ModelSet { return profile.TextSet() }
 // evaluation (1,617-3,905 QPS).
 func TwitterTrace() Trace { return trace.Twitter() }
 
-// ConstantTrace returns a constant-load trace.
+// ConstantTrace returns a constant-load trace lasting durationSec. It
+// panics if durationSec is not positive and finite.
 func ConstantTrace(qps, durationSec float64) Trace { return trace.Constant(qps, durationSec) }
 
 // Options configure a serving System.
@@ -154,8 +155,8 @@ func (s *System) SimulateTrace(tr Trace, seed int64) Metrics {
 	return e.Run(trace.PoissonArrivals(tr, seed))
 }
 
-// SimulateConstant serves a constant load for dur seconds with a perfect
-// load monitor (the paper's §7.2 setting).
+// SimulateConstant serves a constant load for dur seconds (positive and
+// finite) with a perfect load monitor (the paper's §7.2 setting).
 func (s *System) SimulateConstant(qps, dur float64, seed int64) Metrics {
 	tr := trace.Constant(qps, dur)
 	sched := sim.NewRAMSIS(s.set, monitor.Oracle{Trace: tr})
