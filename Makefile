@@ -107,7 +107,9 @@ saturate-smoke:
 # worker / balancer / selector / KV grid) solves its policy the same way.
 # The Trimmed tests pin what the goldens' trimmed f̃ gives up against the
 # untrimmed reference: every state's choice, and at most (K+2)ε of mass per
-# state. TestLLMPhiTableMatchesDirect pins the token build's per-goroutine
+# state. TestReachCutBuildMatchesFullTables pins the h tables' cut at each
+# rate's reach against tables that run to the action's latency, hash for
+# hash. TestLLMPhiTableMatchesDirect pins the token build's per-goroutine
 # Φ tables against direct evaluation, row for row; at two workers each table
 # sees a different subset of rows. TestDefaultSolverMatchesJacobi's token
 # grid pins the banded token solve to Jacobi's choice in every state of 30
@@ -116,7 +118,7 @@ saturate-smoke:
 # by 1e-12 in L1 against an exact GTH solve at both thread counts (~40 s on
 # two cores in all).
 goldens:
-	$(GO) test -count=1 -cpu 1,2 -run 'Golden|Trimmed|TestLLMPhiTableMatchesDirect|TestStationaryMatchesGTH' ./internal/core/ ./internal/sim/
+	$(GO) test -count=1 -cpu 1,2 -run 'Golden|Trimmed|TestReachCutBuildMatchesFullTables|TestLLMPhiTableMatchesDirect|TestStationaryMatchesGTH' ./internal/core/ ./internal/sim/
 	$(GO) test -count=1 -cpu 1,2 -run 'TestDefaultSolverMatchesJacobi/llm/' ./internal/core/
 
 # The repository benchmark (BENCHMARK.json) lives in bench/, a module of

@@ -333,7 +333,7 @@ func (a *Adapter) Observe(now, rate float64) {
 	if hit != nil {
 		a.cacheHits.Add(1)
 		inc(a.mCacheHits)
-		a.install(target, hit, start)
+		a.install(hit, start)
 		a.end()
 		return
 	}
@@ -392,17 +392,18 @@ func (a *Adapter) resolve(bucket float64, donor *core.Policy, start time.Time) {
 		a.mResolveBuild.Set(pol.BuildTime.Seconds())
 		a.mResolveSolve.Set(pol.SolveTime.Seconds())
 	}
-	a.install(bucket, pol, start)
+	a.install(pol, start)
 }
 
-// Install publishes a policy for a rate bucket immediately: one insert into
-// the ladder. A decision already past its lookup finishes on the old
-// policy; the next one sees the new ladder.
-func (a *Adapter) Install(bucket float64, pol *core.Policy) {
-	a.install(bucket, pol, time.Now())
+// Install publishes a policy immediately, as the active one of its load's
+// rate bucket: one insert into the ladder. A decision already past its
+// lookup finishes on the old policy; the next one sees the new ladder.
+func (a *Adapter) Install(pol *core.Policy) {
+	a.install(pol, time.Now())
 }
 
-func (a *Adapter) install(bucket float64, pol *core.Policy, start time.Time) {
+func (a *Adapter) install(pol *core.Policy, start time.Time) {
+	bucket := bucketOf(pol.Load, a.cfg.BucketSize)
 	a.mu.Lock()
 	a.set.Insert(pol)
 	a.bucket.Store(math.Float64bits(bucket))

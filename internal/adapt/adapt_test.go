@@ -330,7 +330,10 @@ func TestAdapterLadderRemembersEveryBucket(t *testing.T) {
 func TestAdapterInstalledBucketIsHit(t *testing.T) {
 	a := newAdapter(t, Config{Band: 0.2, Dwell: -1, BucketSize: 20})
 	p220 := initialPolicy(t, 220)
-	a.Install(220, p220)
+	a.Install(p220)
+	if b := a.ActiveBucket(); b != 220 {
+		t.Fatalf("Install filed a 220-QPS policy under bucket %g", b)
+	}
 	a.Observe(0, 120) // out of the band around 20: solves the 120 bucket
 	a.Observe(1, 220)
 	s := a.Stats()
@@ -400,9 +403,9 @@ func TestAdapterConcurrentLookupAndSwap(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		if i%2 == 0 {
-			a.Install(120, p120)
+			a.Install(p120)
 		} else {
-			a.Install(20, initial)
+			a.Install(initial)
 		}
 	}
 	close(stop)

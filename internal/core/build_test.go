@@ -142,6 +142,67 @@ func TestBuildGolden(t *testing.T) {
 	}
 }
 
+// fullLengthTables rebuilds every h table of b that ends at its rate's reach
+// to run to cellsFor(l), as prepare tabulated them before the cut, and
+// returns how many rows that adds.
+func fullLengthTables(b *builder) int {
+	added := 0
+	for s, acts := range b.acts {
+		if s == b.sp.emptyState() {
+			continue
+		}
+		n, _ := b.stateParams(s)
+		proc, k := b.procFor(n)
+		for _, a := range acts {
+			key := tableKey{proc.Rate(), a.Latency}
+			if full := b.cellsFor(a.Latency); len(b.h[key]) < full {
+				added += full - len(b.h[key])
+				b.h[key] = b.buildHTable(proc, k, a.Latency, full)
+			}
+		}
+	}
+	return added
+}
+
+// TestReachCutBuildMatchesFullTables pins the h tables' cut at the rate's
+// reach: past the last cell some k-th-arrival window keeps, f̃ is exactly 0,
+// so a build whose tables run to cellsFor(l) writes the same transitions,
+// bit for bit. It runs the bench problem at 1200 and 4200 QPS under every
+// balancer with Poisson and Erlang-2 arrivals, and fails where no row was
+// cut, so it cannot pass on tables the cut never shortened. Shortest-queue-
+// first runs on 8 workers: on 80 its K = 1 densities (15 and 52.5 QPS per
+// worker, and ρ^K·μ) keep more than tailEps of mass in every cell of the
+// 300 ms horizon, so none of its tables is cut.
+func TestReachCutBuildMatchesFullTables(t *testing.T) {
+	for _, load := range []float64{1200, 4200} {
+		for _, bal := range []Balancing{RoundRobin, ShortestQueueFirst, PowerOfTwoChoices} {
+			for _, arr := range []dist.Process{dist.NewPoisson(load), dist.NewGamma(load, 2)} {
+				cfg := benchConfig(load)
+				cfg.Balancing, cfg.Arrival = bal, arr
+				if bal == ShortestQueueFirst {
+					cfg.Workers = 8
+				}
+				t.Run(fmt.Sprintf("%v/%v/%T/workers=%d", load, bal, arr, cfg.Workers), func(t *testing.T) {
+					b, cut, err := buildWorker(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fullLengthTables(b) == 0 {
+						t.Fatal("no h row was cut")
+					}
+					full, err := build(b, &b.solveSpec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := transitionHash(cut), transitionHash(full); got != want {
+						t.Errorf("reach-cut build hashes to %#016x, full-table build to %#016x", got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestLLMBuildGolden pins the token MDP's transition build the same way:
 // every row of the repository benchmark's three classes (bench/'s llmConfig)
 // at two bucket widths. The constants were captured at commit 9d54030, the

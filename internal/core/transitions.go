@@ -59,7 +59,7 @@ type builder struct {
 	// one per queue-length regime) and action latency.
 	acts    [][]actionSpec           // state -> actions, in action order
 	fk      map[float64][]window     // rate -> [k-1] k-th-arrival pdf's kept cells
-	h       map[tableKey][]float64   // (rate, latency) -> [cell*N_w + j-1]
+	h       map[tableKey][]hRow      // (rate, latency) -> [cell], up to the rate's reach
 	cdf     map[tableKey][]float64   // (rate, latency) -> CDF table over counts
 	sqf     map[float64]dist.Process // SQF rate -> process
 	logFact []float64                // log(i!), i < N_w·K: the phase posterior's counts
@@ -91,7 +91,7 @@ func newBuilder(sp *space) *builder {
 		sp:      sp,
 		cells:   cfg.FineCells,
 		fk:      make(map[float64][]window),
-		h:       make(map[tableKey][]float64),
+		h:       make(map[tableKey][]hRow),
 		cdf:     make(map[tableKey][]float64),
 		sqf:     make(map[float64]dist.Process),
 		logFact: logFactorials(cfg.MaxQueue * cfg.Workers),
@@ -130,19 +130,22 @@ func (b *builder) procFor(n int) (dist.Process, int) {
 
 // prepare enumerates each state's actions and fills the fk, h, and cdf
 // tables for the (rate, latency) pairs those actions take, parallelized
-// across pairs. A pair some partial-drain action reads (Batch < n: variable
-// batching, or a queue beyond a model's profiled batch range under either
-// strategy) gets the wide CDF table.
+// across pairs. A pair's h table ends at the rate's reach, past which f̃ is
+// exactly 0 and the quadrature reads no row. A pair some partial-drain
+// action reads (Batch < n: variable batching, or a queue beyond a model's
+// profiled batch range under either strategy) gets the wide CDF table.
 func (b *builder) prepare() {
 	sp := b.sp
 	type job struct {
-		key  tableKey
-		proc dist.Process
-		k    int
-		wide bool
+		key   tableKey
+		proc  dist.Process
+		k     int
+		cells int
+		wide  bool
 	}
 	var jobs []*job
 	byKey := map[tableKey]*job{}
+	reach := map[float64]int{}
 	b.acts = make([][]actionSpec, sp.numStates())
 	for s := range b.acts {
 		b.acts[s] = sp.actionsForState(s)
@@ -153,13 +156,17 @@ func (b *builder) prepare() {
 		proc, k := b.procFor(n)
 		rate := proc.Rate()
 		if _, ok := b.fk[rate]; !ok {
-			b.fk[rate] = trimColumns(dist.KthArrivalTable(proc, k, b.cells, b.delta), b.delta)
+			cols := trimColumns(dist.KthArrivalTable(proc, k, b.cells, b.delta), b.delta)
+			b.fk[rate] = cols
+			for _, w := range cols {
+				reach[rate] = max(reach[rate], w.off+len(w.f))
+			}
 		}
 		for _, a := range b.acts[s] {
 			key := tableKey{rate, a.Latency}
 			j := byKey[key]
 			if j == nil {
-				j = &job{key: key, proc: proc, k: k}
+				j = &job{key: key, proc: proc, k: k, cells: min(b.cellsFor(a.Latency), reach[rate])}
 				byKey[key] = j
 				jobs = append(jobs, j)
 			}
@@ -174,7 +181,7 @@ func (b *builder) prepare() {
 			return
 		}
 		j := jobs[i]
-		h := b.buildHTable(j.proc, j.k, j.key.lat)
+		h := b.buildHTable(j.proc, j.k, j.key.lat, j.cells)
 		c := b.buildCDFTable(j.proc, j.k, j.key.lat, j.wide)
 		mu.Lock()
 		b.h[j.key] = h
@@ -213,29 +220,49 @@ func trimColumns(t [][]float64, delta float64) []window {
 	return out
 }
 
-// buildHTable tabulates, for each fine cell g with midpoint t_g < l, the
-// probability that the remaining window (t_g, l] sees j−1 further worker
-// arrivals: P[N(l − t_g) ∈ [(j−1)K, jK−1]] for j = 1..N_w, flattened as
-// [g·N_w + (j−1)].
-func (b *builder) buildHTable(proc dist.Process, k int, l float64) []float64 {
-	nw := b.sp.cfg.MaxQueue
-	gmax := b.cellsFor(l)
-	out := make([]float64, gmax*nw)
+// hRow is fine cell g of a (rate, latency) pair's h table: the slack bucket
+// bucketOf(SLO − l + t_g) a first arrival at midpoint t_g lands in, and the
+// probabilities that the remaining window (t_g, l] sees j−1 further worker
+// arrivals, p[i] = P[N(l − t_g) ∈ [(j−1)K, jK−1]] for j = first+i, from the
+// first to the last non-zero j. Every other j ≤ N_w has probability exactly
+// 0: the head where the CDF underflows, the tail where it saturates at 1.
+type hRow struct {
+	bucket int
+	first  int
+	p      []float64
+}
+
+// buildHTable tabulates the pair's h rows for fine cells 0..cells−1, cells
+// at most cellsFor(l).
+func (b *builder) buildHTable(proc dist.Process, k int, l float64, cells int) []hRow {
+	sp := b.sp
+	nw := sp.cfg.MaxQueue
+	rows := make([]hRow, cells)
+	vals := make([]float64, cells*nw)
 	ladder := dist.NewCDFLadder(proc, k, nw)
-	for g := 0; g < gmax; g++ {
-		x := l - (float64(g)+0.5)*b.delta
+	for g := range rows {
+		tg := (float64(g) + 0.5) * b.delta
+		x := l - tg
 		if x < 0 {
 			x = 0
 		}
-		row := out[g*nw : (g+1)*nw]
+		row := vals[g*nw : (g+1)*nw]
 		ladder.Fill(x, row) // row[j-1] = CDF(jK − 1, x)
 		prev := 0.0         // CDF((j-1)K - 1, x), starting at CDF(-1) = 0
+		lo, hi := 0, 0      // row[lo:hi] spans the non-zero entries
 		for j, cur := range row {
 			row[j] = cur - prev
 			prev = cur
+			if row[j] != 0 {
+				if hi == 0 {
+					lo = j
+				}
+				hi = j + 1
+			}
 		}
+		rows[g] = hRow{bucket: sp.bucketOf(sp.cfg.SLO - l + tg), first: lo + 1, p: row[lo:hi]}
 	}
-	return out
+	return rows
 }
 
 // buildCDFTable tabulates proc.CDF(i, l) over the counts the pair's actions
@@ -321,11 +348,11 @@ func (sc *stateScratch) phasePosterior(proc dist.Process, k, n int, ta float64, 
 
 // firstArrivalDensity mixes the k-th-arrival densities over the phase
 // posterior, f̃(t_g) = Σ_r P(r)·f_{K−r}(t_g), for the first gmax cells — as
-// far as the state's longest full-drain action integrates. It skips every
-// weight P(r) < tailEps and adds only each column's kept window (trimColumns),
-// so per state it drops at most (K+2)·tailEps of f̃·δ, and no product it adds
-// is subnormal. Each cell sums over r ascending; r is the outer loop so the
-// cells accumulate independently.
+// far as the longest h table of the state's full-drain actions runs. It skips
+// every weight P(r) < tailEps and adds only each column's kept window
+// (trimColumns), so per state it drops at most (K+2)·tailEps of f̃·δ, and no
+// product it adds is subnormal. Each cell sums over r ascending; r is the
+// outer loop so the cells accumulate independently.
 func (b *builder) firstArrivalDensity(sc *stateScratch, rate float64, gmax int, pr []float64) []float64 {
 	fk := b.fk[rate]
 	ft := sc.ft[:gmax]
@@ -446,22 +473,23 @@ func (b *builder) rowWith(s int, sc *stateScratch, density func(sc *stateScratch
 	}
 	// Phase posterior and first-arrival density depend on the state only;
 	// share them across its actions. The density is read by full-drain
-	// actions, up to their latency.
+	// actions, as far as their h tables run.
 	n, tj := b.stateParams(s)
 	proc, k := b.procFor(n)
+	rate := proc.Rate()
 	gmax := 0
 	for _, a := range acts {
 		if a.Batch >= n {
-			gmax = max(gmax, b.cellsFor(a.Latency))
+			gmax = max(gmax, len(b.h[tableKey{rate, a.Latency}]))
 		}
 	}
 	pr := sc.phasePosterior(proc, k, n, sp.cfg.SLO-tj, b.logFact)
-	ft := density(sc, proc.Rate(), gmax, pr)
+	ft := density(sc, rate, gmax, pr)
 	// Each action's successors: case 2 of §4.4, plus the overflow
 	// complement of case 3 in emit.
 	for _, a := range acts {
 		sc.w.Action(sp.reward(a))
-		key := tableKey{proc.Rate(), a.Latency}
+		key := tableKey{rate, a.Latency}
 		if a.Batch < n {
 			b.variableTransitions(sc, n, tj, a, pr, b.cdf[key], k)
 		} else {
@@ -494,9 +522,8 @@ func (b *builder) stateParams(s int) (int, float64) {
 // fullDrainTransitions handles b == n (maximal batching, and the b = n case
 // of variable batching): the queue empties at the decision, so the next
 // state is determined entirely by arrivals during the service time l.
-func (b *builder) fullDrainTransitions(sc *stateScratch, a actionSpec, pr, ft []float64, cdfT, hT []float64, k int) {
+func (b *builder) fullDrainTransitions(sc *stateScratch, a actionSpec, pr, ft, cdfT []float64, hT []hRow, k int) {
 	sp := b.sp
-	nw := sp.cfg.MaxQueue
 	l := a.Latency
 
 	// No worker arrival during service: next state is the empty queue.
@@ -509,8 +536,7 @@ func (b *builder) fullDrainTransitions(sc *stateScratch, a actionSpec, pr, ft []
 	}
 	sc.add(int32(sp.emptyState()), p0)
 
-	gmax := b.cellsFor(l)
-	for g := 0; g < gmax; g++ {
+	for g, row := range hT {
 		f := ft[g]
 		if f < 1e-300 {
 			continue
@@ -520,15 +546,10 @@ func (b *builder) fullDrainTransitions(sc *stateScratch, a actionSpec, pr, ft []
 		if start+width > l {
 			width = l - start
 		}
-		tg := (float64(g) + 0.5) * b.delta
-		slack := sp.cfg.SLO - l + tg
-		c := sp.bucketOf(slack)
 		mass := f * width
-		base := g * nw
-		for j := 1; j <= nw; j++ {
-			p := mass * hT[base+j-1]
-			if p > 0 {
-				sc.add(int32(sp.index(j, c)), p)
+		for i, h := range row.p {
+			if p := mass * h; p > 0 {
+				sc.add(int32(sp.index(row.first+i, row.bucket)), p)
 			}
 		}
 		// j > N_w falls to the overflow complement in emit().

@@ -12,13 +12,16 @@ import (
 // untrimmed is the worker builder with f̃ formed by the reference kernel:
 // every nonzero phase-posterior weight times every cell of the k-th-arrival
 // densities, which is what the build computed before it trimmed their tails
-// (tailEps).
+// (tailEps). Its untrimmed f̃ runs past the rate's reach, so its h tables
+// run to cellsFor(l) too.
 type untrimmed struct {
 	*builder
 	fk map[float64][][]float64 // rate -> [cell][k-1] k-th-arrival pdf
 }
 
+// newUntrimmed takes b over: it rebuilds b's h tables at full length.
 func newUntrimmed(b *builder) untrimmed {
+	fullLengthTables(b)
 	u := untrimmed{b, map[float64][][]float64{}}
 	for s := range b.acts {
 		if s == b.sp.emptyState() {

@@ -85,9 +85,9 @@ func TestFrontendDispatchDuringPolicySwap(t *testing.T) {
 			default:
 			}
 			if i%2 == 0 {
-				a.Install(200, p200)
+				a.Install(p200)
 			} else {
-				a.Install(20, p20)
+				a.Install(p20)
 			}
 			time.Sleep(200 * time.Microsecond)
 		}
