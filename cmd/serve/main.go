@@ -109,11 +109,11 @@ var llmUnread = []string{
 }
 
 // shardedUnread are the flags runSharded does not read: the tenant contracts
-// carry each SLO and rate, the plane serves until interrupted, solves with
-// the default solver and adapts with adapt's default band, dwell and bucket,
-// its admission is weighted-fair, and its workload is scalar.
+// carry each SLO and rate, the plane serves until interrupted and adapts
+// with adapt's default band, dwell and bucket, its admission is
+// weighted-fair, and its workload is scalar.
 var shardedUnread = []string{
-	"slo", "load", "dur", "solver",
+	"slo", "load", "dur",
 	"adapt-band", "adapt-dwell", "adapt-bucket",
 	"admit", "admit-margin", "retry-budget", "frontend",
 	"llm-profile", "llm-class", "llm-kv-cap", "llm-bucket",

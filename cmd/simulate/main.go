@@ -161,17 +161,12 @@ func (o *options) runLLM() error {
 			return err
 		}
 	case "Scalar":
-		jacobi, err := core.ParseSolver(o.Solver)
-		if err != nil {
-			return err
-		}
 		o.Printf("generating scalar queue-state policy over collapsed profiles (%.0f QPS)...\n", rate)
 		pol, err := core.Generate(core.Config{
 			Models:  models.ScalarProfiles(class.In.MeanLen(), class.Out.MeanLen(), 0),
 			SLO:     o.SLO(),
 			Workers: o.Workers,
 			Arrival: dist.NewPoisson(rate),
-			Jacobi:  jacobi,
 		})
 		if err != nil {
 			return err

@@ -40,10 +40,8 @@ const onDemandRung = 100.0
 type Config struct {
 	// Base is the generation problem (models, SLO, workers, knobs). Its
 	// Arrival field is overridden per rate bucket (Poisson at the bucket's
-	// rate, as in the paper) and its Jacobi field is cleared, whatever the
-	// caller set: drift re-solves are latency-critical (dispatch runs on the
-	// stale policy until the swap) and the prioritized method reaches the
-	// same policy as the synchronous sweep in a fraction of the time.
+	// rate, as in the paper); every re-solve runs core.Generate's one
+	// solver, warm-started from the nearest rung's values.
 	Base core.Config
 	// Band is the fractional hysteresis half-width around the solved-for
 	// rate, in [0, 1) (0 defaults to 0.2, i.e. ±20 %).
@@ -152,7 +150,6 @@ func New(cfg Config, initial *core.Policy) (*Adapter, error) {
 	if !(cfg.Band >= 0 && cfg.Band < 1) {
 		return nil, fmt.Errorf("adapt: hysteresis band %g outside [0, 1)", cfg.Band)
 	}
-	cfg.Base.Jacobi = false
 	if cfg.Band == 0 {
 		cfg.Band = 0.2
 	}

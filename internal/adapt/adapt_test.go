@@ -9,6 +9,7 @@ import (
 
 	"ramsis/internal/core"
 	"ramsis/internal/dist"
+	"ramsis/internal/mdp"
 	"ramsis/internal/profile"
 	"ramsis/internal/telemetry"
 )
@@ -219,13 +220,16 @@ func TestAdapterResolveErrorKeepsOldPolicy(t *testing.T) {
 // vector and reaches the same policy in strictly fewer iterations than the
 // identical problem solved cold from zeros.
 func TestAdapterWarmStartFewerIterations(t *testing.T) {
-	// Cold reference: the 120-QPS bucket solved from zeros by the Jacobi
-	// sweep. (A cold prioritized solve takes 10 sweep-equivalents to the
-	// warm one's 11: DESIGN.md § Solver performance.)
+	// Cold reference: the 120-QPS bucket's MDP solved from zeros by the
+	// Jacobi sweep. (A cold prioritized solve takes 10 sweep-equivalents to
+	// the warm one's 11: DESIGN.md § Solver performance.)
 	cfg := adaptBase()
 	cfg.Arrival = dist.NewPoisson(120)
-	cfg.Jacobi = true
-	cold, err := core.Generate(cfg)
+	m, err := core.BuildWorkerMDP(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jacobi, err := m.ValueIteration(mdp.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,13 +243,17 @@ func TestAdapterWarmStartFewerIterations(t *testing.T) {
 	if s.LastResolveIterations == 0 {
 		t.Fatal("LastResolveIterations not recorded")
 	}
-	if s.LastResolveIterations >= uint64(cold.Iterations) {
+	if s.LastResolveIterations >= uint64(jacobi.Iterations) {
 		t.Errorf("warm-started resolve took %d iterations, cold Jacobi solve %d — want strictly fewer",
-			s.LastResolveIterations, cold.Iterations)
+			s.LastResolveIterations, jacobi.Iterations)
 	}
 
-	// Same fixed point: the warm-started policy decides identically to the
-	// cold one everywhere.
+	// Same fixed point: the warm-started policy decides identically to a
+	// cold generation everywhere.
+	cold, err := core.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	warm := a.PolicyFor(120)
 	if warm.Load != 120 {
 		t.Fatalf("PolicyFor(120).Load = %v", warm.Load)
@@ -418,7 +426,7 @@ func TestAdapterConcurrentLookupAndSwap(t *testing.T) {
 // TestAdapterConcurrentPrioritizedResolve hammers the fast-resolve route
 // under -race: background drift re-solves on the prioritized solver racing
 // against lock-free dispatch lookups. Every lookup must see a complete
-// policy and every re-solved policy must decide like its Jacobi reference.
+// policy and every re-solved policy must decide like a cold generation.
 func TestAdapterConcurrentPrioritizedResolve(t *testing.T) {
 	a := newAdapter(t, Config{
 		Base: adaptBase(), Band: 0.2, Dwell: -1, BucketSize: 20, Background: true,
@@ -456,8 +464,8 @@ func TestAdapterConcurrentPrioritizedResolve(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// The prioritized re-solve reached the same argmaxes as the pinned
-	// Jacobi solve of the same bucket.
+	// The warm-started re-solve reached the same argmaxes as a cold
+	// generation of the same bucket.
 	ref := adaptBase()
 	ref.Arrival = dist.NewPoisson(220)
 	cold, err := core.Generate(ref)
@@ -470,7 +478,7 @@ func TestAdapterConcurrentPrioritizedResolve(t *testing.T) {
 	}
 	for s := range cold.Choices {
 		if warm.Choices[s] != cold.Choices[s] {
-			t.Fatalf("state %d: prioritized choice %+v != Jacobi %+v",
+			t.Fatalf("state %d: warm choice %+v != cold %+v",
 				s, warm.Choices[s], cold.Choices[s])
 		}
 	}

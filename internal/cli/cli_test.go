@@ -72,7 +72,10 @@ func TestParseRejectsNonFiniteFloats(t *testing.T) {
 
 // TestRegisterRejectsNonPositiveLoadAndDur checks that -load and -dur take
 // only positive values: zero or a negative value is a usage error naming the
-// flag, not a run that panics on a Poisson rate or replays nothing.
+// flag, not a run that panics on a Poisson rate or replays nothing. The same
+// holds for -admit-margin, which admit.Deadline would run as 1; and a
+// negative -llm-kv-cap or -adapt-bucket, which would silently fall back to
+// the profile capacities or the band width, is an error too.
 func TestRegisterRejectsNonPositiveLoadAndDur(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -84,7 +87,16 @@ func TestRegisterRejectsNonPositiveLoadAndDur(t *testing.T) {
 		{[]string{"-dur", "0"}, "-dur"},
 		{[]string{"-load", "x"}, "-load"},
 		{[]string{"-load", "inf"}, "-load"},
+		{[]string{"-admit-margin", "0"}, "-admit-margin"},
+		{[]string{"-admit-margin", "-1"}, "-admit-margin"},
+		{[]string{"-admit-margin", "nan"}, "-admit-margin"},
+		{[]string{"-llm-kv-cap", "-1"}, "-llm-kv-cap"},
+		{[]string{"-llm-kv-cap", "1.5"}, "-llm-kv-cap"},
+		{[]string{"-adapt-bucket", "-20"}, "-adapt-bucket"},
+		{[]string{"-adapt-bucket", "inf"}, "-adapt-bucket"},
 		{[]string{"-load", "2.5", "-dur", "7"}, ""},
+		{[]string{"-admit-margin", "0.5", "-llm-kv-cap", "0", "-adapt-bucket", "0"}, ""},
+		{[]string{"-llm-kv-cap", "3000", "-adapt-bucket", "20"}, ""},
 		{nil, ""},
 	} {
 		fs := NewFlagSet("test")
@@ -107,5 +119,8 @@ func TestRegisterRejectsNonPositiveLoadAndDur(t *testing.T) {
 	}
 	if got := fs.Lookup("load").DefValue; got != "120" {
 		t.Errorf("-load default %q, want 120", got)
+	}
+	if r.AdmitMargin != 1 {
+		t.Errorf("-admit-margin default %v, want 1", r.AdmitMargin)
 	}
 }

@@ -24,10 +24,10 @@ import (
 type Run struct {
 	Out io.Writer
 
-	Workload, Task, Solver, LB, TraceOut, TenantsFile string
-	SLOMS, Load, Dur                                  float64
-	Workers, D, MaxQueue                              int
-	Seed                                              int64
+	Workload, Task, LB, TraceOut, TenantsFile string
+	SLOMS, Load, Dur                          float64
+	Workers, D, MaxQueue                      int
+	Seed                                      int64
 
 	Adapt                              bool
 	AdaptBand, AdaptDwell, AdaptBucket float64
@@ -51,29 +51,30 @@ func (r *Run) Register(fs *FlagSet) {
 	fs.Int64Var(&r.Seed, "seed", 1, "workload seed")
 	fs.IntVar(&r.D, "d", 100, "FLD resolution for RAMSIS policies")
 	fs.IntVar(&r.MaxQueue, "maxqueue", 0, fmt.Sprintf("queue-length bound N_w (0 = default %d): caps the RAMSIS MDP state space, and with -admit cap also sets the online admission bound (workers x N_w outstanding) — one knob for both, since policy guarantees lapse past N_w anyway", core.DefaultMaxQueue))
-	fs.StringVar(&r.Solver, "solver", "prioritized", "RAMSIS MDP solver for offline generation: prioritized (Gauss-Seidel sweeps with aggregation corrections) or vi (the paper's synchronous value iteration, byte-pinned; same policy, ~2,000 sweeps instead of 17-41); -adapt re-solves always run prioritized")
 	fs.StringVar(&r.LB, "lb", "rr", "load balancer across worker queues: rr, jsq, or p2c (policies are generated with the matching MDP transition model)")
 	fs.StringVar(&r.TraceOut, "trace-out", "", "append per-query trace fragments (with their select decisions) as JSONL to this file; stitch with trace -stitch")
 
 	fs.BoolVar(&r.Adapt, "adapt", false, "close the adaptation loop (RAMSIS policies only): drift-detect the monitored rate, re-solve, and hot-swap policies without pausing dispatch")
 	fs.Float64Var(&r.AdaptBand, "adapt-band", 0.2, "adaptation hysteresis half-width as a fraction of the solved-for rate")
 	fs.Float64Var(&r.AdaptDwell, "adapt-dwell", 2, "seconds the rate must stay outside the band before re-solving")
-	fs.Float64Var(&r.AdaptBucket, "adapt-bucket", 0, "rate bucket size in QPS: a drift re-solves at its bucket unless the policy ladder already holds one for it (0 = hysteresis band width at the initial rate)")
+	fs.Var((*nonNegative)(&r.AdaptBucket), "adapt-bucket", "rate bucket size in QPS: a drift re-solves at its bucket unless the policy ladder already holds one for it (0 = hysteresis band width at the initial rate)")
 
 	fs.StringVar(&r.TenantsFile, "tenants", "", "multi-tenant mode: tenant contract JSON (name, class, sloMs, weight, rateQps) — per-tenant SLOs and policies under weighted-fair admission; serve starts the sharded plane behind a tenant-routing gateway, simulate offers each tenant its contracted rate over -dur")
 
 	fs.StringVar(&r.LLMProfile, "llm-profile", "", "LLM workload: load a kinded step-model JSON (llm.SaveFile) instead of the built-in chat corpus")
 	fs.StringVar(&r.LLMClass, "llm-class", "general", "LLM workload: token-length class (general, codegen, or reasoning)")
-	fs.IntVar(&r.LLMKVCap, "llm-kv-cap", 0, "LLM workload: override every step model's KV-cache capacity in tokens (0 = profile values)")
+	fs.Var((*nonNegativeInt)(&r.LLMKVCap), "llm-kv-cap", "LLM workload: override every step model's KV-cache capacity in tokens (0 = profile values)")
 	fs.IntVar(&r.LLMBucket, "llm-bucket", 0, "LLM workload: outstanding-token bucket width of the token-stream MDP (0 = default 512)")
 
 	fs.StringVar(&r.Admit, "admit", "none", "admission control: none, deadline (shed queries whose deadline is unmeetable; a 429 on the wire), or cap (bound outstanding work; unifies the -maxqueue N_w bound online)")
-	fs.Float64Var(&r.AdmitMargin, "admit-margin", 1, "deadline admission: shed when estimated wait exceeds SLO*margin minus best-case service time")
+	r.AdmitMargin = 1
+	fs.Var((*positive)(&r.AdmitMargin), "admit-margin", "deadline admission: shed when estimated wait exceeds SLO*margin minus best-case service time")
 	fs.IntVar(&r.AdmitDegrade, "admit-degrade", 0, "degraded-mode depth: maximum number of slowest models to forbid under confirmed overload (0 = off; requires -admit)")
 }
 
 // positive is a float64 flag value that must be greater than zero, as a
-// load or a duration must be; Get lets Parse's non-finite screen read it.
+// load, a duration or an admission margin must be; Get lets Parse's
+// non-finite screen read it.
 type positive float64
 
 func (v *positive) String() string { return strconv.FormatFloat(float64(*v), 'g', -1, 64) }
@@ -88,6 +89,36 @@ func (v *positive) Set(s string) error {
 	return nil
 }
 
+// nonNegative is a float64 flag value whose zero keeps a default and which
+// must not be negative, as a rate bucket must not be.
+type nonNegative float64
+
+func (v *nonNegative) String() string { return strconv.FormatFloat(float64(*v), 'g', -1, 64) }
+func (v *nonNegative) Get() any       { return float64(*v) }
+
+func (v *nonNegative) Set(s string) error {
+	x, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(x >= 0) {
+		return fmt.Errorf("%q is not a non-negative number", s)
+	}
+	*v = nonNegative(x)
+	return nil
+}
+
+// nonNegativeInt is nonNegative for an int flag, as a KV capacity is.
+type nonNegativeInt int
+
+func (v *nonNegativeInt) String() string { return strconv.Itoa(int(*v)) }
+
+func (v *nonNegativeInt) Set(s string) error {
+	x, err := strconv.ParseInt(s, 0, strconv.IntSize)
+	if err != nil || x < 0 {
+		return fmt.Errorf("%q is not a non-negative integer", s)
+	}
+	*v = nonNegativeInt(x)
+	return nil
+}
+
 // Printf writes one status line to the run's stdout.
 func (r *Run) Printf(format string, a ...any) { fmt.Fprintf(r.Out, format, a...) }
 
@@ -95,16 +126,15 @@ func (r *Run) Printf(format string, a ...any) { fmt.Fprintf(r.Out, format, a...)
 func (r *Run) SLO() float64 { return r.SLOMS / 1000 }
 
 // PolicyConfig returns the rate-free RAMSIS generation config: the -task
-// model set, SLO, workers, grid, queue bound, balancing and solver. Callers
+// model set, SLO, workers, grid, queue bound and balancing. Callers
 // set Arrival per load (core.PolicySet and adapt do it themselves).
 func (r *Run) PolicyConfig() (core.Config, error) {
 	models, taskErr := profile.SetForTask(r.Task)
 	balancing, lbErr := core.ParseBalancing(r.LB)
-	jacobi, solverErr := core.ParseSolver(r.Solver)
 	return core.Config{
 		Models: models, SLO: r.SLO(), Workers: r.Workers, Arrival: dist.NewPoisson(1), D: r.D,
-		MaxQueue: r.MaxQueue, Balancing: balancing, Jacobi: jacobi,
-	}, errors.Join(taskErr, lbErr, solverErr)
+		MaxQueue: r.MaxQueue, Balancing: balancing,
+	}, errors.Join(taskErr, lbErr)
 }
 
 // Admission builds the -admit admitter (nil for none) and, with
@@ -162,14 +192,9 @@ func (r *Run) LLM() (llm.Set, llm.Class, error) {
 // LLMPolicy generates the token-stream policy for rate and wraps it as the
 // step-boundary selector both LLM drivers consult.
 func (r *Run) LLMPolicy(models llm.Set, class llm.Class, rate float64) (*core.LLMPolicy, sim.ModelSelector, error) {
-	jacobi, err := core.ParseSolver(r.Solver)
-	if err != nil {
-		return nil, nil, err
-	}
 	pol, err := core.GenerateLLM(core.LLMConfig{
 		Models: models, SLO: r.SLO(), Workers: r.Workers, Rate: rate,
 		In: class.In, Out: class.Out, KVCap: r.LLMKVCap, TokenBucket: r.LLMBucket,
-		Jacobi: jacobi,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -4,8 +4,8 @@
 // distribution and the load-balancing strategy (§3-§5), plus the policy
 // objects the serving layer reads (state lookup, and the per-load ladder
 // §3.2.2 selects from; a rung generated online is internal/adapt's).
-// Solving is internal/mdp's: generate.go runs its prioritized method, or its
-// Jacobi sweep when Config.Jacobi asks for the paper's.
+// Solving is internal/mdp's: generate.go runs its prioritized method, whose
+// choices the package's tests pin to the paper's Jacobi sweep (§4.1).
 package core
 
 import (
@@ -103,19 +103,6 @@ func ParseBalancing(s string) (Balancing, error) {
 	return RoundRobin, fmt.Errorf("core: unknown balancing strategy %q (want rr, jsq, or p2c)", s)
 }
 
-// ParseSolver maps a CLI solver name to Config.Jacobi: "" and "prioritized"
-// are the default prioritized Gauss-Seidel sweeps, "vi" the paper's
-// synchronous value iteration (§4.1).
-func ParseSolver(s string) (jacobi bool, err error) {
-	switch s {
-	case "", "prioritized", "pvi":
-		return false, nil
-	case "vi", "value-iteration":
-		return true, nil
-	}
-	return false, fmt.Errorf("core: unknown -solver %q (want prioritized or vi)", s)
-}
-
 // Config describes one worker-level policy-generation problem: the offline
 // inputs of §3.1.1 plus the simplification knobs of §4.
 type Config struct {
@@ -144,13 +131,6 @@ type Config struct {
 
 	// Gamma is the value-iteration discount factor; default 0.99.
 	Gamma float64
-	// Jacobi solves with the paper's synchronous sweep (§4.1), whose values
-	// are byte-pinned, instead of the default prioritized sweeps. Both stop
-	// on a full sweep with residual below the solver tolerance, so either
-	// greedy policy is within 2γ·Tol/(1−γ) ≈ 2·10⁻⁷ accuracy of optimal;
-	// Jacobi takes ~2,000 sweeps to the default's 17–41 on the benchmark's
-	// problems.
-	Jacobi bool
 	// ProbFloor prunes transition entries below it (their mass folds into
 	// the overflow complement, which is conservative); default 1e-10.
 	ProbFloor float64
@@ -177,6 +157,13 @@ type Config struct {
 // admission bound derived from it.
 const DefaultMaxQueue = 32
 
+// defaultGamma and defaultProbFloor are the discount factor and the
+// transition floor a zero Config field means, and the token MDP's (§4.1).
+const (
+	defaultGamma     = 0.99
+	defaultProbFloor = 1e-10
+)
+
 // withDefaults returns a copy with zero fields replaced by defaults.
 func (c Config) withDefaults() Config {
 	if c.D == 0 {
@@ -186,10 +173,10 @@ func (c Config) withDefaults() Config {
 		c.MaxQueue = DefaultMaxQueue
 	}
 	if c.Gamma == 0 {
-		c.Gamma = 0.99
+		c.Gamma = defaultGamma
 	}
 	if c.ProbFloor == 0 {
-		c.ProbFloor = 1e-10
+		c.ProbFloor = defaultProbFloor
 	}
 	if c.FineCells == 0 {
 		c.FineCells = 512
@@ -217,19 +204,15 @@ func (c Config) validate() error {
 	if c.MaxQueue < 1 {
 		return fmt.Errorf("core: invalid max queue %d", c.MaxQueue)
 	}
-	return validateSolve(c.Gamma, c.ProbFloor)
-}
-
-// validateSolve rejects, NaN included, a discount outside (0, 1) and a
-// transition floor outside [0, 1): a negative floor keeps every zero entry,
-// so each row turns dense, and a NaN floor or one of 1 or more drops every
-// entry, so each row is empty.
-func validateSolve(gamma, floor float64) error {
-	if !(gamma > 0 && gamma < 1) {
-		return fmt.Errorf("core: discount %v outside (0,1)", gamma)
+	// NaN included, a discount outside (0, 1) and a transition floor
+	// outside [0, 1) are rejected: a negative floor keeps every zero entry,
+	// so each row turns dense, and a NaN floor or one of 1 or more drops
+	// every entry, so each row is empty.
+	if !(c.Gamma > 0 && c.Gamma < 1) {
+		return fmt.Errorf("core: discount %v outside (0,1)", c.Gamma)
 	}
-	if !(floor >= 0 && floor < 1) {
-		return fmt.Errorf("core: probability floor %v outside [0,1)", floor)
+	if !(c.ProbFloor >= 0 && c.ProbFloor < 1) {
+		return fmt.Errorf("core: probability floor %v outside [0,1)", c.ProbFloor)
 	}
 	return nil
 }

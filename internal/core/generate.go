@@ -55,20 +55,19 @@ type stats struct {
 }
 
 // solveSpec is what generation reads from a Config or an LLMConfig: the
-// solver settings and a deadline armed at the moment of the call (zero: no
-// limit) that latches once it has passed, so the build's workers stop at
-// their next state and the generator returns ErrTimeout without solving.
-// ordered is set by a state space whose index is its load axis.
+// discount and a deadline armed at the moment of the call (zero: no limit)
+// that latches once it has passed, so the build's workers stop at their
+// next state and the generator returns ErrTimeout without solving. ordered
+// is set by a state space whose index is its load axis.
 type solveSpec struct {
 	gamma    float64
-	jacobi   bool
 	ordered  bool
 	deadline time.Time
 	aborted  atomic.Bool
 }
 
-func (sp *solveSpec) arm(gamma float64, jacobi bool, timeout time.Duration) {
-	sp.gamma, sp.jacobi = gamma, jacobi
+func (sp *solveSpec) arm(gamma float64, timeout time.Duration) {
+	sp.gamma = gamma
 	if timeout > 0 {
 		sp.deadline = time.Now().Add(timeout)
 	}
@@ -120,14 +119,14 @@ func build(ss stateSpace, spec *solveSpec) (*mdp.Compiled, error) {
 }
 
 // generate is the offline phase every state space shares: build the MDP
-// (§4), solve it — prioritized sweeps unless spec asks for the paper's
-// Jacobi sweep (§4.1) — and weight the stationary distribution π of the
-// chain its policy induces by the work each chosen action serves (§5.1).
+// (§4), solve it by method (§4.1), and weight the stationary distribution π
+// of the chain its policy induces by the work each chosen action serves
+// (§5.1).
 // start is when the call began, so BuildTime counts the set-up too; warm
 // seeds the solve and is dropped when its length is not the state count (a
 // donor solved under different knobs). The result's Policy is each state's
 // chosen action index.
-func generate(ss stateSpace, spec *solveSpec, start time.Time, warm []float64) (st stats, res mdp.Result, err error) {
+func generate(ss stateSpace, spec *solveSpec, method mdp.Method, start time.Time, warm []float64) (st stats, res mdp.Result, err error) {
 	m, err := build(ss, spec)
 	if err != nil {
 		return st, res, err
@@ -135,10 +134,6 @@ func generate(ss stateSpace, spec *solveSpec, start time.Time, warm []float64) (
 	st.States, st.Transitions, st.BuildTime = m.NumStates(), m.NumTransitions(), time.Since(start)
 	if len(warm) != st.States {
 		warm = nil
-	}
-	method := mdp.MethodPrioritized
-	if spec.jacobi {
-		method = mdp.MethodJacobi
 	}
 	solveStart := time.Now()
 	res, err = m.Solve(mdp.SolveOptions{Gamma: spec.gamma, Deadline: spec.deadline, Method: method, InitialValues: warm, Ordered: spec.ordered})

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ramsis/internal/llm"
+	"ramsis/internal/mdp"
 )
 
 // goldenHash folds a generated policy into one FNV-64a: the integer fields
@@ -37,8 +38,7 @@ func (g *goldenHash) sum() uint64 {
 // transition and sweep counts.
 func goldenScalar(t *testing.T, cfg Config, stats bool) uint64 {
 	t.Helper()
-	cfg.Jacobi = true
-	pol, err := Generate(cfg)
+	pol, err := generateWith(cfg, mdp.MethodJacobi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +60,8 @@ func goldenLLM(t *testing.T, cls llm.Class, stats bool) uint64 {
 	t.Helper()
 	cfg := llmTestConfig()
 	cfg.In, cfg.Out = cls.In, cls.Out
-	cfg.TokenBucket, cfg.MaxTokens, cfg.Jacobi = 128, 8192, true
-	pol, err := GenerateLLM(cfg)
+	cfg.TokenBucket, cfg.MaxTokens = 128, 8192
+	pol, err := generateLLMWith(cfg, mdp.MethodJacobi)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,17 +37,6 @@ type LLMConfig struct {
 	// KVCap, when > 0, overrides every model's KV capacity (the -llm-kv-cap
 	// knob), so the policy is generated for the deployed cache size.
 	KVCap int
-	// NoParetoPruning disables accuracy/throughput action pruning.
-	NoParetoPruning bool
-
-	// Gamma is the discount factor; default 0.99.
-	Gamma float64
-	// Jacobi selects the paper's synchronous sweep, as in Config.
-	Jacobi bool
-	// ProbFloor prunes transition entries below it; default 1e-10.
-	ProbFloor float64
-	// Timeout aborts generation with ErrTimeout when exceeded (0 = no limit).
-	Timeout time.Duration
 }
 
 func (c LLMConfig) withDefaults() LLMConfig {
@@ -56,12 +45,6 @@ func (c LLMConfig) withDefaults() LLMConfig {
 	}
 	if c.MaxTokens == 0 {
 		c.MaxTokens = 32768
-	}
-	if c.Gamma == 0 {
-		c.Gamma = 0.99
-	}
-	if c.ProbFloor == 0 {
-		c.ProbFloor = 1e-10
 	}
 	return c
 }
@@ -89,7 +72,7 @@ func (c LLMConfig) validate() error {
 	if c.MaxTokens < c.TokenBucket {
 		return fmt.Errorf("core: max tokens %d below bucket width %d", c.MaxTokens, c.TokenBucket)
 	}
-	return validateSolve(c.Gamma, c.ProbFloor)
+	return nil
 }
 
 // LLMChoice is one token-stream model-selection decision: run the next
@@ -120,7 +103,6 @@ type LLMPolicy struct {
 	Load        float64 `json:"load"`
 	TokenBucket int     `json:"tokenBucket"`
 	MaxTokens   int     `json:"maxTokens"`
-	Pruned      bool    `json:"pruned"`
 
 	// Choices maps state indices (0 = empty, then load buckets) to
 	// decisions.
@@ -179,9 +161,8 @@ func cellPMF(s dist.LengthSampler, c int) []float64 {
 }
 
 // newLLMBuilder defaults and validates the configuration and prepares the
-// one-arrival convolution every row reads; the generation deadline is armed
-// here, before the build. State s is load bucket s, so the solve is told
-// its states are ordered.
+// one-arrival convolution every row reads. State s is load bucket s, so the
+// solve is told its states are ordered.
 func newLLMBuilder(cfg LLMConfig) (*llmBuilder, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -196,11 +177,8 @@ func newLLMBuilder(cfg LLMConfig) (*llmBuilder, error) {
 		sigmaS:  math.Sqrt(cfg.In.VarLen() + cfg.Out.VarLen()),
 		lambdaW: cfg.Rate / float64(cfg.Workers),
 	}
-	g.arm(cfg.Gamma, cfg.Jacobi, cfg.Timeout)
-	g.ordered = true
-	if !cfg.NoParetoPruning {
-		g.models = g.models.ParetoFront()
-	}
+	g.gamma, g.ordered = defaultGamma, true
+	g.models = g.models.ParetoFront()
 	if g.models.Len() == 0 {
 		return nil, fmt.Errorf("core: no step models survive Pareto pruning")
 	}
@@ -237,7 +215,7 @@ func stdNormCDF(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }
 // phiWindow is how many standard deviations around the mean the CLT rows
 // evaluate Φ over. Past +6√2 ≈ 8.49 math.Erfc returns exactly 2, so Φ is
 // exactly 1 and every further bucket difference exactly 0; below −8.5, Φ is
-// under 10⁻¹⁷, seven orders beneath the ProbFloor the row is cut at.
+// under 10⁻¹⁷, seven orders beneath the floor the row is cut at.
 const phiWindow = 8.5
 
 // transitions writes the sparse successor distribution of one step: the
@@ -287,7 +265,7 @@ func (g *llmBuilder) transitions(sc *stateScratch, base, tau float64) {
 			mass[g.b+1] += pa * (1 - prev)
 		}
 		cum += pa
-		if cum >= 1-g.cfg.ProbFloor || a >= 1024 {
+		if cum >= 1-defaultProbFloor || a >= 1024 {
 			break
 		}
 	}
@@ -295,17 +273,17 @@ func (g *llmBuilder) transitions(sc *stateScratch, base, tau float64) {
 }
 
 // sparse writes a per-state mass vector as the current action's successors:
-// entries below ProbFloor are dropped and the rest renormalized. It leaves
-// mass zeroed for the next row.
+// entries below defaultProbFloor are dropped and the rest renormalized. It
+// leaves mass zeroed for the next row.
 func (g *llmBuilder) sparse(w *mdp.Writer, mass []float64) {
 	total := 0.0
 	for _, p := range mass {
-		if p >= g.cfg.ProbFloor {
+		if p >= defaultProbFloor {
 			total += p
 		}
 	}
 	for s, p := range mass {
-		if p >= g.cfg.ProbFloor {
+		if p >= defaultProbFloor {
 			w.Edge(int32(s), p/total)
 		}
 		mass[s] = 0
@@ -500,12 +478,17 @@ func (g *llmBuilder) outcome(s, a int) outcome {
 // expectations weighted by the tokens each decision schedules. The decision
 // epoch is one engine step.
 func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
+	return generateLLMWith(cfg, mdp.MethodPrioritized)
+}
+
+// generateLLMWith is GenerateLLM solved by method; see generateWith.
+func generateLLMWith(cfg LLMConfig, method mdp.Method) (*LLMPolicy, error) {
 	start := time.Now()
 	g, err := newLLMBuilder(cfg)
 	if err != nil {
 		return nil, err
 	}
-	st, res, err := generate(g, &g.solveSpec, start, nil)
+	st, res, err := generate(g, &g.solveSpec, method, start, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -516,7 +499,6 @@ func GenerateLLM(cfg LLMConfig) (*LLMPolicy, error) {
 		Load:        g.cfg.Rate,
 		TokenBucket: g.w,
 		MaxTokens:   g.cfg.MaxTokens,
-		Pruned:      !g.cfg.NoParetoPruning,
 		Choices:     make([]LLMChoice, st.States),
 		stats:       st,
 		models:      g.models,

@@ -80,7 +80,7 @@ func (d directPhi) transitions(sc *stateScratch, base, tau float64) {
 			mass[g.b+1] += pa * (1 - prev)
 		}
 		cum += pa
-		if cum >= 1-g.cfg.ProbFloor || a >= 1024 {
+		if cum >= 1-defaultProbFloor || a >= 1024 {
 			break
 		}
 	}

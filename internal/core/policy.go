@@ -106,6 +106,14 @@ func BuildWorkerMDP(cfg Config) (*mdp.Compiled, error) {
 // the induced stationary distribution, weighting each decision by the
 // queries it serves.
 func Generate(cfg Config) (*Policy, error) {
+	return generateWith(cfg, mdp.MethodPrioritized)
+}
+
+// generateWith is Generate solved by method. Only the package's tests pass
+// anything but the prioritized sweeps: mdp.MethodJacobi, the paper's
+// byte-pinned sweep (§4.1), is the reference the goldens hash and the
+// default's choices are pinned to.
+func generateWith(cfg Config, method mdp.Method) (*Policy, error) {
 	start := time.Now()
 	b, err := newWorkerBuilder(cfg)
 	if err != nil {
@@ -113,7 +121,7 @@ func Generate(cfg Config) (*Policy, error) {
 	}
 	sp := b.sp
 	cfg = sp.cfg
-	st, res, err := generate(b, &b.solveSpec, start, cfg.InitialValues)
+	st, res, err := generate(b, &b.solveSpec, method, start, cfg.InitialValues)
 	if err != nil {
 		return nil, err
 	}

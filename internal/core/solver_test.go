@@ -9,12 +9,12 @@ import (
 )
 
 // scalarChoices and llmChoices adapt the two generators to
-// assertJacobiChoices: generate with or without the explicit Jacobi sweep and
-// return the sweep count and every state's choice.
-func scalarChoices(cfg Config) func(jacobi bool) (int, []Choice, error) {
-	return func(jacobi bool) (int, []Choice, error) {
-		cfg.Jacobi = jacobi
-		pol, err := Generate(cfg)
+// assertJacobiChoices: generate with the default prioritized sweeps or the
+// reference Jacobi sweep and return the sweep count and every state's
+// choice.
+func scalarChoices(cfg Config) func(method mdp.Method) (int, []Choice, error) {
+	return func(method mdp.Method) (int, []Choice, error) {
+		pol, err := generateWith(cfg, method)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -22,10 +22,9 @@ func scalarChoices(cfg Config) func(jacobi bool) (int, []Choice, error) {
 	}
 }
 
-func llmChoices(cfg LLMConfig) func(jacobi bool) (int, []LLMChoice, error) {
-	return func(jacobi bool) (int, []LLMChoice, error) {
-		cfg.Jacobi = jacobi
-		pol, err := GenerateLLM(cfg)
+func llmChoices(cfg LLMConfig) func(method mdp.Method) (int, []LLMChoice, error) {
+	return func(method mdp.Method) (int, []LLMChoice, error) {
+		pol, err := generateLLMWith(cfg, method)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -37,13 +36,13 @@ func llmChoices(cfg LLMConfig) func(jacobi bool) (int, []LLMChoice, error) {
 // Jacobi sweep's choice in every state, in fewer sweep-equivalents — or in
 // the one sweep Jacobi needs when every reward is zero (no action meets the
 // SLO), which nothing can beat.
-func assertJacobiChoices[C comparable](t *testing.T, gen func(jacobi bool) (int, []C, error)) {
+func assertJacobiChoices[C comparable](t *testing.T, gen func(method mdp.Method) (int, []C, error)) {
 	t.Helper()
-	iters, got, err := gen(false)
+	iters, got, err := gen(mdp.MethodPrioritized)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jacobiIters, want, err := gen(true)
+	jacobiIters, want, err := gen(mdp.MethodJacobi)
 	if err != nil {
 		t.Fatal(err)
 	}

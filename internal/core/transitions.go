@@ -105,7 +105,7 @@ func newBuilder(sp *space) *builder {
 		b.tmax = l
 	}
 	b.delta = b.tmax / float64(b.cells)
-	b.arm(cfg.Gamma, cfg.Jacobi, cfg.Timeout)
+	b.arm(cfg.Gamma, cfg.Timeout)
 	return b
 }
 

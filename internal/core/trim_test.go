@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ramsis/internal/dist"
+	"ramsis/internal/mdp"
 )
 
 // untrimmed is the worker builder with f̃ formed by the reference kernel:
@@ -70,7 +71,7 @@ func generateChoices(t *testing.T, cfg Config, reference bool) ([]Choice, stats)
 	if reference {
 		ss = newUntrimmed(b)
 	}
-	st, res, err := generate(ss, &b.solveSpec, time.Now(), nil)
+	st, res, err := generate(ss, &b.solveSpec, mdp.MethodPrioritized, time.Now(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"ramsis/internal/adapt"
 	"ramsis/internal/core"
 	"ramsis/internal/dist"
+	"ramsis/internal/mdp"
 	"ramsis/internal/monitor"
 	"ramsis/internal/profile"
 	"ramsis/internal/trace"
@@ -96,8 +97,11 @@ func TestAdaptiveRecoversFromRateStep(t *testing.T) {
 	}
 	coldCfg := adaptiveBase()
 	coldCfg.Arrival = dist.NewPoisson(200)
-	coldCfg.Jacobi = true
-	cold, err := core.Generate(coldCfg)
+	m, err := core.BuildWorkerMDP(coldCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := m.ValueIteration(mdp.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

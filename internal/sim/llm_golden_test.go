@@ -125,7 +125,7 @@ func TestLLMEngineGolden(t *testing.T) {
 	pol, err := core.GenerateLLM(core.LLMConfig{
 		Models: models, SLO: slo, Workers: 2, Rate: 4,
 		In: cls.In, Out: cls.Out,
-		TokenBucket: 128, MaxTokens: 8192, Jacobi: true,
+		TokenBucket: 128, MaxTokens: 8192,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -582,7 +582,7 @@ func TestBatcherRunsMatchSingleSteps(t *testing.T) {
 	cls := llm.GeneralClass()
 	pol, err := core.GenerateLLM(core.LLMConfig{
 		Models: models, SLO: 8, Workers: 1, Rate: 4, In: cls.In, Out: cls.Out,
-		TokenBucket: 128, MaxTokens: 8192, Jacobi: true,
+		TokenBucket: 128, MaxTokens: 8192,
 	})
 	if err != nil {
 		t.Fatal(err)
