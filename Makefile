@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint staticcheck size race goldens bench-module verify bench-smoke profile soak soak-smoke saturate saturate-smoke
+.PHONY: build test vet lint staticcheck size race goldens bench-module verify bench-smoke fuzz-smoke profile soak soak-smoke saturate saturate-smoke
 
 build:
 	$(GO) build ./...
@@ -153,6 +153,19 @@ bench-smoke:
 		"$$dir/root.test" -test.run '^$$' -test.bench "^$$b$$" -test.benchtime 1x || failed="$$failed $$b"; \
 	done; \
 	if [ -n "$$failed" ]; then echo "bench-smoke: failed:$$failed"; exit 1; fi
+
+# Every fuzz target of internal/serve (the /infer codecs and the response
+# framer) and the Poisson CDF ladder's, 10 s each: a mutation pass past the
+# committed seed corpora, which plain `go test` already replays. go test
+# fuzzes one target per run, so the serve targets are listed and run in
+# turn. CI runs it in the bench-smoke job; verify does not, since fuzzing
+# spends a time budget rather than proving a fixed set of cases.
+fuzz-smoke:
+	@set -e; for t in $$($(GO) test -list '^Fuzz' ./internal/serve/ | grep '^Fuzz'); do \
+		echo "--- $$t"; \
+		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 10s ./internal/serve/; \
+	done
+	$(GO) test -run '^$$' -fuzz '^FuzzPoissonCDFLadder$$' -fuzztime 10s ./internal/dist/
 
 # CPU- and heap-profile one benchmark — the simulator throughput benchmark
 # unless PROFILE_BENCH names another — and print the top hotspots (profiles

@@ -49,16 +49,16 @@ type options struct {
 }
 
 func newFlags(stdout io.Writer) (*cli.FlagSet, *options) {
-	o := &options{Run: cli.Run{Out: stdout, Workers: 4, Load: 120, Dur: 10}}
+	o := &options{Run: cli.Run{Out: stdout, Workers: 4, Load: 120, Dur: 10}, timeScale: 1, noise: 10}
 	fs := cli.NewFlagSet("serve")
 	o.Register(fs)
-	fs.Float64Var(&o.timeScale, "timescale", 1, "modeled-to-wall time compression factor")
-	fs.Float64Var(&o.noise, "noise", 10, "inference latency stddev in ms")
+	fs.Var((*cli.Positive)(&o.timeScale), "timescale", "modeled-to-wall time compression factor")
+	fs.Var((*cli.NonNegative)(&o.noise), "noise", "inference latency stddev in ms")
 	fs.BoolVar(&o.frontend, "frontend", false, "serve a live POST /query API instead of replaying a trace (Ctrl-C to stop)")
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:8080", "frontend or gateway listen address (-frontend and -tenants modes)")
 	fs.IntVar(&o.shards, "shards", 1, "frontend shard count (multi-tenant mode); -workers is per shard")
 	fs.StringVar(&o.shardBy, "shard-by", "hash", "shard routing policy: hash/rendezvous (pin tenant to shard) or p2c (spread by queue depth)")
-	fs.Float64Var(&o.retryBudget, "retry-budget", 0, "failover retry budget in retries per modeled second (0 = unlimited, the historical behaviour)")
+	fs.Var((*cli.NonNegative)(&o.retryBudget), "retry-budget", "failover retry budget in retries per modeled second (0 = unlimited, the historical behaviour)")
 	return fs, o
 }
 

@@ -206,24 +206,29 @@ func TestReplayInterrupt(t *testing.T) {
 func TestErrorsReturn(t *testing.T) {
 	small := " -workers 1 -load 10 -dur 1 -d 10"
 	tenants := tenantsFile(t)
-	for flagName, args := range map[string]string{
-		"-workload":      "-workload tokens",
-		"-admit-degrade": "-admit-degrade 3" + small,
-		"-trace-out":     "-trace-out " + filepath.Join(t.TempDir(), "missing", "traces.jsonl"),
-		"-tenants":       "-tenants " + filepath.Join(t.TempDir(), "missing.json"),
-		"-llm-profile":   "-workload llm -llm-profile " + filepath.Join(t.TempDir(), "missing.json"),
-		"-solver":        "-solver pi" + small,
-		"-agg-queue":     "-agg-queue 8" + small,
-		"-lb":            "-workload llm -lb jsq -workers 1 -load 0.5 -dur 2 -timescale 50",
-		"-retry-budget":  "-workload llm -retry-budget 5 -workers 1 -load 0.5 -dur 2 -timescale 50",
-		"-adapt-band":    "-tenants " + tenants + " -adapt-band 0.3 -workers 1 -timescale 20 -d 10 -addr 127.0.0.1:0",
-		"-llm-class":     "-tenants " + tenants + " -llm-class codegen -workers 1 -timescale 20 -d 10 -addr 127.0.0.1:0",
+	for _, row := range []struct{ flagName, args string }{
+		{"-workload", "-workload tokens"},
+		{"-admit-degrade", "-admit-degrade 3" + small},
+		{"-admit-degrade", "-admit-degrade -3" + small},
+		{"-timescale", "-timescale 0" + small},
+		{"-timescale", "-timescale -2" + small},
+		{"-noise", "-noise -1" + small},
+		{"-retry-budget", "-retry-budget -1" + small},
+		{"-trace-out", "-trace-out " + filepath.Join(t.TempDir(), "missing", "traces.jsonl")},
+		{"-tenants", "-tenants " + filepath.Join(t.TempDir(), "missing.json")},
+		{"-llm-profile", "-workload llm -llm-profile " + filepath.Join(t.TempDir(), "missing.json")},
+		{"-solver", "-solver pi" + small},
+		{"-agg-queue", "-agg-queue 8" + small},
+		{"-lb", "-workload llm -lb jsq -workers 1 -load 0.5 -dur 2 -timescale 50"},
+		{"-retry-budget", "-workload llm -retry-budget 5 -workers 1 -load 0.5 -dur 2 -timescale 50"},
+		{"-adapt-band", "-tenants " + tenants + " -adapt-band 0.3 -workers 1 -timescale 20 -d 10 -addr 127.0.0.1:0"},
+		{"-llm-class", "-tenants " + tenants + " -llm-class codegen -workers 1 -timescale 20 -d 10 -addr 127.0.0.1:0"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		err := run(ctx, strings.Fields(args), io.Discard)
+		err := run(ctx, strings.Fields(row.args), io.Discard)
 		cancel()
-		if err == nil || !strings.Contains(err.Error(), flagName) {
-			t.Errorf("serve %s: error %v, want one naming %s", args, err, flagName)
+		if err == nil || !strings.Contains(err.Error(), row.flagName) {
+			t.Errorf("serve %s: error %v, want one naming %s", row.args, err, row.flagName)
 		}
 	}
 }

@@ -50,7 +50,7 @@ func newFlags(stdout io.Writer) (*cli.FlagSet, *options) {
 	o.Register(fs)
 	fs.StringVar(&o.method, "m", "RAMSIS", "MS&S method: RAMSIS, JF, MS, Greedy (-workload llm: RAMSIS, Scalar, Fixed)")
 	fs.StringVar(&o.trace, "trace", "constant", "query trace: constant (-load over -dur), real (Twitter), or step (-load with a -step-load burst)")
-	fs.Float64Var(&o.noise, "noise", 0, "inference latency stddev in ms (0 = deterministic p95)")
+	fs.Var((*cli.NonNegative)(&o.noise), "noise", "inference latency stddev in ms (0 = deterministic p95)")
 	fs.StringVar(&o.policy, "policy", "", "load a saved RAMSIS policy JSON (from ramsisgen) instead of generating")
 	fs.StringVar(&o.msTable, "ms-table", "", "load a ModelSwitching profile JSON (from msgen) instead of profiling")
 	fs.Float64Var(&o.stepLoad, "step-load", 0, "step trace: QPS during the step (with --trace step)")

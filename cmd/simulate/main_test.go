@@ -143,23 +143,24 @@ func TestMSTableFromMsgen(t *testing.T) {
 // error naming the offending flag — not a process exit — and before any
 // policy is generated.
 func TestErrorsReturn(t *testing.T) {
-	for flagName, args := range map[string]string{
-		"-workload":      "-workload tokens",
-		"-admit-degrade": "-m Greedy -workers 2 -load 40 -dur 1 -admit-degrade 3",
-		"-tenant-mult":   "-tenant-mult bronze=4",
-		"-step-load":     "-trace step",
-		"-trace-out":     "-trace-out " + filepath.Join(t.TempDir(), "missing", "traces.jsonl"),
-		"-trace":         "-trace sawtooth",
-		"-m":             "-m INFaaS -workers 2 -load 40 -dur 1",
-		"-adapt":         "-m JF -adapt",
-		"-solver":        "-solver pi",
-		"-agg-queue":     "-agg-queue 8",
-		"-lb":            "-workload llm -lb jsq",
-		"-noise":         "-workload llm -m Fixed -noise 10",
+	for _, row := range []struct{ flagName, args string }{
+		{"-workload", "-workload tokens"},
+		{"-admit-degrade", "-m Greedy -workers 2 -load 40 -dur 1 -admit-degrade 3"},
+		{"-tenant-mult", "-tenant-mult bronze=4"},
+		{"-step-load", "-trace step"},
+		{"-trace-out", "-trace-out " + filepath.Join(t.TempDir(), "missing", "traces.jsonl")},
+		{"-trace", "-trace sawtooth"},
+		{"-m", "-m INFaaS -workers 2 -load 40 -dur 1"},
+		{"-adapt", "-m JF -adapt"},
+		{"-solver", "-solver pi"},
+		{"-agg-queue", "-agg-queue 8"},
+		{"-lb", "-workload llm -lb jsq"},
+		{"-noise", "-workload llm -m Fixed -noise 10"},
+		{"-noise", "-m Greedy -workers 2 -load 40 -dur 1 -noise -5"},
 	} {
-		err := run(context.Background(), strings.Fields(args), io.Discard)
-		if err == nil || !strings.Contains(err.Error(), flagName) {
-			t.Errorf("simulate %s: error %v, want one naming %s", args, err, flagName)
+		err := run(context.Background(), strings.Fields(row.args), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), row.flagName) {
+			t.Errorf("simulate %s: error %v, want one naming %s", row.args, err, row.flagName)
 		}
 	}
 }

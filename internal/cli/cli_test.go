@@ -74,8 +74,9 @@ func TestParseRejectsNonFiniteFloats(t *testing.T) {
 // only positive values: zero or a negative value is a usage error naming the
 // flag, not a run that panics on a Poisson rate or replays nothing. The same
 // holds for -admit-margin, which admit.Deadline would run as 1; and a
-// negative -llm-kv-cap or -adapt-bucket, which would silently fall back to
-// the profile capacities or the band width, is an error too.
+// negative -llm-kv-cap, -adapt-bucket or -admit-degrade, which would
+// silently fall back to the profile capacities, the band width or no
+// degrading, is an error too.
 func TestRegisterRejectsNonPositiveLoadAndDur(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -94,9 +95,11 @@ func TestRegisterRejectsNonPositiveLoadAndDur(t *testing.T) {
 		{[]string{"-llm-kv-cap", "1.5"}, "-llm-kv-cap"},
 		{[]string{"-adapt-bucket", "-20"}, "-adapt-bucket"},
 		{[]string{"-adapt-bucket", "inf"}, "-adapt-bucket"},
+		{[]string{"-admit-degrade", "-3"}, "-admit-degrade"},
+		{[]string{"-admit-degrade", "1.5"}, "-admit-degrade"},
 		{[]string{"-load", "2.5", "-dur", "7"}, ""},
 		{[]string{"-admit-margin", "0.5", "-llm-kv-cap", "0", "-adapt-bucket", "0"}, ""},
-		{[]string{"-llm-kv-cap", "3000", "-adapt-bucket", "20"}, ""},
+		{[]string{"-llm-kv-cap", "3000", "-adapt-bucket", "20", "-admit-degrade", "2"}, ""},
 		{nil, ""},
 	} {
 		fs := NewFlagSet("test")

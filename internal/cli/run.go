@@ -46,8 +46,8 @@ func (r *Run) Register(fs *FlagSet) {
 	fs.StringVar(&r.Task, "task", "image", "inference task: image or text")
 	fs.Float64Var(&r.SLOMS, "slo", 150, "latency SLO in milliseconds")
 	fs.IntVar(&r.Workers, "workers", r.Workers, "number of workers")
-	fs.Var((*positive)(&r.Load), "load", "query load in QPS (constant trace)")
-	fs.Var((*positive)(&r.Dur), "dur", "trace duration in modeled seconds")
+	fs.Var((*Positive)(&r.Load), "load", "query load in QPS (constant trace)")
+	fs.Var((*Positive)(&r.Dur), "dur", "trace duration in modeled seconds")
 	fs.Int64Var(&r.Seed, "seed", 1, "workload seed")
 	fs.IntVar(&r.D, "d", 100, "FLD resolution for RAMSIS policies")
 	fs.IntVar(&r.MaxQueue, "maxqueue", 0, fmt.Sprintf("queue-length bound N_w (0 = default %d): caps the RAMSIS MDP state space, and with -admit cap also sets the online admission bound (workers x N_w outstanding) — one knob for both, since policy guarantees lapse past N_w anyway", core.DefaultMaxQueue))
@@ -57,7 +57,7 @@ func (r *Run) Register(fs *FlagSet) {
 	fs.BoolVar(&r.Adapt, "adapt", false, "close the adaptation loop (RAMSIS policies only): drift-detect the monitored rate, re-solve, and hot-swap policies without pausing dispatch")
 	fs.Float64Var(&r.AdaptBand, "adapt-band", 0.2, "adaptation hysteresis half-width as a fraction of the solved-for rate")
 	fs.Float64Var(&r.AdaptDwell, "adapt-dwell", 2, "seconds the rate must stay outside the band before re-solving")
-	fs.Var((*nonNegative)(&r.AdaptBucket), "adapt-bucket", "rate bucket size in QPS: a drift re-solves at its bucket unless the policy ladder already holds one for it (0 = hysteresis band width at the initial rate)")
+	fs.Var((*NonNegative)(&r.AdaptBucket), "adapt-bucket", "rate bucket size in QPS: a drift re-solves at its bucket unless the policy ladder already holds one for it (0 = hysteresis band width at the initial rate)")
 
 	fs.StringVar(&r.TenantsFile, "tenants", "", "multi-tenant mode: tenant contract JSON (name, class, sloMs, weight, rateQps) — per-tenant SLOs and policies under weighted-fair admission; serve starts the sharded plane behind a tenant-routing gateway, simulate offers each tenant its contracted rate over -dur")
 
@@ -68,44 +68,46 @@ func (r *Run) Register(fs *FlagSet) {
 
 	fs.StringVar(&r.Admit, "admit", "none", "admission control: none, deadline (shed queries whose deadline is unmeetable; a 429 on the wire), or cap (bound outstanding work; unifies the -maxqueue N_w bound online)")
 	r.AdmitMargin = 1
-	fs.Var((*positive)(&r.AdmitMargin), "admit-margin", "deadline admission: shed when estimated wait exceeds SLO*margin minus best-case service time")
-	fs.IntVar(&r.AdmitDegrade, "admit-degrade", 0, "degraded-mode depth: maximum number of slowest models to forbid under confirmed overload (0 = off; requires -admit)")
+	fs.Var((*Positive)(&r.AdmitMargin), "admit-margin", "deadline admission: shed when estimated wait exceeds SLO*margin minus best-case service time")
+	fs.Var((*nonNegativeInt)(&r.AdmitDegrade), "admit-degrade", "degraded-mode depth: maximum number of slowest models to forbid under confirmed overload (0 = off; requires -admit)")
 }
 
-// positive is a float64 flag value that must be greater than zero, as a
-// load, a duration or an admission margin must be; Get lets Parse's
-// non-finite screen read it.
-type positive float64
+// Positive is a float64 flag value that must be greater than zero, as a
+// load, a duration, an admission margin or a time scale must be; Get lets
+// Parse's non-finite screen read it.
+type Positive float64
 
-func (v *positive) String() string { return strconv.FormatFloat(float64(*v), 'g', -1, 64) }
-func (v *positive) Get() any       { return float64(*v) }
+func (v *Positive) String() string { return strconv.FormatFloat(float64(*v), 'g', -1, 64) }
+func (v *Positive) Get() any       { return float64(*v) }
 
-func (v *positive) Set(s string) error {
+func (v *Positive) Set(s string) error {
 	x, err := strconv.ParseFloat(s, 64)
 	if err != nil || !(x > 0) {
 		return fmt.Errorf("%q is not a positive number", s)
 	}
-	*v = positive(x)
+	*v = Positive(x)
 	return nil
 }
 
-// nonNegative is a float64 flag value whose zero keeps a default and which
-// must not be negative, as a rate bucket must not be.
-type nonNegative float64
+// NonNegative is a float64 flag value whose zero keeps a default and which
+// must not be negative, as a rate bucket, a latency spread or a retry
+// budget must not be.
+type NonNegative float64
 
-func (v *nonNegative) String() string { return strconv.FormatFloat(float64(*v), 'g', -1, 64) }
-func (v *nonNegative) Get() any       { return float64(*v) }
+func (v *NonNegative) String() string { return strconv.FormatFloat(float64(*v), 'g', -1, 64) }
+func (v *NonNegative) Get() any       { return float64(*v) }
 
-func (v *nonNegative) Set(s string) error {
+func (v *NonNegative) Set(s string) error {
 	x, err := strconv.ParseFloat(s, 64)
 	if err != nil || !(x >= 0) {
 		return fmt.Errorf("%q is not a non-negative number", s)
 	}
-	*v = nonNegative(x)
+	*v = NonNegative(x)
 	return nil
 }
 
-// nonNegativeInt is nonNegative for an int flag, as a KV capacity is.
+// nonNegativeInt is NonNegative for an int flag, as a KV capacity or a
+// degrade depth is.
 type nonNegativeInt int
 
 func (v *nonNegativeInt) String() string { return strconv.Itoa(int(*v)) }

@@ -8,22 +8,14 @@ import (
 	"ramsis/internal/telemetry"
 )
 
-// HealthConfig tunes a HealthTracker. Zero values take the defaults noted
-// per field.
+// HealthConfig tunes a HealthTracker.
 type HealthConfig struct {
 	// Interval is the wall-clock period between probe rounds (default
 	// 500 ms). Serving layers that compress modeled time divide their
 	// modeled probe period by TimeScale before building the tracker so
-	// detection latency compresses with the rest of the run.
+	// detection latency compresses with the rest of the run. One probe
+	// may take up to Interval, capped at maxProbeTimeout.
 	Interval time.Duration
-	// Timeout bounds one probe request (default Interval, capped at 2 s).
-	Timeout time.Duration
-	// FailThreshold is the number of consecutive failures — probe or
-	// dispatch-reported — after which a worker is marked unhealthy
-	// (default 2).
-	FailThreshold int
-	// Path is the probe endpoint (default "/healthz").
-	Path string
 	// Telemetry, when set, records health-mark flips as
 	// ramsis_health_transitions_total{to="healthy"|"unhealthy"} counters —
 	// the time series that makes failover behaviour debuggable after the
@@ -31,27 +23,18 @@ type HealthConfig struct {
 	Telemetry *telemetry.Registry
 }
 
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.Interval <= 0 {
-		c.Interval = 500 * time.Millisecond
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = c.Interval
-		if c.Timeout > 2*time.Second {
-			c.Timeout = 2 * time.Second
-		}
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 2
-	}
-	if c.Path == "" {
-		c.Path = "/healthz"
-	}
-	return c
-}
+const (
+	// maxProbeTimeout caps one probe request's timeout.
+	maxProbeTimeout = 2 * time.Second
+	// failThreshold is the number of consecutive failures — probe or
+	// dispatch-reported — after which a worker is marked unhealthy.
+	failThreshold = 2
+	// healthPath is the probe endpoint every worker kind serves.
+	healthPath = "/healthz"
+)
 
 // HealthTracker probes each worker's health endpoint on a fixed interval
-// and maintains a healthy/unhealthy mark per worker: FailThreshold
+// and maintains a healthy/unhealthy mark per worker: failThreshold
 // consecutive failures mark a worker unhealthy, and a single successful
 // probe re-admits it. Dispatch paths feed their own observations in via
 // ReportFailure/ReportSuccess so detection does not have to wait for the
@@ -60,9 +43,9 @@ func (c HealthConfig) withDefaults() HealthConfig {
 // All workers start healthy: a tracker that has not probed yet must not
 // block traffic.
 type HealthTracker struct {
-	cfg    HealthConfig
-	urls   []string
-	client *http.Client
+	interval time.Duration
+	urls     []string
+	client   *http.Client
 
 	mu      sync.Mutex
 	fails   []int
@@ -80,14 +63,16 @@ type HealthTracker struct {
 // NewHealthTracker builds a tracker over the worker base URLs (not yet
 // probing; call Start).
 func NewHealthTracker(urls []string, cfg HealthConfig) *HealthTracker {
-	cfg = cfg.withDefaults()
+	if cfg.Interval <= 0 {
+		cfg.Interval = 500 * time.Millisecond
+	}
 	t := &HealthTracker{
-		cfg:     cfg,
-		urls:    urls,
-		client:  &http.Client{Timeout: cfg.Timeout},
-		fails:   make([]int, len(urls)),
-		healthy: make([]bool, len(urls)),
-		stop:    make(chan struct{}),
+		interval: cfg.Interval,
+		urls:     urls,
+		client:   &http.Client{Timeout: min(cfg.Interval, maxProbeTimeout)},
+		fails:    make([]int, len(urls)),
+		healthy:  make([]bool, len(urls)),
+		stop:     make(chan struct{}),
 	}
 	for i := range t.healthy {
 		t.healthy[i] = true
@@ -116,7 +101,7 @@ func (t *HealthTracker) Stop() {
 
 func (t *HealthTracker) probeLoop(w int) {
 	defer t.wg.Done()
-	ticker := time.NewTicker(t.cfg.Interval)
+	ticker := time.NewTicker(t.interval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -130,7 +115,7 @@ func (t *HealthTracker) probeLoop(w int) {
 
 // probe performs one health check against worker w.
 func (t *HealthTracker) probe(w int) {
-	resp, err := t.client.Get(t.urls[w] + t.cfg.Path)
+	resp, err := t.client.Get(t.urls[w] + healthPath)
 	ok := err == nil && resp.StatusCode >= 200 && resp.StatusCode < 300
 	if err == nil {
 		resp.Body.Close()
@@ -143,13 +128,13 @@ func (t *HealthTracker) probe(w int) {
 }
 
 // ReportFailure records one failed interaction with worker w (probe
-// failure or dispatch error); FailThreshold consecutive failures mark the
+// failure or dispatch error); failThreshold consecutive failures mark the
 // worker unhealthy.
 func (t *HealthTracker) ReportFailure(w int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.fails[w]++
-	if t.fails[w] >= t.cfg.FailThreshold {
+	if t.fails[w] >= failThreshold {
 		if t.healthy[w] && t.toUnhealthy != nil {
 			t.toUnhealthy.Inc()
 		}

@@ -33,7 +33,7 @@ func TestHealthTrackerMarksAndReadmits(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	tr := NewHealthTracker([]string{srv.URL}, HealthConfig{Interval: 10 * time.Millisecond, FailThreshold: 2})
+	tr := NewHealthTracker([]string{srv.URL}, HealthConfig{Interval: 10 * time.Millisecond})
 	tr.Start()
 	defer tr.Stop()
 
@@ -47,15 +47,13 @@ func TestHealthTrackerMarksAndReadmits(t *testing.T) {
 }
 
 func TestHealthTrackerNeedsConsecutiveFailures(t *testing.T) {
-	tr := NewHealthTracker([]string{"http://unused"}, HealthConfig{FailThreshold: 3})
-	tr.ReportFailure(0)
+	tr := NewHealthTracker([]string{"http://unused"}, HealthConfig{})
 	tr.ReportFailure(0)
 	if !tr.IsHealthy(0) {
 		t.Fatal("marked unhealthy below threshold")
 	}
 	// A success in between resets the consecutive count.
 	tr.ReportSuccess(0)
-	tr.ReportFailure(0)
 	tr.ReportFailure(0)
 	if !tr.IsHealthy(0) {
 		t.Fatal("non-consecutive failures should not mark unhealthy")
@@ -71,9 +69,7 @@ func TestHealthTrackerDetectsDeadServer(t *testing.T) {
 		rw.WriteHeader(http.StatusOK)
 	}))
 	url := srv.URL
-	tr := NewHealthTracker([]string{url}, HealthConfig{
-		Interval: 10 * time.Millisecond, Timeout: 50 * time.Millisecond, FailThreshold: 2,
-	})
+	tr := NewHealthTracker([]string{url}, HealthConfig{Interval: 10 * time.Millisecond})
 	tr.Start()
 	defer tr.Stop()
 	waitFor(t, "initial healthy probe", func() bool { return tr.IsHealthy(0) })

@@ -33,7 +33,7 @@ func TestInstrumentedNilRegistryPassesThrough(t *testing.T) {
 
 func TestHealthTrackerTransitionCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	tr := NewHealthTracker([]string{"http://a", "http://b"}, HealthConfig{FailThreshold: 2, Telemetry: reg})
+	tr := NewHealthTracker([]string{"http://a", "http://b"}, HealthConfig{Telemetry: reg})
 	down := reg.Counter(telemetry.MetricHealthTransitions, "to", "unhealthy")
 	up := reg.Counter(telemetry.MetricHealthTransitions, "to", "healthy")
 

@@ -78,7 +78,7 @@ func TestFrontendRoutesAroundDeadWorker(t *testing.T) {
 			TimeScale:      timeScale,
 			Workers:        urls,
 			Select:         fixedSelector("shufflenet_v2_x0_5"),
-			HealthInterval: 10 * time.Millisecond,
+			healthInterval: 10 * time.Millisecond,
 		}
 		if err := f.Start(); err != nil {
 			t.Fatal(err)

@@ -87,11 +87,6 @@ type Frontend struct {
 	// round-robin, matching the §3.2.1 policy assumption. Start wraps it
 	// with pick-latency instrumentation.
 	Balancer lb.Balancer
-	// HealthInterval is the wall-clock period at which the frontend's
-	// health tracker probes Workers' /healthz; default 500 ms divided by
-	// TimeScale, so detection latency compresses with modeled time in
-	// tests.
-	HealthInterval time.Duration
 	// Addr is the listen address; default "127.0.0.1:0" (random port).
 	Addr string
 	// process serves /metrics from the registry /stats also reads, and
@@ -138,6 +133,11 @@ type Frontend struct {
 	// elapsed is the wall time since start (time.Since(start) unless a test
 	// substituted a fake clock before Start).
 	elapsed func() time.Duration
+	// healthInterval is the wall-clock period at which the health tracker
+	// probes Workers' /healthz: 500 ms divided by TimeScale (at least
+	// 5 ms), so detection latency compresses with modeled time, unless a
+	// test set a shorter one before Start.
+	healthInterval time.Duration
 	// core is the dispatch core this frontend drives: the arrival step, the
 	// batch decision and per-query finish are the code sim.Engine runs.
 	core *sched.Core
@@ -284,7 +284,7 @@ func (f *Frontend) Start() error {
 		f.Balancer = lb.NewRoundRobin()
 	}
 	f.Balancer = lb.Instrumented(f.Balancer, f.Telemetry)
-	iv := f.HealthInterval
+	iv := f.healthInterval
 	if iv <= 0 {
 		iv = time.Duration(float64(500*time.Millisecond) / f.TimeScale)
 		if iv < 5*time.Millisecond {

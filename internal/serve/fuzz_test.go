@@ -1,22 +1,30 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
+	"net"
+	"net/url"
 	"strconv"
 	"testing"
 	"unicode/utf8"
 )
 
 // The /infer wire layer hand-rolls its JSON encode/decode (infer_client.go)
-// for the hot dispatch path, with encoding/json as the fallback for
-// anything the fast parsers decline. These fuzz targets pin the contract
-// between the two: wherever both decoders accept the same bytes they must
-// agree, and everything the fast encoders emit must round-trip through
-// both. The checks are conditional by design — the fast paths accept a
-// deliberately narrow wire shape and are allowed to reject valid JSON, and
-// parseInferLatency keys off a byte sequence without validating the
-// surrounding document, so it can accept fragments encoding/json refuses.
+// for the hot dispatch path; the worker falls back to encoding/json for
+// requests the fast parser declines, and the dispatcher has no fallback.
+// These fuzz targets pin the contract between the hand-rolled codecs and
+// encoding/json: wherever both decoders accept the same bytes they must
+// agree exactly, and everything the fast encoders emit must round-trip
+// through both. The checks are conditional by design — the fast paths
+// accept a deliberately narrow wire shape and are allowed to reject valid
+// JSON, and parseInferLatency keys off a byte sequence without validating
+// the surrounding document, so it can accept fragments encoding/json
+// refuses. FuzzInferExchange fuzzes the HTTP/1.1 framer the dispatcher
+// reads worker answers with.
 
 // FuzzParseInferRequest cross-checks the allocation-free request decoder
 // against encoding/json and pins re-encode self-consistency.
@@ -63,15 +71,14 @@ func FuzzParseInferRequest(f *testing.F) {
 }
 
 // FuzzParseInferLatency cross-checks the latency fast path against
-// encoding/json: on bytes both accept, the fast value must sit within
-// 1e-15 relative of the correctly-rounded one (the 16-19 digit mantissa
-// path is documented as within one ulp, ~2.2e-16).
+// encoding/json: on bytes both accept, both parse the number with
+// strconv.ParseFloat, so the values must be equal.
 func FuzzParseInferLatency(f *testing.F) {
 	f.Add([]byte(`{"model":"m","batch":8,"latency":0.0123}`))
 	f.Add([]byte(`{"model":"m","batch":1,"latency":1.2345678901234567e-05}`))
 	f.Add([]byte(`{"model":"m","batch":1,"latency":-3}`))
 	f.Add([]byte(`{"model":"m","batch":1,"latency":9999999999999999999}`))
-	f.Add([]byte(`{"model":"m","batch":1,"latency":1e31}`)) // exponent cap: generic path
+	f.Add([]byte(`{"model":"m","batch":1,"latency":1e31}`)) // exponent past 1e22
 	f.Add([]byte(`{"a":{"x":1,"latency":5}}`))              // nested: trailing-brace check rejects
 	f.Add([]byte(`{"latency":1,"latency":2}`))              // duplicate key: both take the last
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -89,7 +96,7 @@ func FuzzParseInferLatency(f *testing.F) {
 			// objects from appendInferResponse; nothing to cross-check.
 			return
 		}
-		if math.Abs(fast-resp.Latency) > 1e-15*math.Abs(resp.Latency) {
+		if fast != resp.Latency {
 			t.Fatalf("parseInferLatency(%q) = %g, encoding/json = %g", b, fast, resp.Latency)
 		}
 	})
@@ -98,7 +105,8 @@ func FuzzParseInferLatency(f *testing.F) {
 // FuzzInferWireRoundTrip drives the encoders with arbitrary field values
 // and checks both decoders recover them: the emitted request must parse
 // identically on the fast and generic paths, and the emitted response's
-// shortest-form float must round-trip exactly through encoding/json.
+// shortest-form float must round-trip exactly through encoding/json and
+// through parseInferLatency, the dispatcher's only latency decoder.
 func FuzzInferWireRoundTrip(f *testing.F) {
 	f.Add("resnet50", 8, 0.012345)
 	f.Add("", 0, 0.0)
@@ -142,10 +150,108 @@ func FuzzInferWireRoundTrip(f *testing.F) {
 		if rr.Latency != latency {
 			t.Fatalf("latency %v did not round-trip through %q (got %v)", latency, resp, rr.Latency)
 		}
-		if lat, ok := parseInferLatency(resp); ok {
-			if math.Abs(lat-latency) > 1e-15*math.Abs(latency) {
-				t.Fatalf("fast parse of own encoding %q = %g, want %g", resp, lat, latency)
-			}
+		if lat, ok := parseInferLatency(resp); !ok || lat != latency {
+			t.Fatalf("fast parse of own encoding %q = (%g, ok=%v), want %g", resp, lat, ok, latency)
 		}
 	})
+}
+
+// scriptConn is a net.Conn that discards writes and reads a scripted
+// response, then io.EOF: a read past the script is an error, never a hang.
+type scriptConn struct {
+	net.Conn // nil: only Read, Write and Close are called
+	r        *bytes.Reader
+}
+
+func (c *scriptConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
+func (c *scriptConn) Write(p []byte) (int, error) { return len(p), nil }
+func (c *scriptConn) Close() error                { return nil }
+
+// scriptExchange runs one exchange whose response bytes are resp.
+func scriptExchange(s *postScratch, resp []byte) (int, bool, error) {
+	c := &scriptConn{r: bytes.NewReader(resp)}
+	ic := &inferConn{c: c, br: bufio.NewReader(c)}
+	u := &url.URL{Host: "worker", Path: "/infer"}
+	return ic.exchange(s, u, []byte(`{"model":"m","batch":1}`), nil)
+}
+
+// TestExchangeRejectsOversizeBody declares a 1 MiB body and sends a few
+// bytes of it: the length is refused before any buffer is sized for it,
+// rather than allocated and then read short.
+func TestExchangeRejectsOversizeBody(t *testing.T) {
+	var s postScratch
+	status, keep, err := scriptExchange(&s,
+		[]byte("HTTP/1.1 200 OK\r\nContent-Length: 1048576\r\n\r\n{\"latency\":1}"))
+	if !errors.Is(err, errMalformed) || keep || status != 200 {
+		t.Fatalf("exchange = (%d, %v, %v), want (200, false, errMalformed)", status, keep, err)
+	}
+	if cap(s.resp) != 0 {
+		t.Errorf("body buffer grew to %d bytes for a refused length", cap(s.resp))
+	}
+}
+
+// FuzzInferExchange runs the /infer response framer on arbitrary bytes.
+// A response it accepts must have a three-digit status and a body that is
+// exactly the declared Content-Length bytes after the header block; one it
+// refuses must drop the connection.
+func FuzzInferExchange(f *testing.F) {
+	for _, seed := range []string{
+		"HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n{\"model\":\"m\",\"batch\":1,\"latency\":0.0123}",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\n\r\nbody runs to close",
+		"HTTP/1.1 204 No Content\r\n\r\n",
+		"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n{\"lat",
+		"HTTP/1.1 200 OK\r\nContent-Length: 99999999999\r\n\r\n{}",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var s postScratch
+		status, keep, err := scriptExchange(&s, in)
+		if err != nil {
+			if keep {
+				t.Fatalf("exchange(%q) kept the connection after %v", in, err)
+			}
+			return
+		}
+		if status < 100 || status > 999 {
+			t.Fatalf("exchange(%q) accepted status %d", in, status)
+		}
+		body, n := framedBody(in)
+		if n < 0 || len(s.resp) != n || !bytes.Equal(s.resp, body) {
+			t.Fatalf("exchange(%q) read body %q, want the %d declared bytes %q", in, s.resp, n, body)
+		}
+	})
+}
+
+// framedBody is the test's own reading of a response the framer accepted:
+// header lines up to the first empty one, the last Content-Length among
+// them, and that many bytes after the header block (n = -1 if there is no
+// such header or fewer bytes remain).
+func framedBody(in []byte) (body []byte, n int) {
+	n = -1
+	rest := in
+	for first := true; ; first = false {
+		line, after, ok := bytes.Cut(rest, []byte("\n"))
+		if !ok {
+			return nil, -1
+		}
+		rest = after
+		line = bytes.TrimSuffix(line, []byte("\r"))
+		if len(line) == 0 && !first {
+			break
+		}
+		if k, v, ok := bytes.Cut(line, []byte(":")); ok && !first &&
+			bytes.EqualFold(k, []byte("Content-Length")) {
+			if x, err := strconv.Atoi(string(bytes.TrimSpace(v))); err == nil {
+				n = x
+			}
+		}
+	}
+	if n < 0 || n > len(rest) {
+		return nil, -1
+	}
+	return rest[:n], n
 }

@@ -3,9 +3,9 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"net/url"
 	"strconv"
@@ -52,10 +52,16 @@ type inferConn struct {
 // batch was delivered; only the latency attribution is lost.
 var errDecode = errors.New("serve: undecodable infer response")
 
-// errMalformed marks a response that does not parse as HTTP/1.x framing;
-// the connection is dropped and the dispatch fails like any transport
-// error.
+// errMalformed marks a response that does not parse as HTTP/1.x framing
+// by Content-Length; the connection is dropped and the dispatch fails
+// like any transport error.
 var errMalformed = errors.New("serve: malformed infer response")
+
+// maxInferBody bounds the Content-Length exchange accepts, checked before
+// the body buffer is sized: a worker's answer is under 100 bytes, and a
+// peer that declared a gigabyte would otherwise cost the dispatch loop a
+// gigabyte.
+const maxInferBody = 64 << 10
 
 // postInfer POSTs one encoded batch to worker w's pre-parsed URL and
 // parses the worker's latency report. status is 0 on transport errors
@@ -63,7 +69,8 @@ var errMalformed = errors.New("serve: malformed infer response")
 // and the error feeds the caller's health/failover path — there is no
 // silent retry, because a POST that died mid-exchange may already be
 // executing on the worker. A 2xx body that fails to read or parse
-// returns errDecode with the status; callers decide whether a
+// returns errDecode with the status, and so does one that is not
+// appendInferResponse's shape; callers decide whether a
 // delivered-but-unattributed batch counts as success. traceCtx, when
 // non-empty, rides in the X-Trace-Id header.
 func (s *postScratch) postInfer(w int, u *url.URL, body, traceCtx []byte) (float64, int, error) {
@@ -79,16 +86,11 @@ func (s *postScratch) postInfer(w int, u *url.URL, body, traceCtx []byte) (float
 	}
 	// Only latency is read back — model and batch just echo the request,
 	// and decoding them would allocate a string per batch.
-	if lat, ok := parseInferLatency(s.resp); ok {
-		return lat, status, nil
-	}
-	var ir struct {
-		Latency float64 `json:"latency"`
-	}
-	if err := json.Unmarshal(s.resp, &ir); err != nil {
+	lat, ok := parseInferLatency(s.resp)
+	if !ok {
 		return 0, status, errDecode
 	}
-	return ir.Latency, status, nil
+	return lat, status, nil
 }
 
 // roundTrip performs one request/response exchange on worker w's owned
@@ -130,11 +132,13 @@ func (s *postScratch) closeConns() {
 // non-zero once a status line was parsed, even when a later read fails —
 // roundTrip's callers use that to tell transport failures (retryable
 // against another worker) from undecodable bodies (delivered). keep
-// reports whether the connection survives for the next exchange. The
-// request is serialized into the wire scratch in one piece — header
-// block and body — and written with a single syscall; the wire is
-// header-minimal because every header line costs the worker's server a
-// parse allocation per request at saturation.
+// reports whether the connection survives for the next exchange. The body
+// is read by Content-Length alone, the one framing a worker's answer has:
+// a response without it, or with Transfer-Encoding, is errMalformed. The
+// request is serialized into the wire scratch in one piece — header block
+// and body — and written with a single syscall; the wire is header-minimal
+// because every header line costs the worker's server a parse allocation
+// per request at saturation.
 func (ic *inferConn) exchange(s *postScratch, u *url.URL, body, traceCtx []byte) (status int, keep bool, err error) {
 	wire := s.wire[:0]
 	wire = append(wire, "POST "...)
@@ -162,7 +166,6 @@ func (ic *inferConn) exchange(s *postScratch, u *url.URL, body, traceCtx []byte)
 		return 0, false, errMalformed
 	}
 	contentLen := -1
-	chunked := false
 	for {
 		h, err := ic.readLine()
 		if err != nil {
@@ -175,46 +178,32 @@ func (ic *inferConn) exchange(s *postScratch, u *url.URL, body, traceCtx []byte)
 		if i < 0 {
 			continue
 		}
-		key, val := h[:i], trimOWS(h[i+1:])
+		key, val := h[:i], bytes.TrimSpace(h[i+1:])
 		switch {
 		case bytes.EqualFold(key, []byte("Content-Length")):
-			n, perr := parseDecimal(val)
-			if perr != nil {
+			n, perr := strconv.Atoi(string(val))
+			if perr != nil || n < 0 || n > maxInferBody {
 				return status, false, errMalformed
 			}
 			contentLen = n
 		case bytes.EqualFold(key, []byte("Transfer-Encoding")):
-			chunked = bytes.EqualFold(val, []byte("chunked"))
+			return status, false, errMalformed
 		case bytes.EqualFold(key, []byte("Connection")):
 			if bytes.EqualFold(val, []byte("close")) {
 				keep = false
 			}
 		}
 	}
-	switch {
-	case status == 204 || status == 304:
-		s.resp = s.resp[:0]
-	case chunked:
-		s.resp, err = ic.readChunked(s.resp[:0])
-		if err != nil {
-			return status, false, err
-		}
-	case contentLen >= 0:
-		if cap(s.resp) < contentLen {
-			s.resp = make([]byte, contentLen)
-		} else {
-			s.resp = s.resp[:contentLen]
-		}
-		if _, err := io.ReadFull(ic.br, s.resp); err != nil {
-			return status, false, err
-		}
-	default:
-		// No framing: the body runs to connection close (HTTP/1.0 style).
-		s.resp, err = readAllInto(s.resp[:0], ic.br)
-		if err != nil {
-			return status, false, err
-		}
-		keep = false
+	if contentLen < 0 {
+		return status, false, errMalformed
+	}
+	if cap(s.resp) < contentLen {
+		s.resp = make([]byte, contentLen)
+	} else {
+		s.resp = s.resp[:contentLen]
+	}
+	if _, err := io.ReadFull(ic.br, s.resp); err != nil {
+		return status, false, err
 	}
 	return status, keep, nil
 }
@@ -233,70 +222,9 @@ func (ic *inferConn) readLine() ([]byte, error) {
 	return line[:n], nil
 }
 
-// readChunked decodes a chunked body into dst. The Go server only chunks
-// responses that outgrow its write buffer — which /infer never produces
-// — but decoding keeps the client correct instead of wire-shape-lucky.
-func (ic *inferConn) readChunked(dst []byte) ([]byte, error) {
-	for {
-		line, err := ic.readLine()
-		if err != nil {
-			return dst, err
-		}
-		if i := bytes.IndexByte(line, ';'); i >= 0 {
-			line = line[:i]
-		}
-		if len(line) == 0 {
-			return dst, errMalformed
-		}
-		size := 0
-		for _, c := range line {
-			switch {
-			case c >= '0' && c <= '9':
-				size = size<<4 + int(c-'0')
-			case c >= 'a' && c <= 'f':
-				size = size<<4 + int(c-'a'+10)
-			case c >= 'A' && c <= 'F':
-				size = size<<4 + int(c-'A'+10)
-			default:
-				return dst, errMalformed
-			}
-			if size > 1<<30 {
-				return dst, errMalformed
-			}
-		}
-		if size == 0 {
-			// Trailer section: lines until the terminating empty line.
-			for {
-				t, err := ic.readLine()
-				if err != nil {
-					return dst, err
-				}
-				if len(t) == 0 {
-					return dst, nil
-				}
-			}
-		}
-		n := len(dst)
-		for cap(dst) < n+size {
-			dst = append(dst[:cap(dst)], 0)
-		}
-		dst = dst[:n+size]
-		if _, err := io.ReadFull(ic.br, dst[n:]); err != nil {
-			return dst, err
-		}
-		crlf, err := ic.readLine()
-		if err != nil {
-			return dst, err
-		}
-		if len(crlf) != 0 {
-			return dst, errMalformed
-		}
-	}
-}
-
 // parseStatusLine extracts the status code from "HTTP/1.x NNN reason".
-// status 0 means unparseable; keep reports HTTP/1.1 (whose connections
-// persist by default).
+// status 0 means unparseable, a code below 100 included; keep reports
+// HTTP/1.1 (whose connections persist by default).
 func parseStatusLine(line []byte) (status int, keep bool) {
 	const pre = "HTTP/1."
 	if len(line) < len(pre)+5 || string(line[:len(pre)]) != pre {
@@ -313,40 +241,13 @@ func parseStatusLine(line []byte) (status int, keep bool) {
 		}
 		status = status*10 + int(c-'0')
 	}
+	if status < 100 {
+		return 0, false
+	}
 	return status, keep
 }
 
-// trimOWS strips the optional leading/trailing whitespace around a
-// header value.
-func trimOWS(b []byte) []byte {
-	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t') {
-		b = b[1:]
-	}
-	for len(b) > 0 && (b[len(b)-1] == ' ' || b[len(b)-1] == '\t') {
-		b = b[:len(b)-1]
-	}
-	return b
-}
-
-// parseDecimal parses a non-negative decimal header value.
-func parseDecimal(b []byte) (int, error) {
-	if len(b) == 0 {
-		return 0, errMalformed
-	}
-	n := 0
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, errMalformed
-		}
-		n = n*10 + int(c-'0')
-		if n > 1<<30 {
-			return 0, errMalformed
-		}
-	}
-	return n, nil
-}
-
-// appendInferRequest encodes InferRequest without encoding/json.
+// appendInferRequest encodes InferRequest by hand.
 func appendInferRequest(b []byte, model string, batch int) []byte {
 	b = append(b, `{"model":`...)
 	b = strconv.AppendQuote(b, model)
@@ -356,7 +257,7 @@ func appendInferRequest(b []byte, model string, batch int) []byte {
 }
 
 // parseInferRequest decodes exactly the wire shape appendInferRequest
-// emits ({"model":"...","batch":N}) without encoding/json or any
+// emits ({"model":"...","batch":N}) by hand and without any
 // allocation; the returned model aliases b. ok is false for anything else
 // — escaped model names, reordered or extra fields, surrounding space —
 // and the worker falls back to the generic decoder, so external clients
@@ -389,7 +290,7 @@ func parseInferRequest(b []byte) (model []byte, batch int, ok bool) {
 	return model, batch, true
 }
 
-// appendInferResponse encodes InferResponse without encoding/json.
+// appendInferResponse encodes InferResponse by hand.
 func appendInferResponse(b []byte, model string, batch int, latency float64) []byte {
 	b = append(b, `{"model":`...)
 	b = strconv.AppendQuote(b, model)
@@ -400,98 +301,24 @@ func appendInferResponse(b []byte, model string, batch int, latency float64) []b
 	return append(b, '}')
 }
 
-// pow10 covers the exactly-representable powers of ten for the latency
-// fast path below.
-var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
-	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
-
 // parseInferLatency decodes the latency field of the exact wire shape
-// appendInferResponse emits, without encoding/json or any allocation.
-// Mantissas of ≤ 15 digits scaled by an exactly-representable power of
-// ten take a correctly-rounded path bit-identical to strconv.ParseFloat;
-// 16-19 digit mantissas (the shortest form of a jittered float64 often
-// needs 17) land within one ulp, which is fine for a value that only
-// feeds telemetry. Anything else reports ok=false and falls back to the
-// generic decoder.
+// appendInferResponse emits: the number between the last `,"latency":`
+// and the closing brace, parsed by strconv.ParseFloat as the generic
+// decoder parses it, so the value is the correctly rounded one. The
+// conversion does not allocate for a number of up to 32 bytes, which
+// every shortest-form float64 is. Anything else, a non-finite value
+// included, reports ok=false.
 func parseInferLatency(b []byte) (lat float64, ok bool) {
 	const key = `,"latency":`
 	i := bytes.LastIndex(b, []byte(key))
 	if i < 0 || b[len(b)-1] != '}' {
 		return 0, false
 	}
-	s := b[i+len(key) : len(b)-1]
-	j, neg := 0, false
-	if j < len(s) && s[j] == '-' {
-		neg, j = true, j+1
-	}
-	var mant uint64
-	digits, frac := 0, 0
-	seenDot := false
-	for ; j < len(s); j++ {
-		c := s[j]
-		if c == '.' {
-			if seenDot {
-				return 0, false
-			}
-			seenDot = true
-			continue
-		}
-		if c < '0' || c > '9' {
-			break
-		}
-		mant = mant*10 + uint64(c-'0')
-		digits++
-		if seenDot {
-			frac++
-		}
-	}
-	if digits == 0 || digits > 19 {
+	lat, err := strconv.ParseFloat(string(b[i+len(key):len(b)-1]), 64)
+	if err != nil || math.IsInf(lat, 0) || math.IsNaN(lat) {
 		return 0, false
 	}
-	exp := -frac
-	if j < len(s) {
-		if s[j] != 'e' && s[j] != 'E' {
-			return 0, false
-		}
-		j++
-		eneg := false
-		if j < len(s) && (s[j] == '+' || s[j] == '-') {
-			eneg = s[j] == '-'
-			j++
-		}
-		if j == len(s) {
-			return 0, false
-		}
-		e := 0
-		for ; j < len(s); j++ {
-			c := s[j]
-			if c < '0' || c > '9' {
-				return 0, false
-			}
-			e = e*10 + int(c-'0')
-			if e > 30 {
-				return 0, false
-			}
-		}
-		if eneg {
-			e = -e
-		}
-		exp += e
-	}
-	f := float64(mant)
-	switch {
-	case exp == 0:
-	case exp > 0 && exp < len(pow10):
-		f *= pow10[exp]
-	case exp < 0 && -exp < len(pow10):
-		f /= pow10[-exp]
-	default:
-		return 0, false
-	}
-	if neg {
-		f = -f
-	}
-	return f, true
+	return lat, true
 }
 
 // readAllInto is io.ReadAll into a caller-owned buffer: dst's backing

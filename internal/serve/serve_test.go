@@ -1,10 +1,15 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
+	"net"
 	"net/http"
+	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -111,6 +116,59 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 		t.Errorf("healthz failed: %v %v", err, resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestWorkerFramesByContentLength pins the one response framing the
+// dispatcher's /infer client reads: raw requests to a live worker must come
+// back with Content-Length and no Transfer-Encoding, whatever the status,
+// and every 200 body must be appendInferResponse's shape. A worker change
+// that chunked its answers would otherwise cost the plane its latency
+// attribution without failing anything.
+func TestWorkerFramesByContentLength(t *testing.T) {
+	u, err := url.Parse(startWorkers(t, 1, sim.Deterministic{}, 50)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) string {
+		return "POST /infer HTTP/1.1\r\nHost: w\r\nContent-Length: " + strconv.Itoa(len(body)) + "\r\n\r\n" + body
+	}
+	for _, c := range []struct {
+		req  string
+		want int
+	}{
+		{post(`{"model":"shufflenet_v2_x0_5","batch":2}`), http.StatusOK},
+		{post(`{"batch":2,"model":"shufflenet_v2_x0_5"}`), http.StatusOK},
+		{post(`{"model":"shufflenet_v2_x0_5","batch":0}`), http.StatusBadRequest},
+		{post(`{"model":"nope","batch":1}`), http.StatusNotFound},
+		{"GET /infer HTTP/1.1\r\nHost: w\r\n\r\n", http.StatusMethodNotAllowed},
+	} {
+		conn, err := net.Dial("tcp", u.Host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte(c.req)); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("%q: %v", c.req, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		conn.Close()
+		if err != nil {
+			t.Fatalf("%q: reading body: %v", c.req, err)
+		}
+		if resp.StatusCode != c.want {
+			t.Errorf("%q: status %d, want %d", c.req, resp.StatusCode, c.want)
+		}
+		if resp.Header.Get("Content-Length") == "" || len(resp.TransferEncoding) > 0 {
+			t.Errorf("%q: framed by Content-Length %q, Transfer-Encoding %q; want Content-Length only",
+				c.req, resp.Header.Get("Content-Length"), resp.TransferEncoding)
+		}
+		if _, ok := parseInferLatency(body); c.want == http.StatusOK && !ok {
+			t.Errorf("%q: 200 body %q has no parseable latency", c.req, body)
+		}
+	}
 }
 
 func TestPrototypeEndToEndRAMSIS(t *testing.T) {
