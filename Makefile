@@ -18,10 +18,22 @@ STATICCHECK_VERSION := 2024.1.1
 
 # Formatting gate: gofmt must have nothing to rewrite. gofmt -l prints
 # offending files and always exits 0, so fail on non-empty output.
+# Network gate: the serving plane reaches the wire one way, through the
+# default network's listen and dial in internal/serve/process.go. Any other
+# net.Listen* or net.Dial* (net.Dialer included) in non-test code under
+# internal/ fails, and so does any net/http import in internal/lb, whose
+# health tracker takes its probes from the caller.
 # staticcheck runs when available (CI always; locally if installed).
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	@hits="$$(grep -rn --include='*.go' --exclude='*_test.go' -E 'net\.(Listen|Dial)' internal)"; \
+	if [ "$$(printf '%s\n' "$$hits" | grep -c '^internal/serve/process.go:')" != 2 ] || \
+		[ "$$(printf '%s\n' "$$hits" | grep -c .)" != 2 ]; then \
+		echo "net.Listen/net.Dial outside the default network (internal/serve/process.go):"; \
+		echo "$$hits"; exit 1; fi
+	@out="$$(grep -rln --include='*.go' '"net/http' internal/lb)"; if [ -n "$$out" ]; then \
+		echo "internal/lb imports net/http:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \

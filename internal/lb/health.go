@@ -1,7 +1,6 @@
 package lb
 
 import (
-	"net/http"
 	"sync"
 	"time"
 
@@ -13,8 +12,7 @@ type HealthConfig struct {
 	// Interval is the wall-clock period between probe rounds (default
 	// 500 ms). Serving layers that compress modeled time divide their
 	// modeled probe period by TimeScale before building the tracker so
-	// detection latency compresses with the rest of the run. One probe
-	// may take up to Interval, capped at maxProbeTimeout.
+	// detection latency compresses with the rest of the run.
 	Interval time.Duration
 	// Telemetry, when set, records health-mark flips as
 	// ramsis_health_transitions_total{to="healthy"|"unhealthy"} counters —
@@ -23,29 +21,25 @@ type HealthConfig struct {
 	Telemetry *telemetry.Registry
 }
 
-const (
-	// maxProbeTimeout caps one probe request's timeout.
-	maxProbeTimeout = 2 * time.Second
-	// failThreshold is the number of consecutive failures — probe or
-	// dispatch-reported — after which a worker is marked unhealthy.
-	failThreshold = 2
-	// healthPath is the probe endpoint every worker kind serves.
-	healthPath = "/healthz"
-)
+// failThreshold is the number of consecutive failures — probe or
+// dispatch-reported — after which a worker is marked unhealthy.
+const failThreshold = 2
 
-// HealthTracker probes each worker's health endpoint on a fixed interval
-// and maintains a healthy/unhealthy mark per worker: failThreshold
-// consecutive failures mark a worker unhealthy, and a single successful
-// probe re-admits it. Dispatch paths feed their own observations in via
-// ReportFailure/ReportSuccess so detection does not have to wait for the
-// next probe round.
+// HealthTracker probes each worker on a fixed interval through the
+// caller's probe function and maintains a healthy/unhealthy mark per
+// worker: failThreshold consecutive failures mark a worker unhealthy, and
+// a single successful probe re-admits it. Dispatch paths feed their own
+// observations in via ReportFailure/ReportSuccess so detection does not
+// have to wait for the next probe round.
 //
 // All workers start healthy: a tracker that has not probed yet must not
 // block traffic.
 type HealthTracker struct {
 	interval time.Duration
-	urls     []string
-	client   *http.Client
+	// probe checks worker w once and reports whether it is healthy; the
+	// tracker calls it from w's own probe loop, never concurrently for one
+	// worker, and it must return within about one Interval.
+	probe func(w int) bool
 
 	mu      sync.Mutex
 	fails   []int
@@ -60,18 +54,17 @@ type HealthTracker struct {
 	wg       sync.WaitGroup
 }
 
-// NewHealthTracker builds a tracker over the worker base URLs (not yet
-// probing; call Start).
-func NewHealthTracker(urls []string, cfg HealthConfig) *HealthTracker {
+// NewHealthTracker builds a tracker over n workers, each checked by probe
+// (not yet probing; call Start).
+func NewHealthTracker(n int, probe func(w int) bool, cfg HealthConfig) *HealthTracker {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 500 * time.Millisecond
 	}
 	t := &HealthTracker{
 		interval: cfg.Interval,
-		urls:     urls,
-		client:   &http.Client{Timeout: min(cfg.Interval, maxProbeTimeout)},
-		fails:    make([]int, len(urls)),
-		healthy:  make([]bool, len(urls)),
+		probe:    probe,
+		fails:    make([]int, n),
+		healthy:  make([]bool, n),
 		stop:     make(chan struct{}),
 	}
 	for i := range t.healthy {
@@ -86,7 +79,7 @@ func NewHealthTracker(urls []string, cfg HealthConfig) *HealthTracker {
 
 // Start launches one probe loop per worker.
 func (t *HealthTracker) Start() {
-	for w := range t.urls {
+	for w := range t.healthy {
 		t.wg.Add(1)
 		go t.probeLoop(w)
 	}
@@ -108,22 +101,12 @@ func (t *HealthTracker) probeLoop(w int) {
 		case <-t.stop:
 			return
 		case <-ticker.C:
-			t.probe(w)
+			if t.probe(w) {
+				t.ReportSuccess(w)
+			} else {
+				t.ReportFailure(w)
+			}
 		}
-	}
-}
-
-// probe performs one health check against worker w.
-func (t *HealthTracker) probe(w int) {
-	resp, err := t.client.Get(t.urls[w] + healthPath)
-	ok := err == nil && resp.StatusCode >= 200 && resp.StatusCode < 300
-	if err == nil {
-		resp.Body.Close()
-	}
-	if ok {
-		t.ReportSuccess(w)
-	} else {
-		t.ReportFailure(w)
 	}
 }
 
@@ -154,8 +137,8 @@ func (t *HealthTracker) ReportSuccess(w int) {
 	t.healthy[w] = true
 }
 
-// Healthy returns a snapshot of the per-worker health marks, sized and
-// ordered like the URL list the tracker was built with.
+// Healthy returns a snapshot of the per-worker health marks, one per
+// worker the tracker was built over, in worker order.
 func (t *HealthTracker) Healthy() []bool {
 	return t.HealthyInto(nil)
 }

@@ -1,8 +1,6 @@
 package lb
 
 import (
-	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,16 +22,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestHealthTrackerMarksAndReadmits(t *testing.T) {
 	var down atomic.Bool
-	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
-		if down.Load() {
-			rw.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		rw.WriteHeader(http.StatusOK)
-	}))
-	defer srv.Close()
-
-	tr := NewHealthTracker([]string{srv.URL}, HealthConfig{Interval: 10 * time.Millisecond})
+	probe := func(int) bool { return !down.Load() }
+	tr := NewHealthTracker(1, probe, HealthConfig{Interval: 10 * time.Millisecond})
 	tr.Start()
 	defer tr.Stop()
 
@@ -47,7 +37,7 @@ func TestHealthTrackerMarksAndReadmits(t *testing.T) {
 }
 
 func TestHealthTrackerNeedsConsecutiveFailures(t *testing.T) {
-	tr := NewHealthTracker([]string{"http://unused"}, HealthConfig{})
+	tr := NewHealthTracker(1, func(int) bool { return true }, HealthConfig{})
 	tr.ReportFailure(0)
 	if !tr.IsHealthy(0) {
 		t.Fatal("marked unhealthy below threshold")
@@ -64,30 +54,48 @@ func TestHealthTrackerNeedsConsecutiveFailures(t *testing.T) {
 	}
 }
 
+// TestHealthTrackerDetectsDeadServer probes a worker that answers and then
+// dies: its probe fails from then on, as a refused connection does.
 func TestHealthTrackerDetectsDeadServer(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
-		rw.WriteHeader(http.StatusOK)
-	}))
-	url := srv.URL
-	tr := NewHealthTracker([]string{url}, HealthConfig{Interval: 10 * time.Millisecond})
+	var dead atomic.Bool
+	probe := func(int) bool { return !dead.Load() }
+	tr := NewHealthTracker(1, probe, HealthConfig{Interval: 10 * time.Millisecond})
 	tr.Start()
 	defer tr.Stop()
 	waitFor(t, "initial healthy probe", func() bool { return tr.IsHealthy(0) })
-	srv.Close() // connection refused from here on
+	dead.Store(true) // every probe fails from here on
 	waitFor(t, "dead-server detection", func() bool { return !tr.IsHealthy(0) })
 	if h := tr.Healthy(); len(h) != 1 || h[0] {
 		t.Errorf("Healthy() = %v", h)
 	}
 }
 
+// TestHealthTrackerProbesEachWorker pins the probe's argument: each
+// worker's loop probes that worker, so one failing worker is marked alone.
+func TestHealthTrackerProbesEachWorker(t *testing.T) {
+	var probed [3]atomic.Int32
+	probe := func(w int) bool {
+		probed[w].Add(1)
+		return w != 1
+	}
+	tr := NewHealthTracker(3, probe, HealthConfig{Interval: 10 * time.Millisecond})
+	tr.Start()
+	defer tr.Stop()
+	waitFor(t, "worker 1 marked", func() bool { return !tr.IsHealthy(1) })
+	if h := tr.Healthy(); !h[0] || h[1] || !h[2] {
+		t.Errorf("Healthy() = %v, want [true false true]", h)
+	}
+	for w := range probed {
+		if probed[w].Load() == 0 {
+			t.Errorf("worker %d never probed", w)
+		}
+	}
+}
+
 // TestHealthTrackerStopIsRepeatable stops a probing tracker twice: the
 // second Stop must return without closing the stop channel again.
 func TestHealthTrackerStopIsRepeatable(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
-		rw.WriteHeader(http.StatusOK)
-	}))
-	defer srv.Close()
-	tr := NewHealthTracker([]string{srv.URL}, HealthConfig{Interval: 10 * time.Millisecond})
+	tr := NewHealthTracker(1, func(int) bool { return true }, HealthConfig{Interval: 10 * time.Millisecond})
 	tr.Start()
 	tr.Stop()
 	tr.Stop()

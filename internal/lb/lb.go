@@ -1,8 +1,9 @@
-// Package lb is the load-balancing subsystem shared by the discrete-event
-// simulator and the HTTP serving prototype: a pluggable Balancer (the
-// dispatch policy the §3.2.1 central queue applies per arrival) plus a
-// HealthTracker that probes worker /healthz endpoints and routes traffic
-// around failed workers until they recover.
+// Package lb is the load-balancing subsystem: a pluggable Balancer (the
+// dispatch policy the §3.2.1 central queue applies per arrival), shared by
+// the discrete-event simulator and the serving plane, plus the plane's
+// HealthTracker, which keeps a health mark per worker from the probes its
+// caller supplies and the dispatch outcomes the caller reports, so traffic
+// routes around failed workers until they recover.
 //
 // The paper instantiates round-robin (§3.2.1) and join-shortest-queue
 // (Appendix I); power-of-two choices is the standard low-overhead

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -53,6 +52,7 @@ func TestFrontendDispatchDuringPolicySwap(t *testing.T) {
 	urls := make([]string, workers)
 	for i := 0; i < workers; i++ {
 		w := NewWorker(models, sim.Deterministic{}, timeScale, int64(i+1))
+		w.net = pipes
 		if err := w.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -64,6 +64,7 @@ func TestFrontendDispatchDuringPolicySwap(t *testing.T) {
 		SLO:       slo,
 		TimeScale: timeScale,
 		Workers:   urls,
+		process:   process{net: pipes},
 		Select:    sched.AdaptiveSelector(a),
 		Monitor:   monitor.NewMovingAverage(0.5),
 	}
@@ -102,7 +103,7 @@ func TestFrontendDispatchDuringPolicySwap(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			time.Sleep(time.Duration(i) * 10 * time.Millisecond)
-			resp, err := http.Post(f.URL()+"/query", "application/json", strings.NewReader(`{}`))
+			resp, err := pipeClient.Post(f.URL()+"/query", "application/json", strings.NewReader(`{}`))
 			if err != nil {
 				errs[i] = err
 				return

@@ -43,6 +43,7 @@ func TestFrontendShedsUnderHammer(t *testing.T) {
 		SLO:       slo,
 		TimeScale: timeScale,
 		Workers:   urls,
+		process:   process{net: pipes},
 		// Deliberately slow selection with maximal batching: the backlog
 		// outruns the drain, so admission pressure is guaranteed.
 		Select: func(_, _ float64, n int, _ float64) (string, int) { return slow, n },
@@ -65,7 +66,7 @@ func TestFrontendShedsUnderHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perLoop; i++ {
-				resp, err := http.Post(f.URL()+"/query", "application/json", strings.NewReader(`{}`))
+				resp, err := pipeClient.Post(f.URL()+"/query", "application/json", strings.NewReader(`{}`))
 				if err != nil {
 					t.Errorf("request failed: %v", err)
 					return
@@ -145,7 +146,7 @@ func TestFrontendShedsUnderHammer(t *testing.T) {
 	if st.Served != int(served.Load()) {
 		t.Errorf("stats served %d != client-observed %d", st.Served, served.Load())
 	}
-	resp, err := http.Get(f.URL() + "/metrics")
+	resp, err := pipeClient.Get(f.URL() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

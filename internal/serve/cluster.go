@@ -42,6 +42,10 @@ type ClusterConfig struct {
 	Degrade *admit.Degrader
 	// RetryBudget gates the frontend's dispatch failover.
 	RetryBudget *admit.RetryBudget
+
+	// net is the network every process of the cluster listens and dials
+	// on (default tcp).
+	net network
 }
 
 // workerPool is a cluster's scalar workers and their base URLs, by global
@@ -51,10 +55,11 @@ type workerPool struct {
 	urls    []string
 }
 
-// startWorkerPool boots n scalar workers, worker i named "worker-<i>",
-// indexed i, seeded seed+i, jittered by latencyStdDev (§7.3.1) and
-// streaming its fragments to tw; on error it stops those already started.
-func startWorkerPool(n int, models profile.Set, latencyStdDev, timeScale float64, seed int64, tw *telemetry.TraceWriter) (*workerPool, error) {
+// startWorkerPool boots n scalar workers on nw, worker i named
+// "worker-<i>", indexed i, seeded seed+i, jittered by latencyStdDev
+// (§7.3.1) and streaming its fragments to tw; on error it stops those
+// already started.
+func startWorkerPool(nw network, n int, models profile.Set, latencyStdDev, timeScale float64, seed int64, tw *telemetry.TraceWriter) (*workerPool, error) {
 	var lat sim.LatencyModel = sim.Deterministic{}
 	if latencyStdDev > 0 {
 		lat = sim.Stochastic{StdDev: latencyStdDev}
@@ -62,7 +67,7 @@ func startWorkerPool(n int, models profile.Set, latencyStdDev, timeScale float64
 	pool := &workerPool{}
 	for i := 0; i < n; i++ {
 		w := NewWorker(models, lat, timeScale, seed+int64(i))
-		w.Name, w.Index, w.TraceWriter = fmt.Sprintf("worker-%d", i), i, tw
+		w.Name, w.Index, w.TraceWriter, w.net = fmt.Sprintf("worker-%d", i), i, tw, nw
 		if err := w.Start(); err != nil {
 			pool.stop()
 			return nil, err
@@ -95,7 +100,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Select == nil {
 		return nil, fmt.Errorf("serve: cluster needs a selector")
 	}
-	pool, err := startWorkerPool(cfg.Workers, cfg.Models, cfg.LatencyStdDev, cfg.TimeScale, cfg.Seed, nil)
+	pool, err := startWorkerPool(cfg.net, cfg.Workers, cfg.Models, cfg.LatencyStdDev, cfg.TimeScale, cfg.Seed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +114,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		Monitor:     cfg.Monitor,
 		Balancer:    cfg.Balancer,
 		Addr:        cfg.Addr,
-		process:     process{Telemetry: cfg.Telemetry, TraceWriter: cfg.TraceWriter},
+		process:     process{Telemetry: cfg.Telemetry, TraceWriter: cfg.TraceWriter, net: cfg.net},
 		Admit:       cfg.Admit,
 		Degrade:     cfg.Degrade,
 		RetryBudget: cfg.RetryBudget,

@@ -36,7 +36,7 @@ func fireQueries(t *testing.T, url string, n int, pace time.Duration) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Post(url+"/query", "application/json", strings.NewReader(`{}`))
+			resp, err := pipeClient.Post(url+"/query", "application/json", strings.NewReader(`{}`))
 			if err == nil {
 				resp.Body.Close()
 			}
@@ -67,6 +67,7 @@ func TestFrontendRoutesAroundDeadWorker(t *testing.T) {
 		workers := make([]*Worker, 3)
 		for i := range urls {
 			workers[i] = NewWorker(profile.ImageSet(), sim.Deterministic{}, timeScale, int64(i+1))
+			workers[i].net = pipes
 			if err := workers[i].Start(); err != nil {
 				t.Fatal(err)
 			}
@@ -77,6 +78,7 @@ func TestFrontendRoutesAroundDeadWorker(t *testing.T) {
 			SLO:            slo,
 			TimeScale:      timeScale,
 			Workers:        urls,
+			process:        process{net: pipes},
 			Select:         fixedSelector("shufflenet_v2_x0_5"),
 			healthInterval: 10 * time.Millisecond,
 		}
@@ -166,6 +168,7 @@ func TestFrontendClientDisconnect(t *testing.T) {
 		SLO:       0.5,
 		TimeScale: 1,
 		Workers:   urls,
+		process:   process{net: pipes},
 		// resnet50 batch-1 inference holds the request long enough to
 		// cancel mid-flight at TimeScale 1.
 		Select: fixedSelector("resnet50"),
@@ -182,7 +185,7 @@ func TestFrontendClientDisconnect(t *testing.T) {
 		cancel()
 	}()
 	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, f.URL()+"/query", strings.NewReader(`{}`))
-	if resp, err := http.DefaultClient.Do(req); err == nil {
+	if resp, err := pipeClient.Do(req); err == nil {
 		resp.Body.Close()
 		t.Fatal("expected the canceled query to fail client-side")
 	}
@@ -192,7 +195,7 @@ func TestFrontendClientDisconnect(t *testing.T) {
 		t.Fatalf("abandoned query never recorded: %+v", f.Stats())
 	}
 	// The worker loop must still serve subsequent queries.
-	resp, err := http.Post(f.URL()+"/query", "application/json", strings.NewReader(`{}`))
+	resp, err := pipeClient.Post(f.URL()+"/query", "application/json", strings.NewReader(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}

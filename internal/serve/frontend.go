@@ -113,7 +113,8 @@ type Frontend struct {
 	// rate monitor, degrader, and weighted-fair admission replace the
 	// frontend-wide Admit/Degrade/Monitor/Select/SLO fields. The plane is
 	// shared across shards, and the shard's trace fragments name the
-	// gateway as their parent.
+	// gateway as their parent. A shard binds no listener: the gateway
+	// enqueues on it in process and serves the plane's merged endpoints.
 	Plane *TenantPlane
 	// Shard is this frontend's shard index in a sharded deployment
 	// (informational; 0 when unsharded).
@@ -138,6 +139,9 @@ type Frontend struct {
 	// 5 ms), so detection latency compresses with modeled time, unless a
 	// test set a shorter one before Start.
 	healthInterval time.Duration
+	// probes are the health tracker's per-worker probe states, each owned
+	// by its worker's probe loop.
+	probes []prober
 	// core is the dispatch core this frontend drives: the arrival step, the
 	// batch decision and per-query finish are the code sim.Engine runs.
 	core *sched.Core
@@ -168,6 +172,27 @@ type Frontend struct {
 	inferURLs []*url.URL
 
 	loops sync.WaitGroup
+}
+
+// maxProbeTimeout caps the deadline of one health probe, which is
+// otherwise the probe interval.
+const maxProbeTimeout = 2 * time.Second
+
+// prober is one worker's health probe: a body-less POST /healthz through
+// the dispatcher's framer, on a connection the probe loop owns and keeps
+// alive between probes.
+type prober struct {
+	postScratch
+	u *url.URL
+}
+
+// probe checks worker w's /healthz once; any 2xx answer within the
+// deadline is healthy. Each prober dials only its own worker, so it keeps
+// the connection in slot 0.
+func (f *Frontend) probe(w int) bool {
+	p := &f.probes[w]
+	status, err := p.roundTrip(0, p.u, nil, nil)
+	return err == nil && status >= 200 && status < 300
 }
 
 // workerQueue is one worker's pending-query queue with its own lock and
@@ -291,7 +316,7 @@ func (f *Frontend) Start() error {
 			iv = 5 * time.Millisecond
 		}
 	}
-	f.health = lb.NewHealthTracker(f.Workers, lb.HealthConfig{Interval: iv, Telemetry: f.Telemetry})
+	f.health = lb.NewHealthTracker(len(f.Workers), f.probe, lb.HealthConfig{Interval: iv, Telemetry: f.Telemetry})
 	registerHealthGauges(f.Telemetry, f.health, len(f.Workers), f.WorkerOffset)
 	f.wq = make([]*workerQueue, len(f.Workers))
 	for i := range f.wq {
@@ -306,20 +331,27 @@ func (f *Frontend) Start() error {
 		}
 	}
 	f.inferURLs = make([]*url.URL, len(f.Workers))
+	f.probes = make([]prober, len(f.Workers))
 	for i, u := range f.Workers {
 		pu, err := url.Parse(u + "/infer")
 		if err != nil {
 			return fmt.Errorf("serve: bad worker URL %q: %v", u, err)
 		}
 		f.inferURLs[i] = pu
+		f.probes[i] = prober{
+			postScratch: postScratch{net: f.net, timeout: min(iv, maxProbeTimeout)},
+			u:           &url.URL{Host: pu.Host, Path: "/healthz"},
+		}
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query", entry(f.enqueue).serveHTTP)
-	mux.HandleFunc("/stats", f.handleStats)
-	mux.Handle("/debug/traces", f.Traces.Handler())
-	mux.Handle("/debug/decisions", f.Decisions.Handler())
-	if err := f.serve(f.Addr, mux); err != nil {
-		return err
+	if f.Plane == nil { // a plane shard binds no listener (see Plane)
+		mux := http.NewServeMux()
+		mux.HandleFunc("/query", entry(f.enqueue).serveHTTP)
+		mux.HandleFunc("/stats", f.handleStats)
+		mux.Handle("/debug/traces", f.Traces.Handler())
+		mux.Handle("/debug/decisions", f.Decisions.Handler())
+		if err := f.serve(f.Addr, mux); err != nil {
+			return err
+		}
 	}
 	f.health.Start()
 	for w := range f.Workers {
@@ -331,7 +363,7 @@ func (f *Frontend) Start() error {
 }
 
 // halt refuses new queries, waits for the selector loops to drain their
-// queues and exit, and then stops the health tracker.
+// queues and exit, and then stops the health tracker and its probes.
 func (f *Frontend) halt() error {
 	f.closed.Store(true)
 	for _, ws := range f.wq {
@@ -341,6 +373,9 @@ func (f *Frontend) halt() error {
 	}
 	f.loops.Wait()
 	f.health.Stop()
+	for i := range f.probes {
+		f.probes[i].closeConns()
+	}
 	return nil
 }
 
@@ -593,7 +628,7 @@ func (f *Frontend) handleStats(rw http.ResponseWriter, _ *http.Request) {
 func (f *Frontend) workerLoop(w int) {
 	defer f.loops.Done()
 	ws := f.wq[w]
-	scr := &dispatchScratch{}
+	scr := &dispatchScratch{postScratch: postScratch{net: f.net}}
 	defer scr.closeConns()
 	for {
 		ws.mu.Lock()

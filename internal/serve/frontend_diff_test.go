@@ -36,6 +36,7 @@ func replayOnFakeClock(t *testing.T, f *Frontend, arrivals []float64) []<-chan Q
 	}
 	w := NewWorker(f.Profiles, sim.Deterministic{}, f.TimeScale, 1)
 	w.sleep, f.elapsed = clk.Sleep, clk.Since
+	w.net, f.net = pipes, pipes
 	if err := w.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
+	"time"
 )
 
 // This file is the /infer wire layer shared by the Frontend's dispatch
@@ -40,6 +41,11 @@ type postScratch struct {
 	// dialed lazily on first dispatch, dropped on any error, closed by
 	// closeConns when the loop exits.
 	conns []*inferConn
+	// net dials the connections.
+	net network
+	// timeout, when positive, bounds each exchange by a deadline on its
+	// connection (health probes set it; dispatch does not).
+	timeout time.Duration
 }
 
 // inferConn is one persistent HTTP/1.1 connection to a worker.
@@ -102,12 +108,15 @@ func (s *postScratch) roundTrip(w int, u *url.URL, body, traceCtx []byte) (int, 
 	}
 	ic := s.conns[w]
 	if ic == nil {
-		c, err := net.Dial("tcp", u.Host)
+		c, err := s.net.dial(u.Host)
 		if err != nil {
 			return 0, err
 		}
 		ic = &inferConn{c: c, br: bufio.NewReader(c)}
 		s.conns[w] = ic
+	}
+	if s.timeout > 0 {
+		_ = ic.c.SetDeadline(time.Now().Add(s.timeout))
 	}
 	status, keep, err := ic.exchange(s, u, body, traceCtx)
 	if err != nil || !keep {

@@ -52,6 +52,7 @@ func burstPlane() ShardedConfig {
 		D:               40,
 		ShardBy:         "p2c",
 		Telemetry:       telemetry.NewRegistry(),
+		net:             pipes,
 	}
 }
 
@@ -64,6 +65,7 @@ func burstCluster() ClusterConfig {
 		Select: func(_, _ float64, n int, _ float64) (string, int) {
 			return fastest.Name, min(n, fastest.MaxBatch())
 		},
+		net: pipes,
 	}
 }
 
@@ -130,6 +132,7 @@ func TestShardedClusterStopJoinsOnDemandGeneration(t *testing.T) {
 		Seed:            1,
 		D:               100,
 		Telemetry:       reg,
+		net:             pipes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +209,7 @@ func TestStartClusterOnBoundAddrLeavesNoGoroutines(t *testing.T) {
 	defer ln.Close()
 	baseline := runtime.NumGoroutine()
 	cfg := burstCluster()
-	cfg.Addr = ln.Addr().String()
+	cfg.Addr, cfg.net = ln.Addr().String(), tcp{}
 	if c, err := StartCluster(cfg); err == nil {
 		c.Stop()
 		t.Fatalf("StartCluster on bound %s succeeded", cfg.Addr)
@@ -238,10 +241,12 @@ func TestStopIsRepeatable(t *testing.T) {
 		}},
 		{"Worker", func() (func(), error) {
 			w := NewWorker(profile.ImageSet(), sim.Deterministic{}, 1e10, 1)
+			w.net = pipes
 			return func() { _ = w.Stop() }, w.Start()
 		}},
 		{"LLMWorker", func() (func(), error) {
 			w := NewLLMWorker(models, 8.0, 1e10, sim.FixedSelector(models.Fastest()))
+			w.net = pipes
 			return func() { _ = w.Stop() }, w.Start()
 		}},
 	} {
@@ -275,10 +280,11 @@ func TestLLMWorkerStopMidStreamLeavesNoGoroutines(t *testing.T) {
 	// At TimeScale 1 a decode step is tens of wall milliseconds, so 10,000
 	// tokens keep the stream open far longer than the test waits.
 	w := NewLLMWorker(models, 8.0, 1, sim.FixedSelector(models.Fastest()))
+	w.net = pipes
 	if err := w.Start(); err != nil {
 		t.Fatal(err)
 	}
-	client := &http.Client{Transport: &http.Transport{}}
+	client := &http.Client{Transport: pipes.transport()}
 	body, _ := json.Marshal(GenRequest{Prefill: 100, Decode: 10000})
 	resp, err := client.Post(w.URL()+"/generate", "application/json", bytes.NewReader(body))
 	if err != nil {

@@ -139,6 +139,7 @@ func TestLLMWorkerMatchesSimEngine(t *testing.T) {
 
 			w := NewLLMWorker(models, slo, timeScale, tc.sel)
 			w.KVCap = tc.kvCap
+			w.net = pipes
 			streams := make([]*genStream, len(events))
 			arrivals := make([]float64, len(events))
 			for i, ev := range events {

@@ -34,10 +34,6 @@ type GenSummary struct {
 	DeadlineMet bool    `json:"deadlineMet"`
 }
 
-// maxGenerateBody bounds a /generate request body; a GenRequest is two
-// integers.
-const maxGenerateBody = 4 << 10
-
 // genStream is the handler's side of one in-flight /generate request, the
 // tag its sequence carries through the batcher. The step loop writes sum and
 // reject before closing tok; the handler reads them only after, which orders
@@ -172,7 +168,7 @@ func (w *LLMWorker) handleGenerate(rw http.ResponseWriter, req *http.Request) {
 		http.Error(rw, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(rw, req.Body, maxGenerateBody))
+	body, err := io.ReadAll(http.MaxBytesReader(rw, req.Body, maxRequestBody))
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return

@@ -18,7 +18,8 @@ import (
 // first token byte arrives after the prefill step but before the decode
 // tail, so the client-measured TTFT is a real network measurement. The
 // worker starts on the most accurate model and a fixed selector pins the
-// fastest, so the first step boundary must also record a model switch.
+// fastest, so the first step boundary must also record a model switch. It
+// is the LLM worker's smoke test over a real TCP port.
 func TestLLMWorkerStreamsWireTTFT(t *testing.T) {
 	models := llm.BuiltinSet()
 	const timeScale = 50.0
@@ -76,6 +77,7 @@ func TestLLMWorkerStreamsWireTTFT(t *testing.T) {
 func TestLLMWorkerConcurrentRequestsShareTheBatch(t *testing.T) {
 	models := llm.BuiltinSet()
 	w := NewLLMWorker(models, 8.0, 100, sim.FixedSelector(models.Fastest()))
+	w.net = pipes
 	if err := w.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,7 @@ func TestLLMWorkerConcurrentRequestsShareTheBatch(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = PostGenerate(http.DefaultClient, w.URL(), 300+50*i, 4)
+			_, errs[i] = PostGenerate(pipeClient, w.URL(), 300+50*i, 4)
 		}(i)
 	}
 	wg.Wait()
@@ -98,7 +100,7 @@ func TestLLMWorkerConcurrentRequestsShareTheBatch(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(w.URL() + "/metrics")
+	resp, err := pipeClient.Get(w.URL() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,12 +141,13 @@ func TestLLMWorkerRejectsOversizeFootprint(t *testing.T) {
 	models := llm.BuiltinSet()
 	w := NewLLMWorker(models, 8.0, 100, nil)
 	w.KVCap = 256
+	w.net = pipes
 	if err := w.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer w.Stop()
 
-	_, err := PostGenerate(http.DefaultClient, w.URL(), 500, 10)
+	_, err := PostGenerate(pipeClient, w.URL(), 500, 10)
 	if err == nil {
 		t.Fatal("oversize request served; want a KV-capacity rejection")
 	}
@@ -152,7 +155,7 @@ func TestLLMWorkerRejectsOversizeFootprint(t *testing.T) {
 		t.Fatalf("unexpected rejection: %v", err)
 	}
 	// The worker stays healthy for requests that do fit.
-	res, err := PostGenerate(http.DefaultClient, w.URL(), 100, 3)
+	res, err := PostGenerate(pipeClient, w.URL(), 100, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,15 +168,16 @@ func TestLLMWorkerRejectsOversizeFootprint(t *testing.T) {
 	// and is turned away at the step boundary.
 	big := models.Models[models.MostAccurate()].KVCapTokens + 100
 	w2 := NewLLMWorker(models, 8.0, 100, nil)
+	w2.net = pipes
 	if err := w2.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer w2.Stop()
-	_, err = PostGenerate(http.DefaultClient, w2.URL(), big, 10)
+	_, err = PostGenerate(pipeClient, w2.URL(), big, 10)
 	if err == nil || !strings.Contains(err.Error(), "KV capacity") || !strings.Contains(err.Error(), "503") {
 		t.Fatalf("serving-model oversize: got %v, want a 503 KV-capacity rejection", err)
 	}
-	if res, err = PostGenerate(http.DefaultClient, w2.URL(), 100, 3); err != nil || res.Tokens != 3 {
+	if res, err = PostGenerate(pipeClient, w2.URL(), 100, 3); err != nil || res.Tokens != 3 {
 		t.Fatalf("after a step-loop rejection: %d tokens, %v", res.Tokens, err)
 	}
 }
@@ -185,6 +189,7 @@ func TestLLMWorkerRejectsOversizeFootprint(t *testing.T) {
 // same worker then serves a normal request.
 func TestLLMWorkerRejectsMalformedLengths(t *testing.T) {
 	w := NewLLMWorker(llm.BuiltinSet(), 8.0, 100, nil)
+	w.net = pipes
 	if err := w.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -193,9 +198,9 @@ func TestLLMWorkerRejectsMalformedLengths(t *testing.T) {
 	for name, body := range map[string]string{
 		"overflowing sum": `{"prefill":9223372036854775807,"decode":9223372036854775807}`,
 		"huge decode":     `{"prefill":1,"decode":9223372036854775807}`,
-		"oversize body":   `{"prefill":1,"decode":1` + strings.Repeat(" ", 2*maxGenerateBody) + `}`,
+		"oversize body":   `{"prefill":1,"decode":1` + strings.Repeat(" ", 2*maxRequestBody) + `}`,
 	} {
-		resp, err := http.Post(w.URL()+"/generate", "application/json", strings.NewReader(body))
+		resp, err := pipeClient.Post(w.URL()+"/generate", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +216,7 @@ func TestLLMWorkerRejectsMalformedLengths(t *testing.T) {
 		t.Fatalf("rejected requests reached the batcher: idle %v, outstanding tokens %d", idle, out)
 	}
 
-	res, err := PostGenerate(http.DefaultClient, w.URL(), 200, 4)
+	res, err := PostGenerate(pipeClient, w.URL(), 200, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,6 +236,7 @@ func TestLLMWorkerTrailerCarriesBatcherVerdict(t *testing.T) {
 	serveOne := func(slo float64) (GenSummary, float64) {
 		const timeScale = 1e-3
 		w := NewLLMWorker(models, slo, timeScale, sim.FixedSelector(models.Fastest()))
+		w.net = pipes
 		var g *genStream
 		clk := &replayClock{
 			at:     wallOffsets([]float64{0}, timeScale),

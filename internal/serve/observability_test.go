@@ -36,7 +36,7 @@ func TestShardedTracingEndToEnd(t *testing.T) {
 	req, _ := http.NewRequest(http.MethodPost, c.URL()+"/query", bytes.NewReader([]byte(`{}`)))
 	req.Header.Set("X-Tenant", "gold")
 	req.Header.Set("X-Trace-Id", traceID)
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := pipeClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestShardedTracingEndToEnd(t *testing.T) {
 
 	// The gateway's /debug/traces merges its own, every shard's, and every
 	// worker's rings.
-	mresp, err := http.Get(c.URL() + "/debug/traces")
+	mresp, err := pipeClient.Get(c.URL() + "/debug/traces")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestShardedTracingEndToEnd(t *testing.T) {
 
 	// /debug/decisions on the gateway serves the plane-wide merged ring:
 	// the query's admit and select decisions both reference its trace ID.
-	dresp, err := http.Get(c.URL() + "/debug/decisions")
+	dresp, err := pipeClient.Get(c.URL() + "/debug/decisions")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestShardedSLOGaugesExposed(t *testing.T) {
 	if burn := tr.BurnRate(now, 60); burn != 0 {
 		t.Errorf("burn rate = %v, want 0", burn)
 	}
-	resp, err := http.Get(c.URL() + "/metrics")
+	resp, err := pipeClient.Get(c.URL() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestTraceRingsUnderConcurrentDispatch(t *testing.T) {
 				for _, d := range c.Gateway.Decisions.Snapshot() {
 					_ = d.Kind
 				}
-				resp, err := http.Get(c.URL() + "/debug/traces")
+				resp, err := pipeClient.Get(c.URL() + "/debug/traces")
 				if err == nil {
 					resp.Body.Close()
 				}

@@ -9,6 +9,33 @@ import (
 	"ramsis/internal/telemetry"
 )
 
+// network is the plane's one way onto the wire: listen binds a process's
+// address (a fresh one when addr is empty), serves srv there until srv is
+// closed and returns the bound address, and dial opens a connection to
+// another process's address. Every server listens and the dispatcher dials
+// through it; tcp is the default, and tests substitute an in-memory one.
+type network interface {
+	listen(addr string, srv *http.Server) (string, error)
+	dial(addr string) (net.Conn, error)
+}
+
+// tcp is the default network: an empty address is a random localhost port.
+type tcp struct{}
+
+func (tcp) listen(addr string, srv *http.Server) (string, error) {
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", err
+	}
+	go func() { _ = srv.Serve(ln) }()
+	return ln.Addr().String(), nil
+}
+
+func (tcp) dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+
 // process is the lifecycle every serving-plane process shares: worker, LLM
 // worker, frontend and gateway each embed one. Start binds the listener
 // before it starts any goroutine and registers a teardown for everything it
@@ -27,13 +54,20 @@ type process struct {
 	// single file stitches every trace end to end.
 	TraceWriter *telemetry.TraceWriter
 
+	// net is the network the process listens and dials on; defaults sets
+	// tcp when nil.
+	net       network
 	addr      string
 	mu        sync.Mutex
 	teardowns []func() error
 }
 
-// defaults builds the unset Telemetry and Traces.
+// defaults builds the unset Telemetry and Traces, and picks tcp when no
+// network was set.
 func (p *process) defaults() {
+	if p.net == nil {
+		p.net = tcp{}
+	}
 	if p.Telemetry == nil {
 		p.Telemetry = telemetry.NewRegistry()
 	}
@@ -42,22 +76,19 @@ func (p *process) defaults() {
 	}
 }
 
-// serve binds addr (a random localhost port when empty) and serves mux, the
-// process's own routes, beside /metrics and /debug/pprof until Stop.
+// serve binds addr on the process's network (a fresh address when empty)
+// and serves mux, the process's own routes, beside /metrics and
+// /debug/pprof until Stop.
 func (p *process) serve(addr string, mux *http.ServeMux) error {
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	p.addr = ln.Addr().String()
 	mux.Handle("/metrics", p.Telemetry.Handler())
 	telemetry.RegisterPprof(mux)
 	srv := &http.Server{Handler: mux}
+	bound, err := p.net.listen(addr, srv)
+	if err != nil {
+		return err
+	}
+	p.addr = bound
 	p.onStop(srv.Close)
-	go func() { _ = srv.Serve(ln) }()
 	return nil
 }
 

@@ -193,6 +193,7 @@ func TestFrontendConcurrentHammer(t *testing.T) {
 		SLO:       0.150,
 		TimeScale: timeScale,
 		Workers:   urls,
+		process:   process{net: pipes},
 		Select:    fixedSelector("shufflenet_v2_x0_5"),
 	}
 	if err := f.Start(); err != nil {

@@ -6,9 +6,9 @@ import (
 	"encoding/json"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"net/url"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -36,11 +36,19 @@ func coverSelector(t *testing.T, set *core.PolicySet) sched.Selector {
 	return sched.AdaptiveSelector(a)
 }
 
+// startWorkers boots n image workers on the pipe network; the test's
+// cleanup stops them.
 func startWorkers(t *testing.T, n int, lat sim.LatencyModel, timeScale float64) []string {
+	t.Helper()
+	return startWorkersOn(t, pipes, n, lat, timeScale)
+}
+
+func startWorkersOn(t *testing.T, nw network, n int, lat sim.LatencyModel, timeScale float64) []string {
 	t.Helper()
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
 		w := NewWorker(profile.ImageSet(), lat, timeScale, int64(i+1))
+		w.net = nw
 		if err := w.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -50,10 +58,13 @@ func startWorkers(t *testing.T, n int, lat sim.LatencyModel, timeScale float64) 
 	return urls
 }
 
-// startCluster boots a localhost deployment for a replay test; the test's
-// cleanup stops it.
+// startCluster boots a deployment for a replay test, on the pipe network
+// unless cfg names another; the test's cleanup stops it.
 func startCluster(t *testing.T, cfg ClusterConfig) *Cluster {
 	t.Helper()
+	if cfg.net == nil {
+		cfg.net = pipes
+	}
 	c, err := StartCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -62,8 +73,9 @@ func startCluster(t *testing.T, cfg ClusterConfig) *Cluster {
 	return c
 }
 
+// TestWorkerInferAPI is the worker's smoke test over a real TCP port.
 func TestWorkerInferAPI(t *testing.T) {
-	urls := startWorkers(t, 1, sim.Deterministic{}, 50)
+	urls := startWorkersOn(t, tcp{}, 1, sim.Deterministic{}, 50)
 	resp, err := http.Post(urls[0]+"/infer", "application/json",
 		strings.NewReader(`{"model":"shufflenet_v2_x0_5","batch":2}`))
 	if err != nil {
@@ -95,7 +107,7 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 		{`not json`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
-		resp, err := http.Post(urls[0]+"/infer", "application/json", strings.NewReader(c.body))
+		resp, err := pipeClient.Post(urls[0]+"/infer", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +116,7 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 			t.Errorf("body %q: status %d, want %d", c.body, resp.StatusCode, c.want)
 		}
 	}
-	resp, err := http.Get(urls[0] + "/infer")
+	resp, err := pipeClient.Get(urls[0] + "/infer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +124,7 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /infer = %d, want 405", resp.StatusCode)
 	}
-	if resp, err = http.Get(urls[0] + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+	if resp, err = pipeClient.Get(urls[0] + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz failed: %v %v", err, resp.StatusCode)
 	}
 	resp.Body.Close()
@@ -142,7 +154,7 @@ func TestWorkerFramesByContentLength(t *testing.T) {
 		{post(`{"model":"nope","batch":1}`), http.StatusNotFound},
 		{"GET /infer HTTP/1.1\r\nHost: w\r\n\r\n", http.StatusMethodNotAllowed},
 	} {
-		conn, err := net.Dial("tcp", u.Host)
+		conn, err := pipes.dial(u.Host)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,6 +180,48 @@ func TestWorkerFramesByContentLength(t *testing.T) {
 		if _, ok := parseInferLatency(body); c.want == http.StatusOK && !ok {
 			t.Errorf("%q: 200 body %q has no parseable latency", c.req, body)
 		}
+	}
+}
+
+// TestWorkerCapsInferBody posts a 1 MiB /infer body — a valid request
+// padded with spaces, which the generic decoder would accept — and requires
+// a 400 after the worker has read no more than the cap: the bytes allocated
+// while it answers, and the pooled buffer it hands back, stay a small
+// multiple of maxRequestBody rather than growing with the body.
+func TestWorkerCapsInferBody(t *testing.T) {
+	u, err := url.Parse(startWorkers(t, 1, sim.Deterministic{}, 50)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"model":"shufflenet_v2_x0_5","batch":1` + strings.Repeat(" ", 1<<20) + `}`
+	req := []byte("POST /infer HTTP/1.1\r\nHost: w\r\nContent-Length: " + strconv.Itoa(len(body)) + "\r\n\r\n" + body)
+	conn, err := pipes.dial(u.Host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	// The worker stops reading at the cap, so the write runs beside the
+	// read and ends when the worker closes the connection.
+	go func() { _, _ = conn.Write(req) }()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("1 MiB body: status %d, want 400", resp.StatusCode)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 64*maxRequestBody {
+		t.Errorf("answering a 1 MiB body allocated %d bytes, want at most %d", grown, 64*maxRequestBody)
+	}
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	if c := cap(*bp); c > 4*maxRequestBody {
+		t.Errorf("pooled buffer kept %d bytes of capacity, want at most %d", c, 4*maxRequestBody)
 	}
 }
 
@@ -309,6 +363,7 @@ func TestFrontendLiveQueries(t *testing.T) {
 		SLO:       slo,
 		TimeScale: timeScale,
 		Workers:   urls,
+		process:   process{net: pipes},
 		Select:    coverSelector(t, set),
 		Monitor:   monitor.NewMovingAverage(0.5),
 	}
@@ -327,7 +382,7 @@ func TestFrontendLiveQueries(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			time.Sleep(time.Duration(i) * 15 * time.Millisecond)
-			resp, err := http.Post(f.URL()+"/query", "application/json", strings.NewReader(`{}`))
+			resp, err := pipeClient.Post(f.URL()+"/query", "application/json", strings.NewReader(`{}`))
 			if err != nil {
 				errs[i] = err
 				return
@@ -354,7 +409,7 @@ func TestFrontendLiveQueries(t *testing.T) {
 	}
 
 	// Stats endpoint reflects the served queries.
-	resp, err := http.Get(f.URL() + "/stats")
+	resp, err := pipeClient.Get(f.URL() + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,13 +430,14 @@ func TestFrontendRejectsGet(t *testing.T) {
 	urls := startWorkers(t, 1, sim.Deterministic{}, 10)
 	f := &Frontend{
 		Profiles: profile.ImageSet(), SLO: 0.150, TimeScale: 10, Workers: urls,
-		Select: func(_, _ float64, n int, _ float64) (string, int) { return "shufflenet_v2_x0_5", n },
+		process: process{net: pipes},
+		Select:  func(_, _ float64, n int, _ float64) (string, int) { return "shufflenet_v2_x0_5", n },
 	}
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer f.Stop()
-	resp, err := http.Get(f.URL() + "/query")
+	resp, err := pipeClient.Get(f.URL() + "/query")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,6 +454,8 @@ func TestFrontendRequiresWorkers(t *testing.T) {
 	}
 }
 
+// TestClusterLifecycle is the frontend's smoke test over real TCP ports,
+// its workers' and its own.
 func TestClusterLifecycle(t *testing.T) {
 	set := core.NewPolicySet(core.Config{
 		Models: profile.ImageSet(), SLO: 0.150, Workers: 2,

@@ -66,6 +66,10 @@ type ShardedConfig struct {
 	// gateway routes, shard dispatches, worker inferences — into one JSONL
 	// stream, so a single file stitches end to end.
 	TraceWriter *telemetry.TraceWriter
+
+	// net is the network the workers and the gateway listen on and the
+	// shards dial through (default tcp).
+	net network
 }
 
 // ShardedCluster is a running sharded multi-tenant deployment.
@@ -198,7 +202,7 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 		Telemetry: cfg.Telemetry,
 	})
 
-	pool, err := startWorkerPool(cfg.Shards*cfg.WorkersPerShard, cfg.Models, cfg.LatencyStdDev, cfg.TimeScale, cfg.Seed, cfg.TraceWriter)
+	pool, err := startWorkerPool(cfg.net, cfg.Shards*cfg.WorkersPerShard, cfg.Models, cfg.LatencyStdDev, cfg.TimeScale, cfg.Seed, cfg.TraceWriter)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +222,7 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 			Shard:        s,
 			WorkerOffset: lo,
 			Balancer:     balancer,
-			process:      process{Telemetry: cfg.Telemetry, TraceWriter: cfg.TraceWriter},
+			process:      process{Telemetry: cfg.Telemetry, TraceWriter: cfg.TraceWriter, net: cfg.net},
 			Decisions:    decisions,
 			start:        epoch, // shared modeled-time epoch across shards
 		}
@@ -245,7 +249,7 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 		Plane:        plane,
 		Addr:         cfg.Addr,
 		TenantFile:   cfg.TenantFile,
-		process:      process{Telemetry: cfg.Telemetry, Traces: gwTraces, TraceWriter: cfg.TraceWriter},
+		process:      process{Telemetry: cfg.Telemetry, Traces: gwTraces, TraceWriter: cfg.TraceWriter, net: cfg.net},
 		Decisions:    decisions,
 		TraceSources: sources,
 		start:        epoch,

@@ -27,8 +27,13 @@ func testTenants() []tenant.Tenant {
 	}
 }
 
+// startSharded boots a sharded deployment, on the pipe network unless cfg
+// names another; the test's cleanup stops it.
 func startSharded(t *testing.T, cfg ShardedConfig) *ShardedCluster {
 	t.Helper()
+	if cfg.net == nil {
+		cfg.net = pipes
+	}
 	c, err := StartShardedCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -57,6 +62,8 @@ func inject(g *Gateway, name string, rate float64, dur time.Duration) {
 	}
 }
 
+// TestShardedClusterEndToEnd is also the gateway's smoke test over real TCP
+// ports, its workers' and its own.
 func TestShardedClusterEndToEnd(t *testing.T) {
 	c := startSharded(t, ShardedConfig{
 		Models:          profile.AblationImageSet(),
@@ -67,6 +74,7 @@ func TestShardedClusterEndToEnd(t *testing.T) {
 		Seed:            1,
 		D:               50,
 		Fair:            tenant.FairConfig{BurstSec: 0.5},
+		net:             tcp{},
 	})
 
 	// One query per tenant over HTTP, via header and via query parameter.
@@ -262,7 +270,7 @@ func TestShardedReloadHammer(t *testing.T) {
 				writeTenants(base)
 			}
 			flip = !flip
-			resp, err := http.Post(c.URL()+"/reload", "application/json", nil)
+			resp, err := pipeClient.Post(c.URL()+"/reload", "application/json", nil)
 			if err != nil {
 				reloaderDone <- err
 				return

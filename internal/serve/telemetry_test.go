@@ -22,7 +22,7 @@ import (
 // scrape fetches url and returns the body.
 func scrape(t *testing.T, url string) string {
 	t.Helper()
-	resp, err := http.Get(url)
+	resp, err := pipeClient.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestFrontendTelemetryAcceptance(t *testing.T) {
 		Profiles: profile.ImageSet(), SLO: 0.150, TimeScale: 10, Workers: urls,
 		Select:  fixedSelector("shufflenet_v2_x0_5"),
 		Monitor: monitor.NewMovingAverage(0.5),
-		process: process{TraceWriter: telemetry.NewTraceWriter(&jsonl)},
+		process: process{TraceWriter: telemetry.NewTraceWriter(&jsonl), net: pipes},
 	}
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestFrontendTelemetryAcceptance(t *testing.T) {
 
 	const n = 12
 	for i := 0; i < n; i++ {
-		resp, err := http.Post(f.URL()+"/query", "application/json", strings.NewReader(`{}`))
+		resp, err := pipeClient.Post(f.URL()+"/query", "application/json", strings.NewReader(`{}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestFrontendTelemetryAcceptance(t *testing.T) {
 	}
 
 	// pprof is wired on the same mux.
-	resp, err := http.Get(f.URL() + "/debug/pprof/")
+	resp, err := pipeClient.Get(f.URL() + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,6 +176,7 @@ func TestStatsRaceDuringDispatch(t *testing.T) {
 	urls := startWorkers(t, 2, sim.Deterministic{}, 20)
 	f := &Frontend{
 		Profiles: profile.ImageSet(), SLO: 0.150, TimeScale: 20, Workers: urls,
+		process: process{net: pipes},
 		Select:  fixedSelector("shufflenet_v2_x0_5"),
 		Monitor: monitor.NewMovingAverage(0.5),
 	}
@@ -197,7 +198,7 @@ func TestStatsRaceDuringDispatch(t *testing.T) {
 				default:
 				}
 				for _, path := range []string{"/stats", "/metrics", "/debug/traces"} {
-					resp, err := http.Get(f.URL() + path)
+					resp, err := pipeClient.Get(f.URL() + path)
 					if err != nil {
 						return // server shutting down
 					}
@@ -213,7 +214,7 @@ func TestStatsRaceDuringDispatch(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Post(f.URL()+"/query", "application/json", strings.NewReader(`{}`))
+			resp, err := pipeClient.Post(f.URL()+"/query", "application/json", strings.NewReader(`{}`))
 			if err != nil {
 				t.Error(err)
 				return
@@ -235,7 +236,7 @@ func TestStatsRaceDuringDispatch(t *testing.T) {
 // TestWorkerMetricsEndpoint verifies each worker serves its own registry.
 func TestWorkerMetricsEndpoint(t *testing.T) {
 	urls := startWorkers(t, 1, sim.Deterministic{}, 50)
-	resp, err := http.Post(urls[0]+"/infer", "application/json",
+	resp, err := pipeClient.Post(urls[0]+"/infer", "application/json",
 		strings.NewReader(`{"model":"shufflenet_v2_x0_5","batch":3}`))
 	if err != nil {
 		t.Fatal(err)

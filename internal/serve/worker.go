@@ -37,6 +37,11 @@ type InferResponse struct {
 	Latency float64 `json:"latency"`
 }
 
+// maxRequestBody bounds the request body of both worker routes, /infer and
+// /generate: an InferRequest is a model name and an integer, a GenRequest
+// two integers. A longer body answers 400 and closes the connection.
+const maxRequestBody = 4 << 10
+
 // Worker is an HTTP inference worker: POST /infer holds the connection for
 // the model's profiled batch latency. TimeScale > 1 compresses modeled time
 // by that factor (a 300 ms inference sleeps 30 ms at TimeScale 10), letting
@@ -131,7 +136,7 @@ func (w *Worker) handleInfer(rw http.ResponseWriter, req *http.Request) {
 	// worker-side allocation profile at saturation.
 	bp := bufPool.Get().(*[]byte)
 	defer bufPool.Put(bp)
-	buf, err := readAllInto((*bp)[:0], req.Body)
+	buf, err := readAllInto((*bp)[:0], http.MaxBytesReader(rw, req.Body, maxRequestBody))
 	*bp = buf[:0]
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
