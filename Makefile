@@ -23,6 +23,11 @@ STATICCHECK_VERSION := 2024.1.1
 # net.Listen* or net.Dial* (net.Dialer included) in non-test code under
 # internal/ fails, and so does any net/http import in internal/lb, whose
 # health tracker takes its probes from the caller.
+# Clock gate: a serving process holds modeled time through its process's
+# clock, whose default, the wall clock in internal/serve/process.go, is the
+# one place modeled time becomes a wall sleep. A time.Sleep anywhere else in
+# non-test internal/serve code is a hold no substituted clock can see, so it
+# fails.
 # staticcheck runs when available (CI always; locally if installed).
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -34,6 +39,10 @@ lint:
 		echo "$$hits"; exit 1; fi
 	@out="$$(grep -rln --include='*.go' '"net/http' internal/lb)"; if [ -n "$$out" ]; then \
 		echo "internal/lb imports net/http:"; echo "$$out"; exit 1; fi
+	@hits="$$(grep -rn --include='*.go' --exclude='*_test.go' 'time\.Sleep' internal/serve | grep -v '^internal/serve/process.go:')"; \
+	if [ -n "$$hits" ]; then \
+		echo "time.Sleep outside the plane's clock (internal/serve/process.go):"; \
+		echo "$$hits"; exit 1; fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
@@ -76,12 +85,12 @@ size:
 # loops and metrics scrapes read); run them under the race
 # detector. Their tests scale sleeps by TimeScale, so the race pass stays
 # within a CI budget; the explicit timeout is for small boxes — on two cores
-# sim alone takes ~52 s under the detector and all of `go test ./...` ~59 s
-# (248 s and 89 s while cold generations defaulted to the 2,000-sweep Jacobi
-# solve, which is what the detector slows most), and go test runs sim
-# alongside serve. cmd/serve's smoke tests start and stop every deployment
-# the binary can (~45 s under the detector); cmd/simulate is
-# single-goroutine and ~90 s, so it stays out.
+# the whole target takes ~2 min 10 s, with sim (~90 s) and serve (~77 s)
+# under the detector side by side (serve took ~135 s while its on-demand
+# generation leak test waited on a D = 100 rung, ~48 s alone; at D = 10 it
+# takes ~1 s). cmd/serve's smoke tests start and stop every deployment the
+# binary can (~14 s under the detector); cmd/simulate is single-goroutine
+# and ~90 s, so it stays out.
 race:
 	$(GO) test -race -timeout 15m ./internal/admit/ ./internal/adapt/ ./internal/lb/ ./internal/serve/ ./internal/telemetry/ ./internal/tenant/ ./internal/llm/ ./internal/sim/ ./internal/sched/ ./internal/monitor/ ./cmd/serve/
 

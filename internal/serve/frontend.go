@@ -90,7 +90,8 @@ type Frontend struct {
 	// Addr is the listen address; default "127.0.0.1:0" (random port).
 	Addr string
 	// process serves /metrics from the registry /stats also reads, and
-	// rings every completed query's trace at /debug/traces.
+	// rings every completed query's trace at /debug/traces. Its clock
+	// stamps every arrival, decision and span.
 	process
 	// Decisions is the policy-decision ring behind /debug/decisions; Start
 	// builds one (DefaultDecisionCapacity) when nil. A sharded cluster
@@ -126,14 +127,10 @@ type Frontend struct {
 
 	closed atomic.Bool
 	nextID atomic.Int64
-	start  time.Time
 	wq     []*workerQueue
 	// health masks workers that fail consecutive probes or dispatches out
 	// of the balancer's pick; Start builds it, Stop stops it.
 	health *lb.HealthTracker
-	// elapsed is the wall time since start (time.Since(start) unless a test
-	// substituted a fake clock before Start).
-	elapsed func() time.Duration
 	// healthInterval is the wall-clock period at which the health tracker
 	// probes Workers' /healthz: 500 ms divided by TimeScale (at least
 	// 5 ms), so detection latency compresses with modeled time, unless a
@@ -258,21 +255,9 @@ func (f *Frontend) Start() error {
 	if len(f.Workers) == 0 {
 		return fmt.Errorf("serve: frontend needs workers")
 	}
-	if f.TimeScale <= 0 {
-		f.TimeScale = 1
-	}
-	f.defaults()
+	f.defaults(&f.TimeScale)
 	if f.Decisions == nil {
 		f.Decisions = telemetry.NewDecisionBuffer(0)
-	}
-	if f.start.IsZero() {
-		// The sharded gateway pre-sets a common epoch so every shard (and
-		// the shared fair admitter they feed) agrees on modeled time.
-		f.start = time.Now()
-	}
-	if f.elapsed == nil {
-		start := f.start
-		f.elapsed = func() time.Duration { return time.Since(start) }
 	}
 	cfg := sched.Config{
 		Profiles:  []profile.Set{f.Profiles},
@@ -424,10 +409,6 @@ func (f *Frontend) Stats() StatsResponse {
 		Shed:             shed,
 		DegradeLevel:     level,
 	}
-}
-
-func (f *Frontend) now() float64 {
-	return f.elapsed().Seconds() * f.TimeScale
 }
 
 // queueLensInto snapshots every worker's outstanding load for the

@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"testing"
-	"time"
 
 	"ramsis/internal/adapt"
 	"ramsis/internal/admit"
@@ -27,15 +26,14 @@ func replayOnFakeClock(t *testing.T, f *Frontend, arrivals []float64) []<-chan Q
 	t.Helper()
 	pending := make([]<-chan QueryResponse, len(arrivals))
 	clk := &replayClock{
-		at:     wallOffsets(arrivals, f.TimeScale),
-		epoch:  time.Unix(0, 0),
+		at:     arrivals,
 		submit: func(i int) { pending[i], _ = f.Enqueue("") },
 		// Outstanding counts queued and in-dispatch queries, and a batch
 		// stays in dispatch until its responses are out.
 		idle: func() bool { return f.Outstanding() == 0 },
 	}
 	w := NewWorker(f.Profiles, sim.Deterministic{}, f.TimeScale, 1)
-	w.sleep, f.elapsed = clk.Sleep, clk.Since
+	w.clock, f.clock = clk, clk
 	w.net, f.net = pipes, pipes
 	if err := w.Start(); err != nil {
 		t.Fatal(err)
@@ -53,8 +51,8 @@ func replayOnFakeClock(t *testing.T, f *Frontend, arrivals []float64) []<-chan Q
 // TestFrontendQueryFinishingExactlyOnDeadlineMeetsIt is the serve half of
 // the one SLO boundary (the sim half is sim's test of the same name): a
 // query whose latency equals its SLO met it, here with the clock rounding
-// a real frontend sees — the fake clock's nanosecond grain puts the
-// measured latency an ulp or so off the profiled one.
+// a real frontend sees — the fake clock measures the latency as a
+// difference of float64 instants, an ulp or so off the profiled one.
 func TestFrontendQueryFinishingExactlyOnDeadlineMeetsIt(t *testing.T) {
 	models := profile.ImageSet()
 	p := models.Profiles[0]
@@ -87,12 +85,12 @@ func TestFrontendQueryFinishingExactlyOnDeadlineMeetsIt(t *testing.T) {
 // sequence — every admit, shed, degrade clamp and select, with its model,
 // batch, queue length and worker — with times, slack, the monitored rate
 // and each query's latency equal to a microsecond of modeled time (the fake
-// wall clock runs 1000× slower than modeled time, so its nanosecond grain
-// is a picosecond here). It goes through both drivers end to end, so it
-// fails when either one's arrival, decision or finish path is edited away
-// from the other's. Each driver reads its own copy of the policy ladder
-// through §3.2.2's coverage adapter, inline in both, so a rate past the
-// ladder generates the same rung in each at the same decision.
+// clock sums float64 modeled seconds, so its own error is ulps). It goes
+// through both drivers end to end, so it fails when either one's arrival,
+// decision or finish path is edited away from the other's. Each driver
+// reads its own copy of the policy ladder through §3.2.2's coverage
+// adapter, inline in both, so a rate past the ladder generates the same
+// rung in each at the same decision.
 func TestFrontendMatchesSimEngine(t *testing.T) {
 	models := profile.ImageSet()
 	const slo, timeScale, ringCap = 0.150, 1e-3, 1 << 15

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
 	"ramsis/internal/telemetry"
 	"ramsis/internal/tenant"
@@ -32,7 +31,7 @@ type Gateway struct {
 	TenantFile string
 	// process's Telemetry is required here: the registry the shards and
 	// the plane write into. Its Traces rings the gateway-side fragments
-	// (tenant resolution and shard routing).
+	// (tenant resolution and shard routing), and its clock is the plane's.
 	process
 	// Decisions is the plane-wide policy-decision ring served at
 	// /debug/decisions (required: the same ring every shard writes into).
@@ -44,7 +43,6 @@ type Gateway struct {
 
 	shardQueries []*telemetry.Counter
 	goodputVec   *telemetry.GaugeVec
-	start        time.Time
 	// depthScratch recycles the per-route shard-depth snapshot the
 	// sharder reads, keeping the routing hot path allocation-free.
 	depthScratch sync.Pool
@@ -75,10 +73,8 @@ func (g *Gateway) Start() error {
 	if g.Telemetry == nil {
 		return fmt.Errorf("serve: gateway needs the shared telemetry registry")
 	}
-	g.defaults()
-	if g.start.IsZero() {
-		g.start = time.Now()
-	}
+	g.clock = g.Plane.clock
+	g.defaults(nil)
 	for i, fe := range g.Shards {
 		fe := fe
 		shard := fmt.Sprintf("%d", i)
@@ -103,11 +99,6 @@ func (g *Gateway) Start() error {
 	mux.HandleFunc("/debug/traces", g.handleTraces)
 	mux.Handle("/debug/decisions", g.Decisions.Handler())
 	return g.serve(g.Addr, mux)
-}
-
-// now returns modeled seconds since the plane's shared epoch.
-func (g *Gateway) now() float64 {
-	return time.Since(g.start).Seconds() * g.Shards[0].TimeScale
 }
 
 // Route admits and enqueues one query on the shard the sharding policy

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ramsis/internal/core"
 	"ramsis/internal/llm"
@@ -15,61 +14,50 @@ import (
 	"ramsis/internal/trace"
 )
 
-// replayClock is the fake clock the differential tests hang off a serve
-// component's clock seam. Time only moves when the component sleeps or the
-// test jumps an idle component to its next arrival, and every arrival is
-// submitted at exactly its own instant: Sleep submits the arrivals that
-// fall inside the interval it is holding (the simulator's event order —
-// arrivals at or before a completion are routed first), and run submits the
-// next one whenever the component has gone idle.
+// replayClock is the fake clock the differential tests set as a serve
+// process's clock, in modeled seconds. Time only moves when the process
+// sleeps or the test jumps an idle process to its next arrival, and every
+// arrival is submitted at exactly its own instant: sleep submits the
+// arrivals that fall inside the interval it is holding (the simulator's
+// event order — arrivals at or before a completion are routed first), and
+// run submits the next one whenever the process has gone idle.
 type replayClock struct {
-	at     []time.Duration // each arrival's wall offset: its modeled time over TimeScale
-	submit func(i int)     // delivers arrival i; called with the clock at at[i]
-	// idle reports that nothing is queued or in service. Sleep is only ever
+	at     []float64   // each arrival's modeled time
+	submit func(i int) // delivers arrival i; called with the clock at at[i]
+	// idle reports that nothing is queued or in service. sleep is only ever
 	// called with work in service, so while idle holds, run is the only
 	// goroutine that can move the clock.
-	idle  func() bool
-	epoch time.Time
-	now   atomic.Int64 // nanoseconds past epoch
+	idle func() bool
+	t    atomic.Uint64 // the modeled now, as math.Float64bits
 
 	mu   sync.Mutex // guards next, held across a submit
 	next int        // first arrival not yet submitted
 }
 
-// wallOffsets converts modeled arrival times to fake-wall offsets.
-func wallOffsets(arrivals []float64, timeScale float64) []time.Duration {
-	at := make([]time.Duration, len(arrivals))
-	for i, a := range arrivals {
-		at[i] = time.Duration(a / timeScale * float64(time.Second))
-	}
-	return at
-}
+func (c *replayClock) now() float64 { return math.Float64frombits(c.t.Load()) }
 
-func (c *replayClock) Now() time.Time { return c.epoch.Add(c.Since()) }
+func (c *replayClock) set(t float64) { c.t.Store(math.Float64bits(t)) }
 
-// Since returns the fake wall time elapsed since the epoch.
-func (c *replayClock) Since() time.Duration { return time.Duration(c.now.Load()) }
-
-// Sleep advances the clock by d, stopping at every arrival on the way.
-func (c *replayClock) Sleep(d time.Duration) {
-	target := c.Since() + d
+// sleep advances the clock by d, stopping at every arrival on the way.
+func (c *replayClock) sleep(d float64) {
+	target := c.now() + d
 	c.submitUntil(target)
-	c.now.Store(int64(target))
+	c.set(target)
 }
 
 // submitUntil submits every pending arrival due at or before target, each
 // with the clock set to its own instant.
-func (c *replayClock) submitUntil(target time.Duration) {
+func (c *replayClock) submitUntil(target float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for ; c.next < len(c.at) && c.at[c.next] <= target; c.next++ {
-		c.now.Store(int64(c.at[c.next]))
+		c.set(c.at[c.next])
 		c.submit(c.next)
 	}
 }
 
-// run feeds the whole trace through the component; it returns once the
-// last arrival is submitted.
+// run feeds the whole trace through the process; it returns once the last
+// arrival is submitted.
 func (c *replayClock) run() {
 	for {
 		c.mu.Lock()
@@ -91,8 +79,8 @@ func (c *replayClock) run() {
 // Both run llm.Batcher, so every scheduling outcome must agree — steps per
 // model, scheduled prefill/decode tokens, model switches, KV rejections,
 // and each query's TTFT and latency to a microsecond of modeled time (the
-// fake wall clock is run 1000× slower than modeled time, so its nanosecond
-// grain is a picosecond here). It fails when the two loops diverge.
+// fake clock sums float64 modeled seconds, so its own error is ulps). It
+// fails when the two loops diverge.
 func TestLLMWorkerMatchesSimEngine(t *testing.T) {
 	models := llm.BuiltinSet()
 	cls := llm.GeneralClass()
@@ -146,8 +134,7 @@ func TestLLMWorkerMatchesSimEngine(t *testing.T) {
 				arrivals[i] = ev.T
 			}
 			clk := &replayClock{
-				at:    wallOffsets(arrivals, timeScale),
-				epoch: time.Unix(0, 0),
+				at: arrivals,
 				submit: func(i int) {
 					streams[i] = w.submit(GenRequest{Prefill: events[i].Prefill, Decode: events[i].Decode}, "")
 				},
@@ -160,7 +147,7 @@ func TestLLMWorkerMatchesSimEngine(t *testing.T) {
 					return w.b.Idle()
 				},
 			}
-			w.now, w.sleep = clk.Now, clk.Sleep
+			w.clock = clk
 			if err := w.Start(); err != nil {
 				t.Fatal(err)
 			}

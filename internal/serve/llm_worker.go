@@ -74,13 +74,8 @@ type LLMWorker struct {
 	// process serves /metrics, whose LLM series (TTFT, TBT, step latency,
 	// tokens, KV usage) share the simulator engine's names, and a fragment
 	// per request (batch_wait, prefill, decode spans) at /debug/traces.
+	// Its clock stamps arrivals and holds each step.
 	process
-
-	// now and sleep are the worker's clock (time.Now and time.Sleep unless a
-	// test substituted a fake before Start).
-	now   func() time.Time
-	sleep func(time.Duration)
-	epoch time.Time // modeled time zero
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -91,9 +86,6 @@ type LLMWorker struct {
 
 // NewLLMWorker builds an LLM worker server (not yet started).
 func NewLLMWorker(models llm.Set, slo, timeScale float64, sel sim.ModelSelector) *LLMWorker {
-	if timeScale <= 0 {
-		timeScale = 1
-	}
 	return &LLMWorker{
 		Models:    models,
 		SLO:       slo,
@@ -114,14 +106,10 @@ func (w *LLMWorker) Start() error {
 		w.maxKV = max(w.maxKV, m.KVCapTokens)
 	}
 	w.cond = sync.NewCond(&w.mu)
-	w.defaults()
+	w.defaults(&w.TimeScale)
 	if w.Name == "" {
 		w.Name = "llm-worker"
 	}
-	if w.now == nil {
-		w.now, w.sleep = time.Now, time.Sleep
-	}
-	w.epoch = w.now()
 	w.b = llm.NewBatcher[*genStream](models, w.SLO, w.Selector, w.Telemetry, max(w.Index, 0))
 	if err := w.serve("", workerMux("/generate", w.handleGenerate, w.Traces)); err != nil {
 		return err
@@ -144,11 +132,6 @@ func (w *LLMWorker) halt() error {
 	return nil
 }
 
-// modeledNow returns modeled seconds since Start.
-func (w *LLMWorker) modeledNow() float64 {
-	return w.now().Sub(w.epoch).Seconds() * w.TimeScale
-}
-
 // submit queues one request for the step loop, stamped with the current
 // modeled time; it returns nil once the worker has stopped.
 func (w *LLMWorker) submit(gr GenRequest, traceID string) *genStream {
@@ -158,7 +141,7 @@ func (w *LLMWorker) submit(gr GenRequest, traceID string) *genStream {
 	if w.stopped {
 		return nil
 	}
-	w.b.Push(llm.Request{ID: -1, Arrival: w.modeledNow(), Prefill: gr.Prefill, Decode: gr.Decode}, g)
+	w.b.Push(llm.Request{ID: -1, Arrival: w.now(), Prefill: gr.Prefill, Decode: gr.Decode}, g)
 	w.cond.Signal()
 	return g
 }
@@ -218,10 +201,10 @@ func (w *LLMWorker) handleGenerate(rw http.ResponseWriter, req *http.Request) {
 	_, _ = rw.Write(append(append(make([]byte, 0, len(trailer)+1), '\n'), trailer...))
 }
 
-// loop drives the batcher from the wall clock: run a step boundary, hold
-// the batch for the step's modeled time compressed by TimeScale, then land
-// its tokens onto their streams. Every token is streamed as it lands, so
-// Begin's horizon is now: one step per call.
+// loop drives the batcher from the process's clock: run a step boundary,
+// hold the batch for the step's modeled time, then land its tokens onto
+// their streams. Every token is streamed as it lands, so Begin's horizon is
+// now: one step per call.
 func (w *LLMWorker) loop() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -232,7 +215,7 @@ func (w *LLMWorker) loop() {
 		if w.stopped {
 			return
 		}
-		now := w.modeledNow()
+		now := w.now()
 		end, rejected, ok := w.b.Begin(now, now)
 		for _, s := range rejected {
 			m := w.b.Model()
@@ -244,12 +227,12 @@ func (w *LLMWorker) loop() {
 			continue
 		}
 		w.mu.Unlock()
-		w.sleep(time.Duration((end - now) / w.TimeScale * float64(time.Second)))
+		w.sleep(end - now)
 		w.mu.Lock()
 		if w.stopped {
 			return
 		}
-		end = w.modeledNow()
+		end = w.now()
 		batch := w.b.Running()
 		for _, s := range w.b.Land(end) {
 			s.Tag.tok <- struct{}{}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"ramsis/internal/llm"
 	"ramsis/internal/sim"
@@ -239,8 +238,7 @@ func TestLLMWorkerTrailerCarriesBatcherVerdict(t *testing.T) {
 		w.net = pipes
 		var g *genStream
 		clk := &replayClock{
-			at:     wallOffsets([]float64{0}, timeScale),
-			epoch:  time.Unix(0, 0),
+			at:     []float64{0},
 			submit: func(int) { g = w.submit(GenRequest{Prefill: 700, Decode: 6}, "") },
 			idle: func() bool {
 				w.mu.Lock()
@@ -248,7 +246,7 @@ func TestLLMWorkerTrailerCarriesBatcherVerdict(t *testing.T) {
 				return w.b.Idle()
 			},
 		}
-		w.now, w.sleep = clk.Now, clk.Sleep
+		w.clock = clk
 		if err := w.Start(); err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"time"
 
 	"ramsis/internal/telemetry"
 )
@@ -36,6 +37,39 @@ func (tcp) listen(addr string, srv *http.Server) (string, error) {
 
 func (tcp) dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 
+// clock is the plane's one source of modeled time, in modeled seconds: now
+// is the time since the clock's epoch, and sleep holds the caller for d.
+// Every serving process reads and sleeps through it; wallClock is the
+// default, and tests substitute a fake that moves only when a process
+// sleeps.
+type clock interface {
+	now() float64
+	sleep(d float64)
+}
+
+// wallClock is the default clock: modeled time is wall time since epoch
+// times scale, so a sleep of d modeled seconds holds d/scale wall seconds.
+type wallClock struct {
+	epoch time.Time
+	scale float64
+}
+
+// newWallClock starts a wall clock at *timeScale modeled seconds per wall
+// second. It is where a TimeScale ≤ 0 becomes 1, written back so the
+// caller's TimeScale reads the scale its clock runs at.
+func newWallClock(timeScale *float64) *wallClock {
+	if *timeScale <= 0 {
+		*timeScale = 1
+	}
+	return &wallClock{epoch: time.Now(), scale: *timeScale}
+}
+
+func (c *wallClock) now() float64 { return time.Since(c.epoch).Seconds() * c.scale }
+
+func (c *wallClock) sleep(d float64) {
+	time.Sleep(time.Duration(d / c.scale * float64(time.Second)))
+}
+
 // process is the lifecycle every serving-plane process shares: worker, LLM
 // worker, frontend and gateway each embed one. Start binds the listener
 // before it starts any goroutine and registers a teardown for everything it
@@ -56,17 +90,25 @@ type process struct {
 
 	// net is the network the process listens and dials on; defaults sets
 	// tcp when nil.
-	net       network
+	net network
+	// clock is the process's modeled time; defaults starts a wall clock
+	// when nil. A sharded cluster hands one clock to every shard, its
+	// gateway and its tenant plane, so all of them read the same instant.
+	clock
 	addr      string
 	mu        sync.Mutex
 	teardowns []func() error
 }
 
-// defaults builds the unset Telemetry and Traces, and picks tcp when no
-// network was set.
-func (p *process) defaults() {
+// defaults builds the unset Telemetry and Traces, picks tcp when no network
+// was set, and starts a wall clock at *timeScale when no clock was. The
+// gateway, whose clock is always its plane's, passes nil.
+func (p *process) defaults(timeScale *float64) {
 	if p.net == nil {
 		p.net = tcp{}
+	}
+	if p.clock == nil {
+		p.clock = newWallClock(timeScale)
 	}
 	if p.Telemetry == nil {
 		p.Telemetry = telemetry.NewRegistry()

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"time"
 
 	"ramsis/internal/adapt"
 	"ramsis/internal/admit"
@@ -70,6 +69,10 @@ type ShardedConfig struct {
 	// net is the network the workers and the gateway listen on and the
 	// shards dial through (default tcp).
 	net network
+	// clock is the plane's one modeled clock, which every shard, the
+	// gateway and the tenant plane read (default a wall clock at
+	// TimeScale).
+	clock clock
 }
 
 // ShardedCluster is a running sharded multi-tenant deployment.
@@ -94,8 +97,9 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 	if cfg.WorkersPerShard < 1 {
 		return nil, fmt.Errorf("serve: sharded cluster needs at least one worker per shard")
 	}
-	if cfg.TimeScale <= 0 {
-		cfg.TimeScale = 1
+	clk := clock(newWallClock(&cfg.TimeScale))
+	if cfg.clock != nil {
+		clk = cfg.clock
 	}
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewRegistry()
@@ -189,18 +193,14 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 		fairCfg.BorrowReserve = inner.Limit / 2
 	}
 	fair := tenant.NewFairAdmitter(reg, inner, fairCfg)
-	epoch := time.Now()
-	plane := NewTenantPlane(TenantPlaneConfig{
+	plane := newTenantPlane(TenantPlaneConfig{
 		Registry:     reg,
 		Fair:         fair,
 		Selectors:    selectors,
 		Fallback:     fallback,
 		DegradeDepth: cfg.DegradeDepth,
-		Now: func() float64 {
-			return time.Since(epoch).Seconds() * cfg.TimeScale
-		},
-		Telemetry: cfg.Telemetry,
-	})
+		Telemetry:    cfg.Telemetry,
+	}, clk)
 
 	pool, err := startWorkerPool(cfg.net, cfg.Shards*cfg.WorkersPerShard, cfg.Models, cfg.LatencyStdDev, cfg.TimeScale, cfg.Seed, cfg.TraceWriter)
 	if err != nil {
@@ -222,9 +222,8 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 			Shard:        s,
 			WorkerOffset: lo,
 			Balancer:     balancer,
-			process:      process{Telemetry: cfg.Telemetry, TraceWriter: cfg.TraceWriter, net: cfg.net},
+			process:      process{Telemetry: cfg.Telemetry, TraceWriter: cfg.TraceWriter, net: cfg.net, clock: clk},
 			Decisions:    decisions,
-			start:        epoch, // shared modeled-time epoch across shards
 		}
 		if err := fe.Start(); err != nil {
 			c.Stop()
@@ -252,7 +251,6 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 		process:      process{Telemetry: cfg.Telemetry, Traces: gwTraces, TraceWriter: cfg.TraceWriter, net: cfg.net},
 		Decisions:    decisions,
 		TraceSources: sources,
-		start:        epoch,
 	}
 	if err := c.Gateway.Start(); err != nil {
 		c.Stop()

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -317,5 +318,60 @@ func TestShardedReloadHammer(t *testing.T) {
 		if ts.Served+ts.Shed == 0 {
 			t.Errorf("tenant %s made no progress across reloads: %+v", tn, ts)
 		}
+	}
+}
+
+// heldClock is a clock held at one modeled instant: it never moves, and a
+// sleep returns at once.
+type heldClock float64
+
+func (c heldClock) now() float64 { return float64(c) }
+func (heldClock) sleep(float64)  {}
+
+// TestShardedPlaneReadsOneClock starts a plane whose clock is held at one
+// modeled instant and routes one query through it. The gateway's and the
+// shard's fragments, the admit and select decisions and the tenant's rate
+// gauge at scrape must all read that instant: a process or gauge on a clock
+// of its own reads another.
+func TestShardedPlaneReadsOneClock(t *testing.T) {
+	const instant = 7.25
+	cfg := burstPlane()
+	cfg.clock = heldClock(instant)
+	c := startSharded(t, cfg)
+	if r, eerr := c.Gateway.Do("gold"); eerr != nil || r.Error != "" {
+		t.Fatalf("query not served: %+v, %v", r, eerr)
+	}
+
+	// The worker's fragment carries no arrival; the gateway's and the
+	// serving shard's carry the query's.
+	var planeFragments int
+	for _, src := range c.Gateway.TraceSources {
+		for _, qt := range src.Snapshot() {
+			if qt.Process == "gateway" || strings.HasPrefix(qt.Process, "shard-") {
+				planeFragments++
+				if qt.Arrival != instant {
+					t.Errorf("%s fragment arrival %v, want %v", qt.Process, qt.Arrival, instant)
+				}
+			}
+		}
+	}
+	if planeFragments != 2 {
+		t.Errorf("%d gateway and shard fragments, want 2", planeFragments)
+	}
+	kinds := map[string]bool{}
+	for _, d := range c.Gateway.Decisions.Snapshot() {
+		kinds[d.Kind] = true
+		if d.Time != instant {
+			t.Errorf("%s decision at %v, want %v", d.Kind, d.Time, instant)
+		}
+	}
+	if !kinds["admit"] || !kinds["select"] {
+		t.Errorf("decision kinds %v, want admit and select", kinds)
+	}
+	// One admitted arrival inside the 0.5 s window reads 2 QPS at the
+	// instant it arrived; a later clock would have evicted it.
+	exp := scrape(t, c.URL()+"/metrics")
+	if rate := metricValue(t, exp, `ramsis_tenant_rate_qps{tenant="gold"}`); rate != 1/monitorWindow {
+		t.Errorf("gold rate at scrape %v QPS, want %v", rate, 1/monitorWindow)
 	}
 }

@@ -19,6 +19,9 @@ import (
 // shard's slice.
 type TenantPlane struct {
 	cfg TenantPlaneConfig
+	// clock is the plane's modeled time, the one its shards and gateway
+	// read: the scrape-time SLO and rate gauges read it.
+	clock clock
 
 	mu     sync.RWMutex
 	states map[string]*tenantState
@@ -51,16 +54,13 @@ type TenantPlaneConfig struct {
 	// DegradeDepth > 0 gives every tenant its own degrader with that max
 	// level, replacing the single global clamp.
 	DegradeDepth int
-	// Now is the plane's modeled clock for the scrape-time SLO and rate
-	// gauges (the sharded cluster passes its shared epoch).
-	Now       func() float64
-	Telemetry *telemetry.Registry
+	Telemetry    *telemetry.Registry
 }
 
-// NewTenantPlane builds the shared per-tenant state for a sharded
-// deployment.
-func NewTenantPlane(cfg TenantPlaneConfig) *TenantPlane {
-	p := &TenantPlane{cfg: cfg, states: map[string]*tenantState{}}
+// newTenantPlane builds the shared per-tenant state for a sharded
+// deployment on the deployment's clock.
+func newTenantPlane(cfg TenantPlaneConfig, clk clock) *TenantPlane {
+	p := &TenantPlane{cfg: cfg, clock: clk, states: map[string]*tenantState{}}
 	for _, t := range cfg.Registry.All() {
 		sel := cfg.Selectors[t.Name]
 		if sel == nil {
@@ -73,9 +73,9 @@ func NewTenantPlane(cfg TenantPlaneConfig) *TenantPlane {
 
 func (p *TenantPlane) newState(t tenant.Tenant, sel sched.Selector) *tenantState {
 	cfg := p.cfg
-	st := &tenantState{Account: sched.NewAccount(cfg.Telemetry, t.Name, t.SLO(), cfg.Now), sel: sel}
+	st := &tenantState{Account: sched.NewAccount(cfg.Telemetry, t.Name, t.SLO(), p.clock.now), sel: sel}
 	st.Monitor = monitor.NewLocked(monitor.NewMovingAverage(monitorWindow))
-	registerRateGauge(cfg.Telemetry, st, t.Name, cfg.Now)
+	registerRateGauge(cfg.Telemetry, st, t.Name, p.clock.now)
 	if cfg.DegradeDepth > 0 {
 		st.Degrade = admit.NewDegrader(admit.DegradeConfig{MaxLevel: cfg.DegradeDepth, EnterWait: st.SLO})
 		gauge := cfg.Telemetry.GaugeVec(telemetry.MetricTenantDegradeLevel, "tenant").With(t.Name)
@@ -85,8 +85,7 @@ func (p *TenantPlane) newState(t tenant.Tenant, sel sched.Selector) *tenantState
 }
 
 // SLOTracker returns the named tenant's attainment tracker (nil for
-// unknown tenants) — tests and the soak harness cross-check burn rates
-// against it.
+// unknown tenants), which tests cross-check burn rates against.
 func (p *TenantPlane) SLOTracker(name string) *telemetry.SLOTracker {
 	st, ok := p.state(name)
 	if !ok {

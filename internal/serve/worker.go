@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
 	"ramsis/internal/profile"
 	"ramsis/internal/sim"
@@ -59,11 +58,8 @@ type Worker struct {
 	Index int
 	// process serves /metrics (inference counts, latency, batch sizes) and
 	// the fragments of batches dispatched with X-Trace-Id at /debug/traces.
+	// Its clock holds each batch for the batch's inference latency.
 	process
-
-	// sleep holds a batch for its inference latency (time.Sleep unless a
-	// test substituted a fake clock before Start).
-	sleep func(time.Duration)
 
 	mu      sync.Mutex
 	rng     *rand.Rand
@@ -80,9 +76,6 @@ type Worker struct {
 
 // NewWorker builds a worker server (not yet started).
 func NewWorker(profiles profile.Set, lat sim.LatencyModel, timeScale float64, seed int64) *Worker {
-	if timeScale <= 0 {
-		timeScale = 1
-	}
 	return &Worker{
 		Profiles:  profiles,
 		Latency:   lat,
@@ -94,12 +87,9 @@ func NewWorker(profiles profile.Set, lat sim.LatencyModel, timeScale float64, se
 
 // Start listens on a random localhost port and serves until Stop.
 func (w *Worker) Start() error {
-	w.defaults()
+	w.defaults(&w.TimeScale)
 	if w.Name == "" {
 		w.Name = "worker"
-	}
-	if w.sleep == nil {
-		w.sleep = time.Sleep
 	}
 	w.infHist = w.Telemetry.Histogram(telemetry.MetricInferenceSeconds)
 	w.bsHist = w.Telemetry.HistogramBuckets(telemetry.MetricBatchSize, telemetry.LinearBuckets(1, 1, 32))
@@ -179,7 +169,7 @@ func (w *Worker) handleInfer(rw http.ResponseWriter, req *http.Request) {
 	w.mu.Unlock()
 	w.infCtr[p.Name].Inc()
 	w.bsHist.Observe(float64(batch))
-	w.sleep(time.Duration(lat / w.TimeScale * float64(time.Second)))
+	w.sleep(lat)
 	w.recordTraces(req, p.Name, batch, lat)
 	out := appendInferResponse(buf[:0], p.Name, batch, lat)
 	*bp = out[:0]
