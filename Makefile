@@ -175,8 +175,9 @@ bench-smoke:
 	done; \
 	if [ -n "$$failed" ]; then echo "bench-smoke: failed:$$failed"; exit 1; fi
 
-# Every fuzz target of internal/serve (the /infer codecs and the response
-# framer) and the Poisson CDF ladder's, 10 s each: a mutation pass past the
+# Every fuzz target of internal/serve (the /infer codecs, the response
+# framer and the loop a worker serves a taken-over connection with) and the
+# Poisson CDF ladder's, 10 s each: a mutation pass past the
 # committed seed corpora, which plain `go test` already replays. go test
 # fuzzes one target per run, so the serve targets are listed and run in
 # turn. CI runs it in the bench-smoke job; verify does not, since fuzzing

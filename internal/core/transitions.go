@@ -613,9 +613,15 @@ func (b *builder) variableTransitions(sc *stateScratch, n int, tj float64, a act
 	}
 
 	// Count distribution of worker arrivals during service, mixed over the
-	// phase: C(i) = Σ_r P(r)·P[N(l) ∈ [iK−r, (i+1)K−1−r]].
+	// phase: C(i) = Σ_r P(r)·P[N(l) ∈ [iK−r, (i+1)K−1−r]]. The CDF ladder
+	// holds exact 1s from its first 1 on, so once (i−1)K, the lowest index
+	// a term reads, reaches it, every later C(i) is Σ P(r)·(1 − 1) = 0.
 	imax := nw - rem
-	for i := 0; i <= imax; i++ {
+	one := slices.Index(cdfT, 1)
+	if one < 0 {
+		one = len(cdfT)
+	}
+	for i := 0; i <= imax && (i-1)*k < one; i++ {
 		ci := 0.0
 		for r, p := range pr {
 			if p == 0 {

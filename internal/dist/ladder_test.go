@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -121,6 +122,16 @@ func checkLadderRow(t *testing.T, p Arrival, k, n int, mu float64) {
 		}
 		if got, want := regularizedGammaP(a, mu), loopFirstGammaP(a, mu); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("P(%v, %g) = %v, loop-first %v", a, mu, got, want)
+		}
+	}
+	// The variable-batching build stops its count loop where the row first
+	// reaches 1 (core's variableTransitions), which is exact only if every
+	// later entry is 1 too.
+	if one := slices.Index(row, 1); one >= 0 {
+		for j, v := range row[one:] {
+			if v != 1 {
+				t.Fatalf("%T k=%d n=%d μ=%g: entry j=%d = %v after the first 1 at j=%d", p, k, n, mu, one+j+1, v, one+1)
+			}
 		}
 	}
 }

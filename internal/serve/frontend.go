@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -473,7 +474,7 @@ func (enter entry) serveHTTP(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	done := donePool.Get().(chan QueryResponse)
-	eerr := enter(tenantFromRequest(req), req.Header.Get("X-Trace-Id"), done)
+	eerr := enter(tenantFromRequest(req), clientTraceID(req), done)
 	if eerr != nil {
 		donePool.Put(done)
 		writeEnqueueError(rw, eerr)
@@ -490,6 +491,22 @@ func (enter entry) serveHTTP(rw http.ResponseWriter, req *http.Request) {
 		// The abandoned channel is NOT recycled: dispatch's pending send
 		// would poison the next query that drew it from the pool.
 	}
+}
+
+// maxTraceID bounds the X-Trace-Id a client may set, 4× NewTraceID's 16
+// digits: a dispatch carries a batch of trace IDs in one header line, which
+// a worker reads into a buffer of fixed size (workerConn.next).
+const maxTraceID = 64
+
+// clientTraceID is the request's X-Trace-Id, or "" (a fresh ID) when it is
+// longer than maxTraceID or holds a separator of the dispatch's trace
+// context (',' between IDs, ';' before the parent).
+func clientTraceID(req *http.Request) string {
+	id := req.Header.Get("X-Trace-Id")
+	if len(id) > maxTraceID || strings.ContainsAny(id, ",;") {
+		return ""
+	}
+	return id
 }
 
 // Enqueue admits and routes one query in-process, returning the channel

@@ -5,12 +5,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net"
+	"net/http"
 	"net/url"
+	"runtime"
 	"strconv"
 	"testing"
 	"unicode/utf8"
+
+	"ramsis/internal/profile"
+	"ramsis/internal/sim"
 )
 
 // The /infer wire layer hand-rolls its JSON encode/decode (infer_client.go)
@@ -24,7 +30,8 @@ import (
 // JSON, and parseInferLatency keys off a byte sequence without validating
 // the surrounding document, so it can accept fragments encoding/json
 // refuses. FuzzInferExchange fuzzes the HTTP/1.1 framer the dispatcher
-// reads worker answers with.
+// reads worker answers with, and FuzzWorkerConn the loop a worker serves a
+// taken-over connection with.
 
 // FuzzParseInferRequest cross-checks the allocation-free request decoder
 // against encoding/json and pins re-encode self-consistency.
@@ -254,4 +261,62 @@ func framedBody(in []byte) (body []byte, n int) {
 		return nil, -1
 	}
 	return rest[:n], n
+}
+
+// keptConn is a scriptConn that keeps what is written to it.
+type keptConn struct {
+	scriptConn
+	out bytes.Buffer
+}
+
+func (c *keptConn) Write(p []byte) (int, error) { return c.out.Write(p) }
+
+// FuzzWorkerConn runs a taken-over connection's loop on arbitrary bytes
+// after one valid exchange (the request takeOver read). The loop must not
+// panic, must not allocate with a declared length (at most a fixed
+// allowance plus a multiple of the input, whatever Content-Length says),
+// and everything it writes must be a run of answers framed by
+// Content-Length alone, the first of them the valid exchange's 200.
+func FuzzWorkerConn(f *testing.F) {
+	w := NewWorker(profile.ImageSet(), sim.Deterministic{}, 1e10, 1)
+	w.net = pipes
+	if err := w.Start(); err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { _ = w.Stop() })
+	first := []byte(`{"model":"shufflenet_v2_x0_5","batch":1}`)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		c := &keptConn{scriptConn: scriptConn{r: bytes.NewReader(in)}}
+		c.out.Grow(4 << 10)
+		wc := &workerConn{w: w, c: c, br: bufio.NewReader(c), body: append([]byte(nil), first...)}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		wc.serve(true)
+		runtime.ReadMemStats(&after)
+		if grown, allowed := after.TotalAlloc-before.TotalAlloc, uint64(64*maxRequestBody+64*len(in)); grown > allowed {
+			t.Fatalf("serving %d bytes allocated %d, want at most %d", len(in), grown, allowed)
+		}
+		br := bufio.NewReader(&c.out)
+		for i := 0; ; i++ {
+			if _, err := br.Peek(1); err == io.EOF {
+				if i == 0 {
+					t.Fatal("no answer to the valid exchange")
+				}
+				return
+			}
+			resp, err := http.ReadResponse(br, nil)
+			if err != nil {
+				t.Fatalf("answer %d does not parse: %v\n%q", i, err, c.out.Bytes())
+			}
+			body, err := io.ReadAll(resp.Body)
+			if err != nil || resp.Header.Get("Content-Length") == "" || len(resp.TransferEncoding) > 0 {
+				t.Fatalf("answer %d not framed by Content-Length alone (%v)\n%q", i, err, c.out.Bytes())
+			}
+			if i == 0 {
+				if _, ok := parseInferLatency(body); resp.StatusCode != http.StatusOK || !ok {
+					t.Fatalf("valid exchange answered %d %q", resp.StatusCode, body)
+				}
+			}
+		}
+	})
 }

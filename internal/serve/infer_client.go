@@ -145,16 +145,16 @@ func (s *postScratch) closeConns() {
 // is read by Content-Length alone, the one framing a worker's answer has:
 // a response without it, or with Transfer-Encoding, is errMalformed. The
 // request is serialized into the wire scratch in one piece — header block
-// and body — and written with a single syscall; the wire is header-minimal
-// because every header line costs the worker's server a parse allocation
-// per request at saturation.
+// and body — and written with a single syscall. It carries the dispatcher's
+// mark (dispatchHeader), on which a worker takes the connection over from
+// net/http after the first request.
 func (ic *inferConn) exchange(s *postScratch, u *url.URL, body, traceCtx []byte) (status int, keep bool, err error) {
 	wire := s.wire[:0]
 	wire = append(wire, "POST "...)
 	wire = append(wire, u.Path...)
 	wire = append(wire, " HTTP/1.1\r\nHost: "...)
 	wire = append(wire, u.Host...)
-	wire = append(wire, "\r\nContent-Length: "...)
+	wire = append(wire, "\r\n"+dispatchHeader+": 1\r\nContent-Length: "...)
 	wire = strconv.AppendInt(wire, int64(len(body)), 10)
 	if len(traceCtx) > 0 {
 		wire = append(wire, "\r\nX-Trace-Id: "...)
@@ -166,7 +166,7 @@ func (ic *inferConn) exchange(s *postScratch, u *url.URL, body, traceCtx []byte)
 	if _, err := ic.c.Write(wire); err != nil {
 		return 0, false, err
 	}
-	line, err := ic.readLine()
+	line, err := readLine(ic.br)
 	if err != nil {
 		return 0, false, err
 	}
@@ -176,7 +176,7 @@ func (ic *inferConn) exchange(s *postScratch, u *url.URL, body, traceCtx []byte)
 	}
 	contentLen := -1
 	for {
-		h, err := ic.readLine()
+		h, err := readLine(ic.br)
 		if err != nil {
 			return status, false, err
 		}
@@ -217,10 +217,10 @@ func (ic *inferConn) exchange(s *postScratch, u *url.URL, body, traceCtx []byte)
 	return status, keep, nil
 }
 
-// readLine reads one CRLF-terminated line; the returned slice aliases
-// the bufio buffer and is valid only until the next read.
-func (ic *inferConn) readLine() ([]byte, error) {
-	line, err := ic.br.ReadSlice('\n')
+// readLine reads one CRLF-terminated line no longer than br's buffer; the
+// returned slice aliases the buffer and is valid only until the next read.
+func readLine(br *bufio.Reader) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
 	if err != nil {
 		return nil, err
 	}

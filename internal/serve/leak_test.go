@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ramsis/internal/admit"
 	"ramsis/internal/llm"
 	"ramsis/internal/profile"
 	"ramsis/internal/sim"
@@ -208,6 +209,117 @@ func TestClusterStopLeavesNoGoroutines(t *testing.T) {
 		}
 	}
 	c.Stop()
+	requireGoroutines(t, baseline)
+}
+
+// TestWorkerStopClosesTakenOverConns stops one of a frontend's two
+// workers while the frontend holds taken-over connections to it (its
+// dispatch loop's and its prober's). The stopped worker's goroutines — its
+// accept loop and one serve loop per taken-over connection — must all
+// exit, though http.Server.Close no longer tracks those connections. The
+// frontend's next dispatches to it must fail as transport errors: each
+// reports a health failure and fails over within the retry budget, until
+// the second marks the worker unhealthy. Every query is answered exactly
+// once, and none is left outstanding.
+func TestWorkerStopClosesTakenOverConns(t *testing.T) {
+	const failThreshold = 2 // lb's: consecutive failures that mask a worker
+	baseline := runtime.NumGoroutine()
+	workers := make([]*Worker, 2)
+	urls := make([]string, 2)
+	for i := range workers {
+		workers[i] = NewWorker(profile.ImageSet(), sim.Deterministic{}, 1e10, int64(i+1))
+		workers[i].net = pipes
+		if err := workers[i].Start(); err != nil {
+			t.Fatal(err)
+		}
+		urls[i] = workers[i].URL()
+	}
+	f := &Frontend{
+		Profiles: profile.ImageSet(), SLO: 1e9, TimeScale: 1e10,
+		Workers:     urls,
+		Select:      fixedSelector(profile.ImageSet().Fastest().Name),
+		RetryBudget: admit.NewRetryBudget(failThreshold, 0),
+		process:     process{net: pipes},
+		// The probe loops never tick: the test probes by hand, so the
+		// first failures the worker sees are the dispatches'.
+		healthInterval: time.Hour,
+	}
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = f.Stop()
+		for _, w := range workers {
+			_ = w.Stop()
+		}
+	}()
+
+	query := func() QueryResponse {
+		t.Helper()
+		ch, eerr := f.Enqueue("")
+		if eerr != nil {
+			t.Fatal(eerr)
+		}
+		select {
+		case r := <-ch:
+			if len(ch) != 0 {
+				t.Errorf("query %d answered twice", r.ID)
+			}
+			return r
+		case <-time.After(10 * time.Second):
+			t.Fatal("query never answered")
+		}
+		return QueryResponse{}
+	}
+	for w := range workers {
+		if !f.probe(w) {
+			t.Fatalf("worker %d failed its first probe", w)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		if r := query(); r.Error != "" {
+			t.Fatalf("query %d before the stop: %s", i, r.Error)
+		}
+	}
+	dead := workers[1]
+	dead.taken.mu.Lock()
+	taken := len(dead.taken.open)
+	dead.taken.mu.Unlock()
+	if taken < 2 {
+		t.Fatalf("worker 1 holds %d taken-over connections, want its dispatch loop's and its prober's", taken)
+	}
+	running := runtime.NumGoroutine()
+	if err := dead.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	// Its accept loop and one serve loop per taken-over connection.
+	requireGoroutines(t, running-1-taken)
+
+	before := f.Stats().WorkerDispatches[1]
+	for i := 0; f.health.IsHealthy(1); i++ {
+		if i == 16 {
+			t.Fatal("worker 1 still healthy after 16 queries")
+		}
+		if r := query(); r.Error != "" {
+			t.Errorf("query %d after the stop: %s", i, r.Error)
+		}
+	}
+	if n := f.Stats().WorkerDispatches[1] - before; n != failThreshold {
+		t.Errorf("%d dispatches to the stopped worker, want %d: one transport failure each", n, failThreshold)
+	}
+	retries := f.Telemetry.Counter(telemetry.MetricAdmitRetries).Value()
+	denied := f.Telemetry.Counter(telemetry.MetricAdmitRetriesDenied).Value()
+	if retries != failThreshold || denied != 0 {
+		t.Errorf("failover retries %v, denied %v; want %d, 0", retries, denied, failThreshold)
+	}
+	if r := query(); r.Error != "" {
+		t.Errorf("query after the worker was masked: %s", r.Error)
+	}
+	if st := f.Stats(); st.FailedDispatches != 0 || f.Outstanding() != 0 {
+		t.Errorf("%d failed dispatches, %d outstanding; want 0, 0", st.FailedDispatches, f.Outstanding())
+	}
+	_ = f.Stop()
+	_ = workers[0].Stop()
 	requireGoroutines(t, baseline)
 }
 

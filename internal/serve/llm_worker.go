@@ -111,7 +111,7 @@ func (w *LLMWorker) Start() error {
 		w.Name = "llm-worker"
 	}
 	w.b = llm.NewBatcher[*genStream](models, w.SLO, w.Selector, w.Telemetry, max(w.Index, 0))
-	if err := w.serve("", workerMux("/generate", w.handleGenerate, w.Traces)); err != nil {
+	if err := w.serve("", workerMux("/generate", w.handleGenerate, healthz, w.Traces)); err != nil {
 		return err
 	}
 	w.onStop(w.halt)

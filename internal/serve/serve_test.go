@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -222,6 +223,229 @@ func TestWorkerCapsInferBody(t *testing.T) {
 	defer bufPool.Put(bp)
 	if c := cap(*bp); c > 4*maxRequestBody {
 		t.Errorf("pooled buffer kept %d bytes of capacity, want at most %d", c, 4*maxRequestBody)
+	}
+}
+
+// startWorker boots one image worker on the pipe network at TimeScale 50;
+// the test's cleanup stops it.
+func startWorker(t *testing.T) *Worker {
+	t.Helper()
+	w := NewWorker(profile.ImageSet(), sim.Deterministic{}, 50, 1)
+	w.net = pipes
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = w.Stop() })
+	return w
+}
+
+// marked is a request as the dispatcher's exchange writes it: the
+// dispatcher's mark, a Content-Length body and, when trace is not empty,
+// the X-Trace-Id context.
+func marked(path, body, trace string) string {
+	req := "POST " + path + " HTTP/1.1\r\nHost: w\r\n" + dispatchHeader + ": 1\r\nContent-Length: " + strconv.Itoa(len(body))
+	if trace != "" {
+		req += "\r\nX-Trace-Id: " + trace
+	}
+	return req + "\r\n\r\n" + body
+}
+
+// takenConn dials w and sends one marked /infer, which takes the
+// connection over; it returns the connection and its reader, past the
+// first answer.
+func takenConn(t *testing.T, w *Worker) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	u, err := url.Parse(w.URL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := pipes.dial(u.Host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	br := bufio.NewReader(conn)
+	if status, _ := readAnswer(t, conn, br, marked("/infer", `{"model":"shufflenet_v2_x0_5","batch":1}`, "")); status != http.StatusOK {
+		t.Fatalf("first marked /infer: status %d, want 200", status)
+	}
+	return conn, br
+}
+
+// readAnswer writes req on conn and reads one answer, failing the test
+// unless it is framed by Content-Length alone; it returns the status and
+// the body.
+func readAnswer(t *testing.T, conn net.Conn, br *bufio.Reader, req string) (int, []byte) {
+	t.Helper()
+	if _, err := conn.Write([]byte(req)); err != nil {
+		t.Fatalf("%q: %v", req, err)
+	}
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatalf("%q: %v", req, err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("%q: reading body: %v", req, err)
+	}
+	if resp.Header.Get("Content-Length") == "" || len(resp.TransferEncoding) > 0 {
+		t.Errorf("%q: framed by Content-Length %q, Transfer-Encoding %q; want Content-Length only",
+			req, resp.Header.Get("Content-Length"), resp.TransferEncoding)
+	}
+	return resp.StatusCode, body
+}
+
+// requireClosed fails the test unless the worker closes conn, unanswered,
+// within 5 s of req being written: the write runs beside the read, since
+// the worker may stop reading before the request ends.
+func requireClosed(t *testing.T, conn net.Conn, br *bufio.Reader, req []byte) {
+	t.Helper()
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	go func() { _, _ = conn.Write(req) }()
+	if b, err := io.ReadAll(br); err != nil || len(b) > 0 {
+		t.Errorf("%.40q: read %q, %v after it; want the connection closed unanswered", req, b, err)
+	}
+}
+
+// TestTakenOverConnAnswersLikeNetHTTP serves a 200, a 404 (unknown model),
+// a 400 (batch out of range), a 200 and a /healthz on one marked
+// connection: each answer has the status and the Content-Length framing
+// net/http gives it (TestWorkerFramesByContentLength), and the connection
+// stays open through the errors.
+func TestTakenOverConnAnswersLikeNetHTTP(t *testing.T) {
+	w := startWorker(t)
+	conn, br := takenConn(t, w)
+	w.taken.mu.Lock()
+	taken := len(w.taken.open)
+	w.taken.mu.Unlock()
+	if taken != 1 {
+		t.Fatalf("%d connections taken over after a marked /infer, want 1", taken)
+	}
+	for _, c := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/infer", `{"model":"nope","batch":1}`, http.StatusNotFound},
+		{"/infer", `{"model":"shufflenet_v2_x0_5","batch":0}`, http.StatusBadRequest},
+		{"/infer", `{"model":"shufflenet_v2_x0_5","batch":999}`, http.StatusBadRequest},
+		{"/infer", `not json`, http.StatusBadRequest},
+		{"/infer", `{"batch":2,"model":"shufflenet_v2_x0_5"}`, http.StatusOK},
+		{"/infer", `{"model":"shufflenet_v2_x0_5","batch":2}`, http.StatusOK},
+		{"/healthz", ``, http.StatusOK},
+	} {
+		status, body := readAnswer(t, conn, br, marked(c.path, c.body, ""))
+		if status != c.want {
+			t.Errorf("%s %s: status %d, want %d", c.path, c.body, status, c.want)
+		}
+		if _, ok := parseInferLatency(body); c.want == http.StatusOK && c.path == "/infer" && !ok {
+			t.Errorf("%s: 200 body %q has no parseable latency", c.body, body)
+		}
+	}
+}
+
+// TestTakenOverConnClosesOnWhatItDoesNotServe sends, each after one valid
+// exchange on a fresh marked connection, a request the loop does not
+// serve: it must close the connection without an answer. A declared body
+// over maxRequestBody is refused before any buffer is sized for it, as
+// TestWorkerCapsInferBody bounds the net/http path.
+func TestTakenOverConnClosesOnWhatItDoesNotServe(t *testing.T) {
+	w := startWorker(t)
+	for _, req := range []string{
+		"GET /infer HTTP/1.1\r\nHost: w\r\n\r\n",
+		marked("/metrics", "", ""),
+		"POST /infer HTTP/1.1\r\nHost: w\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+		"POST /infer HTTP/1.0\r\nContent-Length: 2\r\n\r\n{}",
+		"POST /infer HTTP/1.1\r\nX-Trace-Id: " + strings.Repeat("a", 8<<10) + "\r\n\r\n",
+	} {
+		conn, br := takenConn(t, w)
+		requireClosed(t, conn, br, []byte(req))
+	}
+
+	body := `{"model":"shufflenet_v2_x0_5","batch":1` + strings.Repeat(" ", 1<<20) + `}`
+	req := []byte(marked("/infer", body, ""))
+	conn, br := takenConn(t, w)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	requireClosed(t, conn, br, req)
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 64*maxRequestBody {
+		t.Errorf("refusing a 1 MiB body allocated %d bytes, want at most %d", grown, 64*maxRequestBody)
+	}
+}
+
+// TestTakenOverConnReadsLongestTraceContext sends the longest X-Trace-Id
+// a dispatcher writes — a batch of the largest profiled size, each trace
+// ID as long as a client may set one (maxTraceID), and the longest shard
+// name as the parent — on a taken-over connection: it must fit the loop's
+// header bound and record a fragment per trace ID.
+func TestTakenOverConnReadsLongestTraceContext(t *testing.T) {
+	w := startWorker(t)
+	conn, br := takenConn(t, w)
+	ids := make([]string, profile.MaxSupportedBatch)
+	for i := range ids {
+		ids[i] = strings.Repeat(telemetry.NewTraceID(), maxTraceID/16)
+	}
+	ctx := strings.Join(ids, ",") + ";shard-" + strconv.Itoa(math.MaxInt)
+	if n := len("X-Trace-Id: " + ctx + "\r\n"); n > br.Size() {
+		t.Fatalf("the longest X-Trace-Id line is %d bytes, past a %d-byte reader", n, br.Size())
+	}
+	body := appendInferRequest(nil, "shufflenet_v2_x0_5", profile.MaxSupportedBatch)
+	if status, _ := readAnswer(t, conn, br, marked("/infer", string(body), ctx)); status != http.StatusOK {
+		t.Fatalf("longest trace context: status %d, want 200", status)
+	}
+	got := map[string]int{}
+	for _, qt := range w.Traces.Snapshot() {
+		got[qt.TraceID]++
+	}
+	for _, id := range ids {
+		if got[id] != 1 {
+			t.Errorf("trace %s: %d worker fragments, want 1", id, got[id])
+		}
+	}
+}
+
+// TestFrontendReplacesUnfitClientTraceID posts queries whose X-Trace-Id a
+// dispatch could not carry — longer than maxTraceID, or holding the trace
+// context's separators — and one of exactly maxTraceID bytes. Each is
+// served on its first dispatch (no transport failure, no failover); the
+// unfit IDs are replaced by fresh ones, and the fitting one is kept.
+func TestFrontendReplacesUnfitClientTraceID(t *testing.T) {
+	c := startCluster(t, burstCluster())
+	fit := strings.Repeat("f", maxTraceID)
+	unfit := []string{strings.Repeat("a", 5000), strings.Repeat("b", maxTraceID+1), "x,y", "x;y"}
+	sent := append([]string{fit}, unfit...)
+	for _, id := range append(sent, sent...) {
+		req, err := http.NewRequest(http.MethodPost, c.Frontend.URL()+"/query", strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Trace-Id", id)
+		resp, err := pipeClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var qr QueryResponse
+		err = json.NewDecoder(resp.Body).Decode(&qr)
+		resp.Body.Close()
+		if err != nil || qr.Error != "" {
+			t.Fatalf("trace ID %.20q: %v %q", id, err, qr.Error)
+		}
+	}
+	st := c.Frontend.Stats()
+	if n := st.WorkerDispatches[0] + st.WorkerDispatches[1]; n != 2*len(sent) || st.FailedDispatches != 0 {
+		t.Errorf("%d dispatches and %d failed for %d queries, want one each and none failed", n, st.FailedDispatches, 2*len(sent))
+	}
+	got := map[string]int{}
+	for _, qt := range c.Frontend.Traces.Snapshot() {
+		got[qt.TraceID]++
+	}
+	if got[fit] != 2 {
+		t.Errorf("the %d-byte client trace ID has %d fragments, want 2", maxTraceID, got[fit])
+	}
+	for _, id := range unfit {
+		if got[id] != 0 {
+			t.Errorf("unfit client trace ID %.20q was kept", id)
+		}
 	}
 }
 
