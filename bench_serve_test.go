@@ -139,14 +139,15 @@ func BenchmarkShardedGatewayQuery(b *testing.B) {
 // parsed every dispatch), compared rounded down, so one more allocation on
 // the enqueue or dispatch path lands on the ceiling and two land over it.
 //
-// The other four rows are single-goroutine and count whole runs: the step
-// loop (a 400-query run), the lookup (0) and the two scalar simulator runs,
-// the central-queue path (SimulatorThroughput, 20,141 queries) and the
-// balancer + policy path (RAMSISScheduler, 24,070 queries). A run's own
-// count is fixed — 152, 0, 142 and 393 with the collector off — but GC
-// cycles move what the benchmark reads by up to about one allocation per
-// run: a RAMSISScheduler run allocates 1.2 MB, and the runtime adds about
-// one allocation per cycle it starts, so it reads 393.96-394.01, and
+// The other five rows are single-goroutine and count whole runs: the step
+// loop (a 400-query run) under a fixed and under a token-policy selector,
+// the lookup (0) and the two scalar simulator runs, the central-queue path
+// (SimulatorThroughput, 20,141 queries) and the balancer + policy path
+// (RAMSISScheduler, 24,070 queries). A run's own count is fixed — 152, 83,
+// 0, 142 and 393 with the collector off — but GC cycles move what the
+// benchmark reads by up to about one allocation per run: a RAMSISScheduler
+// run allocates 1.2 MB, and the runtime adds about one allocation per
+// cycle it starts, so it reads 393.96-394.01, and
 // SimulatorThroughput 142.67-142.76. Truncating that straddles an integer
 // (against the old ceiling of 393 RAMSISScheduler failed 4 runs in 6), so
 // these rows compare the rounded count, and each simulator row's ceiling is
@@ -168,6 +169,7 @@ func TestDataPlaneAllocCeilings(t *testing.T) {
 		{"FrontendQuery", BenchmarkFrontendQuery, 2, false},
 		{"ShardedGatewayQuery", BenchmarkShardedGatewayQuery, 2, false},
 		{"LLMStepLoop", BenchmarkLLMStepLoop, 153, true},
+		{"LLMPolicyStepLoop", BenchmarkLLMPolicyStepLoop, 83, true},
 		{"PolicySelect", BenchmarkPolicySelect, 0, true},
 		{"SimulatorThroughput", BenchmarkSimulatorThroughput, 143, true},
 		{"RAMSISScheduler", BenchmarkRAMSISScheduler, 394, true},

@@ -370,17 +370,52 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // BenchmarkLLMStepLoop measures the token-level simulator's step loop:
 // continuous-batching admission, decode-first step composition, and KV
 // accounting over a sustained general-class token stream (fixed fastest
-// model, so the cost measured is the batching machinery, not selection).
-// Steps are the loop's unit of work — selection, composition and gap
+// model, so the cost measured is the batching machinery, not selection: a
+// FixedSelector's answer holds at every load, so it is asked once per
+// worker). Steps are the loop's unit of work — composition and gap
 // recording run once per step — so it also reports steps/op and ns/step;
 // `make profile PROFILE_BENCH=BenchmarkLLMStepLoop` is where a step's time
 // goes.
 func BenchmarkLLMStepLoop(b *testing.B) {
 	models := llm.BuiltinSet()
-	cls, err := llm.ClassByName("general")
-	if err != nil {
-		b.Fatal(err)
+	runLLMStepLoop(b, models, sim.FixedSelector(models.Fastest()))
+}
+
+// BenchmarkLLMPolicyStepLoop is BenchmarkLLMStepLoop's stream under a token
+// policy generated for it (bench/'s 128-token buckets to 65,536), so the
+// loop asks the selector again at every boundary whose load has left the
+// bucket of its last answer; it also reports consults/op.
+func BenchmarkLLMPolicyStepLoop(b *testing.B) {
+	models := llm.BuiltinSet()
+	stepLoopPolicy.once.Do(func() {
+		cls := llm.GeneralClass()
+		pol, err := core.GenerateLLM(core.LLMConfig{
+			Models: models, SLO: 8.0, Workers: 2, Rate: 40, In: cls.In, Out: cls.Out,
+			TokenBucket: 128, MaxTokens: 65536,
+		})
+		if err == nil {
+			stepLoopPolicy.sel, err = sim.NewLLMPolicySelector(pol, models)
+		}
+		stepLoopPolicy.err = err
+	})
+	if stepLoopPolicy.err != nil {
+		b.Fatal(stepLoopPolicy.err)
 	}
+	runLLMStepLoop(b, models, stepLoopPolicy.sel)
+}
+
+// stepLoopPolicy is BenchmarkLLMPolicyStepLoop's selector, generated once
+// per process.
+var stepLoopPolicy struct {
+	once sync.Once
+	sel  sim.ModelSelector
+	err  error
+}
+
+// runLLMStepLoop runs 10 s of a 40 QPS general-class stream through two
+// token workers under sel, once per op.
+func runLLMStepLoop(b *testing.B, models llm.Set, sel sim.ModelSelector) {
+	cls := llm.GeneralClass()
 	events := trace.TokenArrivals(trace.Constant(40, 10), 1, cls.In, cls.Out)
 	queries := make([]sim.TokenQuery, len(events))
 	var tokens int64
@@ -390,18 +425,18 @@ func BenchmarkLLMStepLoop(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	steps := 0
+	var m sim.LLMMetrics
 	for i := 0; i < b.N; i++ {
-		e := sim.NewLLMEngine(models, 8.0, 2, sim.FixedSelector(models.Fastest()))
-		m := e.Run(queries)
+		e := sim.NewLLMEngine(models, 8.0, 2, sel)
+		m = e.Run(queries)
 		if m.Served != len(queries) {
 			b.Fatalf("served %d of %d", m.Served, len(queries))
 		}
-		steps = m.Steps
 	}
 	b.ReportMetric(float64(tokens), "tokens/op")
-	b.ReportMetric(float64(steps), "steps/op")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(steps), "ns/step")
+	b.ReportMetric(float64(m.Steps), "steps/op")
+	b.ReportMetric(float64(m.Consults), "consults/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.Steps), "ns/step")
 }
 
 // BenchmarkBalancerPick compares the per-arrival routing cost of the three

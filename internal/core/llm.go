@@ -127,8 +127,34 @@ func (p *LLMPolicy) buckets() int { return len(p.Choices) - 2 }
 // non-positive load maps to the lightest-load bucket so callers always get
 // a runnable model.
 func (p *LLMPolicy) Select(outstandingTokens int) LLMChoice {
-	k := (outstandingTokens + p.TokenBucket - 1) / p.TokenBucket
-	return p.Choices[min(max(k, 1), p.buckets()+1)]
+	return p.Choices[p.state(outstandingTokens)]
+}
+
+// state returns the state Select reads for outstandingTokens: its bucket
+// ⌈outstandingTokens / TokenBucket⌉, clamped to bucket 1 below and to the
+// overflow state above (and written so that no load overflows).
+func (p *LLMPolicy) state(outstandingTokens int) int {
+	if outstandingTokens <= p.TokenBucket {
+		return 1
+	}
+	return min((outstandingTokens-1)/p.TokenBucket+1, p.buckets()+1)
+}
+
+// SelectRange returns Select's decision for outstandingTokens and the loads
+// [lo, hi] that Select maps to the same state, and so to the same decision:
+// a bucket ((k-1)·TokenBucket, k·TokenBucket], except that bucket 1 reaches
+// down to math.MinInt (Select clamps every load of at most one bucket
+// there) and the overflow state up to math.MaxInt.
+func (p *LLMPolicy) SelectRange(outstandingTokens int) (c LLMChoice, lo, hi int) {
+	k := p.state(outstandingTokens)
+	lo, hi = (k-1)*p.TokenBucket+1, k*p.TokenBucket
+	if k == 1 {
+		lo = math.MinInt
+	}
+	if k == p.buckets()+1 {
+		hi = math.MaxInt
+	}
+	return p.Choices[k], lo, hi
 }
 
 // llmBuilder is the token MDP's stateSpace: the shared pieces of one

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"ramsis/internal/llm"
@@ -89,6 +90,51 @@ func TestGenerateLLMSelectMapsLoadsToBuckets(t *testing.T) {
 		if c.PrefillTokens+c.DecodeTokens < 1 {
 			t.Fatalf("choice schedules no tokens: %+v", c)
 		}
+	}
+}
+
+// TestLLMPolicySelectRangeMatchesSelect pins SelectRange to the states
+// Select reads: for every load from -1 to two buckets past the last, it
+// returns Select's decision, each load inside the reported range maps to
+// the load's state and decision, the loads just outside it map to other
+// states, and the clamped ends reach math.MinInt and math.MaxInt.
+func TestLLMPolicySelectRangeMatchesSelect(t *testing.T) {
+	cfg := llmTestConfig()
+	cfg.TokenBucket, cfg.MaxTokens = 128, 8192
+	pol, err := GenerateLLM(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, top := pol.TokenBucket, (pol.buckets()+2)*pol.TokenBucket
+	for x := -1; x <= top; x++ {
+		c, lo, hi := pol.SelectRange(x)
+		if !(lo <= x && x <= hi) {
+			t.Fatalf("SelectRange(%d) range [%d, %d] does not hold the load", x, lo, hi)
+		}
+		k := pol.state(x)
+		if c != pol.Select(x) {
+			t.Fatalf("SelectRange(%d) = %+v, Select %+v", x, c, pol.Select(x))
+		}
+		for y := max(lo, -1); y <= min(hi, top); y++ {
+			if pol.state(y) != k || pol.Select(y) != c {
+				t.Fatalf("SelectRange(%d) range [%d, %d], but load %d is in state %d, not %d", x, lo, hi, y, pol.state(y), k)
+			}
+		}
+		if lo != math.MinInt && pol.state(lo-1) == k {
+			t.Fatalf("SelectRange(%d) range [%d, %d], but load %d is in its state %d too", x, lo, hi, lo-1, k)
+		}
+		if hi != math.MaxInt && pol.state(hi+1) == k {
+			t.Fatalf("SelectRange(%d) range [%d, %d], but load %d is in its state %d too", x, lo, hi, hi+1, k)
+		}
+		if (lo == math.MinInt) != (k == 1) || (hi == math.MaxInt) != (k == pol.buckets()+1) {
+			t.Fatalf("SelectRange(%d) range [%d, %d] in state %d: only bucket 1 and the overflow state are open-ended", x, lo, hi, k)
+		}
+	}
+	if _, lo, _ := pol.SelectRange(w); pol.state(math.MinInt) != 1 || lo != math.MinInt {
+		t.Errorf("math.MinInt is not in bucket 1's range")
+	}
+	if _, _, hi := pol.SelectRange(top); pol.state(math.MaxInt) != pol.buckets()+1 || hi != math.MaxInt {
+		t.Errorf("math.MaxInt is not in the overflow state's range")
 	}
 }
 

@@ -20,17 +20,30 @@ type Request struct {
 // and its contribution to a worker's outstanding load.
 func (q Request) Tokens() int { return q.Prefill + q.Decode }
 
-// Selector picks the step model a worker's next engine step should run. It
-// is consulted exactly once at every step boundary — the boundaries inside a
-// decode run that Batcher.Begin lands itself included — with the worker's
-// observable state: queued is the query count (waiting + running),
-// outstandingTokens the unfinished token load, kvUsage the KV-cache
-// occupancy fraction, and headSlack the oldest query's remaining deadline
-// headroom in seconds. Returning a negative index keeps the current model.
-// A stateful selector therefore sees the same call sequence whether its
-// batcher runs one step per Begin or many.
+// Selector picks the step model a worker's next engine step should run,
+// from the worker's observable state: queued is the query count (waiting +
+// running), outstandingTokens the unfinished token load, kvUsage the
+// KV-cache occupancy fraction, and headSlack the oldest query's remaining
+// deadline headroom in seconds. Returning a negative index keeps the
+// current model. A Selector that is not also a RangeSelector is consulted
+// exactly once at every step boundary — the boundaries inside a decode run
+// that Batcher.Begin lands itself included — so a stateful selector sees
+// the same call sequence whether its batcher runs one step per Begin or
+// many.
 type Selector interface {
 	SelectModel(queued, outstandingTokens int, kvUsage, headSlack float64) int
+}
+
+// RangeSelector is a Selector whose answer depends on the outstanding-token
+// load alone and holds over a range of it. SelectRange returns the model
+// SelectModel returns at outstandingTokens, whatever its other arguments,
+// and the loads [lo, hi], outstandingTokens among them, at which it returns
+// that same model. A batcher keeps the answer and consults again only at a
+// boundary whose load has left [lo, hi]; every decision comes out as if it
+// had consulted at every boundary.
+type RangeSelector interface {
+	Selector
+	SelectRange(outstandingTokens int) (model, lo, hi int)
 }
 
 // Seq is one request's progress through a Batcher. Tag is the caller's
@@ -65,9 +78,13 @@ func (s *Seq[T]) First() bool { return s.decodeLeft == s.Decode-1 }
 func (s *Seq[T]) Done() bool { return s.decodeLeft == 0 }
 
 // Counts are a batcher's run totals: one selection decision per step.
+// Consults counts the selector's answers: one per step boundary, except
+// that a RangeSelector is asked only where the load has left the range of
+// its last answer.
 type Counts struct {
 	Steps         int
 	Switches      int
+	Consults      int
 	PrefillTokens int64
 	DecodeTokens  int64
 	// PeakKV is the maximum KV occupancy fraction reached.
@@ -76,9 +93,10 @@ type Counts struct {
 
 // Batcher is one worker's continuous-batching step scheduler: a waiting
 // queue, a running batch, and KV-cache accounting against the serving
-// model's capacity. At every step boundary it consults the selector once (an
-// immediate model switch when the running batch is empty, drain-then-switch
-// otherwise), admits waiting requests FIFO under full-footprint KV
+// model's capacity. At every step boundary it applies the selector's answer
+// (an immediate model switch when the running batch is empty,
+// drain-then-switch otherwise) — asking again unless a RangeSelector's last
+// answer still holds — admits waiting requests FIFO under full-footprint KV
 // reservations, composes the step decode-first with chunked prefill, and —
 // once the caller has let the step's modeled time pass — lands its tokens.
 // A step in which every running sequence decodes, none finishes and nothing
@@ -93,7 +111,12 @@ type Batcher[T any] struct {
 	models Set
 	slo    float64
 	sel    Selector
-	tel    *series // nil without a registry
+	ranged RangeSelector // sel, when it reports ranges
+	tel    *series       // nil without a registry
+
+	// want is the selector's last answer and [lo, hi] the loads over which
+	// it holds; lo > hi unless sel is ranged and has answered.
+	want, lo, hi int
 
 	model      int // index into models
 	draining   bool
@@ -130,7 +153,8 @@ const seqSlab = 64
 // (never switch). With a registry the batcher exports the ramsis_llm_* and
 // query series, the KV-usage gauge under the worker's index; reg may be nil.
 func NewBatcher[T any](models Set, slo float64, sel Selector, reg *telemetry.Registry, worker int) *Batcher[T] {
-	b := &Batcher[T]{models: models, slo: slo, sel: sel, model: models.MostAccurate()}
+	b := &Batcher[T]{models: models, slo: slo, sel: sel, model: models.MostAccurate(), lo: 1}
+	b.ranged, _ = sel.(RangeSelector)
 	if reg != nil {
 		b.tel = newSeries(reg, worker)
 	}
@@ -196,9 +220,10 @@ func (b *Batcher[T]) Drain() []*Seq[T] {
 	return all
 }
 
-// Begin runs step boundaries from time now: at each it consults the
-// selector once, drains or switches the serving model, admits waiting
-// requests under the KV reservation cap and composes the step decode-first.
+// Begin runs step boundaries from time now: at each it applies the
+// selector's answer (see maybeSwitch), drains or switches the serving model,
+// admits waiting requests under the KV reservation cap and composes the
+// step decode-first.
 // While the composed step belongs to a decode run — every running sequence
 // decodes, one step after its last token, none finishes, and the step ends
 // strictly before horizon — Begin lands it itself, in O(1): the KV and
@@ -225,11 +250,18 @@ func (b *Batcher[T]) Begin(now, horizon float64) (end float64, rejected []*Seq[T
 	// step after its last token.
 	left, lockstep := 0, false
 	for {
-		if b.sel != nil {
-			b.maybeSwitch(now)
+		// Past a run's first step, while the selector's last answer holds, a
+		// boundary can decide nothing new: the model, draining, the running
+		// batch, its reservations and the waiting queue are as the previous
+		// boundary left them, so it neither switches nor admits.
+		admitted := false
+		if b.run.steps == 0 || !b.held() {
+			if b.sel != nil {
+				b.maybeSwitch(now)
+			}
+			admitted = b.admit(now, b.Model())
 		}
 		m := b.Model()
-		admitted := b.admit(now, m)
 		if len(b.running) == 0 {
 			return 0, b.rejected, false
 		}
@@ -347,14 +379,15 @@ func (b *Batcher[T]) settle() {
 	}
 }
 
-// maybeSwitch applies the selector's decision: an immediate switch when the
-// running batch is empty, otherwise drain mode (no admissions until the
-// batch empties, then switch).
+// maybeSwitch applies the selector's decision — its last answer while the
+// load stays in that answer's range, else a new consult: an immediate
+// switch when the running batch is empty, otherwise drain mode (no
+// admissions until the batch empties, then switch).
 func (b *Batcher[T]) maybeSwitch(now float64) {
-	m := b.Model()
-	kv := float64(b.kvUsed) / float64(m.KVCapTokens)
-	queued := len(b.waiting) + len(b.running)
-	desired := b.sel.SelectModel(queued, b.outTok, kv, b.headArrival()+b.slo-now)
+	desired := b.want
+	if !b.held() {
+		desired = b.consult(now)
+	}
 	if desired < 0 || desired >= b.models.Len() || desired == b.model {
 		b.draining = false
 		return
@@ -369,6 +402,23 @@ func (b *Batcher[T]) maybeSwitch(now float64) {
 		return
 	}
 	b.draining = true
+}
+
+// held reports whether the selector's last answer holds at the current
+// load; never for a selector that is not a RangeSelector.
+func (b *Batcher[T]) held() bool { return b.lo <= b.outTok && b.outTok <= b.hi }
+
+// consult asks the selector for the next step's model; a RangeSelector's
+// answer is kept with its range.
+func (b *Batcher[T]) consult(now float64) int {
+	b.counts.Consults++
+	if b.ranged != nil {
+		b.want, b.lo, b.hi = b.ranged.SelectRange(b.outTok)
+		return b.want
+	}
+	kv := float64(b.kvUsed) / float64(b.Model().KVCapTokens)
+	queued := len(b.waiting) + len(b.running)
+	return b.sel.SelectModel(queued, b.outTok, kv, b.headArrival()+b.slo-now)
 }
 
 // headArrival returns the oldest arrival time across waiting and running;

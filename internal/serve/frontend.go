@@ -202,7 +202,8 @@ type workerQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	ring pqRing // the sched.Window the core scans, under mu
-	// outstanding = queued + in-dispatch queries, the balancer's view of
+	// outstanding = queued + in-dispatch queries (until their /infer POST
+	// returns, before any is answered), the balancer's view of
 	// the worker's load. In-dispatch queries must count: a worker that
 	// just popped its whole queue reads as empty, and a queue-aware
 	// balancer would keep stacking arrivals on it while others idle.
@@ -658,7 +659,6 @@ func (f *Frontend) workerLoop(w int) {
 		ws.mu.Unlock()
 
 		f.dispatch(w, pick, scr)
-		ws.outstanding.Add(-int32(len(scr.batch)))
 		// Drop the popped queries' channel and tenant-state references so
 		// the scratch slice does not retain them until the next batch.
 		for i := range scr.batch {
@@ -777,6 +777,9 @@ func (f *Frontend) dispatch(w int, pick sched.Pick, scr *dispatchScratch) {
 		}
 	}
 	postEnd := f.now()
+	// The batch leaves the worker's outstanding count before its first
+	// answer is sent, so a caller holding its answer never counts it.
+	f.wq[w].outstanding.Add(-int32(len(queries)))
 	dispSec := max(postEnd-dispStart-infSec, 0)
 	done := f.now()
 	fin := f.core.Finish(pick, &scr.dec, target, infSec, done, ok)

@@ -63,8 +63,9 @@ type LLMWorker struct {
 	Models    llm.Set
 	SLO       float64
 	TimeScale float64
-	// Selector is consulted at every step boundary with the worker's
-	// observable state; nil pins the most accurate model.
+	// Selector picks each step's model from the worker's observable state
+	// (llm.Selector; an llm.RangeSelector is asked only when its last
+	// answer's range no longer holds); nil pins the most accurate model.
 	Selector sim.ModelSelector
 	// KVCap, when > 0, overrides every model's KV capacity in tokens.
 	KVCap int

@@ -26,6 +26,11 @@ type FixedSelector int
 // SelectModel returns the fixed index.
 func (s FixedSelector) SelectModel(int, int, float64, float64) int { return int(s) }
 
+// SelectRange returns the fixed index, which holds at every load.
+func (s FixedSelector) SelectRange(int) (model, lo, hi int) {
+	return int(s), math.MinInt, math.MaxInt
+}
+
 // LLMPolicySelector drives selection from an offline-generated token-stream
 // policy (core.GenerateLLM): the worker's bucketed outstanding-token load is
 // the policy state.
@@ -51,11 +56,18 @@ func NewLLMPolicySelector(pol *core.LLMPolicy, models llm.Set) (*LLMPolicySelect
 
 // SelectModel implements ModelSelector via the token-bucket policy lookup.
 func (s *LLMPolicySelector) SelectModel(_, outstandingTokens int, _, _ float64) int {
-	c := s.pol.Select(outstandingTokens)
+	model, _, _ := s.SelectRange(outstandingTokens)
+	return model
+}
+
+// SelectRange implements llm.RangeSelector: the policy's answer holds over
+// the load's bucket (core.LLMPolicy.SelectRange).
+func (s *LLMPolicySelector) SelectRange(outstandingTokens int) (model, lo, hi int) {
+	c, lo, hi := s.pol.SelectRange(outstandingTokens)
 	if c.Arrival {
-		return -1
+		return -1, lo, hi
 	}
-	return s.idx[c.ModelIdx]
+	return s.idx[c.ModelIdx], lo, hi
 }
 
 // ScalarPolicySelector drives selection from a scalar queue-state policy
@@ -107,6 +119,9 @@ type LLMMetrics struct {
 
 	Steps         int
 	ModelSwitches int
+	// Consults counts the selector's answers over all workers: one per step
+	// boundary, fewer under an llm.RangeSelector (llm.Counts).
+	Consults int
 	// PeakKVUsage is the maximum KV occupancy fraction any worker reached.
 	PeakKVUsage float64
 	// PrefillTokens and DecodeTokens count scheduled work over the run.
@@ -270,6 +285,7 @@ func (t *tokenWorkers) fold(run Metrics) LLMMetrics {
 		c := b.Counts()
 		m.Steps += c.Steps
 		m.ModelSwitches += c.Switches
+		m.Consults += c.Consults
 		m.PrefillTokens += c.PrefillTokens
 		m.DecodeTokens += c.DecodeTokens
 		m.PeakKVUsage = max(m.PeakKVUsage, c.PeakKV)

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -56,13 +57,13 @@ func (g *llmGolden) sum() uint64 {
 	return h.Sum64()
 }
 
-// run hashes one token run: every query's trace in ID order (worker, latency,
-// the batch-wait / prefill / decode spans, and whether it was turned away),
-// the tallies and the batchers' totals, the TTFT histogram whole, and the TBT
-// observations as a multiset — sorted bits, the histogram's count and
-// quantiles, not its sum, whose last bits depend on how the workers' tokens
-// interleave.
-func (g *llmGolden) run(e *LLMEngine, queries []TokenQuery) {
+// run hashes one token run and returns its metrics: every query's trace in
+// ID order (worker, latency, the batch-wait / prefill / decode spans, and
+// whether it was turned away), the tallies and the batchers' totals, the
+// TTFT histogram whole, and the TBT observations as a multiset — sorted
+// bits, the histogram's count and quantiles, not its sum, whose last bits
+// depend on how the workers' tokens interleave.
+func (g *llmGolden) run(e *LLMEngine, queries []TokenQuery) LLMMetrics {
 	traces := telemetry.NewTraceBuffer(len(queries))
 	e.Traces, e.CollectLatencies = traces, true
 	m := e.Run(queries)
@@ -103,6 +104,27 @@ func (g *llmGolden) run(e *LLMEngine, queries []TokenQuery) {
 	for p := 0.0; p <= 100; p += 2.5 {
 		g.floats(e.ttftHist.Quantile(p), e.tbtHist.Quantile(p))
 	}
+	return m
+}
+
+// goldenCells returns one engine per TestLLMEngineGolden cell of a selector
+// row: {1, 2, 3} workers × the default JSQ and a P2C balancer × the
+// profiles' KV capacity and a 3,000-token one.
+func goldenCells(models llm.Set, slo float64, sel ModelSelector) []*LLMEngine {
+	var cells []*LLMEngine
+	for workers := 1; workers <= 3; workers++ {
+		for _, p2c := range []bool{false, true} {
+			for _, kvCap := range []int{0, 3000} {
+				e := NewLLMEngine(models, slo, workers, sel)
+				if p2c {
+					e.Sched = Scheme{Balancer: lb.NewPowerOfTwoChoices(int64(workers))}
+				}
+				e.KVCap = kvCap
+				cells = append(cells, e)
+			}
+		}
+	}
+	return cells
 }
 
 // TestLLMEngineGolden pins the token engine end to end against constants
@@ -162,17 +184,8 @@ func TestLLMEngineGolden(t *testing.T) {
 	for _, wl := range workloads {
 		for _, sc := range selectors {
 			var g llmGolden
-			for workers := 1; workers <= 3; workers++ {
-				for _, p2c := range []bool{false, true} {
-					for _, kvCap := range []int{0, 3000} {
-						e := NewLLMEngine(models, slo, workers, sc.sel)
-						if p2c {
-							e.Sched = Scheme{Balancer: lb.NewPowerOfTwoChoices(int64(workers))}
-						}
-						e.KVCap = kvCap
-						g.run(e, wl.queries)
-					}
-				}
+			for _, e := range goldenCells(models, slo, sc.sel) {
+				g.run(e, wl.queries)
 			}
 			got[wl.name+"/"+sc.name] = g.sum()
 		}
@@ -187,5 +200,80 @@ func TestLLMEngineGolden(t *testing.T) {
 		if got[name] != w {
 			t.Errorf("%s: golden hash %#016x, want %#016x", name, got[name], w)
 		}
+	}
+}
+
+// rangeHidden passes every consult on to its selector but reports no
+// range, so its batcher asks at every step boundary.
+type rangeHidden struct{ ModelSelector }
+
+// TestLLMRangeSelectorMatchesEveryBoundary pins the batcher's kept answers
+// to consulting at every boundary: each of TestLLMEngineGolden's
+// token-policy cells, the admission-capped one included, run once with the
+// policy selector, which reports its bucket as its answer's range, and once
+// behind rangeHidden, must hash the same (per-query traces, counts, PeakKV,
+// the TTFT and TBT histograms), return the same LLMMetrics with the TTFT and
+// TBT observation sequences equal to the bit, and consult fewer times.
+func TestLLMRangeSelectorMatchesEveryBoundary(t *testing.T) {
+	models := llm.BuiltinSet()
+	cls := llm.GeneralClass()
+	const slo = 8.0
+	pol, err := core.GenerateLLM(core.LLMConfig{
+		Models: models, SLO: slo, Workers: 2, Rate: 4,
+		In: cls.In, Out: cls.Out,
+		TokenBucket: 128, MaxTokens: 8192,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy, err := NewLLMPolicySelector(pol, models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped := func(sel ModelSelector) *LLMEngine {
+		e := NewLLMEngine(models, slo, 2, sel)
+		e.Admit = admit.Cap{Limit: 6}
+		return e
+	}
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	for _, wl := range []struct {
+		name    string
+		queries []TokenQuery
+	}{
+		{"burst", burstWorkload()},
+		{"poisson", poissonTokenWorkload(6, 40, 3)},
+	} {
+		kept := append(goldenCells(models, slo, policy), capped(policy))
+		asked := append(goldenCells(models, slo, rangeHidden{policy}), capped(rangeHidden{policy}))
+		var keptConsults, askedConsults int
+		for i := range kept {
+			var gk, ga llmGolden
+			mk, ma := gk.run(kept[i], wl.queries), ga.run(asked[i], wl.queries)
+			if gk.sum() != ga.sum() {
+				t.Errorf("%s cell %d: golden hash %#016x with ranges, %#016x consulting every boundary", wl.name, i, gk.sum(), ga.sum())
+			}
+			if !slices.Equal(bits(mk.TTFTs), bits(ma.TTFTs)) || !slices.Equal(bits(mk.TBTs), bits(ma.TBTs)) {
+				t.Errorf("%s cell %d: TTFT or TBT observation sequences differ", wl.name, i)
+			}
+			if ma.Consults < ma.Steps {
+				t.Errorf("%s cell %d: %d consults over %d steps behind rangeHidden, want one per boundary", wl.name, i, ma.Consults, ma.Steps)
+			}
+			keptConsults += mk.Consults
+			askedConsults += ma.Consults
+			mk.Consults, ma.Consults = 0, 0
+			if !reflect.DeepEqual(mk, ma) {
+				t.Errorf("%s cell %d: metrics differ:\nranges %+v\nevery boundary %+v", wl.name, i, mk, ma)
+			}
+		}
+		if !(keptConsults < askedConsults) {
+			t.Errorf("%s: %d consults with ranges, %d at every boundary: no answer was kept", wl.name, keptConsults, askedConsults)
+		}
+		t.Logf("%s: %d consults with ranges, %d at every boundary", wl.name, keptConsults, askedConsults)
 	}
 }
