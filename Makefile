@@ -20,9 +20,11 @@ STATICCHECK_VERSION := 2024.1.1
 # offending files and always exits 0, so fail on non-empty output.
 # Network gate: the serving plane reaches the wire one way, through the
 # default network's listen and dial in internal/serve/process.go. Any other
-# net.Listen* or net.Dial* (net.Dialer included) in non-test code under
-# internal/ fails, and so does any net/http import in internal/lb, whose
-# health tracker takes its probes from the caller.
+# net.Listen* or net.Dial* (net.ListenConfig, net.ListenPacket and
+# net.Dialer included) in non-test code under internal/ fails; the
+# net.Listener type, which a server names to accept on, does not. Any
+# net/http import in internal/lb fails too: its health tracker takes its
+# probes from the caller.
 # Clock gate: a serving process holds modeled time through its process's
 # clock, whose default, the wall clock in internal/serve/process.go, is the
 # one place modeled time becomes a wall sleep. A time.Sleep anywhere else in
@@ -32,7 +34,7 @@ STATICCHECK_VERSION := 2024.1.1
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
-	@hits="$$(grep -rn --include='*.go' --exclude='*_test.go' -E 'net\.(Listen|Dial)' internal)"; \
+	@hits="$$(grep -rn --include='*.go' --exclude='*_test.go' -E 'net\.(Listen([^e]|$$)|Dial)' internal)"; \
 	if [ "$$(printf '%s\n' "$$hits" | grep -c '^internal/serve/process.go:')" != 2 ] || \
 		[ "$$(printf '%s\n' "$$hits" | grep -c .)" != 2 ]; then \
 		echo "net.Listen/net.Dial outside the default network (internal/serve/process.go):"; \

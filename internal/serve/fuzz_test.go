@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -17,6 +18,7 @@ import (
 
 	"ramsis/internal/profile"
 	"ramsis/internal/sim"
+	"ramsis/internal/telemetry"
 )
 
 // The /infer wire layer hand-rolls its JSON encode/decode (infer_client.go)
@@ -30,8 +32,8 @@ import (
 // JSON, and parseInferLatency keys off a byte sequence without validating
 // the surrounding document, so it can accept fragments encoding/json
 // refuses. FuzzInferExchange fuzzes the HTTP/1.1 framer the dispatcher
-// reads worker answers with, and FuzzWorkerConn the loop a worker serves a
-// taken-over connection with.
+// reads worker answers with, and FuzzWorkerConn the loop a worker serves
+// each connection with.
 
 // FuzzParseInferRequest cross-checks the allocation-free request decoder
 // against encoding/json and pins re-encode self-consistency.
@@ -271,27 +273,32 @@ type keptConn struct {
 
 func (c *keptConn) Write(p []byte) (int, error) { return c.out.Write(p) }
 
-// FuzzWorkerConn runs a taken-over connection's loop on arbitrary bytes
-// after one valid exchange (the request takeOver read). The loop must not
-// panic, must not allocate with a declared length (at most a fixed
+// FuzzWorkerConn runs a worker's connection loop on arbitrary bytes after
+// one valid request, with the worker's mux but /debug/pprof (a CPU profile
+// would hold an input for its 30 s). The loop must not panic, must not allocate with a declared length (at most a fixed
 // allowance plus a multiple of the input, whatever Content-Length says),
 // and everything it writes must be a run of answers framed by
 // Content-Length alone, the first of them the valid exchange's 200.
 func FuzzWorkerConn(f *testing.F) {
 	w := NewWorker(profile.ImageSet(), sim.Deterministic{}, 1e10, 1)
 	w.net = pipes
+	// The inputs' trace contexts fill the worker's ring across the run; a
+	// short ring keeps a /debug/traces answer within the allocation bound.
+	w.Traces = telemetry.NewTraceBuffer(8)
 	if err := w.Start(); err != nil {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { _ = w.Stop() })
-	first := []byte(`{"model":"shufflenet_v2_x0_5","batch":1}`)
+	mux := workerMux("POST /infer", refuseInfer, w.Traces)
+	mux.Handle("/metrics", w.Telemetry.Handler())
+	first := dispatchRequest("/infer", `{"model":"shufflenet_v2_x0_5","batch":1}`, "")
 	f.Fuzz(func(t *testing.T, in []byte) {
-		c := &keptConn{scriptConn: scriptConn{r: bytes.NewReader(in)}}
+		c := &keptConn{scriptConn: scriptConn{r: bytes.NewReader(append([]byte(first), in...))}}
 		c.out.Grow(4 << 10)
-		wc := &workerConn{w: w, c: c, br: bufio.NewReader(c), body: append([]byte(nil), first...)}
+		wc := &workerConn{w: w, c: c, br: bufio.NewReader(c), mux: mux}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		wc.serve(true)
+		wc.serve(context.Background())
 		runtime.ReadMemStats(&after)
 		if grown, allowed := after.TotalAlloc-before.TotalAlloc, uint64(64*maxRequestBody+64*len(in)); grown > allowed {
 			t.Fatalf("serving %d bytes allocated %d, want at most %d", len(in), grown, allowed)

@@ -145,16 +145,14 @@ func (s *postScratch) closeConns() {
 // is read by Content-Length alone, the one framing a worker's answer has:
 // a response without it, or with Transfer-Encoding, is errMalformed. The
 // request is serialized into the wire scratch in one piece — header block
-// and body — and written with a single syscall. It carries the dispatcher's
-// mark (dispatchHeader), on which a worker takes the connection over from
-// net/http after the first request.
+// and body — and written with a single syscall.
 func (ic *inferConn) exchange(s *postScratch, u *url.URL, body, traceCtx []byte) (status int, keep bool, err error) {
 	wire := s.wire[:0]
 	wire = append(wire, "POST "...)
 	wire = append(wire, u.Path...)
 	wire = append(wire, " HTTP/1.1\r\nHost: "...)
 	wire = append(wire, u.Host...)
-	wire = append(wire, "\r\n"+dispatchHeader+": 1\r\nContent-Length: "...)
+	wire = append(wire, "\r\nContent-Length: "...)
 	wire = strconv.AppendInt(wire, int64(len(body)), 10)
 	if len(traceCtx) > 0 {
 		wire = append(wire, "\r\nX-Trace-Id: "...)
@@ -329,31 +327,6 @@ func parseInferLatency(b []byte) (lat float64, ok bool) {
 	}
 	return lat, true
 }
-
-// readAllInto is io.ReadAll into a caller-owned buffer: dst's backing
-// array is reused and grown only past its previous high-water mark.
-func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
-		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return dst, err
-		}
-	}
-}
-
-// bufPool recycles request/response scratch buffers across worker
-// handler invocations.
-var bufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 256)
-	return &b
-}}
 
 // donePool recycles the one-shot response channels of the blocking query
 // paths (Do, the HTTP handlers). A channel may be recycled only after its

@@ -212,16 +212,15 @@ func TestClusterStopLeavesNoGoroutines(t *testing.T) {
 	requireGoroutines(t, baseline)
 }
 
-// TestWorkerStopClosesTakenOverConns stops one of a frontend's two
-// workers while the frontend holds taken-over connections to it (its
-// dispatch loop's and its prober's). The stopped worker's goroutines — its
-// accept loop and one serve loop per taken-over connection — must all
-// exit, though http.Server.Close no longer tracks those connections. The
+// TestWorkerStopClosesItsConns stops one of a frontend's two workers
+// while the frontend holds connections to it (its dispatch loop's and its
+// prober's). The stopped worker's goroutines — its accept loop and one
+// serve loop per connection — must all exit. The
 // frontend's next dispatches to it must fail as transport errors: each
 // reports a health failure and fails over within the retry budget, until
 // the second marks the worker unhealthy. Every query is answered exactly
 // once, and none is left outstanding.
-func TestWorkerStopClosesTakenOverConns(t *testing.T) {
+func TestWorkerStopClosesItsConns(t *testing.T) {
 	const failThreshold = 2 // lb's: consecutive failures that mask a worker
 	baseline := runtime.NumGoroutine()
 	workers := make([]*Worker, 2)
@@ -282,18 +281,16 @@ func TestWorkerStopClosesTakenOverConns(t *testing.T) {
 		}
 	}
 	dead := workers[1]
-	dead.taken.mu.Lock()
-	taken := len(dead.taken.open)
-	dead.taken.mu.Unlock()
-	if taken < 2 {
-		t.Fatalf("worker 1 holds %d taken-over connections, want its dispatch loop's and its prober's", taken)
+	open := countConns(dead)
+	if open < 2 {
+		t.Fatalf("worker 1 holds %d connections, want its dispatch loop's and its prober's", open)
 	}
 	running := runtime.NumGoroutine()
 	if err := dead.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	// Its accept loop and one serve loop per taken-over connection.
-	requireGoroutines(t, running-1-taken)
+	// Its accept loop and one serve loop per connection.
+	requireGoroutines(t, running-1-open)
 
 	before := f.Stats().WorkerDispatches[1]
 	for i := 0; f.health.IsHealthy(1); i++ {
@@ -320,6 +317,75 @@ func TestWorkerStopClosesTakenOverConns(t *testing.T) {
 	}
 	_ = f.Stop()
 	_ = workers[0].Stop()
+	requireGoroutines(t, baseline)
+}
+
+// stopWithin stops w and fails the test unless Stop returns within d.
+func stopWithin(t *testing.T, w *Worker, d time.Duration) {
+	t.Helper()
+	stopped := make(chan error, 1)
+	go func() { stopped <- w.Stop() }()
+	select {
+	case err := <-stopped:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(d):
+		t.Fatalf("Worker.Stop did not return within %v", d)
+	}
+}
+
+// TestWorkerStopEndsColdRequests starts a 30 s CPU profile on a worker, a
+// cold request its mux answers: Stop must end the profile and return
+// within 2 s, and leave no goroutine running.
+func TestWorkerStopEndsColdRequests(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	w := NewWorker(profile.ImageSet(), sim.Deterministic{}, 1e10, 1)
+	w.net = pipes
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := pipes.dial(strings.TrimPrefix(w.URL(), "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /debug/pprof/profile?seconds=30 HTTP/1.1\r\nHost: w\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	profiling := func() bool {
+		buf := make([]byte, 1<<20)
+		return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "net/http/pprof.Profile(")
+	}
+	if !waitUntil(t, 5*time.Second, profiling) {
+		t.Fatal("the profile handler never started")
+	}
+	stopWithin(t, w, 2*time.Second)
+	requireGoroutines(t, baseline)
+}
+
+// TestWorkerStopClosesSilentConn opens a connection to a worker that never
+// sends a byte: Stop must close it and join its loop.
+func TestWorkerStopClosesSilentConn(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	w := NewWorker(profile.ImageSet(), sim.Deterministic{}, 1e10, 1)
+	w.net = pipes
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := pipes.dial(strings.TrimPrefix(w.URL(), "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if !waitUntil(t, 5*time.Second, func() bool { return countConns(w) == 1 }) {
+		t.Fatal("the worker never accepted the connection")
+	}
+	stopWithin(t, w, 2*time.Second)
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("read %d bytes, %v after Stop; want the connection closed", n, err)
+	}
 	requireGoroutines(t, baseline)
 }
 

@@ -46,7 +46,7 @@ func TestPlaneListensOncePerServer(t *testing.T) {
 // at its deadline, so the worker is marked unhealthy by its second probe,
 // and Stop must still return.
 func TestHungProbeMarksWorkerUnhealthy(t *testing.T) {
-	ln, err := pipes.bind("")
+	ln, err := pipes.listen("")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@ import (
 	"syscall"
 )
 
-// pipeNet is an in-memory network: listen binds an accept channel under a
-// fresh address and serves on it, and dial hands one end of a net.Pipe to
+// pipeNet is an in-memory network: listen binds an accept channel under
+// addr (a fresh address when empty), and dial hands one end of a net.Pipe to
 // the listener at that address. A dial to an address with no open listener
 // is refused at once, as a closed TCP port refuses it, so failover keeps its
 // timing. Addresses are unique across every pipeNet of the test binary, so
@@ -34,18 +34,7 @@ var pipeListeners = struct {
 	last   int
 }{byAddr: map[string]*pipeListener{}}
 
-func (n *pipeNet) listen(addr string, srv *http.Server) (string, error) {
-	l, err := n.bind(addr)
-	if err != nil {
-		return "", err
-	}
-	go func() { _ = srv.Serve(l) }()
-	return l.addr.String(), nil
-}
-
-// bind opens a listener at addr (a fresh address when empty) without
-// serving on it.
-func (n *pipeNet) bind(addr string) (*pipeListener, error) {
+func (n *pipeNet) listen(addr string) (net.Listener, error) {
 	pipeListeners.Lock()
 	defer pipeListeners.Unlock()
 	if addr == "" {

@@ -11,28 +11,23 @@ import (
 )
 
 // network is the plane's one way onto the wire: listen binds a process's
-// address (a fresh one when addr is empty), serves srv there until srv is
-// closed and returns the bound address, and dial opens a connection to
-// another process's address. Every server listens and the dispatcher dials
-// through it; tcp is the default, and tests substitute an in-memory one.
+// address (a fresh one when addr is empty) and returns its listener, and
+// dial opens a connection to another process's address. Every server
+// listens and the dispatcher dials through it; tcp is the default, and
+// tests substitute an in-memory one.
 type network interface {
-	listen(addr string, srv *http.Server) (string, error)
+	listen(addr string) (net.Listener, error)
 	dial(addr string) (net.Conn, error)
 }
 
 // tcp is the default network: an empty address is a random localhost port.
 type tcp struct{}
 
-func (tcp) listen(addr string, srv *http.Server) (string, error) {
+func (tcp) listen(addr string) (net.Listener, error) {
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), nil
+	return net.Listen("tcp", addr)
 }
 
 func (tcp) dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
@@ -118,18 +113,26 @@ func (p *process) defaults(timeScale *float64) {
 	}
 }
 
-// serve binds addr on the process's network (a fresh address when empty)
-// and serves mux, the process's own routes, beside /metrics and
-// /debug/pprof until Stop.
-func (p *process) serve(addr string, mux *http.ServeMux) error {
+// listen adds /metrics and /debug/pprof to mux, the process's own routes,
+// and binds addr on the process's network (a fresh address when empty).
+func (p *process) listen(addr string, mux *http.ServeMux) (net.Listener, error) {
 	mux.Handle("/metrics", p.Telemetry.Handler())
 	telemetry.RegisterPprof(mux)
-	srv := &http.Server{Handler: mux}
-	bound, err := p.net.listen(addr, srv)
+	ln, err := p.net.listen(addr)
+	if err == nil {
+		p.addr = ln.Addr().String()
+	}
+	return ln, err
+}
+
+// serve listens as listen does and serves mux with net/http until Stop.
+func (p *process) serve(addr string, mux *http.ServeMux) error {
+	ln, err := p.listen(addr, mux)
 	if err != nil {
 		return err
 	}
-	p.addr = bound
+	srv := &http.Server{Handler: mux}
+	go func() { _ = srv.Serve(ln) }()
 	p.onStop(srv.Close)
 	return nil
 }

@@ -187,8 +187,8 @@ func TestWorkerFramesByContentLength(t *testing.T) {
 // TestWorkerCapsInferBody posts a 1 MiB /infer body — a valid request
 // padded with spaces, which the generic decoder would accept — and requires
 // a 400 after the worker has read no more than the cap: the bytes allocated
-// while it answers, and the pooled buffer it hands back, stay a small
-// multiple of maxRequestBody rather than growing with the body.
+// while it answers stay a small multiple of maxRequestBody rather than
+// growing with the body.
 func TestWorkerCapsInferBody(t *testing.T) {
 	u, err := url.Parse(startWorkers(t, 1, sim.Deterministic{}, 50)[0])
 	if err != nil {
@@ -219,11 +219,6 @@ func TestWorkerCapsInferBody(t *testing.T) {
 	if grown := after.TotalAlloc - before.TotalAlloc; grown > 64*maxRequestBody {
 		t.Errorf("answering a 1 MiB body allocated %d bytes, want at most %d", grown, 64*maxRequestBody)
 	}
-	bp := bufPool.Get().(*[]byte)
-	defer bufPool.Put(bp)
-	if c := cap(*bp); c > 4*maxRequestBody {
-		t.Errorf("pooled buffer kept %d bytes of capacity, want at most %d", c, 4*maxRequestBody)
-	}
 }
 
 // startWorker boots one image worker on the pipe network at TimeScale 50;
@@ -239,21 +234,19 @@ func startWorker(t *testing.T) *Worker {
 	return w
 }
 
-// marked is a request as the dispatcher's exchange writes it: the
-// dispatcher's mark, a Content-Length body and, when trace is not empty,
-// the X-Trace-Id context.
-func marked(path, body, trace string) string {
-	req := "POST " + path + " HTTP/1.1\r\nHost: w\r\n" + dispatchHeader + ": 1\r\nContent-Length: " + strconv.Itoa(len(body))
+// dispatchRequest is a request as the dispatcher's exchange writes it: a
+// Content-Length body and, when trace is not empty, the X-Trace-Id context.
+func dispatchRequest(path, body, trace string) string {
+	req := "POST " + path + " HTTP/1.1\r\nHost: w\r\nContent-Length: " + strconv.Itoa(len(body))
 	if trace != "" {
 		req += "\r\nX-Trace-Id: " + trace
 	}
 	return req + "\r\n\r\n" + body
 }
 
-// takenConn dials w and sends one marked /infer, which takes the
-// connection over; it returns the connection and its reader, past the
-// first answer.
-func takenConn(t *testing.T, w *Worker) (net.Conn, *bufio.Reader) {
+// servedConn dials w and sends one /infer; it returns the connection and
+// its reader, past the first answer.
+func servedConn(t *testing.T, w *Worker) (net.Conn, *bufio.Reader) {
 	t.Helper()
 	u, err := url.Parse(w.URL())
 	if err != nil {
@@ -265,8 +258,8 @@ func takenConn(t *testing.T, w *Worker) (net.Conn, *bufio.Reader) {
 	}
 	t.Cleanup(func() { conn.Close() })
 	br := bufio.NewReader(conn)
-	if status, _ := readAnswer(t, conn, br, marked("/infer", `{"model":"shufflenet_v2_x0_5","batch":1}`, "")); status != http.StatusOK {
-		t.Fatalf("first marked /infer: status %d, want 200", status)
+	if status, _ := readAnswer(t, conn, br, dispatchRequest("/infer", `{"model":"shufflenet_v2_x0_5","batch":1}`, "")); status != http.StatusOK {
+		t.Fatalf("first /infer: status %d, want 200", status)
 	}
 	return conn, br
 }
@@ -295,31 +288,48 @@ func readAnswer(t *testing.T, conn net.Conn, br *bufio.Reader, req string) (int,
 	return resp.StatusCode, body
 }
 
-// requireClosed fails the test unless the worker closes conn, unanswered,
-// within 5 s of req being written: the write runs beside the read, since
-// the worker may stop reading before the request ends.
-func requireClosed(t *testing.T, conn net.Conn, br *bufio.Reader, req []byte) {
+// requireClosed fails the test unless the worker, within 5 s of req being
+// written, answers it with status want framed by Content-Length (want 0:
+// does not answer it) and then closes conn. The write runs beside the
+// read, since the worker may stop reading before the request ends.
+func requireClosed(t *testing.T, conn net.Conn, br *bufio.Reader, req []byte, want int) {
 	t.Helper()
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	go func() { _, _ = conn.Write(req) }()
+	if want != 0 {
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Errorf("%.40q: %v; want a %d answer", req, err, want)
+			return
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		if err != nil || resp.StatusCode != want || resp.Header.Get("Content-Length") == "" {
+			t.Errorf("%.40q: answered %d, Content-Length %q, %v; want %d framed by Content-Length",
+				req, resp.StatusCode, resp.Header.Get("Content-Length"), err, want)
+		}
+	}
 	if b, err := io.ReadAll(br); err != nil || len(b) > 0 {
-		t.Errorf("%.40q: read %q, %v after it; want the connection closed unanswered", req, b, err)
+		t.Errorf("%.40q: read %q, %v after the answer; want the connection closed", req, b, err)
 	}
 }
 
-// TestTakenOverConnAnswersLikeNetHTTP serves a 200, a 404 (unknown model),
-// a 400 (batch out of range), a 200 and a /healthz on one marked
-// connection: each answer has the status and the Content-Length framing
-// net/http gives it (TestWorkerFramesByContentLength), and the connection
-// stays open through the errors.
-func TestTakenOverConnAnswersLikeNetHTTP(t *testing.T) {
+// countConns returns the number of connections w holds open.
+func countConns(w *Worker) int {
+	w.connMu.Lock()
+	defer w.connMu.Unlock()
+	return len(w.conns)
+}
+
+// TestWorkerConnAnswersLikeNetHTTP serves a 200, a 404 (unknown model),
+// a 400 (batch out of range), a 200 and a /healthz on one connection: each
+// answer has the status and the Content-Length framing net/http gives it
+// (TestWorkerFramesByContentLength), and the connection stays open through
+// the errors.
+func TestWorkerConnAnswersLikeNetHTTP(t *testing.T) {
 	w := startWorker(t)
-	conn, br := takenConn(t, w)
-	w.taken.mu.Lock()
-	taken := len(w.taken.open)
-	w.taken.mu.Unlock()
-	if taken != 1 {
-		t.Fatalf("%d connections taken over after a marked /infer, want 1", taken)
+	conn, br := servedConn(t, w)
+	if n := countConns(w); n != 1 {
+		t.Fatalf("%d connections open after one /infer, want 1", n)
 	}
 	for _, c := range []struct {
 		path, body string
@@ -333,7 +343,7 @@ func TestTakenOverConnAnswersLikeNetHTTP(t *testing.T) {
 		{"/infer", `{"model":"shufflenet_v2_x0_5","batch":2}`, http.StatusOK},
 		{"/healthz", ``, http.StatusOK},
 	} {
-		status, body := readAnswer(t, conn, br, marked(c.path, c.body, ""))
+		status, body := readAnswer(t, conn, br, dispatchRequest(c.path, c.body, ""))
 		if status != c.want {
 			t.Errorf("%s %s: status %d, want %d", c.path, c.body, status, c.want)
 		}
@@ -343,44 +353,53 @@ func TestTakenOverConnAnswersLikeNetHTTP(t *testing.T) {
 	}
 }
 
-// TestTakenOverConnClosesOnWhatItDoesNotServe sends, each after one valid
-// exchange on a fresh marked connection, a request the loop does not
-// serve: it must close the connection without an answer. A declared body
-// over maxRequestBody is refused before any buffer is sized for it, as
-// TestWorkerCapsInferBody bounds the net/http path.
-func TestTakenOverConnClosesOnWhatItDoesNotServe(t *testing.T) {
+// TestWorkerConnClosesOnWhatItDoesNotServe sends, each after one valid
+// exchange on a fresh connection, a request the loop does not keep the
+// connection open for. A request net/http answers (a GET /infer, a POST
+// /metrics, /infer over HTTP/1.0) gets net/http's answer and then a closed
+// connection; framing the loop does not read (a chunked body, an over-long
+// header line, a header line without a colon, two differing
+// Content-Lengths) closes it unanswered. A declared body over
+// maxRequestBody is answered 400 before any buffer is sized for it, as
+// TestWorkerCapsInferBody requires.
+func TestWorkerConnClosesOnWhatItDoesNotServe(t *testing.T) {
 	w := startWorker(t)
-	for _, req := range []string{
-		"GET /infer HTTP/1.1\r\nHost: w\r\n\r\n",
-		marked("/metrics", "", ""),
-		"POST /infer HTTP/1.1\r\nHost: w\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
-		"POST /infer HTTP/1.0\r\nContent-Length: 2\r\n\r\n{}",
-		"POST /infer HTTP/1.1\r\nX-Trace-Id: " + strings.Repeat("a", 8<<10) + "\r\n\r\n",
+	for _, c := range []struct {
+		req  string
+		want int
+	}{
+		{"GET /infer HTTP/1.1\r\nHost: w\r\n\r\n", http.StatusMethodNotAllowed},
+		{dispatchRequest("/metrics", "", ""), http.StatusOK},
+		{"POST /infer HTTP/1.1\r\nHost: w\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n", 0},
+		{"POST /infer HTTP/1.0\r\nContent-Length: 2\r\n\r\n{}", http.StatusHTTPVersionNotSupported},
+		{"POST /infer HTTP/1.1\r\nX-Trace-Id: " + strings.Repeat("a", 8<<10) + "\r\n\r\n", 0},
+		{"POST /infer HTTP/1.1\r\nContent-Length 2\r\n\r\n{}", 0},
+		{"POST /infer HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 41\r\n\r\n{}", 0},
 	} {
-		conn, br := takenConn(t, w)
-		requireClosed(t, conn, br, []byte(req))
+		conn, br := servedConn(t, w)
+		requireClosed(t, conn, br, []byte(c.req), c.want)
 	}
 
 	body := `{"model":"shufflenet_v2_x0_5","batch":1` + strings.Repeat(" ", 1<<20) + `}`
-	req := []byte(marked("/infer", body, ""))
-	conn, br := takenConn(t, w)
+	req := []byte(dispatchRequest("/infer", body, ""))
+	conn, br := servedConn(t, w)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	requireClosed(t, conn, br, req)
+	requireClosed(t, conn, br, req, http.StatusBadRequest)
 	runtime.ReadMemStats(&after)
 	if grown := after.TotalAlloc - before.TotalAlloc; grown > 64*maxRequestBody {
 		t.Errorf("refusing a 1 MiB body allocated %d bytes, want at most %d", grown, 64*maxRequestBody)
 	}
 }
 
-// TestTakenOverConnReadsLongestTraceContext sends the longest X-Trace-Id
-// a dispatcher writes — a batch of the largest profiled size, each trace
-// ID as long as a client may set one (maxTraceID), and the longest shard
-// name as the parent — on a taken-over connection: it must fit the loop's
-// header bound and record a fragment per trace ID.
-func TestTakenOverConnReadsLongestTraceContext(t *testing.T) {
+// TestWorkerConnReadsLongestTraceContext sends the longest X-Trace-Id a
+// dispatcher writes — a batch of the largest profiled size, each trace ID
+// as long as a client may set one (maxTraceID), and the longest shard name
+// as the parent — on a worker's connection: it must fit the loop's header
+// bound and record a fragment per trace ID.
+func TestWorkerConnReadsLongestTraceContext(t *testing.T) {
 	w := startWorker(t)
-	conn, br := takenConn(t, w)
+	conn, br := servedConn(t, w)
 	ids := make([]string, profile.MaxSupportedBatch)
 	for i := range ids {
 		ids[i] = strings.Repeat(telemetry.NewTraceID(), maxTraceID/16)
@@ -390,7 +409,7 @@ func TestTakenOverConnReadsLongestTraceContext(t *testing.T) {
 		t.Fatalf("the longest X-Trace-Id line is %d bytes, past a %d-byte reader", n, br.Size())
 	}
 	body := appendInferRequest(nil, "shufflenet_v2_x0_5", profile.MaxSupportedBatch)
-	if status, _ := readAnswer(t, conn, br, marked("/infer", string(body), ctx)); status != http.StatusOK {
+	if status, _ := readAnswer(t, conn, br, dispatchRequest("/infer", string(body), ctx)); status != http.StatusOK {
 		t.Fatalf("longest trace context: status %d, want 200", status)
 	}
 	got := map[string]int{}
@@ -401,6 +420,83 @@ func TestTakenOverConnReadsLongestTraceContext(t *testing.T) {
 		if got[id] != 1 {
 			t.Errorf("trace %s: %d worker fragments, want 1", id, got[id])
 		}
+	}
+}
+
+// TestWorkerServesGenericClients sends what clients other than the
+// dispatcher send, each on a fresh connection. Go's http.Client, with its
+// own header set, gets the bytes the dispatcher's exchange gets for the
+// same body. The loop ignores Expect: 100-continue (the body is already
+// sent) and Connection: close, and answers a run of hot requests on one
+// connection; a GET of /healthz, /metrics or /debug/traces is answered by
+// the worker's mux, and then the connection closes.
+func TestWorkerServesGenericClients(t *testing.T) {
+	w := startWorker(t)
+	u, err := url.Parse(w.URL() + "/infer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"model":"shufflenet_v2_x0_5","batch":2}`
+	s := &postScratch{net: pipes}
+	defer s.closeConns()
+	if status, err := s.roundTrip(0, u, []byte(body), nil); err != nil || status != http.StatusOK {
+		t.Fatalf("exchange: status %d, %v", status, err)
+	}
+	resp, err := pipeClient.Post(u.String(), "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || string(got) != string(s.resp) {
+		t.Errorf("http.Client: %d %q, %v; want 200 %q as exchange reads it", resp.StatusCode, got, err, s.resp)
+	}
+
+	get := func(path string) string { return "GET " + path + " HTTP/1.1\r\nHost: w\r\n\r\n" }
+	for _, c := range []struct {
+		name, req string
+		want      []int
+		closes    bool
+	}{
+		{"expect 100-continue", "POST /infer HTTP/1.1\r\nHost: w\r\nExpect: 100-continue\r\nContent-Length: " +
+			strconv.Itoa(len(body)) + "\r\n\r\n" + body, []int{http.StatusOK}, false},
+		{"connection close", "POST /infer HTTP/1.1\r\nHost: w\r\nConnection: close\r\nContent-Length: " +
+			strconv.Itoa(len(body)) + "\r\n\r\n" + body, []int{http.StatusOK}, false},
+		{"infer healthz infer", dispatchRequest("/infer", body, "") + dispatchRequest("/healthz", "", "") +
+			dispatchRequest("/infer", body, ""), []int{http.StatusOK, http.StatusOK, http.StatusOK}, false},
+		{"GET /healthz", get("/healthz"), []int{http.StatusOK}, true},
+		{"GET /metrics", get("/metrics"), []int{http.StatusOK}, true},
+		{"GET /debug/traces", get("/debug/traces"), []int{http.StatusOK}, true},
+	} {
+		conn, err := pipes.dial(u.Host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		go func() { _, _ = conn.Write([]byte(c.req)) }()
+		br := bufio.NewReader(conn)
+		for i, want := range c.want {
+			resp, err := http.ReadResponse(br, nil)
+			if err != nil {
+				t.Errorf("%s: answer %d: %v", c.name, i, err)
+				break
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != want || resp.Header.Get("Content-Length") == "" {
+				t.Errorf("%s: answer %d: %d %q, Content-Length %q, %v; want %d framed by Content-Length",
+					c.name, i, resp.StatusCode, got, resp.Header.Get("Content-Length"), err, want)
+			}
+			if resp.Close != c.closes {
+				t.Errorf("%s: answer %d: Connection: close is %v, want %v", c.name, i, resp.Close, c.closes)
+			}
+		}
+		if c.closes {
+			if b, err := io.ReadAll(br); err != nil || len(b) > 0 {
+				t.Errorf("%s: read %q, %v after the answer; want the connection closed", c.name, b, err)
+			}
+		}
+		conn.Close()
 	}
 }
 

@@ -12,6 +12,8 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"cmp"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -44,22 +46,15 @@ type InferResponse struct {
 
 // maxRequestBody bounds the request body of both worker routes, /infer and
 // /generate: an InferRequest is a model name and an integer, a GenRequest
-// two integers. A longer body answers 400 and closes the connection (on a
-// taken-over connection it closes the connection unanswered).
+// two integers. A longer body answers 400 and closes the connection.
 const maxRequestBody = 4 << 10
-
-// dispatchHeader marks a request written by the plane's own dispatcher
-// (exchange writes it on every request, with the value 1). A scalar worker
-// takes the connection of a marked POST /infer or /healthz over from
-// net/http and serves it itself (Worker.takeOver).
-const dispatchHeader = "X-Dispatch"
 
 // Worker is an HTTP inference worker: POST /infer holds the connection for
 // the model's profiled batch latency. TimeScale > 1 compresses modeled time
 // by that factor (a 300 ms inference sleeps 30 ms at TimeScale 10), letting
 // tests exercise the full stack quickly; metrics are reported in modeled
-// time either way. A dispatcher's connection leaves net/http after its
-// first request (takeOver); every other client stays on net/http.
+// time either way. The worker serves every connection on its own loop
+// (workerConn), without net/http's server.
 type Worker struct {
 	Profiles  profile.Set
 	Latency   sim.LatencyModel
@@ -86,9 +81,10 @@ type Worker struct {
 	// key conversion, it resolves the fast-parsed model without copying
 	// the name out of the request buffer.
 	prof map[string]profile.Profile
-	// taken are the connections taken over from net/http, which
-	// http.Server.Close no longer reaches; Stop closes and joins them.
-	taken takenConns
+	// conns are the connections the worker holds open; accept closes them
+	// once Stop closes the listener.
+	connMu sync.Mutex
+	conns  map[net.Conn]struct{}
 }
 
 // NewWorker builds a worker server (not yet started).
@@ -118,18 +114,34 @@ func (w *Worker) Start() error {
 	}
 	w.Telemetry.Help(telemetry.MetricInferenceSeconds, "Realized inference latency per batch in modeled seconds.")
 	w.Telemetry.Help(telemetry.MetricInferences, "Batches executed, by model.")
-	// Registered before serve, so Stop runs it after the server's Close:
-	// no connection is accepted, and so none taken over, while it runs.
-	w.onStop(w.taken.close)
-	return w.serve("", workerMux("/infer", w.handleInfer, w.handleHealthz, w.Traces))
+	mux := workerMux("POST /infer", refuseInfer, w.Traces)
+	ln, err := w.listen("", mux)
+	if err != nil {
+		return err
+	}
+	// Cold requests run under ctx, so Stop ends a long one (a CPU profile).
+	ctx, cancel := context.WithCancel(context.Background())
+	w.conns = make(map[net.Conn]struct{})
+	done := make(chan struct{})
+	go func() {
+		w.accept(ctx, ln, mux)
+		close(done)
+	}()
+	w.onStop(func() error {
+		cancel()
+		err := ln.Close()
+		<-done
+		return err
+	})
+	return nil
 }
 
 // workerMux is a worker's own routes, shared by both worker kinds: its work
 // route, /healthz for the frontends' health trackers, and its trace ring.
-func workerMux(route string, work, health http.HandlerFunc, traces *telemetry.TraceBuffer) *http.ServeMux {
+func workerMux(route string, work http.HandlerFunc, traces *telemetry.TraceBuffer) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc(route, work)
-	mux.HandleFunc("/healthz", health)
+	mux.HandleFunc("/healthz", healthz)
 	mux.Handle("/debug/traces", traces.Handler())
 	return mux
 }
@@ -137,52 +149,48 @@ func workerMux(route string, work, health http.HandlerFunc, traces *telemetry.Tr
 // healthz answers 200 to any method.
 func healthz(rw http.ResponseWriter, _ *http.Request) { rw.WriteHeader(http.StatusOK) }
 
-// dispatched reports whether req carries the dispatcher's mark.
-func dispatched(req *http.Request) bool { return len(req.Header[dispatchHeader]) > 0 }
-
-func (w *Worker) handleHealthz(rw http.ResponseWriter, req *http.Request) {
-	if req.Method == http.MethodPost && dispatched(req) {
-		w.takeOver(rw, req, false)
+// refuseInfer answers a POST /infer the connection loop left to the mux:
+// 505 over HTTP/1.0, and 400 to a request line the loop does not read
+// byte for byte (a query string, an absolute URI).
+func refuseInfer(rw http.ResponseWriter, req *http.Request) {
+	if !req.ProtoAtLeast(1, 1) {
+		http.Error(rw, "HTTP/1.1 required", http.StatusHTTPVersionNotSupported)
 		return
 	}
-	healthz(rw, req)
+	http.Error(rw, "request line must read "+inferLine, http.StatusBadRequest)
 }
 
-func (w *Worker) handleInfer(rw http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		http.Error(rw, "POST required", http.StatusMethodNotAllowed)
-		return
+// accept serves each connection ln accepts on its own loop. Once ln
+// closes, it closes every open connection and returns when their loops
+// have.
+func (w *Worker) accept(ctx context.Context, ln net.Listener, mux http.Handler) {
+	var loops sync.WaitGroup
+	for {
+		c, err := ln.Accept()
+		if err != nil {
+			break
+		}
+		w.connMu.Lock()
+		w.conns[c] = struct{}{}
+		w.connMu.Unlock()
+		loops.Add(1)
+		go func() {
+			defer loops.Done()
+			(&workerConn{w: w, c: c, br: bufio.NewReader(c), mux: mux}).serve(ctx)
+			w.connMu.Lock()
+			delete(w.conns, c)
+			w.connMu.Unlock()
+		}()
 	}
-	if dispatched(req) {
-		w.takeOver(rw, req, true)
-		return
+	w.connMu.Lock()
+	for c := range w.conns {
+		_ = c.Close()
 	}
-	// Read into a pooled scratch buffer: json.NewDecoder allocated its own
-	// buffered reader per request, which dominated the worker-side
-	// allocation profile at saturation.
-	bp := bufPool.Get().(*[]byte)
-	defer bufPool.Put(bp)
-	buf, err := readAllInto((*bp)[:0], http.MaxBytesReader(rw, req.Body, maxRequestBody))
-	*bp = buf[:0]
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	status, out := w.infer(buf[len(buf):], buf, req.Header.Get("X-Trace-Id"))
-	if status != http.StatusOK {
-		http.Error(rw, string(out), status)
-		return
-	}
-	// Suppress the automatic Content-Type (sniffing) and Date headers:
-	// the /infer wire is internal and header-minimal, and every response
-	// header costs a client a parse allocation per POST.
-	h := rw.Header()
-	h["Content-Type"] = nil
-	h["Date"] = nil
-	_, _ = rw.Write(out)
+	w.connMu.Unlock()
+	loops.Wait()
 }
 
-// infer is the inference core both /infer paths share: it resolves and
+// infer is the worker's inference core: it resolves and
 // validates one request body, draws the batch's latency, counts the batch,
 // holds it for the latency on the process clock, records its trace
 // fragments, and appends the answer to dst. The answer is the
@@ -263,55 +271,50 @@ func (w *Worker) recordTraces(header, model string, batch int, lat float64) {
 	}
 }
 
-// takeOver serves a dispatcher's connection outside net/http, whose
-// per-request parsing, header maps and background reads were most of the
-// worker hop. It reads the marked request's body as the handler would
-// (a body over maxRequestBody is answered 400 by net/http and the
-// connection is not taken), takes the connection, and answers that request
-// and every later one itself (workerConn.serve) until the connection
-// fails. infer tells /infer from /healthz.
-func (w *Worker) takeOver(rw http.ResponseWriter, req *http.Request, infer bool) {
-	wc := &workerConn{w: w, trace: req.Header.Get("X-Trace-Id")}
-	body, err := readAllInto(nil, http.MaxBytesReader(rw, req.Body, maxRequestBody))
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	c, brw, err := rw.(http.Hijacker).Hijack()
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if !w.taken.add(c) {
-		_ = c.Close()
-		return
-	}
-	defer w.taken.done(c)
-	wc.c, wc.br, wc.body = c, brw.Reader, body
-	wc.serve(infer)
-}
-
-// workerConn is one connection a worker took over: its reader and the
-// current request's body and trace context, with the answer's scratch.
-// Only its serve loop touches it.
+// workerConn is one connection a worker serves: its reader, the mux that
+// answers cold requests, and the current request's body and trace context,
+// with the answer's scratch. Only its serve loop touches it.
 type workerConn struct {
 	w     *Worker
 	c     net.Conn
 	br    *bufio.Reader
+	mux   http.Handler
 	body  []byte
 	trace string
 	out   []byte // the answer's body
 	wire  []byte // the answer: status line, Content-Length and body
 }
 
-// serve answers the request takeOver read, then reads and answers the
-// connection's next request, until a read, a write or a request's framing
-// fails; then it closes the connection.
-func (wc *workerConn) serve(infer bool) {
+// The request lines the loop reads itself (hot requests); every other
+// request is cold.
+const (
+	inferLine  = "POST /infer HTTP/1.1"
+	healthLine = "POST /healthz HTTP/1.1"
+)
+
+// serve reads and answers the connection's requests until a read, a write
+// or a request's framing fails, then closes the connection. Hot requests
+// are read by next and answered on the loop, and the connection stays
+// open; a cold one is answered by cold, and the connection closes after it.
+func (wc *workerConn) serve(ctx context.Context) {
 	defer wc.c.Close()
 	for {
+		infer, hot, err := wc.route()
+		if err != nil {
+			return
+		}
+		if !hot {
+			wc.cold(ctx)
+			return
+		}
+		n, ok := wc.next()
+		if !ok {
+			return
+		}
 		status, out := http.StatusOK, wc.out[:0]
-		if infer {
+		if n > maxRequestBody {
+			status, out = http.StatusBadRequest, append(out, "http: request body too large"...)
+		} else if infer {
 			status, out = wc.w.infer(out, wc.body, wc.trace)
 		}
 		wc.out = out
@@ -324,109 +327,123 @@ func (wc *workerConn) serve(infer bool) {
 		wire = append(wire, "\r\n\r\n"...)
 		wire = append(wire, out...)
 		wc.wire = wire
-		if _, err := wc.c.Write(wire); err != nil {
-			return
-		}
-		var ok bool
-		if infer, ok = wc.next(); !ok {
+		if _, err := wc.c.Write(wire); err != nil || n > maxRequestBody {
 			return
 		}
 	}
 }
 
-// next reads the connection's next request, bounded as exchange bounds an
-// answer: a request line and header lines that each fit the reader's
-// buffer, and a body of exactly Content-Length bytes (none without one),
-// at most maxRequestBody, checked before the body buffer is sized. The body
-// lands in wc.body and the X-Trace-Id value in wc.trace; infer tells
-// /infer from /healthz. ok is false on a read error and on a request the
-// loop does not serve: any request line but a POST of /infer or /healthz
-// over HTTP/1.1, a header line without a colon, Transfer-Encoding, or a
-// Content-Length that does not parse or exceeds maxRequestBody.
-func (wc *workerConn) next() (infer, ok bool) {
-	line, err := readLine(wc.br)
-	if err != nil {
-		return false, false
+// route peeks at the next request line one byte at a time, so that a short
+// request is seen whole without waiting for bytes that may never come. hot
+// reports a line the loop reads itself, which route then discards (infer
+// tells /infer from /healthz); a cold line stays unread.
+func (wc *workerConn) route() (infer, hot bool, err error) {
+	for n := 1; ; n++ {
+		b, err := wc.br.Peek(n)
+		if err != nil {
+			return false, false, err
+		}
+		if b[n-1] == '\n' {
+			line := bytes.TrimSuffix(b[:n-1], []byte("\r"))
+			infer = string(line) == inferLine
+			if hot = infer || string(line) == healthLine; hot {
+				_, err = wc.br.Discard(n)
+			}
+			return infer, hot, err
+		}
+		if !isPrefix(b, inferLine+"\r") && !isPrefix(b, healthLine+"\r") {
+			return false, false, nil
+		}
 	}
-	switch string(line) {
-	case "POST /infer HTTP/1.1":
-		infer = true
-	case "POST /healthz HTTP/1.1":
-	default:
-		return false, false
-	}
-	n := 0
+}
+
+// isPrefix reports whether b is a prefix of s.
+func isPrefix(b []byte, s string) bool { return len(b) <= len(s) && string(b) == s[:len(b)] }
+
+// next reads the header lines and body of the hot request whose line route
+// read, bounded as exchange bounds an answer: header lines that each fit
+// the reader's buffer, and a body of exactly Content-Length bytes (none
+// without one), at most maxRequestBody, checked before the body buffer is
+// sized. The body lands in wc.body and the X-Trace-Id value in wc.trace.
+// n is the declared Content-Length: past maxRequestBody next stops there,
+// the body unread, and the loop answers 400 and closes. ok is false on a
+// read error and on framing the loop does not serve: a header line without
+// a colon, Transfer-Encoding, a Content-Length that does not parse, or a
+// second Content-Length that differs from the first.
+func (wc *workerConn) next() (n int, ok bool) {
+	n = -1
 	wc.trace = ""
 	for {
 		h, err := readLine(wc.br)
 		if err != nil {
-			return false, false
+			return 0, false
 		}
 		if len(h) == 0 {
 			break
 		}
 		key, val, found := bytes.Cut(h, []byte(":"))
 		if !found {
-			return false, false
+			return 0, false
 		}
 		val = bytes.TrimSpace(val)
 		switch {
 		case bytes.EqualFold(key, []byte("Content-Length")):
-			n, err = strconv.Atoi(string(val))
-			if err != nil || n < 0 || n > maxRequestBody {
-				return false, false
+			v, err := strconv.Atoi(string(val))
+			if err != nil || v < 0 || n >= 0 && v != n {
+				return 0, false
+			}
+			if n = v; n > maxRequestBody {
+				return n, true
 			}
 		case bytes.EqualFold(key, []byte("Transfer-Encoding")):
-			return false, false
+			return 0, false
 		case bytes.EqualFold(key, []byte("X-Trace-Id")):
 			wc.trace = string(val)
 		}
 	}
+	n = max(n, 0)
 	wc.body = slices.Grow(wc.body[:0], n)[:n]
-	_, err = io.ReadFull(wc.br, wc.body)
-	return infer, err == nil
+	_, err := io.ReadFull(wc.br, wc.body)
+	return n, err == nil
 }
 
-// takenConns tracks a worker's taken-over connections. close closes each,
-// waits for its serve loop to return, and refuses every connection taken
-// after it.
-type takenConns struct {
-	mu     sync.Mutex
-	open   map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
-}
-
-// add registers c, unless close has run.
-func (t *takenConns) add(c net.Conn) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return false
+// cold answers a request route left unread through the worker's mux, under
+// ctx, which Stop cancels. net/http's parser reads the request over a bound
+// of http.DefaultMaxHeaderBytes, net/http's own header bound; a request it
+// refuses closes the connection unanswered. The answer is framed by
+// Content-Length and Connection: close, and the connection closes after it.
+func (wc *workerConn) cold(ctx context.Context) {
+	req, err := http.ReadRequest(bufio.NewReader(io.LimitReader(wc.br, http.DefaultMaxHeaderBytes)))
+	if err != nil {
+		return
 	}
-	if t.open == nil {
-		t.open = make(map[net.Conn]struct{})
+	a := &coldAnswer{header: http.Header{}}
+	wc.mux.ServeHTTP(a, req.WithContext(ctx))
+	resp := &http.Response{
+		StatusCode: cmp.Or(a.status, http.StatusOK), ProtoMajor: 1, ProtoMinor: 1,
+		Header: a.header, Body: io.NopCloser(&a.body), ContentLength: int64(a.body.Len()),
+		Close: true,
 	}
-	t.open[c] = struct{}{}
-	t.wg.Add(1)
-	return true
+	_ = resp.Write(wc.c)
 }
 
-// done unregisters c once its loop has returned.
-func (t *takenConns) done(c net.Conn) {
-	t.mu.Lock()
-	delete(t.open, c)
-	t.mu.Unlock()
-	t.wg.Done()
+// coldAnswer is the ResponseWriter a cold request's handler writes to: it
+// keeps the header, the first status and the body until the handler returns.
+type coldAnswer struct {
+	header http.Header
+	status int
+	body   bytes.Buffer
 }
 
-func (t *takenConns) close() error {
-	t.mu.Lock()
-	t.closed = true
-	for c := range t.open {
-		_ = c.Close()
+func (a *coldAnswer) Header() http.Header { return a.header }
+
+func (a *coldAnswer) WriteHeader(status int) {
+	if a.status == 0 {
+		a.status = status
 	}
-	t.mu.Unlock()
-	t.wg.Wait()
-	return nil
+}
+
+func (a *coldAnswer) Write(b []byte) (int, error) {
+	a.WriteHeader(http.StatusOK)
+	return a.body.Write(b)
 }
