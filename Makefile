@@ -139,10 +139,14 @@ saturate-smoke:
 # configurations whose builds fan out the same way. TestStationaryMatchesGTH
 # bounds the stationary pass on the grid's and the benchmark's policy chains
 # by 1e-12 in L1 against an exact GTH solve at both thread counts (~40 s on
-# two cores in all).
+# two cores in all). The sim <-> serve differentials and the deadline
+# boundary run at both thread counts too (~1 s): the frontend's dispatch
+# loop, its worker and the fake clock are goroutines, so an order that
+# held only under one scheduling would show here.
 goldens:
 	$(GO) test -count=1 -cpu 1,2 -run 'Golden|Trimmed|TestReachCutBuildMatchesFullTables|TestLLMPhiTableMatchesDirect|TestStationaryMatchesGTH' ./internal/core/ ./internal/sim/
 	$(GO) test -count=1 -cpu 1,2 -run 'TestDefaultSolverMatchesJacobi/llm/' ./internal/core/
+	$(GO) test -count=1 -cpu 1,2 -run 'TestFrontendMatchesSimEngine|TestLLMWorkerMatchesSimEngine|TestFrontendQueryFinishingExactlyOnDeadlineMeetsIt' ./internal/serve/
 
 # The repository benchmark (BENCHMARK.json) lives in bench/, a module of
 # its own that compiles against this module's internal packages through a

@@ -127,8 +127,8 @@ func (o *options) runSharded(ctx context.Context, base core.Config) error {
 	if err != nil {
 		return err
 	}
-	o.Printf("solving %d per-tenant policies (%d shards x %d workers, %s sharding)...\n",
-		len(tenants), o.shards, o.Workers, o.shardBy)
+	o.Printf("solving %d per-tenant policies (%d shards x %d workers, %s sharding, %s balancing)...\n",
+		len(tenants), o.shards, o.Workers, o.shardBy, base.Balancing)
 	cluster, err := serve.StartShardedCluster(serve.ShardedConfig{
 		Models:          base.Models,
 		Tenants:         tenants,
@@ -141,7 +141,7 @@ func (o *options) runSharded(ctx context.Context, base core.Config) error {
 		D:               o.D,
 		MaxQueue:        o.MaxQueue,
 		ShardBy:         o.shardBy,
-		LB:              o.LB,
+		Balancing:       base.Balancing,
 		Addr:            o.addr,
 		DegradeDepth:    o.AdmitDegrade,
 		Adaptive:        o.Adapt,
@@ -296,10 +296,6 @@ func (o *options) runLLM(ctx context.Context) error {
 // and replay modes differ only in who enqueues.
 func (o *options) runCluster(ctx context.Context, base core.Config) error {
 	models, slo := base.Models, base.SLO
-	balancer, err := lb.New(o.LB, o.Seed)
-	if err != nil {
-		return err
-	}
 	o.Printf("generating RAMSIS policy (%s, SLO %.0f ms, %d workers, %.0f QPS, %s balancing)...\n",
 		o.Task, o.SLOMS, o.Workers, o.Load, base.Balancing)
 	set := core.NewPolicySet(base, nil)
@@ -347,7 +343,7 @@ func (o *options) runCluster(ctx context.Context, base core.Config) error {
 		Select:        sched.AdaptiveSelector(adapter),
 		Monitor:       monitor.NewMovingAverage(0.5),
 		Seed:          o.Seed,
-		Balancer:      balancer,
+		Balancing:     base.Balancing,
 		Addr:          listen,
 		TraceWriter:   o.tw,
 		Telemetry:     registry,

@@ -112,12 +112,15 @@ func TestReplaySmoke(t *testing.T) {
 
 // TestLiveSmoke starts the two live modes on a free port, has one POST /query
 // answered, cancels the context — what SIGINT does under cli.Main — and
-// requires run to return nil with the deployment stopped.
+// requires run to return nil with the deployment stopped. The tenant plane
+// under -lb jsq must say it solves its policies for the shards' balancer.
 func TestLiveSmoke(t *testing.T) {
 	tenants := tenantsFile(t)
-	for name, tc := range map[string]struct{ args, banner string }{
-		"frontend": {"-frontend -workers 2 -load 40 -timescale 20 -d 10", "live inference service at "},
-		"tenants":  {"-tenants " + tenants + " -shards 2 -workers 1 -timescale 20 -d 10", "multi-tenant gateway at "},
+	for name, tc := range map[string]struct{ args, banner, line string }{
+		"frontend": {"-frontend -workers 2 -load 40 -timescale 20 -d 10", "live inference service at ", ""},
+		"tenants":  {"-tenants " + tenants + " -shards 2 -workers 1 -timescale 20 -d 10", "multi-tenant gateway at ", ""},
+		"tenants-jsq": {"-tenants " + tenants + " -shards 2 -workers 2 -lb jsq -timescale 20 -d 10", "multi-tenant gateway at ",
+			"hash sharding, shortest-queue-first balancing)"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
@@ -128,6 +131,9 @@ func TestLiveSmoke(t *testing.T) {
 			go func() { done <- run(ctx, strings.Fields(tc.args+" -addr 127.0.0.1:0"), &out) }()
 
 			base := awaitOutput(t, &out, done, regexp.QuoteMeta(tc.banner)+`(http://[0-9.:]+)`)[1]
+			if !strings.Contains(out.String(), tc.line) {
+				t.Errorf("serve %s: output missing %q:\n%s", tc.args, tc.line, out.String())
+			}
 			req, _ := http.NewRequest(http.MethodPost, base+"/query", strings.NewReader("{}"))
 			req.Header.Set("X-Tenant", "gold")
 			resp, err := http.DefaultClient.Do(req)

@@ -219,14 +219,8 @@ func run(_ context.Context, args []string, _ io.Writer) error {
 	wallDur := time.Since(start).Seconds()
 	time.Sleep(500 * time.Millisecond) // drain in-flight batches
 
-	// Refresh the goodput gauges, then read every per-tenant figure back
-	// through the exposition — the soak verifies what an external scraper
-	// would see, not internal state.
-	resp, err := http.Get(c.URL() + "/stats")
-	if err != nil {
-		return fmt.Errorf("stats refresh: %w", err)
-	}
-	resp.Body.Close()
+	// Read every per-tenant figure back through the exposition — the soak
+	// verifies what an external scraper would see, not internal state.
 	series, raw, err := scrapeMetrics(c.URL() + "/metrics")
 	if err != nil {
 		return fmt.Errorf("metrics scrape: %w", err)

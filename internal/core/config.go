@@ -88,9 +88,9 @@ func (b Balancing) String() string {
 	return fmt.Sprintf("Balancing(%d)", int(b))
 }
 
-// ParseBalancing maps a CLI strategy name to the Balancing assumption. It
-// accepts the same aliases as lb.New so -lb flags configure both the
-// offline MDP and the online balancer consistently; "" means round-robin.
+// ParseBalancing is the one table of balancer names (-lb values; "" means
+// round-robin). Its value configures both the offline MDP and, through
+// sim.BalancerFor, the online balancer, so the two cannot disagree.
 func ParseBalancing(s string) (Balancing, error) {
 	switch s {
 	case "", "rr", "round-robin", "roundrobin":

@@ -177,8 +177,7 @@ func (h *Harness) SQF() Series {
 	series, _ := h.sweep("load(QPS)", loads, []arm{
 		constArm("RR", dur, runSpec{models: models, slo: slo, workers: workers, method: MethodRAMSIS}),
 		constArm("SQF", dur, runSpec{models: models, slo: slo, workers: workers, method: MethodRAMSIS,
-			variant: "sqf", mutate: func(c *core.Config) { c.Balancing = core.ShortestQueueFirst },
-			balance: core.ShortestQueueFirst}),
+			variant: "sqf", mutate: func(c *core.Config) { c.Balancing = core.ShortestQueueFirst }}),
 	})
 	h.printf("\n")
 	h.plotSeries("Appendix I: balancing (accuracy vs load)", series)

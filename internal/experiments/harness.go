@@ -326,11 +326,10 @@ type runSpec struct {
 	// accTarget configures the INFaaS adaptation.
 	accTarget float64
 	seed      int64
-	// variant + mutate select a non-default RAMSIS configuration.
+	// variant + mutate select a non-default RAMSIS configuration; the
+	// online balancer is the one its ladder was solved for (Appendix I).
 	variant string
 	mutate  func(*core.Config)
-	// balance switches the RAMSIS online balancer (Appendix I).
-	balance core.Balancing
 	// record enables the per-decision log.
 	record bool
 }
@@ -350,7 +349,7 @@ func (h *Harness) run(s runSpec) sim.Metrics {
 	case MethodRAMSIS:
 		set := h.policySet(s.models, s.slo, s.workers, s.ramsisLoads, s.variant, s.mutate)
 		r := sim.NewRAMSIS(set, mon)
-		r.LB = sim.BalancerFor(s.balance, 1)
+		r.LB = sim.BalancerFor(set.Policies()[0].Balancing, 1)
 		sched = r
 	case MethodJF:
 		sched = sim.Scheme{Monitor: mon, Select: baselines.JellyfishPlus{Profiles: s.models, SLO: s.slo, Workers: s.workers}.Selector()}

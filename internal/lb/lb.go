@@ -7,14 +7,13 @@
 //
 // The paper instantiates round-robin (§3.2.1) and join-shortest-queue
 // (Appendix I); power-of-two choices is the standard low-overhead
-// approximation of JSQ. The offline MDP in internal/core derives its
-// per-worker arrival split from the same strategy choice
-// (core.RoundRobin / core.ShortestQueueFirst / core.PowerOfTwoChoices), so
-// policies stay matched to the online balancer.
+// approximation of JSQ. The strategy is one core.Balancing value, built by
+// sim.BalancerFor for the simulator and the serving plane alike; the MDP in
+// internal/core derives its per-worker arrival split from the same value,
+// so policies stay matched to the online balancer.
 package lb
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -32,7 +31,7 @@ import (
 // concurrent HTTP handlers.
 type Balancer interface {
 	Pick(queueLens []int, healthy []bool) int
-	// Name returns the strategy's canonical flag value (rr, jsq, p2c).
+	// Name returns the strategy's short name (rr, jsq, p2c).
 	Name() string
 }
 
@@ -187,19 +186,4 @@ func (b *PowerOfTwoChoices) Pick(queueLens []int, healthy []bool) int {
 		return second
 	}
 	return first
-}
-
-// New builds a balancer from a -lb flag value. Accepted spellings:
-// "rr"/"round-robin", "jsq"/"shortest-queue", "p2c"/"power-of-two". The
-// seed only affects p2c.
-func New(strategy string, seed int64) (Balancer, error) {
-	switch strategy {
-	case "", "rr", "round-robin", "roundrobin":
-		return NewRoundRobin(), nil
-	case "jsq", "shortest-queue", "sqf":
-		return NewJoinShortestQueue(), nil
-	case "p2c", "power-of-two", "poweroftwo":
-		return NewPowerOfTwoChoices(seed), nil
-	}
-	return nil, fmt.Errorf("lb: unknown strategy %q (want rr, jsq, or p2c)", strategy)
 }

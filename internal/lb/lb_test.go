@@ -106,25 +106,6 @@ func TestSingleWorker(t *testing.T) {
 	}
 }
 
-func TestNewFactory(t *testing.T) {
-	for _, c := range []struct{ arg, want string }{
-		{"", "rr"}, {"rr", "rr"}, {"round-robin", "rr"},
-		{"jsq", "jsq"}, {"sqf", "jsq"},
-		{"p2c", "p2c"}, {"power-of-two", "p2c"},
-	} {
-		b, err := New(c.arg, 1)
-		if err != nil {
-			t.Fatalf("New(%q): %v", c.arg, err)
-		}
-		if b.Name() != c.want {
-			t.Errorf("New(%q).Name() = %s, want %s", c.arg, b.Name(), c.want)
-		}
-	}
-	if _, err := New("bogus", 1); err == nil {
-		t.Error("unknown strategy accepted")
-	}
-}
-
 func TestBalancersConcurrentUse(t *testing.T) {
 	// Exercised under -race in the verify path: concurrent Picks must not
 	// race on internal state.

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"ramsis/internal/admit"
-	"ramsis/internal/lb"
+	"ramsis/internal/core"
 	"ramsis/internal/monitor"
 	"ramsis/internal/profile"
 	"ramsis/internal/sched"
@@ -25,8 +25,9 @@ type ClusterConfig struct {
 	Select        sched.Selector
 	Monitor       monitor.Monitor
 	Seed          int64
-	// Balancer routes queries across worker queues (default round-robin).
-	Balancer lb.Balancer
+	// Balancing routes queries across worker queues (default round-robin);
+	// Select's policies should be solved for the same value.
+	Balancing core.Balancing
 	// Addr is the frontend listen address (default random localhost port).
 	Addr string
 	// Telemetry is shared by the frontend's /metrics; workers keep their
@@ -112,7 +113,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		Workers:     pool.urls,
 		Select:      cfg.Select,
 		Monitor:     cfg.Monitor,
-		Balancer:    cfg.Balancer,
+		Balancer:    sim.BalancerFor(cfg.Balancing, cfg.Seed),
 		Addr:        cfg.Addr,
 		process:     process{Telemetry: cfg.Telemetry, TraceWriter: cfg.TraceWriter, net: cfg.net},
 		Admit:       cfg.Admit,

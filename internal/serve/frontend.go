@@ -36,7 +36,10 @@ type QueryResponse struct {
 
 // StatsResponse is the /stats snapshot. Every count is read from the same
 // telemetry registry that backs /metrics, so the two views agree by
-// construction.
+// construction. On a plane shard the registry is the plane's and its query
+// counters carry no shard label, so Served, Violations, FailedDispatches,
+// Accuracy and ViolationRate are plane-wide totals; Shed and DegradeLevel
+// are 0, as admission and degrading are per tenant (GatewayStats.Tenants).
 type StatsResponse struct {
 	Served        int     `json:"served"`
 	Violations    int     `json:"violations"`
@@ -777,11 +780,13 @@ func (f *Frontend) dispatch(w int, pick sched.Pick, scr *dispatchScratch) {
 		}
 	}
 	postEnd := f.now()
-	// The batch leaves the worker's outstanding count before its first
-	// answer is sent, so a caller holding its answer never counts it.
-	f.wq[w].outstanding.Add(-int32(len(queries)))
 	dispSec := max(postEnd-dispStart-infSec, 0)
+	// The end instant is read while the batch is outstanding, or a clock
+	// that advances once nothing is (a replay's) could move first. The
+	// batch leaves the count before its first answer is sent, so a caller
+	// holding its answer never counts it.
 	done := f.now()
+	f.wq[w].outstanding.Add(-int32(len(queries)))
 	fin := f.core.Finish(pick, &scr.dec, target, infSec, done, ok)
 	respSec := done - postEnd
 	// One scratch span buffer for the whole batch: the trace ring copies

@@ -28,8 +28,8 @@ func replayOnFakeClock(t *testing.T, f *Frontend, arrivals []float64) []<-chan Q
 	clk := &replayClock{
 		at:     arrivals,
 		submit: func(i int) { pending[i], _ = f.Enqueue("") },
-		// Outstanding counts queued and in-dispatch queries, and a batch
-		// stays in dispatch until its responses are out.
+		// Outstanding counts queued and in-dispatch queries: a batch leaves
+		// it once its end instant is read, before its responses are sent.
 		idle: func() bool { return f.Outstanding() == 0 },
 	}
 	w := NewWorker(f.Profiles, sim.Deterministic{}, f.TimeScale, 1)

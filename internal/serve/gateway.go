@@ -42,7 +42,6 @@ type Gateway struct {
 	TraceSources []*telemetry.TraceBuffer
 
 	shardQueries []*telemetry.Counter
-	goodputVec   *telemetry.GaugeVec
 	// depthScratch recycles the per-route shard-depth snapshot the
 	// sharder reads, keeping the routing hot path allocation-free.
 	depthScratch sync.Pool
@@ -88,9 +87,7 @@ func (g *Gateway) Start() error {
 		s := make([]int, 0, len(g.Shards))
 		return &s
 	}
-	g.goodputVec = g.Telemetry.GaugeVec(telemetry.MetricTenantGoodput, "tenant")
 	g.Telemetry.Help(telemetry.MetricShardDepth, "Outstanding queries per frontend shard.")
-	g.Telemetry.Help(telemetry.MetricTenantGoodput, "Per-tenant goodput fraction: in-SLO served / offered.")
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", entry(g.route).serveHTTP)
@@ -171,8 +168,7 @@ func (g *Gateway) Do(tenantName string) (QueryResponse, *EnqueueError) {
 
 // Stats assembles the gateway-wide snapshot: aggregate serving counters
 // (the shards share one registry, so the totals are already merged) plus
-// the per-tenant breakdown. Each tenant's live goodput gauge is refreshed
-// as a side effect, so a /stats poll keeps /metrics' goodput current.
+// the per-tenant breakdown.
 func (g *Gateway) Stats() GatewayStats {
 	tenants := g.Plane.Stats(g.now())
 	depths := make([]int, len(g.Shards))
@@ -184,9 +180,8 @@ func (g *Gateway) Stats() GatewayStats {
 	served := int(g.Telemetry.Counter(telemetry.MetricQueries).Value())
 	violations := int(g.Telemetry.Counter(telemetry.MetricViolations).Value())
 	shed := 0
-	for name, ts := range tenants {
+	for _, ts := range tenants {
 		shed += ts.Shed
-		g.goodputVec.With(name).Set(ts.Goodput)
 	}
 	return GatewayStats{
 		Served:           served,

@@ -20,7 +20,6 @@ import (
 	"ramsis/internal/baselines"
 	"ramsis/internal/core"
 	"ramsis/internal/dist"
-	"ramsis/internal/lb"
 	"ramsis/internal/monitor"
 	"ramsis/internal/profile"
 	"ramsis/internal/sched"
@@ -615,7 +614,7 @@ func TestPrototypeCentralModeBaseline(t *testing.T) {
 		TimeScale: timeScale,
 		Select:    baselines.LoadGranular(ps, slo, modelFor),
 		Monitor:   monitor.Oracle{Trace: tr},
-		Balancer:  lb.NewJoinShortestQueue(),
+		Balancing: core.ShortestQueueFirst,
 		Seed:      1,
 	})
 	m, err := c.Frontend.Replay(context.Background(), trace.PoissonArrivals(tr, 6))

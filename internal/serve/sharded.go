@@ -7,9 +7,9 @@ import (
 	"ramsis/internal/admit"
 	"ramsis/internal/core"
 	"ramsis/internal/dist"
-	"ramsis/internal/lb"
 	"ramsis/internal/profile"
 	"ramsis/internal/sched"
+	"ramsis/internal/sim"
 	"ramsis/internal/telemetry"
 	"ramsis/internal/tenant"
 )
@@ -45,8 +45,9 @@ type ShardedConfig struct {
 	// ShardBy names the sharding policy: "hash"/"rendezvous" (default)
 	// pins each tenant to one shard; "p2c" spreads by queue depth.
 	ShardBy string
-	// LB names each shard's intra-shard balancer (default round-robin).
-	LB string
+	// Balancing is each shard's intra-shard balancer (default
+	// round-robin) and the strategy every tenant policy is solved for.
+	Balancing core.Balancing
 	// Addr is the gateway listen address (default random localhost port).
 	Addr string
 	// Fair overrides the weighted-fair admitter knobs (zero values take
@@ -137,12 +138,13 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 	var adapters []*adapt.Adapter
 	for _, t := range cfg.Tenants {
 		base := core.Config{
-			Models:   cfg.Models,
-			SLO:      t.SLO(),
-			Workers:  cfg.WorkersPerShard,
-			Arrival:  dist.NewPoisson(1),
-			D:        cfg.D,
-			MaxQueue: cfg.MaxQueue,
+			Models:    cfg.Models,
+			SLO:       t.SLO(),
+			Workers:   cfg.WorkersPerShard,
+			Arrival:   dist.NewPoisson(1),
+			D:         cfg.D,
+			MaxQueue:  cfg.MaxQueue,
+			Balancing: cfg.Balancing,
 		}
 		rate := shardRate
 		set := core.NewPolicySet(base, nil)
@@ -208,11 +210,6 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 	}
 	c := &ShardedCluster{Plane: plane, pool: pool, adapters: adapters}
 	for s := 0; s < cfg.Shards; s++ {
-		balancer, err := lb.New(cfg.LB, cfg.Seed+int64(s))
-		if err != nil {
-			c.Stop()
-			return nil, err
-		}
 		lo := s * cfg.WorkersPerShard
 		fe := &Frontend{
 			Profiles:     cfg.Models,
@@ -221,7 +218,7 @@ func StartShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 			Plane:        plane,
 			Shard:        s,
 			WorkerOffset: lo,
-			Balancer:     balancer,
+			Balancer:     sim.BalancerFor(cfg.Balancing, cfg.Seed+int64(s)),
 			process:      process{Telemetry: cfg.Telemetry, TraceWriter: cfg.TraceWriter, net: cfg.net, clock: clk},
 			Decisions:    decisions,
 		}

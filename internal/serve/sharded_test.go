@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ramsis/internal/core"
 	"ramsis/internal/profile"
 	"ramsis/internal/tenant"
 )
@@ -373,5 +374,75 @@ func TestShardedPlaneReadsOneClock(t *testing.T) {
 	exp := scrape(t, c.URL()+"/metrics")
 	if rate := metricValue(t, exp, `ramsis_tenant_rate_qps{tenant="gold"}`); rate != 1/monitorWindow {
 		t.Errorf("gold rate at scrape %v QPS, want %v", rate, 1/monitorWindow)
+	}
+}
+
+// TestShardedPlaneSolvesForItsBalancer starts the plane under each
+// balancing strategy and requires one value throughout: every shard routes
+// with the balancer it names, and every tenant's policies — the initial
+// solve and a drift adapter's re-solve — are solved for it (§3.2.1,
+// Appendix I), so a policy's expectations hold behind the balancer it runs.
+func TestShardedPlaneSolvesForItsBalancer(t *testing.T) {
+	for _, c := range []struct {
+		balancing core.Balancing
+		name      string
+	}{{core.RoundRobin, "rr"}, {core.ShortestQueueFirst, "jsq"}, {core.PowerOfTwoChoices, "p2c"}} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := burstPlane()
+			cfg.Balancing = c.balancing
+			cfg.Adaptive = true
+			plane := startSharded(t, cfg)
+			for s, fe := range plane.shards {
+				if got := fe.Balancer.Name(); got != c.name {
+					t.Errorf("shard %d routes by %s, want %s", s, got, c.name)
+				}
+			}
+			for i, a := range plane.adapters {
+				initial := a.PolicyFor(0)
+				if initial.Balancing != c.balancing {
+					t.Errorf("tenant %d solved for %v, want %v", i, initial.Balancing, c.balancing)
+				}
+				// Confirm a drift to four times the solved rate: the
+				// adapter re-solves in the background from its base.
+				drifted := 4 * initial.Load
+				a.Observe(0, drifted)
+				a.Observe(10, drifted)
+				deadline := time.Now().Add(10 * time.Second)
+				for a.Stats().Swaps == 0 && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if st := a.Stats(); st.Swaps == 0 || st.ResolveErrors != 0 {
+					t.Fatalf("tenant %d: no drift re-solve: %+v", i, st)
+				}
+				if got := a.PolicyFor(drifted); got == initial || got.Balancing != c.balancing {
+					t.Errorf("tenant %d re-solved for %v (new policy %t), want %v",
+						i, got.Balancing, got != initial, c.balancing)
+				}
+			}
+		})
+	}
+}
+
+// TestTenantGoodputAtScrape routes queries for one tenant and scrapes
+// /metrics without any /stats poll: every tenant's goodput gauge must be
+// there, computed at scrape from the counters Gateway.Stats reads, and
+// equal to Stats' figure — the served tenant's and the idle one's alike.
+func TestTenantGoodputAtScrape(t *testing.T) {
+	c := startSharded(t, burstPlane())
+	for i := 0; i < 5; i++ {
+		if r, eerr := c.Gateway.Do("gold"); eerr != nil || r.Error != "" {
+			t.Fatalf("query %d not served: %+v, %v", i, r, eerr)
+		}
+	}
+	exp := scrape(t, c.URL()+"/metrics")
+	stats := c.Gateway.Stats()
+	for _, name := range []string{"gold", "silver"} {
+		got := metricValue(t, exp, fmt.Sprintf(`ramsis_tenant_goodput{tenant=%q}`, name))
+		if want := stats.Tenants[name].Goodput; got != want {
+			t.Errorf("%s goodput at scrape %v, Stats %v", name, got, want)
+		}
+	}
+	if g := stats.Tenants["gold"].Goodput; g != 1 {
+		t.Errorf("gold goodput %v after 5 in-SLO queries, want 1", g)
 	}
 }

@@ -41,7 +41,7 @@ type tenantState struct {
 // matching the single-tenant frontends.
 const monitorWindow = 0.5
 
-// TenantPlaneConfig configures NewTenantPlane.
+// TenantPlaneConfig configures the tenant plane StartShardedCluster builds.
 type TenantPlaneConfig struct {
 	Registry *tenant.Registry
 	// Fair is the shared weighted-fair admitter (built over Registry).
@@ -68,6 +68,7 @@ func newTenantPlane(cfg TenantPlaneConfig, clk clock) *TenantPlane {
 		}
 		p.states[t.Name] = p.newState(t, sel)
 	}
+	cfg.Telemetry.Help(telemetry.MetricTenantGoodput, "Per-tenant goodput fraction: in-SLO served / offered.")
 	return p
 }
 
@@ -76,6 +77,12 @@ func (p *TenantPlane) newState(t tenant.Tenant, sel sched.Selector) *tenantState
 	st := &tenantState{Account: sched.NewAccount(cfg.Telemetry, t.Name, t.SLO(), p.clock.now), sel: sel}
 	st.Monitor = monitor.NewLocked(monitor.NewMovingAverage(monitorWindow))
 	registerRateGauge(cfg.Telemetry, st, t.Name, p.clock.now)
+	count := func(metric string) *telemetry.Counter { return cfg.Telemetry.CounterVec(metric, "tenant").With(t.Name) }
+	served, violations := count(telemetry.MetricTenantQueries), count(telemetry.MetricTenantViolations)
+	shed := count(telemetry.MetricTenantShed)
+	cfg.Telemetry.GaugeFunc(telemetry.MetricTenantGoodput, func() float64 {
+		return goodput(served.Value(), violations.Value(), shed.Value())
+	}, "tenant", t.Name)
 	if cfg.DegradeDepth > 0 {
 		st.Degrade = admit.NewDegrader(admit.DegradeConfig{MaxLevel: cfg.DegradeDepth, EnterWait: st.SLO})
 		gauge := cfg.Telemetry.GaugeVec(telemetry.MetricTenantDegradeLevel, "tenant").With(t.Name)
@@ -120,6 +127,15 @@ func (p *TenantPlane) state(name string) (*tenantState, bool) {
 	return st, true
 }
 
+// goodput is in-SLO served over offered (served + shed), 0 before any
+// query is offered.
+func goodput(served, violations, shed float64) float64 {
+	if offered := served + shed; offered > 0 {
+		return (served - violations) / offered
+	}
+	return 0
+}
+
 // registerRateGauge exposes the tenant's monitored arrival rate as
 // ramsis_tenant_rate_qps, read from its account at scrape time.
 func registerRateGauge(reg *telemetry.Registry, st *tenantState, name string, now func() float64) {
@@ -159,10 +175,6 @@ func (p *TenantPlane) Stats(now float64) map[string]TenantStats {
 		}
 		served, violations := count(telemetry.MetricTenantQueries), count(telemetry.MetricTenantViolations)
 		shed := count(telemetry.MetricTenantShed)
-		goodput := 0.0
-		if offered := served + shed; offered > 0 {
-			goodput = float64(served-violations) / float64(offered)
-		}
 		level := 0
 		if st.Degrade != nil {
 			level = st.Degrade.Level()
@@ -178,7 +190,7 @@ func (p *TenantPlane) Stats(now float64) map[string]TenantStats {
 			Admitted:     count(telemetry.MetricTenantAdmitted),
 			Borrowed:     count(telemetry.MetricTenantBorrowed),
 			Shed:         shed,
-			Goodput:      goodput,
+			Goodput:      goodput(float64(served), float64(violations), float64(shed)),
 			DegradeLevel: level,
 		}
 	}

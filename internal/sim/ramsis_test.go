@@ -257,6 +257,40 @@ func TestRAMSISPowerOfTwoRouting(t *testing.T) {
 	}
 }
 
+// TestBalancingNamesBuildTheirBalancer walks the one table of balancer
+// names: every -lb spelling core.ParseBalancing accepts, through
+// BalancerFor, to the balancer it names; and unknown names are errors.
+func TestBalancingNamesBuildTheirBalancer(t *testing.T) {
+	for _, c := range []struct {
+		arg  string
+		want core.Balancing
+		name string
+	}{
+		{"", core.RoundRobin, "rr"}, {"rr", core.RoundRobin, "rr"},
+		{"round-robin", core.RoundRobin, "rr"}, {"roundrobin", core.RoundRobin, "rr"},
+		{"jsq", core.ShortestQueueFirst, "jsq"}, {"shortest-queue", core.ShortestQueueFirst, "jsq"},
+		{"sqf", core.ShortestQueueFirst, "jsq"},
+		{"p2c", core.PowerOfTwoChoices, "p2c"}, {"power-of-two", core.PowerOfTwoChoices, "p2c"},
+		{"poweroftwo", core.PowerOfTwoChoices, "p2c"},
+	} {
+		b, err := core.ParseBalancing(c.arg)
+		if err != nil {
+			t.Fatalf("ParseBalancing(%q): %v", c.arg, err)
+		}
+		if b != c.want {
+			t.Errorf("ParseBalancing(%q) = %v, want %v", c.arg, b, c.want)
+		}
+		if got := BalancerFor(b, 1).Name(); got != c.name {
+			t.Errorf("BalancerFor(ParseBalancing(%q)).Name() = %s, want %s", c.arg, got, c.name)
+		}
+	}
+	for _, bad := range []string{"bogus", "RR", "jsq ", "hash"} {
+		if _, err := core.ParseBalancing(bad); err == nil {
+			t.Errorf("ParseBalancing(%q) accepted an unknown strategy", bad)
+		}
+	}
+}
+
 // fixedModelLB is a minimal per-worker-queue scheme for balancer
 // comparisons: it routes through an lb.Balancer and serves one query at a
 // time on a fixed model, so the measured difference is the balancer's

@@ -12,9 +12,9 @@ import (
 )
 
 // BalancerFor returns the lb implementation matching an offline balancing
-// assumption, so simulated routing behaves the way the policy's MDP
-// transition probabilities assume. The seed only affects power-of-two
-// choices.
+// assumption, so routing behaves the way the policy's MDP transition
+// probabilities assume; the simulator and the serving plane both build
+// their balancers here. The seed only affects power-of-two choices.
 func BalancerFor(b core.Balancing, seed int64) lb.Balancer {
 	switch b {
 	case core.ShortestQueueFirst:
