@@ -30,6 +30,11 @@ STATICCHECK_VERSION := 2024.1.1
 # one place modeled time becomes a wall sleep. A time.Sleep anywhere else in
 # non-test internal/serve code is a hold no substituted clock can see, so it
 # fails.
+# Server gate: every serving process serves its connections on the one
+# connection loop in internal/serve (process.listen, conn.go), so every
+# server-side read is repository code a fault wrapper or a substituted clock
+# can reach. A second server — net/http's http.Server, ListenAndServe or a
+# Serve(listener) call — in non-test code under internal/ fails.
 # staticcheck runs when available (CI always; locally if installed).
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -44,6 +49,10 @@ lint:
 	@hits="$$(grep -rn --include='*.go' --exclude='*_test.go' 'time\.Sleep' internal/serve | grep -v '^internal/serve/process.go:')"; \
 	if [ -n "$$hits" ]; then \
 		echo "time.Sleep outside the plane's clock (internal/serve/process.go):"; \
+		echo "$$hits"; exit 1; fi
+	@hits="$$(grep -rnE --include='*.go' --exclude='*_test.go' 'http\.Server|ListenAndServe|\.Serve\(' internal)"; \
+	if [ -n "$$hits" ]; then \
+		echo "an HTTP server beside the plane's connection loop (internal/serve/conn.go):"; \
 		echo "$$hits"; exit 1; fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -182,16 +191,21 @@ bench-smoke:
 	if [ -n "$$failed" ]; then echo "bench-smoke: failed:$$failed"; exit 1; fi
 
 # Every fuzz target of internal/serve (the /infer codecs, the response
-# framer and the loop a worker serves a taken-over connection with) and the
-# Poisson CDF ladder's, 10 s each: a mutation pass past the
+# framer, and the connection loop as a worker, a frontend and an LLM worker
+# serve it) and the Poisson CDF ladder's, 10 s each: a mutation pass past the
 # committed seed corpora, which plain `go test` already replays. go test
 # fuzzes one target per run, so the serve targets are listed and run in
-# turn. CI runs it in the bench-smoke job; verify does not, since fuzzing
-# spends a time budget rather than proving a fixed set of cases.
+# turn. A frontend's and an LLM worker's loops reach code through their
+# dispatch and step goroutines, whose coverage varies run to run, so an
+# input can look new and then fail to reproduce; a 2 s minimization bound
+# keeps the fuzzer from spending its 10 s re-running one such input
+# (minimizing is go test's default minute) instead of mutating. CI runs it
+# in the bench-smoke job; verify does not, since fuzzing spends a time
+# budget rather than proving a fixed set of cases.
 fuzz-smoke:
 	@set -e; for t in $$($(GO) test -list '^Fuzz' ./internal/serve/ | grep '^Fuzz'); do \
 		echo "--- $$t"; \
-		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 10s ./internal/serve/; \
+		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 10s -fuzzminimizetime 2s ./internal/serve/; \
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzPoissonCDFLadder$$' -fuzztime 10s ./internal/dist/
 

@@ -157,10 +157,10 @@ func TestFrontendRoutesAroundDeadWorker(t *testing.T) {
 	_ = f
 }
 
-// TestFrontendClientDisconnect covers the req.Context().Done() branch: a
-// client that gives up mid-inference must not wedge the worker loop, leak
-// the dispatch goroutine (the response channel is buffered), or lose the
-// query from the metrics.
+// TestFrontendClientDisconnect covers a /query client that gives up
+// mid-inference: it must not wedge the worker loop, leak the dispatch
+// goroutine or the connection's loop (which waits out the answer, then
+// fails to write it), or lose the query from the metrics.
 func TestFrontendClientDisconnect(t *testing.T) {
 	urls := startWorkers(t, 1, sim.Deterministic{}, 1)
 	f := &Frontend{

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -130,5 +131,34 @@ func TestFrontDoorAnswersLikeNetHTTP(t *testing.T) {
 				break
 			}
 		})
+	}
+}
+
+// TestFrontDoorClosesOnWhatItDoesNotServe sends a frontend, each after one
+// served /query on a fresh connection, a request its loop does not keep the
+// connection for: a /query over HTTP/1.0 is answered 505, and a cold GET of
+// /stats or /metrics 200, each framed by Content-Length and then closed; a
+// /query with a chunked body closes unanswered.
+func TestFrontDoorClosesOnWhatItDoesNotServe(t *testing.T) {
+	host := strings.TrimPrefix(startCluster(t, burstCluster()).URL(), "http://")
+	for _, c := range []struct {
+		req  string
+		want int
+	}{
+		{"POST /query HTTP/1.0\r\nContent-Length: 2\r\n\r\n{}", http.StatusHTTPVersionNotSupported},
+		{"GET /stats HTTP/1.1\r\nHost: f\r\n\r\n", http.StatusOK},
+		{"GET /metrics HTTP/1.1\r\nHost: f\r\n\r\n", http.StatusOK},
+		{"POST /query HTTP/1.1\r\nHost: f\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n", 0},
+	} {
+		conn, err := pipes.dial(host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		br := bufio.NewReader(conn)
+		if status, _ := readAnswer(t, conn, br, dispatchRequest("/query", "{}", "")); status != http.StatusOK {
+			t.Fatalf("first /query: status %d, want 200", status)
+		}
+		requireClosed(t, conn, br, []byte(c.req), c.want)
 	}
 }

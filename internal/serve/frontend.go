@@ -335,11 +335,10 @@ func (f *Frontend) Start() error {
 	}
 	if f.Plane == nil { // a plane shard binds no listener (see Plane)
 		mux := http.NewServeMux()
-		mux.HandleFunc("/query", entry(f.enqueue).serveHTTP)
 		mux.HandleFunc("/stats", f.handleStats)
 		mux.Handle("/debug/traces", f.Traces.Handler())
 		mux.Handle("/debug/decisions", f.Decisions.Handler())
-		if err := f.serve(f.Addr, mux); err != nil {
+		if err := f.listen(f.Addr, mux, entry(f.enqueue).routes()); err != nil {
 			return err
 		}
 	}
@@ -456,11 +455,12 @@ func (enter entry) fresh(tenantName string) (<-chan QueryResponse, *EnqueueError
 	return done, nil
 }
 
-// do enters one query and blocks until its response arrives — the
-// in-process equivalent of POST /query.
-func (enter entry) do(tenantName string) (QueryResponse, *EnqueueError) {
+// do enters one query and blocks until its response arrives: Do and POST
+// /query. It waits out a client that has gone, so the channel is recycled
+// only once its one response was received.
+func (enter entry) do(tenantName, traceID string) (QueryResponse, *EnqueueError) {
 	done := donePool.Get().(chan QueryResponse)
-	if eerr := enter(tenantName, "", done); eerr != nil {
+	if eerr := enter(tenantName, traceID, done); eerr != nil {
 		donePool.Put(done)
 		return QueryResponse{}, eerr
 	}
@@ -469,44 +469,43 @@ func (enter entry) do(tenantName string) (QueryResponse, *EnqueueError) {
 	return resp, nil
 }
 
-// serveHTTP is POST /query: it enters the query and blocks until it is
-// served. The tenant comes from the X-Tenant header or ?tenant= parameter
-// (multi-tenant mode only), the trace context from X-Trace-Id.
-func (enter entry) serveHTTP(rw http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		http.Error(rw, "POST required", http.StatusMethodNotAllowed)
-		return
+// routes is a front door's hot route: POST /query.
+func (enter entry) routes() []hotRoute {
+	return []hotRoute{{line: "POST /query", client: true, answer: enter.query}}
+}
+
+// query answers POST /query: the QueryResponse as one JSON line, or the
+// EnqueueError's status, a 429 with a Retry-After hint. The tenant is
+// X-Tenant, else ?tenant= (multi-tenant mode only), and the trace context
+// X-Trace-Id under clientTraceID's rule.
+func (enter entry) query(hc *conn) error {
+	tn := hc.tenant
+	if tn == "" && hc.query != "" {
+		q, _ := url.ParseQuery(hc.query)
+		tn = q.Get("tenant")
 	}
-	done := donePool.Get().(chan QueryResponse)
-	eerr := enter(tenantFromRequest(req), clientTraceID(req), done)
+	resp, eerr := enter.do(tn, clientTraceID(hc.trace))
 	if eerr != nil {
-		donePool.Put(done)
-		writeEnqueueError(rw, eerr)
-		return
+		hdr := ""
+		if eerr.Status == http.StatusTooManyRequests {
+			hdr = "Retry-After: " + strconv.Itoa(admit.RetryAfterSeconds(eerr.RetryAfterSec)) + "\r\n"
+		}
+		return hc.fail(eerr.Status, hdr, eerr.Msg)
 	}
-	select {
-	case resp := <-done:
-		donePool.Put(done)
-		rw.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(rw).Encode(resp)
-	case <-req.Context().Done():
-		// Client went away; the batch still completes and records metrics
-		// (the done channel is buffered, so dispatch never blocks on it).
-		// The abandoned channel is NOT recycled: dispatch's pending send
-		// would poison the next query that drew it from the pool.
-	}
+	line, _ := json.Marshal(resp) // the line json.Encoder writes, without its newline
+	hc.out = append(append(hc.out[:0], line...), '\n')
+	return hc.answer(http.StatusOK, "Content-Type: application/json\r\n", hc.out)
 }
 
 // maxTraceID bounds the X-Trace-Id a client may set, 4× NewTraceID's 16
 // digits: a dispatch carries a batch of trace IDs in one header line, which
-// a worker reads into a buffer of fixed size (workerConn.next).
+// a worker reads into a buffer of fixed size (conn.next).
 const maxTraceID = 64
 
-// clientTraceID is the request's X-Trace-Id, or "" (a fresh ID) when it is
+// clientTraceID is a client's X-Trace-Id, or "" (a fresh ID) when it is
 // longer than maxTraceID or holds a separator of the dispatch's trace
 // context (',' between IDs, ';' before the parent).
-func clientTraceID(req *http.Request) string {
-	id := req.Header.Get("X-Trace-Id")
+func clientTraceID(id string) string {
 	if len(id) > maxTraceID || strings.ContainsAny(id, ",;") {
 		return ""
 	}
@@ -525,7 +524,7 @@ func (f *Frontend) Enqueue(tenantName string) (<-chan QueryResponse, *EnqueueErr
 // Do enqueues one query and blocks until its response arrives; benchmarks
 // and tests use it.
 func (f *Frontend) Do(tenantName string) (QueryResponse, *EnqueueError) {
-	return entry(f.enqueue).do(tenantName)
+	return entry(f.enqueue).do(tenantName, "")
 }
 
 // enqueue runs one query through the core's arrival step and routes it onto
@@ -586,24 +585,6 @@ func (f *Frontend) enqueue(tenantName, traceID string, done chan QueryResponse) 
 	ws.cond.Signal()
 	ws.mu.Unlock()
 	return nil
-}
-
-// tenantFromRequest extracts the tenant label: X-Tenant header first, then
-// the ?tenant= query parameter; empty means the default tenant.
-func tenantFromRequest(req *http.Request) string {
-	if tn := req.Header.Get("X-Tenant"); tn != "" {
-		return tn
-	}
-	return req.URL.Query().Get("tenant")
-}
-
-// writeEnqueueError maps an EnqueueError onto the HTTP response, with the
-// Retry-After hint on 429s.
-func writeEnqueueError(rw http.ResponseWriter, e *EnqueueError) {
-	if e.Status == http.StatusTooManyRequests {
-		rw.Header().Set("Retry-After", strconv.Itoa(admit.RetryAfterSeconds(e.RetryAfterSec)))
-	}
-	http.Error(rw, e.Msg, e.Status)
 }
 
 // Outstanding totals queued plus in-dispatch queries across this shard's

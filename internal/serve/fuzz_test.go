@@ -12,10 +12,14 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
+	"time"
 	"unicode/utf8"
 
+	"ramsis/internal/llm"
 	"ramsis/internal/profile"
 	"ramsis/internal/sim"
 	"ramsis/internal/telemetry"
@@ -32,8 +36,9 @@ import (
 // JSON, and parseInferLatency keys off a byte sequence without validating
 // the surrounding document, so it can accept fragments encoding/json
 // refuses. FuzzInferExchange fuzzes the HTTP/1.1 framer the dispatcher
-// reads worker answers with, and FuzzWorkerConn the loop a worker serves
-// each connection with.
+// reads worker answers with, and FuzzWorkerConn, FuzzFrontendConn and
+// FuzzLLMWorkerConn the loop every serving process serves each connection
+// with.
 
 // FuzzParseInferRequest cross-checks the allocation-free request decoder
 // against encoding/json and pins re-encode self-consistency.
@@ -273,32 +278,28 @@ type keptConn struct {
 
 func (c *keptConn) Write(p []byte) (int, error) { return c.out.Write(p) }
 
-// FuzzWorkerConn runs a worker's connection loop on arbitrary bytes after
-// one valid request, with the worker's mux but /debug/pprof (a CPU profile
-// would hold an input for its 30 s). The loop must not panic, must not allocate with a declared length (at most a fixed
-// allowance plus a multiple of the input, whatever Content-Length says),
-// and everything it writes must be a run of answers framed by
-// Content-Length alone, the first of them the valid exchange's 200.
-func FuzzWorkerConn(f *testing.F) {
-	w := NewWorker(profile.ImageSet(), sim.Deterministic{}, 1e10, 1)
-	w.net = pipes
-	// The inputs' trace contexts fill the worker's ring across the run; a
-	// short ring keeps a /debug/traces answer within the allocation bound.
-	w.Traces = telemetry.NewTraceBuffer(8)
-	if err := w.Start(); err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() { _ = w.Stop() })
-	mux := workerMux("POST /infer", refuseInfer, w.Traces)
-	mux.Handle("/metrics", w.Telemetry.Handler())
-	first := dispatchRequest("/infer", `{"model":"shufflenet_v2_x0_5","batch":1}`, "")
+// fuzzConn runs a process's connection loop on arbitrary bytes after one
+// valid request, first, with the process's mux but /debug/pprof (a CPU
+// profile would hold an input for its 30 s). The loop must not panic, must
+// not allocate with a declared length (at most a fixed allowance plus a
+// multiple of the input, whatever Content-Length says), and everything it
+// writes must be a run of answers framed by Content-Length alone — or, where
+// chunked is set, by chunks that end in the zero chunk — the first of them
+// the valid exchange's 200, whose body valid accepts.
+func fuzzConn(f *testing.F, p *process, first string, chunked bool, valid func([]byte) bool) {
+	mux := http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		if strings.HasPrefix(req.URL.Path, "/debug/pprof") {
+			http.NotFound(rw, req)
+			return
+		}
+		p.mux.ServeHTTP(rw, req)
+	})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		c := &keptConn{scriptConn: scriptConn{r: bytes.NewReader(append([]byte(first), in...))}}
 		c.out.Grow(4 << 10)
-		wc := &workerConn{w: w, c: c, br: bufio.NewReader(c), mux: mux}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		wc.serve(context.Background())
+		(&conn{c: c, br: bufio.NewReader(c)}).serve(context.Background(), mux, p.hot)
 		runtime.ReadMemStats(&after)
 		if grown, allowed := after.TotalAlloc-before.TotalAlloc, uint64(64*maxRequestBody+64*len(in)); grown > allowed {
 			t.Fatalf("serving %d bytes allocated %d, want at most %d", len(in), grown, allowed)
@@ -316,14 +317,104 @@ func FuzzWorkerConn(f *testing.F) {
 				t.Fatalf("answer %d does not parse: %v\n%q", i, err, c.out.Bytes())
 			}
 			body, err := io.ReadAll(resp.Body)
-			if err != nil || resp.Header.Get("Content-Length") == "" || len(resp.TransferEncoding) > 0 {
-				t.Fatalf("answer %d not framed by Content-Length alone (%v)\n%q", i, err, c.out.Bytes())
+			framed := resp.Header.Get("Content-Length") != "" && len(resp.TransferEncoding) == 0 ||
+				chunked && resp.Header.Get("Content-Length") == "" && slices.Equal(resp.TransferEncoding, []string{"chunked"})
+			if err != nil || !framed {
+				t.Fatalf("answer %d not framed by Content-Length alone or whole chunks (%v)\n%q", i, err, c.out.Bytes())
 			}
-			if i == 0 {
-				if _, ok := parseInferLatency(body); resp.StatusCode != http.StatusOK || !ok {
-					t.Fatalf("valid exchange answered %d %q", resp.StatusCode, body)
-				}
+			if i == 0 && (resp.StatusCode != http.StatusOK || !valid(body)) {
+				t.Fatalf("valid exchange answered %d %q", resp.StatusCode, body)
 			}
 		}
+	})
+}
+
+// FuzzWorkerConn runs fuzzConn on a worker's loop after a valid /infer.
+func FuzzWorkerConn(f *testing.F) {
+	w := NewWorker(profile.ImageSet(), sim.Deterministic{}, 1e10, 1)
+	w.net = pipes
+	// The inputs' trace contexts fill the worker's ring across the run; a
+	// short ring keeps a /debug/traces answer within the allocation bound.
+	w.Traces = telemetry.NewTraceBuffer(8)
+	if err := w.Start(); err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { _ = w.Stop() })
+	fuzzConn(f, &w.process, dispatchRequest("/infer", `{"model":"shufflenet_v2_x0_5","batch":1}`, ""), false,
+		func(body []byte) bool {
+			_, ok := parseInferLatency(body)
+			return ok
+		})
+}
+
+// FuzzFrontendConn runs fuzzConn on a standalone frontend's loop, over two
+// workers, after a valid /query.
+func FuzzFrontendConn(f *testing.F) {
+	for _, seed := range []string{
+		"POST /query?tenant=gold HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
+		"POST /query HTTP/1.1\r\nX-Tenant: gold\r\nX-Trace-Id: " + strings.Repeat("a", 5000) + "\r\n\r\n",
+		"POST /query HTTP/1.1\r\nX-Trace-Id: x;y\r\n\r\nGET /stats HTTP/1.1\r\n\r\n",
+		"POST /query HTTP/1.0\r\n\r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	// Short rings keep a /debug/traces or /debug/decisions answer within
+	// the allocation bound.
+	var urls []string
+	for i := 0; i < 2; i++ {
+		w := NewWorker(profile.ImageSet(), sim.Deterministic{}, 1e10, int64(i+1))
+		w.net, w.Traces = pipes, telemetry.NewTraceBuffer(8)
+		if err := w.Start(); err != nil {
+			f.Fatal(err)
+		}
+		f.Cleanup(func() { _ = w.Stop() })
+		urls = append(urls, w.URL())
+	}
+	fastest := profile.ImageSet().Fastest()
+	fe := &Frontend{
+		Profiles: profile.ImageSet(), SLO: 1e9, TimeScale: 1e10, Workers: urls,
+		Select:    func(_, _ float64, n int, _ float64) (string, int) { return fastest.Name, min(n, fastest.MaxBatch()) },
+		process:   process{net: pipes, Traces: telemetry.NewTraceBuffer(8)},
+		Decisions: telemetry.NewDecisionBuffer(8),
+		// Probes that never tick keep the coverage an input reaches its own.
+		healthInterval: time.Hour,
+	}
+	if err := fe.Start(); err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { _ = fe.Stop() })
+	fuzzConn(f, &fe.process, "POST /query HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", false,
+		func(body []byte) bool {
+			var qr QueryResponse
+			line, rest, _ := bytes.Cut(body, []byte("\n"))
+			return json.Unmarshal(line, &qr) == nil && len(rest) == 0 && qr.Model != "" && qr.Error == ""
+		})
+}
+
+// FuzzLLMWorkerConn runs fuzzConn on an LLM worker's loop after a valid
+// /generate, whose stream is chunked.
+func FuzzLLMWorkerConn(f *testing.F) {
+	gen := func(body string) string { return dispatchRequest("/generate", body, "") }
+	for _, seed := range []string{
+		gen(`{"prefill":16,"decode":3}`),
+		gen(`{"prefill":1,"decode":1` + strings.Repeat(" ", 2*maxRequestBody) + `}`),
+		"POST /generate HTTP/1.1\r\nX-Trace-Id: " + strings.Repeat("a", 5000) + "\r\nContent-Length: 2\r\n\r\n{}",
+		gen(`{"prefill":-1,"decode":1e9}`),
+		"GET /generate HTTP/1.1\r\n\r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	models := llm.BuiltinSet()
+	w := NewLLMWorker(models, 8.0, 1e10, sim.FixedSelector(models.Fastest()))
+	w.net = pipes
+	w.Traces = telemetry.NewTraceBuffer(8)
+	if err := w.Start(); err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { _ = w.Stop() })
+	fuzzConn(f, &w.process, gen(`{"prefill":8,"decode":4}`), true, func(body []byte) bool {
+		var sum GenSummary
+		tokens, trailer, ok := bytes.Cut(body, []byte("\n"))
+		return ok && string(tokens) == "tttt" && json.Unmarshal(trailer, &sum) == nil && sum.Decode == 4
 	})
 }

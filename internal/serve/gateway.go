@@ -90,17 +90,16 @@ func (g *Gateway) Start() error {
 	g.Telemetry.Help(telemetry.MetricShardDepth, "Outstanding queries per frontend shard.")
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query", entry(g.route).serveHTTP)
 	mux.HandleFunc("/stats", g.handleStats)
 	mux.HandleFunc("/reload", g.handleReload)
 	mux.HandleFunc("/debug/traces", g.handleTraces)
 	mux.Handle("/debug/decisions", g.Decisions.Handler())
-	return g.serve(g.Addr, mux)
+	return g.listen(g.Addr, mux, entry(g.route).routes())
 }
 
 // Route admits and enqueues one query on the shard the sharding policy
 // picks for its tenant, returning the response channel. Load injectors
-// call this directly; POST /query wraps route for HTTP clients. The trace
+// call this directly; POST /query enters through route too. The trace
 // context is born here: Route generates the trace ID, records the
 // gateway-side fragment, and hands the ID down so the shard's and worker's
 // fragments stitch under it.
@@ -163,7 +162,7 @@ func (g *Gateway) RouteAsync(tenantName string) *EnqueueError {
 // Do routes one query and blocks until its response arrives — the
 // in-process equivalent of POST /query on the gateway.
 func (g *Gateway) Do(tenantName string) (QueryResponse, *EnqueueError) {
-	return entry(g.route).do(tenantName)
+	return entry(g.route).do(tenantName, "")
 }
 
 // Stats assembles the gateway-wide snapshot: aggregate serving counters

@@ -14,20 +14,11 @@ import (
 )
 
 // This file is the /infer wire layer shared by the Frontend's dispatch
-// path and the worker's handler: hand-rolled JSON
-// encode/decode into reusable scratch buffers, and a minimal HTTP/1.1
-// client over owned persistent connections. A dispatch loop is strictly
-// serial — write one request, read its response, repeat — so net/http's
-// general client machinery (connection-pool lookup, per-request context,
-// header maps, reader/writer goroutines) bought nothing here and cost
-// ~15 heap allocations plus four goroutine handoffs per POST. One owned
-// connection per (loop, worker) with scratch-buffer serialization brings
-// the client side of a dispatch to zero steady-state allocations.
-//
-// Draining matters as much as the allocation savings: a response body
-// left unread forfeits the keep-alive connection, so every such response
-// used to cost a fresh TCP connection on the next dispatch. The exchange
-// below always reads the full framed body, whatever the status.
+// path and the worker: hand-rolled JSON encode/decode into reusable scratch
+// buffers, and a minimal HTTP/1.1 client over owned persistent connections,
+// one per (loop, worker), with no steady-state allocation (DESIGN.md § "The
+// worker hop" (3)). The exchange always reads the full framed body,
+// whatever the status, so a connection is never forfeited to an unread one.
 
 // postScratch is per-dispatch-loop scratch for the /infer POST path: the
 // encoded request body, the serialized wire bytes, the response read

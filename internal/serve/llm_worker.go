@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -112,7 +113,8 @@ func (w *LLMWorker) Start() error {
 		w.Name = "llm-worker"
 	}
 	w.b = llm.NewBatcher[*genStream](models, w.SLO, w.Selector, w.Telemetry, max(w.Index, 0))
-	if err := w.serve("", workerMux("/generate", w.handleGenerate, w.Traces)); err != nil {
+	hot := []hotRoute{{line: "POST /generate", client: true, answer: w.generate}}
+	if err := w.listen("", workerMux(w.Traces), hot); err != nil {
 		return err
 	}
 	w.onStop(w.halt)
@@ -147,59 +149,50 @@ func (w *LLMWorker) submit(gr GenRequest, traceID string) *genStream {
 	return g
 }
 
-func (w *LLMWorker) handleGenerate(rw http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		http.Error(rw, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(rw, req.Body, maxRequestBody))
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
+// generate answers POST /generate: 400 for a body that does not decode or a
+// footprint no model's cache holds, 503 when the worker stopped or rejected
+// the sequence before its first token, else a chunked stream — a chunk per
+// token as it lands (a wire TTFT), one of a newline and the GenSummary
+// trailer, the zero chunk. A sequence rejected mid-stream has no trailer.
+func (w *LLMWorker) generate(hc *conn) error {
 	var gr GenRequest
-	if err := json.Unmarshal(body, &gr); err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
+	if err := json.Unmarshal(hc.body, &gr); err != nil {
+		return hc.fail(http.StatusBadRequest, "", err.Error())
 	}
 	// Bounding each length first keeps the sum from overflowing. A footprint
 	// no model's cache can hold is the client's error, not a queueing
 	// outcome: refuse it before it reserves anything.
 	if gr.Prefill > w.maxKV || gr.Decode > w.maxKV || max(gr.Prefill, 1)+max(gr.Decode, 1) > w.maxKV {
-		http.Error(rw, fmt.Sprintf("request footprint (prefill %d + decode %d tokens) exceeds every model's KV capacity (largest %d)",
-			gr.Prefill, gr.Decode, w.maxKV), http.StatusBadRequest)
-		return
+		return hc.fail(http.StatusBadRequest, "", fmt.Sprintf("request footprint (prefill %d + decode %d tokens) exceeds every model's KV capacity (largest %d)",
+			gr.Prefill, gr.Decode, w.maxKV))
 	}
-	g := w.submit(gr, req.Header.Get("X-Trace-Id"))
+	g := w.submit(gr, hc.trace)
 	if g == nil {
-		http.Error(rw, "worker stopped", http.StatusServiceUnavailable)
-		return
+		return hc.fail(http.StatusServiceUnavailable, "", "worker stopped")
 	}
-
-	// Stream one byte per generated token, flushing each so the client's
-	// first byte is a real wire-level TTFT. Headers ride out with the first
-	// token write.
-	fl, _ := rw.(http.Flusher)
-	rw.Header().Set("Content-Type", "application/octet-stream")
-	streamed := 0
-	for range g.tok {
-		if _, err := rw.Write([]byte{'t'}); err != nil {
-			return // client went away; the loop still finishes the sequence
+	_, ok := <-g.tok
+	if !ok && g.reject != "" {
+		return hc.fail(http.StatusServiceUnavailable, "", g.reject)
+	}
+	wire := append(hc.wire[:0], "HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\nTransfer-Encoding: chunked\r\n\r\n"...)
+	for ; ok; _, ok = <-g.tok {
+		hc.wire = append(wire, "1\r\nt\r\n"...)
+		if _, err := hc.c.Write(hc.wire); err != nil {
+			return err // client went away; the loop still finishes the sequence
 		}
-		if fl != nil {
-			fl.Flush()
+		wire = hc.wire[:0]
+	}
+	if g.reject == "" {
+		trailer, err := json.Marshal(g.sum)
+		if err != nil {
+			return err
 		}
-		streamed++
+		wire = strconv.AppendInt(wire, int64(len(trailer)+1), 16)
+		wire = append(append(append(wire, "\r\n\n"...), trailer...), "\r\n"...)
 	}
-	if g.reject != "" && streamed == 0 {
-		http.Error(rw, g.reject, http.StatusServiceUnavailable)
-		return
-	}
-	trailer, err := json.Marshal(g.sum)
-	if err != nil {
-		return
-	}
-	_, _ = rw.Write(append(append(make([]byte, 0, len(trailer)+1), '\n'), trailer...))
+	hc.wire = append(wire, "0\r\n\r\n"...)
+	_, err := hc.c.Write(hc.wire)
+	return err
 }
 
 // loop drives the batcher from the process's clock: run a step boundary,

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ramsis/internal/llm"
 	"ramsis/internal/sim"
@@ -281,5 +282,43 @@ func TestLLMWorkerTrailerCarriesBatcherVerdict(t *testing.T) {
 		if sum.DeadlineMet != tc.met {
 			t.Errorf("%s: deadlineMet=%v, want %v", tc.name, sum.DeadlineMet, tc.met)
 		}
+	}
+}
+
+// TestLLMWorkerStopMidStreamSendsNoTrailer stops an LLM worker while a
+// client reads a /generate stream: the rejected sequence's stream must end
+// whole but without a summary trailer, so PostGenerate reports the missing
+// trailer rather than a zero summary as a served result.
+func TestLLMWorkerStopMidStreamSendsNoTrailer(t *testing.T) {
+	models := llm.BuiltinSet()
+	// At TimeScale 1 a decode step is tens of wall milliseconds, so 10,000
+	// tokens keep the stream open far longer than the test waits.
+	w := NewLLMWorker(models, 8.0, 1, sim.FixedSelector(models.Fastest()))
+	w.net = pipes
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Stop()
+	client := &http.Client{Transport: pipes.transport()}
+	defer client.CloseIdleConnections()
+	done := make(chan error, 1)
+	go func() {
+		_, err := PostGenerate(client, w.URL(), 100, 10000)
+		done <- err
+	}()
+	decoded := w.Telemetry.Counter(telemetry.MetricLLMTokens, "kind", "decode")
+	if !waitUntil(t, 10*time.Second, func() bool { return decoded.Value() >= 2 }) {
+		t.Fatal("the stream never decoded a token")
+	}
+	if err := w.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "missing summary trailer") {
+			t.Errorf("PostGenerate after a mid-stream Stop: %v, want the missing summary trailer", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("PostGenerate did not return after Stop")
 	}
 }

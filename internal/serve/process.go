@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bufio"
+	"context"
 	"errors"
 	"net"
 	"net/http"
@@ -93,6 +95,14 @@ type process struct {
 	addr      string
 	mu        sync.Mutex
 	teardowns []func() error
+	// mux and hot are what the process serves: its cold routes and the
+	// request lines its connection loop reads itself.
+	mux *http.ServeMux
+	hot []hotRoute
+	// conns are the connections the process holds open; accept ends them
+	// once Stop closes the listener.
+	connMu sync.Mutex
+	conns  map[net.Conn]struct{}
 }
 
 // defaults builds the unset Telemetry and Traces, picks tcp when no network
@@ -113,28 +123,70 @@ func (p *process) defaults(timeScale *float64) {
 	}
 }
 
-// listen adds /metrics and /debug/pprof to mux, the process's own routes,
-// and binds addr on the process's network (a fresh address when empty).
-func (p *process) listen(addr string, mux *http.ServeMux) (net.Listener, error) {
+// listen adds /metrics, /debug/pprof and a refusal of each hot line the
+// loop does not read (refuse) to mux, binds addr on the process's network
+// (a fresh address when empty), and serves each connection it accepts with
+// conn.serve until Stop.
+func (p *process) listen(addr string, mux *http.ServeMux, hot []hotRoute) error {
 	mux.Handle("/metrics", p.Telemetry.Handler())
 	telemetry.RegisterPprof(mux)
-	ln, err := p.net.listen(addr)
-	if err == nil {
-		p.addr = ln.Addr().String()
+	for _, r := range hot {
+		mux.HandleFunc(r.line, refuse(r.line))
 	}
-	return ln, err
-}
-
-// serve listens as listen does and serves mux with net/http until Stop.
-func (p *process) serve(addr string, mux *http.ServeMux) error {
-	ln, err := p.listen(addr, mux)
+	ln, err := p.net.listen(addr)
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: mux}
-	go func() { _ = srv.Serve(ln) }()
-	p.onStop(srv.Close)
+	p.addr, p.mux, p.hot = ln.Addr().String(), mux, hot
+	// Cold requests run under ctx, so Stop ends a long one (a CPU profile).
+	ctx, cancel := context.WithCancel(context.Background())
+	p.conns = make(map[net.Conn]struct{})
+	done := make(chan struct{})
+	go p.accept(ctx, ln, done)
+	p.onStop(func() error {
+		cancel()
+		err := ln.Close()
+		<-done
+		return err
+	})
 	return nil
+}
+
+// stopGrace is how long Stop lets an answer in progress reach its client.
+const stopGrace = time.Second
+
+// accept serves each connection ln accepts on its own loop. Once ln
+// closes, it ends every open connection's reads at once, gives an answer
+// in progress stopGrace to be written (a stream Stop cut short still ends
+// as its framing says), and closes done when every loop has returned.
+func (p *process) accept(ctx context.Context, ln net.Listener, done chan struct{}) {
+	defer close(done)
+	var loops sync.WaitGroup
+	for {
+		c, err := ln.Accept()
+		if err != nil {
+			break
+		}
+		p.connMu.Lock()
+		p.conns[c] = struct{}{}
+		p.connMu.Unlock()
+		loops.Add(1)
+		go func() {
+			defer loops.Done()
+			(&conn{c: c, br: bufio.NewReader(c)}).serve(ctx, p.mux, p.hot)
+			p.connMu.Lock()
+			delete(p.conns, c)
+			p.connMu.Unlock()
+		}()
+	}
+	now := time.Now()
+	p.connMu.Lock()
+	for c := range p.conns {
+		_ = c.SetReadDeadline(now) // fails only on a closed connection, whose loop is ending
+		_ = c.SetWriteDeadline(now.Add(stopGrace))
+	}
+	p.connMu.Unlock()
+	loops.Wait()
 }
 
 // onStop registers a teardown for Stop to run.
@@ -148,7 +200,7 @@ func (p *process) onStop(f func() error) {
 func (p *process) URL() string { return "http://" + p.addr }
 
 // Stop runs every teardown Start registered, last first, and returns their
-// errors (the server's Close error); a repeated Stop, or one without a Start,
+// errors (the listener's Close error); a repeated Stop, or one without a Start,
 // does nothing.
 func (p *process) Stop() error {
 	p.mu.Lock()

@@ -53,7 +53,7 @@ func (f *Frontend) Replay(ctx context.Context, arrivals []float64) (sim.Metrics,
 		m.ModelCounts[r.Model]++
 		m.Latencies = append(m.Latencies, r.LatencyMS/1000)
 		p, _ := f.Profiles.ByName(r.Model)
-		m.Serve(!r.DeadlineMet, p.Accuracy)
+		m.Answer(!r.DeadlineMet, p.Accuracy)
 		if r.Error != "" {
 			m.FailedDispatches++
 		}

@@ -128,8 +128,8 @@ type Tally struct {
 	Shed int
 }
 
-// Serve counts one answered query: a violation, or accuracy earned.
-func (t *Tally) Serve(violated bool, accuracy float64) {
+// Answer counts one answered query: a violation, or accuracy earned.
+func (t *Tally) Answer(violated bool, accuracy float64) {
 	t.Served++
 	if violated {
 		t.Violations++
@@ -837,7 +837,7 @@ func (e *Engine) complete(ev event) {
 // serve counts one answered query on its account and in the run's latency
 // record.
 func (e *Engine) serve(a *account, latency float64, violated bool, accuracy float64) {
-	a.m.Serve(violated, accuracy)
+	a.m.Answer(violated, accuracy)
 	e.latHist.Observe(latency)
 	if e.CollectLatencies {
 		e.metrics.Latencies = append(e.metrics.Latencies, latency)
